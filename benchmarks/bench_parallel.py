@@ -1,12 +1,14 @@
-"""Worker-scaling benchmarks for the sharded parallel subsystem.
+"""Worker-scaling benchmark for ``solve_many`` group dispatch.
 
-Workload: the Figure 12 family at service scale -- the TPC-H-like instance
-solved in Figure 12, grown to a few thousand tuples, serving a mixed
-``solve_many`` batch of Q1 plus its sub-join/projection variants (the
-"many tenants, one database" shape the parallel subsystem targets).  The
-same batch runs on 1, 2 and 4 workers; per-query results must match the
-serial engine exactly, and on a multi-core runner the 4-worker batch is
-expected to reach the >= 2x acceptance speedup (recorded in
+``Session(db, workers=N)`` sends the distinct hard-leaf query groups of a
+``solve_many`` batch to a persistent pool of N worker processes; every
+evaluation stays on the serial columnar join path.  Workload: the Figure 12
+family at service scale -- the TPC-H-like instance solved in Figure 12,
+grown to a few thousand tuples, serving a mixed ``solve_many`` batch of Q1
+plus its projection variants (the "many tenants, one database" shape group
+dispatch targets).  The same batch runs on 1, 2 and 4 workers; per-query
+results must match the serial engine exactly, and on a multi-core runner
+the 4-worker batch is expected to reach the >= 2x acceptance speedup (recorded in
 ``extra_info["speedup_w4"]``; asserted only when the machine actually has
 the cores, so single-core CI still validates correctness).
 
@@ -22,8 +24,6 @@ from repro.query.parser import parse_query
 from repro.session import Session
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
-
-from tests.conftest import packed_columns
 
 #: Figure 12 instance, scaled up so per-solve work dominates dispatch cost.
 TOTAL_TUPLES = 2400
@@ -65,7 +65,7 @@ def run_batch(database, workers):
     the scaling curve compares steady-state joins against steady-state
     joins, not a cold serial run against warm workers.
     """
-    with Session(database, workers=workers, parallel_threshold=0) as session:
+    with Session(database, workers=workers) as session:
         session.solve_many(batch_requests(), heuristic="greedy")  # warm up
         session.clear_cache()
         start = time.perf_counter()
@@ -117,23 +117,3 @@ def test_worker_scaling_curve(benchmark, fig12_database):
         # asserted: 6 groups over 2 workers plus IPC can legitimately land
         # below any fixed bar on a noisy runner.
     benchmark(lambda: run_batch(fig12_database, 4)[1])
-
-
-def test_sharded_evaluate_matches_serial(benchmark, fig12_database):
-    """Steady-state sharded evaluation (partition caches warm, pool resident)."""
-    serial = Session(fig12_database)
-    expected = serial.evaluate(Q1)
-    with Session(fig12_database, workers=2, parallel_threshold=0) as session:
-        first = session.evaluate(Q1)
-        assert list(first.witness_outputs) == list(expected.witness_outputs)
-        assert packed_columns(first.provenance) == packed_columns(expected.provenance)
-
-        def evaluate_uncached():
-            session.clear_cache()
-            return session.evaluate(Q1).witness_count()
-
-        witnesses = benchmark(evaluate_uncached)
-        assert witnesses == expected.witness_count()
-        benchmark.extra_info.update(
-            {"figure": "parallel-scaling", "witnesses": witnesses}
-        )

@@ -3,10 +3,10 @@
 
 Runs the ``bench_fig12`` workload (TPC-H-like, 60 tuples, Q1, k from
 ρ = 0.1; methods bruteforce / greedy / drastic), the session what-if
-probe, and the sharded parallel path (a mixed ``solve_many`` batch on a
-2-worker session over a larger instance -- guarding partition + dispatch +
-merge overhead, not multi-core speedup, so the check is meaningful on any
-runner), and compares wall time against the committed baseline
+probe, and ``solve_many`` group dispatch (a mixed batch on a 2-worker
+session over a larger instance -- guarding dispatch overhead, not
+multi-core speedup, so the check is meaningful on any runner), and
+compares wall time against the committed baseline
 ``benchmarks/baseline_fig12.json``.
 
 Machines differ, so raw seconds are not comparable across hardware: every
@@ -79,8 +79,8 @@ THRESHOLD = 2.0
 SMALL_SIZE = 60
 RATIO = 0.1
 
-#: The parallel-path workload: large enough that sharding engages, small
-#: enough that the guard stays a smoke test.
+#: The group-dispatch workload: a few thousand tuples, small enough that
+#: the guard stays a smoke test.
 PARALLEL_SIZE = 800
 PARALLEL_WORKERS = 2
 
@@ -173,7 +173,7 @@ def measure() -> dict:
 
     # Parallel path: mixed solve_many batch on a persistent 2-worker pool
     # (pool start + database shipping are excluded by the warm-up batch --
-    # the guard pins the steady-state dispatch/merge cost).
+    # the guard pins the steady-state dispatch cost).
     from repro.query.parser import parse_query
 
     parallel_db = generate_tpch(total_tuples=PARALLEL_SIZE, seed=7)
@@ -183,9 +183,7 @@ def measure() -> dict:
         (parse_query(f"QA(NK, OK) :- {body}"), 2),
         (parse_query(f"QB(SK, PK) :- {body}"), 2),
     ]
-    with Session(
-        parallel_db, workers=PARALLEL_WORKERS, parallel_threshold=0
-    ) as parallel_session:
+    with Session(parallel_db, workers=PARALLEL_WORKERS) as parallel_session:
         parallel_session.solve_many(batch, heuristic="greedy")  # warm up
 
         def parallel_batch():

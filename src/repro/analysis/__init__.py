@@ -3,7 +3,7 @@
 Six PRs of engine work rest on correctness contracts that, until this
 subsystem, lived only in docstrings and reviewers' heads: NumPy stays
 behind :mod:`repro.engine.backend`, interned columns are append-only,
-shared state is touched under the right lock, merge paths iterate
+shared state is touched under the right lock, packing paths iterate
 deterministically.  ``repro.analysis`` turns each contract into a
 mechanical checker over the stdlib :mod:`ast` (no third-party
 dependencies), so CI can block a PR that breaks an invariant instead of

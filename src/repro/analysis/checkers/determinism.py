@@ -1,15 +1,18 @@
-"""REP004: merge/packing paths never iterate in set order.
+"""REP004: packing paths never iterate in set order.
 
-The parallel merge (``parallel/merge.py``) reproduces the serial engine's
-output *byte-identically*: witness order is the lexicographic join-order
-tid tuple, and every consumer downstream (greedy tie-breaking, packed
-columns, the parity suites) depends on it.  Python set iteration order is
-a function of element hashes -- and for strings, of the per-process hash
-seed -- so one ``for x in some_set`` feeding an ordered result makes the
-output process-dependent.  Dicts iterate in insertion order, which is
+The columnar engine's packed provenance is compared byte for byte: across
+array backends, between incrementally maintained and rebuilt results,
+between recovered and uninterrupted sessions, and between a ``solve_many``
+worker (whose interning tables are seeded in the parent's row order) and
+the parent.  Witness order is the lexicographic join-order tid tuple, and
+every consumer downstream (greedy tie-breaking, packed columns, the
+parity suites) depends on it.  Python set iteration order is a function of
+element hashes -- and for strings, of the per-process hash seed -- so one
+``for x in some_set`` feeding an ordered result makes the output
+process-dependent.  Dicts iterate in insertion order, which is
 deterministic *unless* the dict was itself built by iterating a set.
 
-Within the configured merge/packing paths this checker flags, at
+Within the configured packing paths this checker flags, at
 iteration points (``for``, list/generator comprehensions, ``list()`` /
 ``tuple()`` / ``enumerate()`` / ``zip()`` / ``reversed()``):
 
@@ -142,7 +145,7 @@ class _FunctionScope:
 
 class DeterministicIterationChecker(Checker):
     rule_id = "REP004"
-    title = "no set-order iteration in merge/packing paths"
+    title = "no set-order iteration in packing paths"
 
     def check_file(self, source: SourceFile, config: AnalysisConfig) -> Iterable[Finding]:
         if not AnalysisConfig.path_matches(source.rel, config.determinism_paths):
@@ -199,7 +202,7 @@ class DeterministicIterationChecker(Checker):
             yield self.finding(
                 source.rel,
                 node,
-                "iteration over a set in a merge/packing path: set order "
+                "iteration over a set in a packing path: set order "
                 "is hash-seed-dependent and breaks cross-process "
                 "byte-identity; sort the elements (e.g. sorted(...)) or "
                 "iterate an ordered source",

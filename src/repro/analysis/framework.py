@@ -170,7 +170,7 @@ class AnalysisConfig:
     )
     #: REP004: attribute names known to hold sets (``atom.attribute_set``).
     set_attribute_names: Tuple[str, ...] = ("attribute_set",)
-    #: REP004: merge/packing paths where iteration order reaches results.
+    #: REP004: packing paths where iteration order reaches results.
     determinism_paths: Tuple[str, ...] = (
         "parallel/",
         "engine/columnar.py",

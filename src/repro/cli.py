@@ -9,7 +9,7 @@ without writing any Python:
   CSV files (one file per relation, written by
   :func:`repro.data.csvio.save_database_csv` or by hand);
 * ``explain`` -- print a query's plan (join order with tie-break rationale,
-  backend/partition cost-model verdicts, estimate-vs-actual cardinality
+  backend cost-model verdict, estimate-vs-actual cardinality
   ledger) as a text tree or, with ``--json``, the same structured payload
   ``POST /v1/explain`` answers; the plan block and its fingerprint are
   byte-identical across engines and backends;
@@ -29,13 +29,11 @@ without writing any Python:
   it as a blocking job (see docs/INVARIANTS.md).
 
 ``solve`` runs through a :class:`repro.session.Session` bound to the loaded
-database: ``--engine`` picks the columnar, row-reference or sharded parallel
-engine, ``--workers N`` sets the degree of parallelism (default 1, keeping
-single-core runs bit-stable), and ``--json`` emits a machine-readable
-summary for scripting.  An empty query result is a successful (empty)
-answer, not an error: the summary is printed and the exit code is 0.
-``experiments --workers N`` likewise runs the figure harness's sessions on
-a worker pool.
+database: ``--engine`` picks the columnar or row-reference engine, and
+``--json`` emits a machine-readable summary for scripting.  An empty query
+result is a successful (empty) answer, not an error: the summary is
+printed and the exit code is 0.  ``serve --workers N`` gives every served
+session a worker pool for batched solves.
 
 Examples
 --------
@@ -50,7 +48,7 @@ Examples
     python -m repro experiments --only fig28
     python -m repro serve --port 8080 --backend auto --load tpch=./tpch_csv
     python -m repro analyze --format json
-    python -m repro analyze --rules REP003,REP004 src/repro/parallel
+    python -m repro analyze --rules REP003,REP004 src/repro/engine
 """
 
 from __future__ import annotations
@@ -102,18 +100,9 @@ def _add_solve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["columnar", "row", "parallel"],
+        choices=["columnar", "row"],
         default="columnar",
-        help="evaluation engine: columnar (default), the row reference "
-        "engine, or the sharded parallel engine",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the parallel engine (default 1 = serial; "
-        "N > 1 implies --engine parallel)",
+        help="evaluation engine: columnar (default) or the row reference engine",
     )
     parser.add_argument(
         "--backend",
@@ -155,16 +144,9 @@ def _add_explain_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["columnar", "row", "parallel"],
+        choices=["columnar", "row"],
         default="columnar",
         help="evaluation engine the execution block reports on",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the parallel engine",
     )
     parser.add_argument(
         "--backend",
@@ -211,14 +193,6 @@ def _add_experiments_parser(subparsers) -> None:
         action="store_true",
         help="use the figure functions' larger default grids",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the harness's sessions (default 1 = "
-        "serial, keeping the figure tables bit-stable)",
-    )
 
 
 def _add_serve_parser(subparsers) -> None:
@@ -231,7 +205,7 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=["columnar", "row", "parallel"],
+        choices=["columnar", "row"],
         default="columnar",
         help="evaluation engine for every served session",
     )
@@ -246,7 +220,8 @@ def _add_serve_parser(subparsers) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per session (N > 1 implies the parallel engine)",
+        help="worker processes per session for batched solves: solve_many "
+        "sends distinct hard-leaf query groups to them (default 1 = serial)",
     )
     parser.add_argument(
         "--threads",
@@ -506,7 +481,7 @@ def _run_solve(args: argparse.Namespace) -> int:
     with use_tracer(tracer):
         with tracer.span(
             "cli.solve", query=args.query, method=args.method,
-            engine=args.engine, workers=args.workers,
+            engine=args.engine,
         ):
             code = _solve_impl(args)
     print(render_span_tree(tracer.export(), tracer.trace_id), file=sys.stderr)
@@ -528,18 +503,8 @@ def _solve_impl(args: argparse.Namespace) -> int:
     heuristic = "greedy" if args.method == "auto" else args.method
     solver = ADPSolver(heuristic=heuristic, counting_only=args.counting_only)
 
-    if args.engine == "row" and args.workers > 1:
-        print(
-            "error: --workers is incompatible with the row reference engine "
-            "(it is serial-only)",
-            file=sys.stderr,
-        )
-        return 2
-    with span("session.init", engine=args.engine, workers=args.workers):
-        session = Session(
-            database, engine=args.engine, workers=args.workers,
-            backend=args.backend,
-        )
+    with span("session.init", engine=args.engine):
+        session = Session(database, engine=args.engine, backend=args.backend)
     prepared = session.prepare(query)
     total = session.output_size(prepared)
     if total == 0:
@@ -575,16 +540,7 @@ def _run_explain(args: argparse.Namespace) -> int:
 
     query = parse_query(args.query)
     database = load_database_csv(args.database)
-    if args.engine == "row" and args.workers > 1:
-        print(
-            "error: --workers is incompatible with the row reference engine "
-            "(it is serial-only)",
-            file=sys.stderr,
-        )
-        return 2
-    session = Session(
-        database, engine=args.engine, workers=args.workers, backend=args.backend
-    )
+    session = Session(database, engine=args.engine, backend=args.backend)
     try:
         payload = session.explain(query, analyze=not args.no_analyze)
     finally:
@@ -615,16 +571,10 @@ def _run_trace(args: argparse.Namespace) -> int:
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments import harness
-
-    harness.set_default_workers(args.workers)
-    try:
-        if args.only:
-            results = {args.only: figures.FIGURE_FUNCTIONS[args.only]()}
-        else:
-            results = figures.run_all(quick=not args.full)
-    finally:
-        harness.set_default_workers(1)
+    if args.only:
+        results = {args.only: figures.FIGURE_FUNCTIONS[args.only]()}
+    else:
+        results = figures.run_all(quick=not args.full)
     print(render_results(results))
     return 0
 

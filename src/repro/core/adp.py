@@ -26,12 +26,7 @@ dynamic programs need the costs of sub-problems for many targets at once.
 All evaluation goes through the columnar witness engine
 (:mod:`repro.engine.evaluate`) in the *ambient engine context*: under
 ``Session.solve`` that is the session's own cache/engine/interners, outside
-any session the per-database default context.  The solver is engine-mode
-agnostic by construction: a ``parallel`` context may serve any of these
-evaluations from the sharded executor (:mod:`repro.parallel`), whose merged
-results are byte-identical to the serial columnar engine's, so every
-algorithm below -- including greedy tie-breaking over witness order -- is
-unaffected by the degree of parallelism.  One :class:`QueryResult` is
+any session the per-database default context.  One :class:`QueryResult` is
 threaded through sizing, feasibility and verification
 (:meth:`ADPSolver.solve_in_context`), and the re-evaluations of identical
 sub-instances inside the Universe/Decompose recursions are served from the

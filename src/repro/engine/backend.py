@@ -1,8 +1,8 @@
 """Array-backend selection for the columnar engine.
 
 The columnar rewrite removed per-row object allocation, but every hot kernel
-(the build/probe join, provenance bookkeeping, profit scans, delta semijoins,
-shard split/merge) still walked plain Python lists one element at a time.
+(the build/probe join, provenance bookkeeping, profit scans, delta semijoins)
+still walked plain Python lists one element at a time.
 This module introduces the *array backend* abstraction that lets those
 kernels run over dense ``int64`` NumPy arrays instead:
 
@@ -175,8 +175,7 @@ class NumpyBackend:
 #: kernels pay a fixed per-call overhead (~µs each), so below this many
 #: input tuples the pure-Python loops win outright; since the two backends
 #: produce byte-identical results, dropping to the Python kernels on small
-#: inputs is purely an internal routing decision (mirroring the parallel
-#: engine's ``MIN_PARTITION_TUPLES``).  An explicit ``backend="numpy"``
+#: inputs is purely an internal routing decision.  An explicit ``backend="numpy"``
 #: request is honoured at every size (``gated=False``) so A/B comparisons
 #: and the parity suite always exercise the vectorized kernels.
 MIN_VECTOR_TUPLES = 1024
@@ -234,8 +233,8 @@ def resolve_backend(spec: BackendLike) -> Union[PythonBackend, NumpyBackend]:
 def is_ndarray(column: Column) -> bool:
     """Whether a packed column is a NumPy array (vs a plain list).
 
-    Downstream kernels (provenance index, delta semijoins, set cover,
-    shard merge) dispatch on the payload they were handed rather than on
+    Downstream kernels (provenance index, delta semijoins, set cover)
+    dispatch on the payload they were handed rather than on
     ambient session state, so results flow freely between sessions of
     different backends.
     """

@@ -22,18 +22,7 @@ by
   values, but their packed payloads differ in representation (plain lists
   vs ``int64`` ndarrays), so entries never cross backends: an A/B
   comparison re-evaluates instead of silently serving the other backend's
-  arrays, and
-
-* a **shard layout** -- ``None`` for a canonical full result, or a
-  ``("shard", key, K, ordered atom names, i)`` tuple for one shard of a
-  hash-partitioned parallel evaluation (:mod:`repro.parallel`; the ordered
-  names pin the payload's column order, which canonically-equal queries
-  with different atom orders do not share).  Because the parallel
-  engine's merged results are byte-identical to serial ones, full results
-  always use the canonical ``None`` layout: serial and parallel executions
-  interoperate, each serving the other's cache lookups.  Only per-shard
-  payloads (cached by the inline parallel fallback) carry a non-``None``
-  layout, which keeps shard-grain and full-grain entries from colliding.
+  arrays.
 
 In-place mutation bumps a relation's version, so stale entries can never be
 returned; they age out of the per-database LRU instead.
@@ -41,8 +30,7 @@ returned; they age out of the per-database LRU instead.
 Cached results are shared between callers and must be treated as immutable
 (every consumer in this library builds its own mutable state, e.g.
 ``ProvenanceIndex``, on top of them).  All cache operations take an internal
-lock, so sessions shared across threads (and the parallel executor's inline
-shard path) can use one cache concurrently.
+lock, so sessions shared across threads can use one cache concurrently.
 """
 
 from __future__ import annotations
@@ -90,16 +78,14 @@ class EvaluationCache:
         query: ConjunctiveQuery,
         database: Database,
         query_key: Optional[Hashable] = None,
-        layout: Optional[Hashable] = None,
         backend: Optional[str] = None,
     ) -> Optional[Any]:
-        """The cached result for ``(query, database, layout, backend)`` or ``None``.
+        """The cached result for ``(query, database, backend)`` or ``None``.
 
         ``query_key`` optionally supplies the precomputed canonical key (a
         :class:`~repro.session.PreparedQuery` carries one), skipping the
-        per-call canonicalization; ``layout`` is the shard-layout component
-        (``None`` = canonical full result, see the module docstring);
-        ``backend`` is the array-backend tag (``"python"``/``"numpy"``).
+        per-call canonicalization; ``backend`` is the array-backend tag
+        (``"python"``/``"numpy"``).
         Backends produce byte-identical *values* but different column
         representations (lists vs ``int64`` ndarrays), so entries are
         segregated by tag -- a pure-Python session never receives ndarray
@@ -112,7 +98,7 @@ class EvaluationCache:
             if entries is None:
                 self.misses += 1
                 return None
-            key = (query_key, database.version_token(), layout, backend)
+            key = (query_key, database.version_token(), backend)
             result = entries.get(key)
             if result is None:
                 self.misses += 1
@@ -129,10 +115,9 @@ class EvaluationCache:
         database: Database,
         result: Any,
         query_key: Optional[Hashable] = None,
-        layout: Optional[Hashable] = None,
         backend: Optional[str] = None,
     ) -> None:
-        """Cache one evaluation result (or one shard payload)."""
+        """Cache one evaluation result."""
         if query_key is None:
             query_key = canonical_query_key(query)
         with self._lock:
@@ -148,7 +133,7 @@ class EvaluationCache:
             stale = [key for key in entries if key[1] != token]
             for key in stale:
                 entries.pop(key)
-            entries[(query_key, token, layout, backend)] = result
+            entries[(query_key, token, backend)] = result
             while len(entries) > self._max_entries:
                 entries.pop(next(iter(entries)))
 
@@ -158,7 +143,6 @@ class EvaluationCache:
         query_key: Hashable,
         token: Hashable,
         result: Any,
-        layout: Optional[Hashable] = None,
         backend: Optional[str] = None,
     ) -> None:
         """Cache one result under a precomputed ``(query key, version token)``.
@@ -173,12 +157,12 @@ class EvaluationCache:
                 entries = self._per_database.setdefault(database, {})
             except TypeError:  # pragma: no cover - non-weakref-able database stub
                 return
-            entries[(query_key, token, layout, backend)] = result
+            entries[(query_key, token, backend)] = result
             while len(entries) > self._max_entries:
                 entries.pop(next(iter(entries)))
 
     def entries_snapshot(self, database: Database) -> Dict[Tuple[Hashable, ...], Any]:
-        """A copy of ``{(query key, token, layout, backend): result}``.
+        """A copy of ``{(query key, token, backend): result}``.
 
         Unlike :meth:`take_entries` the cache keeps its entries: the
         durability layer (:mod:`repro.storage`) peeks at the current packed
@@ -190,7 +174,7 @@ class EvaluationCache:
             return dict(entries) if entries else {}
 
     def take_entries(self, database: Database) -> Dict[Tuple[Hashable, ...], Any]:
-        """Remove and return ``{(query key, token, layout, backend): result}``.
+        """Remove and return ``{(query key, token, backend): result}``.
 
         The entries are popped (the cache forgets them); callers that migrate
         results across a version bump re-insert the transformed payloads via

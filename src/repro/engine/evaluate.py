@@ -57,7 +57,6 @@ through it globally.
 
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 import weakref
@@ -100,7 +99,6 @@ from repro.obs.trace import span
 from repro.query.cq import ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.parallel.executor import ParallelExecutor
     from repro.query.atoms import Atom
 
 
@@ -365,7 +363,7 @@ def join_order_steps(query: ConjunctiveQuery) -> List[Dict[str, object]]:
 
 
 #: Engine modes an :class:`EngineContext` can run in.
-ENGINE_MODES = ("columnar", "row", "parallel")
+ENGINE_MODES = ("columnar", "row")
 
 
 class EngineContext:
@@ -376,19 +374,15 @@ class EngineContext:
     their caches or run two engine modes side by side.  An ``EngineContext``
     bundles
 
-    * the **engine mode** (``"columnar"``, ``"row"`` or ``"parallel"``),
+    * the **engine mode** (``"columnar"`` or ``"row"``),
     * an :class:`~repro.engine.cache.EvaluationCache` (per-context, so one
       tenant's evictions never touch another's),
     * the **interning tables**: one :class:`RelationIndex` per
       ``(relation, version)``, shared across every columnar evaluation this
       context runs, so repeated queries over the same relation do not
       re-intern its tuples, and
-    * in ``"parallel"`` mode a lazily-started
-      :class:`~repro.parallel.executor.ParallelExecutor` (worker pool +
-      partition caches) that shards large joins across ``workers``
-      processes; the cost model routes small inputs to the serial columnar
-      path, and merged parallel results are byte-identical to serial ones,
-      so both engines share cache entries (canonical ``layout=None``).
+    * the **join counter** :attr:`evaluations`, bumped under the context
+      lock so concurrent readers of one session count every join.
 
     :class:`repro.session.Session` owns one context per session; the
     module-level shims below keep one implicit default context per
@@ -406,9 +400,6 @@ class EngineContext:
         "backend",
         "_interners",
         "evaluations",
-        "workers",
-        "parallel_threshold",
-        "_executor",
         "_lock",
     )
 
@@ -416,14 +407,12 @@ class EngineContext:
         self,
         mode: str = "columnar",
         cache: Optional[EvaluationCache] = None,
-        workers: int = 1,
-        parallel_threshold: Optional[int] = None,
         backend: BackendLike = "auto",
     ) -> None:
         if mode not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {mode!r}")
         self.mode = mode
-        #: The array backend every columnar/parallel evaluation of this
+        #: The array backend every columnar evaluation of this
         #: context uses (see :mod:`repro.engine.backend`).  ``"auto"``
         #: resolves to NumPy when installed, pure Python otherwise; results
         #: are byte-identical either way.  The row reference engine ignores
@@ -435,11 +424,6 @@ class EngineContext:
         )
         #: How many joins this context actually ran (cache hits excluded).
         self.evaluations = 0
-        if mode == "parallel" and workers <= 1:
-            workers = max(2, os.cpu_count() or 1)
-        self.workers = int(workers)
-        self.parallel_threshold = parallel_threshold
-        self._executor = None
         self._lock = threading.RLock()
 
     def set_mode(self, mode: str) -> None:
@@ -447,35 +431,19 @@ class EngineContext:
         if mode not in ENGINE_MODES:
             raise ValueError(f"unknown engine mode {mode!r}")
         with self._lock:
-            if self.mode == "parallel" and mode != "parallel" and self._executor:
-                self._executor.close()
-                self._executor = None
             self.mode = mode
-            if mode == "parallel" and self.workers <= 1:
-                self.workers = max(2, os.cpu_count() or 1)
         self.cache.clear()
 
     def release(self) -> None:
-        """Drop cache, interning tables and worker pool (session close)."""
+        """Drop cache and interning tables (session close)."""
         self.cache.clear()
         with self._lock:
             self._interners = weakref.WeakKeyDictionary()
-            if self._executor is not None:
-                self._executor.close()
-                self._executor = None
 
-    def executor(self) -> "Optional[ParallelExecutor]":
-        """The parallel executor (``None`` unless the mode is ``parallel``)."""
+    def record_joins(self, count: int = 1) -> None:
+        """Add ``count`` joins to :attr:`evaluations` (under the lock)."""
         with self._lock:
-            if self.mode != "parallel":
-                return None
-            if self._executor is None:
-                from repro.parallel.executor import ParallelExecutor
-
-                self._executor = ParallelExecutor(
-                    self.workers, self.parallel_threshold
-                )
-            return self._executor
+            self.evaluations += count
 
     def interned(self, relation: Relation) -> RelationIndex:
         """A :class:`RelationIndex` for the relation's *current* version.
@@ -517,23 +485,17 @@ class EngineContext:
         use_cache: bool = True,
         order: Optional[Sequence[int]] = None,
         query_key: Optional[Hashable] = None,
-        partition_key: Optional[str] = None,
     ) -> QueryResult:
         """Evaluate within this context (see :func:`evaluate` for semantics).
 
-        ``order``, ``query_key`` and ``partition_key`` let a
+        ``order`` and ``query_key`` let a
         :class:`~repro.session.PreparedQuery` supply its precomputed join
-        plan, canonical cache key and recorded shard key.  In ``parallel``
-        mode large joins are sharded across the worker pool (bounded
-        ``max_witnesses`` runs always stay serial -- the guard is an
-        interactive safety valve, not a throughput path); the merged result
-        is byte-identical to the serial engine's, so it is cached under the
-        same canonical key.
+        plan and canonical cache key.
         """
         with self._lock:
             mode = self.mode
         if mode == "row":
-            self.evaluations += 1
+            self.record_joins()
             return evaluate_rows(query, database, max_witnesses)
         cacheable = use_cache and max_witnesses is None
         backend_tag = self.backend.name
@@ -560,31 +522,15 @@ class EngineContext:
                             }
                         )
                     return cached
-            result = None
-            if mode == "parallel" and max_witnesses is None:
-                # executor() re-checks the mode under the lock; a concurrent
-                # set_mode("serial"/"columnar") makes it None and we fall back.
-                executor = self.executor()
-                if executor is not None:
-                    result = executor.evaluate(
-                        self,
-                        query,
-                        database,
-                        order=order,
-                        query_key=query_key,
-                        partition_key=partition_key,
-                        use_cache=use_cache,
-                    )
-            if result is None:
-                result = evaluate_columnar(
-                    query,
-                    database,
-                    max_witnesses,
-                    order=order,
-                    index_for=self.interned,
-                    backend=self.backend,
-                )
-            self.evaluations += 1
+            result = evaluate_columnar(
+                query,
+                database,
+                max_witnesses,
+                order=order,
+                index_for=self.interned,
+                backend=self.backend,
+            )
+            self.record_joins()
             if cacheable:
                 self.cache.store(
                     query, database, result, query_key=query_key, backend=backend_tag
@@ -608,7 +554,7 @@ class EngineContext:
 
 #: The context evaluations route through when a session is active.  Session
 #: methods install their context here (contextvars make this safe under
-#: threads and asyncio, the substrate later sharding/async PRs build on).
+#: threads and asyncio).
 _ACTIVE_CONTEXT: "ContextVar[Optional[EngineContext]]" = ContextVar(
     "repro_engine_context", default=None
 )
@@ -685,16 +631,8 @@ def set_engine_mode(mode: str) -> None:
     compared back to back.  The row engine never caches.
     """
     global _DEFAULT_MODE
-    if mode not in ("columnar", "row"):
-        # The parallel engine needs an owner with an explicit close path for
-        # its worker pool; implicit default contexts (reclaimed only by GC)
-        # would leak processes.  Deliberately not supported by this shim:
-        # create Session(db, workers=N) instead.
-        raise ValueError(
-            f"unknown engine mode {mode!r} (the global shim supports "
-            "'columnar' and 'row'; use Session(db, workers=N) for the "
-            "parallel engine)"
-        )
+    if mode not in ENGINE_MODES:
+        raise ValueError(f"unknown engine mode {mode!r}")
     warnings.warn(
         "set_engine_mode() is deprecated; create a Session(database, "
         "engine='row'|'columnar') instead",

@@ -19,11 +19,11 @@ from repro.core.selection import Selection, solve_with_selection
 from repro.core.universe import UniverseStrategy
 from repro.experiments.harness import (
     ExperimentResult,
-    grid_session,
     run_method,
     target_from_ratio,
     timed,
 )
+from repro.session import Session
 from repro.workloads.queries import Q1, Q2, Q3, Q4, Q5, Q6, Q7, Q8, QPATH_EXP
 from repro.workloads.snap import EgoNetworkConfig, generate_ego_network
 from repro.workloads.synthetic import generate_q7_instance, generate_q8_instance
@@ -58,8 +58,8 @@ def figure_07_easy_exact(
     )
     for size in sizes:
         database, selection, filtered = _selected_instance(size)
-        base_session = grid_session(database)
-        output = grid_session(filtered).output_size(Q1)
+        base_session = Session(database)
+        output = Session(filtered).output_size(Q1)
         for ratio in ratios:
             k = max(1, int(ratio * output)) if output else 0
             if k == 0:
@@ -98,8 +98,8 @@ def figure_08_easy_heuristics(
     )
     for size in sizes:
         database, selection, filtered = _selected_instance(size)
-        base_session = grid_session(database)
-        filtered_session = grid_session(filtered)
+        base_session = Session(database)
+        filtered_session = Session(filtered)
         output = filtered_session.output_size(Q1)
         for ratio in ratios:
             k = max(1, int(ratio * output)) if output else 0
@@ -161,7 +161,7 @@ def figure_10_hard_heuristics(
     )
     for size in sizes:
         database = generate_tpch(total_tuples=size)
-        session = grid_session(database)
+        session = Session(database)
         output = session.output_size(Q1)
         for ratio in ratios:
             k = max(1, int(ratio * output))
@@ -198,7 +198,7 @@ def figure_12_13_bruteforce(
         description="BruteForce vs heuristics on Q1 (hard), small input",
     )
     database = generate_tpch(total_tuples=size)
-    session = grid_session(database)
+    session = Session(database)
     with session.activate():
         k = target_from_ratio(Q1, database, ratio)
     for method in methods:
@@ -238,7 +238,7 @@ def figure_14_15_snap(
         # The edge relations are stored as Ri(A, B); each query names its
         # variables differently, so align columns positionally first.
         database = edges.aligned_to(query)
-        session = grid_session(database)
+        session = Session(database)
         output = session.output_size(query)
         if output == 0:
             continue
@@ -266,7 +266,7 @@ def figure_zipf_hard(
     for alpha in alphas:
         for size in sizes:
             database = generate_zipf_path(r2_tuples=size, alpha=alpha)
-            session = grid_session(database)
+            session = Session(database)
             output = session.output_size(QPATH_EXP)
             for ratio in ratios:
                 k = max(1, int(ratio * output))
@@ -298,7 +298,7 @@ def figure_zipf_easy(
         for size in sizes:
             database = generate_zipf_path(r2_tuples=size, alpha=alpha)
             q6_database = database.restricted_to(("R1", "R2"))
-            session = grid_session(q6_database)
+            session = Session(q6_database)
             output = session.output_size(Q6)
             for ratio in ratios:
                 k = max(1, int(ratio * output))
@@ -334,7 +334,7 @@ def figure_28_singleton_optimisation(
         description="Q7: universal-attribute strategies (one-by-one, combined, singleton)",
     )
     database = generate_q7_instance(tuples_per_relation, domain=domain, seed=seed)
-    session = grid_session(database)
+    session = Session(database)
     output = session.output_size(Q7)
     strategies = (
         ("one-by-one", ADPSolver(use_singleton=False, universe_strategy=UniverseStrategy.ONE_BY_ONE)),
@@ -376,7 +376,7 @@ def figure_29_decompose_optimisation(
         description="Q8: decomposition strategies (full enumeration, pairwise, improved DP)",
     )
     database = generate_q8_instance(unary_tuples, binary_tuples, seed=seed)
-    session = grid_session(database)
+    session = Session(database)
     output = session.output_size(Q8)
     strategies = (
         ("full-enumeration", DecomposeStrategy.FULL_ENUMERATION),
@@ -419,7 +419,7 @@ def ablation_endogenous_restriction(
         description="GreedyForCQ candidates: endogenous-only (Lemma 13) vs all relations",
     )
     database = generate_tpch(total_tuples=size)
-    session = grid_session(database)
+    session = Session(database)
     output = session.output_size(Q1)
     for ratio in ratios:
         k = max(1, int(ratio * output))

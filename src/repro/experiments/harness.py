@@ -13,7 +13,6 @@ Every figure of the paper ultimately reports, for a grid of parameters
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -27,77 +26,6 @@ from repro.session import Session, default_session
 
 #: Method names accepted by :func:`run_method` (the names used in the plots).
 METHODS = ("exact", "exact-counting", "greedy", "drastic", "bruteforce")
-
-#: Harness-wide default parallelism (``repro experiments --workers N``).
-#: 1 keeps every figure table bit-stable with the pre-parallel harness.
-_DEFAULT_WORKERS = 1
-
-#: How many parallel grid sessions (each owning a worker pool) stay open at
-#: once; the oldest is closed when the bound is hit, so a many-database grid
-#: never accumulates idle worker processes.
-_MAX_PARALLEL_SESSIONS = 4
-
-#: Bounded ``id(database) -> Session`` cache of parallel grid sessions.
-#: Deliberately *strong* references in insertion order: the session keeps
-#: its database alive while cached (a weak-key map would be immortal here,
-#: since the session value references its own key), and eviction/closure is
-#: explicit.
-_PARALLEL_SESSIONS: "OrderedDict[int, Session]" = OrderedDict()
-
-
-def set_default_workers(workers: int) -> None:
-    """Set the worker count used by :func:`run_method` when no session is given.
-
-    Closes previously created parallel harness sessions when switching,
-    and ``set_default_workers(1)`` *always* releases them -- it doubles as
-    the explicit cleanup call for sessions created via per-call
-    ``run_method(..., workers=N)``, so worker pools never outlive the code
-    that wanted them.
-    """
-    global _DEFAULT_WORKERS
-    workers = max(1, int(workers))
-    if workers != _DEFAULT_WORKERS or workers <= 1:
-        for session in _PARALLEL_SESSIONS.values():
-            session.close()
-        _PARALLEL_SESSIONS.clear()
-    _DEFAULT_WORKERS = workers
-
-
-def _harness_session(database: Database, workers: Optional[int]) -> Session:
-    """The session a grid point runs through (honoring the workers setting)."""
-    effective = _DEFAULT_WORKERS if workers is None else max(1, int(workers))
-    if effective <= 1:
-        return default_session(database)
-    key = id(database)
-    # While an entry exists its session pins the database alive, so id()
-    # cannot have been reused for a live key.
-    session = _PARALLEL_SESSIONS.get(key)
-    if session is not None and (session._closed or session.workers != effective):
-        if not session._closed:
-            session.close()  # don't leak the displaced session's worker pool
-        del _PARALLEL_SESSIONS[key]
-        session = None
-    if session is None:
-        session = Session(database, workers=effective)
-        _PARALLEL_SESSIONS[key] = session
-        while len(_PARALLEL_SESSIONS) > _MAX_PARALLEL_SESSIONS:
-            _key, oldest = _PARALLEL_SESSIONS.popitem(last=False)
-            oldest.close()
-    return session
-
-
-def grid_session(database: Database) -> Session:
-    """The session a figure function should bind its grid to.
-
-    Honors ``repro experiments --workers N`` (:func:`set_default_workers`):
-    serial runs get a fresh plain :class:`Session` (bit-stable with the
-    pre-parallel harness), parallel runs share pooled sessions from the
-    bounded cache.
-    """
-    if _DEFAULT_WORKERS <= 1:
-        return Session(database)
-    return _harness_session(database, None)
-
 
 def timed(fn: Callable[[], object]) -> Tuple[object, float]:
     """Run ``fn`` once and return ``(result, elapsed seconds)``."""
@@ -149,17 +77,12 @@ def run_method(
     method: str,
     bruteforce_max_candidates: int = 40,
     session: Optional[Session] = None,
-    workers: Optional[int] = None,
 ) -> MethodRun:
     """Run one method on one instance and record time + quality.
 
     Runs through a :class:`~repro.session.Session`: pass one explicitly to
     share caches across a whole grid, otherwise the database's implicit
     default session is used (matching the old global-cache behaviour).
-    ``workers`` (or the harness-wide :func:`set_default_workers` setting,
-    i.e. ``repro experiments --workers N``) routes the grid point through a
-    shared parallel session instead; the default of 1 keeps figure tables
-    bit-stable.
 
     ``method`` is one of :data:`METHODS`:
 
@@ -169,9 +92,7 @@ def run_method(
     * ``"drastic"``          -- ComputeADP with DrasticGreedyForFullCQ;
     * ``"bruteforce"``       -- subset enumeration (small instances only).
     """
-    run_session = (
-        session if session is not None else _harness_session(database, workers)
-    )
+    run_session = session if session is not None else default_session(database)
     prepared = run_session.prepare(query)
     output_size = run_session.output_size(prepared)
 

@@ -5,25 +5,20 @@ The payload splits into two blocks with different stability contracts:
 * ``"plan"`` is **engine- and backend-independent**: the plan fingerprint
   (exactly :attr:`repro.session.PreparedQuery.plan_fingerprint` -- never
   recomputed here), the dichotomy decomposition flags, the join order with
-  its greedy tie-break rationale, the partition key with its rationale,
-  and the static uniform-independence cardinality estimates (computed
+  its greedy tie-break rationale, and the static uniform-independence cardinality estimates (computed
   with the pure-Python hash tables so NumPy availability cannot perturb
   a byte of it).  The same query over the same database yields a
   byte-identical plan block under every engine mode and array backend --
   the property the golden-snapshot tests pin down.
 * ``"execution"`` carries everything mode-dependent: the resolved
-  backend and its ``MIN_VECTOR_TUPLES`` cost-model verdict, the
-  ``MIN_PARTITION_TUPLES`` partition verdict, the cache disposition, the
-  raw operator records collected by :mod:`repro.obs.stats`, and the
+  backend and its ``MIN_VECTOR_TUPLES`` cost-model verdict, the cache
+  disposition, the raw operator records collected by :mod:`repro.obs.stats`, and the
   estimate-vs-actual cardinality ledger with misprediction flags.
 
 With ``analyze=True`` (the default) the query is evaluated once under an
 installed :class:`~repro.obs.stats.StatsCollector` to fill the actuals --
 EXPLAIN ANALYZE semantics; a cache hit is transparently re-joined with the
-cache bypassed so the ledger always sees real operator counts.  Per-step
-actuals are collected parent-side only: pool-dispatched parallel shards
-contribute a merged shard-skew summary instead of per-step rows (the
-serial fallback and inline shard paths report both).
+cache bypassed so the ledger always sees real operator counts.
 
 Imports of the session/engine tiers are deliberately lazy (function
 level): ``repro.session`` imports ``repro.obs.trace`` at module load, so
@@ -32,7 +27,7 @@ an eager import here would cycle.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.obs.stats import (
     MISPREDICTION_RATIO,
@@ -44,7 +39,7 @@ from repro.obs.stats import (
 )
 
 #: Bumped when the payload schema changes shape (service clients key on it).
-EXPLAIN_VERSION = 1
+EXPLAIN_VERSION = 2
 
 
 # --------------------------------------------------------------------------- #
@@ -129,9 +124,7 @@ def _static_estimates(context, database, prepared) -> Dict[str, object]:
 # --------------------------------------------------------------------------- #
 def _plan_block(context, database, prepared) -> Dict[str, object]:
     from repro.engine.evaluate import join_order_steps
-    from repro.parallel.partition import partition_key_rationale
 
-    partition_key, partition_reason = partition_key_rationale(prepared.query)
     return {
         "fingerprint": prepared.plan_fingerprint,
         "name": prepared.name,
@@ -147,8 +140,6 @@ def _plan_block(context, database, prepared) -> Dict[str, object]:
             "universal_attributes": sorted(prepared.universal_attributes),
         },
         "join_order": join_order_steps(prepared.query),
-        "partition_key": partition_key,
-        "partition_reason": partition_reason,
         "estimates": _static_estimates(context, database, prepared),
     }
 
@@ -190,65 +181,10 @@ def _backend_verdict(context, database, prepared) -> Dict[str, object]:
     }
 
 
-def _partition_verdict(context, database, prepared) -> Dict[str, object]:
-    from repro.parallel.partition import MIN_PARTITION_TUPLES, partition_plan
-
-    threshold = (
-        context.parallel_threshold
-        if context.parallel_threshold is not None
-        else MIN_PARTITION_TUPLES
-    )
-    base: Dict[str, object] = {
-        "engine_parallel": context.mode == "parallel",
-        "min_partition_tuples": threshold,
-        "applied": False,
-    }
-    if context.mode != "parallel":
-        base["verdict"] = "serial engine: partitioning not considered"
-        return base
-    plan = partition_plan(
-        prepared.query, database, context.workers, key=prepared.partition_key
-    )
-    if plan is None:
-        base["verdict"] = "no partitionable atom: serial fallback"
-        return base
-    base.update(
-        {
-            "key": plan.key,
-            "shards": plan.shards,
-            "partitioned": list(plan.partitioned),
-            "broadcast": list(plan.broadcast),
-            "partitioned_tuples": plan.partitioned_tuples,
-            "broadcast_tuples": plan.broadcast_tuples,
-        }
-    )
-    if plan.worthwhile(threshold):
-        base["applied"] = True
-        base["verdict"] = (
-            f"{plan.partitioned_tuples} partitioned tuples >= {threshold} and "
-            f"broadcast {plan.broadcast_tuples} <= partitioned: sharded "
-            f"{plan.shards} ways on {plan.key}"
-        )
-    elif plan.shards < 2:
-        base["verdict"] = "fewer than 2 shards: serial fallback"
-    elif plan.partitioned_tuples < threshold:
-        base["verdict"] = (
-            f"{plan.partitioned_tuples} partitioned tuples < "
-            f"MIN_PARTITION_TUPLES={threshold}: serial fallback"
-        )
-    else:
-        base["verdict"] = (
-            f"broadcast tuples ({plan.broadcast_tuples}) exceed partitioned "
-            f"({plan.partitioned_tuples}): serial fallback"
-        )
-    return base
-
-
 def _aggregate_join_steps(
     records: Sequence[StatsRecord],
 ) -> Dict[int, Dict[str, object]]:
-    """Per-step actuals summed across shards (inline parallel runs record
-    one ``join.atom`` row per shard per step; serial runs record one)."""
+    """Per-step actuals keyed by join-order position."""
     by_step: Dict[int, Dict[str, object]] = {}
     for record in records:
         if record.get("op") != "join.atom":
@@ -333,7 +269,6 @@ def explain_payload(session, query, analyze: bool = True) -> Dict[str, object]:
         "engine": context.mode,
         "workers": session.workers,
         "backend": _backend_verdict(context, database, prepared),
-        "partition": _partition_verdict(context, database, prepared),
         "analyzed": bool(analyze),
         "cache": None,
     }
@@ -344,9 +279,8 @@ def explain_payload(session, query, analyze: bool = True) -> Dict[str, object]:
             session.evaluate(prepared)
             cache = _cache_disposition(collector.records)
             if not any(r.get("op") == "join.atom" for r in collector.records):
-                # Cache hit (or pool-dispatched shards): bypass the cache
-                # once so the ledger sees real operator counts.  Pool runs
-                # still lack per-step rows -- documented contract.
+                # Cache hit: bypass the cache once so the ledger sees real
+                # operator counts.
                 collector.records = [
                     r for r in collector.records if r.get("op") != "evaluate"
                 ]
@@ -406,7 +340,6 @@ def render_explain_text(payload: Dict[str, object]) -> str:
     execution: Dict[str, object] = payload["execution"]  # type: ignore[assignment]
     decomposition: Dict[str, object] = plan["decomposition"]  # type: ignore[assignment]
     backend: Dict[str, object] = execution["backend"]  # type: ignore[assignment]
-    partition: Dict[str, object] = execution["partition"]  # type: ignore[assignment]
     lines = [
         f"EXPLAIN {plan['query']}",
         f"plan {plan['fingerprint']}  [{plan['classification']}]  "
@@ -435,10 +368,6 @@ def render_explain_text(payload: Dict[str, object]) -> str:
             f"    {int(step['position']) + 1}. {step['atom']:<24}{via}"  # type: ignore[call-overload]
             f"  -- {step['reason']}"
         )
-    lines.append(
-        f"  partition: key={plan['partition_key']} -- {plan['partition_reason']}"
-    )
-    lines.append(f"    verdict: {partition['verdict']}")
     lines.append(f"  backend: {backend['verdict']}")
     if execution.get("cache") is not None:
         lines.append(f"  cache: {execution['cache']}")

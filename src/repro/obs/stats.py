@@ -2,8 +2,8 @@
 
 The tracing layer (:mod:`repro.obs.trace`) answers *where time went*; this
 module answers *what the operators did*: build/probe sizes, distinct-key
-counts, match-expansion factors, factorization dedup ratios, per-shard skew
-and heavy-hitter top-k summaries.  Those are exactly the inputs the
+counts, match-expansion factors, factorization dedup ratios and
+heavy-hitter top-k summaries.  Those are exactly the inputs the
 EXPLAIN subsystem (:mod:`repro.obs.explain`) turns into an
 estimate-vs-actual cardinality ledger, and the measurements the planned
 skew-robust radix join needs (heavy-hitter detection feeds the dynamic
@@ -51,8 +51,7 @@ class StatsCollector:
     """An append-only sink of operator records for one logical operation.
 
     Not thread-safe by design (mirrors ``Tracer``): one collector belongs
-    to one logical operation; the parallel executor merges per-shard
-    summaries parent-side rather than sharing a collector across workers.
+    to one logical operation.
     """
 
     __slots__ = ("records", "enabled")
@@ -205,24 +204,6 @@ def join_step_record(
     return record
 
 
-def shard_skew_record(key: Optional[str], witnesses_per_shard: Sequence[int]) -> StatsRecord:
-    """The parent-side merge of per-shard witness counts into a skew summary."""
-    counts = [int(count) for count in witnesses_per_shard]
-    total = sum(counts)
-    mean = total / len(counts) if counts else 0.0
-    max_shard = max(counts) if counts else 0
-    return {
-        "op": "parallel.shards",
-        "key": key,
-        "shards": len(counts),
-        "witnesses_per_shard": counts,
-        "witnesses": total,
-        "max_shard": max_shard,
-        "mean_shard": round(mean, 3),
-        "skew": round(max_shard / mean, 3) if mean else 0.0,
-    }
-
-
 def worst_misestimate(records: Sequence[StatsRecord]) -> Optional[StatsRecord]:
     """The operator record with the largest misestimation factor, if any.
 
@@ -288,7 +269,6 @@ __all__ = [
     "heavy_hitter_summary",
     "join_step_record",
     "misestimate_factor",
-    "shard_skew_record",
     "stats_active",
     "use_stats",
     "worst_misestimate",

@@ -1,54 +1,13 @@
-"""Sharded parallel execution: partitioned columnar joins + a worker pool.
+"""Multi-process ``solve_many``: a persistent worker pool for query groups.
 
-The columnar engine made single evaluations fast; this package makes the
-library use *all* cores.  It follows the classic hash-partitioned join
-recipe (robustness trade-offs surveyed for dynamic hybrid hash joins,
-arXiv:2112.02480) and keeps the analytical fan-out separated from the
-mutation path, echoing the transactional/analytical split of Polynesia
-(arXiv:2103.00798):
-
-* :mod:`repro.parallel.partition` -- picks the partition key (the
-  dichotomy-preferred universal attribute when one exists), hash-partitions
-  interned relation columns into K disjoint shards, and carries the cost
-  model that falls back to serial execution for small inputs;
-* :mod:`repro.parallel.pool` -- a persistent ``multiprocessing`` worker
-  pool; workers hold per-shard interning tables and evaluation caches, and
-  receive interned column batches (plain pickled rows + tid maps, never
-  re-interned in the parent);
-* :mod:`repro.parallel.merge` -- recombines per-shard packed provenance
-  into one :class:`~repro.engine.evaluate.QueryResult` **byte-identical**
-  to the serial columnar engine, so every provenance consumer (greedy,
-  singleton, set cover, flow, delta semijoins) is untouched;
-* :mod:`repro.parallel.executor` -- the orchestration layer an
-  :class:`~repro.engine.evaluate.EngineContext` owns when its mode is
-  ``"parallel"``: partition, dispatch (pool or inline), merge.
-
-Entry points for users are ``Session(db, workers=N)`` and the ``parallel``
-engine mode; nothing in this package needs to be called directly.
+``Session(db, workers=N)`` keeps every evaluation on the one serial
+columnar join path; the pool in :mod:`repro.parallel.pool` only takes
+whole hard-leaf query groups of a ``solve_many`` batch.  Each worker holds
+the bound database with interning tables seeded in the parent's interned
+order, so its solutions are byte-identical to the serial ones.  Nothing in
+this package needs to be called directly.
 """
 
-from repro.parallel.merge import merge_shard_results
-from repro.parallel.partition import (
-    MIN_PARTITION_TUPLES,
-    PartitionPlan,
-    ShardDatabase,
-    ShardRelation,
-    choose_partition_key,
-    evaluate_shard,
-    partition_index,
-    partition_hash,
-    partition_plan,
-)
+from repro.parallel.pool import LazyWorkerPool, WorkerPool
 
-__all__ = [
-    "MIN_PARTITION_TUPLES",
-    "PartitionPlan",
-    "ShardDatabase",
-    "ShardRelation",
-    "choose_partition_key",
-    "evaluate_shard",
-    "merge_shard_results",
-    "partition_hash",
-    "partition_index",
-    "partition_plan",
-]
+__all__ = ["LazyWorkerPool", "WorkerPool"]

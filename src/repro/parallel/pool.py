@@ -1,51 +1,40 @@
-"""Persistent multiprocessing worker pool for shard and batch execution.
+"""Persistent multiprocessing worker pool for ``solve_many`` group dispatch.
 
 One :class:`WorkerPool` holds N long-lived worker processes connected by
 pipes.  Workers are stateful on purpose -- that is the whole point of a
-*persistent* pool:
+*persistent* pool: each keeps a **database store** of bound databases, each
+with a worker-local :class:`~repro.session.Session` whose interning tables
+are *seeded in the parent's interned row order*, so worker evaluations
+reproduce the parent's witness order (and greedy tie-breaking) exactly.
 
-* **shard store** -- per-shard interning tables
-  (:class:`~repro.parallel.partition.ShardRelation` +
-  :class:`~repro.engine.columnar.RelationIndex`), keyed by the shard key the
-  parent assigns.  The parent ships each ``(rows, tid map)`` batch once; all
-  later evaluations over the same shard send only the key;
-* **evaluation cache** -- per-worker memoization of shard results, so the
-  repeated evaluations issued by ``solve_many`` batches cost one shard join;
-* **database store** -- for whole-query (``solve_group``) tasks: the bound
-  database, a worker-local :class:`~repro.session.Session`, and interning
-  tables *seeded in the parent's interned row order* so worker evaluations
-  reproduce the parent's witness order exactly.
-
-The parent mirrors the workers' store bounds (same FIFO eviction, same
-constants, same arrival order through the pipe) as a best-effort predictor
-of what each worker holds, so steady-state calls send keys instead of
-batches.  Mispredictions are safe in both directions: re-shipping a batch
-a worker already holds is an idempotent in-place update, and a key-only
-payload referencing evicted state comes back as a ``("miss", keys)``
-response -- surfaced as :class:`WorkerStoreMiss` -- which callers heal by
+The parent mirrors the workers' store bound (same FIFO eviction, same
+constant, same arrival order through the pipe) as a best-effort predictor
+of what each worker holds, so steady-state batches send keys instead of
+rows.  Mispredictions are safe in both directions: re-shipping a database
+a worker already holds is an idempotent update, and a key-only payload
+referencing evicted state comes back as a ``("miss", keys)`` response --
+surfaced as :class:`WorkerStoreMiss` -- which callers heal by
 :meth:`WorkerPool.forget` + one retry with full payloads.
 
-Shard-to-worker routing is by ``shard index % pool size``, giving every
-shard a stable home and keeping worker caches hot.  Dispatch uses one
-driver thread per worker that strictly alternates send/recv, so large
-results can never deadlock the pipes.
+Dispatch uses one driver thread per worker that strictly alternates
+send/recv, so large results can never deadlock the pipes.
 
 Failure model: :class:`PoolBrokenError` (a worker died -- stop using the
 pool) vs :class:`WorkerTaskError` (a task raised inside a healthy worker --
 fall back for this call only) vs :class:`WorkerStoreMiss` (retryable).
-Callers (the :class:`~repro.parallel.executor.ParallelExecutor`) always
-have the inline serial path available because shard evaluation and merge
-are plain functions.
+The caller (:meth:`repro.session.Session.solve_many`) always has the serial
+path available.  :class:`LazyWorkerPool` is the session-side handle: it
+starts the pool on first use and remembers a failed start.
 
 Tracing: a payload may carry a ``"trace"`` key -- a small dict of span
-attributes (shard index, worker index, group id) that the parent's tracer
-wants stamped on the worker-side root span.  The worker then runs the task
-under a fresh :class:`repro.obs.Tracer` with a ``worker.task`` root span
-and replies ``("ok+trace", (serialized spans, value))``; the parent grafts
-the serialized subtree under its dispatch span (see
-:meth:`WorkerPool.run`'s ``spans_out``).  Payloads without the key follow
-the plain ``("ok", value)`` protocol unchanged, so tracing never affects
-results -- only an extra, separately-carried forest of dicts.
+attributes (group and worker index) that the parent's tracer wants stamped
+on the worker-side root span.  The worker then runs the task under a fresh
+:class:`repro.obs.Tracer` with a ``worker.task`` root span and replies
+``("ok+trace", (serialized spans, value))``; the parent grafts the
+serialized subtree under its dispatch span (see :meth:`WorkerPool.run`'s
+``spans_out``).  Payloads without the key follow the plain ``("ok",
+value)`` protocol unchanged, so tracing never affects results -- only an
+extra, separately-carried forest of dicts.
 """
 
 from __future__ import annotations
@@ -54,22 +43,23 @@ import multiprocessing
 import multiprocessing.connection
 import threading
 import traceback
+import weakref
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
-#: Mirrored FIFO bounds (parent bookkeeping == worker stores; see module doc).
-MAX_SHARD_ENTRIES = 512
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.data.database import Database
+
+#: Mirrored FIFO bound (parent bookkeeping == worker stores; see module doc).
 MAX_DB_ENTRIES = 8
-#: Worker-local only (never mirrored): memoized shard evaluations.
-MAX_EVAL_ENTRIES = 32
 
 
 class WorkerTaskError(RuntimeError):
     """A task raised inside a worker; the worker itself is still healthy.
 
-    Callers should fall back (inline shards, serial solve) for *this* call
-    but keep using the pool -- e.g. a user error like an infeasible target
-    raised by the solver must not cost the session its workers.
+    Callers should fall back (serial solve) for *this* call but keep using
+    the pool -- e.g. a user error like an infeasible target raised by the
+    solver must not cost the session its workers.
     """
 
 
@@ -143,9 +133,7 @@ class WorkerPool:
         top-level evaluation exclusively -- making them order-independent
         in principle.  The fork-only gate stays as belt-and-suspenders on
         spawn platforms (a fresh string-hash seed there changes every
-        internal set/dict order, and no parity suite runs on them); shard
-        evaluation, order-independent by construction (global-tid merge),
-        remains available everywhere.
+        internal set/dict order, and no parity suite runs on them).
         """
         return self.start_method == "fork"
 
@@ -153,7 +141,7 @@ class WorkerPool:
     # Store bookkeeping (best-effort predictor of worker-resident state)
     # ------------------------------------------------------------------ #
     # Mispredictions are safe in both directions: "worker lacks a key it
-    # has" merely re-ships the batch (workers ingest idempotently), and
+    # has" merely re-ships the database (workers ingest idempotently), and
     # "worker holds a key it evicted" comes back as a WorkerStoreMiss,
     # which callers heal with forget() + one retry.
     def has_key(self, worker: int, namespace: str, key: object) -> bool:
@@ -169,8 +157,7 @@ class WorkerPool:
             if key in known:
                 return
             known[key] = None
-            bound = MAX_SHARD_ENTRIES if namespace == "shard" else MAX_DB_ENTRIES
-            while len(known) > bound:
+            while len(known) > MAX_DB_ENTRIES:
                 known.popitem(last=False)
 
     def forget(self, worker: int, namespace: str, key: object) -> None:
@@ -261,9 +248,9 @@ class WorkerPool:
         return results
 
     def clear_caches(self) -> None:
-        """Drop every worker's memoized evaluations and session caches.
+        """Drop every worker's session caches.
 
-        Shard interning tables and worker-resident databases survive (they
+        Worker-resident databases and their interning tables survive (they
         are keyed state, analogous to the parent's interners); only cached
         *results* are dropped, mirroring ``EvaluationCache.clear``.
         """
@@ -310,6 +297,83 @@ class WorkerPool:
             pass
 
 
+class LazyWorkerPool:
+    """The pool one ``Session(workers=N)`` dispatches to, started on demand.
+
+    :meth:`get` starts (and pings) the pool on first use; a failed start or
+    a dead worker (:meth:`mark_failed`) makes every later :meth:`get`
+    answer ``None``, which keeps ``solve_many`` on the serial path.
+    """
+
+    def __init__(self, workers: int) -> None:
+        self.workers = int(workers)
+        self._pool: Optional[WorkerPool] = None
+        self._failed = False
+        self._lock = threading.RLock()
+        self._db_ids: "weakref.WeakKeyDictionary[Database, int]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._next_db_id = 0
+
+    def get(self) -> Optional[WorkerPool]:
+        """The running pool, started lazily; ``None`` if unavailable."""
+        with self._lock:
+            if self._failed:
+                return None
+            if self._pool is None:
+                try:
+                    pool = WorkerPool(self.workers)
+                    if not pool.ping():
+                        pool.close()
+                        raise RuntimeError("worker pool failed its start ping")
+                    self._pool = pool
+                except Exception:
+                    self._failed = True
+                    return None
+            return self._pool
+
+    def mark_failed(self) -> None:
+        """Stop dispatching to the pool (a worker died)."""
+        with self._lock:
+            self._failed = True
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
+
+    def db_id(self, database: "Database") -> Optional[int]:
+        """A stable small id for a database (store keys must not collide)."""
+        with self._lock:
+            try:
+                did = self._db_ids.get(database)
+                if did is None:
+                    did = self._next_db_id
+                    self._db_ids[database] = did
+                    self._next_db_id += 1
+            except TypeError:  # pragma: no cover - non-weakref-able stub
+                return None
+            return did
+
+    def clear_caches(self) -> None:
+        """Drop results held by live workers; never *starts* a pool."""
+        with self._lock:
+            pool = self._pool
+        if pool is None:
+            return
+        try:
+            pool.clear_caches()
+        except PoolBrokenError:
+            self.mark_failed()
+        except WorkerTaskError:  # pragma: no cover - clear cannot really fail
+            pass
+
+    def close(self) -> None:
+        """Shut the pool down (idempotent)."""
+        with self._lock:
+            if self._pool is not None:
+                self._pool.close()
+                self._pool = None
+
+
 # --------------------------------------------------------------------------- #
 # Worker side
 # --------------------------------------------------------------------------- #
@@ -324,78 +388,11 @@ def _bounded_insert(
         store.popitem(last=False)
 
 
-def _handle_evaluate_shard(
-    msg: dict, shard_store: "OrderedDict", eval_cache: "OrderedDict"
-) -> object:
-    """Evaluate one shard of one query, reusing cached interning tables."""
-    from repro.engine.backend import resolve_backend
-    from repro.engine.columnar import RelationIndex
-    from repro.parallel.partition import (
-        ShardDatabase,
-        ShardRelation,
-        evaluate_shard,
-    )
-
-    query = msg["query"]
-    order = msg["order"]
-    backend = resolve_backend(msg.get("backend", "python"))
-
-    # Ingest freshly shipped batches *before* any cache shortcut, so the
-    # shard store tracks everything the parent believes was delivered; then
-    # resolve every key, reporting evicted ones as a recoverable miss.
-    entries = []
-    missing = []
-    for spec in msg["atoms"]:
-        skey = spec["skey"]
-        entry = shard_store.get(skey)
-        if entry is None and "rows" in spec:
-            relation = ShardRelation(
-                spec["name"], tuple(spec["attributes"]), spec["rows"]
-            )
-            entry = (relation, RelationIndex(relation), spec["tid_map"])
-            _bounded_insert(shard_store, skey, entry, MAX_SHARD_ENTRIES)
-        if entry is None:
-            missing.append(("shard", skey))
-        entries.append(entry)
-    if missing:
-        raise _StoreMiss(missing)
-
-    use_cache = msg.get("use_cache", True)
-    cache_key = (msg["cache_key"], order)
-    if use_cache:
-        cached = eval_cache.get(cache_key)
-        if cached is not None:
-            return cached
-
-    relations = []
-    indexes_by_name = {}
-    tid_maps = []
-    for relation, index, tid_map in entries:
-        relations.append(relation)
-        indexes_by_name[relation.name] = index
-        tid_maps.append(tid_map)
-
-    atoms = list(query.atoms)
-    ordered_atoms = [atoms[i] for i in order]
-    result = evaluate_shard(
-        query,
-        ordered_atoms,
-        ShardDatabase(relations),
-        tid_maps,
-        index_for=lambda relation: indexes_by_name[relation.name],
-        backend=backend,
-    )
-    if use_cache:
-        _bounded_insert(eval_cache, cache_key, result, MAX_EVAL_ENTRIES)
-    return result
-
-
 def _handle_solve_group(msg: dict, db_store: "OrderedDict") -> dict:
     """Solve one query group (shared evaluation + one curve, many targets)."""
     from repro.data.database import Database
     from repro.data.relation import Relation
     from repro.engine.columnar import RelationIndex
-    from repro.parallel.partition import ShardRelation
 
     dbkey = msg["dbkey"]
     entry = db_store.get(dbkey)
@@ -418,12 +415,13 @@ def _handle_solve_group(msg: dict, db_store: "OrderedDict") -> dict:
         # Seed the interning tables in the parent's interned row order, so
         # worker-side witness order (and hence greedy tie-breaking) matches
         # the parent's serial engine exactly.
-        context = session._context
         for relation in database:
-            view = ShardRelation(
-                relation.name, relation.attributes, ordered_rows[relation.name]
+            session._context.seed_index(
+                relation,
+                RelationIndex.from_rows(
+                    relation.name, relation.attributes, ordered_rows[relation.name]
+                ),
             )
-            context._interners[relation] = (relation.version, RelationIndex(view))
         entry = (database, session)
         _bounded_insert(db_store, dbkey, entry, MAX_DB_ENTRIES)
     database, session = entry
@@ -461,17 +459,12 @@ def _worker_main(conn: "multiprocessing.connection.Connection") -> None:  # prag
     """
     from repro.obs.trace import Tracer, use_tracer
 
-    shard_store: "OrderedDict" = OrderedDict()
-    eval_cache: "OrderedDict" = OrderedDict()
     db_store: "OrderedDict" = OrderedDict()
 
     def dispatch(kind: Optional[str], msg: dict) -> object:
-        if kind == "evaluate_shard":
-            return _handle_evaluate_shard(msg, shard_store, eval_cache)
         if kind == "solve_group":
             return _handle_solve_group(msg, db_store)
         if kind == "clear_caches":
-            eval_cache.clear()
             for _database, session in db_store.values():
                 session.clear_cache()
             return "cleared"
@@ -515,8 +508,7 @@ def _worker_main(conn: "multiprocessing.connection.Connection") -> None:  # prag
 
 __all__ = [
     "MAX_DB_ENTRIES",
-    "MAX_EVAL_ENTRIES",
-    "MAX_SHARD_ENTRIES",
+    "LazyWorkerPool",
     "PoolBrokenError",
     "WorkerPool",
     "WorkerStoreMiss",

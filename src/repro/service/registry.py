@@ -2,7 +2,7 @@
 
 The service never constructs a :class:`~repro.session.Session` per request
 -- the whole point of the session API is that the evaluation cache, the
-interning tables and (for parallel sessions) the worker pool amortize
+interning tables and (for ``workers > 1`` sessions) the worker pool amortize
 across requests.  The :class:`SessionRegistry` owns that mapping:
 
 * **names** -- clients address databases by name (``"tpch"``), never by

@@ -72,7 +72,6 @@ def prepare_payload(prepared: "PreparedQuery") -> dict:
         "is_connected": prepared.is_connected,
         "universal_attributes": sorted(prepared.universal_attributes),
         "join_order": list(prepared.join_order),
-        "partition_key": prepared.partition_key,
     }
 
 

@@ -45,18 +45,20 @@ Thread- and process-safety contract
   builds are lock-guarded, and cached ``QueryResult`` objects are immutable
   by contract.  (Remaining lazy views such as ``QueryResult.witnesses``
   tolerate racing builders -- both compute identical values and the last
-  assignment wins.)
+  assignment wins.)  The usage counters behind :attr:`Session.stats` are
+  bumped under a session lock (joins under the engine context's lock), so
+  they stay exact under concurrent readers.
 * **Mutation is exclusive.**  ``apply_deletions`` / ``apply_insertions``
   (or any in-place database
   mutation) must not run concurrently with reads on the same session;
   relation versions make stale cache reads impossible, but the migration
-  itself assumes a quiescent session.  The parallel subsystem respects this
-  by construction: workers receive immutable row batches and never touch
-  the parent's database.
-* **Worker processes share nothing.**  ``Session(workers=N)`` ships
-  interned column batches to per-shard worker state over pipes; results are
-  merged byte-identically in the parent.  Sessions themselves must not be
-  shared across processes.
+  itself assumes a quiescent session.  Worker processes respect this by
+  construction: they receive copies of the rows and never touch the
+  parent's database.
+* **Worker processes share nothing.**  ``Session(workers=N)`` ships the
+  bound database (rows in interned order) to worker processes over pipes
+  for ``solve_many`` group dispatch; solutions come back by value.
+  Sessions themselves must not be shared across processes.
 
 Example
 -------
@@ -76,6 +78,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import threading
 import weakref
 from dataclasses import dataclass
 from typing import (
@@ -112,7 +115,12 @@ from repro.engine.evaluate import (
     use_context,
 )
 from repro.obs.trace import span, tracing_active
-from repro.parallel.partition import choose_partition_key
+from repro.parallel.pool import (
+    LazyWorkerPool,
+    PoolBrokenError,
+    WorkerStoreMiss,
+    WorkerTaskError,
+)
 from repro.query.cq import ConjunctiveQuery
 from repro.query.graph import QueryGraph
 from repro.query.parser import parse_query
@@ -139,10 +147,6 @@ class PreparedQuery:
     join_order:
         The engine's join order over the non-vacuum atoms (passed back to the
         columnar engine so it is never recomputed).
-    partition_key:
-        The attribute the parallel engine would hash-partition this query on
-        (``None`` when nothing is partitionable); recorded here so parallel
-        sessions never re-derive the shard layout per solve.
     is_poly_time:
         ``IsPtime(Q)`` -- whether ``ComputeADP`` returns exact optima.
     is_singleton:
@@ -158,7 +162,6 @@ class PreparedQuery:
         "query",
         "canonical_key",
         "join_order",
-        "partition_key",
         "is_poly_time",
         "is_singleton",
         "universal_attributes",
@@ -174,17 +177,16 @@ class PreparedQuery:
         self.query: ConjunctiveQuery = query
         self.canonical_key = canonical_query_key(query)
         self.join_order: Tuple[int, ...] = join_order_plan(query)
-        self.partition_key: Optional[str] = choose_partition_key(query)
         self.is_poly_time: bool = is_poly_time(query)
         self.is_singleton: bool = is_singleton(query)
         self.universal_attributes: FrozenSet[str] = query.universal_attributes()
         self.is_connected: bool = QueryGraph(query).is_connected()
-        #: A short stable digest of (canonical key, join order, partition
-        #: key) -- what the slow-query log and the trace profiles report as
-        #: the *plan identity* of a request, so operators can group slow
-        #: requests by plan without shipping whole query objects around.
+        #: A short stable digest of (canonical key, join order) -- what the
+        #: slow-query log and the trace profiles report as the *plan
+        #: identity* of a request, so operators can group slow requests by
+        #: plan without shipping whole query objects around.
         self.plan_fingerprint: str = hashlib.sha1(
-            repr((self.canonical_key, self.join_order, self.partition_key)).encode()
+            repr((self.canonical_key, self.join_order)).encode()
         ).hexdigest()[:12]
 
     # Convenience views ------------------------------------------------- #
@@ -373,10 +375,10 @@ class Session:
         :meth:`apply_deletions` / :meth:`apply_insertions` migrate cached
         results incrementally.
     engine:
-        ``"columnar"`` (default), ``"row"`` or ``"parallel"`` -- per-session
-        engine mode, replacing the deprecated global ``set_engine_mode``.
+        ``"columnar"`` (default) or ``"row"`` -- per-session engine mode,
+        replacing the deprecated global ``set_engine_mode``.
     backend:
-        The array backend for the columnar/parallel kernels
+        The array backend for the columnar kernels
         (:mod:`repro.engine.backend`): ``"auto"`` (default -- NumPy when
         installed, pure Python otherwise), ``"numpy"`` (raise if NumPy is
         missing) or ``"python"``.  Results are **byte-identical** across
@@ -384,18 +386,12 @@ class Session:
         layout); only the column representation and the speed differ.  The
         row reference engine ignores the backend.
     workers:
-        Degree of parallelism.  ``workers > 1`` (or ``engine="parallel"``,
-        which defaults to the CPU count) switches the session onto the
-        sharded execution subsystem (:mod:`repro.parallel`): large joins
-        are hash-partitioned across a persistent worker pool and
-        ``solve_many`` dispatches distinct query groups to workers
-        concurrently.  Results are byte-identical to the serial columnar
-        engine; a cost model keeps small inputs on the serial path, so
-        ``workers=1`` (the default) is exactly the previous behaviour.
-    parallel_threshold:
-        Cost-model floor (input tuples in partitioned relations) below
-        which parallel sessions still evaluate serially; defaults to
-        :data:`repro.parallel.partition.MIN_PARTITION_TUPLES`.
+        Worker processes for :meth:`solve_many`.  ``workers > 1`` starts a
+        persistent pool (:mod:`repro.parallel`) on the first batch with
+        more than one hard-leaf query group and dispatches those groups to
+        it concurrently; solutions are byte-identical to the serial
+        engine's.  Every evaluation stays on the one serial columnar join
+        path, and ``workers=1`` (the default) never starts a process.
     config:
         Default :class:`~repro.core.adp.SolverConfig` for :meth:`solve` /
         :meth:`solve_many` / :meth:`curve`; per-call overrides win.
@@ -412,34 +408,26 @@ class Session:
         engine: str = "columnar",
         backend: str = "auto",
         workers: int = 1,
-        parallel_threshold: Optional[int] = None,
         config: Optional[SolverConfig] = None,
         _context: Optional[EngineContext] = None,
     ):
         self.database = database
-        workers = int(workers)
+        workers = max(1, int(workers))
         owns_context = _context is None
         if _context is None:
             if engine not in ENGINE_MODES:
                 raise ValueError(f"unknown engine mode {engine!r}")
-            if engine == "row":
-                if workers > 1:
-                    raise ValueError(
-                        "the row reference engine is serial-only; "
-                        "workers > 1 needs the columnar (or parallel) engine"
-                    )
-                mode = "row"
-            elif engine == "parallel" or workers > 1:
-                mode = "parallel"
-            else:
-                mode = engine  # validated by EngineContext
-            _context = EngineContext(
-                mode=mode,
-                workers=workers,
-                parallel_threshold=parallel_threshold,
-                backend=backend,
-            )
+            if engine == "row" and workers > 1:
+                raise ValueError(
+                    "the row reference engine is serial-only; "
+                    "workers > 1 needs the columnar engine"
+                )
+            _context = EngineContext(mode=engine, backend=backend)
         self._context = _context
+        self._workers = workers
+        self._pool = LazyWorkerPool(workers) if workers > 1 else None
+        #: Guards the usage counters and the prepared-query registry.
+        self._lock = threading.Lock()
         self._config = config or SolverConfig()
         self._prepared: Dict[object, PreparedQuery] = {}
         self._counters = {
@@ -455,12 +443,12 @@ class Session:
         self._closed = False
         # Deterministic teardown net: a session that owns its context (i.e.
         # was not handed the shared per-database default context) releases
-        # it -- cache, interners and, crucially, the parallel worker pool --
-        # when garbage collected, not just on an explicit close().  Without
-        # this, a dropped parallel session leaks its worker processes until
+        # it -- cache, interners and, crucially, the worker pool -- when
+        # garbage collected, not just on an explicit close().  Without this,
+        # a dropped ``workers > 1`` session leaks its worker processes until
         # interpreter exit.  close() runs the same finalizer explicitly.
         self._finalizer = (
-            weakref.finalize(self, EngineContext.release, self._context)
+            weakref.finalize(self, _release, self._context, self._pool)
             if owns_context
             else None
         )
@@ -482,10 +470,10 @@ class Session:
     def close(self) -> None:
         """Release the session's cache, interning tables and worker pool.
 
-        Idempotent and deterministic: after ``close()`` returns, a parallel
-        session's worker processes have exited (the pool drains and joins
-        them) -- the guarantee the service registry's LRU eviction relies
-        on.  The same release also runs via a GC finalizer when an unclosed
+        Idempotent and deterministic: after ``close()`` returns, a
+        ``workers > 1`` session's worker processes have exited (the pool
+        drains and joins them) -- the guarantee the service registry's LRU
+        eviction relies on.  The same release also runs via a GC finalizer when an unclosed
         session that owns its context is collected.
         """
         if self._closed:
@@ -494,7 +482,7 @@ class Session:
         if self._finalizer is not None:
             self._finalizer()
         else:
-            self._context.release()
+            _release(self._context, self._pool)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -516,13 +504,13 @@ class Session:
     # ------------------------------------------------------------------ #
     @property
     def engine(self) -> str:
-        """This session's engine mode (``columnar``, ``row`` or ``parallel``)."""
+        """This session's engine mode (``columnar`` or ``row``)."""
         return self._context.mode
 
     @property
     def workers(self) -> int:
-        """Degree of parallelism (1 unless the engine mode is ``parallel``)."""
-        return self._context.workers if self._context.mode == "parallel" else 1
+        """Worker processes :meth:`solve_many` may dispatch to (1 = serial)."""
+        return self._workers
 
     @property
     def backend(self) -> str:
@@ -542,14 +530,12 @@ class Session:
         self._check_open()
         if isinstance(query, PreparedQuery):
             # Adopt foreign prepared queries so what_if() tracks them too.
-            if query.canonical_key not in self._prepared:
-                self._prepared[query.canonical_key] = query
-                self._counters["prepares"] += 1
-            return self._prepared[query.canonical_key]
+            return self._adopt(query)
         if isinstance(query, str):
             query = parse_query(query)
         key = canonical_query_key(query)
-        prepared = self._prepared.get(key)
+        with self._lock:
+            prepared = self._prepared.get(key)
         if prepared is None:
             with span("session.prepare") as psp:
                 prepared = PreparedQuery(query)
@@ -557,14 +543,28 @@ class Session:
                     psp.set(
                         query=prepared.name, plan=prepared.plan_fingerprint
                     )
-            self._prepared[key] = prepared
-            self._counters["prepares"] += 1
+            prepared = self._adopt(prepared)
         return prepared
+
+    def _adopt(self, prepared: PreparedQuery) -> PreparedQuery:
+        """Register ``prepared`` once; a thread that lost a race gets the winner."""
+        with self._lock:
+            existing = self._prepared.get(prepared.canonical_key)
+            if existing is not None:
+                return existing
+            self._prepared[prepared.canonical_key] = prepared
+            self._counters["prepares"] += 1
+            return prepared
+
+    def _count(self, counter: str, amount: int = 1) -> None:
+        with self._lock:
+            self._counters[counter] += amount
 
     @property
     def prepared_queries(self) -> List[PreparedQuery]:
         """Every query prepared on this session (insertion order)."""
-        return list(self._prepared.values())
+        with self._lock:
+            return list(self._prepared.values())
 
     def evaluate(
         self,
@@ -580,7 +580,7 @@ class Session:
         """
         self._check_open()
         prepared = self.prepare(query)
-        self._counters["evaluations"] += 1
+        self._count("evaluations")
         with self.activate():
             return self._context.evaluate(
                 prepared.query,
@@ -589,14 +589,13 @@ class Session:
                 use_cache,
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
-                partition_key=prepared.partition_key,
             )
 
     def explain(self, query: QueryLike, analyze: bool = True) -> Dict[str, object]:
         """The structured EXPLAIN payload for ``query`` on this session.
 
         The ``"plan"`` block (fingerprint, decomposition, join order with
-        tie-break rationale, partition key, static cardinality estimates)
+        tie-break rationale, static cardinality estimates)
         is engine- and backend-independent; the ``"execution"`` block
         carries the cost-model verdicts and, with ``analyze=True``, the
         estimate-vs-actual ledger from one instrumented evaluation.  See
@@ -647,7 +646,7 @@ class Session:
         self._check_open()
         prepared = self.prepare(query)
         chosen = self._solver(solver, config, overrides)
-        self._counters["solves"] += 1
+        self._count("solves")
         with self.activate(), span("session.solve") as ssp:
             if ssp:
                 ssp.set(
@@ -658,7 +657,6 @@ class Session:
                 self.database,
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
-                partition_key=prepared.partition_key,
             )
             return chosen.solve_in_context(
                 prepared.query, self.database, k, result=result
@@ -700,7 +698,7 @@ class Session:
         group's largest ``k``; every smaller target is then read off that
         curve.  Results come back in request order.
 
-        On a parallel session (``workers > 1``) distinct **hard-leaf**
+        On a ``workers > 1`` session distinct **hard-leaf**
         query groups -- those ``ComputeADP`` solves directly on the
         top-level evaluation (NP-hard, connected, non-singleton, no
         universal attribute, non-boolean) -- are dispatched to the worker
@@ -711,8 +709,7 @@ class Session:
         recurses into sub-instances (Universe/Decompose/Singleton/Boolean)
         stay parent-side: sub-instance construction iterates relation
         *sets*, whose order is process-dependent, so only the leaf path can
-        guarantee serial-identical solutions by construction.  Within one
-        group, a large evaluation is additionally sharded.  Any pool
+        guarantee serial-identical solutions by construction.  Any pool
         problem silently falls back to the serial path.
         """
         self._check_open()
@@ -720,8 +717,8 @@ class Session:
         if not request_list:
             return []
         chosen = self._solver(solver, config, overrides)
-        self._counters["batches"] += 1
-        self._counters["solves"] += len(request_list)
+        self._count("batches")
+        self._count("solves", len(request_list))
 
         groups: Dict[object, List[int]] = {}
         for position, (prepared, _k) in enumerate(request_list):
@@ -732,7 +729,7 @@ class Session:
         with span("session.solve_many") as msp:
             if msp:
                 msp.set(requests=len(request_list), groups=len(groups))
-            if self._context.mode == "parallel" and self._context.workers > 1:
+            if self._pool is not None and self.engine == "columnar":
                 leaf_groups = {
                     key: positions
                     for key, positions in groups.items()
@@ -756,7 +753,6 @@ class Session:
                         self.database,
                         order=prepared.join_order,
                         query_key=prepared.canonical_key,
-                        partition_key=prepared.partition_key,
                     )
                     curve = chosen.curve(prepared.query, self.database, kmax)
                     for position, k in zip(positions, targets):
@@ -787,23 +783,16 @@ class Session:
         pipe would usually cost more than the join it saves.  Repeat
         batches are therefore cheap (the workers hold everything), while a
         follow-up single-query ``solve``/``what_if`` on the parent
-        re-evaluates there (shard-parallel when large enough) and warms the
-        parent cache on first use.
+        re-evaluates there and warms the parent cache on first use.
         """
-        executor = self._context.executor()
-        pool = executor.pool() if executor is not None else None
+        assert self._pool is not None
+        pool = self._pool.get()
         if pool is None or not pool.supports_solve_groups():
             return False
-        did = executor.db_id(self.database)
+        did = self._pool.db_id(self.database)
         if did is None:
             return False
         dbkey = (did, self.database.version_token())
-        from repro.parallel.pool import (
-            PoolBrokenError,
-            WorkerStoreMiss,
-            WorkerTaskError,
-        )
-
         group_items = list(groups.items())
         collect = tracing_active()
 
@@ -858,7 +847,7 @@ class Session:
                         spans_out = [None] * len(group_items)
                     results = pool.run(build_tasks(), spans_out)
             except PoolBrokenError:
-                executor.mark_pool_failed()
+                self._pool.mark_failed()
                 return False
             except (WorkerTaskError, WorkerStoreMiss):
                 # A task failed inside a healthy worker -- e.g. an infeasible
@@ -872,7 +861,7 @@ class Session:
                     if forest:
                         gsp.graft(forest)
         for (_gkey, positions), outcome in zip(group_items, results):
-            self._context.evaluations += outcome["joins"]
+            self._context.record_joins(outcome["joins"])
             for position, solution in zip(positions, outcome["solutions"]):
                 solutions[position] = solution
         return True
@@ -895,7 +884,7 @@ class Session:
         self._check_open()
         prepared = self.prepare(query)
         chosen = self._solver(solver, config, overrides)
-        self._counters["curves"] += 1
+        self._count("curves")
         with self.activate():
             # Warm the cache so curve-internal evaluations share the join.
             self._context.evaluate(
@@ -903,7 +892,6 @@ class Session:
                 self.database,
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
-                partition_key=prepared.partition_key,
             )
             return chosen.curve(prepared.query, self.database, kmax)
 
@@ -932,13 +920,13 @@ class Session:
         if query is not None:
             targets = [self.prepare(query)]
         else:
-            targets = list(self._prepared.values())
+            targets = self.prepared_queries
             if not targets:
                 raise ValueError(
                     "what_if() without a query needs at least one prepared "
                     "query on the session; call session.prepare(...) first"
                 )
-        self._counters["what_if_calls"] += 1
+        self._count("what_if_calls")
         entries: Dict[PreparedQuery, WhatIfEntry] = {}
         with self.activate(), span("session.what_if") as wsp:
             if wsp:
@@ -949,7 +937,6 @@ class Session:
                     self.database,
                     order=prepared.join_order,
                     query_key=prepared.canonical_key,
-                    partition_key=prepared.partition_key,
                 )
                 entries[prepared] = WhatIfEntry(prepared, before, frozen)
         return WhatIfResult(frozen, entries)
@@ -972,11 +959,9 @@ class Session:
             old_token = self.database.version_token()
             removed = self.database.remove_tuples(ref_list)
             new_token = self.database.version_token()
-            for (query_key, token, layout, backend_tag), result in snapshot.items():
+            for (query_key, token, backend_tag), result in snapshot.items():
                 if token != old_token:
                     continue  # already stale before the deletion
-                if layout is not None:
-                    continue  # shard payloads are re-partitioned, not migrated
                 migrated = (
                     result if removed == 0 else delta_filter_result(result, ref_list)
                 )
@@ -985,7 +970,7 @@ class Session:
                 )
             if dsp:
                 dsp.set(refs=len(ref_list), removed=removed, migrated=len(snapshot))
-        self._counters["deletions_applied"] += removed
+        self._count("deletions_applied", removed)
         return removed
 
     def apply_insertions(self, refs: Iterable[TupleRef]) -> int:
@@ -1072,11 +1057,9 @@ class Session:
                     and row in self.database.relation(name)
                 )
 
-            for (query_key, token, layout, backend_tag), result in snapshot.items():
+            for (query_key, token, backend_tag), result in snapshot.items():
                 if token != old_token:
                     continue  # already stale before the insertion
-                if layout is not None:
-                    continue  # shard payloads are re-partitioned, not migrated
                 if added == 0:
                     migrated = result
                 else:
@@ -1093,7 +1076,7 @@ class Session:
                 )
             if isp:
                 isp.set(refs=len(ref_list), added=added, migrated=len(snapshot))
-        self._counters["insertions_applied"] += added
+        self._count("insertions_applied", added)
         return added
 
     # ------------------------------------------------------------------ #
@@ -1102,33 +1085,41 @@ class Session:
     def clear_cache(self) -> None:
         """Drop this session's memoized evaluation results.
 
-        On a parallel session this also clears the caches held by live
-        workers (their interning tables and resident databases survive), so
-        a cleared session genuinely re-evaluates everywhere.
+        On a ``workers > 1`` session this also clears the caches held by
+        live workers (their interning tables and resident databases
+        survive), so a cleared session genuinely re-evaluates everywhere.
         """
         self._check_open()
         self._context.cache.clear()
-        executor = self._context._executor
-        if executor is not None:
-            executor.clear_worker_caches()
+        if self._pool is not None:
+            self._pool.clear_caches()
 
     @property
     def stats(self) -> SessionStats:
         """A snapshot of the session's usage counters."""
         hits, misses = self._context.cache.stats()
+        with self._lock:
+            counters = dict(self._counters)
         return SessionStats(
             cache_hits=hits,
             cache_misses=misses,
             joins=self._context.evaluations,
-            **self._counters,
+            **counters,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else self._context.mode
         return (
             f"Session({self.database!s}, engine={state}, "
-            f"prepared={len(self._prepared)})"
+            f"prepared={len(self.prepared_queries)})"
         )
+
+
+def _release(context: EngineContext, pool: Optional[LazyWorkerPool]) -> None:
+    """Drop a session's cache and interning tables and stop its workers."""
+    context.release()
+    if pool is not None:
+        pool.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -215,10 +215,10 @@ class DatabaseStore:
         token = database.version_token()
         kept: List[QueryResult] = []
         seen_keys = set()
-        for (query_key, tok, layout, _backend), result in context.cache.entries_snapshot(
+        for (query_key, tok, _backend), result in context.cache.entries_snapshot(
             database
         ).items():
-            if tok != token or layout is not None:
+            if tok != token:
                 continue
             provenance = getattr(result, "provenance", None)
             if provenance is None or query_key in seen_keys:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List
 
 from repro.data.database import Database
@@ -62,7 +63,9 @@ def generate_zipf_path(
 
     a_domain = [f"a{i}" for i in range(distinct)]
     b_domain = [f"b{i}" for i in range(distinct)]
-    weights = zipf_weights(distinct, cfg.alpha)
+    # Cumulative weights built once: ``choices(weights=...)`` would rebuild
+    # them on every draw (O(N * distinct)).  Same bisect, same draws.
+    cum_weights = list(accumulate(zipf_weights(distinct, cfg.alpha)))
 
     r1 = Relation("R1", ("A",), [(a,) for a in a_domain])
     r3 = Relation("R3", ("B",), [(b,) for b in b_domain])
@@ -74,7 +77,7 @@ def generate_zipf_path(
     attempts = 0
     while len(r2) < target and attempts < 50 * cfg.r2_tuples:
         attempts += 1
-        a = rng.choices(a_domain, weights=weights, k=1)[0]
+        a = rng.choices(a_domain, cum_weights=cum_weights, k=1)[0]
         b = rng.choice(b_domain)
         r2.insert((a, b))
     return Database([r1, r2, r3])

@@ -130,6 +130,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiments", "--only", "nope"])
 
+    def test_workers_only_on_serve(self):
+        """Only ``serve`` feeds solve_many; the other commands have no pool."""
+        assert build_parser().parse_args(["serve", "--workers", "2"]).workers == 2
+        for argv in (
+            ["solve", "Q(A) :- R(A)", "db", "--k", "1", "--workers", "2"],
+            ["explain", "Q(A) :- R(A)", "db", "--workers", "2"],
+            ["experiments", "--workers", "2"],
+            ["solve", "Q(A) :- R(A)", "db", "--k", "1", "--engine", "parallel"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
 
 class TestExplainCommand:
     QUERY = "Q(A, B) :- R1(A), R2(A, B)"
@@ -145,20 +157,17 @@ class TestExplainCommand:
         self, capsys, csv_database
     ):
         """Golden snapshot: the plan block (fingerprint included) must be
-        byte-identical across --engine columnar|parallel and
+        byte-identical across --engine columnar|row and
         --backend python|numpy."""
         from repro.engine.backend import numpy_available
 
         variants = [
             [],
-            ["--engine", "parallel", "--workers", "2"],
+            ["--engine", "row"],
             ["--backend", "python"],
         ]
         if numpy_available():
             variants.append(["--backend", "numpy"])
-            variants.append(
-                ["--engine", "parallel", "--workers", "2", "--backend", "numpy"]
-            )
         plans = set()
         fingerprints = set()
         for extra in variants:
@@ -176,10 +185,3 @@ class TestExplainCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["execution"]["analyzed"] is False
         assert payload["execution"]["operators"] == []
-
-    def test_row_engine_with_workers_rejected(self, capsys, csv_database):
-        args = [
-            "explain", self.QUERY, str(csv_database),
-            "--engine", "row", "--workers", "2",
-        ]
-        assert main(args) == 2

@@ -113,11 +113,12 @@ def test_render_text_mentions_plan_and_ledger():
 def test_plan_block_byte_identical_across_engines_and_backends():
     configs = [
         {"engine": "columnar", "backend": "python"},
-        {"engine": "parallel", "workers": 2, "backend": "python"},
+        {"engine": "columnar", "workers": 2, "backend": "python"},
+        {"engine": "row", "backend": "python"},
     ]
     if numpy_available():
         configs.append({"engine": "columnar", "backend": "numpy"})
-        configs.append({"engine": "parallel", "workers": 2, "backend": "numpy"})
+        configs.append({"engine": "columnar", "workers": 2, "backend": "numpy"})
     snapshots = {}
     for config in configs:
         with Session(small_db(), **config) as session:

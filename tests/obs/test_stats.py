@@ -14,7 +14,6 @@ from repro.obs.stats import (
     heavy_hitter_summary,
     join_step_record,
     misestimate_factor,
-    shard_skew_record,
     stats_active,
     use_stats,
     worst_misestimate,
@@ -151,23 +150,8 @@ def test_join_step_record_first_atom_and_cross_product():
 
 
 # --------------------------------------------------------------------------- #
-# shard_skew_record / worst_misestimate
+# worst_misestimate
 # --------------------------------------------------------------------------- #
-def test_shard_skew_record():
-    record = shard_skew_record("A", [10, 10, 40])
-    assert record["op"] == "parallel.shards"
-    assert record["shards"] == 3
-    assert record["witnesses"] == 60
-    assert record["max_shard"] == 40
-    assert record["skew"] == 2.0
-
-
-def test_shard_skew_record_empty():
-    record = shard_skew_record(None, [])
-    assert record["shards"] == 0
-    assert record["skew"] == 0.0
-
-
 def test_worst_misestimate_picks_largest_factor():
     records = [
         {"op": "join.atom", "step": 0, "factor": 1.5},

@@ -1,9 +1,9 @@
-"""The real worker pool: sharded sessions, batched solves, concurrency.
+"""The real worker pool: ``solve_many`` group dispatch and its failure paths.
 
 Everything here exercises actual ``multiprocessing`` workers (fork/spawn
-subprocesses), so the workloads are kept deliberately small and
-``parallel_threshold=0`` forces the sharded path where the cost model would
-otherwise stay serial.
+subprocesses), so the workloads are kept deliberately small.  A
+``workers > 1`` session evaluates on the serial columnar path; only
+``solve_many`` batches with several hard-leaf query groups reach the pool.
 """
 
 import threading
@@ -13,7 +13,7 @@ import pytest
 from repro.parallel.pool import WorkerPool
 from repro.query.parser import parse_query
 from repro.session import Session
-from repro.workloads.queries import Q1, QPATH_EXP
+from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
 
@@ -60,23 +60,24 @@ def test_worker_errors_surface_as_runtime_error():
 
 
 def test_parallel_session_evaluate_matches_serial(tpch_db):
+    """A ``workers > 1`` session evaluates serially and starts no pool."""
     serial = Session(tpch_db)
     expected = serial.evaluate(Q1)
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
-        assert session.engine == "parallel"
+    with Session(tpch_db, workers=2) as session:
+        assert session.engine == "columnar"
         assert session.workers == 2
         result = session.evaluate(Q1)
         assert result.output_rows == expected.output_rows
         assert list(result.witness_outputs) == list(expected.witness_outputs)
         assert packed_columns(result.provenance) == packed_columns(expected.provenance)
-        # Steady state: the cached result is served without re-dispatch.
         assert session.evaluate(Q1) is result
+        assert session._pool._pool is None  # evaluation never touches the pool
 
 
 def test_solve_many_parallel_groups_match_serial(tpch_db):
     requests = [(Q1, 3), (QA, 2), (QB, 2), (Q1, 1), (QA, 1)]
     expected = Session(tpch_db).solve_many(requests, heuristic="greedy")
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
+    with Session(tpch_db, workers=2) as session:
         got = session.solve_many(requests, heuristic="greedy")
         assert len(got) == len(expected)
         for ours, theirs in zip(got, expected):
@@ -95,7 +96,7 @@ def test_solve_many_parallel_groups_match_serial(tpch_db):
 def test_solve_many_concurrent_batches_from_threads(tpch_db):
     """The solve_many contract holds under concurrent callers of one session."""
     expected = Session(tpch_db).solve_many([(Q1, 2), (QA, 2)], heuristic="greedy")
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
+    with Session(tpch_db, workers=2) as session:
         outcomes = [None] * 4
         errors = []
 
@@ -122,17 +123,17 @@ def test_solve_many_concurrent_batches_from_threads(tpch_db):
 
 def test_task_error_does_not_poison_the_pool(tpch_db):
     """A user error inside a worker falls back serially but keeps the pool."""
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
+    with Session(tpch_db, workers=2) as session:
         session.solve_many([(Q1, 2), (QA, 2)], heuristic="greedy")  # pool up
-        executor = session._context.executor()
-        assert executor.pool() is not None
+        pool = session._pool
+        assert pool.get() is not None
         with pytest.raises(ValueError):
             # An infeasible target: the worker's solver raises, the serial
             # fallback re-raises the real exception...
             session.solve_many([(Q1, 10**9), (QA, 2)], heuristic="greedy")
         # ...and the pool is still alive and used afterwards.
-        assert not executor._pool_failed
-        assert executor.pool() is not None and executor.pool().ping()
+        assert not pool._failed
+        assert pool.get() is not None and pool.get().ping()
         again = session.solve_many([(Q1, 2), (QA, 2)], heuristic="greedy")
         assert [s.k for s in again] == [2, 2]
 
@@ -147,7 +148,7 @@ def test_clear_cache_reaches_worker_caches(tpch_db):
     post-clear batch runs them again.
     """
     requests = [(Q1, 2), (QA, 2)]
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
+    with Session(tpch_db, workers=2) as session:
         expected = session.solve_many(requests, heuristic="greedy")
         after_first = session.stats.joins
         session.solve_many(requests, heuristic="greedy")
@@ -174,7 +175,7 @@ def test_mixed_batches_gate_recursive_groups_to_the_parent(tpch_db):
     from repro.session import _is_leaf_group
 
     QPOLY = parse_query("QP(NK, SK, PK) :- Supplier(NK, SK), PartSupp(SK, PK)")
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
+    with Session(tpch_db, workers=2) as session:
         assert _is_leaf_group(session.prepare(Q1))
         assert _is_leaf_group(session.prepare(QA))
         assert not _is_leaf_group(session.prepare(QPOLY))
@@ -188,14 +189,12 @@ def test_mixed_batches_gate_recursive_groups_to_the_parent(tpch_db):
 def test_store_miss_recovery_re_ships_payloads(tpch_db):
     """A desynced parent prediction heals via the miss protocol + one retry.
 
-    Simulated by lying in ``has_key`` (parent believes the workers hold
-    shard/db state they never received) until the first ``forget`` call --
+    Simulated by lying in ``has_key`` (parent believes the workers hold a
+    database they never received) until the first ``forget`` call --
     exactly the state a failed dispatch or worker eviction leaves behind.
     """
-    serial = Session(tpch_db).evaluate(Q1)
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
-        executor = session._context.executor()
-        pool = executor.pool()
+    with Session(tpch_db, workers=2) as session:
+        pool = session._pool.get()
         assert pool is not None
         real_has_key = pool.has_key
         real_forget = pool.forget
@@ -210,35 +209,15 @@ def test_store_miss_recovery_re_ships_payloads(tpch_db):
             return real_forget(worker, namespace, key)
 
         pool.forget = forget
-        result = session.evaluate(Q1)
-        assert state["forgets"] > 0  # the miss protocol actually fired
-        assert not executor._pool_failed  # and the pool survived
-        assert list(result.witness_outputs) == list(serial.witness_outputs)
-        assert packed_columns(result.provenance) == packed_columns(serial.provenance)
-
-        # Same drill for the solve_group path's worker-resident database.
-        state["lying"] = True
-        state["forgets"] = 0
         solutions = session.solve_many([(Q1, 2), (QA, 2)], heuristic="greedy")
         expected = Session(tpch_db).solve_many([(Q1, 2), (QA, 2)], heuristic="greedy")
+        assert state["forgets"] > 0  # the miss protocol actually fired
+        assert not session._pool._failed  # and the pool survived
         assert [s.removed for s in solutions] == [s.removed for s in expected]
-        assert not executor._pool_failed
-
-
-def test_cost_model_keeps_small_inputs_serial():
-    database = generate_zipf_path(r2_tuples=40, alpha=0.0, seed=13)
-    with Session(database, workers=2) as session:  # default threshold
-        executor = session._context.executor()
-        assert executor.evaluate(session._context, QPATH_EXP, database) is None
-        # The session still answers correctly through the serial fallback.
-        expected = Session(database).evaluate(QPATH_EXP)
-        result = session.evaluate(QPATH_EXP)
-        assert result.output_rows == expected.output_rows
-        assert list(result.witness_outputs) == list(expected.witness_outputs)
 
 
 def test_schema_mismatch_raises_the_serial_error():
-    """The parallel path validates schemas with the serial engine's message."""
+    """A ``workers > 1`` session validates schemas with the serial message."""
     from repro.data.database import Database
 
     db = Database.from_dict(
@@ -246,34 +225,9 @@ def test_schema_mismatch_raises_the_serial_error():
         {"R": [(i, i) for i in range(40)], "S": [(i, i) for i in range(40)]},
     )
     query = parse_query("Qbad(A, B) :- R(A, B), S(A, B)")
-    with Session(db, workers=2, parallel_threshold=0) as session:
+    with Session(db, workers=2) as session:
         with pytest.raises(ValueError, match="stores attributes"):
             session.evaluate(query)
-
-
-def test_partition_cache_drops_dead_databases():
-    """Partitions of garbage-collected databases are pruned, not pinned."""
-    import gc
-
-    from repro.workloads.zipf import generate_zipf_path as gen
-
-    with Session(gen(r2_tuples=100, alpha=0.0, seed=1), workers=2,
-                 parallel_threshold=0) as session:
-        session._context.executor()._pool_failed = True  # inline, no procs
-        executor = session._context.executor()
-        session.evaluate(QPATH_EXP)
-        for seed in range(4):
-            transient = gen(r2_tuples=100, alpha=0.0, seed=seed + 10)
-            executor.evaluate(session._context, QPATH_EXP, transient)
-            del transient
-        gc.collect()
-        # One more partitioning pass triggers the prune of dead db ids
-        # (keep the database referenced while we assert, or it too dies).
-        last = gen(r2_tuples=100, alpha=0.0, seed=99)
-        executor.evaluate(session._context, QPATH_EXP, last)
-        live = set(executor._db_ids.values())
-        assert all(key[0] in live for key in executor._partitions)
-        assert len(live) <= 2  # the bound database + the last transient
 
 
 def test_row_engine_rejects_workers():
@@ -282,17 +236,10 @@ def test_row_engine_rejects_workers():
         Session(database, engine="row", workers=2)
 
 
-def test_engine_parallel_defaults_workers():
-    database = generate_zipf_path(r2_tuples=20, alpha=0.0, seed=13)
-    with Session(database, engine="parallel") as session:
-        assert session.workers >= 2
-
-
 def test_close_shuts_down_the_pool(tpch_db):
-    session = Session(tpch_db, workers=2, parallel_threshold=0)
-    session.evaluate(Q1)
-    executor = session._context.executor()
-    pool = executor.pool()
+    session = Session(tpch_db, workers=2)
+    session.solve_many([(Q1, 2), (QA, 2)], heuristic="greedy")
+    pool = session._pool.get()
     assert pool is not None
     procs = list(pool._procs)
     assert all(proc.is_alive() for proc in procs)
@@ -303,17 +250,19 @@ def test_close_shuts_down_the_pool(tpch_db):
 
 
 def test_pool_failure_falls_back_to_inline(tpch_db):
-    expected = Session(tpch_db).evaluate(Q1)
-    with Session(tpch_db, workers=2, parallel_threshold=0) as session:
-        session._context.executor()._pool_failed = True
-        result = session.evaluate(Q1)
-        assert list(result.witness_outputs) == list(expected.witness_outputs)
-        assert packed_columns(result.provenance) == packed_columns(expected.provenance)
+    """With the pool marked failed, solve_many runs the serial path."""
+    requests = [(Q1, 2), (QA, 2)]
+    expected = Session(tpch_db).solve_many(requests, heuristic="greedy")
+    with Session(tpch_db, workers=2) as session:
+        session._pool.mark_failed()
+        got = session.solve_many(requests, heuristic="greedy")
+        assert session._pool.get() is None
+        assert [s.removed for s in got] == [s.removed for s in expected]
 
 
 def test_what_if_and_apply_deletions_on_parallel_results(tpch_db):
     serial = Session(tpch_db.copy())
-    parallel = Session(tpch_db.copy(), workers=2, parallel_threshold=0)
+    parallel = Session(tpch_db.copy(), workers=2)
     try:
         solution = serial.solve(Q1, 3, heuristic="greedy")
         refs = frozenset(solution.removed)

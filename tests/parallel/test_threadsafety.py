@@ -1,11 +1,13 @@
-"""Concurrency bugfix tests: contextvar routing, lazy-build locks.
+"""Concurrency bugfix tests: contextvar routing, lazy-build locks, counters.
 
 The satellite contract (documented in ``repro.session``): read paths on one
 session are thread-safe -- the engine-context routing is per-thread via a
 ``ContextVar``, the interning tables and the delta postings index guard
-their lazy builds with locks, and cache operations are internally locked.
+their lazy builds with locks, cache operations are internally locked, and
+the usage counters behind ``Session.stats`` are bumped under locks.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -89,6 +91,55 @@ def test_concurrent_evaluate_shares_one_interning_pass():
         for relation in database:
             index = context.interned(relation)
             assert context.interned(relation) is index
+
+
+def test_stats_counters_exact_under_concurrent_readers():
+    """N threads x M read calls: ``Session.stats`` counts each exactly once.
+
+    A tiny switch interval makes the interpreter preempt threads inside
+    the unlocked check-then-insert a racy ``prepare`` would run, and
+    between the read and the write of an unguarded ``+=``; either shows
+    up as a wrong count.
+    """
+    threads, calls = 8, 10
+    query = "Qh(A) :- R1(A), R2(A, B), R3(B)"
+    # 20 distinct canonical queries, prepared by every thread at once.
+    racing = [
+        f"Q({head}) :- {body}"
+        for head in ("", "A", "B", "A, B", "B, A")
+        for body in ("R1(A), R2(A, B)", "R2(A, B), R3(B)", "R2(A, B)",
+                     "R1(A), R2(A, B), R3(B)")
+    ]
+    database = generate_zipf_path(r2_tuples=40, alpha=0.5, seed=3)
+    previous = sys.getswitchinterval()
+    for _round in range(12):  # each round races fresh, empty session state
+        with Session(database) as session:
+            session.solve(query, 2)  # warm: later solves are cache hits
+            joins_before = session.stats.joins
+            barrier = threading.Barrier(threads)
+
+            def hammer(_, session=session, barrier=barrier):
+                barrier.wait()
+                for text in racing:
+                    session.prepare(text)
+                for _ in range(calls):
+                    session.evaluate(query, use_cache=False)
+                    session.solve(query, 2)
+
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=threads) as executor:
+                    list(executor.map(hammer, range(threads)))
+            finally:
+                sys.setswitchinterval(previous)
+            stats = session.stats
+            prepared = len(session.prepared_queries)
+        total = threads * calls
+        assert prepared == 20
+        assert stats.prepares == prepared
+        assert stats.evaluations == total
+        assert stats.solves == total + 1
+        assert stats.joins == joins_before + total
 
 
 def test_mixed_solve_what_if_apply_matches_serial_replay():

@@ -126,7 +126,7 @@ def test_solver_parity_on_figure_workloads():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_cq_parity(seed):
-    """Seeded-random CQs: packing + greedy parity, serial and sharded."""
+    """Seeded-random CQs: packing + greedy parity."""
     rng = random.Random(seed)
     query = random_query(rng, max_relations=3, max_attributes=3)
     database = random_instance(query, rng, max_tuples_per_relation=7, domain_size=3)
@@ -145,22 +145,3 @@ def test_random_cq_parity(seed):
         py_solution = py_session.solve(query, k, heuristic="greedy")
         np_solution = np_session.solve(query, k, heuristic="greedy")
         assert np_solution.removed == py_solution.removed
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_sharded_numpy_parity(workers):
-    """workers in {1, K}: the sharded NumPy engine merges byte-identically."""
-    database = generate_zipf_path(r2_tuples=200, alpha=0.5, seed=13)
-    serial = Session(database, backend="numpy").evaluate(QPATH_EXP)
-    python_serial = Session(database, backend="python").evaluate(QPATH_EXP)
-
-    parallel_session = Session(
-        database, backend="numpy", workers=workers, parallel_threshold=0
-    )
-    # Force the inline (pool-less) shard path: it executes the identical
-    # shard/merge kernels the workers run, without process startup cost.
-    executor = parallel_session._context.executor()
-    executor._pool_failed = True
-    sharded = parallel_session.evaluate(QPATH_EXP)
-    assert_results_byte_identical(python_serial, sharded)
-    assert_results_byte_identical(python_serial, serial)

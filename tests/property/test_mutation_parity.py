@@ -5,8 +5,8 @@ Replays seeded random interleavings of ``apply_insertions`` /
 *every* step, that the incrementally maintained state is indistinguishable
 from a from-scratch rebuild on an identically mutated database: output
 sets, witness ref-sets, witness/output counts, ``participating_refs`` and
-the greedy/drastic solver objectives all match, on both array backends and
-with inline shards K in {1, 2}.  A second family runs the identical trace
+the greedy/drastic solver objectives all match, on both array backends.
+A second family runs the identical trace
 on the python and numpy backends side by side and asserts the packed
 provenance is **byte-identical** between them after every mutation.
 
@@ -145,24 +145,11 @@ def _solver_objectives(session, query, total, seed):
     return out
 
 
-def _make_session(database, backend, workers):
-    if workers == 1:
-        return Session(database, backend=backend)
-    session = Session(
-        database, backend=backend, workers=workers, parallel_threshold=0
-    )
-    # Inline shards: the pool-less path runs the identical shard/merge
-    # kernels without per-test process startup.
-    session._context.executor()._pool_failed = True
-    return session
-
-
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
-def test_interleaved_mutations_match_rebuild(name, query, database, backend, workers):
+def test_interleaved_mutations_match_rebuild(name, query, database, backend):
     trace = _mutation_trace(query, database, seed=SEED)
-    session = _make_session(database.copy(), backend=backend, workers=workers)
+    session = Session(database.copy(), backend=backend)
     mirror = database.copy()
     with session:
         session.evaluate(query)  # a resident cache entry to migrate each step

@@ -72,7 +72,7 @@ def test_explain_matches_direct_session(service_runner):
 def test_explain_fingerprint_identical_across_service_configs(service_runner):
     configs = [
         {"engine": "columnar", "backend": "python"},
-        {"engine": "parallel", "workers": 2, "backend": "python"},
+        {"engine": "columnar", "workers": 2, "backend": "python"},
     ]
     if numpy_available():
         configs.append({"engine": "columnar", "backend": "numpy"})

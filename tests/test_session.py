@@ -377,9 +377,8 @@ def test_close_is_idempotent_and_exposes_closed():
 
 
 def test_close_shuts_down_worker_processes_deterministically():
-    session = Session(_small_db(), workers=2, parallel_threshold=0)
-    executor = session._context.executor()
-    pool = executor.pool()
+    session = Session(_small_db(), workers=2)
+    pool = session._pool.get()
     if pool is None:
         pytest.skip("worker pool unavailable in this environment")
     procs = list(pool._procs)
@@ -393,14 +392,13 @@ def test_dropped_session_finalizer_closes_worker_processes():
     its worker pool until interpreter exit (the GC finalizer net)."""
     import gc
 
-    session = Session(_small_db(), workers=2, parallel_threshold=0)
-    executor = session._context.executor()
-    pool = executor.pool()
+    session = Session(_small_db(), workers=2)
+    pool = session._pool.get()
     if pool is None:
         pytest.skip("worker pool unavailable in this environment")
     procs = list(pool._procs)
     assert all(proc.is_alive() for proc in procs)
-    del session, executor, pool
+    del session, pool
     gc.collect()
     deadline = time.time() + 5.0
     while time.time() < deadline and any(proc.is_alive() for proc in procs):

@@ -1,6 +1,11 @@
 """Unit tests for the synthetic workload generators."""
 
+import json
+import os
+import subprocess
+import sys
 
+import repro
 from repro.core.selection import Selection, selected_output_size
 from repro.engine.evaluate import evaluate
 from repro.workloads.queries import Q1, Q2, Q6, Q7, Q8, QPATH_EXP
@@ -73,7 +78,56 @@ class TestEgoNetworkGenerator:
         assert evaluate(Q2, aligned).output_count() > 0
 
 
+#: sha256 of ``repr(list(relation))`` per relation of
+#: ``generate_zipf_path(r2_tuples, alpha, seed)``, rows in iteration order
+#: under ``PYTHONHASHSEED=0``.  Iteration order fixes the interning order and
+#: hence greedy tie-breaking, so a generator change must keep every draw.
+ZIPF_ROW_DIGESTS = {
+    (300, 0.0, 13): {
+        "R1": "8136ff4438f64b6087465069bab2cda8c1cf42abf081f23fff0da8610d95d957",
+        "R2": "bc4639f854ee6cbcd323f3171a6f9425db9f038f6cdbab380c24c12fe29555e3",
+        "R3": "367f7e63d38191ef115fa7d8e6fdf4bf668b98dd4ed7c28c642eb5f01803a08d",
+    },
+    (2000, 1.1, 61): {
+        "R1": "e0bcb4f0c6306b1fd037ffb75056f0a81c2b8fcb94a4271863d928143bfeb345",
+        "R2": "a4e35bedc482a85be5cbd2e18fc69e758c4187e4bc49c26c202b4b31e1c1abfe",
+        "R3": "40c3359ef1ca84df0af04db99eb78aaad164ad8c2a40609f2c7b784eafb24079",
+    },
+    (5000, 0.5, 7): {
+        "R1": "eb0c63fbf51f5e3dde29f862239b79c2763d5c77cae6beb2e2eaa0d92f916889",
+        "R2": "0a3ad66a54346f76bece096ad3febd470d04161c24bdda1df2752773dd68d5cd",
+        "R3": "f544bca2e1b149a024e8d17cc84c31dbc8e469bc2c9120752874b315e7fabe62",
+    },
+}
+
+_ITERATION_DIGEST_SCRIPT = """
+import hashlib, json, sys
+from repro.workloads.zipf import generate_zipf_path
+out = []
+for size, alpha, seed in json.loads(sys.argv[1]):
+    db = generate_zipf_path(r2_tuples=size, alpha=alpha, seed=seed)
+    out.append({name: hashlib.sha256(repr(list(db.relation(name))).encode()).hexdigest()
+                for name in ("R1", "R2", "R3")})
+print(json.dumps(out))
+"""
+
+
 class TestZipfGenerator:
+    def test_rows_pinned_in_iteration_order(self):
+        # Set iteration order depends on the string-hash seed, so the
+        # iteration-order digests are taken in a child with a fixed seed.
+        points = sorted(ZIPF_ROW_DIGESTS)
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, os.environ.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _ITERATION_DIGEST_SCRIPT, json.dumps(points)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert json.loads(completed.stdout) == [ZIPF_ROW_DIGESTS[p] for p in points]
+
     def test_weights(self):
         assert zipf_weights(3, 0.0) == [1.0, 1.0, 1.0]
         weights = zipf_weights(3, 1.0)
