@@ -10,6 +10,7 @@ import pytest
 from benchmarks.conftest import RATIOS
 from repro.core.adp import ADPSolver
 from repro.core.selection import solve_with_selection
+from repro.session import Session
 from repro.workloads.queries import Q1
 
 
@@ -26,8 +27,8 @@ def test_fig08_selected_q1_methods(benchmark, tpch_selected, ratio, method):
             )
         )
     else:
-        solver = ADPSolver(heuristic=method)
-        solution = benchmark(lambda: solver.solve_in_context(Q1, prepared["filtered"], k))
+        session = Session(prepared["filtered"])
+        solution = benchmark(lambda: session.solve(Q1, k, heuristic=method))
 
     benchmark.extra_info.update(
         {

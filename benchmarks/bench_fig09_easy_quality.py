@@ -10,6 +10,7 @@ import pytest
 from benchmarks.conftest import RATIOS
 from repro.core.adp import ADPSolver
 from repro.core.selection import solve_with_selection
+from repro.session import Session
 from repro.workloads.queries import Q1
 
 
@@ -17,13 +18,14 @@ from repro.workloads.queries import Q1
 def test_fig09_selected_q1_quality(benchmark, tpch_selected, ratio):
     prepared = tpch_selected[min(tpch_selected)]
     k = max(1, int(ratio * prepared["selected_output"]))
+    session = Session(prepared["filtered"])
 
     def run_all_methods():
         exact = solve_with_selection(
             Q1, prepared["selection"], prepared["database"], k, solver=ADPSolver()
         )
-        greedy = ADPSolver(heuristic="greedy").solve(Q1, prepared["filtered"], k)
-        drastic = ADPSolver(heuristic="drastic").solve(Q1, prepared["filtered"], k)
+        greedy = session.solve(Q1, k, heuristic="greedy")
+        drastic = session.solve(Q1, k, heuristic="drastic")
         return exact, greedy, drastic
 
     exact, greedy, drastic = benchmark(run_all_methods)

@@ -7,20 +7,19 @@ the same number of input tuples; quality grows with ρ.
 import pytest
 
 from benchmarks.conftest import RATIOS
-from repro.core.adp import ADPSolver
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q1
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
 def test_fig11_q1_quality(benchmark, tpch_instances, ratio):
     database = tpch_instances[min(tpch_instances)]
-    total = evaluate(Q1, database).output_count()
-    k = max(1, int(ratio * total))
+    session = Session(database)
+    k = max(1, int(ratio * session.output_size(Q1)))
 
     def run_both():
-        greedy = ADPSolver(heuristic="greedy").solve(Q1, database, k)
-        drastic = ADPSolver(heuristic="drastic").solve(Q1, database, k)
+        greedy = session.solve(Q1, k, heuristic="greedy")
+        drastic = session.solve(Q1, k, heuristic="drastic")
         return greedy, drastic
 
     greedy, drastic = benchmark(run_both)

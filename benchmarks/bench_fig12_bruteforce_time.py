@@ -7,9 +7,9 @@ immediately, while returning the same quality on tiny inputs (Figure 13).
 
 import pytest
 
-from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_solve
 from repro.experiments.harness import target_from_ratio
+from repro.session import Session
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
 
@@ -28,13 +28,16 @@ def small_instance():
 def test_fig12_bruteforce_vs_heuristics(benchmark, small_instance, method):
     database, k = small_instance
 
+    session = Session(database)
     if method == "bruteforce":
-        solution = benchmark(
-            lambda: bruteforce_solve(Q1, database, k, max_candidates=2000)
-        )
+
+        def run_bruteforce():
+            with session.activate():
+                return bruteforce_solve(Q1, database, k, max_candidates=2000)
+
+        solution = benchmark(run_bruteforce)
     else:
-        solver = ADPSolver(heuristic=method)
-        solution = benchmark(lambda: solver.solve_in_context(Q1, database, k))
+        solution = benchmark(lambda: session.solve(Q1, k, heuristic=method))
 
     benchmark.extra_info.update(
         {

@@ -6,9 +6,9 @@ solutions of the same (optimal) size.
 
 import pytest
 
-from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_solve
 from repro.experiments.harness import target_from_ratio
+from repro.session import Session
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
 
@@ -18,10 +18,13 @@ def test_fig13_quality_matches_optimum(benchmark, size):
     database = generate_tpch(total_tuples=size, seed=7)
     k = target_from_ratio(Q1, database, 0.1)
 
+    session = Session(database)
+
     def run_all():
-        optimum = bruteforce_solve(Q1, database, k, max_candidates=2000)
-        greedy = ADPSolver(heuristic="greedy").solve(Q1, database, k)
-        drastic = ADPSolver(heuristic="drastic").solve(Q1, database, k)
+        with session.activate():
+            optimum = bruteforce_solve(Q1, database, k, max_candidates=2000)
+        greedy = session.solve(Q1, k, heuristic="greedy")
+        drastic = session.solve(Q1, k, heuristic="drastic")
         return optimum, greedy, drastic
 
     optimum, greedy, drastic = benchmark(run_all)

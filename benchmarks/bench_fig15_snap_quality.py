@@ -8,22 +8,21 @@ output size suggests.
 
 import pytest
 
-from repro.core.adp import ADPSolver
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q2, Q4
 
 
 @pytest.mark.parametrize("query", [Q2, Q4], ids=lambda q: q.name)
 def test_fig15_quality_grows_with_ratio(benchmark, ego_network, query):
     database = ego_network.aligned_to(query)
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         pytest.skip(f"{query.name} has no results on the scaled-down network")
-    solver = ADPSolver(heuristic="greedy")
 
     def run_two_ratios():
-        low = solver.solve_in_context(query, database, max(1, int(0.1 * total)))
-        high = solver.solve_in_context(query, database, max(1, int(0.5 * total)))
+        low = session.solve(query, max(1, int(0.1 * total)), heuristic="greedy")
+        high = session.solve(query, max(1, int(0.5 * total)), heuristic="greedy")
         return low, high
 
     low, high = benchmark(run_two_ratios)

@@ -14,6 +14,7 @@ import pytest
 from benchmarks.conftest import solve_once
 from repro.core.adp import ADPSolver
 from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import QPATH_EXP
 
 ALPHAS = (0.0, 0.25, 0.5, 1.0)
@@ -38,13 +39,13 @@ def test_fig16_27_zipf_qpath(benchmark, zipf_instances, alpha, method):
 def test_fig16_27_skew_reduces_solution_size(benchmark, zipf_instances):
     """The quality series of Figures 17/19/25/27: size decreases with alpha."""
     solver = ADPSolver(heuristic="greedy")
+    sessions = {alpha: Session(database) for alpha, database in zipf_instances.items()}
 
     def sweep():
         sizes = {}
-        for alpha, database in zipf_instances.items():
-            total = evaluate(QPATH_EXP, database).output_count()
-            k = max(1, int(RATIO * total))
-            sizes[alpha] = solver.solve_in_context(QPATH_EXP, database, k).size
+        for alpha, session in sessions.items():
+            k = max(1, int(RATIO * session.output_size(QPATH_EXP)))
+            sizes[alpha] = session.solve(QPATH_EXP, k, solver=solver).size
         return sizes
 
     sizes = benchmark(sweep)

@@ -10,6 +10,7 @@ import pytest
 from benchmarks.conftest import solve_once
 from repro.core.adp import ADPSolver
 from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q6
 
 ALPHAS = (0.0, 1.0)
@@ -33,13 +34,16 @@ def test_fig20_23_q6_exact(benchmark, zipf_instances, alpha, ratio):
 
 def test_fig21_23_quality_decreases_with_skew(benchmark, zipf_instances):
     solver = ADPSolver()
+    sessions = {
+        alpha: Session(zipf_instances[alpha].restricted_to(("R1", "R2")))
+        for alpha in ALPHAS
+    }
 
     def sweep():
         sizes = {}
-        for alpha in ALPHAS:
-            database = zipf_instances[alpha].restricted_to(("R1", "R2"))
-            total = evaluate(Q6, database).output_count()
-            sizes[alpha] = solver.solve_in_context(Q6, database, max(1, int(0.5 * total))).size
+        for alpha, session in sessions.items():
+            k = max(1, int(0.5 * session.output_size(Q6)))
+            sizes[alpha] = session.solve(Q6, k, solver=solver).size
         return sizes
 
     sizes = benchmark(sweep)

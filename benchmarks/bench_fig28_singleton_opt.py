@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.adp import ADPSolver
 from repro.core.universe import UniverseStrategy
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q7
 from repro.workloads.synthetic import generate_q7_instance
 
@@ -26,7 +26,7 @@ STRATEGIES = {
 @pytest.fixture(scope="module")
 def q7_instance():
     database = generate_q7_instance(tuples_per_relation=60, domain=25, seed=28)
-    total = evaluate(Q7, database).output_count()
+    total = Session(database).output_size(Q7)
     return database, max(1, int(RATIO * total))
 
 
@@ -35,7 +35,8 @@ def test_fig28_universal_attribute_strategies(benchmark, q7_instance, strategy):
     database, k = q7_instance
     solver = ADPSolver(**STRATEGIES[strategy])
 
-    solution = benchmark(lambda: solver.solve_in_context(Q7, database, k))
+    session = Session(database)
+    solution = benchmark(lambda: session.solve(Q7, k, solver=solver))
     benchmark.extra_info.update(
         {"figure": "28", "strategy": strategy, "k": k, "solution_size": solution.size}
     )
@@ -45,7 +46,7 @@ def test_fig28_universal_attribute_strategies(benchmark, q7_instance, strategy):
 def test_fig28_strategies_agree_on_objective(q7_instance):
     database, k = q7_instance
     sizes = {
-        name: ADPSolver(**options).solve(Q7, database, k).size
+        name: Session(database).solve(Q7, k, **options).size
         for name, options in STRATEGIES.items()
     }
     assert len(set(sizes.values())) == 1, sizes

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.adp import ADPSolver
 from repro.core.decompose import DecomposeStrategy
-from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q8
 from repro.workloads.synthetic import generate_q8_instance
 
@@ -25,7 +25,7 @@ STRATEGIES = {
 @pytest.fixture(scope="module")
 def q8_instance():
     database = generate_q8_instance(unary_tuples=8, binary_tuples=16, seed=29)
-    total = evaluate(Q8, database).output_count()
+    total = Session(database).output_size(Q8)
     return database, max(1, int(RATIO * total))
 
 
@@ -34,7 +34,8 @@ def test_fig29_decompose_strategies(benchmark, q8_instance, strategy):
     database, k = q8_instance
     solver = ADPSolver(decompose_strategy=STRATEGIES[strategy])
 
-    solution = benchmark(lambda: solver.solve_in_context(Q8, database, k))
+    session = Session(database)
+    solution = benchmark(lambda: session.solve(Q8, k, solver=solver))
     benchmark.extra_info.update(
         {"figure": "29", "strategy": strategy, "k": k, "solution_size": solution.size}
     )
@@ -44,7 +45,7 @@ def test_fig29_decompose_strategies(benchmark, q8_instance, strategy):
 def test_fig29_strategies_agree_on_objective(q8_instance):
     database, k = q8_instance
     sizes = {
-        name: ADPSolver(decompose_strategy=strategy).solve(Q8, database, k).size
+        name: Session(database).solve(Q8, k, decompose_strategy=strategy).size
         for name, strategy in STRATEGIES.items()
     }
     assert len(set(sizes.values())) == 1, sizes

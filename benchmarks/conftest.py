@@ -23,6 +23,7 @@ import pytest
 from repro.core.adp import ADPSolver
 from repro.core.selection import Selection
 from repro.engine.evaluate import evaluate_in_context as evaluate
+from repro.session import Session
 from repro.workloads.queries import Q1
 from repro.workloads.snap import EgoNetworkConfig, generate_ego_network
 from repro.workloads.tpch import SELECTED_PART_KEY, generate_tpch
@@ -74,8 +75,9 @@ def zipf_instances():
 
 
 def solve_once(benchmark, solver: ADPSolver, query, database, k, **extra_info):
-    """Benchmark one solver call and record quality metadata."""
-    solution = benchmark(lambda: solver.solve_in_context(query, database, k))
+    """Benchmark one solver call (on a warm session) and record quality metadata."""
+    session = Session(database)
+    solution = benchmark(lambda: session.solve(query, k, solver=solver))
     benchmark.extra_info.update(
         {
             "k": k,

@@ -23,7 +23,7 @@ Run with:  python examples/course_offering_robustness.py
 from repro import (
     ADPSolver,
     Database,
-    evaluate,
+    Session,
     is_poly_time,
     parse_query,
     resilience,
@@ -63,7 +63,7 @@ def build_department() -> Database:
 
 def main() -> None:
     database = build_department()
-    offered = evaluate(QPOSSIBLE, database)
+    offered = Session(database).evaluate(QPOSSIBLE)
     print("courses that can be offered:", sorted(c for (c,) in offered.output_rows))
     print("ADP poly-time solvable for QPossible?", is_poly_time(QPOSSIBLE))
 

@@ -20,7 +20,7 @@ Run with:  python examples/network_robustness.py
 
 import random
 
-from repro import ADPSolver, Database, evaluate, is_poly_time, parse_query
+from repro import ADPSolver, Database, Session, is_poly_time, parse_query
 from repro.core import bruteforce_solve
 
 Q3PATH = parse_query("Q3path(A, B, C, D) :- R1(A, B), R2(B, C), R3(C, D)")
@@ -55,12 +55,13 @@ def mesh_network(width: int = 4, seed: int = 3) -> Database:
 
 def profile(name: str, database: Database, ratios=(0.25, 0.5, 0.8)) -> None:
     total_links = database.total_tuples()
-    paths = evaluate(Q3PATH, database).output_count()
+    session = Session(database)
+    paths = session.output_size(Q3PATH)
     print(f"\n{name}: {total_links} links, {paths} three-hop paths")
     solver = ADPSolver(heuristic="greedy")
     for ratio in ratios:
         k = max(1, int(ratio * paths))
-        solution = solver.solve(Q3PATH, database, k)
+        solution = session.solve(Q3PATH, k, solver=solver)
         share = solution.size / total_links
         print(
             f"  disrupt >= {ratio:>3.0%} of paths ({k:>3} paths): "
@@ -78,10 +79,12 @@ def main() -> None:
     profile("meshed network (robust)", mesh)
 
     # Calibrate the heuristic on the small hub network with brute force.
-    paths = evaluate(Q3PATH, hub).output_count()
+    session = Session(hub)
+    paths = session.output_size(Q3PATH)
     k = max(1, int(0.8 * paths))
-    exact = bruteforce_solve(Q3PATH, hub, k, max_candidates=40)
-    greedy = ADPSolver().solve(Q3PATH, hub, k)
+    with session.activate():
+        exact = bruteforce_solve(Q3PATH, hub, k, max_candidates=40)
+    greedy = session.solve(Q3PATH, k)
     print(
         f"\ncalibration on the hub network (k={k}): "
         f"brute-force optimum = {exact.size}, greedy = {greedy.size}"

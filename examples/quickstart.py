@@ -25,7 +25,7 @@ from repro import (
 def main() -> None:
     # ------------------------------------------------------------------ #
     # 1. A small registrar database, bound to a session.  The session owns
-    #    the evaluation cache, the engine mode and the interning tables --
+    #    the evaluation cache, the array backend and the interning tables --
     #    one "connection" per tenant.
     # ------------------------------------------------------------------ #
     database = Database.from_dict(

@@ -19,7 +19,13 @@ Two variants are compared, exactly as in Figures 7-11:
 Run with:  python examples/tpch_interventions.py
 """
 
-from repro import ADPSolver, Selection, evaluate, is_poly_time_with_selection, solve_with_selection
+from repro import (
+    ADPSolver,
+    Selection,
+    Session,
+    is_poly_time_with_selection,
+    solve_with_selection,
+)
 from repro.core import is_poly_time, summarize_removed
 from repro.experiments.harness import run_method, target_from_ratio
 from repro.workloads.queries import Q1
@@ -28,7 +34,8 @@ from repro.workloads.tpch import SELECTED_PART_KEY, generate_tpch
 
 def main() -> None:
     database = generate_tpch(total_tuples=600, seed=7)
-    total = evaluate(Q1, database).output_count()
+    session = Session(database)
+    total = session.output_size(Q1)
     print(f"TPC-H-like instance: {database.total_tuples()} input tuples, "
           f"{total} trading records (|Q1(D)|)")
 
@@ -39,7 +46,7 @@ def main() -> None:
     print(f"\n-- {selection} Q1 --")
     print("poly-time with this selection?", is_poly_time_with_selection(Q1, selection))
     filtered = selection.apply(Q1, database)
-    selected_total = evaluate(Q1, filtered).output_count()
+    selected_total = Session(filtered).output_size(Q1)
     print(f"records involving part {SELECTED_PART_KEY}: {selected_total}")
 
     for ratio in (0.25, 0.5, 0.75):
@@ -59,8 +66,8 @@ def main() -> None:
     print("poly-time?", is_poly_time(Q1))
     for ratio in (0.1, 0.25):
         k = target_from_ratio(Q1, database, ratio)
-        greedy = run_method(Q1, database, k, "greedy")
-        drastic = run_method(Q1, database, k, "drastic")
+        greedy = run_method(Q1, database, k, "greedy", session=session)
+        drastic = run_method(Q1, database, k, "drastic", session=session)
         print(f"  rho={ratio:.0%} (k={k}): greedy removes {greedy.solution_size} "
               f"tuples in {greedy.seconds:.3f}s, drastic removes "
               f"{drastic.solution_size} in {drastic.seconds:.3f}s")

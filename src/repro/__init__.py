@@ -25,12 +25,12 @@ False
 >>> session.solve(q, k=2).size
 1
 
-A :class:`Session` binds one database and owns its evaluation cache, engine
-mode and interning tables; a :class:`PreparedQuery` carries the parse, the
-dichotomy classification and the join plan, reusable across databases and
-targets.  The pre-session free functions (``evaluate``, ``compute_adp``,
-``ADPSolver.solve(query, database, k)``) keep working as deprecated shims
-over an implicit per-database default session -- see ``docs/MIGRATION.md``.
+A :class:`Session` binds one database and owns its evaluation cache, array
+backend and interning tables; a :class:`PreparedQuery` carries the parse,
+the dichotomy classification and the join plan, reusable across databases
+and targets.  Every evaluation and solve goes through a session; library
+functions that take ``(query, database)`` run in the session entered with
+``with session.activate():`` (see ``docs/MIGRATION.md``).
 
 Package layout
 --------------
@@ -54,7 +54,6 @@ from repro.core import (
     ADPSolver,
     Selection,
     SolverConfig,
-    compute_adp,
     decide,
     diagnose,
     hardness_certificate,
@@ -68,14 +67,12 @@ from repro.core import (
 )
 from repro.core.curves import CostCurve
 from repro.data import Database, Relation, TupleRef
-from repro.engine import evaluate
 from repro.query import Atom, ConjunctiveQuery, parse_query
 from repro.session import (
     PreparedQuery,
     Session,
     SessionStats,
     WhatIfResult,
-    default_session,
     prepare,
 )
 
@@ -96,11 +93,8 @@ __all__ = [
     "PreparedQuery",
     "SessionStats",
     "WhatIfResult",
-    "default_session",
     "prepare",
     "CostCurve",
-    # evaluation (deprecated shim; prefer Session.evaluate)
-    "evaluate",
     # dichotomies
     "is_poly_time",
     "is_np_hard",
@@ -113,7 +107,6 @@ __all__ = [
     "SolverConfig",
     "ADPInstance",
     "ADPSolution",
-    "compute_adp",
     # extensions
     "Selection",
     "solve_with_selection",

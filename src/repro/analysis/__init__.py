@@ -15,7 +15,7 @@ The pieces:
   loading, the :class:`~repro.analysis.framework.Finding` model,
   ``# repro: noqa REPxxx -- why`` suppression (justification required),
   JSON and human-readable rendering;
-* :mod:`repro.analysis.checkers` -- the rule suite (REP001..REP006; see
+* :mod:`repro.analysis.checkers` -- the rule suite (REP001..REP005; see
   ``docs/INVARIANTS.md`` for the catalog);
 * :func:`repro.analysis.run_analysis` -- the one-call entry point the
   ``repro analyze`` CLI and the self-run test share.

@@ -16,7 +16,6 @@ Rule         Invariant
 ``REP004``   Merge/packing paths never iterate sets (or set-derived dicts)
              whose order could differ across processes.
 ``REP005``   Engine and parallel code is wall-clock- and module-RNG-free.
-``REP006``   The PR-2 deprecated shims are not used from inside ``src/``.
 ===========  ==============================================================
 
 ``docs/INVARIANTS.md`` is the narrative catalog; this table is the code's
@@ -24,7 +23,6 @@ index.  ``ALL_CHECKERS`` is the production suite, in rule order.
 """
 
 from repro.analysis.checkers.backend import BackendIsolationChecker
-from repro.analysis.checkers.deprecated import DeprecatedShimChecker
 from repro.analysis.checkers.determinism import DeterministicIterationChecker
 from repro.analysis.checkers.locks import LockDisciplineChecker
 from repro.analysis.checkers.mutation import AppendOnlyChecker
@@ -40,18 +38,16 @@ def all_checkers() -> "list[Checker]":
         LockDisciplineChecker(),
         DeterministicIterationChecker(),
         WallClockChecker(),
-        DeprecatedShimChecker(),
     ]
 
 
 #: Every rule ID the suite can emit, including the framework's own REP000.
-KNOWN_RULES = ("REP000", "REP001", "REP002", "REP003", "REP004", "REP005", "REP006")
+KNOWN_RULES = ("REP000", "REP001", "REP002", "REP003", "REP004", "REP005")
 
 __all__ = [
     "ALL_RULE_IDS",
     "AppendOnlyChecker",
     "BackendIsolationChecker",
-    "DeprecatedShimChecker",
     "DeterministicIterationChecker",
     "KNOWN_RULES",
     "LockDisciplineChecker",

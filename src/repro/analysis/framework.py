@@ -188,27 +188,6 @@ class AnalysisConfig:
     #: tracing layer, but wall time (``time.time``, ``datetime.now``)
     #: stays banned so span offsets never depend on ambient state.
     wallclock_relaxed_paths: Tuple[str, ...] = ("obs/",)
-    #: REP006: the PR-2 deprecated shims and their replacements.
-    deprecated_names: Dict[str, str] = dataclasses.field(
-        default_factory=lambda: {
-            "evaluate": "Session(database).evaluate(query)",
-            "compute_adp": "Session(database).solve(query, k)",
-            "set_engine_mode": "Session(database, engine=...)",
-            "engine_mode": "Session.engine",
-            "clear_evaluation_cache": "Session.clear_cache()",
-            "evaluation_cache_stats": "Session.stats",
-        }
-    )
-    #: REP006: modules allowed to reference the shims (their definition
-    #: sites and the public compat re-export surface).
-    deprecated_whitelist: Tuple[str, ...] = (
-        "engine/evaluate.py",
-        "core/adp.py",
-        "__init__.py",
-        "engine/__init__.py",
-        "core/__init__.py",
-    )
-
     @staticmethod
     def path_matches(rel: str, selectors: Sequence[str]) -> bool:
         """Whether ``rel`` is selected (prefix for ``x/``, else exact)."""

@@ -12,7 +12,7 @@ without writing any Python:
   backend cost-model verdict, estimate-vs-actual cardinality
   ledger) as a text tree or, with ``--json``, the same structured payload
   ``POST /v1/explain`` answers; the plan block and its fingerprint are
-  byte-identical across engines and backends;
+  byte-identical across backends;
 * ``trace`` -- render a recorded span tree (written by ``solve --trace-out``
   or fetched from the service's ``GET /v1/debug/slow``) as an indented text
   profile;
@@ -24,15 +24,17 @@ without writing any Python:
   clients can also register them at runtime via ``POST /v1/databases``;
 * ``analyze`` -- run the invariant linter (:mod:`repro.analysis`) over the
   package (or a path): backend isolation, append-only interning, lock
-  discipline, deterministic iteration, wall-clock hygiene and deprecated
-  shims, as REP-numbered findings.  Exits 1 when anything fires; CI runs
+  discipline, deterministic iteration and wall-clock hygiene, as
+  REP-numbered findings.  Exits 1 when anything fires; CI runs
   it as a blocking job (see docs/INVARIANTS.md).
 
 ``solve`` runs through a :class:`repro.session.Session` bound to the loaded
-database: ``--engine`` picks the columnar or row-reference engine, and
-``--json`` emits a machine-readable summary for scripting.  An empty query
-result is a successful (empty) answer, not an error: the summary is
-printed and the exit code is 0.  ``serve --workers N`` gives every served
+database: ``--backend`` picks the array kernels, and ``--json`` emits a
+machine-readable summary for scripting.  An empty query result is a
+successful (empty) answer, not an error: the summary is printed and the
+exit code is 0.  An infeasible target (``--k`` outside ``1..|Q(D)|``,
+``--ratio`` outside ``(0, 1]``) or a query naming a relation the database
+lacks prints ``error: ...`` and exits 2.  ``serve --workers N`` gives every served
 session a worker pool for batched solves.
 
 Examples
@@ -99,12 +101,6 @@ def _add_solve_parser(subparsers) -> None:
         help="report only the objective value (faster, no tuple list)",
     )
     parser.add_argument(
-        "--engine",
-        choices=["columnar", "row"],
-        default="columnar",
-        help="evaluation engine: columnar (default) or the row reference engine",
-    )
-    parser.add_argument(
         "--backend",
         choices=["auto", "python", "numpy"],
         default="auto",
@@ -141,12 +137,6 @@ def _add_explain_parser(subparsers) -> None:
     parser.add_argument("query", help="datalog-style query")
     parser.add_argument(
         "database", help="directory with one <relation>.csv per relation"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=["columnar", "row"],
-        default="columnar",
-        help="evaluation engine the execution block reports on",
     )
     parser.add_argument(
         "--backend",
@@ -202,12 +192,6 @@ def _add_serve_parser(subparsers) -> None:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument(
         "--port", type=int, default=8080, help="TCP port (0 = ephemeral)"
-    )
-    parser.add_argument(
-        "--engine",
-        choices=["columnar", "row"],
-        default="columnar",
-        help="evaluation engine for every served session",
     )
     parser.add_argument(
         "--backend",
@@ -408,7 +392,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     config = ServiceConfig(
         host=args.host,
         port=args.port,
-        engine=args.engine,
         backend=args.backend,
         workers=args.workers,
         executor_threads=args.threads,
@@ -479,10 +462,7 @@ def _run_solve(args: argparse.Namespace) -> int:
 
     tracer = Tracer()
     with use_tracer(tracer):
-        with tracer.span(
-            "cli.solve", query=args.query, method=args.method,
-            engine=args.engine,
-        ):
+        with tracer.span("cli.solve", query=args.query, method=args.method):
             code = _solve_impl(args)
     print(render_span_tree(tracer.export(), tracer.trace_id), file=sys.stderr)
     if args.trace_out:
@@ -503,25 +483,27 @@ def _solve_impl(args: argparse.Namespace) -> int:
     heuristic = "greedy" if args.method == "auto" else args.method
     solver = ADPSolver(heuristic=heuristic, counting_only=args.counting_only)
 
-    with span("session.init", engine=args.engine):
-        session = Session(database, engine=args.engine, backend=args.backend)
-    prepared = session.prepare(query)
-    total = session.output_size(prepared)
-    if total == 0:
-        # An empty result is a legitimate (empty) answer: nothing to remove.
+    with span("session.init"):
+        session = Session(database, backend=args.backend)
+    with session:
+        try:
+            prepared = session.prepare(query)
+            total = session.output_size(prepared)
+            if total == 0:
+                solution = None
+            elif args.k is not None:
+                solution = session.solve(prepared, args.k, solver=solver)
+            else:
+                solution = session.solve_ratio(prepared, args.ratio, solver=solver)
+        except (ValueError, KeyError) as exc:
+            return _user_error(exc)
         if args.json:
-            print(_json_summary(session, prepared, 0, None, started))
-        else:
-            print("|Q(D)| = 0, target k = 0")
-            print("objective = 0 input tuple(s); the query result is already empty")
-        return 0
-    if args.k is not None:
-        solution = session.solve(prepared, args.k, solver=solver)
-    else:
-        solution = session.solve_ratio(prepared, args.ratio, solver=solver)
-
-    if args.json:
-        print(_json_summary(session, prepared, total, solution, started))
+            print(_json_summary(session, prepared, total, solution, started))
+            return 0
+    if solution is None:
+        # An empty result is a legitimate (empty) answer: nothing to remove.
+        print("|Q(D)| = 0, target k = 0")
+        print("objective = 0 input tuple(s); the query result is already empty")
         return 0
     print(f"|Q(D)| = {total}, target k = {solution.k}")
     print(
@@ -540,16 +522,24 @@ def _run_explain(args: argparse.Namespace) -> int:
 
     query = parse_query(args.query)
     database = load_database_csv(args.database)
-    session = Session(database, engine=args.engine, backend=args.backend)
-    try:
-        payload = session.explain(query, analyze=not args.no_analyze)
-    finally:
-        session.close()
+    with Session(database, backend=args.backend) as session:
+        try:
+            payload = session.explain(query, analyze=not args.no_analyze)
+        except (ValueError, KeyError) as exc:
+            return _user_error(exc)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(render_explain_text(payload))
     return 0
+
+
+def _user_error(exc: Exception) -> int:
+    """Report a bad-input error from the session layer and exit 2."""
+    # str(KeyError) quotes its message; print the message itself.
+    message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _run_trace(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ This subpackage implements the paper's contributions proper:
   experimental section.
 """
 
-from repro.core.adp import ADPSolver, SolverConfig, compute_adp
+from repro.core.adp import ADPSolver, SolverConfig
 from repro.core.approximation import (
     approximation_factor_bound,
     full_cq_cover_instance,
@@ -76,7 +76,6 @@ __all__ = [
     # solver
     "ADPSolver",
     "SolverConfig",
-    "compute_adp",
     "ADPInstance",
     "ADPSolution",
     "summarize_removed",

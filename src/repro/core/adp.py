@@ -25,23 +25,17 @@ dynamic programs need the costs of sub-problems for many targets at once.
 
 All evaluation goes through the columnar witness engine
 (:mod:`repro.engine.evaluate`) in the *ambient engine context*: under
-``Session.solve`` that is the session's own cache/engine/interners, outside
-any session the per-database default context.  One :class:`QueryResult` is
-threaded through sizing, feasibility and verification
-(:meth:`ADPSolver.solve_in_context`), and the re-evaluations of identical
-sub-instances inside the Universe/Decompose recursions are served from the
-memoizing evaluation cache rather than re-joining.
-
-The ``(query, database, k)`` call forms -- :meth:`ADPSolver.solve`,
-:meth:`ADPSolver.solve_ratio`, :func:`compute_adp` -- are deprecated shims
-over the implicit default session; prefer
-:meth:`repro.session.Session.solve`.
+``Session.solve`` that is the session's own cache/backend/interners.  One
+:class:`QueryResult` is threaded through sizing, feasibility and
+verification (:meth:`ADPSolver.solve_in_context`), and the re-evaluations
+of identical sub-instances inside the Universe/Decompose recursions are
+served from the memoizing evaluation cache rather than re-joining.  Solve
+through :meth:`repro.session.Session.solve`, which binds that context.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -130,26 +124,6 @@ class ADPSolver:
     # ------------------------------------------------------------------ #
     # Public API
     # ------------------------------------------------------------------ #
-    def solve(self, query: ConjunctiveQuery, database: Database, k: int) -> ADPSolution:
-        """Solve ``ADP(query, database, k)``.
-
-        .. deprecated::
-            Prefer ``Session(database).solve(query, k, solver=...)``; this
-            form remains as a shim over the implicit default session of
-            ``database`` (see ``docs/MIGRATION.md``).
-
-        Raises ``ValueError`` when ``k`` is outside ``1 <= k <= |Q(D)|``.
-        """
-        warnings.warn(
-            "ADPSolver.solve(query, database, k) is deprecated; use "
-            "Session(database).solve(query, k) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.session import default_session
-
-        return default_session(database).solve(query, k, solver=self)
-
     def solve_in_context(
         self,
         query: ConjunctiveQuery,
@@ -217,24 +191,6 @@ class ADPSolver:
             raise ValueError(f"kmax must be non-negative, got {kmax}")
         self._fallbacks = 0
         return self._curve(query, database, kmax)
-
-    def solve_ratio(
-        self, query: ConjunctiveQuery, database: Database, ratio: float
-    ) -> ADPSolution:
-        """Solve with ``k = ceil(ratio * |Q(D)|)`` (the paper's ρ parameter).
-
-        .. deprecated::
-            Prefer ``Session(database).solve_ratio(query, ratio, solver=...)``.
-        """
-        warnings.warn(
-            "ADPSolver.solve_ratio(query, database, ratio) is deprecated; "
-            "use Session(database).solve_ratio(query, ratio) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.session import default_session
-
-        return default_session(database).solve_ratio(query, ratio, solver=self)
 
     def is_exact_for(self, query: ConjunctiveQuery) -> bool:
         """Whether this solver returns optimal solutions for ``query``.
@@ -314,36 +270,3 @@ class ADPSolver:
             objective=len(removed),
         )
 
-
-def compute_adp(
-    query: ConjunctiveQuery,
-    database: Database,
-    k: int,
-    **config_overrides,
-) -> ADPSolution:
-    """Functional convenience wrapper around :class:`ADPSolver`.
-
-    .. deprecated::
-        Prefer the session API -- ``Session(database).solve(query, k)`` --
-        which binds the database once and reuses its caches across solves.
-        This wrapper remains as a shim over the implicit default session.
-
-    Example
-    -------
-    >>> from repro import parse_query, Database, Session
-    >>> q = parse_query("Q(A, B) :- R1(A), R2(A, B)")
-    >>> d = Database.from_dict(
-    ...     {"R1": ["A"], "R2": ["A", "B"]},
-    ...     {"R1": [(1,), (2,)], "R2": [(1, 10), (1, 11), (2, 20)]})
-    >>> Session(d).solve(q, k=2).size
-    1
-    """
-    warnings.warn(
-        "compute_adp(query, database, k) is deprecated; use "
-        "Session(database).solve(query, k) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.session import default_session
-
-    return default_session(database).solve(query, k, **config_overrides)

@@ -16,7 +16,7 @@ approximations for full CQs and raises otherwise.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.solution import ADPSolution
 from repro.data.database import Database
@@ -46,16 +46,8 @@ def full_cq_cover_instance(
             f"{query.name} projects out {sorted(query.existential_attributes)}"
         )
     result = evaluate(query, database)
-    if result.provenance is not None:
-        return PartialSetCoverInstance(
-            sets_from_packed_provenance(result.provenance), target=k
-        )
-    sets: Dict[TupleRef, set] = {}
-    for index, witness in enumerate(result.witnesses):
-        for ref in witness.refs:
-            sets.setdefault(ref, set()).add(index)
     return PartialSetCoverInstance(
-        {ref: frozenset(elements) for ref, elements in sets.items()}, target=k
+        sets_from_packed_provenance(result.provenance), target=k
     )
 
 

@@ -79,26 +79,19 @@ def bruteforce_solve(
             "brute force would enumerate too many subsets"
         )
 
-    # Subset evaluation oracle.  With the columnar engine each candidate
-    # becomes one arbitrary-precision bitmask over the witnesses; the outputs
-    # killed by a subset are counted with word-level AND/OR instead of
-    # per-witness set intersections, which is what makes the enumeration
-    # tolerable at benchmark sizes.
+    # Subset evaluation oracle: each candidate becomes one arbitrary-precision
+    # bitmask over the witnesses; the outputs killed by a subset are counted
+    # with word-level AND/OR instead of per-witness set intersections, which
+    # is what makes the enumeration tolerable at benchmark sizes.
     prov = result.provenance
-    if prov is not None:
-        candidate_masks = prov.witness_masks_for(pool)
-        output_masks = prov.output_masks()
+    candidate_masks = prov.witness_masks_for(pool)
+    output_masks = prov.output_masks()
 
-        def outputs_removed(subset: Tuple[int, ...]) -> int:
-            killed = 0
-            for i in subset:
-                killed |= candidate_masks[i]
-            return sum(1 for mask in output_masks if mask & killed == mask)
-
-    else:
-
-        def outputs_removed(subset: Tuple[int, ...]) -> int:
-            return result.outputs_removed_by([pool[i] for i in subset])
+    def outputs_removed(subset: Tuple[int, ...]) -> int:
+        killed = 0
+        for i in subset:
+            killed |= candidate_masks[i]
+        return sum(1 for mask in output_masks if mask & killed == mask)
 
     checked = 0
     indices = range(len(pool))

@@ -28,7 +28,7 @@ ProvenanceIndex`'s integer API, and the scan prunes with the invariant
 incrementally and is O(1) to read), which skips the expensive profit
 computation for candidates that provably cannot beat the current best.  The
 pruning never changes which tuple is picked, so the produced curves are
-identical to the row engine's.
+identical to an unpruned scan's.
 
 ``GreedyForCQ`` achieves an ``O(log k)`` approximation on full CQs (it is the
 greedy partial-set-cover algorithm of Theorem 5); neither heuristic has a
@@ -206,36 +206,28 @@ def drastic_curve(
     with span("solver.drastic") as dsp:
         profits: Dict[str, Dict[TupleRef, int]] = {}
         prov = result.provenance
-        if prov is not None:
-            # Per-atom profit histogram through the backend's bincount kernel
-            # (np.bincount over the packed tid column; a C-speed list
-            # accumulation on the Python backend) -- no per-witness dict churn.
-            for position, name in enumerate(prov.atom_names):
-                column = prov.ref_columns[position]
-                backend = backend_of_column(column)
-                counts = backend.bincount(column, len(prov.indexes[position]))
-                view = prov.refs_for_atom(position)
-                if backend.is_numpy:
-                    nonzero = backend.np.nonzero(counts)[0]
-                    profits[name] = {
-                        view[tid]: int(counts[tid]) for tid in nonzero.tolist()
-                    }
-                else:
-                    profits[name] = {
-                        view[tid]: count
-                        for tid, count in enumerate(counts)
-                        if count
-                    }
-            witness_count = prov.witness_count()
-            for vacuum_ref in prov.vacuum_refs:
-                profits[vacuum_ref.relation] = {vacuum_ref: witness_count}
-        else:
-            for witness in result.witnesses:
-                for ref in witness.refs:
-                    profits.setdefault(ref.relation, {})
-                    profits[ref.relation][ref] = (
-                        profits[ref.relation].get(ref, 0) + 1
-                    )
+        # Per-atom profit histogram through the backend's bincount kernel
+        # (np.bincount over the packed tid column; a C-speed list
+        # accumulation on the Python backend) -- no per-witness dict churn.
+        for position, name in enumerate(prov.atom_names):
+            column = prov.ref_columns[position]
+            backend = backend_of_column(column)
+            counts = backend.bincount(column, len(prov.indexes[position]))
+            view = prov.refs_for_atom(position)
+            if backend.is_numpy:
+                nonzero = backend.np.nonzero(counts)[0]
+                profits[name] = {
+                    view[tid]: int(counts[tid]) for tid in nonzero.tolist()
+                }
+            else:
+                profits[name] = {
+                    view[tid]: count
+                    for tid, count in enumerate(counts)
+                    if count
+                }
+        witness_count = prov.witness_count()
+        for vacuum_ref in prov.vacuum_refs:
+            profits[vacuum_ref.relation] = {vacuum_ref: witness_count}
 
         curves: List[PrefixCurve] = []
         for relation_name in endogenous_relations(query):

@@ -112,25 +112,15 @@ def singleton_curve(query: ConjunctiveQuery, database: Database) -> PrefixCurve:
     positions = [relation.attribute_index(a) for a in query.head]
     groups: Dict[Tuple, List[TupleRef]] = {}
     prov = result.provenance
-    if prov is not None:
-        # Packed path: the distinct participating tuple IDs of Ri's column,
-        # grouped by their head projection -- no Witness materialization.
-        atom_position = prov.atom_position(relation_name)
-        assert atom_position is not None  # singleton relations are non-vacuum
-        view = prov.refs_for_atom(atom_position)
-        for tid in distinct_ids(prov.ref_columns[atom_position]):
-            ref = view[tid]
-            key = tuple(ref.values[i] for i in positions)
-            groups.setdefault(key, []).append(ref)
-    else:
-        seen: set = set()
-        for witness in result.witnesses:
-            ref = witness.as_dict()[relation_name]
-            if ref in seen:
-                continue
-            seen.add(ref)
-            key = tuple(ref.values[i] for i in positions)
-            groups.setdefault(key, []).append(ref)
+    # The distinct participating tuple IDs of Ri's column, grouped by their
+    # head projection -- no Witness materialization.
+    atom_position = prov.atom_position(relation_name)
+    assert atom_position is not None  # singleton relations are non-vacuum
+    view = prov.refs_for_atom(atom_position)
+    for tid in distinct_ids(prov.ref_columns[atom_position]):
+        ref = view[tid]
+        key = tuple(ref.values[i] for i in positions)
+        groups.setdefault(key, []).append(ref)
     picks = [
         (tuple(sorted(refs, key=repr)), 1) for _key, refs in sorted(
             groups.items(), key=lambda item: (len(item[1]), repr(item[0]))

@@ -43,16 +43,9 @@ from repro.engine.evaluate import (
     EngineContext,
     QueryResult,
     Witness,
-    clear_evaluation_cache,
-    default_context,
-    engine_mode,
-    evaluate,
     evaluate_columnar,
     evaluate_in_context,
-    evaluate_rows,
-    evaluation_cache_stats,
     join_order_plan,
-    set_engine_mode,
     use_context,
 )
 from repro.engine.provenance import ProvenanceIndex
@@ -68,18 +61,11 @@ from repro.engine.setcover import (
 __all__ = [
     "QueryResult",
     "Witness",
-    "evaluate",
     "evaluate_in_context",
     "evaluate_columnar",
-    "evaluate_rows",
     "join_order_plan",
     "EngineContext",
     "use_context",
-    "default_context",
-    "set_engine_mode",
-    "engine_mode",
-    "clear_evaluation_cache",
-    "evaluation_cache_stats",
     "EvaluationCache",
     "ColumnarProvenance",
     "RelationIndex",

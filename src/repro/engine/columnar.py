@@ -418,7 +418,7 @@ class ColumnarProvenance:
         """Input tuples participating in at least one witness.
 
         Includes the vacuum references (they participate in every witness),
-        matching the row engine's notion of "non-dangling".
+        matching the paper's notion of "non-dangling".
         """
         refs: Set[TupleRef] = (
             set(self.vacuum_refs) if len(self.witness_outputs) else set()
@@ -776,7 +776,8 @@ def join_columns(
                 tids = backend.id_range(len(rows))
             else:
                 # Disconnected component: cross product with the partials so far,
-                # partial-major to match the row engine's witness order.
+                # partial-major: the witness order the row-at-a-time reference
+                # evaluator (the parity oracle) produces.
                 if vector:
                     np = backend.np
                     selection = np.repeat(

@@ -25,8 +25,6 @@ This is the engine behind the session what-if API:
 The filtered result shares the (immutable) :class:`RelationIndex` interning
 tables with its parent: deleted tuples simply no longer appear in any
 ``tid`` column, which is exactly how the row semantics define them away.
-Falls back to filtering the row-style witness list when the parent result
-has no packed provenance (row engine).
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from repro.engine.backend import (
     python_backend,
 )
 from repro.engine.columnar import ColumnarProvenance, RelationIndex
-from repro.engine.evaluate import QueryResult, Witness
+from repro.engine.evaluate import QueryResult
 from repro.obs.stats import current_collector
 from repro.obs.trace import span
 
@@ -154,12 +152,6 @@ def _delta_counts_body(
 ) -> Tuple[int, int]:
     """The branchy core of :func:`delta_counts` (span/stats live above)."""
     provenance = result.provenance
-    if provenance is None:
-        filtered = _delta_filter_witnesses(result, set(removed))
-        return (
-            result.witness_count() - filtered.witness_count(),
-            result.output_count() - filtered.output_count(),
-        )
     dead = _dead_witnesses(provenance, removed)
     if dead is None:
         return (provenance.witness_count(), provenance.output_count())
@@ -293,27 +285,6 @@ def delta_filter_provenance(
     )
 
 
-def _delta_filter_witnesses(
-    result: QueryResult, removed_set: Set[TupleRef]
-) -> QueryResult:
-    """Row-style fallback: filter eager :class:`Witness` objects."""
-    surviving: List[Witness] = []
-    surviving_outputs: List[int] = []
-    for witness, out in zip(result.witnesses, result.witness_outputs):
-        if not removed_set.intersection(witness.refs):
-            surviving.append(witness)
-            surviving_outputs.append(out)
-    output_rows, witness_outputs = _compact_outputs(
-        result.output_rows, surviving_outputs, result.witness_count()
-    )
-    return QueryResult(
-        result.query,
-        output_rows,
-        surviving,
-        witness_outputs,
-    )
-
-
 def delta_filter_result(
     result: QueryResult,
     removed: Iterable[TupleRef],
@@ -327,26 +298,19 @@ def delta_filter_result(
     """
     with span("engine.delta.filter"):
         provenance = result.provenance
-        if provenance is None:
-            # Row-style witnesses carry vacuum refs inline, so plain
-            # intersection filtering covers the vacuum-deletion case too.
-            filtered_result = _delta_filter_witnesses(result, set(removed))
+        filtered = delta_filter_provenance(provenance, removed)
+        if filtered is provenance:
+            filtered_result = result
         else:
-            filtered = delta_filter_provenance(provenance, removed)
-            if filtered is provenance:
-                filtered_result = result
-            else:
-                filtered_result = QueryResult(
-                    filtered.query,
-                    filtered.output_rows,
-                    None,
-                    # The public QueryResult field stays a plain list on every
-                    # backend; the packed (possibly ndarray) column lives on
-                    # the provenance.
-                    as_id_list(filtered.witness_outputs),
-                    None,
-                    provenance=filtered,
-                )
+            filtered_result = QueryResult(
+                filtered.query,
+                filtered.output_rows,
+                # The public QueryResult field stays a plain list on every
+                # backend; the packed (possibly ndarray) column lives on the
+                # provenance.
+                as_id_list(filtered.witness_outputs),
+                filtered,
+            )
     stats = current_collector()
     if stats is not None:
         stats.record(
@@ -723,15 +687,11 @@ def delta_insert_counts(
     """``(witnesses added, outputs added)`` for a hypothetical insertion.
 
     The counting version of the insert delta join, computed without
-    materializing the appended provenance.  Requires packed provenance and
-    a vacuum-free query (both raise ``ValueError``: neither case supports
+    materializing the appended provenance.  Requires a vacuum-free query
+    (raises ``ValueError`` otherwise: vacuum guards do not support
     incremental discovery -- re-evaluate instead).
     """
     provenance = result.provenance
-    if provenance is None:
-        raise ValueError(
-            "row-style results carry no packed provenance to extend"
-        )
     if provenance.query.has_vacuum_relation:
         raise ValueError(
             "queries with vacuum atoms cannot be incrementally extended"
@@ -769,12 +729,10 @@ def delta_insert_result(
     sets, output sets and every provenance count are identical -- the
     parity contract of the differential mutation suite.  Returns the same
     object when the insertion is irrelevant to the query, and ``None``
-    (caller must re-evaluate) for row-style results and vacuum queries.
+    (caller must re-evaluate) for vacuum queries.
     """
     with span("engine.delta.insert"):
         provenance = result.provenance
-        if provenance is None:
-            return None
         updated = delta_insert_provenance(
             provenance, inserted, extend_index=extend_index, row_live=row_live
         )
@@ -795,13 +753,11 @@ def delta_insert_result(
         return QueryResult(
             updated.query,
             updated.output_rows,
-            None,
             # The public QueryResult field stays a plain list on every
             # backend; the packed (possibly ndarray) column lives on the
             # provenance.
             as_id_list(updated.witness_outputs),
-            None,
-            provenance=updated,
+            updated,
         )
 
 

@@ -9,12 +9,12 @@ The ADP algorithms need two things from the evaluation engine:
 
 Witness-level provenance is exactly what the greedy heuristics, the Singleton
 base case, the brute-force baseline, and solution verification consume, so
-:func:`evaluate` produces both in one pass.
+:meth:`EngineContext.evaluate` produces both in one pass.
 
-Engine internals (columnar since the witness-engine rewrite)
-------------------------------------------------------------
-The join is a left-deep hash join, but it no longer materializes one
-assignment dict and one :class:`Witness` object per full-join row.  Instead
+Engine internals
+----------------
+The join is a left-deep hash join that never materializes one assignment
+dict and one :class:`Witness` object per full-join row.  Instead
 :mod:`repro.engine.columnar` interns each relation's tuples into dense
 integer IDs and runs the join over whole ID columns; provenance is stored as
 one packed ``tid`` column per atom, factorized per output through
@@ -36,29 +36,16 @@ the Universe/Decompose recursions cost one join instead of several.  Cached
 
 Engine contexts (session-owned state)
 -------------------------------------
-Since the Session/PreparedQuery redesign the cache, the engine mode and the
-interning tables are no longer module globals: they live on an
-:class:`EngineContext`, which every :class:`repro.session.Session` owns.
-Library internals evaluate through :func:`evaluate_in_context`, which routes
-to the *active* context (set by ``Session`` methods via :func:`use_context`)
-or, outside any session, to an implicit per-database default context.
-
-The legacy free functions -- :func:`evaluate`, :func:`set_engine_mode`,
-:func:`clear_evaluation_cache`, :func:`evaluation_cache_stats` -- remain as
-deprecated shims over those default contexts, so pre-session code keeps
-working unchanged (module-global semantics included).
-
-The original row-at-a-time evaluator is kept, bit-for-bit, as
-:func:`evaluate_rows`; the parity test-suite and the benchmark documentation
-use it as the reference implementation, and ``set_engine_mode("row")``
-(deprecated; prefer ``Session(db, engine="row")``) routes :func:`evaluate`
-through it globally.
+The cache and the interning tables live on an :class:`EngineContext`, which
+every :class:`repro.session.Session` owns.  Library internals evaluate
+through :func:`evaluate_in_context`, which routes to the *active* context
+(set by ``Session`` methods via :func:`use_context`) or, outside any
+session, to a fresh :class:`EngineContext` per call.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -144,10 +131,7 @@ class QueryResult:
     need them immediately); the row-style ``witnesses`` list is a lazy view
     over the packed columns in ``provenance`` and is only built on first
     access, and ``output_index`` is derived from ``output_rows`` on first use
-    when not supplied (the delta-semijoin path skips building it).  When
-    ``provenance`` is ``None`` (a result built by the row engine or assembled
-    by hand) the witness list is authoritative and all provenance lookups
-    fall back to iterating it.
+    when not supplied (the delta-semijoin path skips building it).
     """
 
     __slots__ = (
@@ -163,21 +147,18 @@ class QueryResult:
         self,
         query: ConjunctiveQuery,
         output_rows: List[Row],
-        witnesses: Optional[List[Witness]] = None,
-        witness_outputs: Optional[List[int]] = None,
+        witness_outputs: List[int],
+        provenance: ColumnarProvenance,
         output_index: Optional[Dict[Row, int]] = None,
-        provenance: Optional[ColumnarProvenance] = None,
     ) -> None:
         self.query = query
         self.output_rows = output_rows
-        self.witness_outputs: List[int] = (
-            witness_outputs if witness_outputs is not None else []
-        )
+        self.witness_outputs = witness_outputs
         self._output_index: Optional[Dict[Row, int]] = (
             output_index if output_index else None
         )
         self.provenance = provenance
-        self._witnesses = witnesses
+        self._witnesses: Optional[List[Witness]] = None
 
     @property
     def output_index(self) -> Dict[Row, int]:
@@ -200,7 +181,6 @@ class QueryResult:
 
     def _materialize_witnesses(self) -> List[Witness]:
         prov = self.provenance
-        assert prov is not None, "QueryResult has neither witnesses nor provenance"
         vacuum = prov.vacuum_refs
         count = prov.witness_count()
         if prov.atom_count() == 0:
@@ -238,28 +218,15 @@ class QueryResult:
 
     def participating_refs(self) -> Set[TupleRef]:
         """Input tuples that participate in at least one witness (non-dangling)."""
-        if self.provenance is not None:
-            return self.provenance.participating_refs()
-        refs: Set[TupleRef] = set()
-        for witness in self.witnesses:
-            refs.update(witness.refs)
-        return refs
+        return self.provenance.participating_refs()
 
     def outputs_removed_by(self, removed: Iterable[TupleRef]) -> int:
         """How many output tuples disappear when ``removed`` is deleted.
 
         An output tuple disappears when *every* one of its witnesses uses at
-        least one removed tuple.  Runs over the packed provenance columns
-        when available.
+        least one removed tuple; answered over the packed provenance columns.
         """
-        if self.provenance is not None:
-            return self.provenance.outputs_removed_by(removed)
-        removed_set = set(removed)
-        alive = [0] * len(self.output_rows)
-        for witness, out in zip(self.witnesses, self.witness_outputs):
-            if not removed_set.intersection(witness.refs):
-                alive[out] += 1
-        return sum(1 for count in alive if count == 0)
+        return self.provenance.outputs_removed_by(removed)
 
 
 def _join_order_steps(
@@ -362,31 +329,22 @@ def join_order_steps(query: ConjunctiveQuery) -> List[Dict[str, object]]:
     return records
 
 
-#: Engine modes an :class:`EngineContext` can run in.
-ENGINE_MODES = ("columnar", "row")
-
-
 class EngineContext:
-    """Evaluation state owned by one session: cache, engine mode, interners.
+    """Evaluation state owned by one session: cache, backend, interners.
 
-    Before the Session redesign this state lived in module globals
-    (``_CACHE`` / ``_ENGINE_MODE``); multi-tenant callers could not isolate
-    their caches or run two engine modes side by side.  An ``EngineContext``
-    bundles
+    An ``EngineContext`` bundles
 
-    * the **engine mode** (``"columnar"`` or ``"row"``),
+    * the array **backend** every evaluation of this context uses,
     * an :class:`~repro.engine.cache.EvaluationCache` (per-context, so one
       tenant's evictions never touch another's),
     * the **interning tables**: one :class:`RelationIndex` per
-      ``(relation, version)``, shared across every columnar evaluation this
-      context runs, so repeated queries over the same relation do not
-      re-intern its tuples, and
+      ``(relation, version)``, shared across every evaluation this context
+      runs, so repeated queries over the same relation do not re-intern its
+      tuples, and
     * the **join counter** :attr:`evaluations`, bumped under the context
       lock so concurrent readers of one session count every join.
 
-    :class:`repro.session.Session` owns one context per session; the
-    module-level shims below keep one implicit default context per
-    ``Database`` for legacy callers.
+    :class:`repro.session.Session` owns one context per session.
 
     Lazy builds (the interning tables here, the postings index on
     :class:`~repro.engine.columnar.ColumnarProvenance`) are lock-guarded, so
@@ -395,7 +353,6 @@ class EngineContext:
     """
 
     __slots__ = (
-        "mode",
         "cache",
         "backend",
         "_interners",
@@ -405,18 +362,13 @@ class EngineContext:
 
     def __init__(
         self,
-        mode: str = "columnar",
         cache: Optional[EvaluationCache] = None,
         backend: BackendLike = "auto",
     ) -> None:
-        if mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine mode {mode!r}")
-        self.mode = mode
-        #: The array backend every columnar evaluation of this
-        #: context uses (see :mod:`repro.engine.backend`).  ``"auto"``
-        #: resolves to NumPy when installed, pure Python otherwise; results
-        #: are byte-identical either way.  The row reference engine ignores
-        #: it.
+        #: The array backend every evaluation of this context uses (see
+        #: :mod:`repro.engine.backend`).  ``"auto"`` resolves to NumPy when
+        #: installed, pure Python otherwise; results are byte-identical
+        #: either way.
         self.backend = resolve_backend(backend)
         self.cache = cache if cache is not None else EvaluationCache()
         self._interners: "weakref.WeakKeyDictionary[Relation, Tuple[int, RelationIndex]]" = (
@@ -425,14 +377,6 @@ class EngineContext:
         #: How many joins this context actually ran (cache hits excluded).
         self.evaluations = 0
         self._lock = threading.RLock()
-
-    def set_mode(self, mode: str) -> None:
-        """Switch engine mode, clearing the cache so A/B runs stay honest."""
-        if mode not in ENGINE_MODES:
-            raise ValueError(f"unknown engine mode {mode!r}")
-        with self._lock:
-            self.mode = mode
-        self.cache.clear()
 
     def release(self) -> None:
         """Drop cache and interning tables (session close)."""
@@ -486,22 +430,27 @@ class EngineContext:
         order: Optional[Sequence[int]] = None,
         query_key: Optional[Hashable] = None,
     ) -> QueryResult:
-        """Evaluate within this context (see :func:`evaluate` for semantics).
+        """Evaluate ``query`` over ``database`` with witness provenance.
 
-        ``order`` and ``query_key`` let a
-        :class:`~repro.session.PreparedQuery` supply its precomputed join
-        plan and canonical cache key.
+        ``database`` must contain every relation the query mentions (extra
+        attributes in stored relations are allowed -- the atom's attributes
+        are looked up by name).  ``max_witnesses`` is a safety valve: raise
+        ``RuntimeError`` if the join exceeds that many full-join rows
+        (bounded evaluations bypass the cache).  ``use_cache`` memoizes the
+        result keyed by (query canonical form, database version); cached
+        results are shared -- treat them as immutable.  ``order`` and
+        ``query_key`` let a :class:`~repro.session.PreparedQuery` supply its
+        precomputed join plan and canonical cache key.
+
+        Returns output rows (distinct, ordered deterministically) plus packed
+        witness provenance, with ``witness_outputs[i]`` the output row index
+        produced by witness ``i``.
         """
-        with self._lock:
-            mode = self.mode
-        if mode == "row":
-            self.record_joins()
-            return evaluate_rows(query, database, max_witnesses)
         cacheable = use_cache and max_witnesses is None
         backend_tag = self.backend.name
         with span("engine.evaluate") as esp:
             if esp:
-                esp.set(mode=mode, backend=backend_tag, atoms=len(query.atoms))
+                esp.set(backend=backend_tag, atoms=len(query.atoms))
             if cacheable:
                 cached = self.cache.lookup(
                     query, database, query_key=query_key, backend=backend_tag
@@ -514,7 +463,6 @@ class EngineContext:
                         stats.record(
                             {
                                 "op": "evaluate",
-                                "mode": mode,
                                 "backend": backend_tag,
                                 "cache": "hit",
                                 "witnesses": len(cached.witness_outputs),
@@ -542,7 +490,6 @@ class EngineContext:
                 stats.record(
                     {
                         "op": "evaluate",
-                        "mode": mode,
                         "backend": backend_tag,
                         "cache": "miss" if cacheable else "bypass",
                         "witnesses": len(result.witness_outputs),
@@ -575,30 +522,6 @@ def active_context() -> Optional[EngineContext]:
     return _ACTIVE_CONTEXT.get()
 
 
-#: Engine mode given to *newly created* default contexts, and applied to all
-#: live ones by the deprecated :func:`set_engine_mode`.
-_DEFAULT_MODE = "columnar"
-
-#: One implicit context per database for legacy (pre-session) callers, so the
-#: old module-global cache behaviour survives unchanged: same database object
-#: => same cache, discarded database => cache released.
-_DEFAULT_CONTEXTS: "weakref.WeakKeyDictionary[Database, EngineContext]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def default_context(database: Database) -> EngineContext:
-    """The implicit :class:`EngineContext` for ``database`` (created lazily)."""
-    context = _DEFAULT_CONTEXTS.get(database)
-    if context is None:
-        context = EngineContext(mode=_DEFAULT_MODE)
-        try:
-            _DEFAULT_CONTEXTS[database] = context
-        except TypeError:  # pragma: no cover - non-weakref-able database stub
-            pass
-    return context
-
-
 def evaluate_in_context(
     query: ConjunctiveQuery,
     database: Database,
@@ -608,136 +531,14 @@ def evaluate_in_context(
     """Evaluate through the ambient context (the library-internal entry point).
 
     Inside ``Session.solve`` / ``Session.evaluate`` this is the session's own
-    context (its cache, its engine mode, its interners) -- including for the
+    context (its cache, its backend, its interners) -- including for the
     sub-instances the Universe/Decompose recursions build.  Outside any
-    session it falls back to the per-database default context, preserving the
-    legacy module-global behaviour.
+    session it evaluates through a fresh :class:`EngineContext`.
     """
     context = _ACTIVE_CONTEXT.get()
     if context is None:
-        context = default_context(database)
+        context = EngineContext()
     return context.evaluate(query, database, max_witnesses, use_cache)
-
-
-def set_engine_mode(mode: str) -> None:
-    """Route :func:`evaluate` through the ``"columnar"`` or ``"row"`` engine.
-
-    .. deprecated::
-        Use ``Session(database, engine=...)`` for per-session engine
-        selection.  This global switch only affects the implicit default
-        contexts used by legacy free functions.
-
-    Switching clears the default evaluation caches so the two engines can be
-    compared back to back.  The row engine never caches.
-    """
-    global _DEFAULT_MODE
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"unknown engine mode {mode!r}")
-    warnings.warn(
-        "set_engine_mode() is deprecated; create a Session(database, "
-        "engine='row'|'columnar') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    _DEFAULT_MODE = mode
-    for context in list(_DEFAULT_CONTEXTS.values()):
-        context.set_mode(mode)
-
-
-def engine_mode() -> str:
-    """The engine :func:`evaluate` currently routes through (deprecated).
-
-    .. deprecated:: Read ``session.engine`` on a :class:`repro.session.Session`.
-    """
-    warnings.warn(
-        "engine_mode() is deprecated; read Session.engine instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _DEFAULT_MODE
-
-
-def clear_evaluation_cache() -> None:
-    """Drop every memoized evaluation result of the default contexts.
-
-    .. deprecated:: Use ``Session.clear_cache()``; session caches are not
-       touched by this global shim.
-    """
-    warnings.warn(
-        "clear_evaluation_cache() is deprecated; use Session.clear_cache()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    for context in list(_DEFAULT_CONTEXTS.values()):
-        context.cache.clear()
-
-
-def evaluation_cache_stats() -> Tuple[int, int]:
-    """``(hits, misses)`` summed over the default contexts (deprecated).
-
-    .. deprecated:: Read ``Session.stats`` on a :class:`repro.session.Session`.
-    """
-    warnings.warn(
-        "evaluation_cache_stats() is deprecated; read Session.stats instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    hits = 0
-    misses = 0
-    for context in list(_DEFAULT_CONTEXTS.values()):
-        h, m = context.cache.stats()
-        hits += h
-        misses += m
-    return (hits, misses)
-
-
-def evaluate(
-    query: ConjunctiveQuery,
-    database: Database,
-    max_witnesses: Optional[int] = None,
-    use_cache: bool = True,
-) -> QueryResult:
-    """Evaluate ``query`` over ``database`` with witness provenance.
-
-    .. deprecated::
-        Prefer the session API: ``Session(database).evaluate(query)`` binds
-        the database once and owns its own cache, engine mode and interning
-        tables.  This free function remains as a shim over the implicit
-        default session of ``database``.
-
-    Parameters
-    ----------
-    query:
-        A self-join-free CQ.
-    database:
-        The instance; it must contain every relation mentioned by the query
-        (extra attributes in stored relations are allowed -- the atom's
-        attributes are looked up by name).
-    max_witnesses:
-        Optional safety valve: raise ``RuntimeError`` if the number of
-        full-join rows exceeds this bound (protects interactive callers from
-        accidental cross-product blow-ups).  Bounded evaluations bypass the
-        cache.
-    use_cache:
-        Memoize the result keyed by (query canonical form, database version);
-        see :mod:`repro.engine.cache`.  Cached results are shared -- treat
-        them as immutable.
-
-    Returns
-    -------
-    QueryResult
-        Output rows (distinct, ordered deterministically) plus packed witness
-        provenance, with ``witness_outputs[i]`` giving the output row index
-        produced by witness ``i`` and ``result.witnesses`` available as a
-        lazy row-style view.
-    """
-    warnings.warn(
-        "evaluate(query, database) is deprecated; use "
-        "Session(database).evaluate(query) (see docs/MIGRATION.md)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return evaluate_in_context(query, database, max_witnesses, use_cache)
 
 
 def _factorize_outputs_numpy(
@@ -831,8 +632,8 @@ def evaluate_columnar(
         if atom.is_vacuum:
             if len(database.relation(atom.name)) == 0:
                 return QueryResult(
-                    query, [], None, [], None,
-                    provenance=empty_provenance(
+                    query, [], [],
+                    empty_provenance(
                         query, non_vacuum, database, index_for=index_for,
                         backend=backend,
                     ),
@@ -844,7 +645,7 @@ def evaluate_columnar(
         provenance = ColumnarProvenance(
             query, (), [], [], [0], [()], {(): 0}, tuple(vacuum_refs)
         )
-        return QueryResult(query, [()], None, [0], {(): 0}, provenance=provenance)
+        return QueryResult(query, [()], [0], provenance, {(): 0})
 
     if order is None:
         order = _join_order(
@@ -898,7 +699,7 @@ def evaluate_columnar(
             query, atom_names, indexes, ref_columns, backend.empty_ids(), [], {},
             tuple(vacuum_refs),
         )
-        return QueryResult(query, [], None, [], None, provenance=provenance)
+        return QueryResult(query, [], [], provenance)
 
     head = query.head
     output_rows: List[Row] = []
@@ -956,98 +757,7 @@ def evaluate_columnar(
         output_index,
         tuple(vacuum_refs),
     )
-    return QueryResult(
-        query, output_rows, None, witness_outputs, output_index,
-        provenance=provenance,
-    )
-
-
-def evaluate_rows(
-    query: ConjunctiveQuery,
-    database: Database,
-    max_witnesses: Optional[int] = None,
-) -> QueryResult:
-    """The original row-at-a-time evaluator, kept as the reference engine.
-
-    Materializes one assignment dict per full-join row and eager
-    :class:`Witness` objects (``provenance`` stays ``None``).  Never cached.
-    The parity test-suite asserts that :func:`evaluate` returns identical
-    answers, witness sets and ADP costs.
-    """
-    database.validate_against(query)
-
-    vacuum_refs: List[TupleRef] = []
-    for atom in query.atoms:
-        if atom.is_vacuum:
-            relation = database.relation(atom.name)
-            if len(relation) == 0:
-                return QueryResult(query, [], [], [])
-            vacuum_refs.append(TupleRef(atom.name, ()))
-
-    non_vacuum = [a for a in query.atoms if not a.is_vacuum]
-    if not non_vacuum:
-        witness = Witness(tuple(vacuum_refs))
-        return QueryResult(query, [()], [witness], [0])
-
-    order = _join_order(
-        ConjunctiveQuery(query.head, tuple(non_vacuum), name=query.name)
-    )
-    ordered_atoms = [non_vacuum[i] for i in order]
-
-    # Partial results: (assignment dict, list of TupleRefs so far).
-    partials: List[Tuple[Dict[str, object], List[TupleRef]]] = [({}, [])]
-    for atom in ordered_atoms:
-        relation = database.relation(atom.name)
-        positions = [relation.attribute_index(a) for a in atom.attributes]
-        # Every partial assigns exactly the same attribute set, so the shared
-        # (join) attributes can be read off the first partial.
-        bound_attrs = set(partials[0][0]) if partials else set()
-        shared = [a for a in atom.attributes if a in bound_attrs]
-
-        # Hash the relation on the shared attributes.
-        index: Dict[Tuple, List[Tuple[Row, TupleRef]]] = {}
-        for row in relation:
-            atom_values = tuple(row[i] for i in positions)
-            key = tuple(
-                atom_values[atom.attributes.index(a)] for a in shared
-            )
-            index.setdefault(key, []).append((atom_values, TupleRef(atom.name, row)))
-
-        new_partials: List[Tuple[Dict[str, object], List[TupleRef]]] = []
-        for assignment, refs in partials:
-            key = tuple(assignment[a] for a in shared)
-            for atom_values, ref in index.get(key, ()):  # type: ignore[arg-type]
-                new_assignment = dict(assignment)
-                ok = True
-                for attr, value in zip(atom.attributes, atom_values):
-                    if attr in new_assignment and new_assignment[attr] != value:
-                        ok = False
-                        break
-                    new_assignment[attr] = value
-                if ok:
-                    new_partials.append((new_assignment, refs + [ref]))
-        partials = new_partials
-        if max_witnesses is not None and len(partials) > max_witnesses:
-            raise RuntimeError(
-                f"join of {query.name} exceeded max_witnesses={max_witnesses}"
-            )
-        if not partials:
-            break
-
-    output_rows: List[Row] = []
-    output_index: Dict[Row, int] = {}
-    witnesses: List[Witness] = []
-    witness_outputs: List[int] = []
-    head = query.head
-    for assignment, refs in partials:
-        out_row = tuple(assignment[a] for a in head)
-        if out_row not in output_index:
-            output_index[out_row] = len(output_rows)
-            output_rows.append(out_row)
-        witnesses.append(Witness(tuple(refs) + tuple(vacuum_refs)))
-        witness_outputs.append(output_index[out_row])
-
-    return QueryResult(query, output_rows, witnesses, witness_outputs, output_index)
+    return QueryResult(query, output_rows, witness_outputs, provenance, output_index)
 
 
 def output_size(query: ConjunctiveQuery, database: Database) -> int:

@@ -5,7 +5,8 @@ form "if I additionally delete input tuple ``t``, how many *more* output
 tuples disappear?".  Re-running the query after every candidate deletion --
 what the paper's Java/PostgreSQL implementation does via SQL -- would be
 prohibitively slow in pure Python, so this module maintains the witness
-provenance produced by :func:`repro.engine.evaluate.evaluate` incrementally:
+provenance produced by :meth:`repro.engine.evaluate.EngineContext.evaluate`
+incrementally:
 
 * every output tuple keeps a count of *alive* witnesses (witnesses none of
   whose input tuples have been deleted);
@@ -91,11 +92,7 @@ class ProvenanceIndex:
         self._witness_rids: List[List[int]] = []
         prov = result.provenance
         np = None
-        if (
-            prov is not None
-            and prov.atom_count()
-            and is_ndarray(prov.ref_columns[0])
-        ):
+        if prov.atom_count() and is_ndarray(prov.ref_columns[0]):
             np = backend_of_column(prov.ref_columns[0]).np
         #: NumPy handle when the vectorized kernels are active, else ``None``.
         self._np = np
@@ -111,10 +108,7 @@ class ProvenanceIndex:
             self._gain = np.diff(self._rw_offsets)
             self._removed_flags = np.zeros(len(self._refs), dtype=bool)
         else:
-            if prov is not None:
-                self._build_from_columnar(result)
-            else:
-                self._build_from_witnesses(result)
+            self._build_from_columnar(result)
             self._hits = [0] * len(self._witness_rids)
             self._alive_witnesses = [0] * result.output_count()
             for out in self._witness_output:
@@ -136,7 +130,6 @@ class ProvenanceIndex:
     def _build_from_columnar(self, result: QueryResult) -> None:
         """Build the dense arrays straight from the packed ID columns."""
         prov = result.provenance
-        assert prov is not None
         witness_count = prov.witness_count()
         self._witness_output = list(prov.witness_outputs)
         self._witness_rids = [[] for _ in range(witness_count)]
@@ -174,7 +167,6 @@ class ProvenanceIndex:
         ``(W, atoms)`` matrix instead of W Python lists.
         """
         prov = result.provenance
-        assert prov is not None
         witness_count = prov.witness_count()
         self._witness_output = np.asarray(prov.witness_outputs, dtype=np.int64)
         refs = self._refs
@@ -225,23 +217,6 @@ class ProvenanceIndex:
         # (``[wid]`` -> rids, ``[rid]`` -> wids) as zero-copy array views.
         self._witness_rids = self._witness_rid_matrix
         self._ref_witnesses = _CsrView(flat, offsets)
-
-    def _build_from_witnesses(self, result: QueryResult) -> None:
-        """Fallback for hand-built results without a columnar payload."""
-        self._witness_output = list(result.witness_outputs)
-        ids: Dict[TupleRef, int] = {}
-        for w, witness in enumerate(result.witnesses):
-            rids: List[int] = []
-            for ref in witness.refs:
-                rid = ids.get(ref)
-                if rid is None:
-                    rid = len(self._refs)
-                    ids[ref] = rid
-                    self._refs.append(ref)
-                    self._ref_witnesses.append([])
-                self._ref_witnesses[rid].append(w)
-                rids.append(rid)
-            self._witness_rids.append(rids)
 
     # ------------------------------------------------------------------ #
     # State

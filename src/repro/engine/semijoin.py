@@ -26,6 +26,7 @@ from typing import Dict, Set, Tuple
 
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine.columnar import distinct_ids
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
@@ -86,22 +87,15 @@ def remove_dangling_tuples(
     result = evaluate(query, database)
     participating: Dict[str, Set[tuple]] = {name: set() for name in query.relation_names}
     prov = result.provenance
-    if prov is not None:
-        # Packed path: project each atom's tid column through its interner.
-        from repro.engine.columnar import distinct_ids
-
-        for position, name in enumerate(prov.atom_names):
-            rows = prov.indexes[position].rows
-            participating[name] = {
-                rows[tid] for tid in distinct_ids(prov.ref_columns[position])
-            }
-        if prov.witness_count():
-            for vacuum_ref in prov.vacuum_refs:
-                participating.setdefault(vacuum_ref.relation, set()).add(())
-    else:
-        for witness in result.witnesses:
-            for ref in witness.refs:
-                participating.setdefault(ref.relation, set()).add(ref.values)
+    # Project each atom's tid column through its interner.
+    for position, name in enumerate(prov.atom_names):
+        rows = prov.indexes[position].rows
+        participating[name] = {
+            rows[tid] for tid in distinct_ids(prov.ref_columns[position])
+        }
+    if prov.witness_count():
+        for vacuum_ref in prov.vacuum_refs:
+            participating.setdefault(vacuum_ref.relation, set()).add(())
 
     removed = 0
     relations = []

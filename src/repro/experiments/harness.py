@@ -22,7 +22,7 @@ from repro.core.solution import ADPSolution
 from repro.data.database import Database
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.query.cq import ConjunctiveQuery
-from repro.session import Session, default_session
+from repro.session import Session
 
 #: Method names accepted by :func:`run_method` (the names used in the plots).
 METHODS = ("exact", "exact-counting", "greedy", "drastic", "bruteforce")
@@ -81,8 +81,8 @@ def run_method(
     """Run one method on one instance and record time + quality.
 
     Runs through a :class:`~repro.session.Session`: pass one explicitly to
-    share caches across a whole grid, otherwise the database's implicit
-    default session is used (matching the old global-cache behaviour).
+    share caches across a whole grid, otherwise a fresh ``Session(database)``
+    is used.
 
     ``method`` is one of :data:`METHODS`:
 
@@ -92,7 +92,7 @@ def run_method(
     * ``"drastic"``          -- ComputeADP with DrasticGreedyForFullCQ;
     * ``"bruteforce"``       -- subset enumeration (small instances only).
     """
-    run_session = session if session is not None else default_session(database)
+    run_session = session if session is not None else Session(database)
     prepared = run_session.prepare(query)
     output_size = run_session.output_size(prepared)
 

@@ -2,15 +2,15 @@
 
 The payload splits into two blocks with different stability contracts:
 
-* ``"plan"`` is **engine- and backend-independent**: the plan fingerprint
+* ``"plan"`` is **backend-independent**: the plan fingerprint
   (exactly :attr:`repro.session.PreparedQuery.plan_fingerprint` -- never
   recomputed here), the dichotomy decomposition flags, the join order with
   its greedy tie-break rationale, and the static uniform-independence cardinality estimates (computed
   with the pure-Python hash tables so NumPy availability cannot perturb
   a byte of it).  The same query over the same database yields a
-  byte-identical plan block under every engine mode and array backend --
+  byte-identical plan block under every array backend --
   the property the golden-snapshot tests pin down.
-* ``"execution"`` carries everything mode-dependent: the resolved
+* ``"execution"`` carries everything backend-dependent: the resolved
   backend and its ``MIN_VECTOR_TUPLES`` cost-model verdict, the cache
   disposition, the raw operator records collected by :mod:`repro.obs.stats`, and the
   estimate-vs-actual cardinality ledger with misprediction flags.
@@ -39,7 +39,7 @@ from repro.obs.stats import (
 )
 
 #: Bumped when the payload schema changes shape (service clients key on it).
-EXPLAIN_VERSION = 2
+EXPLAIN_VERSION = 3
 
 
 # --------------------------------------------------------------------------- #
@@ -120,7 +120,7 @@ def _static_estimates(context, database, prepared) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# Plan block (engine/backend independent)
+# Plan block (backend independent)
 # --------------------------------------------------------------------------- #
 def _plan_block(context, database, prepared) -> Dict[str, object]:
     from repro.engine.evaluate import join_order_steps
@@ -145,7 +145,7 @@ def _plan_block(context, database, prepared) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# Execution block (mode/backend verdicts + actuals)
+# Execution block (backend verdicts + actuals)
 # --------------------------------------------------------------------------- #
 def _backend_verdict(context, database, prepared) -> Dict[str, object]:
     from repro.engine.backend import MIN_VECTOR_TUPLES
@@ -261,12 +261,12 @@ def explain_payload(session, query, analyze: bool = True) -> Dict[str, object]:
     prepared = session.prepare(query)
     context = session._context  # session-internal by design: one tier down
     database = session.database
+    database.validate_against(prepared.query)
     payload: Dict[str, object] = {
         "explain_version": EXPLAIN_VERSION,
         "plan": _plan_block(context, database, prepared),
     }
     execution: Dict[str, object] = {
-        "engine": context.mode,
         "workers": session.workers,
         "backend": _backend_verdict(context, database, prepared),
         "analyzed": bool(analyze),
@@ -343,7 +343,7 @@ def render_explain_text(payload: Dict[str, object]) -> str:
     lines = [
         f"EXPLAIN {plan['query']}",
         f"plan {plan['fingerprint']}  [{plan['classification']}]  "
-        f"engine={execution['engine']} backend={backend['effective']}",
+        f"backend={backend['effective']}",
     ]
     traits = [
         name

@@ -140,8 +140,7 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back from ``AdpService.port``).
     port: int = 8080
-    #: Engine/backend/workers for every registry session.
-    engine: str = "columnar"
+    #: Backend/workers for every registry session.
     backend: str = "auto"
     workers: int = 1
     #: LRU bound on resident databases.
@@ -229,7 +228,6 @@ class AdpService:
         )
         self.registry = SessionRegistry(
             self.config.max_databases,
-            engine=self.config.engine,
             backend=self.config.backend,
             workers=self.config.workers,
             store=self.store,
@@ -536,8 +534,7 @@ class AdpService:
             "databases": [
                 database_payload(
                     entry.name, entry.version, entry.database,
-                    backend=entry.session.backend, engine=entry.session.engine,
-                    workers=entry.session.workers,
+                    backend=entry.session.backend, workers=entry.session.workers,
                 )
                 for entry in self.registry.entries()
             ]
@@ -579,8 +576,7 @@ class AdpService:
         # the generic handler in _respond.
         return 200, database_payload(
             entry.name, entry.version, database,
-            backend=entry.session.backend, engine=entry.session.engine,
-            workers=entry.session.workers,
+            backend=entry.session.backend, workers=entry.session.workers,
         ), {}
 
     def _entry(self, name: str) -> RegisteredDatabase:

@@ -138,7 +138,6 @@ class SessionRegistry:
         self,
         capacity: int = 8,
         *,
-        engine: str = "columnar",
         backend: str = "auto",
         workers: int = 1,
         store: Optional[DatabaseStore] = None,
@@ -146,7 +145,6 @@ class SessionRegistry:
         if capacity < 1:
             raise ValueError(f"registry capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.engine = engine
         self.backend = backend
         self.workers = int(workers)
         self.store = store
@@ -175,7 +173,7 @@ class SessionRegistry:
         ``replace=False`` raises :class:`DuplicateDatabaseError` when the
         name is taken (HTTP 409); ``replace=True`` closes and supersedes the
         old entry.  A custom ``session`` may be supplied (tests); by
-        default one is created with the registry's engine/backend/workers.
+        default one is created with the registry's backend/workers.
 
         With a store attached, re-registering a name that lives on disk but
         is not resident (evicted, or persisted by a previous process)
@@ -200,10 +198,7 @@ class SessionRegistry:
         owned = session is None
         if session is None:
             session = Session(
-                database,
-                engine=self.engine,
-                backend=self.backend,
-                workers=self.workers,
+                database, backend=self.backend, workers=self.workers
             )
         entry = RegisteredDatabase(name, database, session)
         superseded: List[RegisteredDatabase] = []
@@ -277,7 +272,7 @@ class SessionRegistry:
         """Recover ``name`` from the store and install it (LRU rules apply)."""
         assert self.store is not None
         recovered = self.store.load(
-            name, engine=self.engine, backend=self.backend, workers=self.workers
+            name, backend=self.backend, workers=self.workers
         )
         entry = RegisteredDatabase(name, recovered.database, recovered.session)
         entry.version = recovered.version

@@ -8,10 +8,9 @@ connection object:
 * :class:`PreparedQuery` -- parse + dichotomy classification + join-order
   plan, computed **once** and reusable across databases and targets ``k``;
 * :class:`Session` -- binds one :class:`~repro.data.database.Database` and
-  owns everything that used to be module-global state: the evaluation cache,
-  the engine mode (columnar vs row), the relation interning tables and the
-  usage statistics.  On top it exposes the batched and incremental
-  capabilities that were previously internal-only:
+  owns all evaluation state: the evaluation cache, the array backend, the
+  relation interning tables and the usage statistics.  On top it exposes
+  the batched and incremental capabilities:
 
   - :meth:`Session.solve` / :meth:`Session.solve_many` -- one or many ADP
     solves over the bound database, sharing one evaluation and one cost
@@ -26,10 +25,10 @@ connection object:
     inserted side (:mod:`repro.engine.delta`), work proportional to the
     delta instead of a re-intern + re-join of the whole database.
 
-The legacy free functions (``evaluate``, ``compute_adp``,
-``ADPSolver.solve(query, database, k)``, ``set_engine_mode`` and the global
-cache helpers) remain available as deprecated shims over the implicit
-:func:`default_session` of each database; see ``docs/MIGRATION.md``.
+Every evaluation runs through a session's engine context.  Library
+functions that take ``(query, database)`` pairs (the brute-force baseline,
+selections, resilience, ...) run against a session's cache inside
+``with session.activate():``; see ``docs/MIGRATION.md``.
 
 Thread- and process-safety contract
 -----------------------------------
@@ -107,10 +106,8 @@ from repro.engine.delta import (
     delta_insert_result,
 )
 from repro.engine.evaluate import (
-    ENGINE_MODES,
     EngineContext,
     QueryResult,
-    default_context,
     join_order_plan,
     use_context,
 )
@@ -374,17 +371,13 @@ class Session:
         relation versions (stale cache entries are never served), but only
         :meth:`apply_deletions` / :meth:`apply_insertions` migrate cached
         results incrementally.
-    engine:
-        ``"columnar"`` (default) or ``"row"`` -- per-session engine mode,
-        replacing the deprecated global ``set_engine_mode``.
     backend:
         The array backend for the columnar kernels
         (:mod:`repro.engine.backend`): ``"auto"`` (default -- NumPy when
         installed, pure Python otherwise), ``"numpy"`` (raise if NumPy is
         missing) or ``"python"``.  Results are **byte-identical** across
         backends (same witness order, same tie-breaking, same packed
-        layout); only the column representation and the speed differ.  The
-        row reference engine ignores the backend.
+        layout); only the column representation and the speed differ.
     workers:
         Worker processes for :meth:`solve_many`.  ``workers > 1`` starts a
         persistent pool (:mod:`repro.parallel`) on the first batch with
@@ -405,25 +398,13 @@ class Session:
         self,
         database: Database,
         *,
-        engine: str = "columnar",
         backend: str = "auto",
         workers: int = 1,
         config: Optional[SolverConfig] = None,
-        _context: Optional[EngineContext] = None,
     ):
         self.database = database
         workers = max(1, int(workers))
-        owns_context = _context is None
-        if _context is None:
-            if engine not in ENGINE_MODES:
-                raise ValueError(f"unknown engine mode {engine!r}")
-            if engine == "row" and workers > 1:
-                raise ValueError(
-                    "the row reference engine is serial-only; "
-                    "workers > 1 needs the columnar engine"
-                )
-            _context = EngineContext(mode=engine, backend=backend)
-        self._context = _context
+        self._context = EngineContext(backend=backend)
         self._workers = workers
         self._pool = LazyWorkerPool(workers) if workers > 1 else None
         #: Guards the usage counters and the prepared-query registry.
@@ -441,17 +422,12 @@ class Session:
             "insertions_applied": 0,
         }
         self._closed = False
-        # Deterministic teardown net: a session that owns its context (i.e.
-        # was not handed the shared per-database default context) releases
-        # it -- cache, interners and, crucially, the worker pool -- when
-        # garbage collected, not just on an explicit close().  Without this,
-        # a dropped ``workers > 1`` session leaks its worker processes until
+        # Deterministic teardown net: the session releases its context --
+        # cache, interners and, crucially, the worker pool -- when garbage
+        # collected, not just on an explicit close().  Without this, a
+        # dropped ``workers > 1`` session leaks its worker processes until
         # interpreter exit.  close() runs the same finalizer explicitly.
-        self._finalizer = (
-            weakref.finalize(self, _release, self._context, self._pool)
-            if owns_context
-            else None
-        )
+        self._finalizer = weakref.finalize(self, _release, self._context, self._pool)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -473,16 +449,13 @@ class Session:
         Idempotent and deterministic: after ``close()`` returns, a
         ``workers > 1`` session's worker processes have exited (the pool
         drains and joins them) -- the guarantee the service registry's LRU
-        eviction relies on.  The same release also runs via a GC finalizer when an unclosed
-        session that owns its context is collected.
+        eviction relies on.  The same release also runs via a GC finalizer
+        when an unclosed session is collected.
         """
         if self._closed:
             return
         self._closed = True
-        if self._finalizer is not None:
-            self._finalizer()
-        else:
-            _release(self._context, self._pool)
+        self._finalizer()
 
     def _check_open(self) -> None:
         if self._closed:
@@ -494,19 +467,15 @@ class Session:
         Library internals that still take ``(query, database)`` pairs --
         e.g. :func:`repro.core.bruteforce.bruteforce_solve` or
         :func:`repro.core.selection.solve_with_selection` -- run against this
-        session's cache/engine when called inside ``with session.activate():``.
+        session's cache and backend when called inside
+        ``with session.activate():``.
         """
         self._check_open()
         return use_context(self._context)
 
     # ------------------------------------------------------------------ #
-    # Engine mode
+    # Configuration
     # ------------------------------------------------------------------ #
-    @property
-    def engine(self) -> str:
-        """This session's engine mode (``columnar`` or ``row``)."""
-        return self._context.mode
-
     @property
     def workers(self) -> int:
         """Worker processes :meth:`solve_many` may dispatch to (1 = serial)."""
@@ -516,11 +485,6 @@ class Session:
     def backend(self) -> str:
         """The resolved array backend (``"python"`` or ``"numpy"``)."""
         return self._context.backend.name
-
-    def set_engine(self, mode: str) -> None:
-        """Switch this session's engine, clearing its cache (A/B runs)."""
-        self._check_open()
-        self._context.set_mode(mode)
 
     # ------------------------------------------------------------------ #
     # Preparing and evaluating
@@ -596,7 +560,7 @@ class Session:
 
         The ``"plan"`` block (fingerprint, decomposition, join order with
         tie-break rationale, static cardinality estimates)
-        is engine- and backend-independent; the ``"execution"`` block
+        is backend-independent; the ``"execution"`` block
         carries the cost-model verdicts and, with ``analyze=True``, the
         estimate-vs-actual ledger from one instrumented evaluation.  See
         ``docs/OBSERVABILITY.md`` for the schema.
@@ -729,7 +693,7 @@ class Session:
         with span("session.solve_many") as msp:
             if msp:
                 msp.set(requests=len(request_list), groups=len(groups))
-            if self._pool is not None and self.engine == "columnar":
+            if self._pool is not None:
                 leaf_groups = {
                     key: positions
                     for key, positions in groups.items()
@@ -1067,9 +1031,8 @@ class Session:
                         result, ref_list, extend_index=extend, row_live=row_live
                     )
                     if migrated is None:
-                        # Vacuum query / row-style result: not incrementally
-                        # extendable -- drop the entry, the next evaluate
-                        # re-joins.
+                        # Vacuum query: not incrementally extendable -- drop
+                        # the entry, the next evaluate re-joins.
                         continue
                 cache.store_raw(
                     self.database, query_key, new_token, migrated, backend=backend_tag
@@ -1108,9 +1071,9 @@ class Session:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else self._context.mode
+        state = "closed" if self._closed else self.backend
         return (
-            f"Session({self.database!s}, engine={state}, "
+            f"Session({self.database!s}, backend={state}, "
             f"prepared={len(self.prepared_queries)})"
         )
 
@@ -1122,40 +1085,11 @@ def _release(context: EngineContext, pool: Optional[LazyWorkerPool]) -> None:
         pool.close()
 
 
-# --------------------------------------------------------------------------- #
-# Implicit default sessions (the substrate of the deprecated free functions)
-# --------------------------------------------------------------------------- #
-_DEFAULT_SESSIONS: "weakref.WeakKeyDictionary[Database, Session]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def default_session(database: Database) -> Session:
-    """The implicit session of ``database`` (created lazily, kept weakly).
-
-    Shares its engine context with the legacy free functions' per-database
-    default context, so ``evaluate(q, db)`` and
-    ``default_session(db).evaluate(q)`` hit the same cache.  Prefer creating
-    explicit :class:`Session` objects in new code.
-    """
-    session = _DEFAULT_SESSIONS.get(database)
-    if session is None or session._closed:
-        # A closed implicit session is replaced transparently (the legacy
-        # free functions must keep working for the database's lifetime).
-        session = Session(database, _context=default_context(database))
-        try:
-            _DEFAULT_SESSIONS[database] = session
-        except TypeError:  # pragma: no cover - non-weakref-able database stub
-            pass
-    return session
-
-
 __all__ = [
     "PreparedQuery",
     "Session",
     "SessionStats",
     "WhatIfEntry",
     "WhatIfResult",
-    "default_session",
     "prepare",
 ]

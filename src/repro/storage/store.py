@@ -220,8 +220,7 @@ class DatabaseStore:
         ).items():
             if tok != token:
                 continue
-            provenance = getattr(result, "provenance", None)
-            if provenance is None or query_key in seen_keys:
+            if query_key in seen_keys:
                 continue
             seen_keys.add(query_key)
             kept.append(result)
@@ -396,7 +395,6 @@ class DatabaseStore:
         self,
         name: str,
         *,
-        engine: str = "columnar",
         backend: str = "auto",
         workers: int = 1,
     ) -> RecoveredDatabase:
@@ -429,9 +427,7 @@ class DatabaseStore:
                 indexes[rel_snap.name] = RelationIndex.from_rows(
                     rel_snap.name, rel_snap.attributes, rel_snap.interned_rows
                 )
-            session = Session(
-                database, engine=engine, backend=backend, workers=workers
-            )
+            session = Session(database, backend=backend, workers=workers)
             context = session._context
             for rel_name, index in indexes.items():
                 context.seed_index(database.relation(rel_name), index)
@@ -466,10 +462,8 @@ class DatabaseStore:
                 result = QueryResult(
                     query,
                     result_snap.output_rows,
-                    None,
                     as_id_list(packed_outputs),
-                    None,
-                    provenance=provenance,
+                    provenance,
                 )
                 context.cache.store_raw(
                     database,

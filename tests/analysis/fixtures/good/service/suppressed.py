@@ -1,7 +1,7 @@
 """REP000 good fixture: a justified single-rule suppression is honoured."""
 
-from repro.engine.evaluate import evaluate  # repro: noqa REP006 -- fixture exercising the documented migration example
+import numpy  # repro: noqa REP001 -- fixture exercising a justified suppression
 
 
-def run(query, database):
-    return evaluate(query, database)
+def zeros(n):
+    return numpy.zeros(n)

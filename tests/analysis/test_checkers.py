@@ -27,7 +27,6 @@ EXPECTED_BAD = {
     "parallel/iterate.py": ("REP004", 4),
     "engine/clock.py": ("REP005", 4),
     "obs/relaxed.py": ("REP005", 2),
-    "service/legacy.py": ("REP006", 2),
     "hygiene.py": ("REP000", 2),
 }
 

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.adp import ADPSolver, SolverConfig, compute_adp
+from repro.core.adp import ADPSolver, SolverConfig
 from repro.core.bruteforce import bruteforce_optimum
 from repro.core.decidability import is_poly_time
 from repro.data.database import Database
-from repro.engine.evaluate import evaluate
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 class TestSolverDispatch:
@@ -17,7 +17,7 @@ class TestSolverDispatch:
             {"R1": ["A"], "R2": ["A", "B"]},
             {"R1": [(1,), (2,)], "R2": [(1, 10), (1, 11), (2, 20)]},
         )
-        solution = ADPSolver().solve(query, database, 2)
+        solution = Session(database).solve(query, 2)
         assert solution.optimal
         assert solution.method == "exact"
         assert solution.size == 1
@@ -28,18 +28,18 @@ class TestSolverDispatch:
             {"R1": ["A"], "R2": ["A", "B"], "R3": ["B"]},
             {"R1": [("a",)], "R2": [("a", "b")], "R3": [("b",)]},
         )
-        solution = ADPSolver().solve(query, database, 1)
+        solution = Session(database).solve(query, 1)
         assert solution.optimal
         assert solution.size == 1
 
     def test_heuristic_on_hard_query(self, qpath, path_instance):
-        solution = ADPSolver().solve(qpath, path_instance, 2)
+        solution = Session(path_instance).solve(qpath, 2)
         assert not solution.optimal
         assert solution.method == "greedy"
         assert solution.removed_outputs >= 2
 
     def test_drastic_heuristic(self, qpath, path_instance):
-        solution = ADPSolver(heuristic="drastic").solve(qpath, path_instance, 2)
+        solution = Session(path_instance).solve(qpath, 2, heuristic="drastic")
         assert solution.method == "drastic"
         assert solution.removed_outputs >= 2
 
@@ -49,7 +49,7 @@ class TestSolverDispatch:
             {"R2": ["A", "B"], "R3": ["B"]},
             {"R2": [(1, 1), (2, 1), (3, 2)], "R3": [(1,), (2,)]},
         )
-        solution = ADPSolver(heuristic="drastic").solve(query, database, 2)
+        solution = Session(database).solve(query, 2, heuristic="drastic")
         assert solution.removed_outputs >= 2
         assert solution.stats["heuristic_fallbacks"] >= 1
 
@@ -64,18 +64,20 @@ class TestSolverDispatch:
             },
         )
         assert is_poly_time(query)
-        total = evaluate(query, database).output_count()
+        session = Session(database)
+        total = session.output_size(query)
         solver = ADPSolver()
         for k in range(1, total + 1):
-            solution = solver.solve(query, database, k)
+            solution = session.solve(query, k, solver=solver)
             assert solution.optimal
             assert solution.size == bruteforce_optimum(query, database, k)
 
     def test_counting_only_mode(self, qpath, path_instance):
-        solution = ADPSolver(counting_only=True).solve(qpath, path_instance, 2)
+        session = Session(path_instance)
+        solution = session.solve(qpath, 2, counting_only=True)
         assert solution.removed == frozenset()
         assert solution.size >= 1
-        reporting = ADPSolver().solve(qpath, path_instance, 2)
+        reporting = session.solve(qpath, 2)
         assert solution.size == reporting.size
 
     def test_exactness_matches_dichotomy(self, qpath):
@@ -88,21 +90,24 @@ class TestSolverValidation:
     def test_k_out_of_range(self, qpath, path_instance):
         solver = ADPSolver()
         with pytest.raises(ValueError):
-            solver.solve(qpath, path_instance, 0)
+            session = Session(path_instance)
+            session.solve(qpath, 0, solver=solver)
         with pytest.raises(ValueError):
-            solver.solve(qpath, path_instance, 99)
+            session.solve(qpath, 99, solver=solver)
 
     def test_solve_ratio(self, qpath, path_instance):
-        total = evaluate(qpath, path_instance).output_count()
-        solution = ADPSolver().solve_ratio(qpath, path_instance, 0.5)
+        session = Session(path_instance)
+        total = session.output_size(qpath)
+        solution = session.solve_ratio(qpath, 0.5)
         assert solution.k == -(-total // 2) or solution.k == max(1, int(0.5 * total) + (total % 2 == 1))
         assert solution.removed_outputs >= solution.k
 
     def test_solve_ratio_rejects_bad_ratio(self, qpath, path_instance):
         with pytest.raises(ValueError):
-            ADPSolver().solve_ratio(qpath, path_instance, 0.0)
+            session = Session(path_instance)
+            session.solve_ratio(qpath, 0.0)
         with pytest.raises(ValueError):
-            ADPSolver().solve_ratio(qpath, path_instance, 1.5)
+            session.solve_ratio(qpath, 1.5)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -116,7 +121,7 @@ class TestSolverValidation:
             {"R1": ["A"], "R2": ["A", "B"]},
             {"R1": [(1,), (2,)], "R2": [(1, 10), (1, 11), (2, 20)]},
         )
-        assert compute_adp(query, database, k=2).size == 1
+        assert Session(database).solve(query, k=2).size == 1
 
 
 class TestSolutionQualityOnEasyQueries:
@@ -147,10 +152,11 @@ class TestSolutionQualityOnEasyQueries:
         query = parse_query(query_text)
         database = Database.from_dict(schema, rows)
         assert is_poly_time(query)
-        total = evaluate(query, database).output_count()
+        session = Session(database)
+        total = session.output_size(query)
         solver = ADPSolver()
         for k in range(1, total + 1):
-            solution = solver.solve(query, database, k)
+            solution = session.solve(query, k, solver=solver)
             assert solution.optimal
             assert solution.removed_outputs >= k
             assert solution.size == bruteforce_optimum(query, database, k), (query_text, k)

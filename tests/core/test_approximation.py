@@ -10,8 +10,8 @@ from repro.core.approximation import (
 )
 from repro.core.bruteforce import bruteforce_optimum
 from repro.data.database import Database
-from repro.engine.evaluate import evaluate
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 QPATH = parse_query("Qpath(A, B) :- R1(A), R2(A, B), R3(B)")
@@ -26,12 +26,12 @@ class TestCoverInstance:
     def test_element_frequency_equals_relation_count(self, path_instance):
         instance = full_cq_cover_instance(QPATH, path_instance, 2)
         assert instance.max_frequency() == len(QPATH.atoms)
-        assert len(instance.universe) == evaluate(QPATH, path_instance).output_count()
+        assert len(instance.universe) == Session(path_instance).output_size(QPATH)
 
 
 class TestApproximations:
     def test_greedy_is_feasible_and_bounded(self, path_instance):
-        total = evaluate(QPATH, path_instance).output_count()
+        total = Session(path_instance).output_size(QPATH)
         for k in range(1, total + 1):
             solution = greedy_full_cq(QPATH, path_instance, k)
             optimum = bruteforce_optimum(QPATH, path_instance, k)
@@ -40,7 +40,7 @@ class TestApproximations:
             assert solution.size <= harmonic * optimum + 1e-9
 
     def test_primal_dual_is_feasible_and_bounded(self, path_instance):
-        total = evaluate(QPATH, path_instance).output_count()
+        total = Session(path_instance).output_size(QPATH)
         for k in range(1, total + 1):
             solution = primal_dual_full_cq(QPATH, path_instance, k)
             optimum = bruteforce_optimum(QPATH, path_instance, k)

@@ -6,6 +6,7 @@ from repro.core.boolean_cq import linear_order, min_cut_curve
 from repro.core.bruteforce import bruteforce_optimum
 from repro.data.database import Database
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 class TestLinearOrder:
@@ -47,9 +48,7 @@ class TestMinCut:
         assert curve.cost(1) == 2
         # The cut must actually falsify the query.
         removed = curve.solution(1)
-        from repro.engine.evaluate import evaluate
-
-        assert evaluate(query, database.without(removed)).output_count() == 0
+        assert Session(database.without(removed)).evaluate(query).output_count() == 0
 
     def test_exogenous_tuples_never_cut(self):
         query = parse_query("Q() :- R1(A), R2(A, B), R3(B)")
@@ -79,9 +78,7 @@ class TestMinCut:
                     "R3": [(b,) for b in range(3) if rng.random() < 0.8],
                 },
             )
-            from repro.engine.evaluate import evaluate
-
-            if evaluate(query, database).output_count() == 0:
+            if Session(database).output_size(query) == 0:
                 continue
             curve = min_cut_curve(query, database)
             assert curve.cost(1) == bruteforce_optimum(query, database, 1)

@@ -85,19 +85,28 @@ class TestSolveCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["k"] == 2
         assert payload["objective"] == 1
-        assert payload["engine"] == "columnar"
+        assert "engine" not in payload
         assert payload["classification"] in ("poly-time", "np-hard")
         assert isinstance(payload["removed"], list) and payload["removed"]
 
-    def test_solve_row_engine_matches_columnar(self, capsys, csv_database):
-        args = ["solve", "Q(A, B) :- R1(A), R2(A, B)", str(csv_database), "--k", "2", "--json"]
-        assert main(args) == 0
-        columnar = json.loads(capsys.readouterr().out)
-        assert main(args + ["--engine", "row"]) == 0
-        row = json.loads(capsys.readouterr().out)
-        assert row["engine"] == "row"
-        assert row["objective"] == columnar["objective"]
-        assert row["k"] == columnar["k"]
+    @pytest.mark.parametrize(
+        "query, target, message",
+        [
+            ("Q(A, B) :- R1(A), R2(A, B)", ["--k", "0"], "k must be at least 1"),
+            ("Q(A, B) :- R1(A), R2(A, B)", ["--k", "100000"], "exceeds"),
+            ("Q(A, B) :- R1(A), R2(A, B)", ["--ratio", "1.5"], "ratio must be in"),
+            ("Q(A, B) :- R1(A), R9(A, B)", ["--k", "1"], "no relation R9"),
+        ],
+        ids=["k-zero", "k-too-large", "ratio-above-one", "unknown-relation"],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, csv_database, query, target, message):
+        """Infeasible targets and unknown relations exit 2 with one error line."""
+        assert main(["solve", query, str(csv_database)] + target) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_k_and_ratio_are_mutually_exclusive(self, csv_database):
         with pytest.raises(SystemExit):
@@ -142,6 +151,16 @@ class TestParser:
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
+    def test_engine_flag_is_gone(self):
+        """One evaluation engine: no subcommand takes ``--engine``."""
+        for argv in (
+            ["solve", "Q(A) :- R(A)", "db", "--k", "1", "--engine", "row"],
+            ["explain", "Q(A) :- R(A)", "db", "--engine", "columnar"],
+            ["serve", "--engine", "row"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
 
 class TestExplainCommand:
     QUERY = "Q(A, B) :- R1(A), R2(A, B)"
@@ -157,13 +176,11 @@ class TestExplainCommand:
         self, capsys, csv_database
     ):
         """Golden snapshot: the plan block (fingerprint included) must be
-        byte-identical across --engine columnar|row and
-        --backend python|numpy."""
+        byte-identical across --backend python|numpy."""
         from repro.engine.backend import numpy_available
 
         variants = [
             [],
-            ["--engine", "row"],
             ["--backend", "python"],
         ]
         if numpy_available():
@@ -178,6 +195,10 @@ class TestExplainCommand:
             fingerprints.add(payload["plan"]["fingerprint"])
         assert len(plans) == 1
         assert len(fingerprints) == 1
+
+    def test_unknown_relation_is_a_usage_error(self, capsys, csv_database):
+        assert main(["explain", "Q(A) :- R9(A)", str(csv_database)]) == 2
+        assert capsys.readouterr().err == "error: database has no relation R9\n"
 
     def test_no_analyze_skips_actuals(self, capsys, csv_database):
         args = ["explain", self.QUERY, str(csv_database), "--json", "--no-analyze"]

@@ -6,8 +6,8 @@ from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_optimum
 from repro.core.decompose import DecomposeStrategy, decompose_curve
 from repro.data.database import Database
-from repro.engine.evaluate import evaluate
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 def child_curve():
@@ -38,7 +38,7 @@ class TestDecomposeCurve:
             decompose_curve(query, Database.empty_for_query(query), 1, child_curve())
 
     def test_matches_bruteforce(self, disconnected_query, disconnected_db):
-        total = evaluate(disconnected_query, disconnected_db).output_count()
+        total = Session(disconnected_db).output_size(disconnected_query)
         assert total == 6
         curve = decompose_curve(disconnected_query, disconnected_db, total, child_curve())
         assert curve.optimal
@@ -46,9 +46,10 @@ class TestDecomposeCurve:
             assert curve.cost(k) == bruteforce_optimum(disconnected_query, disconnected_db, k)
 
     def test_solutions_feasible(self, disconnected_query, disconnected_db):
-        total = evaluate(disconnected_query, disconnected_db).output_count()
+        session = Session(disconnected_db)
+        total = session.output_size(disconnected_query)
         curve = decompose_curve(disconnected_query, disconnected_db, total, child_curve())
-        result = evaluate(disconnected_query, disconnected_db)
+        result = session.evaluate(disconnected_query)
         for k in range(1, total + 1):
             removed = curve.solution(k)
             assert len(removed) == curve.cost(k)
@@ -59,7 +60,7 @@ class TestDecomposeCurve:
         [DecomposeStrategy.FULL_ENUMERATION, DecomposeStrategy.PAIRWISE, DecomposeStrategy.IMPROVED_DP],
     )
     def test_strategies_agree(self, disconnected_query, disconnected_db, strategy):
-        total = evaluate(disconnected_query, disconnected_db).output_count()
+        total = Session(disconnected_db).output_size(disconnected_query)
         baseline = decompose_curve(
             disconnected_query, disconnected_db, total, child_curve(),
             strategy=DecomposeStrategy.IMPROVED_DP,
@@ -76,7 +77,7 @@ class TestDecomposeCurve:
             {"R1": ["A"], "R2": ["B"], "R3": ["C"]},
             {"R1": [(1,), (2,)], "R2": [(1,), (2,)], "R3": [(1,), (2,), (3,)]},
         )
-        total = evaluate(query, database).output_count()
+        total = Session(database).output_size(query)
         assert total == 12
         curve = decompose_curve(query, database, total, child_curve())
         for k in (1, 3, 6, 7, 12):

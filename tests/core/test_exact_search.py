@@ -7,8 +7,8 @@ import pytest
 from repro.core.bruteforce import bruteforce_optimum
 from repro.core.exact_search import branch_and_bound_optimum, branch_and_bound_solve
 from repro.data.database import Database
-from repro.engine.evaluate import evaluate
 from repro.query.parser import parse_query
+from repro.session import Session
 
 from tests.conftest import random_instance, random_query
 
@@ -21,7 +21,7 @@ class TestBranchAndBound:
         assert solution.verify(figure1_database) >= 2
 
     def test_matches_bruteforce_on_qpath(self, qpath, path_instance):
-        total = evaluate(qpath, path_instance).output_count()
+        total = Session(path_instance).output_size(qpath)
         for k in range(1, total + 1):
             assert branch_and_bound_optimum(qpath, path_instance, k) == \
                 bruteforce_optimum(qpath, path_instance, k)
@@ -49,7 +49,7 @@ class TestBranchAndBound:
                     "R3": [(b,) for b in range(3) if rng.random() < 0.9],
                 },
             )
-            total = evaluate(query, database).output_count()
+            total = Session(database).output_size(query)
             if total == 0:
                 continue
             k = rng.randint(1, total)
@@ -62,7 +62,7 @@ class TestBranchAndBound:
         while checked < 10:
             query = random_query(rng, max_relations=3, max_attributes=3)
             database = random_instance(query, rng, max_tuples_per_relation=3, domain_size=2)
-            total = evaluate(query, database).output_count()
+            total = Session(database).output_size(query)
             if total == 0:
                 continue
             checked += 1
@@ -82,7 +82,7 @@ class TestBranchAndBound:
                 "R3": [(b,) for b in range(30)],
             },
         )
-        total = evaluate(query, database).output_count()
+        total = Session(database).output_size(query)
         solution = branch_and_bound_solve(query, database, max(1, total // 4))
         assert solution.optimal
         assert solution.removed_outputs >= max(1, total // 4)

@@ -5,8 +5,8 @@ import pytest
 from repro.core.bruteforce import bruteforce_optimum
 from repro.core.greedy import drastic_curve, greedy_curve
 from repro.data.database import Database
-from repro.engine.evaluate import evaluate
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 QPATH = parse_query("Qpath(A, B) :- R1(A), R2(A, B), R3(B)")
@@ -16,11 +16,11 @@ class TestGreedyForCQ:
     def test_greedy_is_feasible(self, qpath, path_instance):
         curve = greedy_curve(qpath, path_instance, kmax=4)
         removed = curve.solution(4)
-        assert evaluate(qpath, path_instance).outputs_removed_by(removed) >= 4
+        assert Session(path_instance).evaluate(qpath).outputs_removed_by(removed) >= 4
         assert not curve.optimal
 
     def test_greedy_never_beats_bruteforce(self, qpath, path_instance):
-        total = evaluate(qpath, path_instance).output_count()
+        total = Session(path_instance).output_size(qpath)
         for k in range(1, total + 1):
             greedy_cost = greedy_curve(qpath, path_instance, kmax=k).cost(k)
             assert greedy_cost >= bruteforce_optimum(qpath, path_instance, k)
@@ -78,7 +78,7 @@ class TestDrasticGreedy:
     def test_full_path_query(self, path_instance):
         query = parse_query("Qpath(A, B) :- R1(A), R2(A, B), R3(B)")
         curve = drastic_curve(query, path_instance)
-        result = evaluate(query, path_instance)
+        result = Session(path_instance).evaluate(query)
         for k in (1, 2, 4):
             removed = curve.solution(k)
             assert result.outputs_removed_by(removed) >= k
@@ -92,7 +92,7 @@ class TestDrasticGreedy:
     def test_never_better_than_bruteforce(self, path_instance):
         query = parse_query("Qpath(A, B) :- R1(A), R2(A, B), R3(B)")
         curve = drastic_curve(query, path_instance)
-        total = evaluate(query, path_instance).output_count()
+        total = Session(path_instance).output_size(query)
         for k in range(1, total + 1):
             assert curve.cost(k) >= bruteforce_optimum(query, path_instance, k)
 
@@ -126,7 +126,6 @@ class TestDrasticBincountKernel:
         backends.
         """
         from repro.data.relation import TupleRef
-        from repro.session import Session
 
         query, database = self._fixed_instance()
         expected_best = [
@@ -159,7 +158,6 @@ class TestBatchedProfitScan:
         curve must equal the Python backend's pick for pick.
         """
         from repro.engine.backend import numpy_available
-        from repro.session import Session
 
         if not numpy_available():
             pytest.skip("numpy backend unavailable")

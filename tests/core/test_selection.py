@@ -9,8 +9,8 @@ from repro.core.selection import (
     solve_with_selection,
 )
 from repro.data.database import Database
-from repro.engine.evaluate import evaluate
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 Q1 = parse_query("Q1(NK, SK, PK, OK) :- Supplier(NK, SK), PartSupp(SK, PK), LineItem(OK, PK)")
@@ -83,7 +83,7 @@ class TestSolveWithSelection:
         database = tpch_micro()
         selection = Selection.equals({"PK": "p1"})
         filtered = selection.apply(Q1, database)
-        total = evaluate(Q1, filtered).output_count()
+        total = Session(filtered).output_size(Q1)
         for k in range(1, total + 1):
             solution = solve_with_selection(Q1, selection, database, k=k)
             assert solution.size == bruteforce_optimum(Q1, filtered, k)

@@ -6,8 +6,8 @@ from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_optimum
 from repro.core.universe import UniverseStrategy, universe_curve
 from repro.data.database import Database
-from repro.engine.evaluate import evaluate
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 def child_curve_via_solver(config=None):
@@ -40,16 +40,17 @@ class TestUniverseCurve:
             universe_curve(query, Database.empty_for_query(query), 1, child_curve_via_solver())
 
     def test_matches_bruteforce(self, universal_query, universal_db):
-        total = evaluate(universal_query, universal_db).output_count()
+        total = Session(universal_db).output_size(universal_query)
         curve = universe_curve(universal_query, universal_db, total, child_curve_via_solver())
         assert curve.optimal
         for k in range(1, total + 1):
             assert curve.cost(k) == bruteforce_optimum(universal_query, universal_db, k)
 
     def test_solutions_are_feasible_and_match_cost(self, universal_query, universal_db):
-        total = evaluate(universal_query, universal_db).output_count()
+        session = Session(universal_db)
+        total = session.output_size(universal_query)
         curve = universe_curve(universal_query, universal_db, total, child_curve_via_solver())
-        result = evaluate(universal_query, universal_db)
+        result = session.evaluate(universal_query)
         for k in range(1, total + 1):
             removed = curve.solution(k)
             assert len(removed) == curve.cost(k)
@@ -58,7 +59,7 @@ class TestUniverseCurve:
     def test_one_by_one_matches_combined(self, universal_db):
         # Two universal attributes: A and B.
         query = parse_query("Q(A, B) :- R1(A, B), R2(A, B, C)")
-        total = evaluate(query, universal_db).output_count()
+        total = Session(universal_db).output_size(query)
         combined = universe_curve(
             query, universal_db, total, child_curve_via_solver(),
             strategy=UniverseStrategy.COMBINED,
@@ -78,7 +79,7 @@ class TestUniverseCurve:
                 "R2": [(1, 10, 0), (7, 70, 0)],  # A=7 never joins
             },
         )
-        total = evaluate(universal_query, database).output_count()
+        total = Session(database).output_size(universal_query)
         assert total == 1
         curve = universe_curve(universal_query, database, total, child_curve_via_solver())
         assert curve.cost(1) == 1

@@ -1,38 +1,31 @@
 """Parity tests: the columnar witness engine vs the row-at-a-time reference.
 
-The columnar rewrite must be invisible to every consumer: identical answers,
-identical witness sets, and byte-identical ADP costs on the paper's
-workloads.  ``evaluate_rows`` is the original row engine kept verbatim;
-``set_engine_mode("row")`` routes the whole solver stack through it so the
-two engines can be compared end to end.
+The columnar engine must be invisible to every consumer: identical answers,
+identical witness sets, and ADP solutions that hold up when checked on the
+reference.  ``evaluate_rows`` (``tests/row_oracle.py``) is the original row
+engine kept verbatim; every columnar evaluation here runs through
+``Session(db, backend=b)`` on both array backends.
 """
+
+from itertools import combinations
 
 import pytest
 
-from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_solve
+from repro.core.structures import endogenous_relations
 from repro.data.database import Database
-from repro.engine.evaluate import (
-    clear_evaluation_cache,
-    evaluate,
-    evaluate_rows,
-    evaluation_cache_stats,
-    set_engine_mode,
-)
+from repro.data.relation import TupleRef
+from repro.engine.backend import numpy_available
 from repro.experiments.harness import target_from_ratio
 from repro.query.parser import parse_query
+from repro.session import Session
 from repro.workloads.queries import Q1, Q6, Q7, Q8, QPATH_EXP
 from repro.workloads.synthetic import generate_q7_instance, generate_q8_instance
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
+from tests.row_oracle import evaluate_rows
 
-
-@pytest.fixture(autouse=True)
-def _columnar_mode_and_fresh_cache():
-    """Every test starts in columnar mode with an empty cache."""
-    set_engine_mode("columnar")
-    yield
-    set_engine_mode("columnar")
+BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
 
 
 def _instances():
@@ -49,31 +42,37 @@ INSTANCES = _instances()
 IDS = [name for name, _, _ in INSTANCES]
 
 
+def _evaluate(query, database, backend):
+    with Session(database, backend=backend) as session:
+        return session.evaluate(query)
+
+
 # --------------------------------------------------------------------------- #
 # Evaluation parity
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("name,query,database", INSTANCES, ids=IDS)
 def test_evaluation_parity(name, query, database):
-    columnar = evaluate(query, database)
     rows = evaluate_rows(query, database)
-
-    assert columnar.output_rows == rows.output_rows
-    assert columnar.witness_outputs == rows.witness_outputs
-    assert columnar.output_index == rows.output_index
-    # The lazy witness view materializes the same full-join rows, in the
-    # same order, with the same ref order inside each witness.
-    assert [w.refs for w in columnar.witnesses] == [w.refs for w in rows.witnesses]
-    assert columnar.participating_refs() == rows.participating_refs()
+    for backend in BACKENDS:
+        columnar = _evaluate(query, database, backend)
+        assert columnar.output_rows == rows.output_rows
+        assert columnar.witness_outputs == rows.witness_outputs
+        assert columnar.output_index == rows.output_index
+        # The lazy witness view materializes the same full-join rows, in the
+        # same order, with the same ref order inside each witness.
+        assert [w.refs for w in columnar.witnesses] == [w.refs for w in rows.witnesses]
+        assert columnar.participating_refs() == rows.participating_refs()
 
 
 @pytest.mark.parametrize("name,query,database", INSTANCES, ids=IDS)
 def test_outputs_removed_by_parity(name, query, database):
-    columnar = evaluate(query, database)
     rows = evaluate_rows(query, database)
-    refs = sorted(columnar.participating_refs(), key=repr)
+    refs = sorted(rows.participating_refs(), key=repr)
     probes = [refs[:1], refs[:3], refs[::4], refs]
-    for removed in probes:
-        assert columnar.outputs_removed_by(removed) == rows.outputs_removed_by(removed)
+    for backend in BACKENDS:
+        columnar = _evaluate(query, database, backend)
+        for removed in probes:
+            assert columnar.outputs_removed_by(removed) == rows.outputs_removed_by(removed)
 
 
 def test_vacuum_relation_parity():
@@ -82,31 +81,39 @@ def test_vacuum_relation_parity():
         {"R1": ["A"], "R0": []}, {"R1": [(1,), (2,)], "R0": [()]}
     )
     absent = Database.from_dict({"R1": ["A"], "R0": []}, {"R1": [(1,)], "R0": []})
-    for database in (present, absent):
-        columnar = evaluate(query, database)
-        rows = evaluate_rows(query, database)
-        assert columnar.output_rows == rows.output_rows
-        assert [w.refs for w in columnar.witnesses] == [w.refs for w in rows.witnesses]
-    # Removing the vacuum tuple kills every output on both engines.
-    from repro.data.relation import TupleRef
-
     vacuum = TupleRef("R0", ())
-    assert (
-        evaluate(query, present).outputs_removed_by([vacuum])
-        == evaluate_rows(query, present).outputs_removed_by([vacuum])
-        == 2
-    )
+    for backend in BACKENDS:
+        for database in (present, absent):
+            columnar = _evaluate(query, database, backend)
+            rows = evaluate_rows(query, database)
+            assert columnar.output_rows == rows.output_rows
+            assert columnar.witness_outputs == rows.witness_outputs
+            assert [w.refs for w in columnar.witnesses] == [w.refs for w in rows.witnesses]
+            assert columnar.participating_refs() == rows.participating_refs()
+        # Removing the vacuum tuple kills every output on both engines.
+        assert (
+            _evaluate(query, present, backend).outputs_removed_by([vacuum])
+            == evaluate_rows(query, present).outputs_removed_by([vacuum])
+            == 2
+        )
 
 
 # --------------------------------------------------------------------------- #
-# ADP cost parity (the acceptance criterion: byte-identical costs)
+# ADP solutions: identical across backends, verified on the row reference
 # --------------------------------------------------------------------------- #
-def _solve_in_mode(mode, solver_kwargs, query, database, k):
-    set_engine_mode(mode)
-    try:
-        return ADPSolver(**solver_kwargs).solve(query, database, k)
-    finally:
-        set_engine_mode("columnar")
+def _solve_on_backends(query, database, k, **solver_kwargs):
+    solutions = []
+    for backend in BACKENDS:
+        with Session(database, backend=backend) as session:
+            solutions.append(session.solve(query, k, **solver_kwargs))
+    first, *others = solutions
+    for other in others:
+        assert other.objective == first.objective
+        assert other.removed == first.removed
+        assert other.removed_outputs == first.removed_outputs
+        assert other.optimal == first.optimal
+        assert other.method == first.method
+    return first
 
 
 @pytest.mark.parametrize("name,query,database", INSTANCES, ids=IDS)
@@ -115,49 +122,50 @@ def test_adp_solution_parity(name, query, database, heuristic):
     if heuristic == "drastic" and not query.is_full:
         pytest.skip("drastic only applies to full CQs")
     k = target_from_ratio(query, database, 0.3)
-    columnar = _solve_in_mode("columnar", {"heuristic": heuristic}, query, database, k)
-    row = _solve_in_mode("row", {"heuristic": heuristic}, query, database, k)
-
-    assert columnar.objective == row.objective
-    assert columnar.removed == row.removed
-    assert columnar.removed_outputs == row.removed_outputs
-    assert columnar.optimal == row.optimal
-    assert columnar.method == row.method
+    solution = _solve_on_backends(query, database, k, heuristic=heuristic)
+    # The solver's verification count is what the reference engine reports.
+    rows = evaluate_rows(query, database)
+    assert rows.outputs_removed_by(solution.removed) == solution.removed_outputs >= k
 
 
 def test_bruteforce_parity_small_tpch():
     database = generate_tpch(total_tuples=60, seed=7)
     k = target_from_ratio(Q1, database, 0.1)
-    columnar = bruteforce_solve(Q1, database, k, max_candidates=2000)
-    set_engine_mode("row")
-    row = bruteforce_solve(Q1, database, k, max_candidates=2000)
-    assert columnar.removed == row.removed
-    assert columnar.removed_outputs == row.removed_outputs
-    assert columnar.stats == row.stats
+    with Session(database) as session, session.activate():
+        columnar = bruteforce_solve(Q1, database, k, max_candidates=2000)
+    # Re-run the enumeration on the row reference over the same candidate
+    # pool: no smaller deletion set reaches k there, and the chosen one does.
+    rows = evaluate_rows(Q1, database)
+    endogenous = set(endogenous_relations(Q1))
+    pool = sorted(
+        (ref for ref in rows.participating_refs() if ref.relation in endogenous),
+        key=repr,
+    )
+    assert rows.outputs_removed_by(columnar.removed) == columnar.removed_outputs >= k
+    for size in range(len(columnar.removed)):
+        assert all(
+            rows.outputs_removed_by(subset) < k for subset in combinations(pool, size)
+        )
 
 
 def test_boolean_min_cut_parity():
     query = parse_query("Q() :- R1(A), R2(A, B), R3(B)")
     database = generate_zipf_path(r2_tuples=80, alpha=0.25, seed=3)
-    columnar = _solve_in_mode("columnar", {}, query, database, 1)
-    row = _solve_in_mode("row", {}, query, database, 1)
-    assert columnar.objective == row.objective
-    assert columnar.removed == row.removed
-    assert columnar.optimal and row.optimal
+    solution = _solve_on_backends(query, database, 1)
+    assert solution.optimal
+    assert evaluate_rows(query, database).outputs_removed_by(solution.removed) == 1
 
 
 # --------------------------------------------------------------------------- #
 # Evaluation cache semantics
 # --------------------------------------------------------------------------- #
 def test_cache_hits_on_repeat_and_shares_result():
-    database = generate_tpch(total_tuples=60, seed=7)
-    clear_evaluation_cache()
-    first = evaluate(Q1, database)
-    hits, misses = evaluation_cache_stats()
-    assert (hits, misses) == (0, 1)
-    second = evaluate(Q1, database)
-    hits, misses = evaluation_cache_stats()
-    assert hits == 1
+    session = Session(generate_tpch(total_tuples=60, seed=7))
+    first = session.evaluate(Q1)
+    stats = session.stats
+    assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+    second = session.evaluate(Q1)
+    assert session.stats.cache_hits == 1
     assert second is first
 
 
@@ -166,31 +174,30 @@ def test_cache_invalidates_on_mutation():
         {"R1": ["A"], "R2": ["A", "B"]},
         {"R1": [(1,), (2,)], "R2": [(1, 10), (2, 20)]},
     )
+    session = Session(database)
     query = parse_query("Q(A, B) :- R1(A), R2(A, B)")
-    before = evaluate(query, database)
+    before = session.evaluate(query)
     assert before.output_count() == 2
     database.relation("R2").insert((2, 21))
-    after = evaluate(query, database)
+    after = session.evaluate(query)
     assert after is not before
     assert after.output_count() == 3
     database.relation("R2").remove((2, 21))
-    again = evaluate(query, database)
+    again = session.evaluate(query)
     assert again.output_count() == 2
 
 
 def test_cache_ignores_display_name_but_not_head_order():
-    database = Database.from_dict(
-        {"R1": ["A", "B"]}, {"R1": [(1, 10), (2, 20)]}
-    )
+    session = Session(Database.from_dict({"R1": ["A", "B"]}, {"R1": [(1, 10), (2, 20)]}))
     q_ab = parse_query("Q(A, B) :- R1(A, B)")
     q_renamed = parse_query("Other(A, B) :- R1(A, B)")
     q_ba = parse_query("Q(B, A) :- R1(A, B)")
-    clear_evaluation_cache()
-    first = evaluate(q_ab, database)
-    assert evaluate(q_renamed, database) is first  # same canonical form
-    flipped = evaluate(q_ba, database)
+    first = session.evaluate(q_ab)
+    assert session.evaluate(q_renamed) is first  # same canonical form
+    flipped = session.evaluate(q_ba)
     assert flipped is not first
     assert set(flipped.output_rows) == {(10, 1), (20, 2)}
+    assert session.stats.joins == 2
 
 
 def test_max_witnesses_bypasses_cache():
@@ -198,7 +205,8 @@ def test_max_witnesses_bypasses_cache():
         {"R1": ["A"], "R2": ["B"]},
         {"R1": [(i,) for i in range(20)], "R2": [(i,) for i in range(20)]},
     )
+    session = Session(database)
     query = parse_query("Q(A, B) :- R1(A), R2(B)")
-    evaluate(query, database)  # caches the unbounded result
+    session.evaluate(query)  # caches the unbounded result
     with pytest.raises(RuntimeError):
-        evaluate(query, database, max_witnesses=100)
+        session.evaluate(query, max_witnesses=100)

@@ -11,7 +11,7 @@ import pytest
 from repro.data.database import Database
 from repro.data.relation import TupleRef
 from repro.engine.delta import delta_filter_result
-from repro.engine.evaluate import evaluate_in_context, evaluate_rows
+from repro.engine.evaluate import evaluate_in_context
 from repro.query.parser import parse_query
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
@@ -90,17 +90,6 @@ def test_delta_filter_vacuum_deletion_kills_everything():
     filtered = delta_filter_result(base, [TupleRef("R0", ())])
     assert filtered.output_count() == 0
     assert filtered.witness_count() == 0
-
-
-def test_delta_filter_row_engine_fallback():
-    database = generate_tpch(total_tuples=60, seed=7)
-    base = evaluate_rows(Q1, database)
-    assert base.provenance is None
-    refs = sorted(base.participating_refs(), key=repr)[::3]
-    filtered = delta_filter_result(base, refs)
-    fresh = evaluate_rows(Q1, database.without(refs))
-    assert set(filtered.output_rows) == set(fresh.output_rows)
-    assert _witness_set(filtered) == _witness_set(fresh)
 
 
 def test_delta_filter_shares_interning_tables():

@@ -18,7 +18,7 @@ from repro.engine.delta import (
     delta_insert_counts,
     delta_insert_result,
 )
-from repro.engine.evaluate import evaluate_in_context, evaluate_rows
+from repro.engine.evaluate import evaluate_in_context
 from repro.query.parser import parse_query
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
@@ -156,16 +156,6 @@ def test_delta_insert_vacuum_returns_none():
     assert delta_insert_result(base, [TupleRef("R1", (3,))]) is None
     with pytest.raises(ValueError):
         delta_insert_counts(base, [TupleRef("R1", (3,))])
-
-
-def test_delta_insert_row_engine_returns_none():
-    database = generate_tpch(total_tuples=60, seed=7)
-    base = evaluate_rows(Q1, database)
-    assert base.provenance is None
-    refs = _insertion_batch(Q1, database, seed=6)
-    assert delta_insert_result(base, refs) is None
-    with pytest.raises(ValueError):
-        delta_insert_counts(base, refs)
 
 
 def test_delta_insert_migrated_postings_match_lazy_rebuild():

@@ -2,15 +2,15 @@
 
 from repro.data.database import Database
 from repro.data.relation import TupleRef
-from repro.engine.evaluate import evaluate
 from repro.engine.provenance import ProvenanceIndex
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 def build_index(query_text, schema, rows):
     query = parse_query(query_text)
     database = Database.from_dict(schema, rows)
-    return ProvenanceIndex(evaluate(query, database))
+    return ProvenanceIndex(Session(database).evaluate(query))
 
 
 class TestProfitAndRemoval:

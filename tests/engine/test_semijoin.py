@@ -2,9 +2,9 @@
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine.evaluate import evaluate
 from repro.engine.semijoin import remove_dangling_tuples, semijoin_reduce
 from repro.query.parser import parse_query
+from repro.session import Session
 
 
 CHAIN = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C)")
@@ -31,8 +31,8 @@ class TestExactDanglingRemoval:
     def test_result_preserved(self):
         database = chain_db()
         reduced, _ = remove_dangling_tuples(CHAIN, database)
-        assert set(evaluate(CHAIN, reduced).output_rows) == set(
-            evaluate(CHAIN, database).output_rows
+        assert set(Session(reduced).evaluate(CHAIN).output_rows) == set(
+            Session(database).evaluate(CHAIN).output_rows
         )
 
     def test_untouched_extra_relations(self):
@@ -73,7 +73,7 @@ class TestSemijoinReduce:
         reduced = semijoin_reduce(triangle, database)
         # Nothing participating may be removed.
         assert len(reduced.relation("R1")) == 1
-        assert evaluate(triangle, reduced).output_count() == 1
+        assert Session(reduced).output_size(triangle) == 1
 
     def test_original_database_unchanged(self):
         database = chain_db()

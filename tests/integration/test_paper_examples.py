@@ -4,7 +4,7 @@ from repro import (
     ADPSolver,
     Database,
     Selection,
-    evaluate,
+    Session,
     is_poly_time,
     parse_query,
     resilience,
@@ -19,13 +19,14 @@ class TestFigure1EndToEnd:
     def test_adp_on_q1_and_q2(self, figure1_full_query, figure1_projected_query, figure1_database):
         # Section 3.2: ADP(Q1, D, 2) = 1 via R3(c3, e3).
         solver = ADPSolver()
-        q1_solution = solver.solve(figure1_full_query, figure1_database, 2)
+        session = Session(figure1_database)
+        q1_solution = session.solve(figure1_full_query, 2, solver=solver)
         assert q1_solution.size == bruteforce_optimum(figure1_full_query, figure1_database, 2) == 1
         assert q1_solution.verify(figure1_database) >= 2
 
         # The projected query Q2 has 3 outputs; removing 2 of them optimally
         # costs 1 as well (the same tuple removes (a2,e3) and (a3,e3)).
-        q2_solution = solver.solve(figure1_projected_query, figure1_database, 2)
+        q2_solution = session.solve(figure1_projected_query, 2, solver=solver)
         assert q2_solution.verify(figure1_database) >= 2
         assert q2_solution.size >= bruteforce_optimum(
             figure1_projected_query, figure1_database, 2
@@ -43,9 +44,10 @@ class TestWaitlistScenario:
             },
         )
         assert not is_poly_time(QWL)
-        total = evaluate(QWL, database).output_count()
+        session = Session(database)
+        total = session.output_size(QWL)
         assert total == 5
-        solution = ADPSolver().solve(QWL, database, 3)
+        solution = session.solve(QWL, 3)
         assert solution.verify(database) >= 3
         # Greedy should find the single high-impact intervention: opening
         # seats in the database course removes 3 waitlist entries.
@@ -57,25 +59,27 @@ class TestTpchScenario:
         database = generate_tpch(total_tuples=200, seed=11)
         selection = Selection.equals({"PK": SELECTED_PART_KEY})
         filtered = selection.apply(Q1, database)
-        selected_total = evaluate(Q1, filtered).output_count()
+        session = Session(filtered)
+        selected_total = session.output_size(Q1)
         assert selected_total > 0
         k = max(1, selected_total // 2)
         exact = solve_with_selection(Q1, selection, database, k)
         assert exact.optimal
         # The exact answer can never be worse than the greedy heuristic run
         # on the filtered instance.
-        greedy = ADPSolver(heuristic="greedy").solve(Q1, filtered, k)
+        greedy = session.solve(Q1, k, heuristic="greedy")
         assert exact.size <= greedy.size
         # Applying the returned deletions really removes >= k selected records.
-        after = evaluate(Q1, selection.apply(Q1, database.without(exact.removed))).output_count()
+        after = Session(selection.apply(Q1, database.without(exact.removed))).output_size(Q1)
         assert selected_total - after >= k
 
     def test_hard_query_heuristics_end_to_end(self):
         database = generate_tpch(total_tuples=100, seed=11)
-        total = evaluate(Q1, database).output_count()
+        session = Session(database)
+        total = session.output_size(Q1)
         k = max(1, total // 10)
-        greedy = ADPSolver(heuristic="greedy").solve(Q1, database, k)
-        drastic = ADPSolver(heuristic="drastic").solve(Q1, database, k)
+        greedy = session.solve(Q1, k, heuristic="greedy")
+        drastic = session.solve(Q1, k, heuristic="drastic")
         optimum = bruteforce_optimum(Q1, database, k, max_candidates=200)
         assert greedy.verify(database) >= k
         assert drastic.verify(database) >= k
@@ -94,10 +98,11 @@ class TestRobustnessScenario:
                 "R3": [("m", "t1"), ("m", "t2")],
             },
         )
-        total = evaluate(query, database).output_count()
+        session = Session(database)
+        total = session.output_size(query)
         assert total == 6
         # Destroying 4 of the 6 paths optimally needs a single link (the hub).
-        solution = ADPSolver().solve(query, database, 4)
+        solution = session.solve(query, 4)
         assert solution.verify(database) >= 4
         assert bruteforce_optimum(query, database, 4) == 1
         # Resilience of the boolean version: cutting every path needs 1 link

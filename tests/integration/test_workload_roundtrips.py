@@ -1,9 +1,8 @@
 """Integration tests: generators -> CSV -> reload -> solve pipelines."""
 
-from repro.core.adp import ADPSolver
 from repro.core.selection import Selection, solve_with_selection
 from repro.data.csvio import load_database_csv, save_database_csv
-from repro.engine.evaluate import evaluate
+from repro.session import Session
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import SELECTED_PART_KEY, generate_tpch
 from repro.workloads.zipf import generate_zipf_path
@@ -22,10 +21,10 @@ class TestCsvRoundtripPipelines:
     def test_zipf_csv_roundtrip_preserves_output(self, tmp_path):
         database = generate_zipf_path(r2_tuples=120, alpha=0.5, seed=2)
         reloaded = load_database_csv(save_database_csv(database, tmp_path / "zipf"))
-        assert set(evaluate(QPATH_EXP, reloaded).output_rows) == set(
-            evaluate(QPATH_EXP, database).output_rows
+        assert set(Session(reloaded).evaluate(QPATH_EXP).output_rows) == set(
+            Session(database).evaluate(QPATH_EXP).output_rows
         )
         q6_db = reloaded.restricted_to(("R1", "R2"))
-        solution = ADPSolver().solve(Q6, q6_db, k=5)
+        solution = Session(q6_db).solve(Q6, k=5)
         assert solution.optimal
         assert solution.verify(q6_db) >= 5

@@ -54,7 +54,7 @@ def test_payload_structure_and_fingerprint_reuse():
     assert all(s["reason"] for s in plan["join_order"])
     assert plan["estimates"]["assumption"] == "uniform-independence"
     execution = payload["execution"]
-    assert execution["engine"] == "columnar"
+    assert "engine" not in execution
     assert execution["analyzed"] is True
     assert execution["cache"] in {"miss", "bypass"}
     ops = {record["op"] for record in execution["operators"]}
@@ -108,17 +108,16 @@ def test_render_text_mentions_plan_and_ledger():
 
 
 # --------------------------------------------------------------------------- #
-# Golden snapshot: the plan block is engine- and backend-independent
+# Golden snapshot: the plan block is backend- and worker-independent
 # --------------------------------------------------------------------------- #
 def test_plan_block_byte_identical_across_engines_and_backends():
     configs = [
-        {"engine": "columnar", "backend": "python"},
-        {"engine": "columnar", "workers": 2, "backend": "python"},
-        {"engine": "row", "backend": "python"},
+        {"backend": "python"},
+        {"workers": 2, "backend": "python"},
     ]
     if numpy_available():
-        configs.append({"engine": "columnar", "backend": "numpy"})
-        configs.append({"engine": "columnar", "workers": 2, "backend": "numpy"})
+        configs.append({"backend": "numpy"})
+        configs.append({"workers": 2, "backend": "numpy"})
     snapshots = {}
     for config in configs:
         with Session(small_db(), **config) as session:

@@ -15,7 +15,6 @@ from repro.query.parser import parse_query
 from repro.session import Session
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
-from repro.workloads.zipf import generate_zipf_path
 
 from tests.conftest import packed_columns
 
@@ -64,7 +63,6 @@ def test_parallel_session_evaluate_matches_serial(tpch_db):
     serial = Session(tpch_db)
     expected = serial.evaluate(Q1)
     with Session(tpch_db, workers=2) as session:
-        assert session.engine == "columnar"
         assert session.workers == 2
         result = session.evaluate(Q1)
         assert result.output_rows == expected.output_rows
@@ -228,12 +226,6 @@ def test_schema_mismatch_raises_the_serial_error():
     with Session(db, workers=2) as session:
         with pytest.raises(ValueError, match="stores attributes"):
             session.evaluate(query)
-
-
-def test_row_engine_rejects_workers():
-    database = generate_zipf_path(r2_tuples=20, alpha=0.0, seed=13)
-    with pytest.raises(ValueError, match="row reference engine is serial-only"):
-        Session(database, engine="row", workers=2)
 
 
 def test_close_shuts_down_the_pool(tpch_db):

@@ -5,11 +5,11 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.evaluate import evaluate
 from repro.engine.flow import FlowNetwork
 from repro.engine.provenance import ProvenanceIndex
 from repro.engine.semijoin import remove_dangling_tuples
 from repro.engine.setcover import PartialSetCoverInstance, greedy_partial_cover, primal_dual_partial_cover
+from repro.session import Session
 
 from tests.conftest import query_instance_pairs
 
@@ -23,7 +23,7 @@ COMMON_SETTINGS = dict(
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=4))
 def test_witnesses_project_onto_their_output(pair):
     query, database = pair
-    result = evaluate(query, database)
+    result = Session(database).evaluate(query)
     assert len(result.witnesses) == len(result.witness_outputs)
     for witness, out in zip(result.witnesses, result.witness_outputs):
         # Re-derive the output row from the witness and compare.
@@ -42,14 +42,16 @@ def test_dangling_removal_preserves_output(pair):
     query, database = pair
     reduced, removed = remove_dangling_tuples(query, database)
     assert removed >= 0
-    assert set(evaluate(query, reduced).output_rows) == set(evaluate(query, database).output_rows)
+    assert set(Session(reduced).evaluate(query).output_rows) == set(
+        Session(database).evaluate(query).output_rows
+    )
 
 
 @settings(max_examples=60, **COMMON_SETTINGS)
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
 def test_incremental_index_matches_stateless_verification(pair):
     query, database = pair
-    result = evaluate(query, database)
+    result = Session(database).evaluate(query)
     if result.output_count() == 0:
         return
     index = ProvenanceIndex(result)

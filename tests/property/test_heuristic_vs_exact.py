@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.adp import ADPSolver
 from repro.core.decidability import is_poly_time
 from repro.core.exact_search import branch_and_bound_solve
-from repro.engine.evaluate import evaluate
+from repro.session import Session
 
 from tests.conftest import query_instance_pairs
 
@@ -33,12 +33,13 @@ def test_compute_adp_agrees_with_branch_and_bound_on_poly_queries(pair):
     query, database = pair
     if not is_poly_time(query):
         return
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         return
     solver = ADPSolver()
     for k in (1, max(1, total // 2), total):
-        exact = solver.solve(query, database, k)
+        exact = session.solve(query, k, solver=solver)
         oracle = branch_and_bound_solve(query, database, k)
         assert exact.size == oracle.size, (str(query), k)
 
@@ -47,13 +48,14 @@ def test_compute_adp_agrees_with_branch_and_bound_on_poly_queries(pair):
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
 def test_heuristics_never_beat_branch_and_bound(pair):
     query, database = pair
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         return
     k = max(1, total // 2)
     optimum = branch_and_bound_solve(query, database, k).size
     for heuristic in ("greedy", "drastic"):
-        assert ADPSolver(heuristic=heuristic).solve(query, database, k).size >= optimum
+        assert session.solve(query, k, heuristic=heuristic).size >= optimum
 
 
 @settings(max_examples=40, **COMMON_SETTINGS)
@@ -61,11 +63,12 @@ def test_heuristics_never_beat_branch_and_bound(pair):
 def test_greedy_log_k_guarantee_on_full_cqs(pair):
     query, database = pair
     full = query.as_full()
-    total = evaluate(full, database).output_count()
+    session = Session(database)
+    total = session.output_size(full)
     if total == 0:
         return
     k = max(1, total // 2)
     optimum = branch_and_bound_solve(full, database, k).size
-    greedy = ADPSolver(heuristic="greedy").solve(full, database, k).size
+    greedy = session.solve(full, k, heuristic="greedy").size
     harmonic = sum(1.0 / i for i in range(1, k + 1))
     assert greedy <= math.ceil(harmonic * optimum) + 1

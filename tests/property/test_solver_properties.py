@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.adp import ADPSolver
 from repro.core.bruteforce import bruteforce_solve
 from repro.core.decidability import is_poly_time
-from repro.engine.evaluate import evaluate
+from repro.session import Session
 
 from tests.conftest import query_instance_pairs
 
@@ -30,12 +30,13 @@ COMMON_SETTINGS = dict(
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
 def test_solutions_are_feasible(pair):
     query, database = pair
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         return
     solver = ADPSolver()
     for k in (1, max(1, total // 2), total):
-        solution = solver.solve(query, database, k)
+        solution = session.solve(query, k, solver=solver)
         assert solution.removed_outputs >= k
         assert solution.verify(database) >= k
         assert len(solution.removed) == solution.size
@@ -47,12 +48,13 @@ def test_exact_solver_matches_bruteforce_on_poly_queries(pair):
     query, database = pair
     if not is_poly_time(query):
         return
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         return
     solver = ADPSolver()
     for k in range(1, total + 1):
-        solution = solver.solve(query, database, k)
+        solution = session.solve(query, k, solver=solver)
         optimum = bruteforce_solve(query, database, k, max_candidates=40)
         assert solution.optimal
         assert solution.size == optimum.size, (str(query), k)
@@ -62,24 +64,26 @@ def test_exact_solver_matches_bruteforce_on_poly_queries(pair):
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
 def test_no_method_beats_bruteforce(pair):
     query, database = pair
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         return
     k = max(1, total // 2)
     optimum = bruteforce_solve(query, database, k, max_candidates=40).size
     for solver in (ADPSolver(), ADPSolver(heuristic="drastic")):
-        assert solver.solve(query, database, k).size >= optimum
+        assert session.solve(query, k, solver=solver).size >= optimum
 
 
 @settings(max_examples=60, **COMMON_SETTINGS)
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
 def test_objective_is_monotone_in_k(pair):
     query, database = pair
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         return
     solver = ADPSolver()
-    sizes = [solver.solve(query, database, k).size for k in range(1, total + 1)]
+    sizes = [session.solve(query, k, solver=solver).size for k in range(1, total + 1)]
     assert sizes == sorted(sizes)
 
 
@@ -87,12 +91,13 @@ def test_objective_is_monotone_in_k(pair):
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
 def test_counting_and_reporting_agree(pair):
     query, database = pair
-    total = evaluate(query, database).output_count()
+    session = Session(database)
+    total = session.output_size(query)
     if total == 0:
         return
     k = max(1, total // 2)
-    reporting = ADPSolver().solve(query, database, k)
-    counting = ADPSolver(counting_only=True).solve(query, database, k)
+    reporting = session.solve(query, k)
+    counting = session.solve(query, k, counting_only=True)
     assert counting.size == reporting.size
     assert counting.removed == frozenset()
 
@@ -101,7 +106,7 @@ def test_counting_and_reporting_agree(pair):
 @given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=4))
 def test_removing_everything_is_always_enough(pair):
     query, database = pair
-    result = evaluate(query, database)
+    result = Session(database).evaluate(query)
     total = result.output_count()
     if total == 0:
         return

@@ -71,11 +71,11 @@ def test_explain_matches_direct_session(service_runner):
 
 def test_explain_fingerprint_identical_across_service_configs(service_runner):
     configs = [
-        {"engine": "columnar", "backend": "python"},
-        {"engine": "columnar", "workers": 2, "backend": "python"},
+        {"backend": "python"},
+        {"workers": 2, "backend": "python"},
     ]
     if numpy_available():
-        configs.append({"engine": "columnar", "backend": "numpy"})
+        configs.append({"backend": "numpy"})
     fingerprints = set()
     plans = set()
     for config in configs:

@@ -40,7 +40,6 @@ def test_solution_payload_stable_schema(session):
     assert payload == {
         "query": "Q(A) :- R1(A), R2(A, B), R3(B)",
         "classification": "np-hard",
-        "engine": "columnar",
         "backend": session.backend,
         "workers": 1,
         "output_size": 2,

@@ -2,31 +2,28 @@
 
 Covers the redesign's contract:
 
-* session-owned caches invalidate on database mutation (both engines);
+* session-owned caches invalidate on database mutation (both backends);
 * a ``PreparedQuery`` is reusable across databases and targets, matching
   fresh solves exactly;
 * ``what_if`` (delta semijoin) returns results identical, as sets, to a
   fresh evaluation after the deletion, without mutating the database;
 * ``apply_deletions`` migrates cached results across the version bump so the
   next evaluation is a cache hit, not a join;
-* ``solve_many`` and ``curve`` agree with one-at-a-time solves;
-* every legacy entry point still works through the default-session shims,
-  emitting ``DeprecationWarning``.
+* ``solve_many`` and ``curve`` agree with one-at-a-time solves.
 """
 
 import time
-import warnings
 
 import pytest
 
-from repro.core.adp import ADPSolver, compute_adp
 from repro.data.database import Database
 from repro.data.relation import TupleRef
-from repro.engine.evaluate import evaluate, set_engine_mode
+from repro.engine.backend import numpy_available
 from repro.query.parser import parse_query
-from repro.session import PreparedQuery, Session, default_session, prepare
+from repro.session import PreparedQuery, Session, prepare
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import generate_tpch
+from tests.row_oracle import evaluate_rows
 
 
 def _small_db():
@@ -44,12 +41,21 @@ def _witness_set(result):
 
 
 # --------------------------------------------------------------------------- #
-# Cache invalidation on mutation (satellite: both engines)
+# Cache invalidation on mutation (both backends)
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("engine", ["columnar", "row"])
-def test_session_cache_invalidates_on_mutation(engine):
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "python",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(not numpy_available(), reason="numpy not installed"),
+        ),
+    ],
+)
+def test_session_cache_invalidates_on_mutation(backend):
     database = _small_db()
-    session = Session(database, engine=engine)
+    session = Session(database, backend=backend)
     prepared = session.prepare(QUERY_TEXT)
 
     before = session.evaluate(prepared)
@@ -159,11 +165,10 @@ def test_what_if_without_prepared_queries_raises():
 
 def test_what_if_row_engine_parity():
     database = generate_tpch(total_tuples=60, seed=7)
-    columnar = Session(database, engine="columnar")
-    row = Session(database, engine="row")
+    columnar = Session(database)
     refs = sorted(columnar.evaluate(Q1).participating_refs(), key=repr)[::4]
     after_columnar = columnar.what_if(refs, Q1).single.after
-    after_row = row.what_if(refs, Q1).single.after
+    after_row = evaluate_rows(Q1, database.without(refs))
     assert set(after_columnar.output_rows) == set(after_row.output_rows)
     assert _witness_set(after_columnar) == _witness_set(after_row)
 
@@ -268,81 +273,11 @@ def test_stats_counters():
     assert stats.as_dict()["solves"] == 3
 
 
-def test_row_engine_session_matches_columnar_objective():
-    database = generate_tpch(total_tuples=60, seed=7)
-    columnar = Session(database, engine="columnar").solve(Q1, 3, heuristic="greedy")
-    row = Session(database, engine="row").solve(Q1, 3, heuristic="greedy")
-    assert row.objective == columnar.objective
-    assert row.removed == columnar.removed
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated shims over the default session
-# --------------------------------------------------------------------------- #
-def test_legacy_evaluate_warns_and_matches_session():
-    database = _small_db()
-    with pytest.warns(DeprecationWarning):
-        legacy = evaluate(parse_query(QUERY_TEXT), database)
-    fresh = default_session(database).evaluate(QUERY_TEXT)
-    assert legacy is fresh  # same default-session cache entry
-
-
-def test_legacy_solver_and_compute_adp_warn_and_match():
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    with pytest.warns(DeprecationWarning):
-        legacy = ADPSolver().solve(query, database, 2)
-    with pytest.warns(DeprecationWarning):
-        functional = compute_adp(query, database, 2)
-    modern = Session(database).solve(query, 2)
-    assert legacy.objective == functional.objective == modern.objective
-    assert legacy.removed == modern.removed
-
-
-def test_legacy_solve_ratio_warns_and_matches():
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    with pytest.warns(DeprecationWarning):
-        legacy = ADPSolver().solve_ratio(query, database, 0.5)
-    modern = Session(database).solve_ratio(query, 0.5)
-    assert legacy.objective == modern.objective
-    assert legacy.k == modern.k
-
-
-def test_legacy_set_engine_mode_warns_and_routes_default_sessions():
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    try:
-        with pytest.warns(DeprecationWarning):
-            set_engine_mode("row")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = evaluate(query, database)
-        # The row engine materializes eager witnesses and no packed columns.
-        assert result.provenance is None
-    finally:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            set_engine_mode("columnar")
-
-
-def test_default_session_is_stable_per_database():
-    database = _small_db()
-    assert default_session(database) is default_session(database)
-    other = _small_db()
-    assert default_session(database) is not default_session(other)
-
-
-def test_closed_default_session_is_replaced():
-    # Closing the implicit session must not break the legacy shims forever.
-    database = _small_db()
-    query = parse_query(QUERY_TEXT)
-    with default_session(database):
-        pass
-    replacement = default_session(database)
-    assert not replacement._closed
-    with pytest.warns(DeprecationWarning):
-        assert compute_adp(query, database, 2).objective == 1
+def test_engine_argument_is_gone():
+    # One evaluation engine: Session takes no engine argument at all.
+    for workers in (1, 2):
+        with pytest.raises(TypeError, match="engine"):
+            Session(_small_db(), engine="row", workers=workers)
 
 
 def test_close_releases_interning_tables():

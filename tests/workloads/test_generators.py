@@ -7,7 +7,7 @@ import sys
 
 import repro
 from repro.core.selection import Selection, selected_output_size
-from repro.engine.evaluate import evaluate
+from repro.session import Session
 from repro.workloads.queries import Q1, Q2, Q6, Q7, Q8, QPATH_EXP
 from repro.workloads.snap import EgoNetworkConfig, edge_count, generate_ego_edges, generate_ego_network
 from repro.workloads.synthetic import generate_q7_instance, generate_q8_instance
@@ -39,7 +39,7 @@ class TestTpchGenerator:
 
     def test_query_is_non_empty_and_selection_joins(self):
         database = generate_tpch(total_tuples=300, seed=1)
-        assert evaluate(Q1, database).output_count() > 0
+        assert Session(database).output_size(Q1) > 0
         selected = selected_output_size(Q1, Selection.equals({"PK": SELECTED_PART_KEY}), database)
         assert selected > 0
 
@@ -75,7 +75,7 @@ class TestEgoNetworkGenerator:
     def test_queries_have_results(self):
         database = generate_ego_network(EgoNetworkConfig(nodes=50, seed=414))
         aligned = database.aligned_to(Q2)
-        assert evaluate(Q2, aligned).output_count() > 0
+        assert Session(aligned).output_size(Q2) > 0
 
 
 #: sha256 of ``repr(list(relation))`` per relation of
@@ -153,19 +153,19 @@ class TestZipfGenerator:
 
     def test_serves_both_q6_and_qpath(self):
         database = generate_zipf_path(r2_tuples=100, alpha=0.5, seed=1)
-        assert evaluate(QPATH_EXP, database).output_count() > 0
-        assert evaluate(Q6, database.restricted_to(("R1", "R2"))).output_count() > 0
+        assert Session(database).output_size(QPATH_EXP) > 0
+        assert Session(database.restricted_to(("R1", "R2"))).evaluate(Q6).output_count() > 0
 
 
 class TestAblationGenerators:
     def test_q7_instance_joins(self):
         database = generate_q7_instance(tuples_per_relation=40, domain=20, seed=1)
-        assert evaluate(Q7, database).output_count() > 0
+        assert Session(database).output_size(Q7) > 0
         assert set(database.relation_names) == {"R1", "R2", "R3", "R4"}
 
     def test_q8_instance_shape(self):
         database = generate_q8_instance(unary_tuples=6, binary_tuples=12, seed=1)
-        assert evaluate(Q8, database).output_count() > 0
+        assert Session(database).output_size(Q8) > 0
         assert len(database.relation("R11")) == 6
         assert len(database.relation("R12")) == 12
 
