@@ -236,3 +236,59 @@ def test_session_backend_speedup_at_scale(benchmark):
             )
 
     benchmark.pedantic(steady_state, rounds=1, iterations=1)
+
+
+#: Acceptance floor for a warm solve read off the session's curve cache.
+MIN_WARM_SPEEDUP = 20.0
+
+
+def test_warm_solve_reads_cached_curve(benchmark):
+    """A solve at a new ``k <= kmax`` reads the cached curve: >= 20x faster.
+
+    Same 60k ``Qhard`` instance as the backend comparison above.  The cold
+    solve at ``kmax`` evaluates the query and runs the greedy curve; a later
+    solve at a smaller, never-requested ``k`` only re-reads the cached
+    evaluation and curve, and must answer exactly like a fresh session.
+    """
+    from repro.core.adp import ratio_target
+    from repro.query.parser import parse_query
+    from repro.workloads.zipf import generate_zipf_path
+
+    query = parse_query("Qhard(A) :- R1(A), R2(A, B), R3(B)")
+    database = generate_zipf_path(
+        r2_tuples=BACKEND_SCALE_R2_TUPLES, alpha=1.1, seed=13
+    )
+    with Session(database) as session:
+        kmax = ratio_target(session.output_size(query), RATIO)
+        session.clear_cache()  # the cold solve pays for the join as well
+        start = time.perf_counter()
+        session.solve(query, kmax)
+        cold_seconds = time.perf_counter() - start
+        warm_k = kmax // 2 + 1
+        start = time.perf_counter()
+        warm = session.solve(query, warm_k)
+        warm_seconds = time.perf_counter() - start
+        assert session.stats.curve_hits == 1
+        with Session(database) as fresh:
+            expected = fresh.solve(query, warm_k)
+        assert (warm.objective, warm.removed, warm.method) == (
+            expected.objective, expected.removed, expected.method
+        )
+        speedup = cold_seconds / warm_seconds
+        benchmark.extra_info.update(
+            {
+                "figure": "session-curve-cache",
+                "backend": session.backend,
+                "kmax": kmax,
+                "warm_k": warm_k,
+                "cold_ms": round(cold_seconds * 1e3, 1),
+                "warm_ms": round(warm_seconds * 1e3, 2),
+                "speedup": round(speedup, 1),
+            }
+        )
+        assert speedup >= MIN_WARM_SPEEDUP, (
+            f"a warm solve is only {speedup:.1f}x faster than the cold one "
+            f"(need >= {MIN_WARM_SPEEDUP}x): "
+            f"{warm_seconds * 1e3:.1f}ms vs {cold_seconds * 1e3:.0f}ms"
+        )
+        benchmark(lambda: session.solve(query, warm_k))

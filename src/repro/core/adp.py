@@ -22,6 +22,10 @@ records which case applies (``optimal`` flag and ``method`` string).
 Internally every step produces a :class:`~repro.core.curves.CostCurve`
 (solutions for all targets up to ``k``), because the Universe/Decompose
 dynamic programs need the costs of sub-problems for many targets at once.
+:meth:`ADPSolver.curve_entry` publishes it as a :class:`CurveEntry` -- the
+curve plus the heuristic fallback count, which travel together so a session
+can cache them (:class:`repro.engine.cache.CurveCache`) and the solver keeps
+no per-call state.
 
 All evaluation goes through the columnar witness engine
 (:mod:`repro.engine.evaluate`) in the *ambient engine context*: under
@@ -35,9 +39,10 @@ through :meth:`repro.session.Session.solve`, which binds that context.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Hashable, NamedTuple, Optional
 
 from repro.core import greedy as greedy_module
 from repro.core.boolean_cq import linear_order, min_cut_curve
@@ -71,6 +76,37 @@ def ratio_target(total: int, ratio: float) -> int:
     if total == 0:
         raise ValueError("the query result is empty; nothing to remove")
     return max(1, math.ceil(ratio * total))
+
+
+def check_target(k: int, total: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= k <= total`` (``total = |Q(D)|``)."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k > total:
+        raise ValueError(f"k={k} exceeds the number of output tuples |Q(D)|={total}")
+
+
+class CurveEntry(NamedTuple):
+    """A cost curve computed at ``kmax`` and what the read-off needs beside it.
+
+    The curve answers every target ``k <= kmax`` (it may report
+    ``max_gain() > kmax``: greedy curves overshoot).  ``heuristic_fallbacks``
+    counts the NP-hard leaves where the configured heuristic did not apply
+    (drastic on a non-full query, a Boolean query without a linear order).
+    """
+
+    kmax: int
+    curve: CostCurve
+    heuristic_fallbacks: int
+
+
+class _Tally:
+    """Heuristic fallbacks counted during one curve computation."""
+
+    __slots__ = ("fallbacks",)
+
+    def __init__(self) -> None:
+        self.fallbacks = 0
 
 
 @dataclass
@@ -119,7 +155,6 @@ class ADPSolver:
         if config is not None and overrides:
             raise ValueError("pass either a config object or keyword overrides")
         self.config = config or SolverConfig(**overrides)
-        self._fallbacks = 0
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -131,26 +166,23 @@ class ADPSolver:
         k: int,
         *,
         result: Optional[QueryResult] = None,
-        curve: Optional[CostCurve] = None,
+        curve: Optional[CurveEntry] = None,
     ) -> ADPSolution:
         """Solve within the ambient engine context (the session entry point).
 
         ``result`` threads one evaluation through sizing, feasibility and
         verification (instead of three ``evaluate`` calls leaning on the
-        cache); ``curve`` lets batched callers reuse a cost curve computed
-        once at the batch's largest target.
+        cache); ``curve`` lets callers read the answer off an entry computed
+        once at a target ``>= k`` (a batch's largest target, or the
+        session's curve cache).
         """
-        if k < 1:
-            raise ValueError(f"k must be at least 1, got {k}")
         if result is None:
             result = evaluate(query, database)
         total = result.output_count()
-        if k > total:
-            raise ValueError(f"k={k} exceeds the number of output tuples |Q(D)|={total}")
-        if curve is None:
-            self._fallbacks = 0
-            curve = self._curve(query, database, k)
-        cost = curve.cost(k)
+        check_target(k, total)
+        entry = curve if curve is not None else self.curve_entry(query, database, k)
+        cost_curve = entry.curve
+        cost = cost_curve.cost(k)
         if cost == INFEASIBLE:
             # Heuristic curves can, in pathological cases, fall short of k
             # even though removing everything would reach it; removing every
@@ -160,19 +192,19 @@ class ADPSolver:
             removed = frozenset()
             removed_outputs = k
         else:
-            removed = curve.solution(k)
+            removed = cost_curve.solution(k)
             removed_outputs = result.outputs_removed_by(removed)
         return ADPSolution(
             query=query,
             k=k,
             removed=removed,
             removed_outputs=removed_outputs,
-            optimal=curve.optimal,
-            method="exact" if curve.optimal else self.config.heuristic,
+            optimal=cost_curve.optimal,
+            method="exact" if cost_curve.optimal else self.config.heuristic,
             stats={
                 "output_size": total,
                 "counting_only": self.config.counting_only,
-                "heuristic_fallbacks": self._fallbacks,
+                "heuristic_fallbacks": entry.heuristic_fallbacks,
             },
             objective=int(cost),
         )
@@ -187,10 +219,34 @@ class ADPSolver:
         ambient engine context -- call through :meth:`repro.session.Session.curve`
         to bind a session's cache.
         """
+        return self.curve_entry(query, database, kmax).curve
+
+    def curve_entry(
+        self, query: ConjunctiveQuery, database: Database, kmax: int
+    ) -> CurveEntry:
+        """:meth:`curve` plus the fallback count, as one cacheable entry."""
         if kmax < 0:
             raise ValueError(f"kmax must be non-negative, got {kmax}")
-        self._fallbacks = 0
-        return self._curve(query, database, kmax)
+        tally = _Tally()
+        curve = self._curve(query, database, kmax, tally)
+        return CurveEntry(kmax, curve, tally.fallbacks)
+
+    def curve_key(self) -> Hashable:
+        """What identifies this solver's curves in a curve cache.
+
+        The solver class plus every :class:`SolverConfig` field that shapes
+        a curve; ``counting_only`` only changes the read-off, so solvers
+        differing only there share curves.
+        """
+        config = self.config
+        return (
+            type(self),
+            config.heuristic,
+            config.use_singleton,
+            config.universe_strategy,
+            config.decompose_strategy,
+            config.endogenous_only,
+        )
 
     def is_exact_for(self, query: ConjunctiveQuery) -> bool:
         """Whether this solver returns optimal solutions for ``query``.
@@ -203,17 +259,26 @@ class ADPSolver:
     # ------------------------------------------------------------------ #
     # Algorithm 2 dispatch (internal, curve-based)
     # ------------------------------------------------------------------ #
-    def _curve(self, query: ConjunctiveQuery, database: Database, kmax: int) -> CostCurve:
+    def _curve(
+        self,
+        query: ConjunctiveQuery,
+        database: Database,
+        kmax: int,
+        tally: Optional[_Tally] = None,
+    ) -> CostCurve:
+        if tally is None:  # a bare recursion hook: the count is not wanted
+            tally = _Tally()
         if query.is_boolean:
-            return self._boolean_curve(query, database)
+            return self._boolean_curve(query, database, tally)
         if self.config.use_singleton and is_singleton(query):
             return singleton_curve(query, database)
+        child_curve = functools.partial(self._curve, tally=tally)
         if query.universal_attributes():
             return universe_curve(
                 query,
                 database,
                 kmax,
-                child_curve=self._curve,
+                child_curve=child_curve,
                 strategy=self.config.universe_strategy,
             )
         if not QueryGraph(query).is_connected():
@@ -221,12 +286,14 @@ class ADPSolver:
                 query,
                 database,
                 kmax,
-                child_curve=self._curve,
+                child_curve=child_curve,
                 strategy=self.config.decompose_strategy,
             )
-        return self._heuristic_curve(query, database, kmax)
+        return self._heuristic_curve(query, database, kmax, tally)
 
-    def _boolean_curve(self, query: ConjunctiveQuery, database: Database) -> CostCurve:
+    def _boolean_curve(
+        self, query: ConjunctiveQuery, database: Database, tally: _Tally
+    ) -> CostCurve:
         if evaluate(query, database).output_count() == 0:
             return constant_zero_curve()
         if find_triad_like(query) is None:
@@ -236,18 +303,18 @@ class ADPSolver:
             # Triad-free but not directly linearizable: the full rewriting of
             # [11] is out of scope (see DESIGN.md); fall back to the greedy
             # heuristic and flag the answer as non-guaranteed.
-            self._fallbacks += 1
+            tally.fallbacks += 1
         return greedy_module.greedy_curve(
             query, database, kmax=1, endogenous_only=self.config.endogenous_only
         )
 
     def _heuristic_curve(
-        self, query: ConjunctiveQuery, database: Database, kmax: int
+        self, query: ConjunctiveQuery, database: Database, kmax: int, tally: _Tally
     ) -> CostCurve:
         if self.config.heuristic == DRASTIC:
             if query.is_full:
                 return greedy_module.drastic_curve(query, database)
-            self._fallbacks += 1
+            tally.fallbacks += 1
         return greedy_module.greedy_curve(
             query, database, kmax=kmax, endogenous_only=self.config.endogenous_only
         )

@@ -22,13 +22,22 @@ Two heuristics are implemented:
   the paper (and this library) refuse to apply it there.
 
 Both heuristics run on the columnar engine's packed provenance: candidates
-are dense ref IDs scanned through :class:`~repro.engine.provenance.
-ProvenanceIndex`'s integer API, and the scan prunes with the invariant
-``profit(t) <= witness_gain(t)`` (the witness gain is maintained
-incrementally and is O(1) to read), which skips the expensive profit
-computation for candidates that provably cannot beat the current best.  The
-pruning never changes which tuple is picked, so the produced curves are
-identical to an unpruned scan's.
+are dense ref IDs handled through :class:`~repro.engine.provenance.
+ProvenanceIndex`'s integer API.  One greedy round picks the earliest
+candidate (in ``repr`` order) maximizing ``(profit, witness gain)``, and the
+index's kernel decides how:
+
+* **vector** (NumPy index): a few array passes -- one gather of the gains,
+  one batched :meth:`~repro.engine.provenance.ProvenanceIndex.profits_for`
+  over the maintained ``(output, ref)`` pair counts, one masked ``argmax``;
+* **scan** (pure-Python index, the parity reference): a scalar scan that
+  prunes with the invariant ``profit(t) <= witness_gain(t)`` (the witness
+  gain is maintained incrementally and is O(1) to read), skipping the
+  profit computation for candidates that provably cannot beat the current
+  best.
+
+Both select the same tuple every round, so the produced curves are
+identical across kernels.
 
 ``GreedyForCQ`` achieves an ``O(log k)`` approximation on full CQs (it is the
 greedy partial-set-cover algorithm of Theorem 5); neither heuristic has a
@@ -37,7 +46,7 @@ guarantee in the presence of projections.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.curves import MinCurve, PrefixCurve
 from repro.core.structures import endogenous_relations
@@ -79,7 +88,7 @@ def greedy_curve(
     picks: List[Tuple[Tuple[TupleRef, ...], int]] = []
     pending: List[TupleRef] = []
     removed_outputs = 0
-    batch_profits = False
+    rounds = 0
     with span("solver.greedy") as gsp:
         with span("engine.provenance.index") as isp:
             index = ProvenanceIndex(result)
@@ -87,7 +96,7 @@ def greedy_curve(
                 isp.set(refs=index.ref_count(), outputs=total)
         if endogenous_only:
             allowed = set(endogenous_relations(query))
-            candidates = [
+            candidates: Any = [
                 rid
                 for rid in range(index.ref_count())
                 if index.ref_at(rid).relation in allowed
@@ -95,73 +104,21 @@ def greedy_curve(
         else:
             candidates = list(range(index.ref_count()))
         candidates.sort(key=lambda rid: repr(index.ref_at(rid)))
+        if index.vectorized:
+            np = backend_of_column(result.provenance.ref_columns[0]).np
+            candidates = np.asarray(candidates, dtype=np.int64)
         if gsp:
-            gsp.set(target=target, candidates=len(candidates))
+            gsp.set(
+                target=target,
+                candidates=len(candidates),
+                kernel="vector" if index.vectorized else "scan",
+            )
         while removed_outputs < target:
-            best_rid = -1
-            best_profit = -1
-            best_gain = -1
-            exhausted: Optional[List[int]] = None
-            # One batched gather per round (a NumPy `take` on the vectorized
-            # index) instead of one scalar witness_gain_id call per candidate.
-            gains = index.gains_for(candidates)
-            profit_calls = 0
-            profits = index.profits_for(candidates) if batch_profits else None
-            if profits is not None:
-                # Batched scan: profits for every candidate were computed in
-                # one group-by; the pick is the earliest candidate maximizing
-                # (profit, gain) -- exactly what the pruned scan selects.
-                for position, rid in enumerate(candidates):
-                    gain = gains[position]
-                    if gain == 0:
-                        if exhausted is None:
-                            exhausted = []
-                        exhausted.append(rid)
-                        continue
-                    profit = profits[position]
-                    if profit > best_profit or (
-                        profit == best_profit and gain > best_gain
-                    ):
-                        best_profit = profit
-                        best_gain = gain
-                        best_rid = rid
+            rounds += 1
+            if index.vectorized:
+                best_rid, candidates = _vector_round(index, candidates)
             else:
-                for rid, gain in zip(candidates, gains):
-                    if gain == 0:
-                        # All witnesses of this tuple are already dead (in
-                        # particular every previously picked tuple): it can
-                        # never make progress again, so drop it from future
-                        # scans.
-                        if exhausted is None:
-                            exhausted = []
-                        exhausted.append(rid)
-                        continue
-                    # profit <= witness gain, so a candidate whose gain cannot
-                    # beat the incumbent key (profit, gain) cannot be
-                    # selected: skip the profit computation.  This never
-                    # changes the picked tuple.
-                    if gain < best_profit or (
-                        gain == best_profit and gain <= best_gain
-                    ):
-                        continue
-                    profit = index.profit_id(rid)
-                    profit_calls += 1
-                    if profit > best_profit or (
-                        profit == best_profit and gain > best_gain
-                    ):
-                        best_profit = profit
-                        best_gain = gain
-                        best_rid = rid
-                # Projections blunt the witness-gain pruning bound (gains stay
-                # large while profits collapse), degenerating the scan into
-                # one profit query per candidate per round; from the round
-                # where that happens, a single batched group-by is cheaper.
-                # Both scans pick the same tuple, so the curve is unchanged.
-                if profit_calls > max(256, len(candidates) // 4):
-                    batch_profits = True
-            if exhausted:
-                dead = set(exhausted)
-                candidates = [rid for rid in candidates if rid not in dead]
+                best_rid, candidates = _scan_round(index, candidates)
             if best_rid < 0:
                 # No candidate can make progress (can only happen when
                 # candidates are restricted and exogenous tuples would be
@@ -176,8 +133,60 @@ def greedy_curve(
             else:
                 pending.append(best_ref)
         if gsp:
-            gsp.set(picks=len(picks), removed_outputs=removed_outputs)
+            gsp.set(picks=len(picks), removed_outputs=removed_outputs, rounds=rounds)
     return PrefixCurve(picks, optimal=False)
+
+
+def _vector_round(index: ProvenanceIndex, candidates: Any) -> Tuple[int, Any]:
+    """One greedy round on the NumPy index: ``(picked rid or -1, candidates)``.
+
+    Candidates whose witness gain fell to 0 can never make progress again
+    (every previous pick among them) and are dropped for later rounds.
+    """
+    gains = index.gains_for(candidates)
+    live = gains > 0
+    if not live.all():
+        candidates = candidates[live]
+        gains = gains[live]
+    if not candidates.size:
+        return -1, candidates
+    profits = index.profits_for(candidates)
+    # Live gains are >= 1, so zeroing the gains off the best profit keeps
+    # them out of the argmax, whose first maximum is then the earliest
+    # candidate with the best gain among the best profits: the scan's pick.
+    tied = gains * (profits == profits.max())
+    return int(candidates[int(tied.argmax())]), candidates
+
+
+def _scan_round(index: ProvenanceIndex, candidates: List[int]) -> Tuple[int, List[int]]:
+    """One greedy round on the Python index: the pruned scalar scan."""
+    best_rid = -1
+    best_profit = -1
+    best_gain = -1
+    exhausted: Optional[List[int]] = None
+    for rid, gain in zip(candidates, index.gains_for(candidates)):
+        if gain == 0:
+            # All witnesses of this tuple are already dead (in particular
+            # every previously picked tuple): it can never make progress
+            # again, so drop it from future scans.
+            if exhausted is None:
+                exhausted = []
+            exhausted.append(rid)
+            continue
+        # profit <= witness gain, so a candidate whose gain cannot beat the
+        # incumbent key (profit, gain) cannot be selected: skip the profit
+        # computation.  This never changes the picked tuple.
+        if gain < best_profit or (gain == best_profit and gain <= best_gain):
+            continue
+        profit = index.profit_id(rid)
+        if profit > best_profit or (profit == best_profit and gain > best_gain):
+            best_profit = profit
+            best_gain = gain
+            best_rid = rid
+    if exhausted:
+        dead = set(exhausted)
+        candidates = [rid for rid in candidates if rid not in dead]
+    return best_rid, candidates
 
 
 def drastic_curve(

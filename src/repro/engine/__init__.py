@@ -11,10 +11,9 @@ substrate built from scratch:
 * :mod:`repro.engine.columnar` -- the columnar witness core: per-relation
   tuple interning, a batch left-deep hash join over integer ID columns, and
   packed per-atom provenance columns;
-* :mod:`repro.engine.cache` -- memoization of evaluation results keyed by
-  (query canonical form, database version); owned per
-  :class:`~repro.engine.evaluate.EngineContext` (i.e. per session) since the
-  Session redesign;
+* :mod:`repro.engine.cache` -- memoization of evaluation results and solver
+  cost curves keyed by (query canonical form, database version, ...); owned
+  per :class:`~repro.engine.evaluate.EngineContext` (i.e. per session);
 * :mod:`repro.engine.delta` -- delta semijoins: derive the post-deletion
   result from cached packed provenance in one column scan (the engine behind
   ``Session.what_if`` / ``Session.apply_deletions``);
@@ -36,7 +35,7 @@ from repro.engine.backend import (
     python_backend,
     resolve_backend,
 )
-from repro.engine.cache import EvaluationCache
+from repro.engine.cache import CurveCache, EvaluationCache
 from repro.engine.columnar import ColumnarProvenance, RelationIndex
 from repro.engine.delta import delta_filter_provenance, delta_filter_result
 from repro.engine.evaluate import (
@@ -66,6 +65,7 @@ __all__ = [
     "join_order_plan",
     "EngineContext",
     "use_context",
+    "CurveCache",
     "EvaluationCache",
     "ColumnarProvenance",
     "RelationIndex",

@@ -31,6 +31,19 @@ Cached results are shared between callers and must be treated as immutable
 (every consumer in this library builds its own mutable state, e.g.
 ``ProvenanceIndex``, on top of them).  All cache operations take an internal
 lock, so sessions shared across threads can use one cache concurrently.
+
+Curve cache
+-----------
+:class:`CurveCache` applies the same per-database LRU and stale-token rule
+to solver cost curves.  ``ComputeADP``'s curves do not depend on the target
+``k`` beyond where they stop (greedy picks are ``k``-independent, the
+dynamic programs' tables for ``j <= kmax`` do not read beyond ``kmax``), so
+one curve computed at ``kmax`` answers every ``k <= kmax``.  Keys add the
+array-backend tag and a solver key -- the solver class plus the
+:class:`~repro.core.adp.SolverConfig` fields that shape a curve -- to the
+canonical query and version token.  Entries hold only the immutable curve
+and its metadata (never a ``ProvenanceIndex``); mutations drop them instead
+of migrating them, since greedy curves are not delta-maintainable.
 """
 
 from __future__ import annotations
@@ -61,8 +74,53 @@ def canonical_query_key(query: ConjunctiveQuery) -> Hashable:
     return (query.head, body)
 
 
-class EvaluationCache:
-    """A per-database LRU of evaluation results (see the module docstring)."""
+def _lru_get(entries: Optional[Dict], key: Tuple[Hashable, ...]) -> Optional[Any]:
+    """``entries[key]`` with its recency refreshed, or ``None``."""
+    if entries is None:
+        return None
+    value = entries.get(key)
+    if value is not None:
+        # Refresh recency (dicts preserve insertion order).
+        entries.pop(key)
+        entries[key] = value
+    return value
+
+
+def _lru_put(
+    per_database: "weakref.WeakKeyDictionary[Database, Dict]",
+    database: Database,
+    key: Tuple[Hashable, ...],
+    value: Any,
+    bound: int,
+    drop_stale: bool = True,
+) -> None:
+    """Insert ``value`` under ``key`` and enforce the per-database ``bound``.
+
+    Keys are tuples whose second element is the version token.  With
+    ``drop_stale`` entries under another token are dropped first: relation
+    versions are monotone and all entries of one dict belong to one database
+    object, so such an entry can never hit again.
+    """
+    try:
+        entries = per_database.setdefault(database, {})
+    except TypeError:  # pragma: no cover - non-weakref-able database stub
+        return
+    if drop_stale:
+        for stale in [other for other in entries if other[1] != key[1]]:
+            entries.pop(stale)
+    entries[key] = value
+    while len(entries) > bound:
+        entries.pop(next(iter(entries)))
+
+
+class _VersionedLRU:
+    """Per-database LRU maps keyed by ``(query key, version token, ...)``.
+
+    The shared state of :class:`EvaluationCache` and :class:`CurveCache`: a
+    ``WeakKeyDictionary`` from database to an insertion-ordered dict
+    (maintained by :func:`_lru_get` / :func:`_lru_put` under the lock), a
+    per-database entry bound, hit/miss counters and an internal lock.
+    """
 
     def __init__(self, max_entries_per_database: int = MAX_ENTRIES_PER_DATABASE) -> None:
         self._per_database: "weakref.WeakKeyDictionary[Database, Dict]" = (
@@ -72,6 +130,27 @@ class EvaluationCache:
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
+
+    def drop(self, database: Database) -> None:
+        """Forget every entry of one database (counters are kept)."""
+        with self._lock:
+            self._per_database.pop(database, None)
+
+    def clear(self) -> None:
+        """Drop every entry and reset the hit/miss counters."""
+        with self._lock:
+            self._per_database = weakref.WeakKeyDictionary()
+            self.hits = 0
+            self.misses = 0
+
+    def stats(self) -> Tuple[int, int]:
+        """``(hits, misses)`` since the last :meth:`clear`."""
+        with self._lock:
+            return (self.hits, self.misses)
+
+
+class EvaluationCache(_VersionedLRU):
+    """A per-database LRU of evaluation results (see the module docstring)."""
 
     def lookup(
         self,
@@ -94,19 +173,14 @@ class EvaluationCache:
         if query_key is None:
             query_key = canonical_query_key(query)
         with self._lock:
-            entries = self._per_database.get(database)
-            if entries is None:
-                self.misses += 1
-                return None
-            key = (query_key, database.version_token(), backend)
-            result = entries.get(key)
+            result = _lru_get(
+                self._per_database.get(database),
+                (query_key, database.version_token(), backend),
+            )
             if result is None:
                 self.misses += 1
-                return None
-            # Refresh recency (dicts preserve insertion order).
-            entries.pop(key)
-            entries[key] = result
-            self.hits += 1
+            else:
+                self.hits += 1
             return result
 
     def store(
@@ -117,25 +191,17 @@ class EvaluationCache:
         query_key: Optional[Hashable] = None,
         backend: Optional[str] = None,
     ) -> None:
-        """Cache one evaluation result."""
+        """Cache one evaluation result (dropping entries of stale versions)."""
         if query_key is None:
             query_key = canonical_query_key(query)
         with self._lock:
-            try:
-                entries = self._per_database.setdefault(database, {})
-            except TypeError:  # pragma: no cover - non-weakref-able database stub
-                return
-            token = database.version_token()
-            # Relation versions are monotone and all entries of this dict
-            # belong to this database object, so an entry with a different
-            # token can never hit again: drop the stale payloads instead of
-            # pinning them.
-            stale = [key for key in entries if key[1] != token]
-            for key in stale:
-                entries.pop(key)
-            entries[(query_key, token, backend)] = result
-            while len(entries) > self._max_entries:
-                entries.pop(next(iter(entries)))
+            _lru_put(
+                self._per_database,
+                database,
+                (query_key, database.version_token(), backend),
+                result,
+                self._max_entries,
+            )
 
     def store_raw(
         self,
@@ -153,13 +219,14 @@ class EvaluationCache:
         with other tokens (the caller migrates a whole snapshot at once).
         """
         with self._lock:
-            try:
-                entries = self._per_database.setdefault(database, {})
-            except TypeError:  # pragma: no cover - non-weakref-able database stub
-                return
-            entries[(query_key, token, backend)] = result
-            while len(entries) > self._max_entries:
-                entries.pop(next(iter(entries)))
+            _lru_put(
+                self._per_database,
+                database,
+                (query_key, token, backend),
+                result,
+                self._max_entries,
+                drop_stale=False,
+            )
 
     def entries_snapshot(self, database: Database) -> Dict[Tuple[Hashable, ...], Any]:
         """A copy of ``{(query key, token, backend): result}``.
@@ -184,14 +251,57 @@ class EvaluationCache:
             entries = self._per_database.pop(database, None)
             return dict(entries) if entries else {}
 
-    def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
-        with self._lock:
-            self._per_database = weakref.WeakKeyDictionary()
-            self.hits = 0
-            self.misses = 0
 
-    def stats(self) -> Tuple[int, int]:
-        """``(hits, misses)`` since the last :meth:`clear`."""
+class CurveCache(_VersionedLRU):
+    """A per-database LRU of solver cost curves (see the module docstring).
+
+    Values are ``(kmax, curve, heuristic_fallbacks)`` entries
+    (:class:`repro.core.adp.CurveEntry`); a lookup for target ``k`` hits
+    only an entry computed at ``kmax >= k``.  Its counters are separate from
+    the evaluation cache's, so curve reads never show up as evaluation hits.
+    """
+
+    def lookup(
+        self,
+        database: Database,
+        query_key: Hashable,
+        backend: str,
+        solver_key: Hashable,
+        k: int,
+    ) -> Optional[Any]:
+        """The entry for the current database version covering ``k``, or ``None``."""
         with self._lock:
-            return (self.hits, self.misses)
+            entry = _lru_get(
+                self._per_database.get(database),
+                (query_key, database.version_token(), backend, solver_key),
+            )
+            if entry is None or entry.kmax < k:
+                self.misses += 1
+                return None
+            self.hits += 1
+            return entry
+
+    def store(
+        self,
+        database: Database,
+        query_key: Hashable,
+        token: Hashable,
+        backend: str,
+        solver_key: Hashable,
+        entry: Any,
+    ) -> None:
+        """Cache an entry computed at version ``token`` (replacing a smaller one).
+
+        An entry whose token is no longer current is discarded (the database
+        changed while the curve was being computed), and so is one whose
+        ``kmax`` does not exceed the stored entry's (a concurrent solve
+        cached a larger curve first).
+        """
+        key = (query_key, token, backend, solver_key)
+        with self._lock:
+            if token != database.version_token():
+                return
+            current = _lru_get(self._per_database.get(database), key)
+            if current is not None and current.kmax >= entry.kmax:
+                return
+            _lru_put(self._per_database, database, key, entry, self._max_entries)

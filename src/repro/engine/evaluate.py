@@ -73,7 +73,7 @@ from repro.engine.backend import (
     python_backend,
     resolve_backend,
 )
-from repro.engine.cache import EvaluationCache
+from repro.engine.cache import CurveCache, EvaluationCache
 from repro.engine.columnar import (
     ColumnarProvenance,
     IndexSupplier,
@@ -336,7 +336,9 @@ class EngineContext:
 
     * the array **backend** every evaluation of this context uses,
     * an :class:`~repro.engine.cache.EvaluationCache` (per-context, so one
-      tenant's evictions never touch another's),
+      tenant's evictions never touch another's) and, beside it, a
+      :class:`~repro.engine.cache.CurveCache` of solver cost curves (filled
+      and read by the session's solve paths),
     * the **interning tables**: one :class:`RelationIndex` per
       ``(relation, version)``, shared across every evaluation this context
       runs, so repeated queries over the same relation do not re-intern its
@@ -354,6 +356,7 @@ class EngineContext:
 
     __slots__ = (
         "cache",
+        "curves",
         "backend",
         "_interners",
         "evaluations",
@@ -371,6 +374,7 @@ class EngineContext:
         #: either way.
         self.backend = resolve_backend(backend)
         self.cache = cache if cache is not None else EvaluationCache()
+        self.curves = CurveCache()
         self._interners: "weakref.WeakKeyDictionary[Relation, Tuple[int, RelationIndex]]" = (
             weakref.WeakKeyDictionary()
         )
@@ -379,8 +383,9 @@ class EngineContext:
         self._lock = threading.RLock()
 
     def release(self) -> None:
-        """Drop cache and interning tables (session close)."""
+        """Drop caches and interning tables (session close)."""
         self.cache.clear()
+        self.curves.clear()
         with self._lock:
             self._interners = weakref.WeakKeyDictionary()
 

@@ -22,11 +22,14 @@ participating input tuple gets a *ref ID* (``rid``), witnesses are numbered
 ``0..W-1``, and all bookkeeping lives in parallel ``int`` lists built
 straight from the packed provenance columns -- no ``Witness`` objects, no
 ``TupleRef`` hashing on the hot path.  The classic ``TupleRef``-keyed API is
-preserved as a thin translation layer; the greedy loops use the ``*_id``
-methods directly.  Per-tuple *witness gains* (alive witnesses containing the
-tuple) are additionally maintained incrementally, which both makes
-``witness_gain`` O(1) and gives the greedy scan a sound upper bound on
-profit (``profit(t) <= witness_gain(t)``).
+preserved as a thin translation layer (its ``TupleRef -> rid`` map is built
+on first use); the greedy loops use the ``*_id`` methods directly.
+Per-tuple *witness gains* (alive witnesses containing the tuple) are
+additionally maintained incrementally, which both makes ``witness_gain``
+O(1) and gives the greedy scan a sound upper bound on profit
+(``profit(t) <= witness_gain(t)``).  The NumPy kernel also maintains alive
+witness counts per ``(output, ref)`` pair, so the profits of every tuple
+(:meth:`ProvenanceIndex.profits_for`) are one compare plus one ``bincount``.
 
 The index is also the basis of solution verification
 (:meth:`ProvenanceIndex.outputs_removed_by`).
@@ -75,8 +78,9 @@ class ProvenanceIndex:
     Dual-kernel: when the result's packed provenance is NumPy-backed
     (``int64`` ndarray columns), the index builds its dense arrays with
     vectorized factorize/group-by passes and answers profits, gains and
-    removals through ``bincount``/``unique``/scatter kernels; otherwise the
-    original pure-Python list bookkeeping runs.  Every quantity is an exact
+    removals through ``bincount``/``unique``/scatter kernels
+    (:attr:`vectorized`); otherwise the original pure-Python list
+    bookkeeping runs.  Every quantity is an exact
     count either way, so the greedy heuristics' picks (and hence whole cost
     curves) are identical across kernels -- the backend-parity suite pins
     this down.
@@ -116,9 +120,16 @@ class ProvenanceIndex:
             #: rid -> number of still-alive witnesses containing the tuple
             self._gain = [len(wids) for wids in self._ref_witnesses]
             self._removed_flags = [False] * len(self._refs)
-        self._ref_ids: Dict[TupleRef, int] = {
-            ref: rid for rid, ref in enumerate(self._refs)
-        }
+        #: ``TupleRef -> rid``, built by the first TupleRef-keyed call
+        #: (:meth:`_rid_of`); the greedy hot path works on rids only.
+        self._ref_ids: Optional[Dict[TupleRef, int]] = None
+        #: NumPy kernel only, built by the first :meth:`profits_for`: the
+        #: ``(W, atoms)`` matrix of (output, ref) pair ids per witness, each
+        #: pair's rid and output, and its count of alive witnesses.
+        self._witness_pairs: Any = None
+        self._pair_rid: Any = None
+        self._pair_output: Any = None
+        self._pair_alive: Any = None
         self._removed_refs: Set[TupleRef] = set()
         self._dead_outputs: int = 0
         # Outputs with no witnesses at all never existed; by construction the
@@ -218,6 +229,28 @@ class ProvenanceIndex:
         self._witness_rids = self._witness_rid_matrix
         self._ref_witnesses = _CsrView(flat, offsets)
 
+    def _build_pairs(self) -> None:
+        """Factorize every witness's ``(output, rid)`` pairs (NumPy kernel).
+
+        A witness holds distinct rids, so a pair's alive count is the number
+        of alive witnesses of that output containing that tuple; deleting
+        the tuple kills the output exactly when that count equals the
+        output's alive-witness count.  The ``output * refs + rid`` encode
+        stays below ``2**62`` up to ``2**29`` witnesses of 16 atoms.
+        """
+        np = self._np
+        keys = (
+            self._witness_output[:, None] * len(self._refs)
+            + self._witness_rid_matrix
+        )
+        pair_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
+        self._witness_pairs = inverse.reshape(keys.shape)
+        self._pair_rid = pair_keys % len(self._refs)
+        self._pair_output = pair_keys // len(self._refs)
+        self._pair_alive = np.bincount(
+            self._witness_pairs[self._hits == 0].ravel(), minlength=pair_keys.size
+        )
+
     # ------------------------------------------------------------------ #
     # State
     # ------------------------------------------------------------------ #
@@ -225,6 +258,11 @@ class ProvenanceIndex:
     def removed(self) -> Set[TupleRef]:
         """The tuples deleted so far (a copy)."""
         return set(self._removed_refs)
+
+    @property
+    def vectorized(self) -> bool:
+        """Whether the NumPy kernels are active (ndarray provenance)."""
+        return self._np is not None
 
     def is_removed(self, ref: TupleRef) -> bool:
         """Whether ``ref`` has been deleted (no copy, unlike :attr:`removed`)."""
@@ -304,50 +342,45 @@ class ProvenanceIndex:
             return 0
         return int(self._gain[rid])
 
-    def gains_for(self, rids: List[int]) -> List[int]:
+    def gains_for(self, rids: Sequence[int]) -> Column:
         """:meth:`witness_gain_id` for many rids at once (one gather).
 
-        The greedy scan reads every candidate's gain each round; fetching
-        them as one ``take`` (NumPy) instead of one scalar indexing call per
-        candidate keeps the scan itself off the per-element hot path.
+        The greedy round reads every candidate's gain; fetching them as one
+        ``take`` (NumPy) instead of one scalar indexing call per candidate
+        keeps the round off the per-element hot path.  The NumPy kernel
+        returns an ``int64`` array, the Python kernel a list.
         """
         np = self._np
         if np is not None:
             rid_array = np.asarray(rids, dtype=np.int64)
             gains = self._gain[rid_array]
             gains[self._removed_flags[rid_array]] = 0
-            return gains.tolist()
+            return gains
         gain = self._gain
         removed = self._removed_flags
         return [0 if removed[rid] else gain[rid] for rid in rids]
 
-    def profits_for(self, rids: Sequence[int]) -> Optional[List[int]]:
-        """Batched :meth:`profit_id` for many rids (one group-by), or ``None``.
+    def profits_for(self, rids: Sequence[int]) -> Column:
+        """Batched :meth:`profit_id`: exactly ``[profit_id(r) for r in rids]``.
 
-        ``None`` signals the caller to fall back to per-rid queries (Python
-        kernels, or a pair-key space too large for the ``int64`` encode).
-        The batch costs ``O(alive witnesses * atoms)`` regardless of how
-        many rids are asked, so callers should use it only when the
-        per-candidate pruning stops paying off -- the greedy scan switches
-        adaptively.  Values are exactly ``[profit_id(rid) for rid in rids]``.
+        On the NumPy kernel this is one compare over the maintained
+        ``(output, ref)`` pair counts plus one ``bincount`` -- ``O(pairs)``
+        whatever the number of rids, no sort -- returned as an ``int64``
+        array.  The Python kernel loops over :meth:`profit_id`.
         """
         np = self._np
         if np is None:
-            return None
-        n_out = self.total_outputs()
-        if n_out == 0 or len(self._refs) * n_out >= 2**62:  # pragma: no cover
-            return None
-        alive_positions = np.nonzero(self._hits == 0)[0]
-        rid_rows = self._witness_rid_matrix[alive_positions]
-        outs = self._witness_output[alive_positions]
-        keys = rid_rows * n_out + outs[:, None]
-        pair_keys, pair_counts = np.unique(keys.ravel(), return_counts=True)
-        pair_outs = pair_keys % n_out
-        kills = pair_counts == self._alive_witnesses[pair_outs]
-        profit_all = np.zeros(len(self._refs), dtype=np.int64)
-        np.add.at(profit_all, (pair_keys // n_out)[kills], 1)
-        profit_all[self._removed_flags] = 0
-        return profit_all[np.asarray(rids, dtype=np.int64)].tolist()
+            return [self.profit_id(rid) for rid in rids]
+        if self._pair_alive is None:
+            self._build_pairs()
+        pair_alive = self._pair_alive
+        # Removed tuples have no alive witness left, so no pair of theirs
+        # survives the ``> 0`` test and their profit is 0.
+        kills = (pair_alive > 0) & (
+            pair_alive == self._alive_witnesses[self._pair_output]
+        )
+        profit_all = np.bincount(self._pair_rid[kills], minlength=len(self._refs))
+        return profit_all[np.asarray(rids, dtype=np.int64)]
 
     def touched_outputs_id(self, rid: int) -> int:
         """:meth:`touched_outputs` over a dense ref ID."""
@@ -392,6 +425,10 @@ class ProvenanceIndex:
                 np.subtract.at(
                     self._gain, self._witness_rid_matrix[newly_dead].ravel(), 1
                 )
+                if self._pair_alive is not None:
+                    np.subtract.at(
+                        self._pair_alive, self._witness_pairs[newly_dead].ravel(), 1
+                    )
                 outs = self._witness_output[newly_dead]
                 np.subtract.at(self._alive_witnesses, outs, 1)
                 killed = int(
@@ -433,6 +470,10 @@ class ProvenanceIndex:
                 np.add.at(
                     self._gain, self._witness_rid_matrix[newly_alive].ravel(), 1
                 )
+                if self._pair_alive is not None:
+                    np.add.at(
+                        self._pair_alive, self._witness_pairs[newly_alive].ravel(), 1
+                    )
                 outs = self._witness_output[newly_alive]
                 # Count transitions 0 -> alive *before* re-incrementing.
                 revived = int(
@@ -462,13 +503,21 @@ class ProvenanceIndex:
     # ------------------------------------------------------------------ #
     # Queries (TupleRef API, preserved)
     # ------------------------------------------------------------------ #
+    def _rid_of(self, ref: TupleRef) -> Optional[int]:
+        """The dense rid of ``ref`` (``None`` if it joins no witness)."""
+        ref_ids = self._ref_ids
+        if ref_ids is None:
+            ref_ids = {known: rid for rid, known in enumerate(self._refs)}
+            self._ref_ids = ref_ids
+        return ref_ids.get(ref)
+
     def profit(self, ref: TupleRef) -> int:
         """How many *additional* outputs die if ``ref`` is deleted now.
 
         This is the quantity ``p(t) = |Q(D - S)| - |Q(D - S - t)|`` of
         Algorithm 6, computed against the current deletion state ``S``.
         """
-        rid = self._ref_ids.get(ref)
+        rid = self._rid_of(ref)
         return 0 if rid is None else self.profit_id(rid)
 
     def witness_gain(self, ref: TupleRef) -> int:
@@ -479,7 +528,7 @@ class ProvenanceIndex:
         queries), making progress on witnesses is the sensible secondary
         objective.
         """
-        rid = self._ref_ids.get(ref)
+        rid = self._rid_of(ref)
         return 0 if rid is None else self.witness_gain_id(rid)
 
     def touched_outputs(self, ref: TupleRef) -> int:
@@ -490,7 +539,7 @@ class ProvenanceIndex:
         is sub-additive across tuples, which makes it an admissible pruning
         bound for the branch-and-bound exact solver.
         """
-        rid = self._ref_ids.get(ref)
+        rid = self._rid_of(ref)
         return 0 if rid is None else self.touched_outputs_id(rid)
 
     def initial_profit(self, ref: TupleRef) -> int:
@@ -500,7 +549,7 @@ class ProvenanceIndex:
         ``ref`` (each witness is a distinct output tuple); used by
         ``DrasticGreedyForFullCQ`` (Algorithm 7).
         """
-        rid = self._ref_ids.get(ref)
+        rid = self._rid_of(ref)
         if rid is None:
             return 0
         np = self._np
@@ -548,7 +597,7 @@ class ProvenanceIndex:
     # ------------------------------------------------------------------ #
     def remove(self, ref: TupleRef) -> int:
         """Delete one input tuple; returns how many outputs died as a result."""
-        rid = self._ref_ids.get(ref)
+        rid = self._rid_of(ref)
         if rid is None:
             # Dangling/unknown tuples participate in no witness: deleting
             # them never changes the output, but record them so restore() and
@@ -563,7 +612,7 @@ class ProvenanceIndex:
 
     def restore(self, ref: TupleRef) -> int:
         """Undo the deletion of ``ref``; returns how many outputs came back."""
-        rid = self._ref_ids.get(ref)
+        rid = self._rid_of(ref)
         if rid is None:
             self._removed_refs.discard(ref)
             return 0

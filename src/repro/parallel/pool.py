@@ -439,7 +439,7 @@ def _handle_solve_group(msg: dict, db_store: "OrderedDict") -> dict:
             order=prepared.join_order,
             query_key=prepared.canonical_key,
         )
-        curve = solver.curve(prepared.query, database, max(targets))
+        curve = solver.curve_entry(prepared.query, database, max(targets))
         solutions = [
             solver.solve_in_context(
                 prepared.query, database, k, result=result, curve=curve

@@ -17,7 +17,10 @@ connection object:
     curve per distinct query;
   - :meth:`Session.curve` -- the full :class:`~repro.core.curves.CostCurve`
     (solutions for every target up to ``kmax``) that ``ComputeADP`` builds
-    internally;
+    internally.  All three read their curves through the session's **curve
+    cache** (:class:`~repro.engine.cache.CurveCache`): a curve computed at
+    ``kmax`` for one (query, database version, backend, solver
+    configuration) answers every later target ``k <= kmax``;
   - :meth:`Session.what_if` / :meth:`Session.apply_deletions` /
     :meth:`Session.apply_insertions` -- incremental mutation propagation:
     the post-deletion result is derived from cached packed provenance by a
@@ -39,7 +42,8 @@ Thread- and process-safety contract
   engine context.
 * **Read paths are thread-safe.**  ``prepare`` / ``evaluate`` / ``solve`` /
   ``solve_many`` / ``curve`` / ``what_if`` may be called from multiple
-  threads on one session: the evaluation cache takes an internal lock, the
+  threads on one session: the evaluation and curve caches take internal
+  locks (cached curves are immutable and solvers hold no per-call state), the
   context's lazy interning builds and the provenance's lazy postings-index
   builds are lock-guarded, and cached ``QueryResult`` objects are immutable
   by contract.  (Remaining lazy views such as ``QueryResult.witnesses``
@@ -91,7 +95,13 @@ from typing import (
     Union,
 )
 
-from repro.core.adp import ADPSolver, SolverConfig, ratio_target
+from repro.core.adp import (
+    ADPSolver,
+    CurveEntry,
+    SolverConfig,
+    check_target,
+    ratio_target,
+)
 from repro.core.curves import CostCurve
 from repro.core.decidability import is_poly_time
 from repro.core.singleton import is_singleton
@@ -221,8 +231,9 @@ class SessionStats:
     """A snapshot of one session's usage counters.
 
     ``cache_hits`` / ``cache_misses`` / ``joins`` come from the session's
-    engine context at snapshot time; the remaining counters are incremented
-    by the session methods themselves.
+    engine context at snapshot time, ``curve_hits`` / ``curve_misses`` from
+    its curve cache (curve reads never count as evaluation-cache hits); the
+    remaining counters are incremented by the session methods themselves.
     """
 
     prepares: int = 0
@@ -236,6 +247,8 @@ class SessionStats:
     cache_hits: int = 0
     cache_misses: int = 0
     joins: int = 0
+    curve_hits: int = 0
+    curve_misses: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The snapshot as a plain dict (stable keys, for reports/JSON)."""
@@ -622,8 +635,12 @@ class Session:
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
             )
+            check_target(k, result.output_count())
+            entry, cached = self._curve_entry(prepared, chosen, k)
+            if ssp:
+                ssp.set(curve_cached=cached)
             return chosen.solve_in_context(
-                prepared.query, self.database, k, result=result
+                prepared.query, self.database, k, result=result, curve=entry
             )
 
     def solve_ratio(
@@ -658,9 +675,10 @@ class Session:
         """Solve a batch of ``(query, k)`` requests, amortizing shared work.
 
         Requests are grouped by canonical query: each distinct query is
-        evaluated once and its :class:`CostCurve` computed once at the
-        group's largest ``k``; every smaller target is then read off that
-        curve.  Results come back in request order.
+        evaluated once and its :class:`CostCurve` fetched once at the
+        group's largest ``k`` (from the curve cache, or computed and cached
+        there); every smaller target is then read off that curve.  Results
+        come back in request order.
 
         On a ``workers > 1`` session distinct **hard-leaf**
         query groups -- those ``ComputeADP`` solves directly on the
@@ -707,27 +725,58 @@ class Session:
                         for key, positions in groups.items()
                         if key not in leaf_groups
                     }
+            cached_groups = 0
             with self.activate():
                 for positions in remaining.values():
                     prepared = request_list[positions[0]][0]
                     targets = [request_list[p][1] for p in positions]
-                    kmax = max(targets)
                     result = self._context.evaluate(
                         prepared.query,
                         self.database,
                         order=prepared.join_order,
                         query_key=prepared.canonical_key,
                     )
-                    curve = chosen.curve(prepared.query, self.database, kmax)
+                    for k in targets:
+                        check_target(k, result.output_count())
+                    entry, cached = self._curve_entry(prepared, chosen, max(targets))
+                    cached_groups += cached
                     for position, k in zip(positions, targets):
                         solutions[position] = chosen.solve_in_context(
                             prepared.query,
                             self.database,
                             k,
                             result=result,
-                            curve=curve,
+                            curve=entry,
                         )
+            if msp:
+                msp.set(curve_cached=cached_groups)
         return [solution for solution in solutions if solution is not None]
+
+    def _curve_entry(
+        self, prepared: PreparedQuery, chosen: ADPSolver, kmax: int
+    ) -> Tuple[CurveEntry, bool]:
+        """``(entry, cached)``: a curve of ``prepared`` covering ``kmax``.
+
+        The one place :meth:`solve`, the parent-side groups of
+        :meth:`solve_many` and :meth:`curve` get curves from: a curve-cache
+        entry computed at some ``kmax' >= kmax`` for this database version,
+        backend and solver configuration, or else a fresh curve at ``kmax``
+        that replaces the entry.  Runs inside :meth:`activate`.
+        """
+        curves = self._context.curves
+        backend = self._context.backend.name
+        solver_key = chosen.curve_key()
+        entry = curves.lookup(
+            self.database, prepared.canonical_key, backend, solver_key, kmax
+        )
+        if entry is not None:
+            return entry, True
+        token = self.database.version_token()
+        entry = chosen.curve_entry(prepared.query, self.database, kmax)
+        curves.store(
+            self.database, prepared.canonical_key, token, backend, solver_key, entry
+        )
+        return entry, False
 
     def _solve_groups_in_pool(
         self,
@@ -844,8 +893,13 @@ class Session:
         Publishes what ``ComputeADP`` computes internally anyway: the
         Universe/Decompose dynamic programs need sub-problem costs for many
         targets, and every base case produces its whole profile in one pass.
+        The curve comes from the session's curve cache when an entry covers
+        ``kmax``, so it may report ``max_gain() > kmax`` (greedy curves
+        overshoot ``kmax`` anyway).
         """
         self._check_open()
+        if kmax < 0:
+            raise ValueError(f"kmax must be non-negative, got {kmax}")
         prepared = self.prepare(query)
         chosen = self._solver(solver, config, overrides)
         self._count("curves")
@@ -857,7 +911,7 @@ class Session:
                 order=prepared.join_order,
                 query_key=prepared.canonical_key,
             )
-            return chosen.curve(prepared.query, self.database, kmax)
+            return self._curve_entry(prepared, chosen, kmax)[0].curve
 
     # ------------------------------------------------------------------ #
     # Incremental mutations
@@ -912,8 +966,9 @@ class Session:
         consumer sees the new state); cached evaluation results for the old
         version are not discarded but **delta-filtered** to the new version,
         so the next :meth:`evaluate`/:meth:`solve` per cached query is a
-        cache hit instead of a join.  Returns how many referenced tuples
-        were actually present.
+        cache hit instead of a join.  Cached cost curves are dropped, never
+        migrated: greedy curves are not delta-maintainable.  Returns how many
+        referenced tuples were actually present.
         """
         self._check_open()
         ref_list = list(refs)
@@ -923,6 +978,8 @@ class Session:
             old_token = self.database.version_token()
             removed = self.database.remove_tuples(ref_list)
             new_token = self.database.version_token()
+            if removed:
+                self._context.curves.drop(self.database)
             for (query_key, token, backend_tag), result in snapshot.items():
                 if token != old_token:
                     continue  # already stale before the deletion
@@ -948,7 +1005,8 @@ class Session:
         cache hit instead of a join.  The pre-mutation interning tables are
         extended (old tids preserved, new rows appended) and seeded back
         into the engine context, so even uncached queries skip the
-        re-interning pass.  References to unknown relations are ignored and
+        re-interning pass.  Cached cost curves are dropped, never migrated.
+        References to unknown relations are ignored and
         duplicates are no-ops, mirroring :meth:`apply_deletions`; arity
         mismatches raise ``ValueError`` before anything mutates.  Returns
         how many referenced tuples were actually new.
@@ -1007,6 +1065,8 @@ class Session:
 
             added = self.database.insert_tuples(ref_list)
             new_token = self.database.version_token()
+            if added:
+                context.curves.drop(self.database)
             for relation, index in seeds:
                 context.seed_index(relation, index)
 
@@ -1046,7 +1106,7 @@ class Session:
     # Introspection
     # ------------------------------------------------------------------ #
     def clear_cache(self) -> None:
-        """Drop this session's memoized evaluation results.
+        """Drop this session's memoized evaluation results and cost curves.
 
         On a ``workers > 1`` session this also clears the caches held by
         live workers (their interning tables and resident databases
@@ -1054,6 +1114,7 @@ class Session:
         """
         self._check_open()
         self._context.cache.clear()
+        self._context.curves.clear()
         if self._pool is not None:
             self._pool.clear_caches()
 
@@ -1061,12 +1122,15 @@ class Session:
     def stats(self) -> SessionStats:
         """A snapshot of the session's usage counters."""
         hits, misses = self._context.cache.stats()
+        curve_hits, curve_misses = self._context.curves.stats()
         with self._lock:
             counters = dict(self._counters)
         return SessionStats(
             cache_hits=hits,
             cache_misses=misses,
             joins=self._context.evaluations,
+            curve_hits=curve_hits,
+            curve_misses=curve_misses,
             **counters,
         )
 

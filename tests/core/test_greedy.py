@@ -149,13 +149,13 @@ class TestDrasticBincountKernel:
 
 
 class TestBatchedProfitScan:
-    """The adaptive batched profit kernel must not move a greedy pick."""
+    """The vectorized NumPy round must not move a greedy pick."""
 
     def test_batch_scan_matches_python_backend(self):
-        """A profit-0-heavy projection instance degenerates the pruned scan
-        (every candidate's profit is computed each round), so the NumPy
-        index switches to the batched kernel after round one; the produced
-        curve must equal the Python backend's pick for pick.
+        """A profit-0-heavy projection instance degenerates the Python
+        kernel's pruned scan (every candidate's profit is computed each
+        round), while every NumPy round takes its profits from one batched
+        ``profits_for``; the produced curves must agree pick for pick.
         """
         from repro.engine.backend import numpy_available
 
@@ -181,3 +181,133 @@ class TestBatchedProfitScan:
         # Sanity: the scan really faced the degenerate shape (many
         # candidates, unit gains) -- each pick removes one output.
         assert len(curves["python"].picks()) == 300
+
+
+# --------------------------------------------------------------------------- #
+# Pinned greedy picks: the kernels may change, the picks may not
+# --------------------------------------------------------------------------- #
+QH = parse_query("Qh(A) :- R1(A), R2(A, B), R3(B)")
+QTRIANGLE = parse_query("Qt(A, B, C) :- T1(A, B), T2(B, C), T3(C, A)")
+QBOOLEAN_PATH = parse_query("Qb() :- R1(A), R2(A, B), R3(B)")
+
+#: ``generate_zipf_path`` points the pinned instances are derived from.
+PIN_POINTS = [(5000, 1.1, 61), (3000, 0.5, 7)]
+
+
+def _triangle_database(zipf: Database, nodes: int) -> Database:
+    """A triangle instance folding the zipf path's edges onto ``nodes`` ids."""
+    edges = sorted(
+        {
+            (int(a[1:]) % nodes, int(b[1:]) % nodes)
+            for a, b in zipf.relation("R2").rows
+        }
+    )
+    return Database.from_dict(
+        {"T1": ["A", "B"], "T2": ["B", "C"], "T3": ["C", "A"]},
+        {"T1": edges, "T2": edges, "T3": [(c, a) for a, c in edges]},
+    )
+
+
+def _pinned_instance(name: str, point):
+    from repro.workloads.zipf import generate_zipf_path
+
+    r2_tuples, alpha, seed = point
+    if name == "Qh":
+        return QH, generate_zipf_path(r2_tuples=r2_tuples, alpha=alpha, seed=seed)
+    if name == "triangle":
+        zipf = generate_zipf_path(r2_tuples=r2_tuples // 4, alpha=alpha, seed=seed)
+        return QTRIANGLE, _triangle_database(zipf, 80)
+    zipf = generate_zipf_path(r2_tuples=r2_tuples // 10, alpha=alpha, seed=seed)
+    return QBOOLEAN_PATH, zipf
+
+
+def greedy_picks_digest(name: str, point, endogenous_only: bool, backend: str) -> str:
+    """sha256 of ``repr(greedy_curve(...).picks())`` on one pinned instance."""
+    import hashlib
+
+    from repro.engine.backend import is_ndarray
+
+    query, database = _pinned_instance(name, point)
+    with Session(database, backend=backend) as session:
+        result = session.evaluate(query)
+        # The numpy leg must really exercise the ndarray kernels.
+        assert is_ndarray(result.provenance.ref_columns[0]) == (backend == "numpy")
+        with session.activate():
+            curve = greedy_curve(query, database, endogenous_only=endogenous_only)
+    return hashlib.sha256(repr(curve.picks()).encode()).hexdigest()
+
+
+#: Recorded on the pre-vectorization kernels (pruned scan + adaptive batched
+#: profits); identical on both backends and for both ``endogenous_only``.
+PINNED_DIGESTS = {
+    ((5000, 1.1, 61), "Qh"): "6565c281342ed216065175476ba4ba4c0c699526879c3460d629847c4c91bf6c",
+    ((5000, 1.1, 61), "triangle"): "26e0dd782e60f37f718fd104f6b4e71c3fdfd922fccee82b39c5255803449679",
+    ((5000, 1.1, 61), "boolean"): "1a6e77c0b3bc68657e71f26778b81520cf6585d23c04ec66c509feb13061dfdb",
+    ((3000, 0.5, 7), "Qh"): "213ab047c5abed542a585dd875b3c1b4337ac561800e727254f3b2de950c5bee",
+    ((3000, 0.5, 7), "triangle"): "cb5a5fdff62af14cbea47a7e170103d7714d5b5d012f120c865d08d3dfec8421",
+    ((3000, 0.5, 7), "boolean"): "b0ff353396a779adfd18fa3ca6ec4241109067d79d33d5ea8cea146cf72d3edc",
+}
+
+
+def _backends():
+    from repro.engine.backend import numpy_available
+
+    return [
+        "python",
+        pytest.param(
+            "numpy",
+            marks=pytest.mark.skipif(
+                not numpy_available(), reason="numpy backend unavailable"
+            ),
+        ),
+    ]
+
+
+class TestPinnedGreedyPicks:
+    @pytest.mark.parametrize("backend", _backends())
+    @pytest.mark.parametrize("endogenous_only", [True, False])
+    @pytest.mark.parametrize(
+        "point,name",
+        sorted(PINNED_DIGESTS),
+        ids=[f"{name}-{'-'.join(map(str, point))}" for point, name in sorted(PINNED_DIGESTS)],
+    )
+    def test_picks_match_pinned_digest(self, point, name, endogenous_only, backend):
+        digest = greedy_picks_digest(name, point, endogenous_only, backend)
+        assert digest == PINNED_DIGESTS[(point, name)]
+
+
+class TestProfitsForProperty:
+    """``profits_for`` equals per-rid ``profit_id`` under any deletion state."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_profits_for_tracks_remove_and_restore(self, seed):
+        import random
+
+        from repro.engine.backend import numpy_available
+        from repro.engine.provenance import ProvenanceIndex
+        from repro.workloads.zipf import generate_zipf_path
+
+        if not numpy_available():
+            pytest.skip("numpy backend unavailable")
+        rng = random.Random(seed)
+        database = generate_zipf_path(
+            r2_tuples=rng.choice([80, 200, 400]), alpha=rng.choice([0.0, 1.1]),
+            seed=seed,
+        )
+        query = rng.choice([QH, QPATH, QBOOLEAN_PATH])
+        with Session(database, backend="numpy") as session:
+            index = ProvenanceIndex(session.evaluate(query))
+        rids = list(range(index.ref_count()))
+        removed: list = []
+        for _step in range(40):
+            if removed and rng.random() < 0.35:
+                index.restore_id(removed.pop(rng.randrange(len(removed))))
+            else:
+                rid = rng.choice(rids)
+                index.remove_id(rid)
+                removed.append(rid)
+            sample = rng.sample(rids, min(len(rids), 25))
+            assert index.profits_for(sample).tolist() == [
+                index.profit_id(r) for r in sample
+            ]
+        assert index.profits_for(rids).tolist() == [index.profit_id(r) for r in rids]
