@@ -35,7 +35,18 @@ from __future__ import annotations
 
 import os
 import struct
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 #: A packed column: a plain Python list or a ``numpy.ndarray`` -- typed as
 #: ``Any`` because NumPy is optional and kernels dispatch at runtime via
@@ -272,23 +283,100 @@ def id_column_to_bytes(column: Column) -> bytes:
     return struct.pack(f"<{len(column)}q", *column)
 
 
-def group_positions(column: Column) -> Dict[int, object]:
+class Postings(Protocol):
+    """``tid -> ascending witness positions`` for one atom (postings index).
+
+    A plain ``dict`` of lists on the Python backend, a :class:`CsrPostings`
+    on the NumPy backend.  ``get`` returns ``None`` for a tid without
+    witnesses, and ``len`` counts the tids that have some.
+    """
+
+    def get(self, tid: int, /) -> Optional[Column]: ...
+
+    def items(self) -> Iterable[Tuple[int, Column]]: ...
+
+    def __len__(self) -> int: ...
+
+
+class CsrPostings:
+    """Postings as compressed sparse rows: one position array plus offsets.
+
+    Row ``t`` (a tid, or a dense rid in :mod:`repro.engine.provenance`) holds
+    ``order[offsets[t]:offsets[t + 1]]``: ascending positions, read as a
+    view.  Built from an ID column (:meth:`from_column`) that is one stable
+    argsort plus one ``bincount``; no per-row object exists until a caller
+    asks for one -- building tens of thousands of small arrays (``np.split``)
+    costs far more than the grouping itself.
+    """
+
+    __slots__ = ("order", "offsets")
+
+    def __init__(self, order: Column, offsets: Column) -> None:
+        self.order = order
+        self.offsets = offsets
+
+    @classmethod
+    def from_column(cls, column: Column) -> "CsrPostings":
+        """``value -> positions holding it`` for one ``int64`` ID column."""
+        np = _np
+        counts = np.bincount(column)
+        offsets = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(np.argsort(column, kind="stable"), offsets)
+
+    def __getitem__(self, row: int) -> Column:
+        """Row ``row``'s positions, unchecked (callers index valid rows)."""
+        offsets = self.offsets
+        return self.order[offsets[row]:offsets[row + 1]]
+
+    def get(self, tid: int, /) -> Optional[Column]:
+        """A view of ``tid``'s positions, or ``None`` when it has none."""
+        offsets = self.offsets
+        if 0 <= tid < offsets.size - 1 and offsets[tid] < offsets[tid + 1]:
+            return self[tid]
+        return None
+
+    def _rows(self) -> Column:
+        """The rows holding at least one position, ascending."""
+        return _np.flatnonzero(_np.diff(self.offsets))
+
+    def items(self) -> Iterator[Tuple[int, Column]]:
+        """``(tid, positions view)`` for every tid with positions, ascending."""
+        order = self.order
+        offsets = self.offsets.tolist()
+        for tid in self._rows().tolist():
+            yield tid, order[offsets[tid]:offsets[tid + 1]]
+
+    def __len__(self) -> int:
+        return int(self._rows().size)
+
+    def gather(self, tids: Sequence[int]) -> Column:
+        """All positions of ``tids`` in one pass (duplicates kept).
+
+        The concatenation of ``get(t)`` over ``tids`` in order; tids out of
+        range or without positions contribute nothing.
+        """
+        np = _np
+        offsets = self.offsets
+        wanted = np.asarray(tids, dtype=np.int64)
+        wanted = wanted[(wanted >= 0) & (wanted < offsets.size - 1)]
+        starts = offsets[wanted]
+        lengths = offsets[wanted + 1] - starts
+        # Output slot i of run r reads order[starts[r] + i - run_start[r]].
+        run_starts = np.cumsum(lengths) - lengths
+        shift = np.repeat(starts - run_starts, lengths)
+        return self.order[np.arange(shift.size, dtype=np.int64) + shift]
+
+
+def group_positions(column: Column) -> Postings:
     """``value -> positions holding it`` for one ID column (postings build).
 
-    Positions are ascending within each value.  The Python path returns
-    lists; the NumPy path returns ``int64`` array *views* into one stable
-    argsort (zero extra copies), keyed by Python ints.
+    Positions are ascending within each value.  The Python path returns a
+    dict of lists; the NumPy path returns :class:`CsrPostings`.
     """
     if is_ndarray(column):
-        np = _np
-        order = np.argsort(column, kind="stable")
-        sorted_values = column[order]
-        boundaries = np.nonzero(np.diff(sorted_values))[0] + 1
-        groups = np.split(order, boundaries) if sorted_values.size else []
-        # Each chunk holds *original positions*; the group's key value is
-        # read back through the column at any of them.
-        return {int(column[chunk[0]]): chunk for chunk in groups}
-    postings: Dict[int, object] = {}
+        return CsrPostings.from_column(column)
+    postings: Dict[int, List[int]] = {}
     setdefault = postings.setdefault
     for position, value in enumerate(column):
         setdefault(value, []).append(position)
@@ -297,7 +385,9 @@ def group_positions(column: Column) -> Dict[int, object]:
 
 __all__ = [
     "BACKEND_NAMES",
+    "CsrPostings",
     "NumpyBackend",
+    "Postings",
     "PythonBackend",
     "as_id_list",
     "backend_of_column",

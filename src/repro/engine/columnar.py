@@ -34,6 +34,7 @@ from repro.data.relation import Relation, Row, TupleRef
 from repro.engine.backend import (
     Backend,
     Column,
+    Postings,
     as_id_list,
     backend_of_column,
     group_positions,
@@ -325,7 +326,7 @@ class ColumnarProvenance:
         self._atom_position: Dict[str, int] = {
             name: position for position, name in enumerate(atom_names)
         }
-        self._postings: List[Optional[Dict[int, List[int]]]] = [None] * len(atom_names)
+        self._postings: List[Optional[Postings]] = [None] * len(atom_names)
         #: Guards the lazy postings builds: concurrent ``what_if``/delta
         #: callers sharing one (immutable) provenance must not duplicate the
         #: O(witnesses) inversion scan or observe a half-built index.
@@ -370,7 +371,7 @@ class ColumnarProvenance:
         """The :class:`TupleRef` for one (atom position, tuple ID) pair."""
         return self.refs_for_atom(position)[tid]
 
-    def postings_for_atom(self, position: int) -> Dict[int, List[int]]:
+    def postings_for_atom(self, position: int) -> Postings:
         """``tid -> sorted witness positions`` for one atom (lazy, cached).
 
         The inverted form of ``ref_columns[position]``: which witnesses use
@@ -384,9 +385,9 @@ class ColumnarProvenance:
             with self._postings_lock:
                 postings = self._postings[position]
                 if postings is None:
-                    # Backend-dispatched: one stable argsort + zero-copy
-                    # splits on ndarray columns, the classic setdefault loop
-                    # on lists.
+                    # Backend-dispatched: one stable argsort + bincount
+                    # offsets (CSR) on ndarray columns, the classic
+                    # setdefault loop on lists.
                     with span("engine.provenance.postings") as psp:
                         postings = group_positions(self.ref_columns[position])
                         if psp:

@@ -8,7 +8,10 @@ does.  So the effect of a deletion set on an already-evaluated
 provenance columns against the surviving tuples** -- resolved through the
 provenance's inverted postings index (tuple -> witness positions) in time
 proportional to the *dead* witnesses, not to the whole join -- rather than a
-re-intern + re-join of the whole database.
+re-intern + re-join of the whole database.  On ndarray provenance the
+postings are CSR (:class:`~repro.engine.backend.CsrPostings`: one stable
+argsort plus per-tid offsets), cheap enough to rebuild lazily on every
+mutated result instead of being carried across mutations.
 
 This is the engine behind the session what-if API:
 
@@ -30,11 +33,24 @@ tables with its parent: deleted tuples simply no longer appear in any
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.data.relation import Row, TupleRef
 from repro.engine.backend import (
     Column,
+    CsrPostings,
+    Postings,
     as_id_list,
     backend_of_column,
     group_positions,
@@ -59,10 +75,10 @@ def _dead_witnesses(
     expanded through the provenance's lazy postings index, so the collection
     step costs ``O(|dead witnesses|)``, not ``O(|witnesses|)``.
 
-    Returns a ``set`` of positions for list-packed provenance, or a
-    deduplicated ``int64`` ndarray for ndarray-packed provenance (the
-    postings are array views there -- one concatenate + unique instead of
-    per-ref set insertion).  Both support ``len``.
+    Returns a ``set`` of positions for list-packed provenance, or a sorted,
+    deduplicated ``int64`` ndarray for ndarray-packed provenance (one CSR
+    ``gather`` per relation + one ``unique`` instead of per-ref set
+    insertion).  Both support ``len``.
     """
     vacuum = set(provenance.vacuum_refs)
     by_relation: dict = {}
@@ -71,30 +87,32 @@ def _dead_witnesses(
             return None
         by_relation.setdefault(ref.relation, []).append(ref.values)
 
-    vectorized = provenance.atom_count() and is_ndarray(provenance.ref_columns[0])
-    chunks = []  # ndarray path: posting arrays, deduplicated at the end
-    dead: Set[int] = set()
-    update = dead.update
+    tids_by_position: List[Tuple[int, List[int]]] = []
     for relation_name, values_list in by_relation.items():
         position = provenance.atom_position(relation_name)
         if position is None:
             continue
         ids_get = provenance.indexes[position].ids.get
-        postings_get = provenance.postings_for_atom(position).get
-        for values in values_list:
-            tid = ids_get(values)
-            if tid is not None:
-                hits = postings_get(tid)
-                if hits is not None and len(hits):
-                    if vectorized:
-                        chunks.append(hits)
-                    else:
-                        update(hits)
-    if vectorized:
+        tids = [tid for tid in map(ids_get, values_list) if tid is not None]
+        if tids:
+            tids_by_position.append((position, tids))
+
+    if provenance.atom_count() and is_ndarray(provenance.ref_columns[0]):
         np = backend_of_column(provenance.ref_columns[0]).np
+        chunks = [
+            cast(CsrPostings, provenance.postings_for_atom(position)).gather(tids)
+            for position, tids in tids_by_position
+        ]
         if not chunks:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(chunks))
+    dead: Set[int] = set()
+    for position, tids in tids_by_position:
+        postings_get = provenance.postings_for_atom(position).get
+        for tid in tids:
+            hits = postings_get(tid)
+            if hits is not None:
+                dead.update(hits)
     return dead
 
 
@@ -347,9 +365,9 @@ def outputs_delta(result: QueryResult, removed: Iterable[TupleRef]) -> int:
 # tables' cached hash groups -- work proportional to the delta and its new
 # witnesses, never to the existing join.  Discovered witnesses are
 # *appended*: old tids, witness positions and output ids all keep their
-# meaning, so the packed columns, the postings index and the output table
-# extend in place instead of being rebuilt (the append invariant the parity
-# suite pins down).
+# meaning, so the packed columns, a built list postings index and the output
+# table extend in place instead of being rebuilt (the append invariant the
+# parity suite pins down); CSR postings are rebuilt lazily instead.
 #
 # Liveness: interning tables are append-only and shared across deletions
 # (``delta_filter_provenance`` drops dead witnesses from the packed columns
@@ -553,36 +571,26 @@ def _extended_indexes(
 def _migrated_postings(
     provenance: ColumnarProvenance,
     new_columns: List[List[int]],
-    vectorized: bool,
-) -> List[Optional[Dict[int, List[int]]]]:
-    """Extend the parent's already-built postings with the new witnesses.
+) -> List[Optional[Postings]]:
+    """Extend the parent's already-built list postings with the new witnesses.
 
-    Unbuilt atoms stay ``None`` (lazy as before).  Parent lists/arrays are
-    never mutated -- cached results are immutable by contract -- but every
-    untouched tid keeps sharing the parent's posting object.
+    List-packed provenance only: CSR postings are cheaper to rebuild lazily
+    (one argsort) than to merge, so ndarray results start unbuilt.  Unbuilt
+    atoms stay ``None``.  Parent lists are never mutated -- cached results
+    are immutable by contract -- but every untouched tid keeps sharing the
+    parent's posting list.
     """
     old_count = provenance.witness_count()
-    migrated = []
+    migrated: List[Optional[Postings]] = []
     for position, parent_postings in enumerate(provenance._postings):
         if parent_postings is None:
             migrated.append(None)
             continue
-        appended = group_positions(new_columns[position])
-        merged = dict(parent_postings)
-        for tid, positions in appended.items():
+        merged = dict(parent_postings.items())
+        for tid, positions in group_positions(new_columns[position]).items():
             offsets = [old_count + w for w in positions]
             existing = merged.get(tid)
-            if vectorized:
-                np = backend_of_column(provenance.ref_columns[0]).np
-                chunk = np.asarray(offsets, dtype=np.int64)
-                merged[tid] = (
-                    chunk if existing is None
-                    else np.concatenate([existing, chunk])
-                )
-            else:
-                merged[tid] = (
-                    offsets if existing is None else list(existing) + offsets
-                )
+            merged[tid] = offsets if existing is None else existing + offsets
         migrated.append(merged)
     return migrated
 
@@ -674,7 +682,8 @@ def delta_insert_provenance(
         merged_index,
         provenance.vacuum_refs,
     )
-    updated._postings = _migrated_postings(provenance, new_columns, vectorized)
+    if not vectorized:
+        updated._postings = _migrated_postings(provenance, new_columns)
     return updated
 
 

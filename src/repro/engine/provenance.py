@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.data.relation import TupleRef
-from repro.engine.backend import Column, backend_of_column, is_ndarray
+from repro.engine.backend import Column, CsrPostings, backend_of_column, is_ndarray
 from repro.engine.evaluate import QueryResult
 
 
@@ -48,28 +48,6 @@ from repro.engine.evaluate import QueryResult
 #: (per-call NumPy overhead is ~tens of µs; the greedy scan issues profit
 #: queries for every surviving candidate each round).
 _SMALL_WIDS = 48
-
-
-class _CsrView:
-    """``rid -> witness positions`` as zero-copy slices of one CSR pair.
-
-    Replaces a list of per-rid ndarrays: building tens of thousands of small
-    array objects (``np.split``) costs more than the grouping itself, while
-    slicing on access is allocation-free.
-    """
-
-    __slots__ = ("flat", "offsets")
-
-    def __init__(self, flat: Column, offsets: Column) -> None:
-        self.flat = flat
-        self.offsets = offsets
-
-    def __getitem__(self, rid: int) -> Column:
-        offsets = self.offsets
-        return self.flat[offsets[rid]:offsets[rid + 1]]
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
 
 
 class ProvenanceIndex:
@@ -227,7 +205,7 @@ class ProvenanceIndex:
         # ``_witness_rids``/``_ref_witnesses`` keep their indexing contract
         # (``[wid]`` -> rids, ``[rid]`` -> wids) as zero-copy array views.
         self._witness_rids = self._witness_rid_matrix
-        self._ref_witnesses = _CsrView(flat, offsets)
+        self._ref_witnesses = CsrPostings(flat, offsets)
 
     def _build_pairs(self) -> None:
         """Factorize every witness's ``(output, rid)`` pairs (NumPy kernel).

@@ -200,7 +200,7 @@ def sets_from_packed_provenance(
     Equivalent to :func:`sets_from_witnesses` over the materialized witness
     list, but column-driven on both backends: each atom's sets come from the
     provenance's (cached) postings index -- one group-by per ``tid`` column
-    (a stable argsort with zero-copy splits on the NumPy backend, one
+    (CSR rows read as views of one stable argsort on the NumPy backend, one
     setdefault pass on the Python backend) instead of one Python
     ``set.add`` per witness element.  Repeated reductions over the same
     evaluation therefore share the grouping work with the delta-semijoin

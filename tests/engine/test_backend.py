@@ -7,6 +7,8 @@ no-NumPy CI leg relies on.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import backend as backend_module
 from repro.engine.backend import (
@@ -94,17 +96,52 @@ def test_numpy_kernels_match_python():
     assert np_backend.take(column, selection).tolist() == py.take(values, [6, 0, 3])
 
 
+#: Random ID columns over an interning table of ``size`` tids.  Tables
+#: may be longer than ``max(column) + 1`` (interned rows with no witness),
+#: columns may be empty.
+id_columns = st.integers(min_value=1, max_value=12).flatmap(
+    lambda size: st.tuples(
+        st.just(size),
+        st.lists(st.integers(min_value=0, max_value=size - 1), max_size=40),
+    )
+)
+
+
 @requires_numpy
-def test_group_positions_parity():
-    values = [4, 1, 4, 4, 0, 1]
-    py_groups = group_positions(values)
-    np_groups = group_positions(resolve_backend("numpy").id_column(values))
-    assert set(py_groups) == set(np_groups) == {0, 1, 4}
-    for key, positions in py_groups.items():
-        assert as_id_list(np_groups[key]) == positions
-        # ascending witness positions: what the postings contract promises
-        assert positions == sorted(positions)
-    assert all(type(key) is int for key in np_groups)
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.one_of(
+        id_columns,
+        st.tuples(st.just(0), st.just([])),
+        st.integers(min_value=0, max_value=5).map(lambda v: (v + 1, [v] * 7)),
+    ),
+    probes=st.lists(st.integers(min_value=-3, max_value=20), max_size=8),
+)
+def test_group_positions_parity(case, probes):
+    """CSR postings (numpy) answer exactly like the dict of lists (python)."""
+    size, values = case
+    py_postings = group_positions(values)
+    np_postings = group_positions(resolve_backend("numpy").id_column(values))
+    assert len(np_postings) == len(py_postings)
+    np_items = list(np_postings.items())
+    # Ascending key iteration, ascending positions per key.
+    assert [key for key, _ in np_items] == sorted(py_postings)
+    assert all(type(key) is int for key, _ in np_items)
+    for key, positions in np_items:
+        assert as_id_list(positions) == py_postings[key]
+        assert py_postings[key] == sorted(py_postings[key])
+    # Every tid of the table and beyond it (absent, negative, out of range).
+    for tid in range(-2, size + 3):
+        expected = py_postings.get(tid)
+        got = np_postings.get(tid)
+        if expected is None:
+            assert got is None
+        else:
+            assert as_id_list(got) == expected
+    gathered = np_postings.gather(probes)
+    assert as_id_list(gathered) == [
+        position for tid in probes for position in py_postings.get(tid, [])
+    ]
 
 
 @requires_numpy

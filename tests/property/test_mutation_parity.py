@@ -247,21 +247,52 @@ def test_snapshot_reopen_matches_uninterrupted_run(
         store.close()
 
 
+def _what_if_probe(query, database, deleted, rng):
+    """Live refs of every atom, already-deleted refs and an unknown relation."""
+    probe = _delete_batch(query, database, rng, count=6)
+    probe += rng.sample(deleted, min(3, len(deleted)))
+    probe.append(TupleRef("NoSuchRelation", ("x",)))
+    return probe
+
+
+def _assert_what_if_parity(py_session, np_session, query, deleted, rng, context):
+    probe = _what_if_probe(query, py_session.database, deleted, rng)
+    counts = []
+    for session in (py_session, np_session):
+        entry = session.what_if(probe, query).single
+        counts.append((entry.witnesses_removed, entry.outputs_removed))
+    assert counts[0] == counts[1], f"{context} what_if probe={probe}"
+
+
 @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
 @pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
 def test_mutation_trace_byte_identical_across_backends(name, query, database):
-    """python and numpy replay the same trace into byte-identical packing."""
+    """python and numpy replay the same trace into byte-identical packing.
+
+    After every step both sessions also answer the same what-if probe, so
+    the postings each backend reads -- list postings migrated across
+    inserts on python, CSR postings rebuilt on the mutated provenance on
+    numpy -- must agree on the counts.
+    """
     trace = _mutation_trace(query, database, seed=SEED)
+    rng = random.Random(SEED ^ 0x9E0BE)
+    deleted = []
     with Session(database.copy(), backend="python") as py_session, Session(
         database.copy(), backend="numpy"
     ) as np_session:
         py_session.evaluate(query)
         np_session.evaluate(query)
+        _assert_what_if_parity(
+            py_session, np_session, query, deleted, rng, f"seed={SEED} [{name}]"
+        )
         for step, (op, refs) in enumerate(trace):
             assert _apply(py_session, op, refs) == _apply(np_session, op, refs)
+            if op == "delete":
+                deleted.extend(refs)
             py_result = py_session.evaluate(query)
             np_result = np_session.evaluate(query)
             context = f"seed={SEED} step={step} op={op} [{name}]"
+            _assert_what_if_parity(py_session, np_session, query, deleted, rng, context)
             assert packed_columns(np_result.provenance) == packed_columns(
                 py_result.provenance
             ), context
