@@ -62,8 +62,7 @@ BACKEND_SCALE_RATIO = 0.1
 #: Acceptance floor (locally measured ~4.7x; 3x leaves CI headroom).  A
 #: below-floor measurement is re-measured once before failing (shared
 #: runners throttle unpredictably), and REPRO_SKIP_BACKEND_ACCEPTANCE=1
-#: downgrades the assert to a report -- the same spirit as
-#: bench_parallel.py's core-count self-gate.
+#: downgrades the assert to a report.
 MIN_BACKEND_SPEEDUP = 3.0
 
 

@@ -3,10 +3,8 @@
 
 Runs the ``bench_fig12`` workload (TPC-H-like, 60 tuples, Q1, k from
 ρ = 0.1; methods bruteforce / greedy / drastic), the session what-if
-probe, and ``solve_many`` group dispatch (a mixed batch on a 2-worker
-session over a larger instance -- guarding dispatch overhead, not
-multi-core speedup, so the check is meaningful on any runner), and
-compares wall time against the committed baseline
+probe and the array-backend probe, and compares wall time against the
+committed baseline
 ``benchmarks/baseline_fig12.json``.
 
 Machines differ, so raw seconds are not comparable across hardware: every
@@ -78,11 +76,6 @@ THRESHOLD = 2.0
 
 SMALL_SIZE = 60
 RATIO = 0.1
-
-#: The group-dispatch workload: a few thousand tuples, small enough that
-#: the guard stays a smoke test.
-PARALLEL_SIZE = 800
-PARALLEL_WORKERS = 2
 
 #: The array-backend probe: a mid-scale NP-hard projection workload (zipf
 #: path family) where the vectorized kernels are engaged, guarding the
@@ -171,31 +164,11 @@ def measure() -> dict:
 
     timings["what_if_x200"] = best_of(what_if_probe)
 
-    # Parallel path: mixed solve_many batch on a persistent 2-worker pool
-    # (pool start + database shipping are excluded by the warm-up batch --
-    # the guard pins the steady-state dispatch cost).
-    from repro.query.parser import parse_query
-
-    parallel_db = generate_tpch(total_tuples=PARALLEL_SIZE, seed=7)
-    body = "Supplier(NK, SK), PartSupp(SK, PK), LineItem(OK, PK)"
-    batch = [
-        (Q1, 3),
-        (parse_query(f"QA(NK, OK) :- {body}"), 2),
-        (parse_query(f"QB(SK, PK) :- {body}"), 2),
-    ]
-    with Session(parallel_db, workers=PARALLEL_WORKERS) as parallel_session:
-        parallel_session.solve_many(batch, heuristic="greedy")  # warm up
-
-        def parallel_batch():
-            parallel_session.clear_cache()
-            parallel_session.solve_many(batch, heuristic="greedy")
-
-        timings["parallel_batch_w2"] = best_of(parallel_batch)
-
     # Array-backend probe: fresh greedy solve per backend (numpy entry is
     # absent when NumPy is not installed; absent methods are simply not
     # compared against the baseline).
     from repro.engine.backend import numpy_available
+    from repro.query.parser import parse_query
     from repro.workloads.zipf import generate_zipf_path
 
     qhard = parse_query("Qhard(A) :- R1(A), R2(A, B), R3(B)")

@@ -2,7 +2,7 @@
 
 Three mechanical analyses over the ``with <lock>`` / ``acquire()``
 patterns the codebase uses (``service/registry.py``, ``engine/cache.py``,
-``parallel/pool.py``, the engine context, metrics, admission):
+the engine context, metrics, admission):
 
 1. **Guarded-field access.**  Per class: every attribute assigned a lock
    factory (``threading.Lock/RLock/Condition``, ``ReadWriteLock``, ...)
@@ -140,7 +140,7 @@ def _name_parts(node: ast.expr) -> List[str]:
 def _lock_key(node: ast.expr, class_name: Optional[str]) -> str:
     """A canonical graph node for one lock expression.
 
-    ``self``-rooted locks are scoped by class (``WorkerPool._known_lock``)
+    ``self``-rooted locks are scoped by class (``EngineContext._lock``)
     so the same lock matches across methods; other receivers keep their
     dotted source form.
     """

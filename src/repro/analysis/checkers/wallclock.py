@@ -2,8 +2,8 @@
 
 Everything under ``engine/``, ``parallel/`` and ``storage/`` must be a
 deterministic function of its inputs: results are compared byte-for-byte
-across backends, worker counts, incremental-mutation replays and
-crash-recovery replays, and the evaluation cache assumes a (query,
+across backends, incremental-mutation replays and crash-recovery
+replays, and the evaluation cache assumes a (query,
 database version) pair pins the answer.  Durability raises the stakes:
 recovery re-derives a session from snapshot + log bytes and the fault
 suite asserts the result byte-identical, so ambient state on that path

@@ -34,8 +34,7 @@ machine-readable summary for scripting.  An empty query result is a
 successful (empty) answer, not an error: the summary is printed and the
 exit code is 0.  An infeasible target (``--k`` outside ``1..|Q(D)|``,
 ``--ratio`` outside ``(0, 1]``) or a query naming a relation the database
-lacks prints ``error: ...`` and exits 2.  ``serve --workers N`` gives every served
-session a worker pool for batched solves.
+lacks prints ``error: ...`` and exits 2.
 
 Examples
 --------
@@ -185,6 +184,17 @@ def _add_experiments_parser(subparsers) -> None:
     )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1 (usage error, exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_serve_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "serve", help="run the HTTP/JSON ADP query service (repro.service)"
@@ -200,23 +210,15 @@ def _add_serve_parser(subparsers) -> None:
         help="array backend for the columnar kernels",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes per session for batched solves: solve_many "
-        "sends distinct hard-leaf query groups to them (default 1 = serial)",
-    )
-    parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=4,
         metavar="N",
         help="solver thread pool size (lock draining + batch concurrency)",
     )
     parser.add_argument(
         "--batch-max",
-        type=int,
+        type=_positive_int,
         default=16,
         metavar="N",
         help="max solve requests coalesced into one solve_many dispatch "
@@ -231,14 +233,14 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=64,
         metavar="N",
         help="admission bound on queued+running solve requests (excess: 429)",
     )
     parser.add_argument(
         "--max-databases",
-        type=int,
+        type=_positive_int,
         default=8,
         metavar="N",
         help="LRU bound on resident databases (eviction closes the session)",
@@ -393,7 +395,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         backend=args.backend,
-        workers=args.workers,
         executor_threads=args.threads,
         max_batch=args.batch_max,
         linger_ms=args.batch_linger_ms,

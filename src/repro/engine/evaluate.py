@@ -389,11 +389,6 @@ class EngineContext:
         with self._lock:
             self._interners = weakref.WeakKeyDictionary()
 
-    def record_joins(self, count: int = 1) -> None:
-        """Add ``count`` joins to :attr:`evaluations` (under the lock)."""
-        with self._lock:
-            self.evaluations += count
-
     def interned(self, relation: Relation) -> RelationIndex:
         """A :class:`RelationIndex` for the relation's *current* version.
 
@@ -483,7 +478,8 @@ class EngineContext:
                 index_for=self.interned,
                 backend=self.backend,
             )
-            self.record_joins()
+            with self._lock:
+                self.evaluations += 1
             if cacheable:
                 self.cache.store(
                     query, database, result, query_key=query_key, backend=backend_tag

@@ -39,7 +39,7 @@ from repro.obs.stats import (
 )
 
 #: Bumped when the payload schema changes shape (service clients key on it).
-EXPLAIN_VERSION = 3
+EXPLAIN_VERSION = 4
 
 
 # --------------------------------------------------------------------------- #
@@ -267,7 +267,6 @@ def explain_payload(session, query, analyze: bool = True) -> Dict[str, object]:
         "plan": _plan_block(context, database, prepared),
     }
     execution: Dict[str, object] = {
-        "workers": session.workers,
         "backend": _backend_verdict(context, database, prepared),
         "analyzed": bool(analyze),
         "cache": None,

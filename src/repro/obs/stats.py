@@ -14,8 +14,8 @@ Collection follows the tracer's gating contract exactly: a
 every instrumented kernel asks :func:`current_collector` once per call and
 does **no work at all** when none is installed -- the disabled hot path is
 one ``ContextVar.get()`` plus a ``None`` check, the same cost bounded by
-the CI obs-overhead gate.  Records are plain JSON-safe dicts so they ship
-across process boundaries and into service payloads unchanged.
+the CI obs-overhead gate.  Records are plain JSON-safe dicts so they go
+into service payloads unchanged.
 
 Like the tracer, this module reads **no clocks** (REP005): statistics are
 pure counts; any wall-clock stamps on persisted records are supplied by

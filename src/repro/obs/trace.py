@@ -1,11 +1,11 @@
 """Zero-dependency structured tracing: nested spans with monotonic timings.
 
 One :class:`Tracer` owns one tree (forest) of :class:`Span` records for one
-logical operation -- a CLI solve, one coalesced service batch, one worker
-task.  Spans nest lexically through two :mod:`contextvars` variables: the
-ambient tracer (installed with :func:`use_tracer`) and the innermost open
-span.  Instrumented code never touches either directly; it calls
-:func:`span`, which returns
+logical operation -- a CLI solve or one coalesced service batch.  Spans
+nest lexically through two :mod:`contextvars` variables: the ambient
+tracer (installed with :func:`use_tracer`) and the innermost open span.
+Instrumented code never touches either directly; it calls :func:`span`,
+which returns
 
 * a real :class:`Span` (truthy, records ``time.monotonic_ns`` on enter and
   exit) when a tracer is installed *and* enabled, or
@@ -16,12 +16,6 @@ path costs one ``ContextVar.get`` plus a ``None`` check per instrumentation
 point, and attribute computation is skipped entirely behind ``if sp:``
 guards.  The disabled path is budgeted at <= 2% on the tier-1 benches and
 enforced in CI (``benchmarks/check_regression.py --obs-overhead``).
-
-Cross-process propagation (the worker pool) works on *serialized* spans:
-:meth:`Tracer.export` renders the forest to plain picklable dicts, and
-:meth:`Span.graft` attaches such dicts as foreign children -- the parent
-never tries to compare monotonic clocks across processes, so grafted
-subtrees carry durations and intra-process offsets only.
 
 This module is the only place in the tracing layer that reads a clock, and
 it only reads the *monotonic* one: ``repro/obs/`` is checked by REP005 in
@@ -36,7 +30,7 @@ import os
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar, Token
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 #: A serialized span: ``{"name", "offset_ms", "dur_ms", "attrs"?, "children"?}``.
 SpanDict = Dict[str, Any]
@@ -68,9 +62,6 @@ class NullSpan:
     def set(self, **attrs: object) -> None:
         return None
 
-    def graft(self, spans: Sequence[SpanDict]) -> None:
-        return None
-
 
 #: The process-wide no-op singleton; identity-comparable in tests.
 NULL_SPAN = NullSpan()
@@ -88,9 +79,7 @@ class Span:
         self._tracer = tracer
         self.name = name
         self.attrs: Dict[str, object] = dict(attrs) if attrs else {}
-        #: Own children (:class:`Span`) interleaved with grafted foreign
-        #: subtrees (plain dicts from :meth:`Tracer.export` in a worker).
-        self.children: List[Union["Span", SpanDict]] = []
+        self.children: List["Span"] = []
         self.start_ns = 0
         self.end_ns = 0
         self._token: Optional["Token[Optional[Span]]"] = None
@@ -118,18 +107,14 @@ class Span:
         """Attach typed attributes (tuples probed, cache hit, backend, ...)."""
         self.attrs.update(attrs)
 
-    def graft(self, spans: Sequence[SpanDict]) -> None:
-        """Attach serialized spans (from another process) as children."""
-        self.children.extend(spans)
-
     @property
     def dur_ms(self) -> float:
         return (self.end_ns - self.start_ns) / 1e6
 
     def to_dict(self, origin_ns: Optional[int] = None) -> SpanDict:
-        """A plain picklable dict; offsets are relative to ``origin_ns``
-        (the parent's start), so serialized trees never carry absolute
-        monotonic readings across process boundaries."""
+        """A plain JSON-serializable dict; offsets are relative to
+        ``origin_ns`` (the parent's start), so serialized trees never carry
+        absolute monotonic readings."""
         base = self.start_ns if origin_ns is None else origin_ns
         out: SpanDict = {
             "name": self.name,
@@ -139,10 +124,7 @@ class Span:
         if self.attrs:
             out["attrs"] = dict(self.attrs)
         if self.children:
-            out["children"] = [
-                child.to_dict(self.start_ns) if isinstance(child, Span) else child
-                for child in self.children
-            ]
+            out["children"] = [child.to_dict(self.start_ns) for child in self.children]
         return out
 
 
@@ -168,7 +150,7 @@ class Tracer:
         return Span(self, name, attrs)
 
     def export(self) -> List[SpanDict]:
-        """The forest as plain dicts (picklable, JSON-serializable)."""
+        """The forest as plain dicts (JSON-serializable)."""
         return [root.to_dict() for root in self.roots]
 
 

@@ -140,9 +140,8 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back from ``AdpService.port``).
     port: int = 8080
-    #: Backend/workers for every registry session.
+    #: Backend for every registry session.
     backend: str = "auto"
-    workers: int = 1
     #: LRU bound on resident databases.
     max_databases: int = 8
     #: Solver thread pool size (CPU-bound Python: more threads buy
@@ -229,7 +228,6 @@ class AdpService:
         self.registry = SessionRegistry(
             self.config.max_databases,
             backend=self.config.backend,
-            workers=self.config.workers,
             store=self.store,
         )
         self.metrics = ServiceMetrics()
@@ -358,7 +356,7 @@ class AdpService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         try:
@@ -367,12 +365,12 @@ class AdpService:
             raise ApiError(400, "malformed request line")
         headers: Dict[str, str] = {}
         for _ in range(100):
-            header = await reader.readline()
+            header = await _read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _sep, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        else:  # pragma: no cover - header bomb
+        else:
             raise ApiError(400, "too many headers")
         try:
             length = int(headers.get("content-length", "0") or "0")
@@ -534,7 +532,7 @@ class AdpService:
             "databases": [
                 database_payload(
                     entry.name, entry.version, entry.database,
-                    backend=entry.session.backend, workers=entry.session.workers,
+                    backend=entry.session.backend,
                 )
                 for entry in self.registry.entries()
             ]
@@ -576,7 +574,7 @@ class AdpService:
         # the generic handler in _respond.
         return 200, database_payload(
             entry.name, entry.version, database,
-            backend=entry.session.backend, workers=entry.session.workers,
+            backend=entry.session.backend,
         ), {}
 
     def _entry(self, name: str) -> RegisteredDatabase:
@@ -1074,6 +1072,14 @@ class AdpService:
         }, {}
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line; a line over the stream limit is a 400."""
+    try:
+        return await reader.readline()
+    except ValueError:  # asyncio's StreamReader limit (64 KiB by default)
+        raise ApiError(400, "request line or header too long") from None
+
+
 def _require_str(body: dict, field: str) -> str:
     value = body.get(field)
     if not isinstance(value, str) or not value:
@@ -1086,7 +1092,7 @@ class ServiceRunner:
 
     The embedding story for tests, the load harness and the example
     client: ``start()`` blocks until the port is bound, ``close()`` tears
-    everything down (sessions and worker pools included).
+    everything down (sessions included).
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:

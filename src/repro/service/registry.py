@@ -2,8 +2,7 @@
 
 The service never constructs a :class:`~repro.session.Session` per request
 -- the whole point of the session API is that the evaluation cache, the
-interning tables and (for ``workers > 1`` sessions) the worker pool amortize
-across requests.  The :class:`SessionRegistry` owns that mapping:
+curve cache and the interning tables amortize across requests.  The :class:`SessionRegistry` owns that mapping:
 
 * **names** -- clients address databases by name (``"tpch"``), never by
   object identity;
@@ -21,8 +20,7 @@ across requests.  The :class:`SessionRegistry` owns that mapping:
   mutation;
 * **LRU bound** -- at most ``capacity`` databases stay resident; inserting
   beyond it closes and evicts the least-recently-used entry
-  (:meth:`Session.close` shuts down its caches and worker pool
-  deterministically -- the satellite contract this registry relies on);
+  (:meth:`Session.close` drops its caches and interning tables);
 * **durability** (optional) -- with a :class:`~repro.storage.DatabaseStore`
   attached, registrations snapshot to disk, mutations write through to the
   append-only log *before* the client is acknowledged, LRU eviction
@@ -123,7 +121,7 @@ class RegisteredDatabase:
         self.created_at = time.time()
 
     def close(self) -> None:
-        """Drain in-flight reads, then close the session (pool included)."""
+        """Drain in-flight reads, then close the session."""
         with self.lock.write():
             self.session.close()
 
@@ -139,14 +137,12 @@ class SessionRegistry:
         capacity: int = 8,
         *,
         backend: str = "auto",
-        workers: int = 1,
         store: Optional[DatabaseStore] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"registry capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.backend = backend
-        self.workers = int(workers)
         self.store = store
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, RegisteredDatabase]" = OrderedDict()
@@ -173,7 +169,7 @@ class SessionRegistry:
         ``replace=False`` raises :class:`DuplicateDatabaseError` when the
         name is taken (HTTP 409); ``replace=True`` closes and supersedes the
         old entry.  A custom ``session`` may be supplied (tests); by
-        default one is created with the registry's backend/workers.
+        default one is created with the registry's backend.
 
         With a store attached, re-registering a name that lives on disk but
         is not resident (evicted, or persisted by a previous process)
@@ -197,9 +193,7 @@ class SessionRegistry:
             return self._rehydrate(name)
         owned = session is None
         if session is None:
-            session = Session(
-                database, backend=self.backend, workers=self.workers
-            )
+            session = Session(database, backend=self.backend)
         entry = RegisteredDatabase(name, database, session)
         superseded: List[RegisteredDatabase] = []
         evicted: List[RegisteredDatabase] = []
@@ -271,9 +265,7 @@ class SessionRegistry:
     def _rehydrate(self, name: str) -> RegisteredDatabase:
         """Recover ``name`` from the store and install it (LRU rules apply)."""
         assert self.store is not None
-        recovered = self.store.load(
-            name, backend=self.backend, workers=self.workers
-        )
+        recovered = self.store.load(name, backend=self.backend)
         entry = RegisteredDatabase(name, recovered.database, recovered.session)
         entry.version = recovered.version
         evicted: List[RegisteredDatabase] = []

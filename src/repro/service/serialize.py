@@ -45,7 +45,6 @@ def solution_payload(
         "query": str(prepared.query),
         "classification": prepared.classification,
         "backend": session.backend,
-        "workers": session.workers,
         "output_size": total,
         "k": solution.k if solution else 0,
         "objective": solution.size if solution else 0,
@@ -137,13 +136,12 @@ def database_to_wire(database: "Database") -> dict:
 
 
 def database_payload(name: str, version: int, database: "Database", *,
-                     backend: str, workers: int) -> dict:
+                     backend: str) -> dict:
     """The JSON schema of one registry entry (``GET /v1/databases``)."""
     return {
         "name": name,
         "version": version,
         "backend": backend,
-        "workers": workers,
         "relations": {r.name: len(r) for r in database},
         "total_tuples": database.total_tuples(),
     }

@@ -33,8 +33,8 @@ functions that take ``(query, database)`` pairs (the brute-force baseline,
 selections, resilience, ...) run against a session's cache inside
 ``with session.activate():``; see ``docs/MIGRATION.md``.
 
-Thread- and process-safety contract
------------------------------------
+Thread-safety contract
+----------------------
 * **Context routing** uses a ``contextvars.ContextVar``
   (:func:`repro.engine.evaluate.use_context`), so concurrent threads (or
   asyncio tasks) may each run ``with session.activate():`` -- including
@@ -55,13 +55,7 @@ Thread- and process-safety contract
   (or any in-place database
   mutation) must not run concurrently with reads on the same session;
   relation versions make stale cache reads impossible, but the migration
-  itself assumes a quiescent session.  Worker processes respect this by
-  construction: they receive copies of the rows and never touch the
-  parent's database.
-* **Worker processes share nothing.**  ``Session(workers=N)`` ships the
-  bound database (rows in interned order) to worker processes over pipes
-  for ``solve_many`` group dispatch; solutions come back by value.
-  Sessions themselves must not be shared across processes.
+  itself assumes a quiescent session.
 
 Example
 -------
@@ -121,13 +115,7 @@ from repro.engine.evaluate import (
     join_order_plan,
     use_context,
 )
-from repro.obs.trace import span, tracing_active
-from repro.parallel.pool import (
-    LazyWorkerPool,
-    PoolBrokenError,
-    WorkerStoreMiss,
-    WorkerTaskError,
-)
+from repro.obs.trace import span
 from repro.query.cq import ConjunctiveQuery
 from repro.query.graph import QueryGraph
 from repro.query.parser import parse_query
@@ -344,27 +332,6 @@ class WhatIfResult:
         return sum(entry.outputs_removed for entry in self.entries.values())
 
 
-def _is_leaf_group(prepared: "PreparedQuery") -> bool:
-    """Whether ``ComputeADP`` solves this query directly on the top-level
-    evaluation (the greedy/drastic NP-hard leaf), with no recursion into
-    derived sub-instances.
-
-    Only such groups may be dispatched to worker processes: the leaf
-    heuristics consume the seeded, byte-identical top-level
-    :class:`QueryResult` exclusively, so their tie-breaking is
-    process-independent.  Recursive cases (Universe / Decompose /
-    Singleton / Boolean) build sub-instances by iterating relation sets,
-    whose iteration order is not reproducible across processes.
-    """
-    return (
-        not prepared.is_poly_time
-        and not prepared.is_singleton
-        and not prepared.universal_attributes
-        and prepared.is_connected
-        and not prepared.is_boolean
-    )
-
-
 def _canonical_key_of(query: QueryLike):
     if isinstance(query, PreparedQuery):
         return query.canonical_key
@@ -391,20 +358,13 @@ class Session:
         missing) or ``"python"``.  Results are **byte-identical** across
         backends (same witness order, same tie-breaking, same packed
         layout); only the column representation and the speed differ.
-    workers:
-        Worker processes for :meth:`solve_many`.  ``workers > 1`` starts a
-        persistent pool (:mod:`repro.parallel`) on the first batch with
-        more than one hard-leaf query group and dispatches those groups to
-        it concurrently; solutions are byte-identical to the serial
-        engine's.  Every evaluation stays on the one serial columnar join
-        path, and ``workers=1`` (the default) never starts a process.
     config:
         Default :class:`~repro.core.adp.SolverConfig` for :meth:`solve` /
         :meth:`solve_many` / :meth:`curve`; per-call overrides win.
 
     Sessions are context managers (``with Session(db) as s: ...``);
-    :meth:`close` drops the cache, interning tables and worker pool.  See
-    the module docstring for the thread/process-safety contract.
+    :meth:`close` drops the cache and interning tables.  See the module
+    docstring for the thread-safety contract.
     """
 
     def __init__(
@@ -412,14 +372,10 @@ class Session:
         database: Database,
         *,
         backend: str = "auto",
-        workers: int = 1,
         config: Optional[SolverConfig] = None,
     ):
         self.database = database
-        workers = max(1, int(workers))
         self._context = EngineContext(backend=backend)
-        self._workers = workers
-        self._pool = LazyWorkerPool(workers) if workers > 1 else None
         #: Guards the usage counters and the prepared-query registry.
         self._lock = threading.Lock()
         self._config = config or SolverConfig()
@@ -435,12 +391,10 @@ class Session:
             "insertions_applied": 0,
         }
         self._closed = False
-        # Deterministic teardown net: the session releases its context --
-        # cache, interners and, crucially, the worker pool -- when garbage
-        # collected, not just on an explicit close().  Without this, a
-        # dropped ``workers > 1`` session leaks its worker processes until
-        # interpreter exit.  close() runs the same finalizer explicitly.
-        self._finalizer = weakref.finalize(self, _release, self._context, self._pool)
+        # The session releases its context (cache and interners) when
+        # garbage collected, not just on an explicit close(); close() runs
+        # the same finalizer explicitly.
+        self._finalizer = weakref.finalize(self, self._context.release)
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -457,13 +411,10 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Release the session's cache, interning tables and worker pool.
+        """Release the session's cache and interning tables.
 
-        Idempotent and deterministic: after ``close()`` returns, a
-        ``workers > 1`` session's worker processes have exited (the pool
-        drains and joins them) -- the guarantee the service registry's LRU
-        eviction relies on.  The same release also runs via a GC finalizer
-        when an unclosed session is collected.
+        Idempotent.  The same release also runs via a GC finalizer when an
+        unclosed session is collected.
         """
         if self._closed:
             return
@@ -489,11 +440,6 @@ class Session:
     # ------------------------------------------------------------------ #
     # Configuration
     # ------------------------------------------------------------------ #
-    @property
-    def workers(self) -> int:
-        """Worker processes :meth:`solve_many` may dispatch to (1 = serial)."""
-        return self._workers
-
     @property
     def backend(self) -> str:
         """The resolved array backend (``"python"`` or ``"numpy"``)."""
@@ -679,20 +625,6 @@ class Session:
         group's largest ``k`` (from the curve cache, or computed and cached
         there); every smaller target is then read off that curve.  Results
         come back in request order.
-
-        On a ``workers > 1`` session distinct **hard-leaf**
-        query groups -- those ``ComputeADP`` solves directly on the
-        top-level evaluation (NP-hard, connected, non-singleton, no
-        universal attribute, non-boolean) -- are dispatched to the worker
-        pool concurrently; each worker holds the bound database (shipped
-        once per version) with interning tables seeded in the parent's
-        order, so the seeded top-level evaluation and hence the heuristics'
-        tie-breaking match the serial engine exactly.  Groups whose solve
-        recurses into sub-instances (Universe/Decompose/Singleton/Boolean)
-        stay parent-side: sub-instance construction iterates relation
-        *sets*, whose order is process-dependent, so only the leaf path can
-        guarantee serial-identical solutions by construction.  Any pool
-        problem silently falls back to the serial path.
         """
         self._check_open()
         request_list = [(self.prepare(query), int(k)) for query, k in requests]
@@ -707,27 +639,12 @@ class Session:
             groups.setdefault(prepared.canonical_key, []).append(position)
 
         solutions: List[Optional[ADPSolution]] = [None] * len(request_list)
-        remaining = groups
         with span("session.solve_many") as msp:
             if msp:
                 msp.set(requests=len(request_list), groups=len(groups))
-            if self._pool is not None:
-                leaf_groups = {
-                    key: positions
-                    for key, positions in groups.items()
-                    if _is_leaf_group(request_list[positions[0]][0])
-                }
-                if len(leaf_groups) > 1 and self._solve_groups_in_pool(
-                    request_list, leaf_groups, chosen, solutions
-                ):
-                    remaining = {
-                        key: positions
-                        for key, positions in groups.items()
-                        if key not in leaf_groups
-                    }
             cached_groups = 0
             with self.activate():
-                for positions in remaining.values():
+                for positions in groups.values():
                     prepared = request_list[positions[0]][0]
                     targets = [request_list[p][1] for p in positions]
                     result = self._context.evaluate(
@@ -757,8 +674,8 @@ class Session:
     ) -> Tuple[CurveEntry, bool]:
         """``(entry, cached)``: a curve of ``prepared`` covering ``kmax``.
 
-        The one place :meth:`solve`, the parent-side groups of
-        :meth:`solve_many` and :meth:`curve` get curves from: a curve-cache
+        The one place :meth:`solve`, the groups of :meth:`solve_many`
+        and :meth:`curve` get curves from: a curve-cache
         entry computed at some ``kmax' >= kmax`` for this database version,
         backend and solver configuration, or else a fresh curve at ``kmax``
         that replaces the entry.  Runs inside :meth:`activate`.
@@ -777,107 +694,6 @@ class Session:
             self.database, prepared.canonical_key, token, backend, solver_key, entry
         )
         return entry, False
-
-    def _solve_groups_in_pool(
-        self,
-        request_list: List[Tuple[PreparedQuery, int]],
-        groups: Dict[object, List[int]],
-        chosen: ADPSolver,
-        solutions: List[Optional[ADPSolution]],
-    ) -> bool:
-        """Dispatch one ``solve_group`` task per distinct query to the pool.
-
-        Fills ``solutions`` in place and returns ``True`` on success;
-        ``False`` (pool unavailable, worker error, unpicklable payload)
-        means the caller must run the serial path instead.
-
-        Deliberate trade-off: group results (evaluation + curve) are cached
-        **worker-side** only -- shipping packed provenance back through the
-        pipe would usually cost more than the join it saves.  Repeat
-        batches are therefore cheap (the workers hold everything), while a
-        follow-up single-query ``solve``/``what_if`` on the parent
-        re-evaluates there and warms the parent cache on first use.
-        """
-        assert self._pool is not None
-        pool = self._pool.get()
-        if pool is None or not pool.supports_solve_groups():
-            return False
-        did = self._pool.db_id(self.database)
-        if did is None:
-            return False
-        dbkey = (did, self.database.version_token())
-        group_items = list(groups.items())
-        collect = tracing_active()
-
-        def build_tasks():
-            tasks = []
-            for index, (_gkey, positions) in enumerate(group_items):
-                worker = index % pool.size
-                prepared = request_list[positions[0]][0]
-                payload = {
-                    "kind": "solve_group",
-                    "dbkey": dbkey,
-                    "query": prepared.query,
-                    "targets": [request_list[p][1] for p in positions],
-                    "solver": chosen,
-                    "backend": self._context.backend.name,
-                }
-                if collect:
-                    payload["trace"] = {
-                        "group": index,
-                        "worker": worker,
-                        "query": prepared.name,
-                    }
-                if not pool.has_key(worker, "db", dbkey):
-                    # Ship rows in this session's interned order, so worker
-                    # witness order (and heuristic tie-breaking) matches the
-                    # serial engine bit for bit.
-                    payload["database"] = {
-                        relation.name: (
-                            relation.attributes,
-                            self._context.interned(relation).rows,
-                        )
-                        for relation in self.database
-                    }
-                    pool.remember(worker, "db", dbkey)
-                tasks.append((worker, payload))
-            return tasks
-
-        with span("parallel.solve_groups") as gsp:
-            if gsp:
-                gsp.set(groups=len(group_items), workers=pool.size)
-            spans_out = [None] * len(group_items) if collect else None
-            try:
-                try:
-                    results = pool.run(build_tasks(), spans_out)
-                except WorkerStoreMiss as miss:
-                    # A worker evicted its copy of the database: drop the
-                    # stale prediction, rebuild (re-shipping the rows) and
-                    # retry once.
-                    for worker, namespace, key in miss.misses:
-                        pool.forget(worker, namespace, key)
-                    if spans_out is not None:
-                        spans_out = [None] * len(group_items)
-                    results = pool.run(build_tasks(), spans_out)
-            except PoolBrokenError:
-                self._pool.mark_failed()
-                return False
-            except (WorkerTaskError, WorkerStoreMiss):
-                # A task failed inside a healthy worker -- e.g. an infeasible
-                # target raised by the solver, or an unpicklable payload (the
-                # pipe pickles inside WorkerPool.run, surfacing those as
-                # WorkerTaskError too).  Re-run serially so the real exception
-                # surfaces to the caller -- and keep the pool.
-                return False
-            if gsp and spans_out is not None:
-                for forest in spans_out:
-                    if forest:
-                        gsp.graft(forest)
-        for (_gkey, positions), outcome in zip(group_items, results):
-            self._context.record_joins(outcome["joins"])
-            for position, solution in zip(positions, outcome["solutions"]):
-                solutions[position] = solution
-        return True
 
     def curve(
         self,
@@ -1106,17 +922,10 @@ class Session:
     # Introspection
     # ------------------------------------------------------------------ #
     def clear_cache(self) -> None:
-        """Drop this session's memoized evaluation results and cost curves.
-
-        On a ``workers > 1`` session this also clears the caches held by
-        live workers (their interning tables and resident databases
-        survive), so a cleared session genuinely re-evaluates everywhere.
-        """
+        """Drop this session's memoized evaluation results and cost curves."""
         self._check_open()
         self._context.cache.clear()
         self._context.curves.clear()
-        if self._pool is not None:
-            self._pool.clear_caches()
 
     @property
     def stats(self) -> SessionStats:
@@ -1140,13 +949,6 @@ class Session:
             f"Session({self.database!s}, backend={state}, "
             f"prepared={len(self.prepared_queries)})"
         )
-
-
-def _release(context: EngineContext, pool: Optional[LazyWorkerPool]) -> None:
-    """Drop a session's cache and interning tables and stop its workers."""
-    context.release()
-    if pool is not None:
-        pool.close()
 
 
 __all__ = [

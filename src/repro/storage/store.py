@@ -391,13 +391,7 @@ class DatabaseStore:
     # ------------------------------------------------------------------ #
     # Recovery
     # ------------------------------------------------------------------ #
-    def load(
-        self,
-        name: str,
-        *,
-        backend: str = "auto",
-        workers: int = 1,
-    ) -> RecoveredDatabase:
+    def load(self, name: str, *, backend: str = "auto") -> RecoveredDatabase:
         """Recover ``name``: latest valid snapshot + log-suffix replay.
 
         Raises :class:`~repro.storage.snapshot.SnapshotCorruptError` when
@@ -427,7 +421,7 @@ class DatabaseStore:
                 indexes[rel_snap.name] = RelationIndex.from_rows(
                     rel_snap.name, rel_snap.attributes, rel_snap.interned_rows
                 )
-            session = Session(database, backend=backend, workers=workers)
+            session = Session(database, backend=backend)
             context = session._context
             for rel_name, index in indexes.items():
                 context.seed_index(database.relation(rel_name), index)

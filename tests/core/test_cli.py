@@ -140,9 +140,9 @@ class TestParser:
             build_parser().parse_args(["experiments", "--only", "nope"])
 
     def test_workers_only_on_serve(self):
-        """Only ``serve`` feeds solve_many; the other commands have no pool."""
-        assert build_parser().parse_args(["serve", "--workers", "2"]).workers == 2
+        """No subcommand takes ``--workers``: the worker pool is gone."""
         for argv in (
+            ["serve", "--workers", "2"],
             ["solve", "Q(A) :- R(A)", "db", "--k", "1", "--workers", "2"],
             ["explain", "Q(A) :- R(A)", "db", "--workers", "2"],
             ["experiments", "--workers", "2"],
@@ -150,6 +150,15 @@ class TestParser:
         ):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "flag", ["--threads", "--max-databases", "--batch-max", "--max-pending"]
+    )
+    def test_serve_counts_below_one_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", flag, "0"])
+        assert excinfo.value.code == 2
+        assert f"{flag}: must be >= 1" in capsys.readouterr().err
 
     def test_engine_flag_is_gone(self):
         """One evaluation engine: no subcommand takes ``--engine``."""

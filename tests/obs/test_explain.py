@@ -108,16 +108,14 @@ def test_render_text_mentions_plan_and_ledger():
 
 
 # --------------------------------------------------------------------------- #
-# Golden snapshot: the plan block is backend- and worker-independent
+# Golden snapshot: the plan block is backend-independent
 # --------------------------------------------------------------------------- #
 def test_plan_block_byte_identical_across_engines_and_backends():
     configs = [
         {"backend": "python"},
-        {"workers": 2, "backend": "python"},
     ]
     if numpy_available():
         configs.append({"backend": "numpy"})
-        configs.append({"workers": 2, "backend": "numpy"})
     snapshots = {}
     for config in configs:
         with Session(small_db(), **config) as session:

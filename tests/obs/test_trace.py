@@ -24,7 +24,6 @@ def test_span_is_null_without_tracer():
     assert not sp
     with sp:
         sp.set(rows=1)  # every method a no-op
-        sp.graft([{"name": "x", "offset_ms": 0.0, "dur_ms": 0.0}])
 
 
 def test_disabled_tracer_still_returns_null_span():
@@ -75,20 +74,6 @@ def test_children_sum_within_parent_duration():
     (tree,) = tracer.export()
     child_total = sum(c["dur_ms"] for c in tree["children"])
     assert child_total <= tree["dur_ms"] + 0.001
-
-
-def test_graft_attaches_foreign_subtrees_verbatim():
-    foreign = [
-        {"name": "worker.task", "offset_ms": 0.0, "dur_ms": 1.5,
-         "attrs": {"shard": 0},
-         "children": [{"name": "engine.join", "offset_ms": 0.1, "dur_ms": 1.2}]},
-    ]
-    tracer = Tracer()
-    with use_tracer(tracer):
-        with span("parallel.dispatch") as dsp:
-            dsp.graft(foreign)
-    (tree,) = tracer.export()
-    assert tree["children"] == foreign
 
 
 def test_use_tracer_shields_against_leaked_outer_spans():

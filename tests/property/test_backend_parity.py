@@ -5,7 +5,7 @@ The acceptance contract of the array-backend subsystem: for every workload,
 same ``QueryResult`` packing -- output row order, witness order, packed
 ``tid`` columns, witness->output factorization -- and the same solver
 outputs (greedy/drastic picks, what-if counts), including after in-place
-deletions (``apply_deletions``) and across ``workers`` in {1, K}.
+deletions (``apply_deletions``).
 
 Workloads: the zipf path family, the TPC-H-like generator, and seeded
 random query/instance pairs (the same generators the dichotomy property

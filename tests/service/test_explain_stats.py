@@ -4,7 +4,7 @@ Covers the observability acceptance criteria end to end:
 
 * ``POST /v1/explain`` returns the same schema as ``Session.explain`` with
   the identical plan fingerprint, and the fingerprint agrees across
-  serial / parallel / numpy service configurations;
+  python / numpy service configurations;
 * ``"stats": true`` on ``/v1/solve`` attaches the operator records to that
   response (and bypasses the micro-batcher);
 * ``/v1/debug/stats`` is a bounded ring of recent plan+stats records;
@@ -72,7 +72,6 @@ def test_explain_matches_direct_session(service_runner):
 def test_explain_fingerprint_identical_across_service_configs(service_runner):
     configs = [
         {"backend": "python"},
-        {"workers": 2, "backend": "python"},
     ]
     if numpy_available():
         configs.append({"backend": "numpy"})

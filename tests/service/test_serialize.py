@@ -41,7 +41,6 @@ def test_solution_payload_stable_schema(session):
         "query": "Q(A) :- R1(A), R2(A, B), R3(B)",
         "classification": "np-hard",
         "backend": session.backend,
-        "workers": 1,
         "output_size": 2,
         "k": 1,
         "objective": solution.size,

@@ -35,6 +35,8 @@ BACKENDS = [
 ]
 
 QH = parse_query("Qh(A) :- R1(A), R2(A, B), R3(B)")
+#: A second hard-leaf projection of the same join.
+QB = parse_query("Qb(B) :- R1(A), R2(A, B), R3(B)")
 
 
 def _answer(solution):
@@ -171,6 +173,15 @@ def test_session_curve_and_solve_many_share_the_cache():
         assert [s.objective for s in solutions] == [curve.cost(2), curve.cost(4)]
         with pytest.raises(ValueError):
             session.curve(QH, -1)
+        # Two distinct hard-leaf groups: repeating the batch reads both
+        # curves from the session cache, one hit per group and no miss.
+        batch = [(QH, 3), (QB, 2), (QB, 1)]
+        first = session.solve_many(batch)
+        hits, misses = session.stats.curve_hits, session.stats.curve_misses
+        again = session.solve_many(batch)
+        assert session.stats.curve_hits == hits + 2
+        assert session.stats.curve_misses == misses
+        assert [_answer(s) for s in again] == [_answer(s) for s in first]
 
 
 @pytest.mark.parametrize(

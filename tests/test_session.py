@@ -12,8 +12,6 @@ Covers the redesign's contract:
 * ``solve_many`` and ``curve`` agree with one-at-a-time solves.
 """
 
-import time
-
 import pytest
 
 from repro.data.database import Database
@@ -275,9 +273,14 @@ def test_stats_counters():
 
 def test_engine_argument_is_gone():
     # One evaluation engine: Session takes no engine argument at all.
-    for workers in (1, 2):
-        with pytest.raises(TypeError, match="engine"):
-            Session(_small_db(), engine="row", workers=workers)
+    with pytest.raises(TypeError, match="engine"):
+        Session(_small_db(), engine="row")
+
+
+def test_workers_argument_is_gone():
+    # solve_many shares work through the curve cache, not a process pool.
+    with pytest.raises(TypeError, match="workers"):
+        Session(_small_db(), **{"workers": 2})
 
 
 def test_close_releases_interning_tables():
@@ -311,31 +314,15 @@ def test_close_is_idempotent_and_exposes_closed():
         session.evaluate(QUERY_TEXT)
 
 
-def test_close_shuts_down_worker_processes_deterministically():
-    session = Session(_small_db(), workers=2)
-    pool = session._pool.get()
-    if pool is None:
-        pytest.skip("worker pool unavailable in this environment")
-    procs = list(pool._procs)
-    assert all(proc.is_alive() for proc in procs)
-    session.close()
-    assert all(not proc.is_alive() for proc in procs)
-
-
-def test_dropped_session_finalizer_closes_worker_processes():
-    """A session that is garbage collected without close() must not leak
-    its worker pool until interpreter exit (the GC finalizer net)."""
+def test_dropped_session_finalizer_releases_interning_tables():
+    """A session garbage collected without close() still releases its
+    context (the GC finalizer net)."""
     import gc
 
-    session = Session(_small_db(), workers=2)
-    pool = session._pool.get()
-    if pool is None:
-        pytest.skip("worker pool unavailable in this environment")
-    procs = list(pool._procs)
-    assert all(proc.is_alive() for proc in procs)
-    del session, pool
+    session = Session(_small_db())
+    session.evaluate(QUERY_TEXT)
+    context = session._context
+    assert len(context._interners) > 0
+    del session
     gc.collect()
-    deadline = time.time() + 5.0
-    while time.time() < deadline and any(proc.is_alive() for proc in procs):
-        time.sleep(0.01)
-    assert all(not proc.is_alive() for proc in procs)
+    assert len(context._interners) == 0
