@@ -392,3 +392,72 @@ def test_what_if_after_mutation_skips_reindex(benchmark):
             f"{first_ms:.1f}ms vs {steady_ms:.1f}ms"
         )
         benchmark(lambda: session.what_if(probe, query).single.outputs_removed)
+
+
+# --------------------------------------------------------------------------- #
+# HTAP read: a singleton solve right after a write rebuilds Q6's curve
+# --------------------------------------------------------------------------- #
+def test_singleton_solve_after_mutation(benchmark):
+    """A Q6 solve after one htap round runs >= 3x faster on backend="numpy".
+
+    One round on the 60k Zipf path (insert 500 ``R2`` edges, delete 250),
+    then ``Q6``: the write dropped the cached curve, so the solve migrates
+    the evaluation and rebuilds the Singleton curve from the packed
+    provenance (a tid-level bincount on numpy).  Both backends must return
+    the same answer.
+    """
+    import os
+    import random
+
+    from repro.engine.backend import numpy_available
+    from repro.workloads.queries import Q6
+    from repro.workloads.zipf import generate_zipf_path
+
+    if not numpy_available():
+        pytest.skip("numpy not installed: python backend only")
+
+    database = generate_zipf_path(
+        r2_tuples=BACKEND_SCALE_R2_TUPLES, alpha=1.1, seed=13
+    )
+    inserted, deleted, _probe, _second = _htap_round(database, random.Random(17))
+    k = target_from_ratio(Q6, database, RATIO)
+
+    def solve_after_round(backend):
+        with Session(database.copy(), backend=backend) as session:
+            session.solve(Q6, k)
+            session.apply_insertions(inserted)
+            session.apply_deletions(deleted)
+            start = time.perf_counter()
+            solution = session.solve(Q6, k)
+            return time.perf_counter() - start, solution
+
+    python_seconds, python_solution = solve_after_round("python")
+    numpy_seconds, numpy_solution = solve_after_round("numpy")
+    assert (numpy_solution.objective, numpy_solution.removed) == (
+        python_solution.objective, python_solution.removed
+    )
+    speedup = python_seconds / numpy_seconds
+    if speedup < MIN_BACKEND_SPEEDUP:
+        # One retake before failing (shared runners throttle unpredictably).
+        python_seconds = min(python_seconds, solve_after_round("python")[0])
+        numpy_seconds = min(numpy_seconds, solve_after_round("numpy")[0])
+        speedup = python_seconds / numpy_seconds
+    benchmark.extra_info.update(
+        {
+            "figure": "session-htap-singleton",
+            "r2_tuples": BACKEND_SCALE_R2_TUPLES,
+            "k": k,
+            "python_ms": round(python_seconds * 1e3, 1),
+            "numpy_ms": round(numpy_seconds * 1e3, 1),
+            "speedup": round(speedup, 2),
+        }
+    )
+    if os.environ.get("REPRO_SKIP_BACKEND_ACCEPTANCE") == "1":
+        print(f"singleton backend speedup {speedup:.2f}x (acceptance assert skipped)")
+    else:
+        assert speedup >= MIN_BACKEND_SPEEDUP, (
+            f"numpy Q6 solve after a write is only {speedup:.2f}x faster than "
+            f"python (need >= {MIN_BACKEND_SPEEDUP}x): "
+            f"{numpy_seconds * 1e3:.1f}ms vs {python_seconds * 1e3:.1f}ms"
+        )
+    benchmark.pedantic(lambda: solve_after_round("numpy"), rounds=1, iterations=1)

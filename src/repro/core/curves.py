@@ -19,6 +19,8 @@ implementations cover every algorithm in the library:
   answer for ``k`` is the shortest prefix whose gains sum to at least ``k``.
   Singleton (both cases), the greedy heuristics, per-relation Drastic
   profiles and the Boolean min-cut all fit this shape.
+  :class:`TidPrefixCurve` is the same curve over packed tid/gain columns
+  (Singleton case 1).
 * :class:`MinCurve` -- the pointwise minimum of several curves (used by
   DrasticGreedy, which picks the best endogenous relation per ``k``).
 * :class:`TableCurve` -- an explicit cost table plus a solution
@@ -32,9 +34,11 @@ implementations cover every algorithm in the library:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.data.relation import TupleRef
+from repro.engine.backend import Column, as_id_list, backend_of_column
 
 INFEASIBLE = math.inf
 
@@ -97,23 +101,16 @@ class PrefixCurve(CostCurve):
             self._cumulative_cost.append(total_cost)
 
     def max_gain(self) -> int:
-        return self._cumulative_gain[-1] if self._cumulative_gain else 0
+        cumulative = self._cumulative_gain
+        return int(cumulative[-1]) if len(cumulative) else 0
 
     def _prefix_for(self, k: int) -> Optional[int]:
         """The number of picks needed to reach gain ``k`` (None if infeasible)."""
         if k <= 0:
             return 0
-        # Binary search over the cumulative gains.
-        lo, hi = 0, len(self._cumulative_gain) - 1
-        if not self._cumulative_gain or self._cumulative_gain[-1] < k:
+        if k > self.max_gain():
             return None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative_gain[mid] >= k:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo + 1
+        return bisect_left(self._cumulative_gain, k) + 1
 
     def cost(self, k: int) -> float:
         prefix = self._prefix_for(k)
@@ -135,6 +132,48 @@ class PrefixCurve(CostCurve):
     def picks(self) -> List[Pick]:
         """The (filtered) pick sequence, for introspection and tests."""
         return list(self._picks)
+
+
+class TidPrefixCurve(PrefixCurve):
+    """A :class:`PrefixCurve` of one-tuple picks held as packed columns.
+
+    Pick ``i`` deletes ``refs[tids[i]]`` and gains ``gains[i]``; ``tids``
+    and ``gains`` are backend columns (lists or ``int64`` arrays) and
+    ``refs`` is one relation's ``tid -> TupleRef`` view.  Every pick costs
+    one tuple, so ``cost(k)`` is the prefix length, and :class:`TupleRef`
+    objects are looked up only for the prefix a caller reads.
+    """
+
+    def __init__(
+        self,
+        refs: Sequence[TupleRef],
+        tids: Column,
+        gains: Column,
+        optimal: bool = True,
+    ):
+        self._refs = refs
+        self._tids = tids
+        self._gains = gains
+        self._cumulative_gain = backend_of_column(gains).cumsum(gains)
+        self.optimal = optimal
+
+    def cost(self, k: int) -> float:
+        prefix = self._prefix_for(k)
+        return INFEASIBLE if prefix is None else prefix
+
+    def solution(self, k: int) -> FrozenSet[TupleRef]:
+        prefix = self._prefix_for(k)
+        if prefix is None:
+            raise ValueError(f"cannot remove {k} outputs (max {self.max_gain()})")
+        refs = self._refs
+        return frozenset(refs[tid] for tid in as_id_list(self._tids[:prefix]))
+
+    def picks(self) -> List[Pick]:
+        refs = self._refs
+        return [
+            ((refs[tid],), gain)
+            for tid, gain in zip(as_id_list(self._tids), as_id_list(self._gains))
+        ]
 
 
 class MinCurve(CostCurve):

@@ -26,13 +26,12 @@ optimisation evaluated in Figure 28 of the paper.
 
 from __future__ import annotations
 
-from collections import Counter
-from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.curves import PrefixCurve
+from repro.core.curves import PrefixCurve, TidPrefixCurve
 from repro.data.database import Database
 from repro.data.relation import TupleRef
+from repro.engine.backend import backend_of_column
 from repro.engine.columnar import distinct_ids
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.query.cq import ConjunctiveQuery
@@ -77,41 +76,38 @@ def singleton_curve(query: ConjunctiveQuery, database: Database) -> PrefixCurve:
     result = evaluate(query, database)
     if result.output_count() == 0:
         return PrefixCurve([], optimal=True)
-
-    relation = database.relation(relation_name)
+    prov = result.provenance
 
     if atom.attribute_set <= head:
-        # Case 1: profit of a tuple t in Ri = number of output tuples whose
-        # projection onto attr(Ri) equals t.  The projection/count runs at
-        # C speed (itemgetter + Counter): this curve is rebuilt on every
-        # solve, so on large outputs it dominates warm-solve latency.
-        head_positions = {a: i for i, a in enumerate(query.head)}
-        projection_positions = [head_positions[a] for a in relation.attributes]
-        keyed: List[Tuple[Tuple, int]]
-        if not projection_positions:
+        position = prov.atom_position(relation_name)
+        if position is None:
             # Vacuum singleton: its only tuple owns every output.
-            keyed = [((), len(result.output_rows))]
-        elif len(projection_positions) == 1:
-            column = itemgetter(projection_positions[0])
-            singles = sorted(
-                Counter(map(column, result.output_rows)).items(),
-                key=lambda item: (-item[1], repr(item[0])),
-            )
-            keyed = [((value,), profit) for value, profit in singles]
-        else:
-            project = itemgetter(*projection_positions)
-            keyed = sorted(
-                Counter(map(project, result.output_rows)).items(),
-                key=lambda item: (-item[1], repr(item[0])),
-            )
-        picks = [((TupleRef(relation_name, key),), profit) for key, profit in keyed]
-        return PrefixCurve(picks, optimal=True)
+            vacuum = TupleRef(relation_name, ())
+            return PrefixCurve([((vacuum,), result.output_count())], optimal=True)
+        # Case 1: profit of a tuple t in Ri = number of output tuples whose
+        # projection onto attr(Ri) equals t.  An output fixes its attr(Ri)
+        # values, so all of its witnesses use one Ri tid: scatter the tid
+        # column through witness_outputs (one tid per output), bincount,
+        # and order by (-profit, repr rank).  Runs over the packed columns,
+        # not the output rows, so the picks name the rows Ri stores.  The
+        # session's curve cache rebuilds this once per database version.
+        column = prov.ref_columns[position]
+        backend = backend_of_column(column)
+        index = prov.indexes[position]
+        output_tids = backend.scatter(
+            prov.witness_outputs, column, result.output_count()
+        )
+        profits = backend.bincount(output_tids, len(index))
+        tids = backend.order_by_count(profits, index.repr_rank(backend))
+        return TidPrefixCurve(
+            index.ref_view(), tids, backend.take(profits, tids), optimal=True
+        )
 
     # Case 2: head(Q) ⊆ attr(Ri).  Cost of an output tuple t = number of
     # non-dangling Ri tuples projecting onto t; remove the cheapest outputs.
+    relation = database.relation(relation_name)
     positions = [relation.attribute_index(a) for a in query.head]
     groups: Dict[Tuple, List[TupleRef]] = {}
-    prov = result.provenance
     # The distinct participating tuple IDs of Ri's column, grouped by their
     # head projection -- no Witness materialization.
     atom_position = prov.atom_position(relation_name)

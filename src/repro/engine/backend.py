@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import os
 import struct
+from itertools import accumulate
 from typing import (
     Any,
     Dict,
@@ -114,12 +115,30 @@ class PythonBackend:
     def take(self, column: Column, selection: Sequence[int]) -> List[object]:
         return [column[i] for i in selection]
 
+    def scatter(self, positions: Column, values: Column, size: int) -> List[int]:
+        """``out[positions[i]] = values[i]`` over ``size`` zeros."""
+        out = [0] * size
+        for position, value in zip(positions, values):
+            out[position] = value
+        return out
+
     # -- counting ----------------------------------------------------------- #
     def bincount(self, column: Column, size: int) -> List[int]:
         counts = [0] * size
         for value in column:
             counts[value] += 1
         return counts
+
+    def cumsum(self, column: Column) -> List[int]:
+        return list(accumulate(column))
+
+    def order_by_count(self, counts: Column, tiebreak: Column) -> List[int]:
+        """The positions with a nonzero count: count descending, then
+        ``tiebreak`` ascending."""
+        return sorted(
+            (i for i, count in enumerate(counts) if count),
+            key=lambda i: (-counts[i], tiebreak[i]),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PythonBackend()"
@@ -174,9 +193,28 @@ class NumpyBackend:
     def take(self, column: Column, selection: Column) -> Column:
         return column.take(selection)
 
+    def scatter(self, positions: Column, values: Column, size: int) -> Column:
+        """``out[positions[i]] = values[i]`` over ``size`` zeros.
+
+        Repeated positions must carry equal values (which write lands is
+        unspecified)."""
+        out = self.np.zeros(size, dtype=self.np.int64)
+        out[positions] = values
+        return out
+
     # -- counting ----------------------------------------------------------- #
     def bincount(self, column: Column, size: int) -> Column:
         return self.np.bincount(column, minlength=size)
+
+    def cumsum(self, column: Column) -> Column:
+        return self.np.cumsum(column)
+
+    def order_by_count(self, counts: Column, tiebreak: Column) -> Column:
+        """The positions with a nonzero count: count descending, then
+        ``tiebreak`` ascending."""
+        np = self.np
+        nonzero = np.flatnonzero(counts)
+        return nonzero[np.lexsort((tiebreak[nonzero], -counts[nonzero]))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NumpyBackend()"

@@ -59,10 +59,11 @@ class RelationIndex:
     its :class:`~repro.engine.evaluate.EngineContext`) caches them per
     relation version, so repeated evaluations over the same relation share
     one interning table instead of re-interning per query.  Derived views --
-    the ``TupleRef`` view, per-attribute value columns, per-key hash groups
-    -- are built lazily and cached here for the same reason; racing lazy
-    builders compute identical values, so the last assignment winning is
-    benign (the thread-safety contract documented on ``repro.session``).
+    the ``TupleRef`` view, per-attribute value columns and value codes,
+    per-key hash groups, the ``repr`` rank -- are built lazily and cached
+    here for the same reason; racing lazy builders compute identical
+    values, so the last assignment winning is benign (the thread-safety
+    contract documented on ``repro.session``).
     """
 
     __slots__ = (
@@ -74,6 +75,7 @@ class RelationIndex:
         "_value_columns",
         "_value_codes",
         "_hash_groups",
+        "_repr_rank",
     )
 
     def __init__(self, relation: Relation) -> None:
@@ -85,6 +87,7 @@ class RelationIndex:
         self._value_columns: Dict[int, object] = {}
         self._value_codes: Dict[int, Tuple[object, int]] = {}
         self._hash_groups: Dict[tuple, object] = {}
+        self._repr_rank: Dict[str, Column] = {}
 
     @classmethod
     def extended(cls, parent: "RelationIndex", new_rows: Iterable[Row]) -> "RelationIndex":
@@ -95,9 +98,9 @@ class RelationIndex:
         it stay valid verbatim), and genuinely new rows are interned at
         ``len(parent)``, ``len(parent) + 1``, ...  Rows already present in
         ``parent`` (or repeated in the batch) are skipped, so extending is
-        idempotent.  Derived views (ref view, value columns, hash groups)
-        are rebuilt lazily on the extension -- the parent's caches keep
-        describing the old snapshot.
+        idempotent.  Derived views (ref view, value columns, hash groups,
+        repr rank) are rebuilt lazily on the extension -- the parent's
+        caches keep describing the old snapshot.
         """
         index = cls.__new__(cls)
         index.name = parent.name
@@ -115,6 +118,7 @@ class RelationIndex:
         index._value_columns = {}
         index._value_codes = {}
         index._hash_groups = {}
+        index._repr_rank = {}
         return index
 
     @classmethod
@@ -149,6 +153,7 @@ class RelationIndex:
         index._value_columns = {}
         index._value_codes = {}
         index._hash_groups = {}
+        index._repr_rank = {}
         return index
 
     def ref_view(self) -> List[TupleRef]:
@@ -208,6 +213,30 @@ class RelationIndex:
             entry = (codes, max(len(interned), 1))
             self._value_codes[position] = entry
         return entry
+
+    def repr_rank(self, backend: Backend) -> Column:
+        """``rank[tid]``: the tid's position when rows are sorted by ``repr``.
+
+        The key is ``repr(value)`` for a one-attribute relation and
+        ``repr(row)`` otherwise -- the deterministic tie-break the Singleton
+        curve orders equal profits by (equal reprs fall back to tid order).
+        Appended tids land anywhere in this order, so it is recomputed per
+        index rather than extended.  Cached per backend.
+        """
+        rank = self._repr_rank.get(backend.name)
+        if rank is None:
+            rows = self.rows
+            if len(self.attributes) == 1:
+                keys = [repr(row[0]) for row in rows]
+            else:
+                keys = [repr(row) for row in rows]
+            ranks = [0] * len(rows)
+            by_repr = sorted(range(len(rows)), key=keys.__getitem__)
+            for position, tid in enumerate(by_repr):
+                ranks[tid] = position
+            rank = backend.id_column(ranks)
+            self._repr_rank[backend.name] = rank
+        return rank
 
     def hash_groups(self, positions: Tuple[int, ...], backend: Backend) -> object:
         """The build side of one hash-join step, cached per key attributes.

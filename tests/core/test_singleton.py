@@ -1,12 +1,20 @@
 """Unit tests for the Singleton base case (Definition 10 / Algorithm 3)."""
 
+import math
+import random
+
 import pytest
 
 from repro.core.bruteforce import bruteforce_optimum
 from repro.core.singleton import is_singleton, singleton_curve, singleton_relation
 from repro.data.database import Database
 from repro.data.relation import TupleRef
+from repro.engine.backend import as_id_list, numpy_available, python_backend, resolve_backend
+from repro.engine.columnar import RelationIndex
 from repro.query.parser import parse_query
+from repro.session import Session
+
+from tests.row_oracle import singleton_curve_rows
 
 
 class TestSingletonDetection:
@@ -136,3 +144,164 @@ class TestSingletonEdgeCases:
         curve = singleton_curve(query, database)
         assert curve.cost(3) == 1
         assert curve.solution(3) == {TupleRef("R0", ())}
+
+
+# --------------------------------------------------------------------------- #
+# Case 1 tid-level build vs the row-oracle curve, on both backends
+# --------------------------------------------------------------------------- #
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+#: Mixed int/str values: repr order ("'a'" < "0" < "10" < "2") differs from
+#: value order, and no two values are cross-type equal.
+MIXED_DOMAIN = [0, 1, 2, 10, 11, "a", "b", "10", "z"]
+
+Q6 = parse_query("Q6(A, B) :- R1(A), R2(A, B)")
+Q6_SWAPPED = parse_query("Q6(A, B) :- R2(A, B), R1(A)")
+Q_PROJECTED = parse_query("Qp(A) :- R1(A), R2(A, B)")
+Q7 = parse_query(
+    "Q7(A, B, C, D, E, F, G) :- R1(A, B, C), R2(A, B, C, D, E), "
+    "R3(A, B, C, D, G), R4(A, B, C, F)"
+)
+Q_VACUUM = parse_query("Qv(A, B) :- R0(), R1(A), R2(A, B)")
+
+
+def _curve(query, database, backend):
+    with Session(database, backend=backend) as session:
+        with session.activate():
+            return singleton_curve(query, session.database)
+
+
+def _random_case1_instance(query, rng, empty_relation=None):
+    """Random rows over MIXED_DOMAIN; the singleton relation holds extra
+    dangling tuples, the wider relations reuse its values so most rows join."""
+    singleton = singleton_relation(query)
+    keys = [
+        tuple(rng.choice(MIXED_DOMAIN) for _ in query.atom(singleton).attributes)
+        for _ in range(rng.randint(4, 12))
+    ]
+    schema, rows = {}, {}
+    for atom in query.atoms:
+        schema[atom.name] = list(atom.attributes)
+        if atom.is_vacuum:
+            rows[atom.name] = [()]
+        elif atom.name == singleton:
+            rows[atom.name] = keys + [("dangling",) * atom.arity]
+        elif atom.name == empty_relation:
+            rows[atom.name] = []
+        else:
+            shared = query.atom(singleton).attributes
+            extra = [a for a in atom.attributes if a not in shared]
+            rows[atom.name] = []
+            for _ in range(rng.randint(5, 30)):
+                values = dict(zip(shared, rng.choice(keys)))
+                values.update((a, rng.choice(MIXED_DOMAIN)) for a in extra)
+                rows[atom.name].append(tuple(values[a] for a in atom.attributes))
+    return Database.from_dict(schema, rows)
+
+
+CASE1_QUERIES = [
+    ("q6", Q6, None),
+    ("q6-swapped", Q6_SWAPPED, None),
+    ("projected", Q_PROJECTED, None),
+    ("q7", Q7, None),
+    ("vacuum", Q_VACUUM, None),
+    ("empty", Q6, "R2"),
+]
+
+
+class TestSingletonCase1Parity:
+    """``singleton_curve`` picks equal :func:`singleton_curve_rows`'s."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "query,empty_relation",
+        [(q, e) for _, q, e in CASE1_QUERIES],
+        ids=[name for name, _, _ in CASE1_QUERIES],
+    )
+    def test_picks_match_row_oracle(self, query, empty_relation, seed, backend):
+        rng = random.Random(seed * 7919 + len(query.atoms))
+        database = _random_case1_instance(query, rng, empty_relation)
+        curve = _curve(query, database, backend)
+        expected = singleton_curve_rows(query, database)
+        assert repr(curve.picks()) == repr(expected.picks())
+        assert curve.max_gain() == expected.max_gain()
+        if empty_relation is not None:
+            assert curve.max_gain() == 0
+
+
+class TestSingletonCase1Pinned:
+    """cost / solution / max_gain for every ``k`` on one mixed-type instance."""
+
+    DATABASE = {
+        "R1": [(1,), (2,), (3,), ("x",), (10,), (99,)],
+        "R2": [(1, 10), (1, 11), (1, 12), (2, 20), (3, 30), (3, 31),
+               ("x", 1), ("x", 2), (10, 5)],
+    }
+    #: Profits 3, 2, 2, 1, 1; ties by repr: "'x'" < "3" and "10" < "2".
+    ORDER = [(1,), ("x",), (3,), (10,), (2,)]
+    COSTS = [0, 1, 1, 1, 2, 2, 3, 3, 4, 5]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_k(self, backend):
+        database = Database.from_dict({"R1": ["A"], "R2": ["A", "B"]}, self.DATABASE)
+        curve = _curve(Q6, database, backend)
+        assert curve.optimal
+        assert curve.max_gain() == 9
+        assert curve.picks() == [
+            ((TupleRef("R1", key),), gain)
+            for key, gain in zip(self.ORDER, [3, 2, 2, 1, 1])
+        ]
+        for k, cost in enumerate(self.COSTS):
+            assert curve.cost(k) == cost
+            expected = {TupleRef("R1", key) for key in self.ORDER[:cost]}
+            assert curve.solution(k) == expected
+        assert curve.cost(10) == math.inf
+        with pytest.raises(ValueError):
+            curve.solution(10)
+
+
+class TestSingletonCase1StoredRefs:
+    """Picks name the tuples R1 stores, whichever atom the join reads first.
+
+    ``R1`` stores ``1`` and ``2.0``; ``R2`` joins them through the
+    cross-type-equal ``True``/``1.0`` and ``2``.  The output rows carry
+    whichever value the join bound first, but a deletion must name a
+    stored row.
+    """
+
+    SCHEMA = {"R1": ["A"], "R2": ["A", "B"]}
+    ROWS = {"R1": [(1,), (2.0,)], "R2": [(True, 10), (1.0, 11), (2, 20)]}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_solution_refs_are_stored_refs(self, backend):
+        database = Database.from_dict(self.SCHEMA, self.ROWS)
+        stored = sorted(repr(ref) for ref in database.relation("R1").refs())
+        picks = []
+        for query in (Q6, Q6_SWAPPED):
+            curve = _curve(query, database, backend)
+            assert sorted(repr(ref) for ref in curve.solution(3)) == stored
+            picks.append(repr(curve.picks()))
+        assert picks[0] == picks[1]
+        assert picks[0] == repr(
+            [((TupleRef("R1", (1,)),), 2), ((TupleRef("R1", (2.0,)),), 1)]
+        )
+
+
+class TestReprRank:
+    """``RelationIndex.repr_rank``: the Case 1 tie-break, per index version."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_rank_follows_repr_and_resets_on_extension(self, backend):
+        kernels = resolve_backend(backend)
+        index = RelationIndex.from_rows("R1", ("A",), [(2,), ("a",), (10,)])
+        # repr order: "'a'" < "10" < "2".
+        assert as_id_list(index.repr_rank(kernels)) == [2, 0, 1]
+        extended = RelationIndex.extended(index, [("0",), (1,)])
+        # The appended tids 3 ("'0'") and 4 ("1") land inside the order.
+        assert as_id_list(extended.repr_rank(kernels)) == [4, 1, 3, 0, 2]
+        assert as_id_list(index.repr_rank(kernels)) == [2, 0, 1]
+
+    def test_multi_attribute_rank_uses_the_row_repr(self):
+        index = RelationIndex.from_rows("R", ("A", "B"), [(1, "b"), (1, "a")])
+        assert as_id_list(index.repr_rank(python_backend())) == [1, 0]

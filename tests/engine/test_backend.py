@@ -75,6 +75,10 @@ def test_python_kernels_basic():
     assert backend.empty_ids() == []
     assert backend.take([10, 20, 30], [2, 0, 2]) == [30, 10, 30]
     assert backend.bincount([0, 2, 2, 1], 4) == [1, 1, 2, 0]
+    assert backend.scatter([2, 0, 2], [7, 8, 7], 4) == [8, 0, 7, 0]
+    assert backend.cumsum([3, 0, 2]) == [3, 3, 5]
+    # Nonzero counts by count descending, ties by tiebreak ascending.
+    assert backend.order_by_count([2, 0, 5, 2, 1], [4, 0, 1, 3, 2]) == [2, 3, 0, 4]
     assert not is_ndarray([1, 2, 3])
     assert backend_of_column([1, 2]) is backend
     assert as_id_list([3, 1]) == [3, 1]
@@ -94,6 +98,16 @@ def test_numpy_kernels_match_python():
     assert np_backend.bincount(column, 6).tolist() == py.bincount(values, 6)
     selection = np_backend.id_column([6, 0, 3])
     assert np_backend.take(column, selection).tolist() == py.take(values, [6, 0, 3])
+    positions = [4, 1, 4, 0]
+    assert np_backend.scatter(
+        np_backend.id_column(positions), column[:4], 6
+    ).tolist() == py.scatter(positions, values[:4], 6)
+    assert np_backend.cumsum(column).tolist() == py.cumsum(values)
+    counts = [2, 0, 5, 2, 1, 2]
+    tiebreak = [4, 0, 1, 3, 2, 5]
+    assert np_backend.order_by_count(
+        np_backend.id_column(counts), np_backend.id_column(tiebreak)
+    ).tolist() == py.order_by_count(counts, tiebreak) == [2, 3, 0, 5, 4]
 
 
 #: Random ID columns over an interning table of ``size`` tids.  Tables

@@ -5,7 +5,8 @@ Replays seeded random interleavings of ``apply_insertions`` /
 *every* step, that the incrementally maintained state is indistinguishable
 from a from-scratch rebuild on an identically mutated database: output
 sets, witness ref-sets, witness/output counts, ``participating_refs`` and
-the greedy/drastic solver objectives all match, on both array backends.
+the greedy/drastic solver objectives and the default solve's removed refs
+all match, on both array backends.
 A second family runs the identical trace
 on the python and numpy backends side by side and asserts the packed
 provenance is **byte-identical** between them after every mutation.
@@ -26,11 +27,12 @@ import random
 
 import pytest
 
+from repro.core.singleton import singleton_relation
 from repro.data.relation import TupleRef
 from repro.engine.backend import numpy_available
 from repro.session import Session
 from repro.storage import DatabaseStore, OP_DELETE, OP_INSERT
-from repro.workloads.queries import Q1, QPATH_EXP
+from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
 
@@ -53,6 +55,7 @@ def _workloads(seed):
     query = random_query(rng, max_relations=3, max_attributes=3, allow_boolean=False)
     return [
         ("zipf", QPATH_EXP, generate_zipf_path(r2_tuples=120, alpha=0.8, seed=seed)),
+        ("zipf-q6", Q6, generate_zipf_path(r2_tuples=120, alpha=0.8, seed=seed)),
         ("tpch", Q1, generate_tpch(total_tuples=100, seed=seed)),
         ("random-cq", query, random_instance(query, rng, max_tuples_per_relation=6)),
     ]
@@ -80,6 +83,37 @@ def _insert_batch(query, database, rng, count=8):
     return refs
 
 
+def _fresh_group(query, database, rng):
+    """A new Case 1 singleton group: one fresh ``Ri`` tuple plus partners.
+
+    Each other relation gets one or two tuples that carry the fresh
+    ``attr(Ri)`` values and stored values elsewhere, so the group joins and
+    its tid -- appended at the end of ``Ri``'s interning table, out of
+    ``repr`` order -- has a small profit that ties with existing groups.
+    Empty unless the query is a non-vacuum Case 1 singleton.
+    """
+    name = singleton_relation(query)
+    if name is None:
+        return []
+    atom = query.atom(name)
+    if atom.is_vacuum or not atom.attribute_set <= query.head_attributes:
+        return []
+    fresh = {attribute: f"g{rng.randrange(10_000)}" for attribute in atom.attributes}
+    refs = [TupleRef(name, tuple(fresh.values()))]
+    for atom in query.atoms:
+        relation = database.relation(atom.name)
+        rows = sorted(relation.rows, key=repr)
+        if atom.name == name or not rows:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            row = rng.choice(rows)
+            refs.append(TupleRef(atom.name, tuple(
+                fresh.get(attribute, value)
+                for attribute, value in zip(relation.attributes, row)
+            )))
+    return refs
+
+
 def _delete_batch(query, database, rng, count=5):
     """A sample of currently stored tuples of the query's relations."""
     pool = [
@@ -104,7 +138,7 @@ def _mutation_trace(query, database, seed, steps=STEPS):
     trace = []
     for step in range(steps):
         if step % 2 == 0:
-            refs = _insert_batch(query, mirror, rng)
+            refs = _insert_batch(query, mirror, rng) + _fresh_group(query, mirror, rng)
             trace.append(("insert", refs))
             mirror.insert_tuples(refs)
         else:
@@ -145,6 +179,22 @@ def _solver_objectives(session, query, total, seed):
     return out
 
 
+def _solve_answers(session, query, total):
+    """The default solve's full answer for every ``k``: objective plus the
+    sorted removed refs.
+
+    Mutated sessions hold appended tids out of ``repr`` order, so equal
+    answers pin that no tie-break falls back to tid order -- ties sit
+    anywhere in the curve, hence every ``k``.  Descending ``k`` keeps all
+    but the first solve a curve-cache hit.
+    """
+    answers = []
+    for k in range(total, 0, -1):
+        solution = session.solve(query, k)
+        answers.append((solution.objective, sorted(repr(ref) for ref in solution.removed)))
+    return answers
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
 def test_interleaved_mutations_match_rebuild(name, query, database, backend):
@@ -172,6 +222,9 @@ def test_interleaved_mutations_match_rebuild(name, query, database, backend):
                 total = incremental.output_count()
                 assert _solver_objectives(session, query, total, SEED) == (
                     _solver_objectives(oracle, query, total, SEED)
+                ), context
+                assert _solve_answers(session, query, total) == (
+                    _solve_answers(oracle, query, total)
                 ), context
         # The incremental path genuinely rode the cache, not re-evaluation.
         assert session.stats.cache_hits >= len(trace)

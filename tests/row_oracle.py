@@ -9,12 +9,21 @@ order, participating tuples and deletion effects.
 :class:`RowResult` holds its answer with the plain witness-list provenance
 lookups (the columnar ``QueryResult`` answers the same questions from packed
 columns).
+
+:func:`singleton_curve_rows` is the original Singleton Case 1 curve: a
+``Counter`` over the projected output rows, sorted by ``(-profit, repr)``.
+The singleton parity suite compares ``singleton_curve``'s tid-level build
+against it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from repro.core.curves import PrefixCurve
+from repro.core.singleton import singleton_relation
 from repro.data.database import Database
 from repro.data.relation import Row, TupleRef
 from repro.engine.evaluate import Witness, _join_order
@@ -149,3 +158,45 @@ def evaluate_rows(
         witness_outputs.append(output_index[out_row])
 
     return RowResult(query, output_rows, witnesses, witness_outputs, output_index)
+
+
+def singleton_curve_rows(query: ConjunctiveQuery, database: Database) -> PrefixCurve:
+    """The original Singleton Case 1 curve (``attr(Ri) ⊆ head``), kept as oracle.
+
+    Projects every output row of :func:`evaluate_rows` onto ``attr(Ri)``,
+    counts the projections and sorts them by ``(-profit, repr)``: ``repr``
+    of the value for a one-attribute ``Ri``, of the projected tuple
+    otherwise.  Picks are keyed by the *output row's* values, so on
+    instances where ``Ri`` stores a cross-type-equal value (``1`` vs
+    ``1.0``) they may name a tuple ``Ri`` does not hold.
+    """
+    relation_name = singleton_relation(query)
+    if relation_name is None or not query.atom(relation_name).attribute_set <= (
+        query.head_attributes
+    ):
+        raise ValueError(f"{query.name} is not a Case 1 singleton query")
+    output_rows = evaluate_rows(query, database).output_rows
+    if not output_rows:
+        return PrefixCurve([], optimal=True)
+    relation = database.relation(relation_name)
+    head_positions = {a: i for i, a in enumerate(query.head)}
+    projection_positions = [head_positions[a] for a in relation.attributes]
+    keyed: List[Tuple[Tuple, int]]
+    if not projection_positions:
+        # Vacuum singleton: its only tuple owns every output.
+        keyed = [((), len(output_rows))]
+    elif len(projection_positions) == 1:
+        column = itemgetter(projection_positions[0])
+        singles = sorted(
+            Counter(map(column, output_rows)).items(),
+            key=lambda item: (-item[1], repr(item[0])),
+        )
+        keyed = [((value,), profit) for value, profit in singles]
+    else:
+        project = itemgetter(*projection_positions)
+        keyed = sorted(
+            Counter(map(project, output_rows)).items(),
+            key=lambda item: (-item[1], repr(item[0])),
+        )
+    picks = [((TupleRef(relation_name, key),), profit) for key, profit in keyed]
+    return PrefixCurve(picks, optimal=True)
