@@ -23,9 +23,9 @@ history accumulates instead of evaporating with each runner.
 ``--obs-overhead`` runs a separate relative gate for the observability
 layer (:mod:`repro.obs`): the same greedy solve is timed with no
 instrumentation, with an installed-but-unsampled tracer
-(``Tracer(enabled=False)``, stats collection off -- the configuration
-every instrumentation point must treat as a no-op), and with the fully
-enabled path (sampled tracer plus an installed ``StatsCollector``).  The
+(``Tracer(enabled=False)`` -- the configuration every instrumentation
+point must treat as a no-op), and with the fully enabled path (a sampled
+tracer, whose spans carry the per-operator records).  The
 check fails when the disabled path costs more than ``OBS_OVERHEAD_LIMIT``
 (2%) or the enabled path more than ``STATS_OVERHEAD_LIMIT`` (10%), each
 plus a small absolute grace so sub-millisecond jitter cannot fail the
@@ -84,10 +84,10 @@ BACKEND_R2_TUPLES = 8_000
 BACKEND_RATIO = 0.1
 
 #: Allowed relative cost of the installed-but-unsampled tracer path
-#: (stats collection off: the disabled path of both layers together).
+#: (the disabled path every instrumentation point pays).
 OBS_OVERHEAD_LIMIT = 1.02
-#: Allowed relative cost of the fully enabled instrumentation: sampled
-#: tracer plus an installed StatsCollector (per-operator counters,
+#: Allowed relative cost of the fully enabled instrumentation: a sampled
+#: tracer, whose spans carry the operator records (per-operator counters,
 #: build-side skew summaries, the estimate-vs-actual ledger inputs).
 STATS_OVERHEAD_LIMIT = 1.10
 #: Absolute grace (seconds) under which the overhead gate never fails:
@@ -193,16 +193,16 @@ def measure_obs_overhead() -> dict:
     """The observability-layer overhead probe (zipf-8000 greedy solve).
 
     Times three interleaved variants: no instrumentation at all, the
-    installed-but-unsampled tracer with stats collection off (the
-    disabled path every solve pays), and the fully enabled path (sampled
-    tracer plus an installed :class:`StatsCollector`).  Returns the two
-    overhead ratios plus the per-stage span totals of one fully
-    instrumented solve (the enabled-path stage timings ``--record``
-    persists).
+    installed-but-unsampled tracer (the disabled path every solve pays),
+    and the fully enabled path (a sampled tracer; its spans carry the
+    operator records).  Returns the two overhead ratios plus the
+    per-stage span totals and operator-record count of one fully
+    instrumented solve (what ``--record`` persists).  The trajectory
+    keys keep their ``stats_`` names so older entries stay comparable.
     """
     from repro.experiments.harness import target_from_ratio
     from repro.obs.render import aggregate_stage_ms
-    from repro.obs.stats import StatsCollector, use_stats
+    from repro.obs.stats import operator_records
     from repro.obs.trace import Tracer, use_tracer
     from repro.query.parser import parse_query
     from repro.session import Session
@@ -226,7 +226,7 @@ def measure_obs_overhead() -> dict:
 
     def instrumented() -> None:
         tracer = Tracer()
-        with use_tracer(tracer), use_stats(StatsCollector()):
+        with use_tracer(tracer):
             with tracer.span("bench.obs_overhead", workload="zipf_greedy"):
                 plain()
 
@@ -246,8 +246,7 @@ def measure_obs_overhead() -> dict:
         with_stats = min(with_stats, time.perf_counter() - start)
 
     tracer = Tracer()
-    collector = StatsCollector()
-    with use_tracer(tracer), use_stats(collector):
+    with use_tracer(tracer):
         with tracer.span("bench.obs_overhead", workload="zipf_greedy"):
             plain()
     stage_ms = {
@@ -260,7 +259,7 @@ def measure_obs_overhead() -> dict:
         "overhead_ratio": round(with_tracer / baseline, 4),
         "stats_enabled_s": round(with_stats, 6),
         "stats_overhead_ratio": round(with_stats / baseline, 4),
-        "stats_records": len(collector.records),
+        "stats_records": len(operator_records(tracer)),
         "stage_ms": stage_ms,
     }
 
@@ -345,7 +344,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="gate the observability layer instead: fail when the disabled "
         f"path costs more than {(OBS_OVERHEAD_LIMIT - 1) * 100:g}%% or the "
-        "enabled tracer+stats path more than "
+        "enabled (sampled) tracer path more than "
         f"{(STATS_OVERHEAD_LIMIT - 1) * 100:g}%% over no instrumentation",
     )
     args = parser.parse_args(argv)
@@ -357,7 +356,7 @@ def main(argv=None) -> int:
             f"obs overhead: baseline {result['baseline_s'] * 1e3:.2f}ms, "
             f"unsampled tracer {result['unsampled_s'] * 1e3:.2f}ms "
             f"(x{result['overhead_ratio']:.4f}), "
-            f"tracer+stats {result['stats_enabled_s'] * 1e3:.2f}ms "
+            f"sampled tracer {result['stats_enabled_s'] * 1e3:.2f}ms "
             f"(x{result['stats_overhead_ratio']:.4f}, "
             f"{result['stats_records']} records)"
         )
@@ -379,7 +378,7 @@ def main(argv=None) -> int:
         )
         if result["stats_enabled_s"] > stats_budget:
             print(
-                "FAILED: enabled tracer+stats costs "
+                "FAILED: enabled (sampled) tracer costs "
                 f"x{result['stats_overhead_ratio']:.4f} "
                 f"(limit x{STATS_OVERHEAD_LIMIT} + {OBS_ABS_GRACE_S * 1e3:g}ms grace)"
             )

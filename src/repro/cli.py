@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -195,6 +196,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_ms(text: str) -> float:
+    """argparse type for millisecond settings: finite and >= 0 (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
+    return value
+
+
 def _add_serve_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "serve", help="run the HTTP/JSON ADP query service (repro.service)"
@@ -226,7 +240,7 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--batch-linger-ms",
-        type=float,
+        type=_non_negative_ms,
         default=2.0,
         metavar="MS",
         help="how long the first request of a batch window waits for company",
@@ -247,7 +261,7 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_non_negative_ms,
         default=30_000.0,
         metavar="MS",
         help="default per-request deadline (0 disables; requests may override)",
@@ -267,14 +281,14 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--slow-ms",
-        type=float,
+        type=_non_negative_ms,
         default=250.0,
         metavar="MS",
         help="slow-query log threshold (requests slower than this are kept)",
     )
     parser.add_argument(
         "--slow-log-capacity",
-        type=int,
+        type=_positive_int,
         default=32,
         metavar="N",
         help="how many slow requests the ring buffer retains",

@@ -248,6 +248,22 @@ def python_backend() -> PythonBackend:
     return _PYTHON_BACKEND
 
 
+def gated_backend(backend: Backend, total_tuples: int) -> Backend:
+    """The backend an evaluation over ``total_tuples`` input tuples runs on.
+
+    The one owner of the :data:`MIN_VECTOR_TUPLES` rule: a gated
+    (``"auto"``-selected) NumPy backend below the floor is demoted to the
+    Python kernels; every other backend runs as requested.
+    """
+    if (
+        backend.is_numpy
+        and getattr(backend, "gated", False)
+        and total_tuples < MIN_VECTOR_TUPLES
+    ):
+        return _PYTHON_BACKEND
+    return backend
+
+
 def resolve_backend(spec: BackendLike) -> Union[PythonBackend, NumpyBackend]:
     """Resolve a backend spec (``"auto"``/``"python"``/``"numpy"``/instance).
 
@@ -429,6 +445,7 @@ __all__ = [
     "PythonBackend",
     "as_id_list",
     "backend_of_column",
+    "gated_backend",
     "group_positions",
     "id_column_to_bytes",
     "is_ndarray",

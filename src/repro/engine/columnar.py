@@ -41,7 +41,7 @@ from repro.engine.backend import (
     is_ndarray,
     python_backend,
 )
-from repro.obs.stats import current_collector, join_step_record
+from repro.obs.stats import join_step_record
 from repro.obs.trace import span
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
@@ -747,7 +747,6 @@ def join_columns(
     #: probe and the output factorization key on it).
     binding: Dict[str, int] = {}
     count: Optional[int] = None  # None = the single empty partial row
-    stats = current_collector()
 
     for step, (atom, rindex) in enumerate(zip(ordered_atoms, indexes)):
         step_span = span("engine.join.atom")
@@ -847,13 +846,6 @@ def join_columns(
             ref_columns.append(tids)
             count = len(tids)
             if step_span:
-                step_span.set(
-                    relation=atom.name,
-                    rows=len(rows),
-                    probed=probed,
-                    witnesses=count,
-                )
-            if stats is not None:
                 # Build-side bucket sizes for the heavy-hitter summary; the
                 # hash table is cached on the interning table, so this
                 # re-fetch does no hashing work.
@@ -870,8 +862,8 @@ def join_columns(
                         bucket_sizes = (
                             (key, len(members)) for key, members in groups.items()
                         )
-                stats.record(
-                    join_step_record(
+                step_span.set(
+                    **join_step_record(
                         step, atom.name, len(rows), probed, count, shared,
                         bucket_sizes,
                     )

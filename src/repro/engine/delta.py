@@ -8,10 +8,11 @@ does.  So the effect of a deletion set on an already-evaluated
 provenance columns against the surviving tuples** -- resolved through the
 provenance's inverted postings index (tuple -> witness positions) in time
 proportional to the *dead* witnesses, not to the whole join -- rather than a
-re-intern + re-join of the whole database.  On ndarray provenance the
-postings are CSR (:class:`~repro.engine.backend.CsrPostings`: one stable
-argsort plus per-tid offsets), cheap enough to rebuild lazily on every
-mutated result instead of being carried across mutations.
+re-intern + re-join of the whole database.  The postings are built lazily
+per result (on ndarray provenance as CSR,
+:class:`~repro.engine.backend.CsrPostings`: one stable argsort plus
+per-tid offsets) and rebuilt on every result whose witnesses changed
+instead of being carried across mutations.
 
 This is the engine behind the session what-if API:
 
@@ -50,16 +51,13 @@ from repro.data.relation import Row, TupleRef
 from repro.engine.backend import (
     Column,
     CsrPostings,
-    Postings,
     as_id_list,
     backend_of_column,
-    group_positions,
     is_ndarray,
     python_backend,
 )
 from repro.engine.columnar import ColumnarProvenance, RelationIndex
 from repro.engine.evaluate import QueryResult
-from repro.obs.stats import current_collector
 from repro.obs.trace import span
 
 
@@ -150,17 +148,14 @@ def delta_counts(
     outputs.  Matches ``delta_filter_result`` (and hence a fresh
     evaluation) exactly.
     """
-    with span("engine.delta.counts"):
+    with span("engine.delta.counts") as sp:
         counts = _delta_counts_body(result, removed)
-    stats = current_collector()
-    if stats is not None:
-        stats.record(
-            {
-                "op": "delta.counts",
-                "dead_witnesses": counts[0],
-                "removed_outputs": counts[1],
-            }
-        )
+        if sp:
+            sp.set(
+                op="delta.counts",
+                dead_witnesses=counts[0],
+                removed_outputs=counts[1],
+            )
     return counts
 
 
@@ -168,7 +163,7 @@ def _delta_counts_body(
     result: QueryResult,
     removed: Iterable[TupleRef],
 ) -> Tuple[int, int]:
-    """The branchy core of :func:`delta_counts` (span/stats live above)."""
+    """The branchy core of :func:`delta_counts` (its span lives above)."""
     provenance = result.provenance
     dead = _dead_witnesses(provenance, removed)
     if dead is None:
@@ -314,7 +309,7 @@ def delta_filter_result(
     witness sets, output sets and all provenance counts are identical --
     the property the parity tests pin down.
     """
-    with span("engine.delta.filter"):
+    with span("engine.delta.filter") as sp:
         provenance = result.provenance
         filtered = delta_filter_provenance(provenance, removed)
         if filtered is provenance:
@@ -329,22 +324,14 @@ def delta_filter_result(
                 as_id_list(filtered.witness_outputs),
                 filtered,
             )
-    stats = current_collector()
-    if stats is not None:
-        stats.record(
-            {
-                "op": "delta.filter",
-                "witnesses_before": result.witness_count(),
-                "witnesses_after": filtered_result.witness_count(),
-                "outputs_after": filtered_result.output_count(),
-            }
-        )
+        if sp:
+            sp.set(
+                op="delta.filter",
+                witnesses_before=result.witness_count(),
+                witnesses_after=filtered_result.witness_count(),
+                outputs_after=filtered_result.output_count(),
+            )
     return filtered_result
-
-
-def outputs_delta(result: QueryResult, removed: Iterable[TupleRef]) -> int:
-    """How many outputs a deletion removes (semijoin-counting shortcut)."""
-    return delta_counts(result, removed)[1]
 
 
 # --------------------------------------------------------------------------- #
@@ -365,9 +352,9 @@ def outputs_delta(result: QueryResult, removed: Iterable[TupleRef]) -> int:
 # tables' cached hash groups -- work proportional to the delta and its new
 # witnesses, never to the existing join.  Discovered witnesses are
 # *appended*: old tids, witness positions and output ids all keep their
-# meaning, so the packed columns, a built list postings index and the output
-# table extend in place instead of being rebuilt (the append invariant the
-# parity suite pins down); CSR postings are rebuilt lazily instead.
+# meaning, so the packed columns and the output table extend in place
+# instead of being rebuilt (the append invariant the parity suite pins
+# down); the postings index of the grown result is rebuilt lazily.
 #
 # Liveness: interning tables are append-only and shared across deletions
 # (``delta_filter_provenance`` drops dead witnesses from the packed columns
@@ -568,33 +555,6 @@ def _extended_indexes(
     return extended
 
 
-def _migrated_postings(
-    provenance: ColumnarProvenance,
-    new_columns: List[List[int]],
-) -> List[Optional[Postings]]:
-    """Extend the parent's already-built list postings with the new witnesses.
-
-    List-packed provenance only: CSR postings are cheaper to rebuild lazily
-    (one argsort) than to merge, so ndarray results start unbuilt.  Unbuilt
-    atoms stay ``None``.  Parent lists are never mutated -- cached results
-    are immutable by contract -- but every untouched tid keeps sharing the
-    parent's posting list.
-    """
-    old_count = provenance.witness_count()
-    migrated: List[Optional[Postings]] = []
-    for position, parent_postings in enumerate(provenance._postings):
-        if parent_postings is None:
-            migrated.append(None)
-            continue
-        merged = dict(parent_postings.items())
-        for tid, positions in group_positions(new_columns[position]).items():
-            offsets = [old_count + w for w in positions]
-            existing = merged.get(tid)
-            merged[tid] = offsets if existing is None else existing + offsets
-        migrated.append(merged)
-    return migrated
-
-
 def delta_insert_provenance(
     provenance: ColumnarProvenance,
     inserted: Iterable[TupleRef],
@@ -682,8 +642,6 @@ def delta_insert_provenance(
         merged_index,
         provenance.vacuum_refs,
     )
-    if not vectorized:
-        updated._postings = _migrated_postings(provenance, new_columns)
     return updated
 
 
@@ -740,22 +698,19 @@ def delta_insert_result(
     object when the insertion is irrelevant to the query, and ``None``
     (caller must re-evaluate) for vacuum queries.
     """
-    with span("engine.delta.insert"):
+    with span("engine.delta.insert") as sp:
         provenance = result.provenance
         updated = delta_insert_provenance(
             provenance, inserted, extend_index=extend_index, row_live=row_live
         )
         if updated is None:
             return None
-        stats = current_collector()
-        if stats is not None:
-            stats.record(
-                {
-                    "op": "delta.insert",
-                    "changed": updated is not provenance,
-                    "witnesses_after": updated.witness_count(),
-                    "outputs_after": updated.output_count(),
-                }
+        if sp:
+            sp.set(
+                op="delta.insert",
+                changed=updated is not provenance,
+                witnesses_after=updated.witness_count(),
+                outputs_after=updated.output_count(),
             )
         if updated is provenance:
             return result
@@ -777,5 +732,4 @@ __all__ = [
     "delta_insert_counts",
     "delta_insert_provenance",
     "delta_insert_result",
-    "outputs_delta",
 ]

@@ -70,6 +70,7 @@ from repro.engine.backend import (
     BackendLike,
     Column,
     NumpyBackend,
+    gated_backend,
     python_backend,
     resolve_backend,
 )
@@ -81,7 +82,6 @@ from repro.engine.columnar import (
     empty_provenance,
     join_columns,
 )
-from repro.obs.stats import current_collector
 from repro.obs.trace import span
 from repro.query.cq import ConjunctiveQuery
 
@@ -450,24 +450,18 @@ class EngineContext:
         backend_tag = self.backend.name
         with span("engine.evaluate") as esp:
             if esp:
-                esp.set(backend=backend_tag, atoms=len(query.atoms))
+                esp.set(backend=backend_tag)
             if cacheable:
                 cached = self.cache.lookup(
                     query, database, query_key=query_key, backend=backend_tag
                 )
                 if cached is not None:
                     if esp:
-                        esp.set(cache="hit", witnesses=len(cached.witness_outputs))
-                    stats = current_collector()
-                    if stats is not None:
-                        stats.record(
-                            {
-                                "op": "evaluate",
-                                "backend": backend_tag,
-                                "cache": "hit",
-                                "witnesses": len(cached.witness_outputs),
-                                "outputs": len(cached.output_rows),
-                            }
+                        esp.set(
+                            op="evaluate",
+                            cache="hit",
+                            witnesses=len(cached.witness_outputs),
+                            outputs=len(cached.output_rows),
                         )
                     return cached
             result = evaluate_columnar(
@@ -485,17 +479,11 @@ class EngineContext:
                     query, database, result, query_key=query_key, backend=backend_tag
                 )
             if esp:
-                esp.set(cache="miss", witnesses=len(result.witness_outputs))
-            stats = current_collector()
-            if stats is not None:
-                stats.record(
-                    {
-                        "op": "evaluate",
-                        "backend": backend_tag,
-                        "cache": "miss" if cacheable else "bypass",
-                        "witnesses": len(result.witness_outputs),
-                        "outputs": len(result.output_rows),
-                    }
+                esp.set(
+                    op="evaluate",
+                    cache="miss" if cacheable else "bypass",
+                    witnesses=len(result.witness_outputs),
+                    outputs=len(result.output_rows),
                 )
             return result
 
@@ -654,32 +642,13 @@ def evaluate_columnar(
         )
     ordered_atoms = [non_vacuum[i] for i in order]
 
-    stats = current_collector()
+    # The auto-selected NumPy backend applies a cost-model floor: below
+    # MIN_VECTOR_TUPLES input tuples the fixed per-kernel overhead beats the
+    # vectorization win, so the evaluation silently routes to the Python
+    # kernels (results are byte-identical either way).
+    total_tuples = sum(len(database.relation(atom.name)) for atom in non_vacuum)
     requested_backend = backend
-    if backend.is_numpy and getattr(backend, "gated", False):
-        # The auto-selected NumPy backend applies a cost-model floor: below
-        # MIN_VECTOR_TUPLES input tuples the fixed per-kernel overhead beats
-        # the vectorization win, so the evaluation silently routes to the
-        # Python kernels (results are byte-identical either way).
-        total_tuples = sum(
-            len(database.relation(atom.name)) for atom in non_vacuum
-        )
-        if total_tuples < MIN_VECTOR_TUPLES:
-            backend = python_backend()
-    if stats is not None:
-        stats.record(
-            {
-                "op": "backend",
-                "requested": requested_backend.name,
-                "effective": backend.name,
-                "gated": bool(getattr(requested_backend, "gated", False)),
-                "total_tuples": sum(
-                    len(database.relation(atom.name)) for atom in non_vacuum
-                ),
-                "min_vector_tuples": MIN_VECTOR_TUPLES,
-                "demoted": backend is not requested_backend,
-            }
-        )
+    backend = gated_backend(requested_backend, total_tuples)
 
     with span("engine.join") as jsp:
         bound, ref_columns, indexes = join_columns(
@@ -688,9 +657,13 @@ def evaluate_columnar(
         )
         if jsp:
             jsp.set(
-                atoms=len(ordered_atoms),
-                backend=backend.name,
-                witnesses=len(ref_columns[0]) if ref_columns else 0,
+                op="backend",
+                requested=requested_backend.name,
+                effective=backend.name,
+                gated=bool(getattr(requested_backend, "gated", False)),
+                total_tuples=total_tuples,
+                min_vector_tuples=MIN_VECTOR_TUPLES,
+                demoted=backend is not requested_backend,
             )
     atom_names = tuple(atom.name for atom in ordered_atoms)
     count = len(ref_columns[0]) if ref_columns else 0
@@ -735,17 +708,13 @@ def evaluate_columnar(
             witness_outputs = [0] * count
             packed_outputs = backend.id_column(witness_outputs)
         if fsp:
-            fsp.set(witnesses=count, outputs=len(output_rows))
-        if stats is not None:
-            stats.record(
-                {
-                    "op": "factorize",
-                    "witnesses": count,
-                    "outputs": len(output_rows),
-                    "dedup_ratio": round(count / len(output_rows), 4)
-                    if output_rows
-                    else 0.0,
-                }
+            fsp.set(
+                op="factorize",
+                witnesses=count,
+                outputs=len(output_rows),
+                dedup_ratio=round(count / len(output_rows), 4)
+                if output_rows
+                else 0.0,
             )
 
     provenance = ColumnarProvenance(

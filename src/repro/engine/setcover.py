@@ -218,16 +218,3 @@ def sets_from_packed_provenance(
             sets[vacuum_ref] = every
     return sets
 
-
-def max_frequency_from_provenance(provenance: ColumnarProvenance) -> int:
-    """The PSC instance's maximum element frequency, without building sets.
-
-    For the Theorem 5 reduction every element (output tuple of a full CQ)
-    belongs to exactly one set per atom plus one per non-empty vacuum
-    relation, so the primal-dual guarantee ``p`` is available in O(1) --
-    callers that only need the frequency bound (not the sets themselves)
-    can skip the whole set construction.
-    """
-    if provenance.witness_count() == 0:
-        return 0
-    return provenance.atom_count() + len(provenance.vacuum_refs)

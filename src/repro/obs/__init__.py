@@ -10,8 +10,8 @@ and the overhead contract.  The public surface:
   (``repro.obs.render``);
 * :class:`SlowQueryLog` -- the service's over-threshold ring buffer
   (``repro.obs.slowlog``);
-* :class:`StatsCollector` / :func:`use_stats` / :func:`current_collector`
-  -- per-operator runtime statistics (``repro.obs.stats``); the EXPLAIN
+* :func:`operator_records` -- the per-operator statistics instrumented
+  kernels leave on their spans (``repro.obs.stats``); the EXPLAIN
   subsystem consuming them lives in ``repro.obs.explain`` (imported
   directly, not re-exported here, because it reaches into the session
   tier lazily).
@@ -19,13 +19,7 @@ and the overhead contract.  The public surface:
 
 from repro.obs.render import aggregate_stage_ms, load_trace, render_span_tree
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.stats import (
-    StatsCollector,
-    StatsLog,
-    current_collector,
-    stats_active,
-    use_stats,
-)
+from repro.obs.stats import operator_records
 from repro.obs.trace import (
     NULL_SPAN,
     NullSpan,
@@ -45,18 +39,14 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "SpanDict",
-    "StatsCollector",
-    "StatsLog",
     "Tracer",
     "aggregate_stage_ms",
-    "current_collector",
     "current_tracer",
     "load_trace",
     "new_trace_id",
+    "operator_records",
     "render_span_tree",
     "span",
-    "stats_active",
     "tracing_active",
-    "use_stats",
     "use_tracer",
 ]

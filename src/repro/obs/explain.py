@@ -12,13 +12,14 @@ The payload splits into two blocks with different stability contracts:
   the property the golden-snapshot tests pin down.
 * ``"execution"`` carries everything backend-dependent: the resolved
   backend and its ``MIN_VECTOR_TUPLES`` cost-model verdict, the cache
-  disposition, the raw operator records collected by :mod:`repro.obs.stats`, and the
+  disposition, the raw operator records the engine's spans carry (read
+  back with :func:`repro.obs.stats.operator_records`), and the
   estimate-vs-actual cardinality ledger with misprediction flags.
 
-With ``analyze=True`` (the default) the query is evaluated once under an
-installed :class:`~repro.obs.stats.StatsCollector` to fill the actuals --
-EXPLAIN ANALYZE semantics; a cache hit is transparently re-joined with the
-cache bypassed so the ledger always sees real operator counts.
+With ``analyze=True`` (the default) the query is evaluated once under its
+own :class:`~repro.obs.trace.Tracer` to fill the actuals -- EXPLAIN
+ANALYZE semantics; a cache hit is transparently re-joined with the cache
+bypassed so the ledger always sees real operator counts.
 
 Imports of the session/engine tiers are deliberately lazy (function
 level): ``repro.session`` imports ``repro.obs.trace`` at module load, so
@@ -31,12 +32,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.obs.stats import (
     MISPREDICTION_RATIO,
-    StatsCollector,
     StatsRecord,
     misestimate_factor,
-    use_stats,
+    operator_records,
     worst_misestimate,
 )
+from repro.obs.trace import Tracer, use_tracer
 
 #: Bumped when the payload schema changes shape (service clients key on it).
 EXPLAIN_VERSION = 4
@@ -148,14 +149,14 @@ def _plan_block(context, database, prepared) -> Dict[str, object]:
 # Execution block (backend verdicts + actuals)
 # --------------------------------------------------------------------------- #
 def _backend_verdict(context, database, prepared) -> Dict[str, object]:
-    from repro.engine.backend import MIN_VECTOR_TUPLES
+    from repro.engine.backend import MIN_VECTOR_TUPLES, gated_backend
 
     backend = context.backend
     non_vacuum = [a for a in prepared.query.atoms if not a.is_vacuum]
     total = sum(len(database.relation(a.name)) for a in non_vacuum)
     gated = bool(getattr(backend, "gated", False))
-    demoted = backend.is_numpy and gated and total < MIN_VECTOR_TUPLES
-    effective = "python" if demoted else backend.name
+    effective = gated_backend(backend, total)
+    demoted = effective is not backend
     if demoted:
         verdict = (
             f"{total} input tuples < MIN_VECTOR_TUPLES={MIN_VECTOR_TUPLES}: "
@@ -172,7 +173,7 @@ def _backend_verdict(context, database, prepared) -> Dict[str, object]:
         verdict = "pure-python kernels"
     return {
         "resolved": backend.name,
-        "effective": effective,
+        "effective": effective.name,
         "gated": gated,
         "total_tuples": total,
         "min_vector_tuples": MIN_VECTOR_TUPLES,
@@ -251,8 +252,8 @@ def _ledger(
 def explain_payload(session, query, analyze: bool = True) -> Dict[str, object]:
     """The full EXPLAIN payload for ``query`` on ``session``.
 
-    ``analyze=True`` evaluates the query once under a stats collector to
-    fill the actuals (re-joining past the cache when needed so operator
+    ``analyze=True`` evaluates the query once under a tracer to fill the
+    actuals (re-joining past the cache when needed so operator
     records exist); ``analyze=False`` is plan-only -- the execution block
     still carries the static cost-model verdicts, but no ledger actuals.
     The same function backs ``repro explain`` and ``POST /v1/explain``,
@@ -273,19 +274,14 @@ def explain_payload(session, query, analyze: bool = True) -> Dict[str, object]:
     }
     records: List[StatsRecord] = []
     if analyze:
-        collector = StatsCollector()
-        with use_stats(collector):
-            session.evaluate(prepared)
-            cache = _cache_disposition(collector.records)
-            if not any(r.get("op") == "join.atom" for r in collector.records):
-                # Cache hit: bypass the cache once so the ledger sees real
-                # operator counts.
-                collector.records = [
-                    r for r in collector.records if r.get("op") != "evaluate"
-                ]
-                session.evaluate(prepared, use_cache=False)
-        records = collector.export()
-        execution["cache"] = cache
+        records = _traced_records(lambda: session.evaluate(prepared))
+        execution["cache"] = _cache_disposition(records)
+        if not any(r.get("op") == "join.atom" for r in records):
+            # Cache hit: bypass the cache once so the ledger sees real
+            # operator counts.
+            records = _traced_records(
+                lambda: session.evaluate(prepared, use_cache=False)
+            )
     evaluate_record = next(
         (r for r in records if r.get("op") == "evaluate"), None
     )
@@ -311,6 +307,14 @@ def explain_payload(session, query, analyze: bool = True) -> Dict[str, object]:
     execution["worst_misestimate"] = worst_misestimate(ledger)
     payload["execution"] = execution
     return payload
+
+
+def _traced_records(run) -> List[StatsRecord]:
+    """The operator records ``run()`` leaves on the spans of a fresh tracer."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        run()
+    return operator_records(tracer)
 
 
 def _cache_disposition(records: Sequence[StatsRecord]) -> Optional[str]:

@@ -3,13 +3,14 @@
 A :class:`SlowQueryLog` keeps the last *capacity* requests that exceeded
 the latency threshold, each entry a plain JSON-ready dict the service
 assembles: trace id, route, database/version, plan fingerprints, the
-worst-misestimated operator record (``worst_misestimate``, from the stats
-collector that runs alongside tracing -- a badly misestimated join step
-is the usual culprit behind a slow query), elapsed milliseconds, a
+worst-misestimated operator record (``worst_misestimate``, read off the
+same spans -- a badly misestimated join step is the usual culprit behind
+a slow query), elapsed milliseconds, a
 wall-clock timestamp (supplied by the caller -- this module reads no
 clock at all) and the serialized span tree when tracing was on.  One
 lock guards the deque: entries are recorded from solver threads and read
-from the event loop.
+from the event loop.  With threshold 0 the same class backs
+``GET /v1/debug/stats``, the ring of recent plan+stats records.
 """
 
 from __future__ import annotations

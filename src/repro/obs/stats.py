@@ -1,34 +1,30 @@
 """Per-operator runtime statistics for plan introspection.
 
-The tracing layer (:mod:`repro.obs.trace`) answers *where time went*; this
-module answers *what the operators did*: build/probe sizes, distinct-key
-counts, match-expansion factors, factorization dedup ratios and
-heavy-hitter top-k summaries.  Those are exactly the inputs the
+The tracing layer (:mod:`repro.obs.trace`) answers *where time went*; the
+operator records answer *what the operators did*: build/probe sizes,
+distinct-key counts, match-expansion factors, factorization dedup ratios
+and heavy-hitter top-k summaries.  Those are exactly the inputs the
 EXPLAIN subsystem (:mod:`repro.obs.explain`) turns into an
 estimate-vs-actual cardinality ledger, and the measurements the planned
 skew-robust radix join needs (heavy-hitter detection feeds the dynamic
 hybrid-hash trade-off).
 
-Collection follows the tracer's gating contract exactly: a
-:class:`StatsCollector` is installed for a scope with :func:`use_stats`;
-every instrumented kernel asks :func:`current_collector` once per call and
-does **no work at all** when none is installed -- the disabled hot path is
-one ``ContextVar.get()`` plus a ``None`` check, the same cost bounded by
-the CI obs-overhead gate.  Records are plain JSON-safe dicts so they go
-into service payloads unchanged.
+There is one instrumentation channel: an instrumented kernel puts its
+record's fields, ``op`` included, on the span it already opens, behind
+the usual ``if sp:`` guard -- so with tracing off no record is built at
+all.  :func:`operator_records` reads them back from a tracer.  This
+module keeps the pure record builders; records are plain JSON-safe dicts
+so they go into service payloads unchanged.
 
 Like the tracer, this module reads **no clocks** (REP005): statistics are
-pure counts; any wall-clock stamps on persisted records are supplied by
-the service tier.
+pure counts.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from repro.obs.trace import Span, Tracer
 
 #: One operator record: plain JSON-safe values only.
 StatsRecord = Dict[str, object]
@@ -47,58 +43,23 @@ HEAVY_HITTER_RATIO = 8.0
 HEAVY_HITTER_TOP_K = 5
 
 
-class StatsCollector:
-    """An append-only sink of operator records for one logical operation.
+def operator_records(tracer: Tracer) -> List[StatsRecord]:
+    """The operator records of one traced run, in span closing order.
 
-    Not thread-safe by design (mirrors ``Tracer``): one collector belongs
-    to one logical operation.
+    Every span carrying an ``op`` attribute is one record: its attributes,
+    copied.  Closing order is the order the kernels finish in (a join's
+    steps before the join, the join before its evaluation).
     """
+    records: List[StatsRecord] = []
 
-    __slots__ = ("records", "enabled")
+    def walk(spans: List[Span]) -> None:
+        for sp in spans:
+            walk(sp.children)
+            if "op" in sp.attrs:
+                records.append(dict(sp.attrs))
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.records: List[StatsRecord] = []
-        self.enabled = enabled
-
-    def record(self, record: StatsRecord) -> None:
-        """Append one operator record (callers pass JSON-safe dicts)."""
-        self.records.append(record)
-
-    def export(self) -> List[StatsRecord]:
-        """The collected records as independent copies (JSON-safe)."""
-        return [dict(record) for record in self.records]
-
-
-_ACTIVE_STATS: "ContextVar[Optional[StatsCollector]]" = ContextVar(
-    "repro_stats_collector", default=None
-)
-
-
-def current_collector() -> Optional[StatsCollector]:
-    """The ambient collector, or ``None`` when collection is off.
-
-    The one call every instrumented kernel makes before doing any stats
-    work; the disabled path is a single ``ContextVar.get()``.
-    """
-    collector = _ACTIVE_STATS.get()
-    if collector is not None and collector.enabled:
-        return collector
-    return None
-
-
-def stats_active() -> bool:
-    """Whether an enabled collector is installed in this context."""
-    return current_collector() is not None
-
-
-@contextmanager
-def use_stats(collector: StatsCollector) -> Iterator[StatsCollector]:
-    """Install ``collector`` as the ambient stats sink within the block."""
-    token = _ACTIVE_STATS.set(collector)
-    try:
-        yield collector
-    finally:
-        _ACTIVE_STATS.reset(token)
+    walk(tracer.roots)
+    return records
 
 
 # --------------------------------------------------------------------------- #
@@ -221,55 +182,14 @@ def worst_misestimate(records: Sequence[StatsRecord]) -> Optional[StatsRecord]:
     return dict(worst) if worst is not None else None
 
 
-class StatsLog:
-    """A bounded ring buffer of recent plan+stats records (service debug API).
-
-    The stats twin of :class:`repro.obs.slowlog.SlowQueryLog`: entries are
-    caller-assembled JSON-safe dicts (the service tier adds its wall-clock
-    ``recorded_at`` -- this module reads no clocks), the newest ``capacity``
-    are kept, and :meth:`snapshot` returns them newest-first.
-    """
-
-    def __init__(self, capacity: int = 64) -> None:
-        self.capacity = int(capacity)
-        self._entries: Deque[StatsRecord] = deque(maxlen=self.capacity)
-        self._recorded_total = 0
-        self._lock = threading.Lock()
-
-    def record(self, entry: StatsRecord) -> None:
-        """Append one plan+stats entry (oldest entries fall off)."""
-        with self._lock:
-            self._entries.append(entry)
-            self._recorded_total += 1
-
-    def snapshot(self) -> StatsRecord:
-        """The buffer as a JSON-safe dict, entries newest-first."""
-        with self._lock:
-            entries = list(self._entries)
-            recorded = self._recorded_total
-        return {
-            "capacity": self.capacity,
-            "recorded_total": recorded,
-            "entries": list(reversed(entries)),
-        }
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-
 __all__ = [
     "HEAVY_HITTER_RATIO",
     "HEAVY_HITTER_TOP_K",
     "MISPREDICTION_RATIO",
-    "StatsCollector",
-    "StatsLog",
     "StatsRecord",
-    "current_collector",
     "heavy_hitter_summary",
     "join_step_record",
     "misestimate_factor",
-    "stats_active",
-    "use_stats",
+    "operator_records",
     "worst_misestimate",
 ]

@@ -60,7 +60,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, NoReturn, Optional, Tuple
 
 from repro.core.adp import ADPSolver, ratio_target
 
@@ -78,13 +78,7 @@ from repro.service.admission import (
 )
 from repro.obs.render import aggregate_stage_ms
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.stats import (
-    StatsCollector,
-    StatsLog,
-    StatsRecord,
-    use_stats,
-    worst_misestimate,
-)
+from repro.obs.stats import StatsRecord, operator_records, worst_misestimate
 from repro.obs.trace import Tracer, new_trace_id, use_tracer
 from repro.service.batch import MicroBatcher
 from repro.service.metrics import ServiceMetrics
@@ -248,7 +242,11 @@ class AdpService:
             capacity=self.config.slow_log_capacity,
             threshold_ms=self.config.slow_ms,
         )
-        self.stats_log = StatsLog(capacity=self.config.stats_log_capacity)
+        #: Recent plan+stats records (``/v1/debug/stats``): a slow log
+        #: that keeps every entry.
+        self.stats_log = SlowQueryLog(
+            capacity=self.config.stats_log_capacity, threshold_ms=0.0
+        )
         #: Per-database operator gauges (last observed instrumented solve);
         #: pruned to registry-resident names at /metrics scrape time so the
         #: label cardinality is bounded by the registry LRU capacity.
@@ -500,7 +498,10 @@ class AdpService:
         if method != "POST":
             raise ApiError(405, f"{path} only accepts POST")
         try:
-            parsed = json.loads(body.decode("utf-8")) if body else {}
+            parsed = (
+                json.loads(body.decode("utf-8"), parse_constant=_reject_constant)
+                if body else {}
+            )
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ApiError(400, f"request body is not valid JSON: {exc}")
         if not isinstance(parsed, dict):
@@ -632,7 +633,7 @@ class AdpService:
             query, k, ratio, method, counting_only, deadline, collect_stats
         )
         # Stats-requesting solves bypass the batcher: a batch shares one
-        # collector, so its records could not be attributed to one request.
+        # tracer, so its records could not be attributed to one request.
         use_batch = (
             bool(body.get("batch", True))
             and self.batcher.enabled
@@ -700,31 +701,27 @@ class AdpService:
         durations feed the stage histograms; over-threshold batches land
         in the slow-query log with their span tree.
 
-        Operator statistics are collected whenever tracing is on (feeding
-        the per-database gauges and the slow log's worst-misestimate field)
-        or a request asked for them with ``"stats": true`` (always a
-        singleton dispatch -- see ``_handle_solve``).
+        Operator records (the ``op``-tagged span attributes) are read back
+        whenever a tracer ran: with tracing on (feeding the per-database
+        gauges and the slow log's worst-misestimate field) or when a
+        request asked for them with ``"stats": true`` (always a singleton
+        dispatch -- see ``_handle_solve``).  Only ``trace`` feeds the stage
+        histograms and the slow log.
         """
         want_stats = self.config.trace or any(
             item.collect_stats for item in items
         )
         if not want_stats:
             return self._solve_batch_inner(entry, items)
-        collector = StatsCollector()
         plans: List[str] = []
         start = time.perf_counter()
-        if self.config.trace:
-            tracer = Tracer(trace_id)
-            with use_tracer(tracer), use_stats(collector):
-                with tracer.span("service.solve_batch", requests=len(items)):
-                    outcomes = self._solve_batch_inner(entry, items, plans)
-        else:
-            tracer = None
-            with use_stats(collector):
+        tracer = Tracer(trace_id)
+        with use_tracer(tracer):
+            with tracer.span("service.solve_batch", requests=len(items)):
                 outcomes = self._solve_batch_inner(entry, items, plans)
-        records = collector.export()
+        records = operator_records(tracer)
         worst = worst_misestimate(records)
-        if tracer is not None:
+        if self.config.trace:
             self._observe_trace(
                 tracer, "/v1/solve", entry, plans,
                 elapsed_ms(start, time.perf_counter()), worst,
@@ -810,10 +807,9 @@ class AdpService:
     ) -> None:
         """Feed one traced job into the stage histograms and the slow log.
 
-        ``worst`` is the job's worst-misestimated operator record (when
-        stats ran alongside the trace): a slow query whose estimate was
-        badly off is usually slow *because* of it, so the slow log keeps
-        the pair together.
+        ``worst`` is the job's worst-misestimated operator record: a slow
+        query whose estimate was badly off is usually slow *because* of
+        it, so the slow log keeps the pair together.
         """
         spans = tracer.export()
         for stage, total in aggregate_stage_ms(spans).items():
@@ -1078,6 +1074,15 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
         return await reader.readline()
     except ValueError:  # asyncio's StreamReader limit (64 KiB by default)
         raise ApiError(400, "request line or header too long") from None
+
+
+def _reject_constant(token: str) -> NoReturn:
+    """``json.loads`` hook for ``NaN``/``Infinity``/``-Infinity``: not JSON.
+
+    Python's decoder accepts them by default; a NaN deadline never expires
+    and a NaN tuple value would be stored, so the request is a 400.
+    """
+    raise ApiError(400, f"request body is not valid JSON: {token} is not a number")
 
 
 def _require_str(body: dict, field: str) -> str:

@@ -152,13 +152,36 @@ class TestParser:
                 build_parser().parse_args(argv)
 
     @pytest.mark.parametrize(
-        "flag", ["--threads", "--max-databases", "--batch-max", "--max-pending"]
+        "flag",
+        [
+            "--threads", "--max-databases", "--batch-max", "--max-pending",
+            "--slow-log-capacity",
+        ],
     )
     def test_serve_counts_below_one_are_usage_errors(self, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", flag, "0"])
         assert excinfo.value.code == 2
         assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "soon"])
+    @pytest.mark.parametrize(
+        "flag", ["--deadline-ms", "--slow-ms", "--batch-linger-ms"]
+    )
+    def test_serve_millisecond_flags_reject_non_finite_and_negative(
+        self, capsys, flag, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", flag, value])
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    def test_serve_millisecond_flags_accept_zero(self):
+        args = build_parser().parse_args(
+            ["serve", "--deadline-ms", "0", "--slow-ms", "0",
+             "--batch-linger-ms", "0"]
+        )
+        assert (args.deadline_ms, args.slow_ms, args.batch_linger_ms) == (0, 0, 0)
 
     def test_engine_flag_is_gone(self):
         """One evaluation engine: no subcommand takes ``--engine``."""

@@ -5,7 +5,7 @@ evaluation on the grown database: same output set, same witness set, same
 provenance counts -- only the (irrelevant) iteration order may differ,
 because fresh joins walk mutated hash sets.  On top of parity the suite
 pins the *append invariant*: old witnesses, tids and output ids keep their
-positions verbatim, and the migrated postings match a lazy rebuild.
+positions verbatim, and the grown result's postings match a fresh join's.
 """
 
 import random
@@ -161,7 +161,8 @@ def test_delta_insert_vacuum_returns_none():
 def test_delta_insert_migrated_postings_match_lazy_rebuild():
     name, query, database = INSTANCES[1]
     base = evaluate_in_context(query, database)
-    # Force the parent's postings so the delta migrates instead of deferring.
+    # Build the parent's postings first: the grown result must not inherit
+    # them (its witness positions grew), it rebuilds its own lazily.
     for position in range(base.provenance.atom_count()):
         base.provenance.postings_for_atom(position)
     refs = _insertion_batch(query, database, seed=7)

@@ -37,3 +37,15 @@ def test_snapshot_is_a_copy():
 def test_capacity_validated():
     with pytest.raises(ValueError):
         SlowQueryLog(capacity=0)
+
+
+def test_zero_threshold_log_records_every_request():
+    """Threshold 0 is the ``/v1/debug/stats`` ring: every entry is kept
+    (newest first) until capacity evicts the oldest."""
+    log = SlowQueryLog(capacity=2, threshold_ms=0.0)
+    assert log.should_record(0.0)
+    for i in range(3):
+        log.record({"n": i})
+    snap = log.snapshot()
+    assert (snap["capacity"], snap["recorded_total"]) == (2, 3)
+    assert [entry["n"] for entry in snap["entries"]] == [2, 1]

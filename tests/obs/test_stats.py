@@ -1,61 +1,84 @@
-"""Unit tests for the per-operator stats layer: gating, records, ring log."""
+"""Unit tests for the per-operator stats layer: span records, builders."""
 
 from __future__ import annotations
 
 import json
 
+from repro.data.database import Database
 from repro.obs.stats import (
     HEAVY_HITTER_RATIO,
     HEAVY_HITTER_TOP_K,
     MISPREDICTION_RATIO,
-    StatsCollector,
-    StatsLog,
-    current_collector,
     heavy_hitter_summary,
     join_step_record,
     misestimate_factor,
-    stats_active,
-    use_stats,
+    operator_records,
     worst_misestimate,
 )
+from repro.obs.trace import Tracer, span, use_tracer
+from repro.session import Session
 
 
 # --------------------------------------------------------------------------- #
-# Gating (the disabled hot path the CI overhead gate bounds)
+# Records ride on spans
 # --------------------------------------------------------------------------- #
-def test_no_collector_by_default():
-    assert current_collector() is None
-    assert not stats_active()
+def _traced(run, tracer=None):
+    tracer = tracer or Tracer()
+    with use_tracer(tracer):
+        run()
+    return tracer
 
 
-def test_use_stats_installs_and_restores():
-    collector = StatsCollector()
-    with use_stats(collector):
-        assert current_collector() is collector
-        assert stats_active()
-    assert current_collector() is None
+def test_operator_records_are_op_tagged_spans_in_closing_order():
+    def run():
+        with span("outer") as outer:
+            with span("inner") as inner:
+                inner.set(op="a", n=1)
+            with span("untagged") as untagged:
+                untagged.set(n=2)
+            outer.set(op="b", n=3)
+
+    records = operator_records(_traced(run))
+    assert records == [{"op": "a", "n": 1}, {"op": "b", "n": 3}]
 
 
-def test_disabled_collector_reports_inactive():
-    with use_stats(StatsCollector(enabled=False)):
-        assert current_collector() is None
-        assert not stats_active()
+def test_operator_records_are_copies():
+    def run():
+        with span("x") as sp:
+            sp.set(op="x", n=1)
+
+    tracer = _traced(run)
+    records = operator_records(tracer)
+    records[0]["n"] = 99
+    assert tracer.roots[0].attrs["n"] == 1
 
 
-def test_use_stats_nests():
-    outer, inner = StatsCollector(), StatsCollector()
-    with use_stats(outer):
-        with use_stats(inner):
-            assert current_collector() is inner
-        assert current_collector() is outer
+def test_disabled_tracer_yields_no_operator_records():
+    database = Database.from_dict({"R": ["A"]}, {"R": [(1,), (2,)]})
+    with Session(database, backend="python") as session:
+        tracer = _traced(lambda: session.evaluate("Q(A) :- R(A)"),
+                         Tracer(enabled=False))
+    assert tracer.roots == []
+    assert operator_records(tracer) == []
 
 
-def test_export_returns_copies():
-    collector = StatsCollector()
-    collector.record({"op": "x", "n": 1})
-    exported = collector.export()
-    exported[0]["n"] = 99
-    assert collector.records[0]["n"] == 1
+def test_engine_spans_carry_the_join_step_records():
+    database = Database.from_dict(
+        {"R": ["A", "B"], "S": ["B"]},
+        {"R": [(i, i % 3) for i in range(12)], "S": [(0,), (1,)]},
+    )
+    with Session(database, backend="python") as session:
+        tracer = _traced(lambda: session.evaluate("Q(A) :- R(A, B), S(B)"))
+    records = operator_records(tracer)
+    assert [r["op"] for r in records] == [
+        "join.atom", "join.atom", "backend", "factorize", "evaluate",
+    ]
+    # The keyed step's span carries join_step_record's fields verbatim.
+    assert records[1] == join_step_record(1, "S", 2, 12, 8, ["B"], [(0, 1), (1, 1)])
+    assert records[-1] == {
+        "op": "evaluate", "backend": "python", "cache": "miss",
+        "witnesses": 8, "outputs": 8,
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -168,19 +191,3 @@ def test_worst_misestimate_picks_largest_factor():
 def test_worst_misestimate_empty():
     assert worst_misestimate([]) is None
     assert worst_misestimate([{"op": "backend"}]) is None
-
-
-# --------------------------------------------------------------------------- #
-# StatsLog ring buffer
-# --------------------------------------------------------------------------- #
-def test_stats_log_ring_evicts_oldest():
-    log = StatsLog(capacity=3)
-    for i in range(5):
-        log.record({"n": i})
-    assert len(log) == 3
-    snapshot = log.snapshot()
-    assert snapshot["capacity"] == 3
-    assert snapshot["recorded_total"] == 5
-    # Newest first; the two oldest fell off.
-    assert [entry["n"] for entry in snapshot["entries"]] == [4, 3, 2]
-    json.dumps(snapshot)

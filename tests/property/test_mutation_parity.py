@@ -323,9 +323,9 @@ def test_mutation_trace_byte_identical_across_backends(name, query, database):
     """python and numpy replay the same trace into byte-identical packing.
 
     After every step both sessions also answer the same what-if probe, so
-    the postings each backend reads -- list postings migrated across
-    inserts on python, CSR postings rebuilt on the mutated provenance on
-    numpy -- must agree on the counts.
+    the postings each backend reads -- dict postings on python, CSR
+    postings on numpy, both rebuilt lazily on the mutated provenance --
+    must agree on the counts.
     """
     trace = _mutation_trace(query, database, seed=SEED)
     rng = random.Random(SEED ^ 0x9E0BE)

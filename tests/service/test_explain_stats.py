@@ -230,3 +230,29 @@ def test_stats_solves_bypass_the_batcher(service_runner):
         assert snapshot["batched_requests_total"] == 0
     finally:
         client.close()
+
+
+def test_stats_only_solve_feeds_neither_stage_histograms_nor_slow_log(
+    service_runner,
+):
+    """A ``"stats": true`` solve runs under a tracer even without
+    ``trace``; its spans must not reach the stage histograms or the slow
+    log, which only ``trace`` feeds."""
+    runner = service_runner(backend="python", linger_ms=1.0, slow_ms=0.0)
+    client = client_for(runner)
+    try:
+        register(client, "demo", make_zipf())
+        status, body, _ = client.post(
+            "/v1/solve",
+            {"database": "demo", "query": QUERY, "k": 2, "stats": True},
+        )
+        assert status == 200 and body["stats"]["operators"]
+        assert client.get("/v1/debug/slow")[1]["recorded_total"] == 0
+        exposition = client.get("/metrics")[1].decode("utf-8")
+        assert 'stage="' not in exposition
+        assert "repro_service_slow_requests_total 0" in exposition
+        # The operator gauges and the debug ring still see the records.
+        assert 'repro_service_operator_join_steps{database="demo"}' in exposition
+        assert client.get("/v1/debug/stats")[1]["recorded_total"] == 1
+    finally:
+        client.close()
