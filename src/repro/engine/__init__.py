@@ -37,7 +37,7 @@ from repro.engine.backend import (
 )
 from repro.engine.cache import CurveCache, EvaluationCache
 from repro.engine.columnar import ColumnarProvenance, RelationIndex
-from repro.engine.delta import delta_filter_provenance, delta_filter_result
+from repro.engine.delta import delta_filter_result
 from repro.engine.evaluate import (
     EngineContext,
     QueryResult,
@@ -69,7 +69,6 @@ __all__ = [
     "EvaluationCache",
     "ColumnarProvenance",
     "RelationIndex",
-    "delta_filter_provenance",
     "delta_filter_result",
     "ProvenanceIndex",
     "remove_dangling_tuples",

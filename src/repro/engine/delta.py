@@ -26,9 +26,17 @@ This is the engine behind the session what-if API:
   the database's version bump, so the next ``session.evaluate`` after an
   in-place deletion is a cache hit instead of a join.
 
-The filtered result shares the (immutable) :class:`RelationIndex` interning
-tables with its parent: deleted tuples simply no longer appear in any
-``tid`` column, which is exactly how the row semantics define them away.
+Insertions run the other way: :func:`delta_insert_result` appends the
+witnesses an insertion batch creates (``Session.apply_insertions``), and
+:func:`delta_insert_counts` counts them.
+
+Every function here takes a ``QueryResult`` and works on its packed
+provenance; the two that build a new result wrap a new
+:class:`ColumnarProvenance` in ``QueryResult(provenance)``, so no
+witness->output column is ever copied out of the packed form.  The filtered
+result shares the (immutable) :class:`RelationIndex` interning tables with
+its parent: deleted tuples simply no longer appear in any ``tid`` column,
+which is exactly how the row semantics define them away.
 """
 
 from __future__ import annotations
@@ -51,7 +59,6 @@ from repro.data.relation import Row, TupleRef
 from repro.engine.backend import (
     Column,
     CsrPostings,
-    as_id_list,
     backend_of_column,
     is_ndarray,
     python_backend,
@@ -187,15 +194,16 @@ def _delta_counts_body(
 
 def _compact_outputs(
     old_output_rows: List[Row],
-    surviving_outputs: List[int],
+    surviving_outputs: Column,
     witness_count: int,
-) -> Tuple[List[Row], List[int]]:
+) -> Tuple[List[Row], Column]:
     """Relabel surviving old output indices into a dense range.
 
-    Returns ``(output_rows, witness_outputs)``; survivors keep their
-    original relative order, so filtered results stay deterministic.  The
-    reverse ``output_index`` is *not* built here -- the result classes
-    derive it lazily, and most incremental consumers never ask for it.
+    Returns ``(output_rows, witness_outputs)``, the packed column in the
+    input's representation; survivors keep their original relative order,
+    so filtered results stay deterministic.  The reverse ``output_index`` is
+    *not* built here -- the provenance derives it lazily, and most
+    incremental consumers never ask for it.
     """
     if is_ndarray(surviving_outputs):
         np = backend_of_column(surviving_outputs).np
@@ -236,73 +244,16 @@ def _compact_outputs(
     return output_rows, witness_outputs
 
 
-def delta_filter_provenance(
-    provenance: ColumnarProvenance,
-    removed: Iterable[TupleRef],
-) -> ColumnarProvenance:
-    """Semijoin packed provenance against the complement of ``removed``.
-
-    Dead witnesses come from the postings index (``O(|dead|)``); survivors
-    are gathered with ``compress`` over an alive mask -- one C-speed scan per
-    column.  Returns a new :class:`ColumnarProvenance` sharing the parent's
-    interning tables.
-    """
-    dead = _dead_witnesses(provenance, removed)
-    if dead is None:
-        # Vacuum deletion: the guard fails, every witness and output dies.
-        return ColumnarProvenance(
-            provenance.query,
-            provenance.atom_names,
-            provenance.indexes,
-            [[] for _ in provenance.atom_names],
-            [],
-            [],
-            {},
-            (),
-        )
-    if len(dead) == 0:
-        # Unknown or dangling refs only: every witness survives, and the
-        # provenance is reusable as-is (results are immutable by contract).
-        return provenance
-
-    witness_outputs = provenance.witness_outputs
-    count = len(witness_outputs)
-    alive = _alive_mask(provenance, dead)
-    if is_ndarray(provenance.ref_columns[0]):
-        # Boolean-mask semijoin: one C-speed compression per packed column.
-        backend = backend_of_column(provenance.ref_columns[0])
-        new_columns = [column[alive] for column in provenance.ref_columns]
-        surviving_old_outputs = witness_outputs[alive]
-        output_rows, compacted = _compact_outputs(
-            provenance.output_rows, surviving_old_outputs, count
-        )
-        new_witness_outputs = backend.id_column(compacted)
-    else:
-        new_columns = [
-            list(compress(column, alive)) for column in provenance.ref_columns
-        ]
-        surviving_old_outputs = list(compress(witness_outputs, alive))
-        output_rows, new_witness_outputs = _compact_outputs(
-            provenance.output_rows, surviving_old_outputs, count
-        )
-
-    return ColumnarProvenance(
-        provenance.query,
-        provenance.atom_names,
-        provenance.indexes,
-        new_columns,
-        new_witness_outputs,
-        output_rows,
-        None,
-        provenance.vacuum_refs,
-    )
-
-
 def delta_filter_result(
     result: QueryResult,
     removed: Iterable[TupleRef],
 ) -> QueryResult:
     """The post-deletion :class:`QueryResult`, derived without re-joining.
+
+    Semijoins the packed provenance against the complement of ``removed``:
+    dead witnesses come from the postings index (``O(|dead|)``); survivors
+    are gathered with an alive mask -- one C-speed compression per column.
+    The new provenance shares the parent's interning tables.
 
     Equivalent to ``evaluate(result.query, database.without(removed))`` up to
     witness/output *order* (the fresh join iterates mutated hash sets); the
@@ -311,27 +262,62 @@ def delta_filter_result(
     """
     with span("engine.delta.filter") as sp:
         provenance = result.provenance
-        filtered = delta_filter_provenance(provenance, removed)
-        if filtered is provenance:
-            filtered_result = result
+        dead = _dead_witnesses(provenance, removed)
+        if dead is None:
+            # Vacuum deletion: the guard fails, every witness and output dies.
+            filtered = QueryResult(
+                ColumnarProvenance(
+                    provenance.query,
+                    provenance.atom_names,
+                    provenance.indexes,
+                    [[] for _ in provenance.atom_names],
+                    [],
+                    [],
+                    {},
+                    (),
+                )
+            )
+        elif len(dead) == 0:
+            # Unknown or dangling refs only: every witness survives, and the
+            # result is reusable as-is (results are immutable by contract).
+            filtered = result
         else:
-            filtered_result = QueryResult(
-                filtered.query,
-                filtered.output_rows,
-                # The public QueryResult field stays a plain list on every
-                # backend; the packed (possibly ndarray) column lives on the
-                # provenance.
-                as_id_list(filtered.witness_outputs),
-                filtered,
+            witness_outputs = provenance.witness_outputs
+            count = len(witness_outputs)
+            alive = _alive_mask(provenance, dead)
+            if is_ndarray(provenance.ref_columns[0]):
+                # Boolean-mask semijoin: one C-speed compression per column.
+                new_columns = [column[alive] for column in provenance.ref_columns]
+                surviving = witness_outputs[alive]
+            else:
+                new_columns = [
+                    list(compress(column, alive))
+                    for column in provenance.ref_columns
+                ]
+                surviving = list(compress(witness_outputs, alive))
+            output_rows, new_witness_outputs = _compact_outputs(
+                provenance.output_rows, surviving, count
+            )
+            filtered = QueryResult(
+                ColumnarProvenance(
+                    provenance.query,
+                    provenance.atom_names,
+                    provenance.indexes,
+                    new_columns,
+                    new_witness_outputs,
+                    output_rows,
+                    None,
+                    provenance.vacuum_refs,
+                )
             )
         if sp:
             sp.set(
                 op="delta.filter",
                 witnesses_before=result.witness_count(),
-                witnesses_after=filtered_result.witness_count(),
-                outputs_after=filtered_result.output_count(),
+                witnesses_after=filtered.witness_count(),
+                outputs_after=filtered.output_count(),
             )
-    return filtered_result
+    return filtered
 
 
 # --------------------------------------------------------------------------- #
@@ -357,7 +343,7 @@ def delta_filter_result(
 # down); the postings index of the grown result is rebuilt lazily.
 #
 # Liveness: interning tables are append-only and shared across deletions
-# (``delta_filter_provenance`` drops dead witnesses from the packed columns
+# (``delta_filter_result`` drops dead witnesses from the packed columns
 # but never from the indexes), so "interned" does not imply "stored".  The
 # optional ``row_live(relation, row)`` predicate tells the delta join which
 # interned rows are actually live *before* this insertion: dead rows are
@@ -555,96 +541,6 @@ def _extended_indexes(
     return extended
 
 
-def delta_insert_provenance(
-    provenance: ColumnarProvenance,
-    inserted: Iterable[TupleRef],
-    *,
-    extend_index: Optional[ExtendIndex] = None,
-    row_live: Optional[RowLive] = None,
-) -> Optional[ColumnarProvenance]:
-    """Append the witnesses created by ``inserted`` to packed provenance.
-
-    Returns the *same* object when no inserted row touches the query's
-    atoms, a new :class:`ColumnarProvenance` (old witnesses verbatim, new
-    ones appended, interning tables extended) otherwise, and ``None`` when
-    the query has vacuum atoms -- inserting into an empty guard relation
-    flips every potential witness at once, so the caller must re-evaluate.
-    ``row_live`` supplies pre-insertion liveness when deletions may have
-    preceded this batch (see the module-level liveness note).
-    """
-    if provenance.query.has_vacuum_relation:
-        return None
-    by_position = _inserted_rows_by_position(provenance, inserted, row_live)
-    if not by_position:
-        return provenance
-    extended = _extended_indexes(provenance, by_position, extend_index)
-    new_columns, assignments = _discover_new_witnesses(
-        provenance, by_position, extended, row_live
-    )
-    vectorized = provenance.atom_count() and is_ndarray(provenance.ref_columns[0])
-
-    if not assignments:
-        # No new witnesses, but the interning tables must still grow: later
-        # delta batches probe these indexes and must see today's rows.
-        updated = ColumnarProvenance(
-            provenance.query,
-            provenance.atom_names,
-            extended,
-            provenance.ref_columns,
-            provenance.witness_outputs,
-            provenance.output_rows,
-            provenance._output_index,
-            provenance.vacuum_refs,
-        )
-        updated._postings = list(provenance._postings)
-        return updated
-
-    # Factorize the new witnesses' outputs through the existing output
-    # table, appending only genuinely new output rows.
-    head = provenance.query.head
-    output_index = provenance.output_index
-    merged_index = dict(output_index)
-    output_rows = list(provenance.output_rows)
-    appended_outputs: List[int] = []
-    for assignment in assignments:
-        row = tuple(assignment[a] for a in head)
-        out = merged_index.get(row)
-        if out is None:
-            out = len(output_rows)
-            merged_index[row] = out
-            output_rows.append(row)
-        appended_outputs.append(out)
-
-    if vectorized:
-        np = backend_of_column(provenance.ref_columns[0]).np
-        ref_columns = [
-            np.concatenate([column, np.asarray(extra, dtype=np.int64)])
-            for column, extra in zip(provenance.ref_columns, new_columns)
-        ]
-        witness_outputs = np.concatenate([
-            provenance.witness_outputs,
-            np.asarray(appended_outputs, dtype=np.int64),
-        ])
-    else:
-        ref_columns = [
-            list(column) + extra
-            for column, extra in zip(provenance.ref_columns, new_columns)
-        ]
-        witness_outputs = list(provenance.witness_outputs) + appended_outputs
-
-    updated = ColumnarProvenance(
-        provenance.query,
-        provenance.atom_names,
-        extended,
-        ref_columns,
-        witness_outputs,
-        output_rows,
-        merged_index,
-        provenance.vacuum_refs,
-    )
-    return updated
-
-
 def delta_insert_counts(
     result: QueryResult,
     inserted: Iterable[TupleRef],
@@ -691,45 +587,94 @@ def delta_insert_result(
 ) -> Optional[QueryResult]:
     """The post-insertion :class:`QueryResult`, derived without re-joining.
 
+    Appends the witnesses created by ``inserted``: old witnesses stay
+    verbatim, new ones are appended and the interning tables extended.
     Equivalent to a fresh evaluation on the grown database up to
     witness/output *order* (fresh joins walk mutated hash sets): witness
     sets, output sets and every provenance count are identical -- the
     parity contract of the differential mutation suite.  Returns the same
-    object when the insertion is irrelevant to the query, and ``None``
-    (caller must re-evaluate) for vacuum queries.
+    object when no inserted row touches the query's atoms, and ``None``
+    when the query has vacuum atoms -- inserting into an empty guard
+    relation flips every potential witness at once, so the caller must
+    re-evaluate.  ``row_live`` supplies pre-insertion liveness when
+    deletions may have preceded this batch (see the liveness note above).
     """
     with span("engine.delta.insert") as sp:
         provenance = result.provenance
-        updated = delta_insert_provenance(
-            provenance, inserted, extend_index=extend_index, row_live=row_live
-        )
-        if updated is None:
+        if provenance.query.has_vacuum_relation:
             return None
+        updated = result
+        by_position = _inserted_rows_by_position(provenance, inserted, row_live)
+        if by_position:
+            extended = _extended_indexes(provenance, by_position, extend_index)
+            new_columns, assignments = _discover_new_witnesses(
+                provenance, by_position, extended, row_live
+            )
+            ref_columns = provenance.ref_columns
+            witness_outputs = provenance.witness_outputs
+            output_rows = provenance.output_rows
+            output_index = provenance._output_index
+            if assignments:
+                # Factorize the new witnesses' outputs through the existing
+                # output table, appending only genuinely new output rows.
+                head = provenance.query.head
+                output_index = dict(provenance.output_index)
+                output_rows = list(output_rows)
+                appended_outputs: List[int] = []
+                for assignment in assignments:
+                    row = tuple(assignment[a] for a in head)
+                    out = output_index.get(row)
+                    if out is None:
+                        out = len(output_rows)
+                        output_index[row] = out
+                        output_rows.append(row)
+                    appended_outputs.append(out)
+                if is_ndarray(ref_columns[0]):
+                    np = backend_of_column(ref_columns[0]).np
+                    ref_columns = [
+                        np.concatenate([column, np.asarray(extra, dtype=np.int64)])
+                        for column, extra in zip(ref_columns, new_columns)
+                    ]
+                    witness_outputs = np.concatenate([
+                        witness_outputs,
+                        np.asarray(appended_outputs, dtype=np.int64),
+                    ])
+                else:
+                    ref_columns = [
+                        list(column) + extra
+                        for column, extra in zip(ref_columns, new_columns)
+                    ]
+                    witness_outputs = list(witness_outputs) + appended_outputs
+            grown = ColumnarProvenance(
+                provenance.query,
+                provenance.atom_names,
+                extended,
+                ref_columns,
+                witness_outputs,
+                output_rows,
+                output_index,
+                provenance.vacuum_refs,
+            )
+            if not assignments:
+                # No new witnesses, but the interning tables must still
+                # grow: later delta batches probe these indexes and must see
+                # today's rows.  The witness columns, and so their postings,
+                # are unchanged.
+                grown._postings = list(provenance._postings)
+            updated = QueryResult(grown)
         if sp:
             sp.set(
                 op="delta.insert",
-                changed=updated is not provenance,
+                changed=updated is not result,
                 witnesses_after=updated.witness_count(),
                 outputs_after=updated.output_count(),
             )
-        if updated is provenance:
-            return result
-        return QueryResult(
-            updated.query,
-            updated.output_rows,
-            # The public QueryResult field stays a plain list on every
-            # backend; the packed (possibly ndarray) column lives on the
-            # provenance.
-            as_id_list(updated.witness_outputs),
-            updated,
-        )
+    return updated
 
 
 __all__ = [
     "delta_counts",
-    "delta_filter_provenance",
     "delta_filter_result",
     "delta_insert_counts",
-    "delta_insert_provenance",
     "delta_insert_result",
 ]

@@ -18,10 +18,12 @@ dict and one :class:`Witness` object per full-join row.  Instead
 :mod:`repro.engine.columnar` interns each relation's tuples into dense
 integer IDs and runs the join over whole ID columns; provenance is stored as
 one packed ``tid`` column per atom, factorized per output through
-``witness_outputs``.  :class:`QueryResult` and :class:`Witness` remain the
-public API as thin views: ``result.witnesses`` materializes row-style
-objects lazily, while the solver hot paths read the packed columns directly
-through ``result.provenance``.
+``witness_outputs``.  That :class:`ColumnarProvenance` is the one output
+table: :class:`QueryResult` is a read-only view of it (``query``,
+``output_rows`` and ``output_index`` are the provenance's own objects), and
+:class:`Witness` objects are materialized lazily by ``result.witnesses``.
+The solver hot paths read the packed columns directly through
+``result.provenance``.
 
 Atoms are ordered so that each new atom shares attributes with the part
 already joined whenever the query is connected; within a disconnected query
@@ -70,6 +72,7 @@ from repro.engine.backend import (
     BackendLike,
     Column,
     NumpyBackend,
+    as_id_list,
     gated_backend,
     python_backend,
     resolve_backend,
@@ -125,49 +128,44 @@ class Witness:
 
 
 class QueryResult:
-    """The result of evaluating a CQ: answers plus witness provenance.
+    """The result of evaluating a CQ: a read-only view of its provenance.
 
-    ``output_rows``/``witness_outputs`` are materialized eagerly (the solvers
-    need them immediately); the row-style ``witnesses`` list is a lazy view
-    over the packed columns in ``provenance`` and is only built on first
-    access, and ``output_index`` is derived from ``output_rows`` on first use
-    when not supplied (the delta-semijoin path skips building it).
+    The only state is ``provenance`` (the :class:`ColumnarProvenance` the
+    engine built) and the lazy ``witnesses`` cache: ``query``,
+    ``output_rows`` and ``output_index`` are the provenance's own objects,
+    and the row-style ``witnesses`` list is materialized from the packed
+    columns on first access.
     """
 
-    __slots__ = (
-        "query",
-        "output_rows",
-        "witness_outputs",
-        "provenance",
-        "_output_index",
-        "_witnesses",
-    )
+    __slots__ = ("provenance", "_witnesses")
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        output_rows: List[Row],
-        witness_outputs: List[int],
-        provenance: ColumnarProvenance,
-        output_index: Optional[Dict[Row, int]] = None,
-    ) -> None:
-        self.query = query
-        self.output_rows = output_rows
-        self.witness_outputs = witness_outputs
-        self._output_index: Optional[Dict[Row, int]] = (
-            output_index if output_index else None
-        )
+    def __init__(self, provenance: ColumnarProvenance) -> None:
         self.provenance = provenance
         self._witnesses: Optional[List[Witness]] = None
 
     @property
+    def query(self) -> ConjunctiveQuery:
+        """The evaluated query."""
+        return self.provenance.query
+
+    @property
+    def output_rows(self) -> List[Row]:
+        """The distinct output tuples, in first-witness order."""
+        return self.provenance.output_rows
+
+    @property
     def output_index(self) -> Dict[Row, int]:
         """``output row -> position`` reverse index (built lazily)."""
-        index = self._output_index
-        if index is None:
-            index = {row: i for i, row in enumerate(self.output_rows)}
-            self._output_index = index
-        return index
+        return self.provenance.output_index
+
+    @property
+    def witness_outputs(self) -> List[int]:
+        """``witness_outputs[w]``: the output index witness ``w`` produces.
+
+        A fresh plain list of the provenance's packed column on every call;
+        hot paths read ``provenance.witness_outputs`` directly.
+        """
+        return as_id_list(self.provenance.witness_outputs)
 
     # ------------------------------------------------------------------ #
     # Lazy row-style view
@@ -198,11 +196,11 @@ class QueryResult:
     # ------------------------------------------------------------------ #
     def output_count(self) -> int:
         """``|Q(D)|``: the number of distinct output tuples."""
-        return len(self.output_rows)
+        return self.provenance.output_count()
 
     def witness_count(self) -> int:
         """The number of full-join rows."""
-        return len(self.witness_outputs)
+        return self.provenance.witness_count()
 
     # ------------------------------------------------------------------ #
     # Provenance lookups
@@ -460,8 +458,8 @@ class EngineContext:
                         esp.set(
                             op="evaluate",
                             cache="hit",
-                            witnesses=len(cached.witness_outputs),
-                            outputs=len(cached.output_rows),
+                            witnesses=cached.witness_count(),
+                            outputs=cached.output_count(),
                         )
                     return cached
             result = evaluate_columnar(
@@ -482,8 +480,8 @@ class EngineContext:
                 esp.set(
                     op="evaluate",
                     cache="miss" if cacheable else "bypass",
-                    witnesses=len(result.witness_outputs),
-                    outputs=len(result.output_rows),
+                    witnesses=result.witness_count(),
+                    outputs=result.output_count(),
                 )
             return result
 
@@ -553,7 +551,7 @@ def _factorize_outputs_numpy(
     witness->output column exactly.
 
     Returns ``(packed witness_outputs, output_rows)``; the reverse
-    ``output_index`` is left to the result classes' lazy derivation.
+    ``output_index`` is left to the provenance's lazy derivation.
     """
     np = backend.np
     witness_codes = []  # (per-witness value-code column, radix) per head attr
@@ -621,20 +619,20 @@ def evaluate_columnar(
         if atom.is_vacuum:
             if len(database.relation(atom.name)) == 0:
                 return QueryResult(
-                    query, [], [],
                     empty_provenance(
                         query, non_vacuum, database, index_for=index_for,
                         backend=backend,
-                    ),
+                    )
                 )
             vacuum_refs.append(TupleRef(atom.name, ()))
 
     if not non_vacuum:
         # Purely boolean query over vacuum relations: single empty answer.
-        provenance = ColumnarProvenance(
-            query, (), [], [], [0], [()], {(): 0}, tuple(vacuum_refs)
+        return QueryResult(
+            ColumnarProvenance(
+                query, (), [], [], [0], [()], {(): 0}, tuple(vacuum_refs)
+            )
         )
-        return QueryResult(query, [()], [0], provenance, {(): 0})
 
     if order is None:
         order = _join_order(
@@ -669,31 +667,33 @@ def evaluate_columnar(
     count = len(ref_columns[0]) if ref_columns else 0
 
     if count == 0:
-        provenance = ColumnarProvenance(
-            query, atom_names, indexes, ref_columns, backend.empty_ids(), [], {},
-            tuple(vacuum_refs),
+        return QueryResult(
+            ColumnarProvenance(
+                query, atom_names, indexes, ref_columns, backend.empty_ids(), [],
+                {}, tuple(vacuum_refs),
+            )
         )
-        return QueryResult(query, [], [], provenance)
 
     head = query.head
     output_rows: List[Row] = []
     output_index: Optional[Dict[Row, int]] = {}
-    witness_outputs: List[int] = []
+    packed_outputs: Column
     with span("engine.factorize") as fsp:
         if head and backend.is_numpy:
             # Vectorized first-occurrence factorization over interned value
             # codes: no per-witness Python work, no object-tuple hashing.  The
-            # reverse output_index is derived lazily by the result classes.
+            # reverse output_index is derived lazily by the provenance.
             packed_outputs, output_rows = _factorize_outputs_numpy(
                 backend, head, ordered_atoms, bound, ref_columns, indexes
             )
-            witness_outputs = packed_outputs.tolist()
             output_index = None
         elif head:
             # First-occurrence factorization of output rows.  Rows are tuples
-            # of arbitrary Python objects, so this dict loop stays Python.
+            # of arbitrary Python objects, so this dict loop stays Python;
+            # on the Python backend its list is the packed column.
             out_columns = [bound[a] for a in head]
             get = output_index.get
+            witness_outputs: List[int] = []
             for row in zip(*out_columns):
                 index = get(row)
                 if index is None:
@@ -701,12 +701,11 @@ def evaluate_columnar(
                     output_index[row] = index
                     output_rows.append(row)
                 witness_outputs.append(index)
-            packed_outputs = backend.id_column(witness_outputs)
+            packed_outputs = witness_outputs
         else:
             output_rows = [()]
             output_index = {(): 0}
-            witness_outputs = [0] * count
-            packed_outputs = backend.id_column(witness_outputs)
+            packed_outputs = backend.id_column([0] * count)
         if fsp:
             fsp.set(
                 op="factorize",
@@ -717,17 +716,18 @@ def evaluate_columnar(
                 else 0.0,
             )
 
-    provenance = ColumnarProvenance(
-        query,
-        atom_names,
-        indexes,
-        ref_columns,
-        packed_outputs,
-        output_rows,
-        output_index,
-        tuple(vacuum_refs),
+    return QueryResult(
+        ColumnarProvenance(
+            query,
+            atom_names,
+            indexes,
+            ref_columns,
+            packed_outputs,
+            output_rows,
+            output_index,
+            tuple(vacuum_refs),
+        )
     )
-    return QueryResult(query, output_rows, witness_outputs, provenance, output_index)
 
 
 def output_size(query: ConjunctiveQuery, database: Database) -> int:

@@ -62,7 +62,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, List, NoReturn, Optional, Tuple
 
-from repro.core.adp import ADPSolver, ratio_target
+from repro.core.adp import ADPSolver, check_target, ratio_target
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.solution import ADPSolution
@@ -99,6 +99,7 @@ from repro.service.serialize import (
     error_payload,
     prepare_payload,
     refs_from_json,
+    rows_from_json,
     solution_payload,
     what_if_payload,
 )
@@ -504,6 +505,8 @@ class AdpService:
             )
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ApiError(400, f"request body is not valid JSON: {exc}")
+        except RecursionError:
+            raise ApiError(400, "request body is nested too deeply") from None
         if not isinstance(parsed, dict):
             raise ApiError(400, "request body must be a JSON object")
         return await handler(parsed)
@@ -551,19 +554,20 @@ class AdpService:
         for relation_name, attributes in schema.items():
             if not isinstance(attributes, list):
                 raise ApiError(400, f"schema[{relation_name}] must be a list")
+        replace = _require_bool(body, "replace", False)
 
         def job() -> "Tuple[RegisteredDatabase, Database]":
             # Row materialization and (on LRU overflow) the evicted entry's
             # Session.close() -- which drains that entry's in-flight solves
             # -- must not run on the event loop.
             relations = [
-                Relation(rel, attrs, [tuple(r) for r in rows.get(rel, [])])
+                Relation(
+                    rel, attrs, rows_from_json(rows.get(rel, []), f"rows of {rel}")
+                )
                 for rel, attrs in schema.items()
             ]
             database = Database(relations)
-            entry = self.registry.register(
-                name, database, replace=bool(body.get("replace", False))
-            )
+            entry = self.registry.register(name, database, replace=replace)
             return entry, database
 
         loop = asyncio.get_running_loop()
@@ -615,7 +619,7 @@ class AdpService:
             raise ApiError(400, f"method must be one of {SOLVE_METHODS}")
         if method == "auto":
             method = "greedy"
-        counting_only = bool(body.get("counting_only", False))
+        counting_only = _require_bool(body, "counting_only", False)
         k = body.get("k")
         ratio = body.get("ratio")
         if (k is None) == (ratio is None):
@@ -628,14 +632,14 @@ class AdpService:
             raise ApiError(400, f"ratio must be a number, got {ratio!r}")
         deadline = self._deadline_of(body)
         deadline.check()  # an already-spent budget never enters the queue
-        collect_stats = bool(body.get("stats", False))
+        collect_stats = _require_bool(body, "stats", False)
         item = _SolveItem(
             query, k, ratio, method, counting_only, deadline, collect_stats
         )
         # Stats-requesting solves bypass the batcher: a batch shares one
         # tracer, so its records could not be attributed to one request.
         use_batch = (
-            bool(body.get("batch", True))
+            _require_bool(body, "batch", True)
             and self.batcher.enabled
             and not collect_stats
         )
@@ -661,11 +665,11 @@ class AdpService:
 
     def _deadline_of(self, body: dict) -> Deadline:
         raw = body.get("deadline_ms", self.config.default_deadline_ms)
-        if raw is None or (isinstance(raw, (int, float)) and raw <= 0):
+        if raw is None:
             return Deadline(None)
-        if not isinstance(raw, (int, float)):
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
             raise ApiError(400, f"deadline_ms must be a number, got {raw!r}")
-        return Deadline(float(raw))
+        return Deadline(float(raw) if raw > 0 else None)
 
     async def _dispatch_batch(
         self, key: Hashable, items: List[_SolveItem]
@@ -851,8 +855,7 @@ class AdpService:
             version = entry.version
             outcomes: List[object] = [None] * len(items)
             requests: List[tuple] = []
-            positions: List[int] = []
-            prepared_of: Dict[int, object] = {}
+            sized: List[Tuple[int, "PreparedQuery", int]] = []
             for i, item in enumerate(items):
                 if item.deadline.expired:
                     outcomes[i] = _Failure(
@@ -875,31 +878,21 @@ class AdpService:
                         item.k if item.k is not None
                         else ratio_target(total, float(item.ratio))
                     )
-                    if not 1 <= k <= total:
-                        raise ValueError(
-                            f"k={k} outside 1 <= k <= |Q(D)|={total}"
-                        )
+                    check_target(k, total)
                 except (ValueError, KeyError) as exc:
                     outcomes[i] = _Failure(400, str(exc))
                     continue
-                prepared_of[i] = prepared
+                sized.append((i, prepared, total))
                 requests.append((prepared, k))
-                positions.append(i)
             if requests:
+                first = items[sized[0][0]]
                 solver = ADPSolver(
-                    heuristic=items[positions[0]].method,
-                    counting_only=items[positions[0]].counting_only,
+                    heuristic=first.method, counting_only=first.counting_only
                 )
                 solutions = session.solve_many(requests, solver=solver)
-                for position, solution in zip(positions, solutions):
-                    prepared = prepared_of[position]
-                    outcomes[position] = self._success(
-                        session,
-                        prepared,
-                        session.output_size(prepared),
-                        solution,
-                        entry.name,
-                        version,
+                for (i, prepared, total), solution in zip(sized, solutions):
+                    outcomes[i] = self._success(
+                        session, prepared, total, solution, entry.name, version
                     )
             return outcomes
 
@@ -924,7 +917,7 @@ class AdpService:
         entry = self._entry(_require_str(body, "database"))
         query = _require_str(body, "query")
         refs = refs_from_json(body.get("refs", []))
-        include_after = bool(body.get("include_after", False))
+        include_after = _require_bool(body, "include_after", False)
         with self.admission:
             loop = asyncio.get_running_loop()
             payload = await loop.run_in_executor(
@@ -984,7 +977,7 @@ class AdpService:
         start = time.perf_counter()
         entry = self._entry(_require_str(body, "database"))
         query = _require_str(body, "query")
-        analyze = bool(body.get("analyze", True))
+        analyze = _require_bool(body, "analyze", True)
         with self.admission:
             loop = asyncio.get_running_loop()
             payload = await loop.run_in_executor(
@@ -1089,6 +1082,13 @@ def _require_str(body: dict, field: str) -> str:
     value = body.get(field)
     if not isinstance(value, str) or not value:
         raise ApiError(400, f"{field!r} must be a non-empty string")
+    return value
+
+
+def _require_bool(body: dict, field: str, default: bool) -> bool:
+    value = body.get(field, default)
+    if not isinstance(value, bool):
+        raise ApiError(400, f"{field!r} must be true or false, got {value!r}")
     return value
 
 

@@ -18,7 +18,7 @@ coercion.
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 from repro.data.relation import TupleRef
 
@@ -81,6 +81,40 @@ def refs_to_json(refs: Iterable[TupleRef]) -> List[list]:
     ]
 
 
+def rows_from_json(raw: object, where: str) -> List[Tuple[object, ...]]:
+    """Wire rows (arrays of values) as hashable tuples.
+
+    The one decoder for tuple values, shared by refs and registration rows:
+    arrays become tuples, recursively, and a JSON object (unhashable, and
+    no tuple value) is rejected.  Raises ``ValueError`` naming ``where`` on
+    malformed input (the HTTP layer maps it to a 400).
+    """
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{where} must be a list of rows, got {type(raw).__name__}")
+    for row in raw:
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(
+                f"{where} must be arrays of values, got {type(row).__name__}"
+            )
+    rows = list(map(tuple, raw))
+    try:
+        hash(tuple(rows))  # all-scalar rows, the common case, are done
+    except TypeError:
+        try:
+            rows = [tuple(map(_hashable_value, row)) for row in raw]
+        except RecursionError:
+            raise ValueError(f"{where} are nested too deeply") from None
+    return rows
+
+
+def _hashable_value(value: object) -> object:
+    if isinstance(value, list):
+        return tuple(map(_hashable_value, value))
+    if isinstance(value, dict):
+        raise ValueError("tuple values must be JSON scalars or arrays, got an object")
+    return value
+
+
 def refs_from_json(raw: Sequence) -> List[TupleRef]:
     """Parse wire-format tuple references (``["R", [v, ...]]`` pairs).
 
@@ -89,20 +123,17 @@ def refs_from_json(raw: Sequence) -> List[TupleRef]:
     """
     if not isinstance(raw, (list, tuple)):
         raise ValueError("refs must be a list of [relation, [values...]] pairs")
-    refs: List[TupleRef] = []
     for item in raw:
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
             or not isinstance(item[0], str)
-            or not isinstance(item[1], (list, tuple))
         ):
             raise ValueError(
                 f"malformed ref {item!r}; expected [relation, [values...]]"
             )
-        values = [tuple(v) if isinstance(v, list) else v for v in item[1]]
-        refs.append(TupleRef(item[0], tuple(values)))
-    return refs
+    rows = rows_from_json([item[1] for item in raw], "ref values")
+    return [TupleRef(item[0], row) for item, row in zip(raw, rows)]
 
 
 def dumps_canonical(payload: dict) -> bytes:
@@ -183,6 +214,7 @@ __all__ = [
     "prepare_payload",
     "refs_from_json",
     "refs_to_json",
+    "rows_from_json",
     "solution_payload",
     "what_if_payload",
 ]

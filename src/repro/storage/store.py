@@ -46,7 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.data.database import Database
 from repro.data.relation import Relation, TupleRef
-from repro.engine.backend import as_id_list, id_column_to_bytes
+from repro.engine.backend import id_column_to_bytes
 from repro.engine.cache import canonical_query_key
 from repro.engine.columnar import ColumnarProvenance, RelationIndex
 from repro.engine.evaluate import QueryResult
@@ -443,21 +443,17 @@ class DatabaseStore:
                 packed_outputs = backend_obj.id_column_from_buffer(
                     result_snap.witness_output_buffer
                 )
-                provenance = ColumnarProvenance(
-                    query,
-                    result_snap.atom_names,
-                    [indexes[atom_name] for atom_name in result_snap.atom_names],
-                    ref_columns,
-                    packed_outputs,
-                    result_snap.output_rows,
-                    None,
-                    tuple(TupleRef(rel, ()) for rel in result_snap.vacuum_refs),
-                )
                 result = QueryResult(
-                    query,
-                    result_snap.output_rows,
-                    as_id_list(packed_outputs),
-                    provenance,
+                    ColumnarProvenance(
+                        query,
+                        result_snap.atom_names,
+                        [indexes[atom_name] for atom_name in result_snap.atom_names],
+                        ref_columns,
+                        packed_outputs,
+                        result_snap.output_rows,
+                        None,
+                        tuple(TupleRef(rel, ()) for rel in result_snap.vacuum_refs),
+                    )
                 )
                 context.cache.store_raw(
                     database,

@@ -110,3 +110,131 @@ def test_non_json_number_tokens_are_a_400(service_runner, path, body):
         assert [db["version"] for db in listing["databases"]] == [1]
     finally:
         client.close()
+
+
+QUERY = "Q(A) :- R1(A)"
+
+
+@pytest.fixture
+def demo_client(service_runner):
+    """A client of a fresh service holding ``demo``: R1(A) with rows 1, 2."""
+    from tests.service.conftest import JsonClient
+
+    runner = service_runner()
+    client = JsonClient("127.0.0.1", runner.port)
+    status, body, _ = client.post(
+        "/v1/databases",
+        {"name": "demo", "schema": {"R1": ["A"]}, "rows": {"R1": [[1], [2]]}},
+    )
+    assert status == 200, body
+    yield runner, client
+    client.close()
+
+
+def _databases(client) -> list:
+    status, listing, _ = client.get("/v1/databases")
+    assert status == 200
+    return [(db["name"], db["version"]) for db in listing["databases"]]
+
+
+def test_deeply_nested_body_is_a_400(demo_client):
+    """200k ``[`` make ``json.loads`` raise ``RecursionError``."""
+    runner, client = demo_client
+    response = _post(runner.port, "/v1/solve", b"[" * 200_000)
+    head, _sep, payload = response.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), response[:200]
+    assert json.loads(payload)["error"] == "request body is nested too deeply"
+    assert _databases(client) == [("demo", 1)]
+
+
+@pytest.mark.parametrize(
+    "path", ["/v1/what_if", "/v1/apply_deletions", "/v1/apply_insertions"]
+)
+def test_object_in_ref_values_is_a_400(demo_client, path):
+    _runner, client = demo_client
+    status, body, _ = client.post(
+        path,
+        {"database": "demo", "query": QUERY, "refs": [["R1", [{"a": 1}]]]},
+    )
+    assert status == 400, body
+    assert "got an object" in body["error"]
+    assert _databases(client) == [("demo", 1)]
+
+
+def test_array_nested_in_a_ref_value_decodes_to_a_tuple(demo_client):
+    """``[[1]]`` is the value ``((1,),)`` on every ref route, so an inserted
+    nested value can be what-if'd and deleted again."""
+    _runner, client = demo_client
+    refs = {"database": "demo", "query": QUERY, "refs": [["R1", [[[1]]]]]}
+    status, body, _ = client.post("/v1/what_if", refs)
+    assert (status, body["outputs_removed"]) == (200, 0), body
+    status, body, _ = client.post("/v1/apply_insertions", refs)
+    assert (status, body["added"]) == (200, 1), body
+    status, body, _ = client.post("/v1/what_if", refs)
+    assert (status, body["outputs_removed"]) == (200, 1), body
+    status, body, _ = client.post("/v1/apply_deletions", refs)
+    assert (status, body["removed"]) == (200, 1), body
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        pytest.param(
+            {"R1": [5]}, "rows of R1 must be arrays of values, got int",
+            id="row-not-an-array",
+        ),
+        pytest.param(
+            {"R1": 5}, "rows of R1 must be a list of rows, got int",
+            id="rows-not-a-list",
+        ),
+        pytest.param({"R1": [[{"a": 1}]]}, "got an object", id="object-value"),
+    ],
+)
+def test_malformed_registration_rows_are_a_400(demo_client, rows, message):
+    _runner, client = demo_client
+    status, body, _ = client.post(
+        "/v1/databases", {"name": "other", "schema": {"R1": ["A"]}, "rows": rows}
+    )
+    assert status == 400, body
+    assert message in body["error"]
+    assert _databases(client) == [("demo", 1)]
+
+
+_FLAG_BODIES = {
+    "/v1/solve": {"database": "demo", "query": QUERY, "k": 1},
+    "/v1/what_if": {"database": "demo", "query": QUERY, "refs": [["R1", [1]]]},
+    "/v1/explain": {"database": "demo", "query": QUERY},
+    "/v1/databases": {"name": "demo", "schema": {"R1": ["A"]}, "rows": {}},
+}
+
+
+@pytest.mark.parametrize(
+    "path, field",
+    [
+        ("/v1/solve", "counting_only"),
+        ("/v1/solve", "stats"),
+        ("/v1/solve", "batch"),
+        ("/v1/what_if", "include_after"),
+        ("/v1/explain", "analyze"),
+        ("/v1/databases", "replace"),
+    ],
+)
+@pytest.mark.parametrize("value", ["false", 1, None])
+def test_request_flags_must_be_json_booleans(demo_client, path, field, value):
+    """``bool("false")`` is true: a string flag would silently flip it."""
+    _runner, client = demo_client
+    status, body, _ = client.post(path, {**_FLAG_BODIES[path], field: value})
+    assert status == 400, body
+    assert body["error"] == f"{field!r} must be true or false, got {value!r}"
+    assert _databases(client) == [("demo", 1)]
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_deadline_is_a_400(demo_client, value):
+    """``true`` is the int 1 in Python: it would become a 1 ms deadline."""
+    _runner, client = demo_client
+    status, body, _ = client.post(
+        "/v1/solve", {**_FLAG_BODIES["/v1/solve"], "deadline_ms": value}
+    )
+    assert status == 400, body
+    assert "deadline_ms must be a number" in body["error"]
