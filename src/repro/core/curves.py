@@ -20,7 +20,7 @@ implementations cover every algorithm in the library:
   Singleton (both cases), the greedy heuristics, per-relation Drastic
   profiles and the Boolean min-cut all fit this shape.
   :class:`TidPrefixCurve` is the same curve over packed tid/gain columns
-  (Singleton case 1).
+  (Singleton case 1, per-relation Drastic profiles).
 * :class:`MinCurve` -- the pointwise minimum of several curves (used by
   DrasticGreedy, which picks the best endogenous relation per ``k``).
 * :class:`TableCurve` -- an explicit cost table plus a solution
@@ -37,7 +37,7 @@ import math
 from bisect import bisect_left
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.data.relation import TupleRef
+from repro.data.relation import Row, TupleRef
 from repro.engine.backend import Column, as_id_list, backend_of_column
 
 INFEASIBLE = math.inf
@@ -137,21 +137,23 @@ class PrefixCurve(CostCurve):
 class TidPrefixCurve(PrefixCurve):
     """A :class:`PrefixCurve` of one-tuple picks held as packed columns.
 
-    Pick ``i`` deletes ``refs[tids[i]]`` and gains ``gains[i]``; ``tids``
-    and ``gains`` are backend columns (lists or ``int64`` arrays) and
-    ``refs`` is one relation's ``tid -> TupleRef`` view.  Every pick costs
-    one tuple, so ``cost(k)`` is the prefix length, and :class:`TupleRef`
-    objects are looked up only for the prefix a caller reads.
+    Pick ``i`` deletes ``TupleRef(relation, rows[tids[i]])`` and gains
+    ``gains[i]``; ``tids`` and ``gains`` are backend columns (lists or
+    ``int64`` arrays) and ``rows`` is one relation's ``tid -> row`` table.
+    Every pick costs one tuple, so ``cost(k)`` is the prefix length, and
+    :class:`TupleRef` objects are built only for the prefix a caller reads.
     """
 
     def __init__(
         self,
-        refs: Sequence[TupleRef],
+        relation: str,
+        rows: Sequence[Row],
         tids: Column,
         gains: Column,
         optimal: bool = True,
     ):
-        self._refs = refs
+        self._relation = relation
+        self._rows = rows
         self._tids = tids
         self._gains = gains
         self._cumulative_gain = backend_of_column(gains).cumsum(gains)
@@ -165,13 +167,15 @@ class TidPrefixCurve(PrefixCurve):
         prefix = self._prefix_for(k)
         if prefix is None:
             raise ValueError(f"cannot remove {k} outputs (max {self.max_gain()})")
-        refs = self._refs
-        return frozenset(refs[tid] for tid in as_id_list(self._tids[:prefix]))
+        relation, rows = self._relation, self._rows
+        return frozenset(
+            TupleRef(relation, rows[tid]) for tid in as_id_list(self._tids[:prefix])
+        )
 
     def picks(self) -> List[Pick]:
-        refs = self._refs
+        relation, rows = self._relation, self._rows
         return [
-            ((refs[tid],), gain)
+            ((TupleRef(relation, rows[tid]),), gain)
             for tid, gain in zip(as_id_list(self._tids), as_id_list(self._gains))
         ]
 

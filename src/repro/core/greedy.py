@@ -15,17 +15,22 @@ Two heuristics are implemented:
 
 * :func:`drastic_curve` -- ``DrasticGreedyForFullCQ`` (Algorithm 7): for each
   endogenous relation, compute every tuple's profit once (for a full CQ the
-  witnesses removed by tuples of the same relation are disjoint outputs),
-  sort decreasingly, and take the shortest prefix reaching ``k``; the
-  relation giving the smallest prefix wins.  Only valid for full CQs -- with
+  witnesses removed by tuples of the same relation are disjoint outputs:
+  one ``bincount`` of the packed tid column), sort decreasingly, and take
+  the shortest prefix reaching ``k``; the relation giving the smallest
+  prefix wins.  Only valid for full CQs -- with
   projections the per-relation profits are no longer additive, which is why
   the paper (and this library) refuse to apply it there.
 
 Both heuristics run on the columnar engine's packed provenance: candidates
 are dense ref IDs handled through :class:`~repro.engine.provenance.
-ProvenanceIndex`'s integer API.  One greedy round picks the earliest
-candidate (in ``repr`` order) maximizing ``(profit, witness gain)``, and the
-index's kernel decides how:
+ProvenanceIndex`'s integer API, and ties are broken by ``repr(TupleRef)``
+order without building a :class:`~repro.data.relation.TupleRef` per tuple
+(:func:`candidate_order`): relations compare by ``f"{name!r}, values="`` and
+a relation's tuples by ``repr(row)``, computed over the candidates only.
+Only the picks a curve returns ever become ``TupleRef`` objects.  One greedy
+round picks the earliest candidate (in that order) maximizing ``(profit,
+witness gain)``, and the index's kernel decides how:
 
 * **vector** (NumPy index): a few array passes -- one gather of the gains,
   one batched :meth:`~repro.engine.provenance.ProvenanceIndex.profits_for`
@@ -46,13 +51,13 @@ guarantee in the presence of projections.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.curves import MinCurve, PrefixCurve
+from repro.core.curves import MinCurve, PrefixCurve, TidPrefixCurve
 from repro.core.structures import endogenous_relations
 from repro.data.database import Database
-from repro.data.relation import TupleRef
-from repro.engine.backend import backend_of_column
+from repro.data.relation import Row, TupleRef
+from repro.engine.backend import as_id_list, backend_of_column
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.engine.provenance import ProvenanceIndex
 from repro.obs.trace import span
@@ -94,16 +99,11 @@ def greedy_curve(
             index = ProvenanceIndex(result)
             if isp:
                 isp.set(refs=index.ref_count(), outputs=total)
-        if endogenous_only:
-            allowed = set(endogenous_relations(query))
-            candidates: Any = [
-                rid
-                for rid in range(index.ref_count())
-                if index.ref_at(rid).relation in allowed
-            ]
-        else:
-            candidates = list(range(index.ref_count()))
-        candidates.sort(key=lambda rid: repr(index.ref_at(rid)))
+        relations = (
+            endogenous_relations(query) if endogenous_only
+            else index.relation_names()
+        )
+        candidates: Any = candidate_order(index, relations)
         if index.vectorized:
             np = backend_of_column(result.provenance.ref_columns[0]).np
             candidates = np.asarray(candidates, dtype=np.int64)
@@ -135,6 +135,43 @@ def greedy_curve(
         if gsp:
             gsp.set(picks=len(picks), removed_outputs=removed_outputs, rounds=rounds)
     return PrefixCurve(picks, optimal=False)
+
+
+def _relation_key(name: str) -> str:
+    """What ``repr(TupleRef(name, row))`` orders relations by.
+
+    The repr is ``f"TupleRef(relation={name!r}, values={row!r})"``.  A
+    string repr ends at its first unescaped quote, so ``f"{name!r}, values="``
+    of one name is never a proper prefix of another's: relations compare by
+    this key alone, whatever their rows.
+    """
+    return f"{name!r}, values="
+
+
+def repr_order(rows: Sequence[Row]) -> List[int]:
+    """Positions of ``rows`` in ``repr(TupleRef(name, row))`` order.
+
+    Within one relation the reprs share their prefix, so they compare by
+    ``repr(row) + ")"``; the sort is stable, so equal reprs keep their
+    position order exactly as sorting whole ``TupleRef`` reprs would.
+    """
+    keys = [f"{row!r})" for row in rows]
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def candidate_order(index: ProvenanceIndex, relations: Iterable[str]) -> List[int]:
+    """The rids of ``relations``' participating tuples, ordered exactly as
+    ``sorted(rids, key=lambda rid: repr(index.ref_at(rid)))``.
+
+    Relations sort by :func:`_relation_key`, then each relation's rids by
+    :func:`repr_order` over its candidate rows only -- no :class:`TupleRef`
+    is built.
+    """
+    order: List[int] = []
+    for name in sorted(set(relations), key=_relation_key):
+        rids, rows = index.relation_rows(name)
+        order.extend(rids[i] for i in repr_order(rows))
+    return order
 
 
 def _vector_round(index: ProvenanceIndex, candidates: Any) -> Tuple[int, Any]:
@@ -213,37 +250,41 @@ def drastic_curve(
     # profit is simply the number of witnesses it participates in, and tuples
     # of the same relation remove disjoint outputs.
     with span("solver.drastic") as dsp:
-        profits: Dict[str, Dict[TupleRef, int]] = {}
         prov = result.provenance
-        # Per-atom profit histogram through the backend's bincount kernel
-        # (np.bincount over the packed tid column; a C-speed list
-        # accumulation on the Python backend) -- no per-witness dict churn.
-        for position, name in enumerate(prov.atom_names):
-            column = prov.ref_columns[position]
-            backend = backend_of_column(column)
-            counts = backend.bincount(column, len(prov.indexes[position]))
-            view = prov.refs_for_atom(position)
-            if backend.is_numpy:
-                nonzero = backend.np.nonzero(counts)[0]
-                profits[name] = {
-                    view[tid]: int(counts[tid]) for tid in nonzero.tolist()
-                }
-            else:
-                profits[name] = {
-                    view[tid]: count
-                    for tid, count in enumerate(counts)
-                    if count
-                }
-        witness_count = prov.witness_count()
-        for vacuum_ref in prov.vacuum_refs:
-            profits[vacuum_ref.relation] = {vacuum_ref: witness_count}
-
         curves: List[PrefixCurve] = []
         for relation_name in endogenous_relations(query):
-            per_tuple = profits.get(relation_name, {})
-            picks = [((ref,), profit) for ref, profit in per_tuple.items()]
-            picks.sort(key=lambda pick: (-pick[1], repr(pick[0])))
-            curves.append(PrefixCurve(picks, optimal=False))
+            position = prov.atom_position(relation_name)
+            if position is None:
+                # A vacuum relation: its one tuple sits in every witness.
+                picks = [
+                    ((ref,), prov.witness_count())
+                    for ref in prov.vacuum_refs
+                    if ref.relation == relation_name
+                ]
+                curves.append(PrefixCurve(picks, optimal=False))
+                continue
+            # Per-tid profit histogram (np.bincount over the packed tid
+            # column; a C-speed list accumulation on the Python backend),
+            # ordered by (-profit, repr) with the repr rank computed over the
+            # participating tids only.
+            column = prov.ref_columns[position]
+            backend = backend_of_column(column)
+            index = prov.indexes[position]
+            profits = backend.bincount(column, len(index))
+            participating = [
+                tid for tid, profit in enumerate(as_id_list(profits)) if profit
+            ]
+            rows = index.rows
+            rank = [0] * len(index)
+            for place, i in enumerate(repr_order([rows[tid] for tid in participating])):
+                rank[participating[i]] = place
+            tids = backend.order_by_count(profits, backend.id_column(rank))
+            curves.append(
+                TidPrefixCurve(
+                    relation_name, rows, tids, backend.take(profits, tids),
+                    optimal=False,
+                )
+            )
         if not curves:  # pragma: no cover - every query has an endogenous relation
             curves.append(PrefixCurve([], optimal=False))
         if dsp:

@@ -100,7 +100,7 @@ def singleton_curve(query: ConjunctiveQuery, database: Database) -> PrefixCurve:
         profits = backend.bincount(output_tids, len(index))
         tids = backend.order_by_count(profits, index.repr_rank(backend))
         return TidPrefixCurve(
-            index.ref_view(), tids, backend.take(profits, tids), optimal=True
+            index.name, index.rows, tids, backend.take(profits, tids), optimal=True
         )
 
     # Case 2: head(Q) ⊆ attr(Ri).  Cost of an output tuple t = number of

@@ -7,7 +7,11 @@ Figure 12--16 benchmarks.  This module is the batch-oriented replacement:
 
 * :class:`RelationIndex` interns every stored tuple of a relation into a
   dense integer ID (``tid``), so the join and all provenance bookkeeping can
-  work on plain ``int`` columns;
+  work on plain ``int`` columns.  Its derived views are lazy; on the NumPy
+  backend the join's build side (hash groups) is derived from the dense
+  value codes with ``bincount``/``argsort`` instead of Python bucketing, and
+  the per-row ``TupleRef`` view is built only for callers that need every
+  row as a reference (a greedy solve never does);
 * :func:`join_columns` runs the left-deep hash join one *atom* at a time over
   whole columns: the intermediate state is a set of parallel Python lists
   (one value column per still-needed attribute, one ``tid`` column per joined
@@ -27,6 +31,7 @@ directly.
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.data.database import Database
@@ -85,7 +90,7 @@ class RelationIndex:
         self.ids: Dict[Row, int] = {row: tid for tid, row in enumerate(self.rows)}
         self._ref_view: Optional[List[TupleRef]] = None
         self._value_columns: Dict[int, object] = {}
-        self._value_codes: Dict[int, Tuple[object, int]] = {}
+        self._value_codes: Dict[int, Tuple[Column, Dict[object, int]]] = {}
         self._hash_groups: Dict[tuple, object] = {}
         self._repr_rank: Dict[str, Column] = {}
 
@@ -197,20 +202,27 @@ class RelationIndex:
         codes instead of hashing object tuples per witness.  Cached per
         attribute for the lifetime of the (immutable) index.
         """
+        codes, interned = self._interned_values(position, backend)
+        return codes, max(len(interned), 1)
+
+    def _interned_values(self, position: int, backend: Backend) -> Tuple[Column, Dict[object, int]]:
+        """``(codes, interned)`` behind :meth:`value_codes`, plus the
+        ``value -> code`` dict (first-occurrence key objects, code order).
+
+        Interning runs at C speed: ``dict.fromkeys`` dedups the values in
+        first-occurrence order and ``map(interned.__getitem__)`` encodes
+        them, with no per-row Python frame.
+        """
         entry = self._value_codes.get(position)
         if entry is None:
             np = backend.np
-            interned: Dict[object, int] = {}
-            setdefault = interned.setdefault
+            values = [row[position] for row in self.rows]
+            distinct = dict.fromkeys(values)
+            interned = dict(zip(distinct, range(len(distinct))))
             codes = np.fromiter(
-                (
-                    setdefault(row[position], len(interned))
-                    for row in self.rows
-                ),
-                np.int64,
-                count=len(self.rows),
+                map(interned.__getitem__, values), np.int64, count=len(values)
             )
-            entry = (codes, max(len(interned), 1))
+            entry = (codes, interned)
             self._value_codes[position] = entry
         return entry
 
@@ -253,36 +265,15 @@ class RelationIndex:
         groups = self._hash_groups.get(cache_key)
         if groups is not None:
             return groups
-        rows = self.rows
-        if len(positions) == 1:
-            p = positions[0]
-            keys = (row[p] for row in rows)
-        else:
-            keys = (tuple(row[p] for p in positions) for row in rows)
         if backend.is_numpy:
-            np = backend.np
-            table: Dict[object, int] = {}
-            buckets: List[List[int]] = []
-            get = table.get
-            for tid, key in enumerate(keys):
-                g = get(key)
-                if g is None:
-                    table[key] = len(buckets)
-                    buckets.append([tid])
-                else:
-                    buckets[g].append(tid)
-            counts = np.fromiter(
-                (len(b) for b in buckets), np.int64, count=len(buckets)
-            )
-            ends = np.cumsum(counts)
-            starts = ends - counts
-            flat = np.fromiter(
-                (tid for bucket in buckets for tid in bucket),
-                np.int64,
-                count=int(ends[-1]) if len(buckets) else 0,
-            )
-            groups = (table, counts, starts, flat)
+            groups = self._hash_groups_numpy(positions, backend)
         else:
+            rows = self.rows
+            if len(positions) == 1:
+                p = positions[0]
+                keys = (row[p] for row in rows)
+            else:
+                keys = (tuple(row[p] for p in positions) for row in rows)
             lists: Dict[object, List[int]] = {}
             setdefault = lists.setdefault
             for tid, key in enumerate(keys):
@@ -290,6 +281,49 @@ class RelationIndex:
             groups = lists
         self._hash_groups[cache_key] = groups
         return groups
+
+    def _hash_groups_numpy(self, positions: Tuple[int, ...], backend: Backend) -> tuple:
+        """CSR hash groups derived from the attributes' value codes.
+
+        A group id is a key's rank by first occurrence -- exactly the
+        dict-of-lists order -- so one-attribute groups *are* the value codes
+        and the interning dict is the table.  Multi-attribute keys combine
+        their attributes' codes mixed-radix and rank the distinct words by
+        first occurrence; only distinct keys become Python tuples.  A stable
+        ``argsort`` of the group ids lists every group's tids ascending.
+        """
+        np = backend.np
+        if len(positions) == 1:
+            gids, table = self._interned_values(positions[0], backend)
+        else:
+            word = None
+            word_range = 1
+            for p in positions:
+                codes, interned = self._interned_values(p, backend)
+                radix = max(len(interned), 1)
+                if word is None:
+                    word = codes
+                else:
+                    if word_range * radix >= 2**62:  # pragma: no cover - huge domains
+                        # Re-densify the prefix word so the encode cannot wrap.
+                        word = np.unique(word, return_inverse=True)[1].reshape(-1)
+                        word_range = int(word.max()) + 1
+                    word = word * radix + codes
+                word_range *= radix
+            _uniq, first_index, inverse = np.unique(
+                word, return_index=True, return_inverse=True
+            )
+            group_order = np.argsort(first_index, kind="stable")
+            rank = np.empty(first_index.size, dtype=np.int64)
+            rank[group_order] = np.arange(first_index.size, dtype=np.int64)
+            gids = rank[inverse.reshape(-1)]
+            firsts = first_index[group_order].tolist()
+            keys = map(itemgetter(*positions), map(self.rows.__getitem__, firsts))
+            table = dict(zip(keys, range(len(firsts))))
+        counts = np.bincount(gids, minlength=len(table))
+        starts = np.cumsum(counts) - counts
+        flat = np.argsort(gids, kind="stable")
+        return (table, counts, starts, flat)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -395,10 +429,6 @@ class ColumnarProvenance:
     def refs_for_atom(self, position: int) -> List[TupleRef]:
         """``tid -> TupleRef`` view for one atom (cached on the interner)."""
         return self.indexes[position].ref_view()
-
-    def ref(self, position: int, tid: int) -> TupleRef:
-        """The :class:`TupleRef` for one (atom position, tuple ID) pair."""
-        return self.refs_for_atom(position)[tid]
 
     def postings_for_atom(self, position: int) -> Postings:
         """``tid -> sorted witness positions`` for one atom (lazy, cached).

@@ -21,9 +21,16 @@ Since the columnar-engine rewrite the index works on dense integers: every
 participating input tuple gets a *ref ID* (``rid``), witnesses are numbered
 ``0..W-1``, and all bookkeeping lives in parallel ``int`` lists built
 straight from the packed provenance columns -- no ``Witness`` objects, no
-``TupleRef`` hashing on the hot path.  The classic ``TupleRef``-keyed API is
-preserved as a thin translation layer (its ``TupleRef -> rid`` map is built
-on first use); the greedy loops use the ``*_id`` methods directly.
+``TupleRef`` hashing on the hot path.  Rids are allocated atom by atom (each
+atom's participating tuples in first-occurrence order, then the vacuum
+refs), so the index keeps only each atom's first rid and its
+``rid -> tid`` column: a :class:`~repro.data.relation.TupleRef` is built on
+demand (:meth:`ProvenanceIndex.ref_at`) and a ``TupleRef -> rid`` lookup
+goes through :meth:`~repro.engine.columnar.ColumnarProvenance.locate` plus a
+per-atom ``tid -> rid`` map.  A cold greedy solve therefore builds
+``TupleRef`` objects only for the tuples it picks.  The classic
+``TupleRef``-keyed API is preserved as a thin translation layer; the greedy
+loops use the ``*_id`` methods and :meth:`ProvenanceIndex.relation_rows`.
 Per-tuple *witness gains* (alive witnesses containing the tuple) are
 additionally maintained incrementally, which both makes ``witness_gain``
 O(1) and gives the greedy scan a sound upper bound on profit
@@ -37,10 +44,17 @@ The index is also the basis of solution verification
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from bisect import bisect_right
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.data.relation import TupleRef
-from repro.engine.backend import Column, CsrPostings, backend_of_column, is_ndarray
+from repro.data.relation import Row, TupleRef
+from repro.engine.backend import (
+    Column,
+    CsrPostings,
+    as_id_list,
+    backend_of_column,
+    is_ndarray,
+)
 from repro.engine.evaluate import QueryResult
 
 
@@ -66,13 +80,23 @@ class ProvenanceIndex:
 
     def __init__(self, result: QueryResult) -> None:
         self.result = result
-        #: dense rid -> TupleRef (participating tuples only, vacuum included)
-        self._refs: List[TupleRef] = []
+        prov = result.provenance
+        #: per atom: the rid of its first participating tuple ...
+        self._atom_bases: List[int] = []
+        #: ... its ``local rid -> tid`` column (first-occurrence order) ...
+        self._atom_tids: List[Column] = []
+        #: ... and its ``tid -> rid`` map (a dict on the Python kernel, an
+        #: array with ``-1`` for non-participating tids on the NumPy one).
+        self._tid_rids: List[Any] = []
+        #: vacuum refs take the rids after every atom's (only when there is
+        #: a witness for them to participate in).
+        self._vacuum: Tuple[TupleRef, ...] = (
+            tuple(prov.vacuum_refs) if prov.witness_count() else ()
+        )
         #: rid -> witness IDs containing the tuple
         self._ref_witnesses: List[List[int]] = []
         #: witness ID -> rids it contains (for incremental gain updates)
         self._witness_rids: List[List[int]] = []
-        prov = result.provenance
         np = None
         if prov.atom_count() and is_ndarray(prov.ref_columns[0]):
             np = backend_of_column(prov.ref_columns[0]).np
@@ -88,7 +112,7 @@ class ProvenanceIndex:
             # CSR counts double as the initial witness gains (every witness
             # starts alive); diff of offsets, copied since gains mutate.
             self._gain = np.diff(self._rw_offsets)
-            self._removed_flags = np.zeros(len(self._refs), dtype=bool)
+            self._removed_flags = np.zeros(self._ref_total, dtype=bool)
         else:
             self._build_from_columnar(result)
             self._hits = [0] * len(self._witness_rids)
@@ -97,10 +121,7 @@ class ProvenanceIndex:
                 self._alive_witnesses[out] += 1
             #: rid -> number of still-alive witnesses containing the tuple
             self._gain = [len(wids) for wids in self._ref_witnesses]
-            self._removed_flags = [False] * len(self._refs)
-        #: ``TupleRef -> rid``, built by the first TupleRef-keyed call
-        #: (:meth:`_rid_of`); the greedy hot path works on rids only.
-        self._ref_ids: Optional[Dict[TupleRef, int]] = None
+            self._removed_flags = [False] * self._ref_total
         #: NumPy kernel only, built by the first :meth:`profits_for`: the
         #: ``(W, atoms)`` matrix of (output, ref) pair ids per witness, each
         #: pair's rid and output, and its count of alive witnesses.
@@ -108,7 +129,8 @@ class ProvenanceIndex:
         self._pair_rid: Any = None
         self._pair_output: Any = None
         self._pair_alive: Any = None
-        self._removed_refs: Set[TupleRef] = set()
+        #: Removed references that join no witness (no rid to flag).
+        self._removed_unknown: Set[TupleRef] = set()
         self._dead_outputs: int = 0
         # Outputs with no witnesses at all never existed; by construction the
         # evaluate() result only lists outputs with >= 1 witness.
@@ -122,30 +144,31 @@ class ProvenanceIndex:
         witness_count = prov.witness_count()
         self._witness_output = list(prov.witness_outputs)
         self._witness_rids = [[] for _ in range(witness_count)]
-        refs = self._refs
         ref_witnesses = self._ref_witnesses
         witness_rids = self._witness_rids
         for position in range(prov.atom_count()):
-            column = prov.ref_columns[position]
-            view = prov.refs_for_atom(position)
+            self._atom_bases.append(len(ref_witnesses))
+            tids: List[int] = []
             local: Dict[int, int] = {}
             get = local.get
-            for w, tid in enumerate(column):
+            for w, tid in enumerate(prov.ref_columns[position]):
                 rid = get(tid)
                 if rid is None:
-                    rid = len(refs)
+                    rid = len(ref_witnesses)
                     local[tid] = rid
-                    refs.append(view[tid])
+                    tids.append(tid)
                     ref_witnesses.append([])
                 ref_witnesses[rid].append(w)
                 witness_rids[w].append(rid)
-        if witness_count:
-            for vacuum_ref in prov.vacuum_refs:
-                rid = len(refs)
-                refs.append(vacuum_ref)
-                ref_witnesses.append(list(range(witness_count)))
-                for wids in witness_rids:
-                    wids.append(rid)
+            self._atom_tids.append(tids)
+            self._tid_rids.append(local)
+        self._vacuum_base = len(ref_witnesses)
+        for _vacuum_ref in self._vacuum:
+            rid = len(ref_witnesses)
+            ref_witnesses.append(list(range(witness_count)))
+            for wids in witness_rids:
+                wids.append(rid)
+        self._ref_total = len(ref_witnesses)
 
     def _build_from_columnar_numpy(self, result: QueryResult, np: Any) -> None:
         """Vectorized build: factorize each packed column into dense rids.
@@ -158,34 +181,36 @@ class ProvenanceIndex:
         prov = result.provenance
         witness_count = prov.witness_count()
         self._witness_output = np.asarray(prov.witness_outputs, dtype=np.int64)
-        refs = self._refs
         rid_columns = []
         flats = []
         counts_list = []
         base = 0
         for position in range(prov.atom_count()):
             column = prov.ref_columns[position]
-            view = prov.refs_for_atom(position)
             uniq, first_index = np.unique(column, return_index=True)
             order = np.argsort(first_index, kind="stable")
             uniq_first = uniq[order]  # tids in first-occurrence order
-            lookup = np.zeros(max(len(view), 1), dtype=np.int64)
-            lookup[uniq_first] = np.arange(uniq_first.size, dtype=np.int64)
-            local = lookup[column]  # dense local rids, first-occurrence order
-            rid_columns.append(local + base if base else local)
+            lookup = np.full(len(prov.indexes[position]), -1, dtype=np.int64)
+            lookup[uniq_first] = np.arange(base, base + uniq_first.size, dtype=np.int64)
+            rids = lookup[column]  # dense rids, first-occurrence order
+            rid_columns.append(rids)
+            local = rids - base if base else rids
             # CSR grouping: witness positions sorted by rid, ascending
             # within each rid (stable argsort) -- no per-rid array objects.
             flats.append(np.argsort(local, kind="stable"))
             counts_list.append(np.bincount(local, minlength=int(uniq_first.size)))
-            refs.extend(view[tid] for tid in uniq_first.tolist())
+            self._atom_bases.append(base)
+            self._atom_tids.append(uniq_first)
+            self._tid_rids.append(lookup)
             base += int(uniq_first.size)
+        self._vacuum_base = base
         if witness_count:
-            for vacuum_ref in prov.vacuum_refs:
-                refs.append(vacuum_ref)
+            for _vacuum_ref in self._vacuum:
                 flats.append(np.arange(witness_count, dtype=np.int64))
                 counts_list.append(np.asarray([witness_count], dtype=np.int64))
                 rid_columns.append(np.full(witness_count, base, dtype=np.int64))
                 base += 1
+        self._ref_total = base
         if flats:
             flat = np.concatenate(flats)
             counts = np.concatenate(counts_list)
@@ -217,14 +242,12 @@ class ProvenanceIndex:
         stays below ``2**62`` up to ``2**29`` witnesses of 16 atoms.
         """
         np = self._np
-        keys = (
-            self._witness_output[:, None] * len(self._refs)
-            + self._witness_rid_matrix
-        )
+        refs = self._ref_total
+        keys = self._witness_output[:, None] * refs + self._witness_rid_matrix
         pair_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
         self._witness_pairs = inverse.reshape(keys.shape)
-        self._pair_rid = pair_keys % len(self._refs)
-        self._pair_output = pair_keys // len(self._refs)
+        self._pair_rid = pair_keys % refs
+        self._pair_output = pair_keys // refs
         self._pair_alive = np.bincount(
             self._witness_pairs[self._hits == 0].ravel(), minlength=pair_keys.size
         )
@@ -234,8 +257,13 @@ class ProvenanceIndex:
     # ------------------------------------------------------------------ #
     @property
     def removed(self) -> Set[TupleRef]:
-        """The tuples deleted so far (a copy)."""
-        return set(self._removed_refs)
+        """The tuples deleted so far (a fresh set, built on each call)."""
+        return {self.ref_at(rid) for rid in self._removed_rids()} | self._removed_unknown
+
+    def _removed_rids(self) -> List[int]:
+        if self._np is not None:
+            return self._np.flatnonzero(self._removed_flags).tolist()
+        return [rid for rid, flag in enumerate(self._removed_flags) if flag]
 
     @property
     def vectorized(self) -> bool:
@@ -244,7 +272,10 @@ class ProvenanceIndex:
 
     def is_removed(self, ref: TupleRef) -> bool:
         """Whether ``ref`` has been deleted (no copy, unlike :attr:`removed`)."""
-        return ref in self._removed_refs
+        rid = self._rid_of(ref)
+        if rid is None:
+            return ref in self._removed_unknown
+        return bool(self._removed_flags[rid])
 
     def total_outputs(self) -> int:
         """``|Q(D)|`` of the original (un-deleted) instance."""
@@ -263,23 +294,54 @@ class ProvenanceIndex:
         return self._alive_witnesses[output_id] > 0
 
     def participating_refs(self) -> List[TupleRef]:
-        """All input tuples that participate in at least one witness."""
-        return list(self._refs)
+        """All input tuples that participate in at least one witness (rid order)."""
+        return [self.ref_at(rid) for rid in range(self._ref_total)]
 
     def refs_of_relation(self, relation: str) -> List[TupleRef]:
-        """Participating input tuples belonging to one relation."""
-        return [ref for ref in self._refs if ref.relation == relation]
+        """Participating input tuples belonging to one relation (rid order)."""
+        return [TupleRef(relation, row) for row in self.relation_rows(relation)[1]]
+
+    def relation_rows(self, relation: str) -> Tuple[range, List[Row]]:
+        """``(rids, rows)``: one relation's participating tuples, as rows.
+
+        Rid ``rids[i]`` is the stored row ``rows[i]`` of ``relation``; the
+        rids of a relation are contiguous (empty for an unknown relation).
+        This is how callers walk a relation's candidates without building a
+        :class:`TupleRef` per tuple.
+        """
+        prov = self.result.provenance
+        position = prov.atom_position(relation)
+        if position is None:
+            for offset, ref in enumerate(self._vacuum):
+                if ref.relation == relation:
+                    rid = self._vacuum_base + offset
+                    return range(rid, rid + 1), [ref.values]
+            return range(0), []
+        base = self._atom_bases[position]
+        tids = as_id_list(self._atom_tids[position])
+        rows = prov.indexes[position].rows
+        return range(base, base + len(tids)), [rows[tid] for tid in tids]
+
+    def relation_names(self) -> List[str]:
+        """Relations with participating tuples, in rid order."""
+        names = list(self.result.provenance.atom_names) if self._ref_total else []
+        return names + [ref.relation for ref in self._vacuum]
 
     # ------------------------------------------------------------------ #
     # Dense-ID API (the hot path of the greedy heuristics)
     # ------------------------------------------------------------------ #
     def ref_count(self) -> int:
         """How many distinct participating tuples the index tracks."""
-        return len(self._refs)
+        return self._ref_total
 
     def ref_at(self, rid: int) -> TupleRef:
-        """The :class:`TupleRef` for a dense ref ID."""
-        return self._refs[rid]
+        """The :class:`TupleRef` for a dense ref ID (built on demand)."""
+        if rid >= self._vacuum_base:
+            return self._vacuum[rid - self._vacuum_base]
+        position = bisect_right(self._atom_bases, rid) - 1
+        index = self.result.provenance.indexes[position]
+        tid = int(self._atom_tids[position][rid - self._atom_bases[position]])
+        return TupleRef(index.name, index.rows[tid])
 
     def profit_id(self, rid: int) -> int:
         """:meth:`profit` over a dense ref ID."""
@@ -357,7 +419,7 @@ class ProvenanceIndex:
         kills = (pair_alive > 0) & (
             pair_alive == self._alive_witnesses[self._pair_output]
         )
-        profit_all = np.bincount(self._pair_rid[kills], minlength=len(self._refs))
+        profit_all = np.bincount(self._pair_rid[kills], minlength=self._ref_total)
         return profit_all[np.asarray(rids, dtype=np.int64)]
 
     def touched_outputs_id(self, rid: int) -> int:
@@ -392,7 +454,6 @@ class ProvenanceIndex:
         if self._removed_flags[rid]:
             return 0
         self._removed_flags[rid] = True
-        self._removed_refs.add(self._refs[rid])
         np = self._np
         if np is not None:
             wids = self._ref_witnesses[rid]
@@ -437,7 +498,6 @@ class ProvenanceIndex:
         if not self._removed_flags[rid]:
             return 0
         self._removed_flags[rid] = False
-        self._removed_refs.discard(self._refs[rid])
         np = self._np
         if np is not None:
             wids = self._ref_witnesses[rid]
@@ -483,11 +543,18 @@ class ProvenanceIndex:
     # ------------------------------------------------------------------ #
     def _rid_of(self, ref: TupleRef) -> Optional[int]:
         """The dense rid of ``ref`` (``None`` if it joins no witness)."""
-        ref_ids = self._ref_ids
-        if ref_ids is None:
-            ref_ids = {known: rid for rid, known in enumerate(self._refs)}
-            self._ref_ids = ref_ids
-        return ref_ids.get(ref)
+        located = self.result.provenance.locate(ref)
+        if located is None:
+            for offset, vacuum_ref in enumerate(self._vacuum):
+                if vacuum_ref == ref:
+                    return self._vacuum_base + offset
+            return None
+        position, tid = located
+        lookup = self._tid_rids[position]
+        if self._np is None:
+            return lookup.get(tid)
+        rid = int(lookup[tid])
+        return None if rid < 0 else rid
 
     def profit(self, ref: TupleRef) -> int:
         """How many *additional* outputs die if ``ref`` is deleted now.
@@ -580,7 +647,7 @@ class ProvenanceIndex:
             # Dangling/unknown tuples participate in no witness: deleting
             # them never changes the output, but record them so restore() and
             # the removed set stay consistent with the old behaviour.
-            self._removed_refs.add(ref)
+            self._removed_unknown.add(ref)
             return 0
         return self.remove_id(rid)
 
@@ -592,11 +659,12 @@ class ProvenanceIndex:
         """Undo the deletion of ``ref``; returns how many outputs came back."""
         rid = self._rid_of(ref)
         if rid is None:
-            self._removed_refs.discard(ref)
+            self._removed_unknown.discard(ref)
             return 0
         return self.restore_id(rid)
 
     def reset(self) -> None:
         """Undo every deletion."""
-        for ref in list(self._removed_refs):
-            self.restore(ref)
+        for rid in self._removed_rids():
+            self.restore_id(rid)
+        self._removed_unknown.clear()

@@ -469,6 +469,16 @@ class Session:
             prepared = self._adopt(prepared)
         return prepared
 
+    def _owned(self, query: QueryLike) -> PreparedQuery:
+        """``query`` itself when this session already owns that prepared
+        query, else :meth:`prepare` -- so a served request that prepared once
+        does not re-enter ``prepare`` for its size check and its solve."""
+        if isinstance(query, PreparedQuery):
+            with self._lock:
+                if self._prepared.get(query.canonical_key) is query:
+                    return query
+        return self.prepare(query)
+
     def _adopt(self, prepared: PreparedQuery) -> PreparedQuery:
         """Register ``prepared`` once; a thread that lost a race gets the winner."""
         with self._lock:
@@ -502,7 +512,7 @@ class Session:
         plan.  Returned results are shared -- treat them as immutable.
         """
         self._check_open()
-        prepared = self.prepare(query)
+        prepared = self._owned(query)
         self._count("evaluations")
         with self.activate():
             return self._context.evaluate(
@@ -567,7 +577,7 @@ class Session:
         session default config applies otherwise.
         """
         self._check_open()
-        prepared = self.prepare(query)
+        prepared = self._owned(query)
         chosen = self._solver(solver, config, overrides)
         self._count("solves")
         with self.activate(), span("session.solve") as ssp:
@@ -627,7 +637,7 @@ class Session:
         come back in request order.
         """
         self._check_open()
-        request_list = [(self.prepare(query), int(k)) for query, k in requests]
+        request_list = [(self._owned(query), int(k)) for query, k in requests]
         if not request_list:
             return []
         chosen = self._solver(solver, config, overrides)

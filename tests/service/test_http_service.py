@@ -279,6 +279,33 @@ def test_batched_and_unbatched_solves_are_identical(service_runner):
         client.close()
 
 
+def test_served_solve_prepares_once_per_request(service_runner, monkeypatch):
+    """The batch body prepares each request once; the size check and the
+    solve reuse that prepared query instead of re-entering prepare."""
+    calls = []
+    original = Session.prepare
+
+    def counting_prepare(self, query):
+        calls.append(query)
+        return original(self, query)
+
+    monkeypatch.setattr(Session, "prepare", counting_prepare)
+    runner = service_runner(backend="python", linger_ms=1.0)
+    client = JsonClient("127.0.0.1", runner.port)
+    try:
+        register(client, "zipf", make_zipf())
+        del calls[:]
+        for k in (2, 3, 4):
+            status, body, _ = client.post(
+                "/v1/solve",
+                {"database": "zipf", "query": QUERY, "k": k, "batch": False},
+            )
+            assert status == 200, body
+        assert calls == [QUERY] * 3
+    finally:
+        client.close()
+
+
 def test_error_statuses(service_runner):
     runner = service_runner(linger_ms=1.0)
     client = JsonClient("127.0.0.1", runner.port)

@@ -230,6 +230,32 @@ def test_solve_many_empty_and_mixed_queries():
     assert solutions[0].objective >= solutions[2].objective
 
 
+def test_owned_prepared_queries_skip_prepare(monkeypatch):
+    """A served request prepares once: its size check and solve reuse it."""
+    session = Session(_small_db())
+    prepared = session.prepare(QUERY_TEXT)
+    calls = []
+    original = Session.prepare
+
+    def counting_prepare(self, query):
+        calls.append(query)
+        return original(self, query)
+
+    monkeypatch.setattr(Session, "prepare", counting_prepare)
+    total = session.output_size(prepared)
+    session.solve_many([(prepared, total)])
+    session.solve(prepared, 1)
+    assert calls == []
+    # A prepared query this session does not own is adopted via prepare.
+    foreign = PreparedQuery(parse_query("Qf(A) :- R1(A), R2(A, B)"))
+    session.output_size(foreign)
+    assert calls == [foreign]
+    # An equal but distinct object resolves to the session's own instance.
+    twin = PreparedQuery(parse_query(QUERY_TEXT))
+    assert session.solve_many([(twin, 1)])[0].query is prepared.query
+    assert calls == [foreign, twin]
+
+
 def test_curve_agrees_with_solve():
     database = generate_tpch(total_tuples=60, seed=7)
     session = Session(database)
