@@ -1,9 +1,10 @@
 """REP002: interned columns and packed provenance are append-only.
 
-"Interned" is not "stored": :class:`~repro.engine.columnar.RelationIndex`
-tables keep dead rows forever (tids must never be renumbered -- packed
-``ref_columns`` refer to them verbatim, and a re-inserted row resurrects
-under its old tid), and :class:`~repro.engine.columnar.ColumnarProvenance`
+:class:`~repro.engine.columnar.RelationIndex` tables keep dead rows
+forever (tids must never be renumbered -- packed ``ref_columns`` refer to
+them verbatim, and a re-inserted row resurrects under its old tid) and
+record liveness in their ``live`` mask, which only a successor table may
+flip before it is published; :class:`~repro.engine.columnar.ColumnarProvenance`
 payloads are shared through the evaluation cache, so in-place mutation
 corrupts every other holder.  The only sanctioned mutations are the
 append/compact sites owned by ``engine/delta.py`` and

@@ -153,13 +153,16 @@ class AnalysisConfig:
     #: ``interned_rows``/``dead_tids`` are the durable mirror of the
     #: interning table (snapshot sections): same append-only contract,
     #: same tid-stability argument.  ``storage/`` only ever constructs
-    #: them, so it needs no whitelist entry.
+    #: them, so it needs no whitelist entry.  ``live`` is the table's live
+    #: mask: a bit flips only on a successor table built in the whitelist,
+    #: never on a published one.
     protected_columns: Tuple[str, ...] = (
         "ref_columns",
         "witness_outputs",
         "output_rows",
         "rows",
         "ids",
+        "live",
         "interned_rows",
         "dead_tids",
     )

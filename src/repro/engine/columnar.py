@@ -7,7 +7,8 @@ Figure 12--16 benchmarks.  This module is the batch-oriented replacement:
 
 * :class:`RelationIndex` interns every stored tuple of a relation into a
   dense integer ID (``tid``), so the join and all provenance bookkeeping can
-  work on plain ``int`` columns.  Its derived views are lazy; on the NumPy
+  work on plain ``int`` columns, and records which tids the relation still
+  stores (its live mask).  Its derived views are lazy; on the NumPy
   backend the join's build side (hash groups) is derived from the dense
   value codes with ``bincount``/``argsort`` instead of Python bucketing, and
   the per-row ``TupleRef`` view is built only for callers that need every
@@ -31,6 +32,7 @@ directly.
 from __future__ import annotations
 
 import threading
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -53,15 +55,24 @@ from repro.query.cq import ConjunctiveQuery
 
 
 class RelationIndex:
-    """Dense integer interning of one relation's tuples.
+    """Dense integer interning of one relation's tuples, with row liveness.
 
-    ``rows[tid]`` is the stored row for tuple ID ``tid``; ``ids`` maps a row
-    back to its ID.  IDs follow the relation's iteration order at build time,
-    which keeps the columnar join's witness order identical to the row
+    ``rows[tid]`` is the interned row for tuple ID ``tid``; ``ids`` maps a
+    row back to its ID.  IDs follow the relation's iteration order at build
+    time, which keeps the columnar join's witness order identical to the row
     engine's (both walk the same hash-table buckets).
 
+    The table is also the relation's liveness record: ``live[tid]`` is 1
+    iff the row is stored in this version of the relation, and
+    ``dead_count`` counts the cleared bits.  Tids are never renumbered, so
+    a deletion clears bits on a successor table (:meth:`without`) that
+    shares ``rows``/``ids`` with its parent, and an insertion appends or
+    revives rows (:meth:`extended`); packed provenance columns keep
+    indexing either version verbatim.  The join, the hash groups and every
+    size it reports see live tids only.
+
     Indexes are immutable snapshots: a :class:`~repro.session.Session` (via
-    its :class:`~repro.engine.evaluate.EngineContext`) caches them per
+    its :class:`~repro.engine.evaluate.EngineContext`) holds one per
     relation version, so repeated evaluations over the same relation share
     one interning table instead of re-interning per query.  Derived views --
     the ``TupleRef`` view, per-attribute value columns and value codes,
@@ -76,6 +87,8 @@ class RelationIndex:
         "attributes",
         "rows",
         "ids",
+        "live",
+        "dead_count",
         "_ref_view",
         "_value_columns",
         "_value_codes",
@@ -84,67 +97,107 @@ class RelationIndex:
     )
 
     def __init__(self, relation: Relation) -> None:
-        self.name = relation.name
-        self.attributes: Tuple[str, ...] = relation.attributes
-        self.rows: List[Row] = list(relation)
-        self.ids: Dict[Row, int] = {row: tid for tid, row in enumerate(self.rows)}
+        rows: List[Row] = list(relation)
+        ids = {row: tid for tid, row in enumerate(rows)}
+        self._fill(relation.name, relation.attributes, rows, ids, bytearray(b"\x01") * len(rows))
+
+    def _fill(
+        self,
+        name: str,
+        attributes: Tuple[str, ...],
+        rows: List[Row],
+        ids: Dict[Row, int],
+        live: bytearray,
+    ) -> None:
+        """Bind the table's columns; every derived view starts empty."""
+        self.name = name
+        self.attributes = attributes
+        self.rows = rows
+        self.ids = ids
+        self.live = live
+        self.dead_count = live.count(0)
         self._ref_view: Optional[List[TupleRef]] = None
         self._value_columns: Dict[int, object] = {}
         self._value_codes: Dict[int, Tuple[Column, Dict[object, int]]] = {}
         self._hash_groups: Dict[tuple, object] = {}
         self._repr_rank: Dict[str, Column] = {}
 
-    @classmethod
-    def extended(cls, parent: "RelationIndex", new_rows: Iterable[Row]) -> "RelationIndex":
-        """A new interning table with ``new_rows`` appended at fresh tids.
+    def _successor(
+        self, rows: List[Row], ids: Dict[Row, int], live: bytearray
+    ) -> "RelationIndex":
+        """The next version of this table.  Row-derived views index tids,
+        not liveness, so they are shared while ``rows`` is; hash groups
+        never are."""
+        index = RelationIndex.__new__(RelationIndex)
+        index._fill(self.name, self.attributes, rows, ids, live)
+        if rows is self.rows:
+            index._ref_view = self._ref_view
+            index._value_columns = self._value_columns
+            index._value_codes = self._value_codes
+            index._repr_rank = self._repr_rank
+        return index
 
-        The append invariant of incremental insertion: every tid of
-        ``parent`` keeps its meaning (packed provenance columns referring to
-        it stay valid verbatim), and genuinely new rows are interned at
-        ``len(parent)``, ``len(parent) + 1``, ...  Rows already present in
-        ``parent`` (or repeated in the batch) are skipped, so extending is
-        idempotent.  Derived views (ref view, value columns, hash groups,
-        repr rank) are rebuilt lazily on the extension -- the parent's
-        caches keep describing the old snapshot.
+    def extended(self, new_rows: Iterable[Row]) -> "RelationIndex":
+        """The successor table with ``new_rows`` stored.
+
+        The append invariant of incremental insertion: every tid keeps its
+        meaning (packed provenance columns referring to it stay valid
+        verbatim), a dead row revives under its old tid, and a genuinely
+        new row is interned at ``len(self)``, ``len(self) + 1``, ...  Live
+        rows (and repeats within the batch) are skipped, so extending is
+        idempotent.  Appending copies ``rows``/``ids``; a revival-only
+        batch shares them.
         """
-        index = cls.__new__(cls)
-        index.name = parent.name
-        index.attributes = parent.attributes
-        rows = list(parent.rows)
-        ids = dict(parent.ids)
+        rows, ids = self.rows, self.ids
+        live = bytearray(self.live)
         for row in new_rows:
             stored = tuple(row)
-            if stored not in ids:
+            tid = ids.get(stored)
+            if tid is None:
+                if rows is self.rows:
+                    rows, ids = list(rows), dict(ids)
                 ids[stored] = len(rows)
                 rows.append(stored)
-        index.rows = rows
-        index.ids = ids
-        index._ref_view = None
-        index._value_columns = {}
-        index._value_codes = {}
-        index._hash_groups = {}
-        index._repr_rank = {}
-        return index
+                live.append(1)
+            else:
+                live[tid] = 1
+        return self._successor(rows, ids, live)
+
+    def without(self, removed_rows: Iterable[Row]) -> "RelationIndex":
+        """The successor table with ``removed_rows`` dead (``self`` if none
+        was live): bits cleared on a copy of the mask, ``rows``/``ids``
+        shared with this table."""
+        live = self.live
+        ids_get = self.ids.get
+        for row in removed_rows:
+            tid = ids_get(tuple(row))
+            if tid is not None and live[tid]:
+                if live is self.live:
+                    live = bytearray(live)
+                live[tid] = 0
+        return self if live is self.live else self._successor(self.rows, self.ids, live)
 
     @classmethod
     def from_rows(
-        cls, name: str, attributes: Tuple[str, ...], rows: Iterable[Row]
+        cls,
+        name: str,
+        attributes: Tuple[str, ...],
+        rows: Iterable[Row],
+        dead_tids: Iterable[int] = (),
     ) -> "RelationIndex":
         """An interning table with ``rows`` interned in the given order.
 
         The snapshot loader (:mod:`repro.storage`) persists a relation's
-        rows in interned order precisely so recovery can rebuild the same
-        ``tid`` assignment here: ``Relation`` stores rows in a set, whose
-        iteration order is process-dependent, but packed provenance columns
-        written to disk refer to tids and therefore pin this order.  Seeding
-        the rebuilt index into an :class:`~repro.engine.evaluate.EngineContext`
-        makes post-recovery evaluations byte-identical to the pre-crash ones.
+        table -- rows in interned order plus its dead tids -- precisely so
+        recovery can rebuild the same ``tid`` assignment and liveness here:
+        ``Relation`` stores rows in a set, whose iteration order is
+        process-dependent, but packed provenance columns written to disk
+        refer to tids and therefore pin this order.  Seeding the rebuilt
+        index into an :class:`~repro.engine.evaluate.EngineContext` makes
+        post-recovery evaluations byte-identical to the pre-crash ones.
         Duplicate rows are skipped (first occurrence wins), matching
-        :meth:`extended`.
+        :meth:`extended`; out-of-range dead tids are ignored.
         """
-        index = cls.__new__(cls)
-        index.name = name
-        index.attributes = tuple(attributes)
         ordered: List[Row] = []
         ids: Dict[Row, int] = {}
         for row in rows:
@@ -152,14 +205,28 @@ class RelationIndex:
             if stored not in ids:
                 ids[stored] = len(ordered)
                 ordered.append(stored)
-        index.rows = ordered
-        index.ids = ids
-        index._ref_view = None
-        index._value_columns = {}
-        index._value_codes = {}
-        index._hash_groups = {}
-        index._repr_rank = {}
+        live = bytearray(b"\x01") * len(ordered)
+        for tid in dead_tids:
+            if 0 <= tid < len(live):
+                live[tid] = 0
+        index = cls.__new__(cls)
+        index._fill(name, tuple(attributes), ordered, ids, live)
         return index
+
+    @property
+    def live_count(self) -> int:
+        """How many rows this version of the relation stores."""
+        return len(self.rows) - self.dead_count
+
+    def live_tids(self, backend: Backend) -> Column:
+        """The live tids, ascending, as a backend ID column (``id_range``
+        when no row is dead)."""
+        if not self.dead_count:
+            return backend.id_range(len(self.rows))
+        if backend.is_numpy:
+            np = backend.np
+            return np.flatnonzero(np.frombuffer(self.live, dtype=np.bool_))
+        return list(compress(range(len(self.rows)), self.live))
 
     def ref_view(self) -> List[TupleRef]:
         """``tid -> TupleRef`` view, built lazily and cached on the index.
@@ -253,13 +320,13 @@ class RelationIndex:
     def hash_groups(self, positions: Tuple[int, ...], backend: Backend) -> object:
         """The build side of one hash-join step, cached per key attributes.
 
-        For the Python backend: ``{key: [tids]}`` with tids ascending (the
-        exact table the probe loop walks).  For the NumPy backend the same
-        grouping in CSR form: ``(table, counts, starts, flat)`` where
-        ``table`` maps a key value to its group id and
+        For the Python backend: ``{key: [tids]}`` over the live tids, tids
+        ascending (the exact table the probe loop walks).  For the NumPy
+        backend the same grouping in CSR form: ``(table, counts, starts,
+        flat)`` where ``table`` maps a key value to its group id and
         ``flat[starts[g] : starts[g] + counts[g]]`` lists the group's tids
         in ascending order -- what the vectorized probe expands with
-        ``repeat``/``take``.
+        ``repeat``/``take``.  A key only dead rows carry has no group.
         """
         cache_key = (backend.name, positions)
         groups = self._hash_groups.get(cache_key)
@@ -269,6 +336,10 @@ class RelationIndex:
             groups = self._hash_groups_numpy(positions, backend)
         else:
             rows = self.rows
+            tids: Iterable[int] = range(len(rows))
+            if self.dead_count:
+                tids = self.live_tids(backend)
+                rows = [rows[tid] for tid in tids]
             if len(positions) == 1:
                 p = positions[0]
                 keys = (row[p] for row in rows)
@@ -276,7 +347,7 @@ class RelationIndex:
                 keys = (tuple(row[p] for p in positions) for row in rows)
             lists: Dict[object, List[int]] = {}
             setdefault = lists.setdefault
-            for tid, key in enumerate(keys):
+            for tid, key in zip(tids, keys):
                 setdefault(key, []).append(tid)
             groups = lists
         self._hash_groups[cache_key] = groups
@@ -285,15 +356,17 @@ class RelationIndex:
     def _hash_groups_numpy(self, positions: Tuple[int, ...], backend: Backend) -> tuple:
         """CSR hash groups derived from the attributes' value codes.
 
-        A group id is a key's rank by first occurrence -- exactly the
-        dict-of-lists order -- so one-attribute groups *are* the value codes
-        and the interning dict is the table.  Multi-attribute keys combine
-        their attributes' codes mixed-radix and rank the distinct words by
-        first occurrence; only distinct keys become Python tuples.  A stable
-        ``argsort`` of the group ids lists every group's tids ascending.
+        A group id is a key's rank by first live occurrence -- exactly the
+        dict-of-lists order -- so with every row live, one-attribute groups
+        *are* the value codes and the interning dict is the table.
+        Otherwise the attributes' codes (of the live tids) combine
+        mixed-radix and the distinct words are ranked by first occurrence;
+        only distinct keys become Python tuples.  A stable ``argsort`` of
+        the group ids lists every group's tids ascending.
         """
         np = backend.np
-        if len(positions) == 1:
+        members = self.live_tids(backend) if self.dead_count else None
+        if len(positions) == 1 and members is None:
             gids, table = self._interned_values(positions[0], backend)
         else:
             word = None
@@ -310,6 +383,8 @@ class RelationIndex:
                         word_range = int(word.max()) + 1
                     word = word * radix + codes
                 word_range *= radix
+            if members is not None:
+                word = word[members]
             _uniq, first_index, inverse = np.unique(
                 word, return_index=True, return_inverse=True
             )
@@ -317,12 +392,18 @@ class RelationIndex:
             rank = np.empty(first_index.size, dtype=np.int64)
             rank[group_order] = np.arange(first_index.size, dtype=np.int64)
             gids = rank[inverse.reshape(-1)]
-            firsts = first_index[group_order].tolist()
-            keys = map(itemgetter(*positions), map(self.rows.__getitem__, firsts))
-            table = dict(zip(keys, range(len(firsts))))
+            firsts = first_index[group_order]
+            if members is not None:
+                firsts = members[firsts]
+            keys = map(
+                itemgetter(*positions), map(self.rows.__getitem__, firsts.tolist())
+            )
+            table = dict(zip(keys, range(firsts.size)))
         counts = np.bincount(gids, minlength=len(table))
         starts = np.cumsum(counts) - counts
         flat = np.argsort(gids, kind="stable")
+        if members is not None:
+            flat = members[flat]
         return (table, counts, starts, flat)
 
     def __len__(self) -> int:
@@ -785,7 +866,7 @@ def join_columns(
             shared = [a for a in atom.attributes if a in bound]
             rows = rindex.rows
             needed = needed_after[step]
-            probed = len(rows) if count is None else count
+            probed = rindex.live_count if count is None else count
 
             if shared:
                 shared_positions = tuple(rel_position[a] for a in shared)
@@ -830,19 +911,18 @@ def join_columns(
                         [column[i] for i in selection] for column in ref_columns
                     ]
             elif count is None:
-                # First atom (or first of the whole join): every tuple starts a
-                # partial row.
-                tids = backend.id_range(len(rows))
+                # First atom (or first of the whole join): every live tuple
+                # starts a partial row.
+                tids = rindex.live_tids(backend)
             else:
                 # Disconnected component: cross product with the partials so far,
                 # partial-major: the witness order the row-at-a-time reference
                 # evaluator (the parity oracle) produces.
+                live = rindex.live_tids(backend)
                 if vector:
                     np = backend.np
-                    selection = np.repeat(
-                        np.arange(count, dtype=np.int64), len(rows)
-                    )
-                    tids = np.tile(np.arange(len(rows), dtype=np.int64), count)
+                    selection = np.repeat(np.arange(count, dtype=np.int64), len(live))
+                    tids = np.tile(live, count)
                     bound = {
                         a: column.take(selection)
                         for a, column in bound.items()
@@ -850,9 +930,8 @@ def join_columns(
                     }
                     ref_columns = [column.take(selection) for column in ref_columns]
                 else:
-                    tid_range = range(len(rows))
-                    selection = [i for i in range(count) for _ in tid_range]
-                    tids = [tid for _ in range(count) for tid in tid_range]
+                    selection = [i for i in range(count) for _ in live]
+                    tids = [tid for _ in range(count) for tid in live]
                     bound = {
                         a: [column[i] for i in selection]
                         for a, column in bound.items()
@@ -894,7 +973,7 @@ def join_columns(
                         )
                 step_span.set(
                     **join_step_record(
-                        step, atom.name, len(rows), probed, count, shared,
+                        step, atom.name, rindex.live_count, probed, count, shared,
                         bucket_sizes,
                     )
                 )

@@ -27,28 +27,28 @@ This is the engine behind the session what-if API:
   in-place deletion is a cache hit instead of a join.
 
 Insertions run the other way: :func:`delta_insert_result` appends the
-witnesses an insertion batch creates (``Session.apply_insertions``), and
-:func:`delta_insert_counts` counts them.
+witnesses an insertion batch creates (``Session.apply_insertions``).
 
 Every function here takes a ``QueryResult`` and works on its packed
 provenance; the two that build a new result wrap a new
 :class:`ColumnarProvenance` in ``QueryResult(provenance)``, so no
-witness->output column is ever copied out of the packed form.  The filtered
-result shares the (immutable) :class:`RelationIndex` interning tables with
-its parent: deleted tuples simply no longer appear in any ``tid`` column,
-which is exactly how the row semantics define them away.
+witness->output column is ever copied out of the packed form.  Deleted
+tuples simply no longer appear in any ``tid`` column, which is exactly how
+the row semantics define them away; a session mutation additionally
+rebases the result onto the successor :class:`RelationIndex` tables, whose
+live masks record the deletion, while a hypothetical (what-if) result
+keeps its parent's tables.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -244,16 +244,38 @@ def _compact_outputs(
     return output_rows, witness_outputs
 
 
+def _rebased(
+    provenance: ColumnarProvenance, indexes: List[RelationIndex]
+) -> QueryResult:
+    """The same packed columns (and postings) over successor tables."""
+    moved = ColumnarProvenance(
+        provenance.query,
+        provenance.atom_names,
+        indexes,
+        provenance.ref_columns,
+        provenance.witness_outputs,
+        provenance.output_rows,
+        provenance._output_index,
+        provenance.vacuum_refs,
+    )
+    moved._postings = list(provenance._postings)
+    return QueryResult(moved)
+
+
 def delta_filter_result(
     result: QueryResult,
     removed: Iterable[TupleRef],
+    tables: Optional[Mapping[str, RelationIndex]] = None,
 ) -> QueryResult:
     """The post-deletion :class:`QueryResult`, derived without re-joining.
 
     Semijoins the packed provenance against the complement of ``removed``:
     dead witnesses come from the postings index (``O(|dead|)``); survivors
     are gathered with an alive mask -- one C-speed compression per column.
-    The new provenance shares the parent's interning tables.
+    The new provenance indexes the successor interning tables ``tables``
+    (relation name -> table with the deleted rows' bits cleared, what
+    ``Session.apply_deletions`` publishes) and the parent's for every other
+    relation; a hypothetical deletion (``Session.what_if``) passes none.
 
     Equivalent to ``evaluate(result.query, database.without(removed))`` up to
     witness/output *order* (the fresh join iterates mutated hash sets); the
@@ -262,6 +284,10 @@ def delta_filter_result(
     """
     with span("engine.delta.filter") as sp:
         provenance = result.provenance
+        indexes = [
+            (tables or {}).get(name, index)
+            for name, index in zip(provenance.atom_names, provenance.indexes)
+        ]
         dead = _dead_witnesses(provenance, removed)
         if dead is None:
             # Vacuum deletion: the guard fails, every witness and output dies.
@@ -269,7 +295,7 @@ def delta_filter_result(
                 ColumnarProvenance(
                     provenance.query,
                     provenance.atom_names,
-                    provenance.indexes,
+                    indexes,
                     [[] for _ in provenance.atom_names],
                     [],
                     [],
@@ -279,8 +305,12 @@ def delta_filter_result(
             )
         elif len(dead) == 0:
             # Unknown or dangling refs only: every witness survives, and the
-            # result is reusable as-is (results are immutable by contract).
-            filtered = result
+            # result is reusable as-is (results are immutable by contract)
+            # unless its tables moved on.
+            if indexes == provenance.indexes:
+                filtered = result
+            else:
+                filtered = _rebased(provenance, indexes)
         else:
             witness_outputs = provenance.witness_outputs
             count = len(witness_outputs)
@@ -302,7 +332,7 @@ def delta_filter_result(
                 ColumnarProvenance(
                     provenance.query,
                     provenance.atom_names,
-                    provenance.indexes,
+                    indexes,
                     new_columns,
                     new_witness_outputs,
                     output_rows,
@@ -342,37 +372,22 @@ def delta_filter_result(
 # instead of being rebuilt (the append invariant the parity suite pins
 # down); the postings index of the grown result is rebuilt lazily.
 #
-# Liveness: interning tables are append-only and shared across deletions
-# (``delta_filter_result`` drops dead witnesses from the packed columns
-# but never from the indexes), so "interned" does not imply "stored".  The
-# optional ``row_live(relation, row)`` predicate tells the delta join which
-# interned rows are actually live *before* this insertion: dead rows are
-# never matched, and a batch row that is interned-but-dead is a
-# **resurrection** -- it re-enters as a delta row under its existing tid.
-# Without the predicate every interned row is assumed live (correct when no
-# deletion has been applied since the provenance was built).
-
-#: ``extend_index(parent)`` hook: lets ``Session.apply_insertions`` share one
-#: extended :class:`RelationIndex` per relation across every migrated cache
-#: entry (and seed it into the engine context's interners afterwards).
-ExtendIndex = Callable[[RelationIndex], RelationIndex]
-
-#: ``row_live(relation, row)`` -> is the interned row stored right now,
-#: *before* this insertion?  See the liveness note above.
-RowLive = Callable[[str, Row], bool]
+# Liveness lives in the tables: the successor table of a mutated relation
+# stores exactly ``E_q`` (its hash groups hold live tids only), and a batch
+# row interned-but-dead in the parent is a **resurrection** -- it re-enters
+# as a delta row under its existing tid.  ``O_q`` is ``E_q`` minus the
+# batch's tids, so no probe ever matches a deleted row.
 
 
 def _inserted_rows_by_position(
     provenance: ColumnarProvenance,
     inserted: Iterable[TupleRef],
-    row_live: Optional[RowLive],
 ) -> Dict[int, List[Row]]:
     """Genuinely new rows per atom position, deduplicated, arrival-ordered.
 
-    Rows already stored, repeated refs and refs for relations outside the
-    query's atoms contribute nothing.  "Stored" means interned *and* live:
-    with a ``row_live`` predicate, an interned-but-deleted row re-enters as
-    a resurrection delta row.
+    Rows live in the provenance's table, repeated refs and refs for
+    relations outside the query's atoms contribute nothing; an
+    interned-but-dead row re-enters as a resurrection delta row.
     """
     by_position: Dict[int, List[Row]] = {}
     seen: Set[Tuple[int, Row]] = set()
@@ -385,19 +400,17 @@ def _inserted_rows_by_position(
         if key in seen:
             continue
         seen.add(key)
-        if row in provenance.indexes[position].ids and (
-            row_live is None or row_live(ref.relation, row)
-        ):
+        index = provenance.indexes[position]
+        tid = index.ids.get(row)
+        if tid is not None and index.live[tid]:
             continue
         by_position.setdefault(position, []).append(row)
     return by_position
 
 
 def _discover_new_witnesses(
-    provenance: ColumnarProvenance,
     by_position: Dict[int, List[Row]],
     extended: List[RelationIndex],
-    row_live: Optional[RowLive],
 ) -> Tuple[List[List[int]], List[Dict[str, object]]]:
     """All witnesses that use at least one inserted tuple.
 
@@ -407,10 +420,8 @@ def _discover_new_witnesses(
     positions ascending, delta rows in arrival order, matching tids
     ascending.
     """
-    n = provenance.atom_count()
+    n = len(extended)
     backend = python_backend()
-    old_sizes = [len(provenance.indexes[a]) for a in range(n)]
-    names = [provenance.indexes[a].name for a in range(n)]
     # Batch tids per atom in the extended tables: appended rows *and*
     # resurrected old rows.  They seed the delta terms and must never be
     # matched by the old-rows-only probes (q > p).
@@ -421,12 +432,6 @@ def _discover_new_witnesses(
         delta_tids.append({ids[row] for row in rows})
     new_columns: List[List[int]] = [[] for _ in range(n)]
     assignments: List[Dict[str, object]] = []
-
-    def dead(q: int, tid: int, rows_q: Sequence[Row]) -> bool:
-        """Interned but deleted before this batch (and not in the batch)."""
-        if tid in delta_tids[q]:
-            return False
-        return row_live is not None and not row_live(names[q], rows_q[tid])
 
     for p in range(n):
         delta = by_position.get(p)
@@ -455,8 +460,7 @@ def _discover_new_witnesses(
             # Atoms before the seed see live + inserted rows, atoms after it
             # pre-insertion live rows only -- the telescoping split that
             # makes the union over seed positions exact.
-            after_seed = q > p
-            limit = old_sizes[q] if after_seed else None
+            skip: Set[int] = delta_tids[q] if q > p else set()
             attrs_q = index_q.attributes
             positions_q: Dict[str, int] = {}
             for position, attribute in enumerate(attrs_q):
@@ -480,11 +484,7 @@ def _discover_new_witnesses(
                     if not matches:
                         continue
                     for tid in matches:
-                        if limit is not None and tid >= limit:
-                            break  # bucket tids ascend: the rest are inserted
-                        if after_seed and tid in delta_tids[q]:
-                            continue  # resurrected batch row: delta, not old
-                        if dead(q, tid, rows_q):
+                        if tid in skip:
                             continue
                         if fresh:
                             row = rows_q[tid]
@@ -498,12 +498,8 @@ def _discover_new_witnesses(
                         next_partials.append((extended_assignment, new_tids))
             else:
                 # Disconnected step: cross product, partial-major.
-                count_q = len(index_q) if limit is None else limit
                 eligible = [
-                    tid
-                    for tid in range(count_q)
-                    if not (after_seed and tid in delta_tids[q])
-                    and not dead(q, tid, rows_q)
+                    tid for tid in index_q.live_tids(backend) if tid not in skip
                 ]
                 for assignment, tids in partials:
                     for tid in eligible:
@@ -523,72 +519,18 @@ def _discover_new_witnesses(
     return new_columns, assignments
 
 
-def _extended_indexes(
-    provenance: ColumnarProvenance,
-    by_position: Dict[int, List[Row]],
-    extend_index: Optional[ExtendIndex],
-) -> List[RelationIndex]:
-    """Per atom: the extended interning table, or the parent's unchanged."""
-    extended: List[RelationIndex] = []
-    for position, parent in enumerate(provenance.indexes):
-        rows = by_position.get(position)
-        if not rows:
-            extended.append(parent)
-        elif extend_index is not None:
-            extended.append(extend_index(parent))
-        else:
-            extended.append(RelationIndex.extended(parent, rows))
-    return extended
-
-
-def delta_insert_counts(
-    result: QueryResult,
-    inserted: Iterable[TupleRef],
-    *,
-    row_live: Optional[RowLive] = None,
-) -> Tuple[int, int]:
-    """``(witnesses added, outputs added)`` for a hypothetical insertion.
-
-    The counting version of the insert delta join, computed without
-    materializing the appended provenance.  Requires a vacuum-free query
-    (raises ``ValueError`` otherwise: vacuum guards do not support
-    incremental discovery -- re-evaluate instead).
-    """
-    provenance = result.provenance
-    if provenance.query.has_vacuum_relation:
-        raise ValueError(
-            "queries with vacuum atoms cannot be incrementally extended"
-        )
-    by_position = _inserted_rows_by_position(provenance, inserted, row_live)
-    if not by_position:
-        return (0, 0)
-    extended = _extended_indexes(provenance, by_position, None)
-    _, assignments = _discover_new_witnesses(
-        provenance, by_position, extended, row_live
-    )
-    if not assignments:
-        return (0, 0)
-    head = provenance.query.head
-    output_index = provenance.output_index
-    new_rows: Set[Row] = set()
-    for assignment in assignments:
-        row = tuple(assignment[a] for a in head)
-        if row not in output_index:
-            new_rows.add(row)
-    return (len(assignments), len(new_rows))
-
-
 def delta_insert_result(
     result: QueryResult,
     inserted: Iterable[TupleRef],
-    *,
-    extend_index: Optional[ExtendIndex] = None,
-    row_live: Optional[RowLive] = None,
+    tables: Optional[Mapping[str, RelationIndex]] = None,
 ) -> Optional[QueryResult]:
     """The post-insertion :class:`QueryResult`, derived without re-joining.
 
     Appends the witnesses created by ``inserted``: old witnesses stay
-    verbatim, new ones are appended and the interning tables extended.
+    verbatim, new ones are appended, and the result indexes the successor
+    interning tables -- ``tables`` (relation name -> extended table, what
+    ``Session.apply_insertions`` publishes) or, for a relation it lacks,
+    the parent table :meth:`~RelationIndex.extended` by the batch.
     Equivalent to a fresh evaluation on the grown database up to
     witness/output *order* (fresh joins walk mutated hash sets): witness
     sets, output sets and every provenance count are identical -- the
@@ -596,30 +538,35 @@ def delta_insert_result(
     object when no inserted row touches the query's atoms, and ``None``
     when the query has vacuum atoms -- inserting into an empty guard
     relation flips every potential witness at once, so the caller must
-    re-evaluate.  ``row_live`` supplies pre-insertion liveness when
-    deletions may have preceded this batch (see the liveness note above).
+    re-evaluate.
     """
     with span("engine.delta.insert") as sp:
         provenance = result.provenance
         if provenance.query.has_vacuum_relation:
             return None
         updated = result
-        by_position = _inserted_rows_by_position(provenance, inserted, row_live)
+        by_position = _inserted_rows_by_position(provenance, inserted)
         if by_position:
-            extended = _extended_indexes(provenance, by_position, extend_index)
-            new_columns, assignments = _discover_new_witnesses(
-                provenance, by_position, extended, row_live
-            )
-            ref_columns = provenance.ref_columns
-            witness_outputs = provenance.witness_outputs
-            output_rows = provenance.output_rows
-            output_index = provenance._output_index
-            if assignments:
+            extended = list(provenance.indexes)
+            for position, rows in by_position.items():
+                index = extended[position]
+                if tables and index.name in tables:
+                    extended[position] = tables[index.name]
+                else:
+                    extended[position] = index.extended(rows)
+            new_columns, assignments = _discover_new_witnesses(by_position, extended)
+            if not assignments:
+                # No new witnesses, but the interning tables still move on:
+                # later delta batches probe these indexes and must see
+                # today's rows.  The witness columns, and so their postings,
+                # are unchanged.
+                updated = _rebased(provenance, extended)
+            else:
                 # Factorize the new witnesses' outputs through the existing
                 # output table, appending only genuinely new output rows.
                 head = provenance.query.head
                 output_index = dict(provenance.output_index)
-                output_rows = list(output_rows)
+                output_rows = list(provenance.output_rows)
                 appended_outputs: List[int] = []
                 for assignment in assignments:
                     row = tuple(assignment[a] for a in head)
@@ -629,6 +576,8 @@ def delta_insert_result(
                         output_index[row] = out
                         output_rows.append(row)
                     appended_outputs.append(out)
+                ref_columns = provenance.ref_columns
+                witness_outputs = provenance.witness_outputs
                 if is_ndarray(ref_columns[0]):
                     np = backend_of_column(ref_columns[0]).np
                     ref_columns = [
@@ -645,23 +594,18 @@ def delta_insert_result(
                         for column, extra in zip(ref_columns, new_columns)
                     ]
                     witness_outputs = list(witness_outputs) + appended_outputs
-            grown = ColumnarProvenance(
-                provenance.query,
-                provenance.atom_names,
-                extended,
-                ref_columns,
-                witness_outputs,
-                output_rows,
-                output_index,
-                provenance.vacuum_refs,
-            )
-            if not assignments:
-                # No new witnesses, but the interning tables must still
-                # grow: later delta batches probe these indexes and must see
-                # today's rows.  The witness columns, and so their postings,
-                # are unchanged.
-                grown._postings = list(provenance._postings)
-            updated = QueryResult(grown)
+                updated = QueryResult(
+                    ColumnarProvenance(
+                        provenance.query,
+                        provenance.atom_names,
+                        extended,
+                        ref_columns,
+                        witness_outputs,
+                        output_rows,
+                        output_index,
+                        provenance.vacuum_refs,
+                    )
+                )
         if sp:
             sp.set(
                 op="delta.insert",
@@ -675,6 +619,5 @@ def delta_insert_result(
 __all__ = [
     "delta_counts",
     "delta_filter_result",
-    "delta_insert_counts",
     "delta_insert_result",
 ]

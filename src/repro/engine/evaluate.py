@@ -339,8 +339,8 @@ class EngineContext:
       and read by the session's solve paths),
     * the **interning tables**: one :class:`RelationIndex` per
       ``(relation, version)``, shared across every evaluation this context
-      runs, so repeated queries over the same relation do not re-intern its
-      tuples, and
+      runs (and by every cached result), so repeated queries over the same
+      relation do not re-intern its tuples, and
     * the **join counter** :attr:`evaluations`, bumped under the context
       lock so concurrent readers of one session count every join.
 
@@ -388,30 +388,37 @@ class EngineContext:
             self._interners = weakref.WeakKeyDictionary()
 
     def interned(self, relation: Relation) -> RelationIndex:
-        """A :class:`RelationIndex` for the relation's *current* version.
+        """The :class:`RelationIndex` for the relation's *current* version.
 
-        Cached per relation object; an in-place mutation bumps the relation's
-        version and transparently invalidates the stored index.  Guarded by
-        the context lock: concurrent threads share one interning pass.
+        Session mutations publish each successor table through
+        :meth:`seed_index`, so this interns from scratch only when the
+        relation was never interned here or its version moved outside the
+        session.  Guarded by the context lock: concurrent threads share one
+        interning pass.
         """
+        with self._lock:
+            index = self.current_index(relation)
+            if index is None:
+                index = RelationIndex(relation)
+                self.seed_index(relation, index)
+            return index
+
+    def current_index(self, relation: Relation) -> Optional[RelationIndex]:
+        """The table held for the relation's current version, if any."""
         with self._lock:
             entry = self._interners.get(relation)
             if entry is not None and entry[0] == relation.version:
                 return entry[1]
-            index = RelationIndex(relation)
-            try:
-                self._interners[relation] = (relation.version, index)
-            except TypeError:  # pragma: no cover - non-weakref-able relation stub
-                pass
-            return index
+            return None
 
     def seed_index(self, relation: Relation, index: RelationIndex) -> None:
-        """Install a prebuilt interning table for the relation's current version.
+        """Install ``index`` as the table of the relation's current version.
 
-        ``Session.apply_insertions`` extends the pre-mutation index with the
-        inserted rows (old tids preserved, new rows appended) and seeds the
-        extension here, so the first evaluation after an in-place insertion
-        reuses the grown table instead of re-interning the whole relation.
+        ``Session.apply_deletions``/``apply_insertions`` derive the next
+        table from the current one (bits cleared, rows appended or revived)
+        and publish it here, and recovery seeds the tables it rebuilt from
+        the snapshot, so a session holds one table per relation version and
+        later evaluations never re-intern a relation the session mutated.
         """
         with self._lock:
             try:

@@ -70,7 +70,7 @@ def _static_estimates(context, database, prepared) -> Dict[str, object]:
     for position, atom in enumerate(ordered):
         index = context.interned(database.relation(atom.name))
         indexes.append(index)
-        rows = len(index.rows)
+        rows = index.live_count
         shared = [a for a in atom.attributes if a in bound_attrs]
         distinct: Optional[int] = None
         if shared:

@@ -79,6 +79,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -101,7 +102,7 @@ from repro.core.decidability import is_poly_time
 from repro.core.singleton import is_singleton
 from repro.core.solution import ADPSolution
 from repro.data.database import Database
-from repro.data.relation import TupleRef
+from repro.data.relation import Row, TupleRef
 from repro.engine.cache import canonical_query_key
 from repro.engine.columnar import RelationIndex
 from repro.engine.delta import (
@@ -785,6 +786,46 @@ class Session:
                 entries[prepared] = WhatIfEntry(prepared, before, frozen)
         return WhatIfResult(frozen, entries)
 
+    def _mutate(
+        self,
+        rows_by_relation: Dict[str, List[Row]],
+        derive: Callable[[RelationIndex, List[Row]], RelationIndex],
+        mutate: Callable[[], int],
+        migrate: Callable[[QueryResult, Dict[str, RelationIndex]], Optional[QueryResult]],
+    ) -> Tuple[int, int]:
+        """Run one in-place mutation and carry the session's state across it.
+
+        Each mutated relation the context holds a table for gets its next
+        table, ``derive(current table, batch rows)``, published under the
+        relation's new version; every cached result of the old version is
+        ``migrate``-d onto those tables (``None`` drops it: the next
+        evaluate re-joins).  Returns ``(mutate()'s count, entries seen)``.
+        """
+        context = self._context
+        cache = context.cache
+        snapshot = cache.take_entries(self.database)
+        old_token = self.database.version_token()
+        tables: Dict[str, RelationIndex] = {}
+        for name, rows in rows_by_relation.items():
+            current = context.current_index(self.database.relation(name))
+            if current is not None:
+                tables[name] = derive(current, rows)
+        changed = mutate()
+        new_token = self.database.version_token()
+        if changed:
+            context.curves.drop(self.database)
+        for name, table in tables.items():
+            context.seed_index(self.database.relation(name), table)
+        for (query_key, token, backend_tag), result in snapshot.items():
+            if token != old_token:
+                continue  # already stale before the mutation
+            migrated = migrate(result, tables) if changed else result
+            if migrated is not None:
+                cache.store_raw(
+                    self.database, query_key, new_token, migrated, backend=backend_tag
+                )
+        return changed, len(snapshot)
+
     def apply_deletions(self, refs: Iterable[TupleRef]) -> int:
         """Delete ``refs`` from the bound database, migrating caches.
 
@@ -792,31 +833,28 @@ class Session:
         consumer sees the new state); cached evaluation results for the old
         version are not discarded but **delta-filtered** to the new version,
         so the next :meth:`evaluate`/:meth:`solve` per cached query is a
-        cache hit instead of a join.  Cached cost curves are dropped, never
-        migrated: greedy curves are not delta-maintainable.  Returns how many
-        referenced tuples were actually present.
+        cache hit instead of a join.  Each mutated relation's interning
+        table is succeeded by one with the deleted rows' bits cleared
+        (rows shared, nothing re-interned), which the migrated results and
+        later evaluations index.  Cached cost curves are dropped, never
+        migrated: greedy curves are not delta-maintainable.  Returns how
+        many referenced tuples were actually present.
         """
         self._check_open()
         ref_list = list(refs)
+        removed_rows: Dict[str, List[Row]] = {}
+        for ref in ref_list:
+            if ref.relation in self.database:
+                removed_rows.setdefault(ref.relation, []).append(tuple(ref.values))
         with span("session.apply_deletions") as dsp:
-            cache = self._context.cache
-            snapshot = cache.take_entries(self.database)
-            old_token = self.database.version_token()
-            removed = self.database.remove_tuples(ref_list)
-            new_token = self.database.version_token()
-            if removed:
-                self._context.curves.drop(self.database)
-            for (query_key, token, backend_tag), result in snapshot.items():
-                if token != old_token:
-                    continue  # already stale before the deletion
-                migrated = (
-                    result if removed == 0 else delta_filter_result(result, ref_list)
-                )
-                cache.store_raw(
-                    self.database, query_key, new_token, migrated, backend=backend_tag
-                )
+            removed, migrated = self._mutate(
+                removed_rows,
+                RelationIndex.without,
+                lambda: self.database.remove_tuples(ref_list),
+                lambda result, tables: delta_filter_result(result, ref_list, tables),
+            )
             if dsp:
-                dsp.set(refs=len(ref_list), removed=removed, migrated=len(snapshot))
+                dsp.set(refs=len(ref_list), removed=removed, migrated=migrated)
         self._count("deletions_applied", removed)
         return removed
 
@@ -828,9 +866,10 @@ class Session:
         version are **delta-extended** to the new version by the insert
         delta join -- only the new witnesses are discovered and appended --
         so the next :meth:`evaluate`/:meth:`solve` per cached query is a
-        cache hit instead of a join.  The pre-mutation interning tables are
-        extended (old tids preserved, new rows appended) and seeded back
-        into the engine context, so even uncached queries skip the
+        cache hit instead of a join.  Each mutated relation's interning
+        table is succeeded by its extension (old tids preserved, new rows
+        appended, deleted rows revived), which the migrated results and
+        later evaluations index, so even uncached queries skip the
         re-interning pass.  Cached cost curves are dropped, never migrated.
         References to unknown relations are ignored and
         duplicates are no-ops, mirroring :meth:`apply_deletions`; arity
@@ -840,7 +879,7 @@ class Session:
         self._check_open()
         # Normalize up front (before any state is touched): keep one ref per
         # genuinely new row of a stored relation, in arrival order.
-        fresh_rows: Dict[str, List[tuple]] = {}
+        fresh_rows: Dict[str, List[Row]] = {}
         seen: set = set()
         ref_list: List[TupleRef] = []
         for ref in refs:
@@ -861,70 +900,17 @@ class Session:
             ref_list.append(TupleRef(ref.relation, row))
 
         with span("session.apply_insertions") as isp:
-            context = self._context
-            cache = context.cache
-            snapshot = cache.take_entries(self.database)
-            old_token = self.database.version_token()
-
-            # One extended interning table per parent index, shared across
-            # every migrated cache entry and seeded into the context
-            # afterwards.
-            memo: Dict[int, Tuple[RelationIndex, RelationIndex]] = {}
-
-            def extend(parent: RelationIndex) -> RelationIndex:
-                entry = memo.get(id(parent))
-                if entry is None:
-                    entry = (
-                        parent,
-                        RelationIndex.extended(
-                            parent, fresh_rows.get(parent.name, ())
-                        ),
-                    )
-                    memo[id(parent)] = entry
-                return entry[1]
-
-            seeds = []
-            if fresh_rows:
-                for name in fresh_rows:
-                    relation = self.database.relation(name)
-                    seeds.append((relation, extend(context.interned(relation))))
-
-            added = self.database.insert_tuples(ref_list)
-            new_token = self.database.version_token()
-            if added:
-                context.curves.drop(self.database)
-            for relation, index in seeds:
-                context.seed_index(relation, index)
-
-            def row_live(name: str, row: tuple) -> bool:
-                # Pre-insertion liveness, answered post-mutation: live before
-                # the batch iff stored now and not part of the batch.  Interned
-                # rows deleted by an earlier apply_deletions fail this test, so
-                # the delta join never pairs new tuples with deleted ones (and
-                # re-inserting a deleted row counts as a resurrection).
-                return (
-                    (name, row) not in seen
-                    and row in self.database.relation(name)
-                )
-
-            for (query_key, token, backend_tag), result in snapshot.items():
-                if token != old_token:
-                    continue  # already stale before the insertion
-                if added == 0:
-                    migrated = result
-                else:
-                    migrated = delta_insert_result(
-                        result, ref_list, extend_index=extend, row_live=row_live
-                    )
-                    if migrated is None:
-                        # Vacuum query: not incrementally extendable -- drop
-                        # the entry, the next evaluate re-joins.
-                        continue
-                cache.store_raw(
-                    self.database, query_key, new_token, migrated, backend=backend_tag
-                )
+            # A vacuum query migrates to None (not incrementally
+            # extendable): its entry is dropped and the next evaluate
+            # re-joins.
+            added, migrated = self._mutate(
+                fresh_rows,
+                RelationIndex.extended,
+                lambda: self.database.insert_tuples(ref_list),
+                lambda result, tables: delta_insert_result(result, ref_list, tables),
+            )
             if isp:
-                isp.set(refs=len(ref_list), added=added, migrated=len(snapshot))
+                isp.set(refs=len(ref_list), added=added, migrated=migrated)
         self._count("insertions_applied", added)
         return added
 

@@ -99,15 +99,9 @@ class RelationSnapshot:
     version: int
     #: Every row ever interned, ``rows[tid]`` being tid's row.
     interned_rows: List[Row]
-    #: Tids whose rows were deleted from the live relation.
+    #: Tids whose rows were deleted from the live relation (the cleared
+    #: bits of the table's live mask).
     dead_tids: Tuple[int, ...] = ()
-
-    def live_rows(self) -> List[Row]:
-        """The live rows, in interned order."""
-        if not self.dead_tids:
-            return list(self.interned_rows)
-        dead = set(self.dead_tids)
-        return [row for tid, row in enumerate(self.interned_rows) if tid not in dead]
 
 
 @dataclasses.dataclass

@@ -23,8 +23,9 @@ The durability contract, end to end:
   covers; replay skips them.
 * **Recovery** (:meth:`DatabaseStore.load`) rebuilds the
   :class:`~repro.session.Session` byte-identically: relations are refilled
-  in interned order, the interning tables are reseeded into the engine
-  context (:meth:`~repro.engine.columnar.RelationIndex.from_rows`), cached
+  from the interning tables, which are rebuilt with their live masks and
+  reseeded into the engine context
+  (:meth:`~repro.engine.columnar.RelationIndex.from_rows`), cached
   packed provenance re-enters the evaluation cache under the restored
   version token, and the log suffix replays through the ordinary
   ``apply_insertions`` / ``apply_deletions`` delta machinery -- which also
@@ -41,6 +42,7 @@ from __future__ import annotations
 import shutil
 import threading
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -204,64 +206,32 @@ class DatabaseStore:
         """The durable image of a session's current state.
 
         Relations are captured through their interning tables (rows in
-        ``tid`` order plus dead tids), preferring the index objects the
-        cached provenance actually references so the persisted columns and
-        tables agree; cached results whose indexes disagree with the chosen
-        table (possible only after an unrelated re-interning) are skipped
-        rather than persisted inconsistently.
+        ``tid`` order plus the dead tids off the live mask).  Session
+        mutations keep one table per relation version, and every cached
+        result of the current version indexes exactly those tables, so the
+        persisted columns and tables agree by construction.
         """
         database = session.database
         context = session._context
         token = database.version_token()
-        kept: List[QueryResult] = []
-        seen_keys = set()
+        kept: Dict[object, QueryResult] = {}
         for (query_key, tok, _backend), result in context.cache.entries_snapshot(
             database
         ).items():
-            if tok != token:
-                continue
-            if query_key in seen_keys:
-                continue
-            seen_keys.add(query_key)
-            kept.append(result)
-        chosen: Dict[str, RelationIndex] = {}
-        for result in kept:
-            provenance = result.provenance
-            for rel_name, index in zip(provenance.atom_names, provenance.indexes):
-                chosen.setdefault(rel_name, index)
-        consistent = [
-            result
-            for result in kept
-            if all(
-                chosen[rel_name] is index
-                for rel_name, index in zip(
-                    result.provenance.atom_names, result.provenance.indexes
-                )
-            )
-        ]
+            if tok == token:
+                kept.setdefault(query_key, result)
         relations: List[RelationSnapshot] = []
         for rel_name in database.relation_names:
             relation = database.relation(rel_name)
-            index = chosen.get(rel_name)
-            if index is None:
-                index = context.interned(relation)
-            live = set(relation)
-            missing = [row for row in live if row not in index.ids]
-            if missing:
-                # A live row outside the chosen interning table can only
-                # happen when the table predates an out-of-session mutation;
-                # extend deterministically and drop the (now-inconsistent)
-                # cached results rather than persist mismatched columns.
-                missing.sort(key=repr)
-                index = RelationIndex.extended(index, missing)
-                consistent = []
-            rows = list(index.rows)
-            dead = tuple(
-                tid for tid, row in enumerate(rows) if row not in live
+            index = context.interned(relation)
+            dead = (
+                tuple(tid for tid, bit in enumerate(index.live) if not bit)
+                if index.dead_count
+                else ()
             )
             relations.append(
                 RelationSnapshot(
-                    rel_name, relation.attributes, relation.version, rows, dead
+                    rel_name, relation.attributes, relation.version, list(index.rows), dead
                 )
             )
         results = [
@@ -281,7 +251,7 @@ class DatabaseStore:
                 id_column_to_bytes(result.provenance.witness_outputs),
                 [tuple(row) for row in result.provenance.output_rows],
             )
-            for result in consistent
+            for result in kept.values()
         ]
         return relations, results
 
@@ -408,19 +378,23 @@ class DatabaseStore:
             database = Database()
             indexes: Dict[str, RelationIndex] = {}
             for rel_snap in payload.relations:
+                index = RelationIndex.from_rows(
+                    rel_snap.name,
+                    rel_snap.attributes,
+                    rel_snap.interned_rows,
+                    rel_snap.dead_tids,
+                )
                 relation = Relation(rel_snap.name, rel_snap.attributes)
-                # Bulk-load the live set: the decoded rows are already
-                # width-checked tuples (CRC-validated columns of the
+                # Bulk-load the live set off the table: the decoded rows are
+                # already width-checked tuples (CRC-validated columns of the
                 # relation's own arity), so the per-row insert() validation
                 # would only re-derive what the snapshot guarantees.
-                relation._rows.update(rel_snap.live_rows())
+                relation._rows.update(compress(index.rows, index.live))
                 # Restore the mutation counter so version_token() -- the
                 # evaluation-cache key -- matches the pre-crash value.
                 relation._version = rel_snap.version
                 database.add_relation(relation)
-                indexes[rel_snap.name] = RelationIndex.from_rows(
-                    rel_snap.name, rel_snap.attributes, rel_snap.interned_rows
-                )
+                indexes[rel_snap.name] = index
             session = Session(database, backend=backend)
             context = session._context
             for rel_name, index in indexes.items():

@@ -22,6 +22,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EXPECTED_BAD = {
     "engine/packing.py": ("REP001", 5),
     "engine/mutate.py": ("REP002", 4),
+    "engine/liveness.py": ("REP002", 3),
     "service/guarded.py": ("REP003", 3),
     "service/ordering.py": ("REP003", 1),
     "parallel/iterate.py": ("REP004", 4),

@@ -14,10 +14,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.relation import TupleRef
-from repro.engine.delta import (
-    delta_insert_counts,
-    delta_insert_result,
-)
+from repro.engine.delta import delta_insert_result
 from repro.engine.evaluate import evaluate_in_context
 from repro.query.parser import parse_query
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
@@ -109,17 +106,6 @@ def test_delta_insert_appends_old_state_verbatim(name, query, database):
         assert new_index.rows[: len(old_index)] == old_index.rows
 
 
-def test_delta_insert_counts_match_materialization():
-    name, query, database = INSTANCES[1]
-    base = evaluate_in_context(query, database)
-    refs = _insertion_batch(query, database, seed=5)
-    witnesses_added, outputs_added = delta_insert_counts(base, refs)
-    appended = delta_insert_result(base, refs)
-    assert witnesses_added == appended.witness_count() - base.witness_count()
-    assert outputs_added == appended.output_count() - base.output_count()
-    assert delta_insert_counts(base, []) == (0, 0)
-
-
 def test_delta_insert_irrelevant_returns_same_object():
     database = generate_tpch(total_tuples=60, seed=7)
     base = evaluate_in_context(Q1, database)
@@ -154,8 +140,6 @@ def test_delta_insert_vacuum_returns_none():
     )
     base = evaluate_in_context(query, database)
     assert delta_insert_result(base, [TupleRef("R1", (3,))]) is None
-    with pytest.raises(ValueError):
-        delta_insert_counts(base, [TupleRef("R1", (3,))])
 
 
 def test_delta_insert_migrated_postings_match_lazy_rebuild():

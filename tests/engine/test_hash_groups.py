@@ -32,7 +32,7 @@ def assert_csr_matches_python(index, positions):
     assert [repr(key) for key in table] == [repr(key) for key in expected]
     assert list(table.values()) == list(range(len(table)))
     assert len(counts) == len(starts) == len(table)
-    assert len(flat) == len(index)
+    assert len(flat) == index.live_count
     for key, gid in table.items():
         start, count = int(starts[gid]), int(counts[gid])
         assert flat[start : start + count].tolist() == expected[key]
@@ -78,6 +78,22 @@ class TestCsrHashGroups:
             index = mixed_index(rng, rng.randrange(0, 40), arity)
             for positions in ((0,), tuple(range(arity)), tuple(reversed(range(arity)))):
                 assert_csr_matches_python(index, positions)
+
+    def test_dead_tids_leave_the_groups(self):
+        """A ``without()`` successor groups its live tids only, on both
+        backends, with no empty group for a key only dead rows carry."""
+        rng = random.Random(repro_test_seed())
+        for _ in range(20):
+            arity = rng.choice((1, 2, 3))
+            base = mixed_index(rng, rng.randrange(1, 40), arity)
+            index = base.without(rng.sample(base.rows, rng.randrange(len(base.rows) + 1)))
+            live = [tid for tid in range(len(index)) if index.live[tid]]
+            assert index.live_count == len(live)
+            for positions in ((0,), tuple(range(arity))):
+                assert_csr_matches_python(index, positions)
+                groups = index.hash_groups(positions, resolve_backend("python"))
+                assert all(groups.values())
+                assert sorted(t for tids in groups.values() for t in tids) == live
 
     def test_value_codes_follow_first_occurrence(self):
         index = RelationIndex.from_rows(

@@ -15,10 +15,14 @@ from itertools import accumulate
 import pytest
 
 from repro.data.database import Database
+from repro.data.relation import TupleRef
 from repro.engine.backend import numpy_available
 from repro.obs.explain import EXPLAIN_VERSION, render_explain_text
+from repro.obs.stats import operator_records
+from repro.obs.trace import Tracer, use_tracer
 from repro.session import Session
-from repro.workloads.zipf import zipf_weights
+from repro.storage import DatabaseStore
+from repro.workloads.zipf import generate_zipf_path, zipf_weights
 
 QUERY = "Q(A, C) :- R(A, B), S(B, C)"
 
@@ -198,3 +202,49 @@ def test_zipf_plan_block_identical_across_backends():
             payload = session.explain(ZIPF_QUERY, analyze=False)
         snapshots.append(json.dumps(payload["plan"], sort_keys=True))
     assert snapshots[0] == snapshots[1]
+
+
+# --------------------------------------------------------------------------- #
+# Sizes count live rows: mutated and recovered sessions match a fresh one
+# --------------------------------------------------------------------------- #
+QH = "Qh(A) :- R1(A), R2(A, B), R3(B)"
+
+
+def _join_steps(session, query):
+    """The ``join.atom`` operator records of one (uncached) evaluation."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        session.evaluate(query)
+    return [r for r in operator_records(tracer) if r["op"] == "join.atom"]
+
+
+def test_mutated_and_recovered_sizes_match_a_fresh_session(tmp_path):
+    database = generate_zipf_path(r2_tuples=300, alpha=0.5, seed=3)
+    deleted = sorted(database.relation("R2").refs(), key=repr)[:40]
+    inserted = deleted[:10] + [
+        TupleRef("R2", ("a1", "b_new")),
+        TupleRef("R1", ("a_new",)),
+    ]
+    steps = {}
+    for backend in BACKENDS:
+        mutated = Session(database.copy(), backend=backend)
+        mutated.evaluate("Q6(A, B) :- R1(A), R2(A, B)")
+        mutated.apply_deletions(deleted)
+        mutated.apply_insertions(inserted)
+        store = DatabaseStore(tmp_path / backend)
+        store.initialize("db", mutated, 1)
+        recovered = store.load("db", backend=backend).session
+        fresh = Session(mutated.database.copy(), backend=backend)
+        plans = [
+            s.explain(QH, analyze=False)["plan"] for s in (mutated, recovered, fresh)
+        ]
+        assert plans[0] == plans[2] and plans[1] == plans[2]
+        steps[backend] = [_join_steps(s, QH) for s in (mutated, recovered, fresh)]
+        assert steps[backend][0] == steps[backend][2]
+        assert steps[backend][1] == steps[backend][2]
+        keyed = [r for r in steps[backend][0] if r["shared"]]
+        assert keyed and all(r["keys"]["total"] == r["build_rows"] for r in keyed)
+        for s in (mutated, recovered, fresh):
+            s.close()
+        store.close()
+    assert len({repr(records) for records in steps.values()}) == 1

@@ -30,6 +30,8 @@ import pytest
 from repro.core.singleton import singleton_relation
 from repro.data.relation import TupleRef
 from repro.engine.backend import numpy_available
+from repro.engine.columnar import RelationIndex
+from repro.query.cq import ConjunctiveQuery
 from repro.session import Session
 from repro.storage import DatabaseStore, OP_DELETE, OP_INSERT
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
@@ -195,6 +197,27 @@ def _solve_answers(session, query, total):
     return answers
 
 
+def _assert_matches_rebuild(session, mirror, query, backend, context):
+    """The incremental state of ``query`` equals a from-scratch rebuild."""
+    incremental = session.evaluate(query)
+    with Session(mirror.copy(), backend=backend) as oracle:
+        fresh = oracle.evaluate(query)
+        assert set(incremental.output_rows) == set(fresh.output_rows), context
+        assert _witness_refs(incremental) == _witness_refs(fresh), context
+        assert incremental.witness_count() == fresh.witness_count(), context
+        assert incremental.output_count() == fresh.output_count(), context
+        assert (
+            incremental.participating_refs() == fresh.participating_refs()
+        ), context
+        total = incremental.output_count()
+        assert _solver_objectives(session, query, total, SEED) == (
+            _solver_objectives(oracle, query, total, SEED)
+        ), context
+        assert _solve_answers(session, query, total) == (
+            _solve_answers(oracle, query, total)
+        ), context
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
 def test_interleaved_mutations_match_rebuild(name, query, database, backend):
@@ -208,26 +231,97 @@ def test_interleaved_mutations_match_rebuild(name, query, database, backend):
             assert changed == _apply(mirror, op, refs), (
                 f"seed={SEED} step={step}: {op} count diverged"
             )
-            incremental = session.evaluate(query)
-            with Session(mirror.copy(), backend=backend) as oracle:
-                fresh = oracle.evaluate(query)
-                context = f"seed={SEED} step={step} op={op} [{name}]"
-                assert set(incremental.output_rows) == set(fresh.output_rows), context
-                assert _witness_refs(incremental) == _witness_refs(fresh), context
-                assert incremental.witness_count() == fresh.witness_count(), context
-                assert incremental.output_count() == fresh.output_count(), context
-                assert (
-                    incremental.participating_refs() == fresh.participating_refs()
-                ), context
-                total = incremental.output_count()
-                assert _solver_objectives(session, query, total, SEED) == (
-                    _solver_objectives(oracle, query, total, SEED)
-                ), context
-                assert _solve_answers(session, query, total) == (
-                    _solve_answers(oracle, query, total)
-                ), context
+            _assert_matches_rebuild(
+                session, mirror, query, backend,
+                f"seed={SEED} step={step} op={op} [{name}]",
+            )
         # The incremental path genuinely rode the cache, not re-evaluation.
         assert session.stats.cache_hits >= len(trace)
+
+
+def _late_query(query):
+    """A query over the same relations that differs from ``query``: the
+    projection onto its first head attribute, else the full query, else
+    the boolean one."""
+    attributes = tuple(
+        dict.fromkeys(a for atom in query.atoms for a in atom.attributes)
+    )
+    if len(query.head) > 1:
+        head = query.head[:1]
+    elif set(query.head) != set(attributes):
+        head = attributes
+    else:
+        head = ()
+    return ConjunctiveQuery(head, query.atoms, name=f"{query.name}_late")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name,query,database", WORKLOADS, ids=IDS)
+def test_interleaving_continues_on_recovered_session(
+    tmp_path, name, query, database, backend
+):
+    """Crash and recover at one seeded step, then keep mutating.
+
+    At the crash step the session is snapshotted and reopened from disk, so
+    the rest of the trace runs on recovered interning tables -- dead rows
+    included.  A second query is first evaluated only after the crash: its
+    fresh join over the recovered tables must match the rebuild too.
+    """
+    trace = _mutation_trace(query, database, seed=SEED)
+    crash_at = random.Random(SEED ^ 0xC2A54).randrange(1, len(trace))
+    late = _late_query(query)
+    session = Session(database.copy(), backend=backend)
+    mirror = database.copy()
+    store = DatabaseStore(tmp_path)
+    try:
+        session.evaluate(query)
+        for step, (op, refs) in enumerate(trace):
+            context = f"seed={SEED} step={step} op={op} [{name}] crash_at={crash_at}"
+            if step == crash_at:
+                store.initialize("db", session, 1)
+                session.close()
+                store.close()
+                store = DatabaseStore(tmp_path)
+                session = store.load("db", backend=backend).session
+            assert _apply(session, op, refs) == _apply(mirror, op, refs), context
+            _assert_matches_rebuild(session, mirror, query, backend, context)
+            if step >= crash_at:
+                _assert_matches_rebuild(session, mirror, late, backend, context)
+    finally:
+        session.close()
+        store.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_delete_insert_then_new_query_interns_nothing(monkeypatch, backend):
+    """After a delete and an insert, a query the session never saw reuses
+    the mutated relation's successor table: no interning pass runs for it,
+    and every cached result indexes the context's current tables."""
+    database = generate_zipf_path(r2_tuples=200, alpha=0.8, seed=SEED)
+    rows = sorted(database.relation("R2").refs(), key=repr)
+    interned = []
+    original_init = RelationIndex.__init__
+
+    def counting_init(self, relation):
+        interned.append(relation.name)
+        original_init(self, relation)
+
+    with Session(database, backend=backend) as session:
+        session.evaluate(Q6)
+        monkeypatch.setattr(RelationIndex, "__init__", counting_init)
+        session.apply_deletions(rows[:20])
+        session.apply_insertions(
+            rows[:5] + [TupleRef("R2", (rows[0].values[0], "late"))]
+        )
+        session.evaluate(QPATH_EXP)
+        assert "R2" not in interned
+        context = session._context
+        entries = context.cache.entries_snapshot(database)
+        assert len(entries) == 2
+        for result in entries.values():
+            provenance = result.provenance
+            for name, index in zip(provenance.atom_names, provenance.indexes):
+                assert context.current_index(database.relation(name)) is index
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

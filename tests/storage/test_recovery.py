@@ -141,3 +141,89 @@ def test_log_failure_degrades_the_store(tmp_path, monkeypatch):
     assert recovered.version == 1
     assert not DatabaseStore(tmp_path).degraded
     recovered.session.close()
+
+
+# --------------------------------------------------------------------------- #
+# One table per relation: liveness survives compaction and a later flush
+# --------------------------------------------------------------------------- #
+Q6_TEXT = "Q6(A, B) :- R1(A), R2(A, B)"
+QH_TEXT = "Qh(A) :- R1(A), R2(A, B), R3(B)"
+
+
+def _zipf_db():
+    from repro.workloads.zipf import generate_zipf_path
+
+    return generate_zipf_path(r2_tuples=300, alpha=0.5, seed=3)
+
+
+def _answer(result):
+    return (
+        {w.refs for w in result.witnesses},
+        set(result.output_rows),
+        result.witness_count(),
+        result.output_count(),
+    )
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_uncached_query_after_compacted_deletion_sees_no_dead_rows(tmp_path, backend):
+    """Delete, compact, recover, then evaluate a query that was never cached:
+    the recovered tables keep the deleted rows interned but dead, and the
+    join must not match them."""
+    database = _zipf_db()
+    deleted = sorted(database.relation("R2").refs(), key=repr)[:40]
+    store = DatabaseStore(tmp_path, compact_after=1)
+    session = Session(database, backend=backend)
+    session.evaluate(Q6_TEXT)
+    store.initialize("db", session, 1)
+    assert session.apply_deletions(deleted) == 40
+    store.record_mutation("db", session, OP_DELETE, deleted, 2)  # compacts
+    assert store.compactions_total == 1
+    uninterrupted = _answer(session.evaluate(QH_TEXT))
+    store.close()
+    session.close()
+
+    store = DatabaseStore(tmp_path)
+    recovered = store.load("db", backend=backend)
+    assert recovered.replayed_records == 0
+    answer = _answer(recovered.session.evaluate(QH_TEXT))
+    with Session(recovered.database.copy(), backend=backend) as fresh:
+        assert answer == _answer(fresh.evaluate(QH_TEXT))
+    assert answer == uninterrupted
+    used = {ref for refs in answer[0] for ref in refs}
+    assert not used & set(deleted)
+    recovered.session.close()
+    store.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_flush_after_delete_insert_keeps_every_cached_result(tmp_path, backend):
+    """A query evaluated after a delete and an insert shares the tables the
+    migrated results index, so a flush persists both and reload is warm."""
+    database = _zipf_db()
+    deleted = sorted(database.relation("R2").refs(), key=repr)[:40]
+    inserted = deleted[:15] + [
+        TupleRef("R2", (ref.values[0], f"fresh{i}")) for i, ref in enumerate(deleted[15:25])
+    ]
+    store = DatabaseStore(tmp_path)
+    session = Session(database, backend=backend)
+    session.evaluate(Q6_TEXT)
+    store.initialize("db", session, 1)
+    session.apply_deletions(deleted)
+    session.apply_insertions(inserted)
+    answers = {text: _answer(session.evaluate(text)) for text in (Q6_TEXT, QH_TEXT)}
+    store.flush("db", session, 3)
+    store.close()
+    session.close()
+
+    store = DatabaseStore(tmp_path)
+    recovered = store.load("db", backend=backend)
+    for text in (Q6_TEXT, QH_TEXT):
+        before = recovered.session.stats
+        answer = _answer(recovered.session.evaluate(text))
+        after = recovered.session.stats
+        assert after.cache_hits == before.cache_hits + 1, text
+        assert after.joins == before.joins, text
+        assert answer == answers[text], text
+    recovered.session.close()
+    store.close()

@@ -1,7 +1,10 @@
 """Snapshot format: round-trips, atomicity and corruption detection."""
 
+from itertools import compress
+
 import pytest
 
+from repro.engine.columnar import RelationIndex
 from repro.storage import (
     InjectedCrash,
     RelationSnapshot,
@@ -58,7 +61,10 @@ def test_roundtrip(tmp_path):
     by_name = {rel.name: rel for rel in payload.relations}
     assert by_name["R1"].interned_rows == [(1, "x"), (2, "y"), (3, None)]
     assert by_name["R1"].dead_tids == (1,)
-    assert by_name["R1"].live_rows() == [(1, "x"), (3, None)]
+    table = RelationIndex.from_rows(
+        "R1", ("a", "b"), by_name["R1"].interned_rows, by_name["R1"].dead_tids
+    )
+    assert list(compress(table.rows, table.live)) == [(1, "x"), (3, None)]
     assert by_name["R1"].version == 7
     assert by_name["Ints"].interned_rows == [(10,), (20,), (30,)]
     assert by_name["Vacuum"].interned_rows == [()]
