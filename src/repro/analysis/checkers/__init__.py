@@ -15,7 +15,7 @@ Rule         Invariant
              acquisition graph is cycle-free.
 ``REP004``   Merge/packing paths never iterate sets (or set-derived dicts)
              whose order could differ across processes.
-``REP005``   Engine and parallel code is wall-clock- and module-RNG-free.
+``REP005``   Engine and storage code is wall-clock- and module-RNG-free.
 ===========  ==============================================================
 
 ``docs/INVARIANTS.md`` is the narrative catalog; this table is the code's

@@ -1,6 +1,6 @@
-"""REP005: engine/parallel/storage code is wall-clock- and module-RNG-free.
+"""REP005: engine/storage code is wall-clock- and module-RNG-free.
 
-Everything under ``engine/``, ``parallel/`` and ``storage/`` must be a
+Everything under ``engine/`` and ``storage/`` must be a
 deterministic function of its inputs: results are compared byte-for-byte
 across backends, incremental-mutation replays and crash-recovery
 replays, and the evaluation cache assumes a (query,
@@ -66,7 +66,7 @@ def _is_datetime_receiver(value: ast.expr) -> bool:
 
 class WallClockChecker(Checker):
     rule_id = "REP005"
-    title = "no wall clock / module-global RNG in engine or parallel code"
+    title = "no wall clock / module-global RNG in engine or storage code"
 
     def check_file(self, source: SourceFile, config: AnalysisConfig) -> Iterable[Finding]:
         relaxed = AnalysisConfig.path_matches(

@@ -175,7 +175,6 @@ class AnalysisConfig:
     set_attribute_names: Tuple[str, ...] = ("attribute_set",)
     #: REP004: packing paths where iteration order reaches results.
     determinism_paths: Tuple[str, ...] = (
-        "parallel/",
         "engine/columnar.py",
         "engine/delta.py",
         "engine/evaluate.py",
@@ -186,7 +185,7 @@ class AnalysisConfig:
     #: byte-identical sessions, so nothing on that path may read ambient
     #: state -- the one sanctioned wall-time site is the log-record
     #: timestamp in ``MutationLog.now()`` (suppressed in place).
-    wallclock_paths: Tuple[str, ...] = ("engine/", "parallel/", "storage/")
+    wallclock_paths: Tuple[str, ...] = ("engine/", "storage/")
     #: REP005 relaxed scope: monotonic clocks are the whole point of the
     #: tracing layer, but wall time (``time.time``, ``datetime.now``)
     #: stays banned so span offsets never depend on ambient state.

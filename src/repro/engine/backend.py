@@ -378,6 +378,45 @@ class CsrPostings:
         np.cumsum(counts, out=offsets[1:])
         return cls(np.argsort(column, kind="stable"), offsets)
 
+    def compressed(self, alive: Column) -> "CsrPostings":
+        """The postings of ``column[alive]``, derived without a sort.
+
+        ``alive`` is a boolean mask over the positions.  Survivors keep
+        their rows and relative order and are renumbered by their rank
+        among the survivors; a row's new offset is the survivor count
+        before its old one.
+        """
+        np = _np
+        order = self.order
+        kept = alive[order]
+        prefix = np.zeros(order.size + 1, dtype=np.int64)
+        np.cumsum(kept, out=prefix[1:])
+        rank = np.cumsum(alive) - 1
+        return CsrPostings(rank[order[kept]], prefix[self.offsets])
+
+    def appended(self, tids: Column) -> "CsrPostings":
+        """The postings of ``column + tids`` (positions appended at the end).
+
+        The appended positions are spliced in at the end of their rows --
+        only the batch is sorted -- and the offsets grow by the batch's
+        running per-row counts, past the old row range if a tid is new.
+        """
+        np = _np
+        order, offsets = self.order, self.offsets
+        tids = np.asarray(tids, dtype=np.int64)
+        rows = offsets.size - 1
+        if tids.size:
+            rows = max(rows, int(tids.max()) + 1)
+        grown = np.full(rows + 1, order.size, dtype=np.int64)
+        grown[: offsets.size] = offsets
+        by_tid = np.argsort(tids, kind="stable")
+        # Equal insertion indices keep the batch's (ascending) order.
+        new_order = np.insert(
+            order, grown[tids[by_tid] + 1], order.size + by_tid
+        )
+        grown[1:] += np.cumsum(np.bincount(tids, minlength=rows))
+        return CsrPostings(new_order, grown)
+
     def __getitem__(self, row: int) -> Column:
         """Row ``row``'s positions, unchecked (callers index valid rows)."""
         offsets = self.offsets

@@ -432,6 +432,9 @@ class ColumnarProvenance:
     vacuum_refs:
         References to the (empty) tuples of non-empty vacuum relations; by
         convention they participate in *every* witness.
+    postings:
+        Per atom, postings already derived for ``ref_columns`` (a migrated
+        result inherits its parent's); ``None`` slots are built lazily.
     """
 
     __slots__ = (
@@ -458,6 +461,7 @@ class ColumnarProvenance:
         output_rows: List[Row],
         output_index: Optional[Dict[Row, int]] = None,
         vacuum_refs: Tuple[TupleRef, ...] = (),
+        postings: Optional[Sequence[Optional[Postings]]] = None,
     ) -> None:
         self.query = query
         self.atom_names = atom_names
@@ -470,7 +474,9 @@ class ColumnarProvenance:
         self._atom_position: Dict[str, int] = {
             name: position for position, name in enumerate(atom_names)
         }
-        self._postings: List[Optional[Postings]] = [None] * len(atom_names)
+        self._postings: List[Optional[Postings]] = (
+            list(postings) if postings is not None else [None] * len(atom_names)
+        )
         #: Guards the lazy postings builds: concurrent ``what_if``/delta
         #: callers sharing one (immutable) provenance must not duplicate the
         #: O(witnesses) inversion scan or observe a half-built index.

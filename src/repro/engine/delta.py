@@ -11,8 +11,12 @@ proportional to the *dead* witnesses, not to the whole join -- rather than a
 re-intern + re-join of the whole database.  The postings are built lazily
 per result (on ndarray provenance as CSR,
 :class:`~repro.engine.backend.CsrPostings`: one stable argsort plus
-per-tid offsets) and rebuilt on every result whose witnesses changed
-instead of being carried across mutations.
+per-tid offsets) and, once built, carried across mutations: a filtered or
+grown result derives its parent's CSR in one sort-free pass
+(:meth:`~repro.engine.backend.CsrPostings.compressed` /
+:meth:`~repro.engine.backend.CsrPostings.appended`) instead of re-sorting
+its witnesses.  Dict postings (list provenance) stay lazy: carrying them
+would cost the same Python work as rebuilding them.
 
 This is the engine behind the session what-if API:
 
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 from itertools import compress
 from typing import (
+    Callable,
     Dict,
     Iterable,
     List,
@@ -59,6 +64,7 @@ from repro.data.relation import Row, TupleRef
 from repro.engine.backend import (
     Column,
     CsrPostings,
+    Postings,
     backend_of_column,
     is_ndarray,
     python_backend,
@@ -186,7 +192,9 @@ def _delta_counts_body(
     alive = _alive_mask(provenance, dead)
     if is_ndarray(provenance.witness_outputs):
         np = backend_of_column(provenance.witness_outputs).np
-        surviving_count = np.unique(provenance.witness_outputs[alive]).size
+        surviving_count = np.count_nonzero(
+            np.bincount(provenance.witness_outputs[alive], minlength=output_count)
+        )
         return (len(dead), output_count - int(surviving_count))
     surviving = set(compress(provenance.witness_outputs, alive))
     return (len(dead), output_count - len(surviving))
@@ -194,72 +202,92 @@ def _delta_counts_body(
 
 def _compact_outputs(
     old_output_rows: List[Row],
-    surviving_outputs: Column,
-    witness_count: int,
+    witness_outputs: Column,
+    alive: Union[bytearray, Column],
 ) -> Tuple[List[Row], Column]:
-    """Relabel surviving old output indices into a dense range.
+    """The output table of the witnesses ``alive`` keeps, densely relabelled.
 
     Returns ``(output_rows, witness_outputs)``, the packed column in the
-    input's representation; survivors keep their original relative order,
-    so filtered results stay deterministic.  The reverse ``output_index`` is
-    *not* built here -- the provenance derives it lazily, and most
+    input's representation.  Output ids are numbered by first witness
+    occurrence -- a fresh factorization numbers them so, filtering keeps
+    witness order and insertion appends -- and the relabelling keeps that
+    numbering: survivors are ranked by their first *surviving* witness,
+    so filtered results stay deterministic.  The reverse ``output_index``
+    is *not* built here -- the provenance derives it lazily, and most
     incremental consumers never ask for it.
     """
-    if is_ndarray(surviving_outputs):
-        np = backend_of_column(surviving_outputs).np
-        if len(old_output_rows) == witness_count:
-            output_rows = list(
-                map(old_output_rows.__getitem__, surviving_outputs.tolist())
-            )
+    if len(old_output_rows) == len(witness_outputs):
+        # Bijection (no projection sharing): first-occurrence numbering
+        # makes witness w produce output w, so the surviving rows are one
+        # compression and the witness->output column is the identity.
+        if is_ndarray(witness_outputs):
+            np = backend_of_column(witness_outputs).np
+            output_rows = list(compress(old_output_rows, alive.tobytes()))
             return output_rows, np.arange(len(output_rows), dtype=np.int64)
-        # Vectorized relabel: unique surviving old ids, ranked by first
-        # witness occurrence -- O(distinct outputs) Python work only.
-        uniq, first_index, inverse = np.unique(
-            surviving_outputs, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first_index, kind="stable")
-        output_rows = [old_output_rows[i] for i in uniq[order].tolist()]
-        lookup = np.empty(uniq.size, dtype=np.int64)
-        lookup[order] = np.arange(uniq.size, dtype=np.int64)
-        return output_rows, lookup[inverse]
-    if len(old_output_rows) == witness_count:
-        # Bijection fast path (no projection sharing): every surviving
-        # witness keeps its own distinct output, so the relabeling is just a
-        # gather plus an identity witness->output column.
-        output_rows = list(map(old_output_rows.__getitem__, surviving_outputs))
+        output_rows = list(compress(old_output_rows, alive))
         return output_rows, list(range(len(output_rows)))
+    if is_ndarray(witness_outputs):
+        np = backend_of_column(witness_outputs).np
+        surviving = witness_outputs[alive]
+        # Sort-free relabel: the kept old ids, in the order of their first
+        # surviving witness (a scatter-min of positions marks it).
+        positions = np.arange(surviving.size, dtype=np.int64)
+        first = np.full(len(old_output_rows), surviving.size, dtype=np.int64)
+        np.minimum.at(first, surviving, positions)
+        kept = surviving[first[surviving] == positions]
+        lookup = np.empty(len(old_output_rows), dtype=np.int64)
+        lookup[kept] = np.arange(kept.size, dtype=np.int64)
+        output_rows = list(map(old_output_rows.__getitem__, kept.tolist()))
+        return output_rows, lookup[surviving]
 
     remap: dict = {}
     output_rows = []
-    witness_outputs: List[int] = []
+    new_outputs: List[int] = []
     append_row = output_rows.append
-    append_out = witness_outputs.append
-    for old in surviving_outputs:
+    append_out = new_outputs.append
+    for old in compress(witness_outputs, alive):
         new = remap.get(old)
         if new is None:
             new = len(remap)
             remap[old] = new
             append_row(old_output_rows[old])
         append_out(new)
-    return output_rows, witness_outputs
+    return output_rows, new_outputs
+
+
+def _carried_postings(
+    provenance: ColumnarProvenance,
+    derive: Callable[[int, CsrPostings], CsrPostings],
+) -> List[Optional[Postings]]:
+    """A successor's postings: ``derive(atom, csr)`` of every built CSR.
+
+    Unbuilt slots stay lazy, and so do dict postings (list provenance):
+    deriving a dict costs the same per-witness Python work as rebuilding
+    it on first use.
+    """
+    return [
+        derive(position, postings) if isinstance(postings, CsrPostings) else None
+        for position, postings in enumerate(provenance._postings)
+    ]
 
 
 def _rebased(
     provenance: ColumnarProvenance, indexes: List[RelationIndex]
 ) -> QueryResult:
     """The same packed columns (and postings) over successor tables."""
-    moved = ColumnarProvenance(
-        provenance.query,
-        provenance.atom_names,
-        indexes,
-        provenance.ref_columns,
-        provenance.witness_outputs,
-        provenance.output_rows,
-        provenance._output_index,
-        provenance.vacuum_refs,
+    return QueryResult(
+        ColumnarProvenance(
+            provenance.query,
+            provenance.atom_names,
+            indexes,
+            provenance.ref_columns,
+            provenance.witness_outputs,
+            provenance.output_rows,
+            provenance._output_index,
+            provenance.vacuum_refs,
+            provenance._postings,
+        )
     )
-    moved._postings = list(provenance._postings)
-    return QueryResult(moved)
 
 
 def delta_filter_result(
@@ -312,21 +340,17 @@ def delta_filter_result(
             else:
                 filtered = _rebased(provenance, indexes)
         else:
-            witness_outputs = provenance.witness_outputs
-            count = len(witness_outputs)
             alive = _alive_mask(provenance, dead)
             if is_ndarray(provenance.ref_columns[0]):
                 # Boolean-mask semijoin: one C-speed compression per column.
                 new_columns = [column[alive] for column in provenance.ref_columns]
-                surviving = witness_outputs[alive]
             else:
                 new_columns = [
                     list(compress(column, alive))
                     for column in provenance.ref_columns
                 ]
-                surviving = list(compress(witness_outputs, alive))
             output_rows, new_witness_outputs = _compact_outputs(
-                provenance.output_rows, surviving, count
+                provenance.output_rows, provenance.witness_outputs, alive
             )
             filtered = QueryResult(
                 ColumnarProvenance(
@@ -338,6 +362,9 @@ def delta_filter_result(
                     output_rows,
                     None,
                     provenance.vacuum_refs,
+                    _carried_postings(
+                        provenance, lambda _atom, csr: csr.compressed(alive)
+                    ),
                 )
             )
         if sp:
@@ -370,7 +397,9 @@ def delta_filter_result(
 # *appended*: old tids, witness positions and output ids all keep their
 # meaning, so the packed columns and the output table extend in place
 # instead of being rebuilt (the append invariant the parity suite pins
-# down); the postings index of the grown result is rebuilt lazily.
+# down).  The grown result inherits every CSR postings index its parent
+# had built, with the new positions spliced in; a full CQ also skips the
+# output index, since each new witness brings its own new output row.
 #
 # Liveness lives in the tables: the successor table of a mutated relation
 # stores exactly ``E_q`` (its hash groups hold live tids only), and a batch
@@ -562,32 +591,52 @@ def delta_insert_result(
                 # are unchanged.
                 updated = _rebased(provenance, extended)
             else:
-                # Factorize the new witnesses' outputs through the existing
-                # output table, appending only genuinely new output rows.
-                head = provenance.query.head
-                output_index = dict(provenance.output_index)
+                query = provenance.query
                 output_rows = list(provenance.output_rows)
+                output_index: Optional[Dict[Row, int]] = None
                 appended_outputs: List[int] = []
-                for assignment in assignments:
-                    row = tuple(assignment[a] for a in head)
-                    out = output_index.get(row)
-                    if out is None:
-                        out = len(output_rows)
-                        output_index[row] = out
-                        output_rows.append(row)
-                    appended_outputs.append(out)
+                if query.is_full and query.head:
+                    # A new witness uses a tuple no live witness uses, and a
+                    # full CQ's output row determines its witness: every new
+                    # witness brings a new output row, no lookup needed.
+                    appended_outputs = list(
+                        range(len(output_rows), len(output_rows) + len(assignments))
+                    )
+                    output_rows.extend(
+                        tuple(assignment[a] for a in query.head)
+                        for assignment in assignments
+                    )
+                else:
+                    # Factorize the new witnesses' outputs through the
+                    # existing output table, appending only new rows.
+                    output_index = dict(provenance.output_index)
+                    for assignment in assignments:
+                        row = tuple(assignment[a] for a in query.head)
+                        out = output_index.get(row)
+                        if out is None:
+                            out = len(output_rows)
+                            output_index[row] = out
+                            output_rows.append(row)
+                        appended_outputs.append(out)
                 ref_columns = provenance.ref_columns
                 witness_outputs = provenance.witness_outputs
+                postings: Optional[List[Optional[Postings]]] = None
                 if is_ndarray(ref_columns[0]):
                     np = backend_of_column(ref_columns[0]).np
+                    extras = [
+                        np.asarray(extra, dtype=np.int64) for extra in new_columns
+                    ]
                     ref_columns = [
-                        np.concatenate([column, np.asarray(extra, dtype=np.int64)])
-                        for column, extra in zip(ref_columns, new_columns)
+                        np.concatenate([column, extra])
+                        for column, extra in zip(ref_columns, extras)
                     ]
                     witness_outputs = np.concatenate([
                         witness_outputs,
                         np.asarray(appended_outputs, dtype=np.int64),
                     ])
+                    postings = _carried_postings(
+                        provenance, lambda atom, csr: csr.appended(extras[atom])
+                    )
                 else:
                     ref_columns = [
                         list(column) + extra
@@ -596,7 +645,7 @@ def delta_insert_result(
                     witness_outputs = list(witness_outputs) + appended_outputs
                 updated = QueryResult(
                     ColumnarProvenance(
-                        provenance.query,
+                        query,
                         provenance.atom_names,
                         extended,
                         ref_columns,
@@ -604,6 +653,7 @@ def delta_insert_result(
                         output_rows,
                         output_index,
                         provenance.vacuum_refs,
+                        postings,
                     )
                 )
         if sp:

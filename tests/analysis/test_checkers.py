@@ -2,7 +2,7 @@
 stays quiet on the good tree.
 
 The fixture trees under ``fixtures/bad`` and ``fixtures/good`` mirror the
-package layout (``engine/``, ``parallel/``, ``service/``) so the default
+package layout (``engine/``, ``obs/``, ``service/``) so the default
 :class:`~repro.analysis.framework.AnalysisConfig` path scoping applies
 verbatim.  Fixtures are parsed by the checkers, never imported.
 """
@@ -25,7 +25,7 @@ EXPECTED_BAD = {
     "engine/liveness.py": ("REP002", 3),
     "service/guarded.py": ("REP003", 3),
     "service/ordering.py": ("REP003", 1),
-    "parallel/iterate.py": ("REP004", 4),
+    "engine/provenance.py": ("REP004", 4),
     "engine/clock.py": ("REP005", 4),
     "obs/relaxed.py": ("REP005", 2),
     "hygiene.py": ("REP000", 2),

@@ -121,6 +121,39 @@ id_columns = st.integers(min_value=1, max_value=12).flatmap(
 )
 
 
+def _assert_postings_answer(np_postings, values, probes):
+    """``np_postings`` answers exactly like the dict of lists over
+    ``values`` -- and like a fresh ``from_column`` of them."""
+    py_postings = group_positions(values)
+    fresh = group_positions(resolve_backend("numpy").id_column(values))
+    assert len(np_postings) == len(py_postings) == len(fresh)
+    np_items = list(np_postings.items())
+    # Ascending key iteration, ascending positions per key.
+    assert [key for key, _ in np_items] == sorted(py_postings)
+    assert all(type(key) is int for key, _ in np_items)
+    assert [
+        (key, as_id_list(positions)) for key, positions in np_items
+    ] == [(key, as_id_list(positions)) for key, positions in fresh.items()]
+    for key, positions in np_items:
+        assert as_id_list(positions) == py_postings[key]
+        assert py_postings[key] == sorted(py_postings[key])
+    # Every tid of the table and beyond it (absent, negative, out of range).
+    top = max(values, default=0)
+    for tid in range(-2, top + 4):
+        expected = py_postings.get(tid)
+        got = np_postings.get(tid)
+        if expected is None:
+            assert got is None
+            assert fresh.get(tid) is None
+        else:
+            assert as_id_list(got) == expected
+    gathered = np_postings.gather(probes)
+    assert as_id_list(gathered) == [
+        position for tid in probes for position in py_postings.get(tid, [])
+    ]
+    assert as_id_list(gathered) == as_id_list(fresh.gather(probes))
+
+
 @requires_numpy
 @settings(max_examples=150, deadline=None)
 @given(
@@ -130,32 +163,39 @@ id_columns = st.integers(min_value=1, max_value=12).flatmap(
         st.integers(min_value=0, max_value=5).map(lambda v: (v + 1, [v] * 7)),
     ),
     probes=st.lists(st.integers(min_value=-3, max_value=20), max_size=8),
+    data=st.data(),
 )
-def test_group_positions_parity(case, probes):
-    """CSR postings (numpy) answer exactly like the dict of lists (python)."""
+def test_group_positions_parity(case, probes, data):
+    """CSR postings (numpy) answer exactly like the dict of lists (python),
+    and so do the two sort-free derivations of a built CSR: a filter
+    (``compressed``) and an append (``appended``)."""
     size, values = case
-    py_postings = group_positions(values)
     np_postings = group_positions(resolve_backend("numpy").id_column(values))
-    assert len(np_postings) == len(py_postings)
-    np_items = list(np_postings.items())
-    # Ascending key iteration, ascending positions per key.
-    assert [key for key, _ in np_items] == sorted(py_postings)
-    assert all(type(key) is int for key, _ in np_items)
-    for key, positions in np_items:
-        assert as_id_list(positions) == py_postings[key]
-        assert py_postings[key] == sorted(py_postings[key])
-    # Every tid of the table and beyond it (absent, negative, out of range).
-    for tid in range(-2, size + 3):
-        expected = py_postings.get(tid)
-        got = np_postings.get(tid)
-        if expected is None:
-            assert got is None
-        else:
-            assert as_id_list(got) == expected
-    gathered = np_postings.gather(probes)
-    assert as_id_list(gathered) == [
-        position for tid in probes for position in py_postings.get(tid, [])
-    ]
+    _assert_postings_answer(np_postings, values, probes)
+
+    # Filter: any mask, plus the all-dead and none-dead extremes.
+    alive = data.draw(
+        st.one_of(
+            st.lists(st.booleans(), min_size=len(values), max_size=len(values)),
+            st.just([False] * len(values)),
+            st.just([True] * len(values)),
+        ),
+        label="alive",
+    )
+    survivors = [tid for tid, keep in zip(values, alive) if keep]
+    compressed = np_postings.compressed(numpy.array(alive, dtype=bool))
+    _assert_postings_answer(compressed, survivors, probes)
+
+    # Append: duplicate batch tids and tids past the old maximum included.
+    batch = data.draw(
+        st.lists(st.integers(min_value=0, max_value=size + 3), max_size=12),
+        label="batch",
+    )
+    appended = np_postings.appended(resolve_backend("numpy").id_column(batch))
+    _assert_postings_answer(appended, values + batch, probes)
+    # Derivations compose (a migrated result is filtered, then grown).
+    regrown = compressed.appended(resolve_backend("numpy").id_column(batch))
+    _assert_postings_answer(regrown, survivors + batch, probes)
 
 
 @requires_numpy

@@ -6,16 +6,27 @@ set, same provenance answers -- only the (irrelevant) iteration order may
 differ, because fresh joins walk mutated hash sets.
 """
 
+import random
+
 import pytest
 
 from repro.data.database import Database
 from repro.data.relation import TupleRef
-from repro.engine.delta import delta_filter_result
+from repro.engine.backend import as_id_list, numpy_available, resolve_backend
+from repro.engine.delta import _compact_outputs, delta_filter_result
 from repro.engine.evaluate import evaluate_in_context
+from repro.obs.trace import Tracer, use_tracer
 from repro.query.parser import parse_query
+from repro.session import Session
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
+
+from tests.conftest import repro_test_seed
+
+requires_numpy = pytest.mark.skipif(
+    not numpy_available(), reason="numpy not installed"
+)
 
 
 def _witness_set(result):
@@ -101,4 +112,132 @@ def test_delta_filter_shares_interning_tables():
     assert filtered.provenance.indexes is base.provenance.indexes or all(
         f is b
         for f, b in zip(filtered.provenance.indexes, base.provenance.indexes)
+    )
+
+
+def _first_occurrence_outputs(rng, witnesses, outputs):
+    """A witness->output column over ``outputs`` ids, numbered by first
+    witness occurrence, with the witnesses of one output interleaved."""
+    raw = [rng.randrange(outputs) for _ in range(witnesses)]
+    numbering = {}
+    return [numbering.setdefault(value, len(numbering)) for value in raw]
+
+
+def _reference_compaction(rows, witness_outputs, alive):
+    """Survivors ranked by their first surviving witness."""
+    surviving = [out for out, keep in zip(witness_outputs, alive) if keep]
+    kept = list(dict.fromkeys(surviving))
+    rank = {old: new for new, old in enumerate(kept)}
+    return [rows[old] for old in kept], [rank[old] for old in surviving]
+
+
+def test_compact_outputs_keeps_first_occurrence_numbering():
+    """Filtering can reorder first occurrences (the first witness of an
+    output may die while a later one survives): the relabelled outputs
+    follow the first *surviving* witness on both backends, bijections
+    included."""
+    rng = random.Random(repro_test_seed() ^ 0xC0FFEE)
+    numpy_backend = resolve_backend("numpy") if numpy_available() else None
+    for trial in range(60):
+        witnesses = rng.randrange(40)
+        if trial % 4 == 0:
+            witness_outputs = list(range(witnesses))  # a bijection
+        else:
+            witness_outputs = _first_occurrence_outputs(
+                rng, witnesses, rng.randrange(1, 12)
+            )
+        rows = [("o", i) for i in range(max(witness_outputs, default=-1) + 1)]
+        alive = [rng.random() < 0.6 for _ in range(witnesses)]
+        if trial % 5 == 1:
+            alive = [False] * witnesses
+        expected = _reference_compaction(rows, witness_outputs, alive)
+        python = _compact_outputs(rows, witness_outputs, bytearray(alive))
+        assert (python[0], list(python[1])) == expected, (trial, witness_outputs, alive)
+        if numpy_backend is not None:
+            np = numpy_backend.np
+            packed = _compact_outputs(
+                rows,
+                numpy_backend.id_column(witness_outputs),
+                np.array(alive, dtype=bool),
+            )
+            assert (packed[0], as_id_list(packed[1])) == expected, trial
+
+
+def test_compact_outputs_reorders_interleaved_survivors():
+    rows = [("x",), ("y",)]
+    # Output 0's first witness dies, output 1's survives: 1 is now first.
+    python = _compact_outputs(rows, [0, 1, 0], bytearray([0, 1, 1]))
+    assert python == ([("y",), ("x",)], [0, 1])
+    if numpy_available():
+        numpy_backend = resolve_backend("numpy")
+        packed = _compact_outputs(
+            rows,
+            numpy_backend.id_column([0, 1, 0]),
+            numpy_backend.np.array([False, True, True]),
+        )
+        assert (packed[0], as_id_list(packed[1])) == python
+
+
+HARD_QUERY = parse_query("Qh(A) :- R1(A), R2(A, B), R3(B)")
+
+
+def _postings_spans(tracer):
+    """How many ``engine.provenance.postings`` spans the tracer recorded."""
+    pending = list(tracer.roots)
+    count = 0
+    while pending:
+        node = pending.pop()
+        count += node.name == "engine.provenance.postings"
+        pending.extend(node.children)
+    return count
+
+
+@requires_numpy
+def test_steady_htap_round_builds_no_postings():
+    """Once a round has built the CSR postings, later rounds carry them.
+
+    Insert, delete and what-if migrate Q6 and Qh without re-sorting a
+    witness column, and the full CQ Q6 never builds an output index.
+    """
+    database = generate_zipf_path(r2_tuples=3000, alpha=1.1, seed=5)
+    rng = random.Random(repro_test_seed())
+    a_values = sorted(row[0] for row in database.relation("R1").rows)
+    b_values = sorted(row[0] for row in database.relation("R3").rows)
+
+    def fresh_edges(count):
+        stored = database.relation("R2").rows
+        edges = []
+        while len(edges) < count:
+            edge = (rng.choice(a_values), rng.choice(b_values))
+            if edge not in stored and edge not in edges:
+                edges.append(edge)
+        return [TupleRef("R2", edge) for edge in edges]
+
+    def round_trip(session):
+        session.apply_insertions(fresh_edges(60))
+        stored = sorted(database.relation("R2").rows)
+        session.apply_deletions(
+            [TupleRef("R2", edge) for edge in rng.sample(stored, 30)]
+        )
+        probe = [TupleRef("R2", edge) for edge in rng.sample(stored, 12)]
+        entry = session.what_if(probe, HARD_QUERY).single
+        session.solve(Q6, 5)
+        return entry
+
+    with Session(database, backend="numpy") as session:
+        session.evaluate(Q6)
+        session.evaluate(HARD_QUERY)
+        round_trip(session)  # warm: builds each result's R2 postings once
+        assert session.evaluate(Q6).provenance._output_index is None
+        tracer = Tracer()
+        with use_tracer(tracer):
+            session.apply_insertions(fresh_edges(60))
+            assert session.evaluate(Q6).provenance._output_index is None
+            entry = round_trip(session)
+        assert _postings_spans(tracer) == 0
+        assert session.evaluate(Q6).provenance._output_index is None
+    with Session(database.copy(), backend="numpy") as fresh:
+        expected = fresh.what_if(entry.refs, HARD_QUERY).single
+    assert (entry.witnesses_removed, entry.outputs_removed) == (
+        expected.witnesses_removed, expected.outputs_removed
     )

@@ -14,6 +14,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.relation import TupleRef
+from repro.engine.backend import numpy_available
 from repro.engine.delta import delta_insert_result
 from repro.engine.evaluate import evaluate_in_context
 from repro.query.parser import parse_query
@@ -145,8 +146,9 @@ def test_delta_insert_vacuum_returns_none():
 def test_delta_insert_migrated_postings_match_lazy_rebuild():
     name, query, database = INSTANCES[1]
     base = evaluate_in_context(query, database)
-    # Build the parent's postings first: the grown result must not inherit
-    # them (its witness positions grew), it rebuilds its own lazily.
+    # Build the parent's postings first: on ndarray provenance the grown
+    # result inherits them with its appended positions spliced in (dict
+    # postings are rebuilt lazily); either way they must match a fresh join.
     for position in range(base.provenance.atom_count()):
         base.provenance.postings_for_atom(position)
     refs = _insertion_batch(query, database, seed=7)
@@ -227,3 +229,49 @@ def test_delta_insert_repeated_batches_compose():
     assert set(step.output_rows) == set(fresh.output_rows)
     assert _witness_set(step) == _witness_set(fresh)
     assert step.witness_count() == fresh.witness_count()
+
+
+@pytest.mark.parametrize(
+    "backend", ["python"] + (["numpy"] if numpy_available() else [])
+)
+def test_full_cq_insert_numbers_outputs_without_an_index(backend):
+    """A full CQ's new witnesses each bring a new output row -- a revived
+    dead row included -- so the grown result appends them without an
+    output index, and still equals a fresh evaluation."""
+    from repro.session import Session
+
+    database = generate_zipf_path(r2_tuples=120, alpha=0.8, seed=13)
+    edges = sorted(database.relation("R2").rows)
+    a_values = sorted(row[0] for row in database.relation("R1").rows)
+    with Session(database, backend=backend) as session:
+        session.evaluate(Q6)
+        dead = [TupleRef("R2", edge) for edge in edges[:6]]
+        session.apply_deletions(dead + [TupleRef("R1", (a_values[-1],))])
+        # Revive one deleted edge and one deleted R1 row next to fresh ones.
+        batch = [
+            dead[0],
+            TupleRef("R1", (a_values[-1],)),
+            TupleRef("R2", (a_values[0], "fresh-b")),
+            TupleRef("R2", (a_values[1], edges[0][1])),
+            TupleRef("R2", ("no-such-a", "fresh-b")),
+        ]
+        session.apply_insertions(batch)
+        result = session.evaluate(Q6)
+        assert result.provenance._output_index is None
+        fresh = evaluate_in_context(Q6, database.copy(), use_cache=False)
+        assert sorted(result.output_rows) == sorted(fresh.output_rows)
+        assert result.output_count() == result.witness_count()
+        assert result.output_index == {
+            row: position for position, row in enumerate(result.output_rows)
+        }
+        assert set(result.output_index) == set(fresh.output_index)
+        # Every witness produces the output row its tuples spell out.
+        produced = {
+            witness.refs: result.output_rows[out]
+            for witness, out in zip(result.witnesses, result.witness_outputs)
+        }
+        expected = {
+            witness.refs: fresh.output_rows[out]
+            for witness, out in zip(fresh.witnesses, fresh.witness_outputs)
+        }
+        assert produced == expected

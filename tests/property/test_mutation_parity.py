@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.singleton import singleton_relation
 from repro.data.relation import TupleRef
-from repro.engine.backend import numpy_available
+from repro.engine.backend import CsrPostings, as_id_list, numpy_available
 from repro.engine.columnar import RelationIndex
 from repro.query.cq import ConjunctiveQuery
 from repro.session import Session
@@ -164,6 +164,29 @@ def _witness_refs(result):
     return {w.refs for w in result.witnesses}
 
 
+def _assert_carried_state(session, context):
+    """Every cached result numbers its outputs by first witness occurrence
+    (the invariant the sort-free relabel relies on), and every CSR
+    postings slot it holds -- built or carried across mutations -- equals
+    a fresh ``from_column`` of its witness column."""
+    entries = session._context.cache.entries_snapshot(session.database)
+    for result in entries.values():
+        provenance = result.provenance
+        running = -1
+        for out in as_id_list(provenance.witness_outputs):
+            assert out <= running + 1, f"{context}: output {out} after {running}"
+            running = max(running, out)
+        for position, postings in enumerate(provenance._postings):
+            if not isinstance(postings, CsrPostings):
+                continue
+            fresh = CsrPostings.from_column(provenance.ref_columns[position])
+            assert [
+                (tid, as_id_list(hits)) for tid, hits in postings.items()
+            ] == [
+                (tid, as_id_list(hits)) for tid, hits in fresh.items()
+            ], f"{context}: carried postings of atom {position}"
+
+
 def _solver_objectives(session, query, total, seed):
     """Deterministic greedy/drastic objective pair for the current state."""
     if total == 0:
@@ -231,10 +254,9 @@ def test_interleaved_mutations_match_rebuild(name, query, database, backend):
             assert changed == _apply(mirror, op, refs), (
                 f"seed={SEED} step={step}: {op} count diverged"
             )
-            _assert_matches_rebuild(
-                session, mirror, query, backend,
-                f"seed={SEED} step={step} op={op} [{name}]",
-            )
+            context = f"seed={SEED} step={step} op={op} [{name}]"
+            _assert_carried_state(session, context)
+            _assert_matches_rebuild(session, mirror, query, backend, context)
         # The incremental path genuinely rode the cache, not re-evaluation.
         assert session.stats.cache_hits >= len(trace)
 
@@ -417,9 +439,9 @@ def test_mutation_trace_byte_identical_across_backends(name, query, database):
     """python and numpy replay the same trace into byte-identical packing.
 
     After every step both sessions also answer the same what-if probe, so
-    the postings each backend reads -- dict postings on python, CSR
-    postings on numpy, both rebuilt lazily on the mutated provenance --
-    must agree on the counts.
+    the postings each backend reads -- dict postings rebuilt lazily on
+    python, CSR postings carried across mutations on numpy -- must agree
+    on the counts.
     """
     trace = _mutation_trace(query, database, seed=SEED)
     rng = random.Random(SEED ^ 0x9E0BE)
@@ -440,6 +462,8 @@ def test_mutation_trace_byte_identical_across_backends(name, query, database):
             np_result = np_session.evaluate(query)
             context = f"seed={SEED} step={step} op={op} [{name}]"
             _assert_what_if_parity(py_session, np_session, query, deleted, rng, context)
+            _assert_carried_state(py_session, context)
+            _assert_carried_state(np_session, context)
             assert packed_columns(np_result.provenance) == packed_columns(
                 py_result.provenance
             ), context
