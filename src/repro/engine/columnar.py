@@ -198,13 +198,12 @@ class RelationIndex:
         Duplicate rows are skipped (first occurrence wins), matching
         :meth:`extended`; out-of-range dead tids are ignored.
         """
-        ordered: List[Row] = []
-        ids: Dict[Row, int] = {}
-        for row in rows:
-            stored = tuple(row)
-            if stored not in ids:
-                ids[stored] = len(ordered)
-                ordered.append(stored)
+        ordered: List[Row] = list(map(tuple, rows))
+        ids: Dict[Row, int] = dict(zip(ordered, range(len(ordered))))
+        if len(ids) != len(ordered):
+            # Duplicates: ``dict(zip(...))`` kept each row's last tid.
+            ordered = list(dict.fromkeys(ordered))
+            ids = dict(zip(ordered, range(len(ordered))))
         live = bytearray(b"\x01") * len(ordered)
         for tid in dead_tids:
             if 0 <= tid < len(live):

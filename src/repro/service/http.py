@@ -70,6 +70,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.session import PreparedQuery, Session
 from repro.data.database import Database
 from repro.data.relation import Relation
+from repro.engine.backend import numpy_available
 from repro.service.admission import (
     AdmissionController,
     Deadline,
@@ -1171,6 +1172,11 @@ async def serve(
     ``preload`` registers databases before the port opens, so a client that
     sees the listening line can rely on them being resident.
     """
+    if config.backend != "python":
+        # Import the array backend before the port opens: NumPy's import
+        # (~0.15 s) would otherwise land on the first request -- on a
+        # restarted durable server, on the first rehydration.
+        numpy_available()
     service = AdpService(config)
     for name, database in (preload or {}).items():
         service.registry.register(name, database)

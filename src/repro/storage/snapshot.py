@@ -26,11 +26,12 @@ integer-only columns as raw ``<i8`` bytes (on the NumPy backend those byte
 ranges load as zero-copy array views over the memory-mapped file),
 low-cardinality columns dictionary-encoded (a codebook plus a packed
 ``<i8`` index column -- decoding is one bulk unpack plus a list lookup
-instead of a tagged decode per value; all-string codebooks are stored as
-one UTF-8 blob with a packed length column and decode with a single
-``bytes.decode``), and everything else as tagged values.  Every section carries its own CRC32, so torn or bit-rotted
-bytes surface as :class:`SnapshotCorruptError`, never as a silently wrong
-database.
+instead of a tagged decode per value), other all-string columns as one
+UTF-8 blob with a packed character-length column (decoded with a single
+``bytes.decode`` plus slicing; all-string codebooks use the same blob),
+and everything else as tagged values.  Every section carries its own
+CRC32, so torn or bit-rotted bytes surface as
+:class:`SnapshotCorruptError`, never as a silently wrong database.
 
 Writes are atomic: the image is assembled in memory, written to a ``.tmp``
 sibling, fsynced, renamed over the live file, and the directory is fsynced.
@@ -45,6 +46,7 @@ import dataclasses
 import mmap
 import os
 import struct
+from itertools import accumulate
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -74,9 +76,14 @@ _SECTION_RESULT = 2
 _COLUMN_TAGGED = 0
 _COLUMN_INT64 = 1
 _COLUMN_DICT = 2
+_COLUMN_STR = 3
 
 _CODEBOOK_TAGGED = 0
 _CODEBOOK_STR = 1
+
+#: ``struct`` codes of the packed string-length widths (8 is the signed
+#: ``<i8`` of the dictionary codebooks).
+_LENGTH_CODES = {1: "B", 2: "H", 4: "I", 8: "q"}
 
 #: Dictionary-encode a column only when it is long enough to matter and at
 #: least halves the number of tagged values to decode.
@@ -170,6 +177,26 @@ def _dictionary(
     return codebook, ids
 
 
+def _narrowest_length_width(strings: Sequence[str]) -> int:
+    """The fewest bytes per packed length that fit every string's length."""
+    longest = max(map(len, strings), default=0)
+    return next((width for width in (1, 2, 4) if longest < 1 << (8 * width)), 8)
+
+
+def _encode_strings(out: bytearray, strings: Sequence[str], width: int = 8) -> None:
+    """Strings as one UTF-8 blob plus a packed character-length column.
+
+    Lengths are ``width``-byte little-endian integers.  The decoder pays a
+    single bulk ``bytes.decode`` and cheap slicing instead of a tagged
+    decode per value (see :func:`_decode_strings`).
+    """
+    lengths = [len(value) for value in strings]
+    out.extend(struct.pack(f"<{len(lengths)}{_LENGTH_CODES[width]}", *lengths))
+    blob = "".join(strings).encode("utf-8")
+    write_uvarint(out, len(blob))
+    out.extend(blob)
+
+
 def _encode_column(out: bytearray, values: Sequence[object]) -> None:
     """One column: a kind byte, then int64 / dictionary / tagged payload."""
     if is_int64_column(values):
@@ -182,20 +209,19 @@ def _encode_column(out: bytearray, values: Sequence[object]) -> None:
         out.append(_COLUMN_DICT)
         write_uvarint(out, len(codebook))
         if all(type(value) is str for value in codebook):
-            # All-string codebooks (the common case for symbolic data) are
-            # one UTF-8 blob plus a packed character-length column, so the
-            # decoder pays a single bulk ``bytes.decode`` and cheap string
-            # slicing instead of a tagged decode per distinct value.
             out.append(_CODEBOOK_STR)
-            out.extend(pack_int64_column([len(value) for value in codebook]))
-            blob = "".join(codebook).encode("utf-8")  # type: ignore[arg-type]
-            write_uvarint(out, len(blob))
-            out.extend(blob)
+            _encode_strings(out, codebook)  # type: ignore[arg-type]
         else:
             out.append(_CODEBOOK_TAGGED)
             for value in codebook:
                 write_value(out, value)
         out.extend(pack_int64_column(ids))
+        return
+    if all(type(value) is str for value in values):
+        width = _narrowest_length_width(values)  # type: ignore[arg-type]
+        out.append(_COLUMN_STR)
+        out.append(width)
+        _encode_strings(out, values, width)  # type: ignore[arg-type]
         return
     out.append(_COLUMN_TAGGED)
     for value in values:
@@ -327,6 +353,32 @@ def _decode_int64_column(buffer: Buffer) -> List[int]:
     return as_id_list(backend.id_column_from_buffer(buffer))
 
 
+def _decode_strings(
+    payload: Buffer, offset: int, count: int, width: int = 8
+) -> Tuple[List[str], int]:
+    """The inverse of :func:`_encode_strings`: ``count`` strings."""
+    code = _LENGTH_CODES.get(width)
+    if code is None:
+        raise CodecError(f"unknown string length width {width}")
+    end = offset + count * width
+    if end > len(payload):
+        raise CodecError("truncated string length column")
+    lengths = struct.unpack(f"<{count}{code}", payload[offset:end])
+    blob_length, offset = read_uvarint(payload, end)
+    end = offset + blob_length
+    if end > len(payload):
+        raise CodecError("truncated string blob")
+    text = bytes(payload[offset:end]).decode("utf-8")
+    if lengths and min(lengths) < 0:
+        raise CodecError("negative string length")
+    stops = list(accumulate(lengths))
+    if (stops[-1] if stops else 0) != len(text):
+        raise CodecError("string blob length mismatch")
+    starts = [0]
+    starts.extend(stops[:-1])
+    return list(map(text.__getitem__, map(slice, starts, stops))), end
+
+
 def _decode_column(
     payload: Buffer, offset: int, row_count: int
 ) -> Tuple[List[object], int]:
@@ -347,24 +399,7 @@ def _decode_column(
         offset += 1
         codebook: List[object]
         if codebook_kind == _CODEBOOK_STR:
-            end = offset + distinct * 8
-            if end > len(payload):
-                raise CodecError("truncated codebook length column")
-            lengths = _decode_int64_column(payload[offset:end])
-            offset = end
-            blob_length, offset = read_uvarint(payload, offset)
-            end = offset + blob_length
-            if end > len(payload):
-                raise CodecError("truncated codebook blob")
-            text = bytes(payload[offset:end]).decode("utf-8")
-            offset = end
-            codebook = []
-            position = 0
-            for length in lengths:
-                codebook.append(text[position:position + length])
-                position += length
-            if position != len(text):
-                raise CodecError("codebook blob length mismatch")
+            codebook, offset = _decode_strings(payload, offset, distinct)  # type: ignore[assignment]
         elif codebook_kind == _CODEBOOK_TAGGED:
             codebook = []
             for _ in range(distinct):
@@ -378,7 +413,13 @@ def _decode_column(
         ids = _decode_int64_column(payload[offset:end])
         if ids and (min(ids) < 0 or max(ids) >= len(codebook)):
             raise CodecError("dictionary column index out of range")
-        return [codebook[index] for index in ids], end
+        return list(map(codebook.__getitem__, ids)), end
+    if kind == _COLUMN_STR:
+        if offset >= len(payload):
+            raise CodecError("truncated string column")
+        return _decode_strings(  # type: ignore[return-value]
+            payload, offset + 1, row_count, payload[offset]
+        )
     if kind == _COLUMN_TAGGED:
         column: List[object] = []
         for _ in range(row_count):

@@ -39,12 +39,15 @@ The durability contract, end to end:
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import shutil
 import threading
 from dataclasses import dataclass
 from itertools import compress
+from operator import not_
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.data.database import Database
 from repro.data.relation import Relation, TupleRef
@@ -69,6 +72,38 @@ LOG_FILE = "log.bin"
 
 #: Log records accumulated before a compaction snapshot rewrites the image.
 DEFAULT_COMPACT_AFTER = 64
+
+
+_collector_lock = threading.Lock()
+_collector_pauses = 0
+_collector_was_enabled = False
+
+
+@contextlib.contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Hold off Python's cyclic garbage collector during a bulk load.
+
+    Recovery allocates a few hundred thousand long-lived, acyclic objects
+    (row tuples, decoded strings, interning-dict entries).  Left running,
+    the collector fires every few hundred allocations and its full passes
+    re-traverse everything allocated so far -- about as much time as the
+    decode itself.  Nothing a load builds is cyclic garbage, so deferring
+    collection to the end loses nothing.  Overlapping loads share one
+    pause: the last one out restores the collector's prior state.
+    """
+    global _collector_pauses, _collector_was_enabled
+    with _collector_lock:
+        if _collector_pauses == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _collector_pauses += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _collector_pauses -= 1
+            if _collector_pauses == 0 and _collector_was_enabled:
+                gc.enable()
 
 
 class StorageError(RuntimeError):
@@ -368,7 +403,7 @@ class DatabaseStore:
         the snapshot is missing or fails validation (see
         ``docs/DURABILITY.md`` for the operational runbook).
         """
-        with self._name_lock(name):
+        with self._name_lock(name), _collector_paused():
             directory = self._dir(name)
             stray = directory / (SNAPSHOT_FILE + ".tmp")
             if stray.exists():
@@ -388,8 +423,13 @@ class DatabaseStore:
                 # Bulk-load the live set off the table: the decoded rows are
                 # already width-checked tuples (CRC-validated columns of the
                 # relation's own arity), so the per-row insert() validation
-                # would only re-derive what the snapshot guarantees.
-                relation._rows.update(compress(index.rows, index.live))
+                # would only re-derive what the snapshot guarantees.  A set
+                # filled from the interning dict reuses its stored hashes.
+                relation._rows.update(index.ids)
+                if index.dead_count:
+                    relation._rows.difference_update(
+                        compress(index.rows, map(not_, index.live))
+                    )
                 # Restore the mutation counter so version_token() -- the
                 # evaluation-cache key -- matches the pre-crash value.
                 relation._version = rel_snap.version

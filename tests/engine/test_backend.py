@@ -121,9 +121,10 @@ id_columns = st.integers(min_value=1, max_value=12).flatmap(
 )
 
 
-def _assert_postings_answer(np_postings, values, probes):
+def _assert_postings_answer(np_postings, values, probes, size):
     """``np_postings`` answers exactly like the dict of lists over
-    ``values`` -- and like a fresh ``from_column`` of them."""
+    ``values`` -- and like a fresh ``from_column`` of them -- for every
+    tid of the ``size``-row table, of the values' own range and beyond."""
     py_postings = group_positions(values)
     fresh = group_positions(resolve_backend("numpy").id_column(values))
     assert len(np_postings) == len(py_postings) == len(fresh)
@@ -139,7 +140,7 @@ def _assert_postings_answer(np_postings, values, probes):
         assert py_postings[key] == sorted(py_postings[key])
     # Every tid of the table and beyond it (absent, negative, out of range).
     top = max(values, default=0)
-    for tid in range(-2, top + 4):
+    for tid in range(-2, max(size, top + 1) + 3):
         expected = py_postings.get(tid)
         got = np_postings.get(tid)
         if expected is None:
@@ -171,7 +172,7 @@ def test_group_positions_parity(case, probes, data):
     (``compressed``) and an append (``appended``)."""
     size, values = case
     np_postings = group_positions(resolve_backend("numpy").id_column(values))
-    _assert_postings_answer(np_postings, values, probes)
+    _assert_postings_answer(np_postings, values, probes, size)
 
     # Filter: any mask, plus the all-dead and none-dead extremes.
     alive = data.draw(
@@ -184,7 +185,7 @@ def test_group_positions_parity(case, probes, data):
     )
     survivors = [tid for tid, keep in zip(values, alive) if keep]
     compressed = np_postings.compressed(numpy.array(alive, dtype=bool))
-    _assert_postings_answer(compressed, survivors, probes)
+    _assert_postings_answer(compressed, survivors, probes, size)
 
     # Append: duplicate batch tids and tids past the old maximum included.
     batch = data.draw(
@@ -192,10 +193,10 @@ def test_group_positions_parity(case, probes, data):
         label="batch",
     )
     appended = np_postings.appended(resolve_backend("numpy").id_column(batch))
-    _assert_postings_answer(appended, values + batch, probes)
+    _assert_postings_answer(appended, values + batch, probes, size)
     # Derivations compose (a migrated result is filtered, then grown).
     regrown = compressed.appended(resolve_backend("numpy").id_column(batch))
-    _assert_postings_answer(regrown, survivors + batch, probes)
+    _assert_postings_answer(regrown, survivors + batch, probes, size)
 
 
 @requires_numpy

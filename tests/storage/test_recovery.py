@@ -1,5 +1,7 @@
 """Store-level recovery: byte-identical reloads, compaction, degradation."""
 
+import gc
+
 import pytest
 
 from repro.data.relation import TupleRef
@@ -108,6 +110,24 @@ def test_corrupt_snapshot_raises(tmp_path):
     snapshot.write_bytes(bytes(data))
     with pytest.raises(SnapshotCorruptError):
         DatabaseStore(tmp_path).load("db")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_restores_the_collector_state(tmp_path, enabled):
+    """Recovery pauses the cyclic collector, then restores its prior state
+    -- after a successful load and after a failed one."""
+    _run_workload(tmp_path, "python", compact_after=100)
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        DatabaseStore(tmp_path).load("db").session.close()
+        assert gc.isenabled() is enabled
+        (tmp_path / "db" / "snapshot.bin").write_bytes(b"torn")
+        with pytest.raises(SnapshotCorruptError):
+            DatabaseStore(tmp_path).load("db")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_log_failure_degrades_the_store(tmp_path, monkeypatch):

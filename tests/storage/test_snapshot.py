@@ -15,6 +15,13 @@ from repro.storage import (
     write_snapshot,
 )
 from repro.storage.codec import pack_int64_column
+from repro.storage.snapshot import (
+    _COLUMN_DICT,
+    _COLUMN_STR,
+    _COLUMN_TAGGED,
+    _decode_column,
+    _encode_column,
+)
 
 
 def _relations():
@@ -75,6 +82,39 @@ def test_roundtrip(tmp_path):
     assert bytes(result.ref_column_buffers[0]) == pack_int64_column([0, 1, 2])
     assert bytes(result.witness_output_buffer) == pack_int64_column([0, 0, 1])
     assert result.output_rows == [(1, "p"), (2, "q")]
+
+
+@pytest.mark.parametrize(
+    "values, kind",
+    [
+        # Distinct strings (no codebook pays off): one blob + lengths,
+        # including empty and non-ASCII strings.
+        ([f"v{i}" for i in range(40)] + ["", "\u00e9t\u00e9", "\U0001f600"], _COLUMN_STR),
+        # A 300-character string widens the packed lengths to two bytes.
+        ([f"v{i}" for i in range(40)] + ["w" * 300], _COLUMN_STR),
+        (["x", "y"] * 20, _COLUMN_DICT),
+        # One non-string value keeps the whole column tagged, so types
+        # round-trip exactly.
+        ([f"v{i}" for i in range(40)] + [1], _COLUMN_TAGGED),
+    ],
+)
+def test_column_kinds_roundtrip(values, kind):
+    out = bytearray()
+    _encode_column(out, values)
+    assert out[0] == kind
+    decoded, end = _decode_column(memoryview(bytes(out)), 0, len(values))
+    assert end == len(out)
+    assert decoded == values
+    assert [type(value) for value in decoded] == [type(value) for value in values]
+
+
+def test_from_rows_keeps_first_occurrence_of_duplicates():
+    table = RelationIndex.from_rows(
+        "R", ("a",), [("x",), ("y",), ("x",), ("z",)], dead_tids=(1,)
+    )
+    assert table.rows == [("x",), ("y",), ("z",)]
+    assert table.ids == {("x",): 0, ("y",): 1, ("z",): 2}
+    assert list(compress(table.rows, table.live)) == [("x",), ("z",)]
 
 
 def test_rewrite_is_atomic(tmp_path):
