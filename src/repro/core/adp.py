@@ -23,9 +23,11 @@ Internally every step produces a :class:`~repro.core.curves.CostCurve`
 (solutions for all targets up to ``k``), because the Universe/Decompose
 dynamic programs need the costs of sub-problems for many targets at once.
 :meth:`ADPSolver.curve_entry` publishes it as a :class:`CurveEntry` -- the
-curve plus the heuristic fallback count, which travel together so a session
-can cache them (:class:`repro.engine.cache.CurveCache`) and the solver keeps
-no per-call state.
+curve plus the heuristic fallback count and a memo of verified
+removed-output counts per ``k``, which travel together so a session can
+cache them (:class:`repro.engine.cache.CurveCache`) and the solver keeps no
+per-call state.  A warm read-off at an already-verified ``k`` is therefore a
+lookup: ``solution(k)`` plus one dict read.
 
 All evaluation goes through the columnar witness engine
 (:mod:`repro.engine.evaluate`) in the *ambient engine context*: under
@@ -41,8 +43,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Hashable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Hashable, Optional
 
 from repro.core import greedy as greedy_module
 from repro.core.boolean_cq import linear_order, min_cut_curve
@@ -86,18 +88,29 @@ def check_target(k: int, total: int) -> None:
         raise ValueError(f"k={k} exceeds the number of output tuples |Q(D)|={total}")
 
 
-class CurveEntry(NamedTuple):
+@dataclass(frozen=True)
+class CurveEntry:
     """A cost curve computed at ``kmax`` and what the read-off needs beside it.
 
     The curve answers every target ``k <= kmax`` (it may report
     ``max_gain() > kmax``: greedy curves overshoot).  ``heuristic_fallbacks``
     counts the NP-hard leaves where the configured heuristic did not apply
     (drastic on a non-full query, a Boolean query without a linear order).
+
+    ``removed_counts`` memoizes ``k -> |outputs removed by solution(k)|``,
+    each verified once with ``QueryResult.outputs_removed_by`` by
+    :meth:`ADPSolver.solve_in_context`.  A cached entry belongs to one
+    database version and is dropped on every (exclusive) mutation, so a
+    count never outlives the result it was verified against; concurrent
+    readers can only race to store the same int.
     """
 
     kmax: int
     curve: CostCurve
     heuristic_fallbacks: int
+    removed_counts: Dict[int, int] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 class _Tally:
@@ -174,7 +187,8 @@ class ADPSolver:
         verification (instead of three ``evaluate`` calls leaning on the
         cache); ``curve`` lets callers read the answer off an entry computed
         once at a target ``>= k`` (a batch's largest target, or the
-        session's curve cache).
+        session's curve cache); the entry's ``removed_counts`` memo makes
+        the verification run once per ``k``.
         """
         if result is None:
             result = evaluate(query, database)
@@ -193,7 +207,10 @@ class ADPSolver:
             removed_outputs = k
         else:
             removed = cost_curve.solution(k)
-            removed_outputs = result.outputs_removed_by(removed)
+            counts = entry.removed_counts
+            if k not in counts:
+                counts[k] = result.outputs_removed_by(removed)
+            removed_outputs = counts[k]
         return ADPSolution(
             query=query,
             k=k,

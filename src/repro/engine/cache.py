@@ -41,9 +41,11 @@ dynamic programs' tables for ``j <= kmax`` do not read beyond ``kmax``), so
 one curve computed at ``kmax`` answers every ``k <= kmax``.  Keys add the
 array-backend tag and a solver key -- the solver class plus the
 :class:`~repro.core.adp.SolverConfig` fields that shape a curve -- to the
-canonical query and version token.  Entries hold only the immutable curve
-and its metadata (never a ``ProvenanceIndex``); mutations drop them instead
-of migrating them, since greedy curves are not delta-maintainable.
+canonical query and version token.  Entries hold only the immutable curve,
+its metadata and a per-``k`` memo of verified removed-output counts (never a
+``ProvenanceIndex``); mutations drop them instead of migrating them, since
+greedy curves are not delta-maintainable -- which is also what keeps a
+memoized count from outliving the version it was verified on.
 """
 
 from __future__ import annotations
@@ -255,10 +257,11 @@ class EvaluationCache(_VersionedLRU):
 class CurveCache(_VersionedLRU):
     """A per-database LRU of solver cost curves (see the module docstring).
 
-    Values are ``(kmax, curve, heuristic_fallbacks)`` entries
-    (:class:`repro.core.adp.CurveEntry`); a lookup for target ``k`` hits
-    only an entry computed at ``kmax >= k``.  Its counters are separate from
-    the evaluation cache's, so curve reads never show up as evaluation hits.
+    Values are :class:`repro.core.adp.CurveEntry` objects (``kmax``,
+    ``curve``, ``heuristic_fallbacks``, ``removed_counts``); a lookup for
+    target ``k`` hits only an entry computed at ``kmax >= k``.  Its counters
+    are separate from the evaluation cache's, so curve reads never show up
+    as evaluation hits.
     """
 
     def lookup(

@@ -784,8 +784,14 @@ class AdpService:
             self._db_operator_gauges[database] = gauges
 
     def _labeled_gauges(self) -> Dict[str, Dict[str, float]]:
-        """Per-database gauges, pruned to resident names (bounded labels)."""
-        resident = {entry.name for entry in self.registry.entries()}
+        """Per-database gauges, pruned to resident names (bounded labels).
+
+        Besides the operator gauges, every resident database reports its
+        session's curve-cache hits and misses (a warm read-off versus a
+        curve recompute), read from ``session.stats`` at scrape time.
+        """
+        entries = self.registry.entries()
+        resident = {entry.name for entry in entries}
         with self._db_gauges_lock:
             for name in [
                 n for n in self._db_operator_gauges if n not in resident
@@ -795,6 +801,12 @@ class AdpService:
                 name: dict(values)
                 for name, values in self._db_operator_gauges.items()
             }
+        for entry in entries:
+            stats = entry.session.stats
+            per_db.setdefault(entry.name, {}).update(
+                curve_cache_hits=float(stats.curve_hits),
+                curve_cache_misses=float(stats.curve_misses),
+            )
         labeled: Dict[str, Dict[str, float]] = {}
         for name, values in per_db.items():
             for metric, value in values.items():

@@ -38,7 +38,8 @@ _COUNTER_HELP = {
     "registry_evictions_total": "Databases evicted by registry LRU overflow.",
 }
 
-#: HELP text for the per-database labeled gauges (operator statistics).
+#: HELP text for the per-database labeled gauges (operator statistics and
+#: curve-cache use).
 _LABELED_GAUGE_HELP = {
     "operator_join_steps": "Join steps executed by the last observed solve.",
     "operator_witnesses": "Witnesses produced by the last observed solve.",
@@ -50,6 +51,10 @@ _LABELED_GAUGE_HELP = {
         "last observed solve.",
     "operator_max_expansion":
         "Largest per-step match expansion factor in the last observed solve.",
+    "curve_cache_hits":
+        "Solves read off a cached cost curve by the database's session.",
+    "curve_cache_misses":
+        "Cost curves the database's session computed (cache misses).",
 }
 
 #: One latency histogram: (observation count, sum of ms, cumulative buckets).

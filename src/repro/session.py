@@ -43,14 +43,18 @@ Thread-safety contract
 * **Read paths are thread-safe.**  ``prepare`` / ``evaluate`` / ``solve`` /
   ``solve_many`` / ``curve`` / ``what_if`` may be called from multiple
   threads on one session: the evaluation and curve caches take internal
-  locks (cached curves are immutable and solvers hold no per-call state), the
-  context's lazy interning builds and the provenance's lazy postings-index
-  builds are lock-guarded, and cached ``QueryResult`` objects are immutable
-  by contract.  (Remaining lazy views such as ``QueryResult.witnesses``
-  tolerate racing builders -- both compute identical values and the last
-  assignment wins.)  The usage counters behind :attr:`Session.stats` are
-  bumped under a session lock (joins under the engine context's lock), so
-  they stay exact under concurrent readers.
+  locks (cached curves themselves are immutable and solvers hold no
+  per-call state), the context's lazy interning builds and the provenance's
+  lazy postings-index builds are lock-guarded, and cached ``QueryResult``
+  objects are immutable by contract.  (Remaining lazy state tolerates
+  racing builders -- both compute identical values and the last assignment
+  wins: views such as ``QueryResult.witnesses``, and the ``removed_counts``
+  memo each cached curve entry carries beside its curve, which maps ``k`` to
+  the verified removed-output count and is dropped with the entry on every
+  mutation.)
+  The usage counters behind :attr:`Session.stats` are bumped under a
+  session lock (joins under the engine context's lock), so they stay exact
+  under concurrent readers.
 * **Mutation is exclusive.**  ``apply_deletions`` / ``apply_insertions``
   (or any in-place database
   mutation) must not run concurrently with reads on the same session;

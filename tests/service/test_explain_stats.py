@@ -192,6 +192,41 @@ def test_operator_gauges_pruned_on_eviction(service_runner):
         client.close()
 
 
+def _gauge(exposition, metric, database):
+    prefix = f'repro_service_{metric}{{database="{database}"}} '
+    (line,) = [row for row in exposition.splitlines() if row.startswith(prefix)]
+    return float(line[len(prefix):])
+
+
+def test_curve_cache_gauges_tell_read_offs_from_recomputes(service_runner):
+    """Per-database curve-cache hits/misses at /metrics, pruned on eviction."""
+    runner = service_runner(backend="python", max_databases=1, linger_ms=1.0)
+    client = client_for(runner)
+    try:
+        register(client, "first", make_zipf())
+        for k in (3, 3, 2):  # one curve computed, then two read-offs
+            status, body, _ = client.post(
+                "/v1/solve", {"database": "first", "query": QUERY, "k": k}
+            )
+            assert status == 200, body
+        exposition = client.get("/metrics")[1].decode("utf-8")
+        assert "# TYPE repro_service_curve_cache_hits gauge" in exposition
+        assert _gauge(exposition, "curve_cache_misses", "first") == 1
+        assert _gauge(exposition, "curve_cache_hits", "first") == 2
+        # A target above the cached kmax recomputes.
+        client.post("/v1/solve", {"database": "first", "query": QUERY, "k": 5})
+        exposition = client.get("/metrics")[1].decode("utf-8")
+        assert _gauge(exposition, "curve_cache_misses", "first") == 2
+        # Registering "second" evicts "first": its series leave /metrics.
+        register(client, "second", make_zipf())
+        exposition = client.get("/metrics")[1].decode("utf-8")
+        assert 'database="first"' not in exposition
+        assert _gauge(exposition, "curve_cache_hits", "second") == 0
+        assert _gauge(exposition, "curve_cache_misses", "second") == 0
+    finally:
+        client.close()
+
+
 def test_slow_log_entries_carry_worst_misestimate(service_runner):
     runner = service_runner(
         backend="python", linger_ms=1.0, trace=True, slow_ms=0.0

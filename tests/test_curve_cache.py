@@ -20,6 +20,7 @@ from repro.data.database import Database
 from repro.data.relation import TupleRef
 from repro.engine.backend import numpy_available
 from repro.engine.cache import CurveCache
+from repro.engine.columnar import ColumnarProvenance
 from repro.obs.trace import Tracer, use_tracer
 from repro.query.parser import parse_query
 from repro.session import Session
@@ -126,6 +127,86 @@ def test_curve_warmed_at_total_answers_every_k(query, factory, overrides, backen
             assert _answer(cached) == _answer(expected), k
         stats = warm.stats
         assert (stats.curve_hits, stats.curve_misses) == (total, 1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "query,factory,overrides", [case[1:] for case in CASES], ids=[c[0] for c in CASES]
+)
+def test_memoized_removed_count_equals_the_verified_one(
+    query, factory, overrides, backend
+):
+    """A second read at ``k`` (the memo) equals the first (verified) one.
+
+    ``outputs_removed_by`` stays the oracle: every answer's count must
+    equal a from-scratch re-evaluation of the query without its removal.
+    """
+    database = factory()
+    with Session(database, backend=backend) as session:
+        total = session.output_size(query)
+        session.solve(query, total, **overrides)
+        for k in range(1, total + 1):
+            verified = session.solve(query, k, **overrides)
+            memoized = session.solve(query, k, **overrides)
+            assert memoized == verified, k
+            assert verified.removed_outputs == verified.verify(database) >= k
+        assert session.stats.curve_misses == 1
+
+
+@pytest.fixture
+def verifications(monkeypatch):
+    """Count calls to ``ColumnarProvenance.outputs_removed_by``."""
+    calls = []
+    original = ColumnarProvenance.outputs_removed_by
+
+    def counted(self, removed):
+        calls.append(1)
+        return original(self, removed)
+
+    monkeypatch.setattr(ColumnarProvenance, "outputs_removed_by", counted)
+    return calls
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_warm_read_off_verifies_each_k_once(verifications, backend):
+    database = generate_zipf_path(r2_tuples=150, alpha=1.1, seed=11)
+    with Session(database, backend=backend) as session:
+
+        def calls(*solve_args, **overrides):
+            before = len(verifications)
+            session.solve(QH, *solve_args, **overrides)
+            return len(verifications) - before
+
+        assert calls(5) == 1  # cold: the curve and its first count
+        assert calls(5) == 0  # repeat warm read-off: a lookup
+        assert calls(3) == 1  # a new k on the same entry
+        assert calls(3) == 0
+        assert calls(2, counting_only=True) == 0
+        assert calls(2) == 1  # counting_only stored nothing
+        before = len(verifications)
+        session.solve_many([(QH, 3), (QH, 5), (QH, 4), (QH, 4)])
+        assert len(verifications) - before == 1  # only k=4 is new
+        assert session.stats.curve_misses == 1
+
+
+@pytest.mark.parametrize("mutate", ["apply_deletions", "apply_insertions"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_removed_count_memo_never_crosses_versions(verifications, mutate, backend):
+    database = generate_zipf_path(r2_tuples=150, alpha=1.1, seed=11)
+    with Session(database, backend=backend) as session:
+        session.solve(QH, 3)
+        if mutate == "apply_deletions":
+            victims = sorted(session.evaluate(QH).participating_refs(), key=repr)[:4]
+            session.apply_deletions(victims)
+        else:
+            session.apply_insertions(
+                [TupleRef("R2", ("a0", "b1")), TupleRef("R2", ("a1", "b0"))]
+            )
+        before = len(verifications)
+        solution = session.solve(QH, 3)
+        assert len(verifications) == before + 1
+        with Session(database, backend=backend) as fresh:
+            assert solution == fresh.solve(QH, 3)
 
 
 def test_fallback_count_travels_with_the_cached_curve():

@@ -288,3 +288,43 @@ def test_mixed_solve_what_if_apply_matches_serial_replay():
         assert tuple(payload) == expected[(version, op, name, k)]
     session.close()
     replay.close()
+
+
+def test_concurrent_read_offs_race_the_removed_count_memo():
+    """8 threads read mixed ``k`` off one cached curve entry at once.
+
+    Each entry memoizes the removed-output count verified per ``k``; the
+    threads race to fill it.  Every answer (``removed_outputs`` included)
+    must equal a serial session's, and all reads must share one entry.
+    """
+    import random
+
+    threads, reads = 8, 25
+    query = "Qh(A) :- R1(A), R2(A, B), R3(B)"
+    database = generate_zipf_path(r2_tuples=300, alpha=1.1, seed=17)
+    with Session(database) as serial:
+        total = serial.output_size(query)
+        expected = {k: serial.solve(query, k) for k in range(1, total + 1)}
+    rng = random.Random(31)
+    plans = [[rng.randint(1, total) for _ in range(reads)] for _ in range(threads)]
+    previous = sys.getswitchinterval()
+    with Session(database) as shared:
+        shared.solve(query, total)  # the one entry every read shares
+        barrier = threading.Barrier(threads)
+
+        def read_off(targets):
+            barrier.wait()
+            return [(k, shared.solve(query, k)) for k in targets]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=threads) as executor:
+                answers = [pair for batch in executor.map(read_off, plans)
+                           for pair in batch]
+        finally:
+            sys.setswitchinterval(previous)
+        stats = shared.stats
+    assert len(answers) == threads * reads
+    for k, solution in answers:
+        assert solution == expected[k], k
+    assert (stats.curve_hits, stats.curve_misses) == (threads * reads, 1)
