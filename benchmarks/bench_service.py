@@ -841,8 +841,6 @@ def main(argv=None) -> int:
     parser.add_argument("--hard-size", type=int, default=HARD_SIZE,
                         help="R2 tuples of the hard-mix Zipf instance")
     parser.add_argument("--easy-size", type=int, default=EASY_SIZE)
-    parser.add_argument("--batch-linger-ms", type=float, default=5.0,
-                        help="self-hosted service batch window")
     parser.add_argument("--batch-max", type=int, default=16)
     parser.add_argument("--compare-batching", action="store_true",
                         help="run the batched-vs-per-request hard-mix "
@@ -907,7 +905,7 @@ def main(argv=None) -> int:
 
         runner = ServiceRunner(ServiceConfig(
             port=0, backend=args.backend,
-            linger_ms=args.batch_linger_ms, max_batch=args.batch_max,
+            max_batch=args.batch_max,
             max_pending=max(64, args.concurrency * 4),
         )).start()
         host, port = "127.0.0.1", runner.port

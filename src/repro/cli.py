@@ -235,15 +235,9 @@ def _add_serve_parser(subparsers) -> None:
         type=_positive_int,
         default=16,
         metavar="N",
-        help="max solve requests coalesced into one solve_many dispatch "
+        help="max solve requests that queue behind an in-flight solve of "
+        "the same query and dispatch as one solve_many batch "
         "(1 disables micro-batching)",
-    )
-    parser.add_argument(
-        "--batch-linger-ms",
-        type=_non_negative_ms,
-        default=2.0,
-        metavar="MS",
-        help="how long the first request of a batch window waits for company",
     )
     parser.add_argument(
         "--max-pending",
@@ -411,7 +405,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         executor_threads=args.threads,
         max_batch=args.batch_max,
-        linger_ms=args.batch_linger_ms,
         max_pending=args.max_pending,
         max_databases=args.max_databases,
         default_deadline_ms=args.deadline_ms,

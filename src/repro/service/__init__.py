@@ -2,8 +2,9 @@
 
 An asyncio HTTP/JSON front end over :class:`repro.session.Session`: named,
 versioned databases are bound to long-lived sessions in a
-:class:`~repro.service.registry.SessionRegistry`, concurrent solve requests
-are coalesced into :meth:`~repro.session.Session.solve_many` batches by the
+:class:`~repro.service.registry.SessionRegistry`, solve requests that arrive
+while the same query is in flight are coalesced into
+:meth:`~repro.session.Session.solve_many` batches by the
 :class:`~repro.service.batch.MicroBatcher`, and an admission layer
 (:mod:`repro.service.admission`) sheds load with ``429 Retry-After`` before
 the solver queue grows unbounded.

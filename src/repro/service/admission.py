@@ -9,10 +9,10 @@ layer maps to ``429 Too Many Requests`` plus a ``Retry-After`` header --
 the client-visible backpressure signal.
 
 :class:`Deadline` carries a per-request time budget.  A request that is
-still waiting (in the admission queue or a batch window) when its deadline
-passes is dropped *before* any solver work is spent on it and answered
-with ``504``; an expired deadline discovered mid-execution only affects the
-response, never the shared session state.
+still waiting (queued behind an in-flight dispatch, or for the database
+lock) when its deadline passes is dropped *before* any solver work is
+spent on it and answered with ``504``; an expired deadline discovered
+mid-execution only affects the response, never the shared session state.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ Endpoints (all bodies JSON; see ``docs/ARCHITECTURE.md`` for the schema):
 ``POST /v1/databases``   register ``{name, schema, rows[, replace]}``
 ``POST /v1/prepare``     classify ``{database, query}``
 ``POST /v1/solve``       ``{database, query, k|ratio[, method, counting_only,
-                         deadline_ms, batch]}`` -- coalesced into
-                         ``solve_many`` batches unless ``batch`` is false
+                         deadline_ms, batch]}`` -- requests for a query
+                         already in flight coalesce into one ``solve_many``
+                         batch unless ``batch`` is false
 ``POST /v1/what_if``     ``{database, query, refs[, include_after]}``
 ``POST /v1/apply_deletions``  ``{database, refs}`` -- bumps the version
 ``POST /v1/apply_insertions``  ``{database, refs}`` -- bumps the version
@@ -143,10 +144,9 @@ class ServiceConfig:
     #: Solver thread pool size (CPU-bound Python: more threads buy
     #: concurrency for lock draining and batching, not parallel speedup).
     executor_threads: int = 4
-    #: Micro-batching window: max coalesced requests per dispatch and how
-    #: long the first request of a window waits for company.
+    #: Max solve requests coalesced into one dispatch (1 disables
+    #: micro-batching; requests never wait on a timer either way).
     max_batch: int = 16
-    linger_ms: float = 2.0
     #: Admission bound on pending solve-class requests; excess gets 429.
     max_pending: int = 64
     retry_after_s: float = 1.0
@@ -237,7 +237,6 @@ class AdpService:
         self.batcher = MicroBatcher(
             self._dispatch_batch,
             max_batch=self.config.max_batch,
-            linger_ms=self.config.linger_ms,
             on_dispatch=self.metrics.batch_dispatched,
         )
         self.slow_log = SlowQueryLog(
@@ -277,7 +276,7 @@ class AdpService:
             await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting, flush open batch windows, close every session."""
+        """Stop accepting, dispatch queued batches, close every session."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -646,7 +645,7 @@ class AdpService:
         )
         with self.admission:
             if use_batch:
-                key = (entry.name, entry.version, method, counting_only)
+                key = (entry.name, entry.version, query, method, counting_only)
                 outcome = await self.batcher.submit(key, item)
             else:
                 self.metrics.solve_dispatched()

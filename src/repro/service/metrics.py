@@ -30,7 +30,7 @@ _GAUGE_HELP = {
     "pending_requests": "Solve-class requests admitted and not yet finished.",
     "databases_resident": "Databases currently resident in the registry LRU.",
     "databases_capacity": "Registry LRU capacity (resident database bound).",
-    "batcher_queue_depth": "Solve requests waiting in open micro-batch windows.",
+    "batcher_queue_depth": "Solve requests queued behind an in-flight dispatch.",
 }
 
 #: HELP text for the counters the service passes into :meth:`render`.

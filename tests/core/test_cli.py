@@ -165,9 +165,7 @@ class TestParser:
         assert f"{flag}: must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "soon"])
-    @pytest.mark.parametrize(
-        "flag", ["--deadline-ms", "--slow-ms", "--batch-linger-ms"]
-    )
+    @pytest.mark.parametrize("flag", ["--deadline-ms", "--slow-ms"])
     def test_serve_millisecond_flags_reject_non_finite_and_negative(
         self, capsys, flag, value
     ):
@@ -178,10 +176,16 @@ class TestParser:
 
     def test_serve_millisecond_flags_accept_zero(self):
         args = build_parser().parse_args(
-            ["serve", "--deadline-ms", "0", "--slow-ms", "0",
-             "--batch-linger-ms", "0"]
+            ["serve", "--deadline-ms", "0", "--slow-ms", "0"]
         )
-        assert (args.deadline_ms, args.slow_ms, args.batch_linger_ms) == (0, 0, 0)
+        assert (args.deadline_ms, args.slow_ms) == (0, 0)
+
+    def test_batch_linger_flag_is_gone(self, capsys):
+        """Solves dispatch on idle: ``serve`` takes no batch window."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--batch-linger-ms", "2"])
+        assert excinfo.value.code == 2
+        assert "--batch-linger-ms" in capsys.readouterr().err
 
     def test_engine_flag_is_gone(self):
         """One evaluation engine: no subcommand takes ``--engine``."""

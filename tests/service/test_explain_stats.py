@@ -42,7 +42,7 @@ def client_for(runner) -> JsonClient:
 
 
 def test_explain_matches_direct_session(service_runner):
-    runner = service_runner(backend="python", linger_ms=1.0)
+    runner = service_runner(backend="python")
     client = client_for(runner)
     try:
         database = make_zipf()
@@ -78,7 +78,7 @@ def test_explain_fingerprint_identical_across_service_configs(service_runner):
     fingerprints = set()
     plans = set()
     for config in configs:
-        runner = service_runner(linger_ms=1.0, **config)
+        runner = service_runner(**config)
         client = client_for(runner)
         try:
             register(client, "demo", make_zipf())
@@ -95,7 +95,7 @@ def test_explain_fingerprint_identical_across_service_configs(service_runner):
 
 
 def test_explain_errors(service_runner):
-    runner = service_runner(linger_ms=1.0)
+    runner = service_runner()
     client = client_for(runner)
     try:
         assert client.post(
@@ -111,7 +111,7 @@ def test_explain_errors(service_runner):
 
 
 def test_solve_stats_opt_in(service_runner):
-    runner = service_runner(backend="python", linger_ms=1.0)
+    runner = service_runner(backend="python")
     client = client_for(runner)
     try:
         register(client, "demo", make_zipf())
@@ -140,7 +140,7 @@ def test_solve_stats_opt_in(service_runner):
 
 def test_debug_stats_ring_is_bounded(service_runner):
     runner = service_runner(
-        backend="python", linger_ms=1.0, stats_log_capacity=2
+        backend="python", stats_log_capacity=2
     )
     client = client_for(runner)
     try:
@@ -166,7 +166,7 @@ def test_debug_stats_ring_is_bounded(service_runner):
 
 def test_operator_gauges_pruned_on_eviction(service_runner):
     """Satellite: /metrics label cardinality stays bounded by the LRU."""
-    runner = service_runner(backend="python", max_databases=1, linger_ms=1.0)
+    runner = service_runner(backend="python", max_databases=1)
     client = client_for(runner)
     try:
         register(client, "first", make_zipf())
@@ -200,7 +200,7 @@ def _gauge(exposition, metric, database):
 
 def test_curve_cache_gauges_tell_read_offs_from_recomputes(service_runner):
     """Per-database curve-cache hits/misses at /metrics, pruned on eviction."""
-    runner = service_runner(backend="python", max_databases=1, linger_ms=1.0)
+    runner = service_runner(backend="python", max_databases=1)
     client = client_for(runner)
     try:
         register(client, "first", make_zipf())
@@ -229,7 +229,7 @@ def test_curve_cache_gauges_tell_read_offs_from_recomputes(service_runner):
 
 def test_slow_log_entries_carry_worst_misestimate(service_runner):
     runner = service_runner(
-        backend="python", linger_ms=1.0, trace=True, slow_ms=0.0
+        backend="python", trace=True, slow_ms=0.0
     )
     client = client_for(runner)
     try:
@@ -251,7 +251,7 @@ def test_slow_log_entries_carry_worst_misestimate(service_runner):
 
 
 def test_stats_solves_bypass_the_batcher(service_runner):
-    runner = service_runner(backend="python", linger_ms=25.0, max_batch=8)
+    runner = service_runner(backend="python", max_batch=8)
     client = client_for(runner)
     try:
         register(client, "demo", make_zipf())
@@ -273,7 +273,7 @@ def test_stats_only_solve_feeds_neither_stage_histograms_nor_slow_log(
     """A ``"stats": true`` solve runs under a tracer even without
     ``trace``; its spans must not reach the stage histograms or the slow
     log, which only ``trace`` feeds."""
-    runner = service_runner(backend="python", linger_ms=1.0, slow_ms=0.0)
+    runner = service_runner(backend="python", slow_ms=0.0)
     client = client_for(runner)
     try:
         register(client, "demo", make_zipf())

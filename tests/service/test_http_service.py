@@ -7,6 +7,8 @@ calls on an identical database/backend -- including after
 """
 
 import threading
+import time
+from contextlib import contextmanager
 
 from repro.data.database import Database
 from repro.service.serialize import (
@@ -42,8 +44,45 @@ def strip_envelope(payload: dict) -> dict:
     return {k: v for k, v in payload.items() if k not in ENVELOPE_KEYS}
 
 
+@contextmanager
+def held_database(runner, name):
+    """Hold a database's write lock: solves on it park before any work."""
+    with runner.service.registry.get(name).lock.write():
+        yield
+
+
+class BackgroundSolve:
+    """POST one ``/v1/solve`` from a background thread on its own client."""
+
+    def __init__(self, runner, payload):
+        self.status = self.body = None
+        self.thread = threading.Thread(target=self._run, args=(runner, payload))
+        self.thread.start()
+
+    def _run(self, runner, payload):
+        worker = JsonClient("127.0.0.1", runner.port)
+        try:
+            self.status, self.body, _ = worker.post("/v1/solve", payload)
+        finally:
+            worker.close()
+
+    def join(self):
+        self.thread.join(timeout=60)
+        return self.status
+
+
+def wait_for_pending(client, count, timeout_s=10.0):
+    """Poll ``/healthz`` until ``count`` solves hold admission slots."""
+    deadline = time.time() + timeout_s
+    while time.time() < deadline:
+        if client.get("/healthz")[1]["pending_requests"] >= count:
+            return
+        time.sleep(0.005)
+    raise AssertionError(f"{count} solves never became pending")
+
+
 def test_solve_and_what_if_parity_including_version_bumps(service_runner):
-    runner = service_runner(backend="python", linger_ms=1.0)
+    runner = service_runner(backend="python")
     client = JsonClient("127.0.0.1", runner.port)
     try:
         register(client, "zipf", make_zipf())
@@ -127,7 +166,7 @@ def _fresh_r2_edges(database, count):
 def test_apply_insertions_round_trip(service_runner):
     """Insertions over HTTP: version bumps, no-op batches, solver parity,
     and in-flight solves landing consistently on exactly one version."""
-    runner = service_runner(backend="python", linger_ms=1.0)
+    runner = service_runner(backend="python")
     client = JsonClient("127.0.0.1", runner.port)
     try:
         register(client, "zipf", make_zipf())
@@ -233,7 +272,7 @@ def test_apply_insertions_round_trip(service_runner):
 
 def test_batched_and_unbatched_solves_are_identical(service_runner):
     """Coalesced dispatch must not change any solve answer."""
-    runner = service_runner(backend="python", linger_ms=25.0, max_batch=8)
+    runner = service_runner(backend="python", max_batch=8)
     client = JsonClient("127.0.0.1", runner.port)
     try:
         register(client, "zipf", make_zipf())
@@ -248,33 +287,23 @@ def test_batched_and_unbatched_solves_are_identical(service_runner):
             assert body["batched"] is False
             baseline[k] = strip_envelope(body)
 
-        results = {}
-        errors = []
-
-        def solve(k):
-            worker = JsonClient("127.0.0.1", runner.port)
-            try:
-                status, body, _ = worker.post(
-                    "/v1/solve", {"database": "zipf", "query": QUERY, "k": k}
+        # The first solve dispatches at once and parks on the held
+        # database lock; the other five queue behind it as one batch.
+        with held_database(runner, "zipf"):
+            solvers = {
+                k: BackgroundSolve(
+                    runner, {"database": "zipf", "query": QUERY, "k": k}
                 )
-                if status != 200:
-                    errors.append(body)
-                results[k] = body
-            finally:
-                worker.close()
-
-        threads = [threading.Thread(target=solve, args=(k,)) for k in targets]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not errors
-        assert any(body.get("batched") for body in results.values())
-        for k in targets:
-            assert strip_envelope(results[k]) == baseline[k]
+                for k in targets
+            }
+            wait_for_pending(client, len(targets))
+        for k, solver in solvers.items():
+            assert solver.join() == 200, solver.body
+            assert strip_envelope(solver.body) == baseline[k]
+        assert sum(bool(s.body["batched"]) for s in solvers.values()) == 5
         status, health, _ = client.get("/healthz")
-        assert health["metrics"]["batches_total"] >= 1
-        assert health["metrics"]["batched_requests_total"] >= 2
+        assert health["metrics"]["batches_total"] == 1
+        assert health["metrics"]["batched_requests_total"] == 5
     finally:
         client.close()
 
@@ -290,7 +319,7 @@ def test_served_solve_prepares_once_per_request(service_runner, monkeypatch):
         return original(self, query)
 
     monkeypatch.setattr(Session, "prepare", counting_prepare)
-    runner = service_runner(backend="python", linger_ms=1.0)
+    runner = service_runner(backend="python")
     client = JsonClient("127.0.0.1", runner.port)
     try:
         register(client, "zipf", make_zipf())
@@ -307,7 +336,7 @@ def test_served_solve_prepares_once_per_request(service_runner, monkeypatch):
 
 
 def test_error_statuses(service_runner):
-    runner = service_runner(linger_ms=1.0)
+    runner = service_runner()
     client = JsonClient("127.0.0.1", runner.port)
     try:
         database = Database.from_dict(
@@ -377,47 +406,25 @@ def test_error_statuses(service_runner):
 
 def test_overload_returns_429_with_retry_after(service_runner):
     runner = service_runner(
-        backend="python", max_pending=1, retry_after_s=0.25,
-        linger_ms=500.0, max_batch=4,
+        backend="python", max_pending=1, retry_after_s=0.25, max_batch=4,
     )
     client = JsonClient("127.0.0.1", runner.port)
     try:
         register(client, "zipf", make_zipf())
-        # First request parks in the 500 ms batch window holding the only
-        # admission slot; the second must be shed immediately.
-        first = {}
-
-        def occupant():
-            worker = JsonClient("127.0.0.1", runner.port)
-            try:
-                status, body, _ = worker.post(
-                    "/v1/solve", {"database": "zipf", "query": QUERY, "k": 1}
-                )
-                first["status"] = status
-            finally:
-                worker.close()
-
-        thread = threading.Thread(target=occupant)
-        thread.start()
-        import time as _time
-
-        # Wait until the occupant's request holds the only admission slot
-        # (parked in its 500 ms batch window), then probe.
-        deadline = _time.time() + 2.0
-        while _time.time() < deadline:
-            _status, health, _ = client.get("/healthz")
-            if health["pending_requests"] >= 1:
-                break
-            _time.sleep(0.005)
-        assert health["pending_requests"] >= 1
-        status, body, headers = client.post(
-            "/v1/solve", {"database": "zipf", "query": QUERY, "k": 1}
-        )
-        assert status == 429
-        assert headers.get("retry-after") == "0.25"
-        assert "retry_after_s" in body
-        thread.join(timeout=30)
-        assert first["status"] == 200
+        # The occupant's solve holds the only admission slot, parked on the
+        # database lock this test holds; the probe must be shed at once.
+        with held_database(runner, "zipf"):
+            occupant = BackgroundSolve(
+                runner, {"database": "zipf", "query": QUERY, "k": 1}
+            )
+            wait_for_pending(client, 1)
+            status, body, headers = client.post(
+                "/v1/solve", {"database": "zipf", "query": QUERY, "k": 1}
+            )
+            assert status == 429
+            assert headers.get("retry-after") == "0.25"
+            assert "retry_after_s" in body
+        assert occupant.join() == 200
         status, health, _ = client.get("/healthz")
         assert health["metrics"]["rejected_total"] >= 1
     finally:
@@ -425,26 +432,69 @@ def test_overload_returns_429_with_retry_after(service_runner):
 
 
 def test_expired_deadline_is_504(service_runner):
-    runner = service_runner(backend="python", linger_ms=100.0, max_batch=8)
+    runner = service_runner(backend="python", max_batch=8)
     client = JsonClient("127.0.0.1", runner.port)
     try:
         register(client, "zipf", make_zipf())
-        # The batch window (100 ms) outlives the 1 ms deadline: the request
-        # must be dropped before any solver work happens.
-        status, body, _ = client.post(
-            "/v1/solve",
-            {"database": "zipf", "query": QUERY, "k": 1, "deadline_ms": 1},
+        session = runner.service.registry.get("zipf").session
+        before = session.stats
+        # The request waits on the held database lock past its 50 ms
+        # budget: it must be dropped before any solver work happens.
+        with held_database(runner, "zipf"):
+            waiter = BackgroundSolve(
+                runner,
+                {"database": "zipf", "query": QUERY, "k": 1, "deadline_ms": 50},
+            )
+            wait_for_pending(client, 1)
+            time.sleep(0.1)
+        assert waiter.join() == 504
+        assert "deadline" in waiter.body["error"]
+        after = session.stats
+        assert (after.prepares, after.solves, after.joins) == (
+            before.prepares, before.solves, before.joins,
         )
-        assert status == 504
-        assert "deadline" in body["error"]
         status, health, _ = client.get("/healthz")
         assert health["metrics"]["deadline_missed_total"] >= 1
     finally:
         client.close()
 
 
+def test_a_query_never_queues_behind_another_querys_dispatch(service_runner):
+    """Batches key on the query: a solve of ``EASY_QUERY`` completes while
+    a dispatch of ``QUERY`` on the same database is held in flight."""
+    runner = service_runner(backend="python")
+    service = runner.service
+    entered, release = threading.Event(), threading.Event()
+    original = service._solve_batch_job
+
+    def gated_job(entry, items, trace_id=None):
+        if items[0].query == QUERY:
+            entered.set()
+            release.wait(30)
+        return original(entry, items, trace_id)
+
+    service._solve_batch_job = gated_job
+    client = JsonClient("127.0.0.1", runner.port, timeout=10.0)
+    try:
+        register(client, "zipf", make_zipf())
+        held = BackgroundSolve(
+            runner, {"database": "zipf", "query": QUERY, "k": 2}
+        )
+        assert entered.wait(10)
+        status, body, _ = client.post(
+            "/v1/solve", {"database": "zipf", "query": EASY_QUERY, "k": 2}
+        )
+        assert status == 200, body
+        assert held.thread.is_alive()
+        release.set()
+        assert held.join() == 200
+    finally:
+        release.set()
+        client.close()
+
+
 def test_lru_eviction_over_http(service_runner):
-    runner = service_runner(max_databases=1, linger_ms=1.0)
+    runner = service_runner(max_databases=1)
     client = JsonClient("127.0.0.1", runner.port)
     try:
         database = Database.from_dict({"R1": ["A"]}, {"R1": [(1,)]})
@@ -460,7 +510,7 @@ def test_lru_eviction_over_http(service_runner):
 
 
 def test_metrics_exposition_and_healthz(service_runner):
-    runner = service_runner(linger_ms=1.0)
+    runner = service_runner()
     client = JsonClient("127.0.0.1", runner.port)
     try:
         database = Database.from_dict({"R1": ["A"]}, {"R1": [(1,), (2,)]})
@@ -488,7 +538,7 @@ def test_traced_service_stamps_stages_slow_log_and_access_log(
 ):
     """trace=True threads one trace_id from header to slow-log entry."""
     runner = service_runner(
-        backend="python", linger_ms=1.0, trace=True, slow_ms=0.0,
+        backend="python", trace=True, slow_ms=0.0,
         log_requests=True,
     )
     client = JsonClient("127.0.0.1", runner.port)

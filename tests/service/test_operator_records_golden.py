@@ -125,7 +125,7 @@ def _service_scenarios(backend: str) -> Dict[str, object]:
 
     out: Dict[str, object] = {}
     runner = ServiceRunner(
-        ServiceConfig(port=0, backend=backend, linger_ms=1.0)
+        ServiceConfig(port=0, backend=backend)
     ).start()
     client = JsonClient("127.0.0.1", runner.port)
     try:
