@@ -12,7 +12,7 @@ This subpackage implements the paper's contributions proper:
 * :mod:`repro.core.adp` -- ``ComputeADP`` (Algorithm 2) with its base cases
   and simplification steps in sibling modules;
 * :mod:`repro.core.approximation` -- the full-CQ approximation algorithms
-  (Section 6);
+  of Theorem 5 (Section 6), run on the greedy heuristics' provenance index;
 * :mod:`repro.core.resilience` -- resilience as a special case;
 * :mod:`repro.core.selection` -- the selection extension (Section 7.5);
 * :mod:`repro.core.bruteforce` -- the exact brute-force baseline of the
@@ -22,7 +22,6 @@ This subpackage implements the paper's contributions proper:
 from repro.core.adp import ADPSolver, SolverConfig
 from repro.core.approximation import (
     approximation_factor_bound,
-    full_cq_cover_instance,
     greedy_full_cq,
     primal_dual_full_cq,
 )
@@ -124,7 +123,6 @@ __all__ = [
     # approximation / resilience / selection
     "greedy_full_cq",
     "primal_dual_full_cq",
-    "full_cq_cover_instance",
     "approximation_factor_bound",
     "resilience",
     "is_resilience_poly_time",

@@ -2,11 +2,26 @@
 
 For a *full* CQ every output tuple has exactly one witness, so ADP is an
 instance of Partial Set Cover: sets correspond to input tuples, elements to
-output tuples, and the set of an input tuple contains the outputs whose
-witness uses it.  Every element belongs to exactly ``p`` sets (one tuple per
-relation participates in its witness), so PSC's greedy ``O(log k)`` and
-primal-dual ``f``-approximations yield ``O(log k)`` and ``p``-approximations
-for ADP (Theorem 5).
+output tuples (= witnesses), and the set of an input tuple contains the
+witnesses that use it.  Every element belongs to exactly ``p`` sets (one
+tuple per relation participates in its witness), so PSC's greedy
+``O(log k)`` and primal-dual ``f``-approximations [Gandhi, Khuller,
+Srinivasan 2004] yield ``O(log k)`` and ``p``-approximations for ADP
+(Theorem 5).
+
+Both run on the provenance index the greedy heuristics build; no separate
+set system is materialized:
+
+* :func:`greedy_full_cq` reads its picks off ``GreedyForCQ`` (Algorithm 6)
+  over every relation.  On a full CQ a tuple's profit equals its witness
+  gain, the number of still-uncovered elements of its set, and both
+  algorithms take the first maximum in ``repr(TupleRef)`` order, so
+  Algorithm 6 *is* the PSC greedy.
+* :func:`primal_dual_full_cq` runs over dense rids (sets) and witness IDs
+  (elements) of a :class:`~repro.engine.provenance.ProvenanceIndex`.  Its
+  element walk does not reach Theorem 5's ``p`` bound on every instance:
+  for *partial* cover an optimal solution need not cover the walked
+  elements (``tests/core/test_approximation.py`` pins a counterexample).
 
 For general CQs (with projections) no such guarantee is possible: already
 ``Qswing`` is hard to approximate within ``Ω(n^ε)`` under standard
@@ -16,29 +31,27 @@ approximations for full CQs and raises otherwise.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
+from repro.core.adp import check_target
+from repro.core.greedy import candidate_order, greedy_curve
 from repro.core.solution import ADPSolution
 from repro.data.database import Database
 from repro.data.relation import TupleRef
+from repro.engine.evaluate import QueryResult
 from repro.engine.evaluate import evaluate_in_context as evaluate
-from repro.engine.setcover import (
-    PartialSetCoverInstance,
-    greedy_partial_cover,
-    primal_dual_partial_cover,
-    sets_from_packed_provenance,
-)
+from repro.engine.provenance import ProvenanceIndex
+from repro.obs.trace import span
 from repro.query.cq import ConjunctiveQuery
 
 
-def full_cq_cover_instance(
+def _full_cq_result(
     query: ConjunctiveQuery, database: Database, k: int
-) -> PartialSetCoverInstance:
-    """The Partial Set Cover instance of Theorem 5 for a full CQ.
+) -> QueryResult:
+    """Evaluate a full CQ and check ``1 <= k <= |Q(D)|``.
 
-    Sets are keyed by :class:`~repro.data.relation.TupleRef`; elements are
-    the indices of the output tuples (= witnesses, since the query is full).
-    Raises ``ValueError`` when the query has existential attributes.
+    Raises ``ValueError`` when the query has existential attributes or the
+    target is out of range.
     """
     if not query.is_full:
         raise ValueError(
@@ -46,25 +59,21 @@ def full_cq_cover_instance(
             f"{query.name} projects out {sorted(query.existential_attributes)}"
         )
     result = evaluate(query, database)
-    return PartialSetCoverInstance(
-        sets_from_packed_provenance(result.provenance), target=k
-    )
+    check_target(k, result.output_count())
+    return result
 
 
 def _to_solution(
-    query: ConjunctiveQuery,
-    database: Database,
+    result: QueryResult,
     k: int,
-    chosen: List[TupleRef],
+    removed: FrozenSet[TupleRef],
     method: str,
 ) -> ADPSolution:
-    removed = frozenset(chosen)
-    removed_outputs = evaluate(query, database).outputs_removed_by(removed)
     return ADPSolution(
-        query=query,
+        query=result.query,
         k=k,
         removed=removed,
-        removed_outputs=removed_outputs,
+        removed_outputs=result.outputs_removed_by(removed),
         optimal=False,
         method=method,
         stats={"approximation": True},
@@ -75,23 +84,76 @@ def greedy_full_cq(
     query: ConjunctiveQuery, database: Database, k: int
 ) -> ADPSolution:
     """The ``O(log k)``-approximation for full CQs (greedy partial set cover)."""
-    instance = full_cq_cover_instance(query, database, k)
-    chosen = greedy_partial_cover(instance)
-    return _to_solution(query, database, k, chosen, method="psc-greedy")
+    result = _full_cq_result(query, database, k)
+    curve = greedy_curve(query, database, kmax=k, endogenous_only=False)
+    return _to_solution(result, k, curve.solution(k), method="psc-greedy")
 
 
 def primal_dual_full_cq(
     query: ConjunctiveQuery, database: Database, k: int
 ) -> ADPSolution:
-    """The ``p``-approximation for full CQs (primal-dual partial set cover).
+    """Primal-dual partial set cover for full CQs (Theorem 5's second
+    algorithm; every element lies in ``p`` sets, ``p`` the relation count).
 
-    ``p`` is the number of relations of the query (every output tuple's
-    witness uses exactly one tuple per relation, so the element frequency of
-    the PSC instance is ``p``).
+    For unit costs the primal-dual guesses the first set of an optimal
+    solution, trying every candidate rid in ``repr(TupleRef)`` order; then
+    it walks the elements (witness IDs, in ``repr`` order) and, at each
+    still-uncovered one, buys every set containing it (raising its dual
+    until they are all tight), stopping as soon as ``k`` elements are
+    covered.  The smallest cover over all guesses wins, the first on ties.
+    The walk can exceed ``p`` times the optimum (see the module docstring).
     """
-    instance = full_cq_cover_instance(query, database, k)
-    chosen = primal_dual_partial_cover(instance)
-    return _to_solution(query, database, k, chosen, method="psc-primal-dual")
+    result = _full_cq_result(query, database, k)
+    index = ProvenanceIndex(result)
+    witness_count = result.provenance.witness_count()
+    with span("solver.setcover.primal_dual") as psp:
+        if psp:
+            psp.set(sets=index.ref_count(), elements=witness_count, target=k)
+        guesses = candidate_order(index, index.relation_names())
+        rank = [0] * index.ref_count()
+        for place, rid in enumerate(guesses):
+            rank[rid] = place
+        ref_witnesses = [index.ref_witnesses(rid) for rid in range(index.ref_count())]
+        containing = [
+            sorted(index.witness_rids(wid), key=rank.__getitem__)
+            for wid in range(witness_count)
+        ]
+        elements = sorted(range(witness_count), key=repr)
+        best: Optional[List[int]] = None
+        for guess in guesses:
+            chosen = [guess]
+            covered = bytearray(witness_count)
+            count = _cover(covered, ref_witnesses[guess])
+            for wid in elements:
+                if count >= k:
+                    break
+                if covered[wid]:
+                    continue
+                # No chosen set holds an uncovered element, so every set
+                # containing it is bought.
+                for rid in containing[wid]:
+                    chosen.append(rid)
+                    count += _cover(covered, ref_witnesses[rid])
+                    if count >= k:
+                        break
+            # k <= W, so every guess ends up covering k elements.
+            if best is None or len(chosen) < len(best):
+                best = chosen
+        assert best is not None
+        if psp:
+            psp.set(chosen=len(best))
+    removed = frozenset(index.ref_at(rid) for rid in best)
+    return _to_solution(result, k, removed, method="psc-primal-dual")
+
+
+def _cover(covered: bytearray, wids: Sequence[int]) -> int:
+    """Mark ``wids`` covered; returns how many were not covered before."""
+    gained = 0
+    for wid in wids:
+        if not covered[wid]:
+            covered[wid] = 1
+            gained += 1
+    return gained
 
 
 def approximation_factor_bound(query: ConjunctiveQuery, k: int) -> Tuple[float, int]:

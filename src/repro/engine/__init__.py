@@ -18,13 +18,12 @@ substrate built from scratch:
   result from cached packed provenance in one column scan (the engine behind
   ``Session.what_if`` / ``Session.apply_deletions``);
 * :mod:`repro.engine.provenance` -- an incremental provenance index (dense
-  integer arrays) used by the greedy heuristics and by solution verification;
+  integer arrays) used by the greedy heuristics, the full-CQ approximations
+  of Theorem 5 and solution verification;
 * :mod:`repro.engine.semijoin` -- semi-join reduction (dangling-tuple
   removal);
 * :mod:`repro.engine.flow` -- max-flow / min-cut (Edmonds--Karp) used by the
   Boolean (resilience) base case of ``ComputeADP``;
-* :mod:`repro.engine.setcover` -- partial set cover (greedy and primal-dual)
-  used by the approximation algorithms for full CQs;
 * :mod:`repro.engine.backend` -- the array backends: pure-Python kernels
   (always available, the parity oracle) and the optional vectorized NumPy
   kernels selected via ``Session(backend="auto"|"python"|"numpy")``.
@@ -50,12 +49,6 @@ from repro.engine.evaluate import (
 from repro.engine.provenance import ProvenanceIndex
 from repro.engine.semijoin import remove_dangling_tuples, semijoin_reduce
 from repro.engine.flow import FlowNetwork
-from repro.engine.setcover import (
-    PartialSetCoverInstance,
-    greedy_partial_cover,
-    primal_dual_partial_cover,
-    sets_from_packed_provenance,
-)
 
 __all__ = [
     "QueryResult",
@@ -74,10 +67,6 @@ __all__ = [
     "remove_dangling_tuples",
     "semijoin_reduce",
     "FlowNetwork",
-    "PartialSetCoverInstance",
-    "greedy_partial_cover",
-    "primal_dual_partial_cover",
-    "sets_from_packed_provenance",
     "numpy_available",
     "python_backend",
     "resolve_backend",

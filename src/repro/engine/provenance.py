@@ -343,6 +343,15 @@ class ProvenanceIndex:
         tid = int(self._atom_tids[position][rid - self._atom_bases[position]])
         return TupleRef(index.name, index.rows[tid])
 
+    def ref_witnesses(self, rid: int) -> List[int]:
+        """The witness IDs containing tuple ``rid``, ascending (a fresh list)."""
+        return as_id_list(self._ref_witnesses[rid])
+
+    def witness_rids(self, wid: int) -> List[int]:
+        """The rids of witness ``wid``'s tuples, one per atom then the vacuum
+        refs (a fresh list)."""
+        return as_id_list(self._witness_rids[wid])
+
     def profit_id(self, rid: int) -> int:
         """:meth:`profit` over a dense ref ID."""
         if self._removed_flags[rid]:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.engine.flow import FlowNetwork
 from repro.engine.provenance import ProvenanceIndex
 from repro.engine.semijoin import remove_dangling_tuples
-from repro.engine.setcover import PartialSetCoverInstance, greedy_partial_cover, primal_dual_partial_cover
 from repro.session import Session
 
 from tests.conftest import query_instance_pairs
@@ -76,21 +75,3 @@ def test_max_flow_equals_min_cut_on_random_networks(seed):
     flow = network.max_flow("s", "t")
     cut = network.min_cut_edges("s")
     assert abs(sum(capacity for (_, _, capacity, _) in cut) - flow) < 1e-9
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_partial_cover_algorithms_are_feasible(seed):
-    rng = random.Random(seed)
-    universe = list(range(rng.randint(1, 8)))
-    sets = {
-        f"s{i}": frozenset(rng.sample(universe, rng.randint(1, len(universe))))
-        for i in range(rng.randint(1, 6))
-    }
-    covered = set().union(*sets.values())
-    target = rng.randint(0, len(covered))
-    instance = PartialSetCoverInstance(sets, target)
-    for algorithm in (greedy_partial_cover, primal_dual_partial_cover):
-        chosen = algorithm(instance)
-        assert instance.is_feasible(chosen)
-        assert len(chosen) == len(set(chosen))
