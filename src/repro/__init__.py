@@ -39,7 +39,7 @@ Package layout
 ``repro.query``      conjunctive-query model (atoms, parser, graph, rewrites)
 ``repro.data``       in-memory relations / databases / CSV I/O
 ``repro.engine``     join evaluation with provenance, delta semijoins,
-                     semi-joins, max-flow, partial set cover
+                     dangling-tuple removal, max-flow
 ``repro.core``       the paper's contribution: dichotomies, hard structures,
                      query mappings, ``ComputeADP``, heuristics,
                      approximations, resilience, selections

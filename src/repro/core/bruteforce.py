@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
+from repro.core.adp import check_target
 from repro.core.solution import ADPSolution
 from repro.core.structures import endogenous_relations
 from repro.data.database import Database
@@ -58,12 +59,8 @@ def bruteforce_solve(
     ADPSolution
         An optimal solution (``optimal=True``, ``method="bruteforce"``).
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     result = evaluate(query, database)
-    total = result.output_count()
-    if k > total:
-        raise ValueError(f"k={k} exceeds |Q(D)|={total}")
+    check_target(k, result.output_count())
 
     if candidates is None:
         pool = list(result.participating_refs())

@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Sequence
 
+from repro.core.adp import check_target
+from repro.core.greedy import candidate_order
 from repro.core.solution import ADPSolution
 from repro.core.structures import endogenous_relations
 from repro.data.database import Database
-from repro.data.relation import TupleRef
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.engine.provenance import ProvenanceIndex
 from repro.query.cq import ConjunctiveQuery
@@ -38,27 +39,25 @@ from repro.query.cq import ConjunctiveQuery
 class _SearchState:
     """Mutable search state shared across the branch-and-bound recursion."""
 
-    def __init__(self, index: ProvenanceIndex, target: int, node_limit: int):
-        self.index = index
-        self.target = target
+    def __init__(self, node_limit: int):
         self.node_limit = node_limit
         self.nodes = 0
         self.best_size: Optional[int] = None
-        self.best_removed: FrozenSet[TupleRef] = frozenset()
+        self.best_removed: FrozenSet[int] = frozenset()
 
 
-def _upper_profit_bound(index: ProvenanceIndex, candidates: Sequence[TupleRef], budget: int) -> int:
+def _upper_profit_bound(index: ProvenanceIndex, candidates: Sequence[int], budget: int) -> int:
     """Optimistic gain of deleting the ``budget`` best remaining candidates.
 
-    The bound uses :meth:`ProvenanceIndex.touched_outputs`, not
-    :meth:`ProvenanceIndex.profit`: an output can only die if at least one
-    deleted tuple touches it, so the number of outputs killed by any set
-    ``S`` is at most ``sum(touched_outputs(t) for t in S)`` (a union bound).
-    Per-tuple *profits* would not be admissible here -- on queries with
-    projections they are super-additive (two deletions can jointly kill an
-    output that neither kills alone).
+    The bound uses :meth:`ProvenanceIndex.touched_outputs_id`, not
+    :meth:`ProvenanceIndex.profit_id`: an output can only die if at least
+    one deleted tuple touches it, so the number of outputs killed by any set
+    ``S`` is at most ``sum(touched_outputs_id(t) for t in S)`` (a union
+    bound).  Per-tuple *profits* would not be admissible here -- on queries
+    with projections they are super-additive (two deletions can jointly kill
+    an output that neither kills alone).
     """
-    touches = sorted((index.touched_outputs(ref) for ref in candidates), reverse=True)
+    touches = sorted((index.touched_outputs_id(rid) for rid in candidates), reverse=True)
     return sum(touches[:budget])
 
 
@@ -87,42 +86,43 @@ def branch_and_bound_solve(
     ADPSolution
         An optimal solution (``optimal=True``, ``method="branch-and-bound"``).
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
     result = evaluate(query, database)
-    total = result.output_count()
-    if k > total:
-        raise ValueError(f"k={k} exceeds |Q(D)|={total}")
+    check_target(k, result.output_count())
 
+    # The search runs on the index's dense ref IDs (rids); ties are broken
+    # by ``repr(TupleRef)`` through each rid's rank in candidate_order.
     index = ProvenanceIndex(result)
-    candidates = list(result.participating_refs())
-    if endogenous_only:
-        allowed = set(endogenous_relations(query))
-        candidates = [ref for ref in candidates if ref.relation in allowed]
+    candidates = candidate_order(
+        index, endogenous_relations(query) if endogenous_only else index.relation_names()
+    )
+    rank = [0] * index.ref_count()
+    for place, rid in enumerate(candidates):
+        rank[rid] = place
     # Stable, profit-descending order gives the search good first solutions.
-    candidates.sort(key=lambda ref: (-index.profit(ref), repr(ref)))
+    candidates.sort(key=lambda rid: -index.profit_id(rid))
 
-    state = _SearchState(index, k, node_limit)
+    state = _SearchState(node_limit)
 
     # A greedy solution seeds the incumbent so pruning bites immediately.
-    greedy_removed: List[TupleRef] = []
+    greedy_removed: List[int] = []
     while index.removed_output_count() < k:
+        taken = set(greedy_removed)
         best = max(
-            (ref for ref in candidates if not index.is_removed(ref)),
-            key=lambda ref: (index.profit(ref), index.witness_gain(ref), repr(ref)),
+            (rid for rid in candidates if rid not in taken),
+            key=lambda rid: (index.profit_id(rid), index.witness_gain_id(rid), rank[rid]),
             default=None,
         )
         if best is None:
             break
-        index.remove(best)
+        index.remove_id(best)
         greedy_removed.append(best)
     if index.removed_output_count() >= k:
         state.best_size = len(greedy_removed)
         state.best_removed = frozenset(greedy_removed)
-    for ref in greedy_removed:
-        index.restore(ref)
+    for rid in greedy_removed:
+        index.restore_id(rid)
 
-    chosen: List[TupleRef] = []
+    chosen: List[int] = []
 
     def recurse(position: int) -> None:
         state.nodes += 1
@@ -147,29 +147,28 @@ def branch_and_bound_solve(
             return
         if removed_outputs + _upper_profit_bound(index, remaining, budget) < k:
             return
-        for offset, ref in enumerate(remaining):
-            if index.is_removed(ref):
-                continue
+        # ``remaining`` holds no chosen rid: every pick lies before ``position``.
+        for offset, rid in enumerate(remaining):
             if state.best_size is not None and len(chosen) + 1 >= state.best_size:
                 # Any completion through this branch has size >= the incumbent.
                 break
-            # Branch: take ref; the "skip ref" branch is the next iteration.
-            index.remove(ref)
-            chosen.append(ref)
+            # Branch: take rid; the "skip rid" branch is the next iteration.
+            index.remove_id(rid)
+            chosen.append(rid)
             recurse(position + offset + 1)
             chosen.pop()
-            index.restore(ref)
+            index.restore_id(rid)
 
     recurse(0)
 
     if state.best_size is None:
         raise RuntimeError("branch-and-bound failed to find a feasible solution")
-    removed_outputs = result.outputs_removed_by(state.best_removed)
+    removed = frozenset(index.ref_at(rid) for rid in state.best_removed)
     return ADPSolution(
         query=query,
         k=k,
-        removed=state.best_removed,
-        removed_outputs=removed_outputs,
+        removed=removed,
+        removed_outputs=result.outputs_removed_by(removed),
         optimal=True,
         method="branch-and-bound",
         stats={"nodes": state.nodes, "candidates": len(candidates)},

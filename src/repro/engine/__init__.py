@@ -17,11 +17,11 @@ substrate built from scratch:
 * :mod:`repro.engine.delta` -- delta semijoins: derive the post-deletion
   result from cached packed provenance in one column scan (the engine behind
   ``Session.what_if`` / ``Session.apply_deletions``);
-* :mod:`repro.engine.provenance` -- an incremental provenance index (dense
-  integer arrays) used by the greedy heuristics, the full-CQ approximations
-  of Theorem 5 and solution verification;
-* :mod:`repro.engine.semijoin` -- semi-join reduction (dangling-tuple
-  removal);
+* :mod:`repro.engine.provenance` -- an incremental provenance index over
+  dense integer ref IDs, used by the greedy heuristics, the full-CQ
+  approximations of Theorem 5 and the branch-and-bound exact solver;
+* :mod:`repro.engine.semijoin` -- exact dangling-tuple removal (for the
+  Boolean min-cut);
 * :mod:`repro.engine.flow` -- max-flow / min-cut (Edmonds--Karp) used by the
   Boolean (resilience) base case of ``ComputeADP``;
 * :mod:`repro.engine.backend` -- the array backends: pure-Python kernels
@@ -47,7 +47,7 @@ from repro.engine.evaluate import (
     use_context,
 )
 from repro.engine.provenance import ProvenanceIndex
-from repro.engine.semijoin import remove_dangling_tuples, semijoin_reduce
+from repro.engine.semijoin import remove_dangling_tuples
 from repro.engine.flow import FlowNetwork
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "delta_filter_result",
     "ProvenanceIndex",
     "remove_dangling_tuples",
-    "semijoin_reduce",
     "FlowNetwork",
     "numpy_available",
     "python_backend",

@@ -25,8 +25,8 @@ Figure 12--16 benchmarks.  This module is the batch-oriented replacement:
 ``repro.engine.evaluate`` wraps a :class:`ColumnarProvenance` in the familiar
 ``QueryResult``/``Witness`` API, materializing row-style views only when a
 caller actually asks for them; the solver hot paths (greedy, singleton,
-brute force, set cover, semi-join reduction) consume the packed columns
-directly.
+brute force, Theorem 5's approximations, dangling-tuple removal) consume
+the packed columns directly.
 """
 
 from __future__ import annotations

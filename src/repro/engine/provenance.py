@@ -13,39 +13,36 @@ incrementally:
 * every input tuple knows the witnesses it participates in;
 * deleting a tuple decrements alive counts and reports the outputs whose
   count reached zero;
-* ``profit(t)`` computes, without mutating anything, how many still-alive
-  outputs would die if ``t`` were deleted (i.e. outputs all of whose alive
-  witnesses contain ``t``).
+* ``profit_id(t)`` computes, without mutating anything, how many
+  still-alive outputs would die if ``t`` were deleted (i.e. outputs all of
+  whose alive witnesses contain ``t``).
 
-Since the columnar-engine rewrite the index works on dense integers: every
-participating input tuple gets a *ref ID* (``rid``), witnesses are numbered
-``0..W-1``, and all bookkeeping lives in parallel ``int`` lists built
-straight from the packed provenance columns -- no ``Witness`` objects, no
-``TupleRef`` hashing on the hot path.  Rids are allocated atom by atom (each
-atom's participating tuples in first-occurrence order, then the vacuum
-refs), so the index keeps only each atom's first rid and its
-``rid -> tid`` column: a :class:`~repro.data.relation.TupleRef` is built on
-demand (:meth:`ProvenanceIndex.ref_at`) and a ``TupleRef -> rid`` lookup
-goes through :meth:`~repro.engine.columnar.ColumnarProvenance.locate` plus a
-per-atom ``tid -> rid`` map.  A cold greedy solve therefore builds
-``TupleRef`` objects only for the tuples it picks.  The classic
-``TupleRef``-keyed API is preserved as a thin translation layer; the greedy
-loops use the ``*_id`` methods and :meth:`ProvenanceIndex.relation_rows`.
-Per-tuple *witness gains* (alive witnesses containing the tuple) are
-additionally maintained incrementally, which both makes ``witness_gain``
-O(1) and gives the greedy scan a sound upper bound on profit
-(``profit(t) <= witness_gain(t)``).  The NumPy kernel also maintains alive
-witness counts per ``(output, ref)`` pair, so the profits of every tuple
-(:meth:`ProvenanceIndex.profits_for`) are one compare plus one ``bincount``.
+The index works on dense integers only: every participating input tuple
+gets a *ref ID* (``rid``), witnesses are numbered ``0..W-1``, and all
+bookkeeping lives in parallel ``int`` lists built straight from the packed
+provenance columns -- no ``Witness`` objects, no ``TupleRef`` hashing.  Rids
+are allocated atom by atom (each atom's participating tuples in
+first-occurrence order, then the vacuum refs), so the index keeps only each
+atom's first rid and its ``rid -> tid`` column.  Callers walk candidates
+with :meth:`ProvenanceIndex.relation_rows` and build a
+:class:`~repro.data.relation.TupleRef` only for the rids they return
+(:meth:`ProvenanceIndex.ref_at`): a cold greedy solve builds ``TupleRef``
+objects only for the tuples it picks.  Per-tuple *witness gains* (alive
+witnesses containing the tuple) are additionally maintained incrementally,
+which both makes ``witness_gain_id`` O(1) and gives the greedy scan a sound
+upper bound on profit (``profit_id(t) <= witness_gain_id(t)``).  The NumPy
+kernel also maintains alive witness counts per ``(output, ref)`` pair, so
+the profits of every tuple (:meth:`ProvenanceIndex.profits_for`) are one
+compare plus one ``bincount``.
 
-The index is also the basis of solution verification
-(:meth:`ProvenanceIndex.outputs_removed_by`).
+Stateless verification of a finished solution is
+:meth:`repro.engine.evaluate.QueryResult.outputs_removed_by`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.data.relation import Row, TupleRef
 from repro.engine.backend import (
@@ -83,11 +80,8 @@ class ProvenanceIndex:
         prov = result.provenance
         #: per atom: the rid of its first participating tuple ...
         self._atom_bases: List[int] = []
-        #: ... its ``local rid -> tid`` column (first-occurrence order) ...
+        #: ... and its ``local rid -> tid`` column (first-occurrence order).
         self._atom_tids: List[Column] = []
-        #: ... and its ``tid -> rid`` map (a dict on the Python kernel, an
-        #: array with ``-1`` for non-participating tids on the NumPy one).
-        self._tid_rids: List[Any] = []
         #: vacuum refs take the rids after every atom's (only when there is
         #: a witness for them to participate in).
         self._vacuum: Tuple[TupleRef, ...] = (
@@ -102,7 +96,6 @@ class ProvenanceIndex:
             np = backend_of_column(prov.ref_columns[0]).np
         #: NumPy handle when the vectorized kernels are active, else ``None``.
         self._np = np
-        self._totals = None  # lazy per-output witness totals (initial_profit)
         if np is not None:
             self._build_from_columnar_numpy(result, np)
             self._hits = np.zeros(len(self._witness_output), dtype=np.int64)
@@ -129,8 +122,6 @@ class ProvenanceIndex:
         self._pair_rid: Any = None
         self._pair_output: Any = None
         self._pair_alive: Any = None
-        #: Removed references that join no witness (no rid to flag).
-        self._removed_unknown: Set[TupleRef] = set()
         self._dead_outputs: int = 0
         # Outputs with no witnesses at all never existed; by construction the
         # evaluate() result only lists outputs with >= 1 witness.
@@ -161,7 +152,6 @@ class ProvenanceIndex:
                 ref_witnesses[rid].append(w)
                 witness_rids[w].append(rid)
             self._atom_tids.append(tids)
-            self._tid_rids.append(local)
         self._vacuum_base = len(ref_witnesses)
         for _vacuum_ref in self._vacuum:
             rid = len(ref_witnesses)
@@ -201,7 +191,6 @@ class ProvenanceIndex:
             counts_list.append(np.bincount(local, minlength=int(uniq_first.size)))
             self._atom_bases.append(base)
             self._atom_tids.append(uniq_first)
-            self._tid_rids.append(lookup)
             base += int(uniq_first.size)
         self._vacuum_base = base
         if witness_count:
@@ -256,50 +245,13 @@ class ProvenanceIndex:
     # State
     # ------------------------------------------------------------------ #
     @property
-    def removed(self) -> Set[TupleRef]:
-        """The tuples deleted so far (a fresh set, built on each call)."""
-        return {self.ref_at(rid) for rid in self._removed_rids()} | self._removed_unknown
-
-    def _removed_rids(self) -> List[int]:
-        if self._np is not None:
-            return self._np.flatnonzero(self._removed_flags).tolist()
-        return [rid for rid, flag in enumerate(self._removed_flags) if flag]
-
-    @property
     def vectorized(self) -> bool:
         """Whether the NumPy kernels are active (ndarray provenance)."""
         return self._np is not None
 
-    def is_removed(self, ref: TupleRef) -> bool:
-        """Whether ``ref`` has been deleted (no copy, unlike :attr:`removed`)."""
-        rid = self._rid_of(ref)
-        if rid is None:
-            return ref in self._removed_unknown
-        return bool(self._removed_flags[rid])
-
-    def total_outputs(self) -> int:
-        """``|Q(D)|`` of the original (un-deleted) instance."""
-        return self.result.output_count()
-
     def removed_output_count(self) -> int:
         """How many output tuples have been deleted so far."""
         return self._dead_outputs
-
-    def alive_output_count(self) -> int:
-        """How many output tuples survive the deletions so far."""
-        return self.total_outputs() - self._dead_outputs
-
-    def is_alive(self, output_id: int) -> bool:
-        """Whether output ``output_id`` still has at least one alive witness."""
-        return self._alive_witnesses[output_id] > 0
-
-    def participating_refs(self) -> List[TupleRef]:
-        """All input tuples that participate in at least one witness (rid order)."""
-        return [self.ref_at(rid) for rid in range(self._ref_total)]
-
-    def refs_of_relation(self, relation: str) -> List[TupleRef]:
-        """Participating input tuples belonging to one relation (rid order)."""
-        return [TupleRef(relation, row) for row in self.relation_rows(relation)[1]]
 
     def relation_rows(self, relation: str) -> Tuple[range, List[Row]]:
         """``(rids, rows)``: one relation's participating tuples, as rows.
@@ -328,7 +280,7 @@ class ProvenanceIndex:
         return names + [ref.relation for ref in self._vacuum]
 
     # ------------------------------------------------------------------ #
-    # Dense-ID API (the hot path of the greedy heuristics)
+    # Dense-ID queries and mutation
     # ------------------------------------------------------------------ #
     def ref_count(self) -> int:
         """How many distinct participating tuples the index tracks."""
@@ -353,7 +305,11 @@ class ProvenanceIndex:
         return as_id_list(self._witness_rids[wid])
 
     def profit_id(self, rid: int) -> int:
-        """:meth:`profit` over a dense ref ID."""
+        """How many *additional* outputs die if tuple ``rid`` is deleted now.
+
+        This is the quantity ``p(t) = |Q(D - S)| - |Q(D - S - t)|`` of
+        Algorithm 6, computed against the current deletion state ``S``.
+        """
         if self._removed_flags[rid]:
             return 0
         np = self._np
@@ -386,7 +342,13 @@ class ProvenanceIndex:
         return sum(1 for out, count in per_output.items() if count == alive[out])
 
     def witness_gain_id(self, rid: int) -> int:
-        """:meth:`witness_gain` over a dense ref ID -- O(1)."""
+        """How many still-alive witnesses die if tuple ``rid`` is deleted now.
+
+        O(1).  The greedy heuristic's tie-breaker: when no single tuple can
+        remove a whole output (all profits are zero, e.g. on boolean
+        queries), making progress on witnesses is the sensible secondary
+        objective.
+        """
         if self._removed_flags[rid]:
             return 0
         return int(self._gain[rid])
@@ -432,7 +394,13 @@ class ProvenanceIndex:
         return profit_all[np.asarray(rids, dtype=np.int64)]
 
     def touched_outputs_id(self, rid: int) -> int:
-        """:meth:`touched_outputs` over a dense ref ID."""
+        """How many still-alive outputs have an alive witness containing ``rid``.
+
+        An upper bound on the number of outputs that deleting ``rid`` can
+        contribute to killing (it equals :meth:`profit_id` for full CQs),
+        sub-additive across tuples: the admissible pruning bound of the
+        branch-and-bound exact solver.
+        """
         if self._removed_flags[rid]:
             return 0
         np = self._np
@@ -459,7 +427,8 @@ class ProvenanceIndex:
         return len(outputs)
 
     def remove_id(self, rid: int) -> int:
-        """:meth:`remove` over a dense ref ID."""
+        """Delete tuple ``rid``; returns how many outputs died as a result
+        (0 if it was already deleted)."""
         if self._removed_flags[rid]:
             return 0
         self._removed_flags[rid] = True
@@ -503,7 +472,8 @@ class ProvenanceIndex:
         return killed
 
     def restore_id(self, rid: int) -> int:
-        """:meth:`restore` over a dense ref ID."""
+        """Undo the deletion of tuple ``rid``; returns how many outputs came
+        back (0 if it was not deleted)."""
         if not self._removed_flags[rid]:
             return 0
         self._removed_flags[rid] = False
@@ -546,134 +516,3 @@ class ProvenanceIndex:
                 alive[out] += 1
         self._dead_outputs -= revived
         return revived
-
-    # ------------------------------------------------------------------ #
-    # Queries (TupleRef API, preserved)
-    # ------------------------------------------------------------------ #
-    def _rid_of(self, ref: TupleRef) -> Optional[int]:
-        """The dense rid of ``ref`` (``None`` if it joins no witness)."""
-        located = self.result.provenance.locate(ref)
-        if located is None:
-            for offset, vacuum_ref in enumerate(self._vacuum):
-                if vacuum_ref == ref:
-                    return self._vacuum_base + offset
-            return None
-        position, tid = located
-        lookup = self._tid_rids[position]
-        if self._np is None:
-            return lookup.get(tid)
-        rid = int(lookup[tid])
-        return None if rid < 0 else rid
-
-    def profit(self, ref: TupleRef) -> int:
-        """How many *additional* outputs die if ``ref`` is deleted now.
-
-        This is the quantity ``p(t) = |Q(D - S)| - |Q(D - S - t)|`` of
-        Algorithm 6, computed against the current deletion state ``S``.
-        """
-        rid = self._rid_of(ref)
-        return 0 if rid is None else self.profit_id(rid)
-
-    def witness_gain(self, ref: TupleRef) -> int:
-        """How many still-alive witnesses die if ``ref`` is deleted now.
-
-        Used as a tie-breaker by the greedy heuristic: when no single tuple
-        can remove a whole output (all profits are zero, e.g. on boolean
-        queries), making progress on witnesses is the sensible secondary
-        objective.
-        """
-        rid = self._rid_of(ref)
-        return 0 if rid is None else self.witness_gain_id(rid)
-
-    def touched_outputs(self, ref: TupleRef) -> int:
-        """How many still-alive outputs have an alive witness containing ``ref``.
-
-        This is an upper bound on the number of outputs that deleting ``ref``
-        can contribute to killing (it equals :meth:`profit` for full CQs) and
-        is sub-additive across tuples, which makes it an admissible pruning
-        bound for the branch-and-bound exact solver.
-        """
-        rid = self._rid_of(ref)
-        return 0 if rid is None else self.touched_outputs_id(rid)
-
-    def initial_profit(self, ref: TupleRef) -> int:
-        """Profit of ``ref`` against the *original* instance (no deletions).
-
-        For a full CQ this is simply the number of witnesses containing
-        ``ref`` (each witness is a distinct output tuple); used by
-        ``DrasticGreedyForFullCQ`` (Algorithm 7).
-        """
-        rid = self._rid_of(ref)
-        if rid is None:
-            return 0
-        np = self._np
-        if np is not None:
-            outs, counts = np.unique(
-                self._witness_output[self._ref_witnesses[rid]], return_counts=True
-            )
-            totals = self._total_witnesses_per_output()
-            return int(np.count_nonzero(counts == totals[outs]))
-        per_output: Dict[int, int] = {}
-        for wid in self._ref_witnesses[rid]:
-            out = self._witness_output[wid]
-            per_output[out] = per_output.get(out, 0) + 1
-        total_per_output = self._total_witnesses_per_output()
-        return sum(
-            1
-            for out, count in per_output.items()
-            if count == total_per_output[out]
-        )
-
-    def _total_witnesses_per_output(self) -> Column:
-        totals = self._totals
-        if totals is None:
-            np = self._np
-            if np is not None:
-                totals = np.bincount(
-                    self._witness_output, minlength=self.total_outputs()
-                )
-            else:
-                totals = [0] * self.total_outputs()
-                for out in self._witness_output:
-                    totals[out] += 1
-            self._totals = totals
-        return totals
-
-    def outputs_removed_by(self, removed: Iterable[TupleRef]) -> int:
-        """Stateless verification: outputs killed by deleting ``removed``.
-
-        Does not look at (or change) the incremental deletion state.
-        """
-        return self.result.outputs_removed_by(removed)
-
-    # ------------------------------------------------------------------ #
-    # Mutation (TupleRef API, preserved)
-    # ------------------------------------------------------------------ #
-    def remove(self, ref: TupleRef) -> int:
-        """Delete one input tuple; returns how many outputs died as a result."""
-        rid = self._rid_of(ref)
-        if rid is None:
-            # Dangling/unknown tuples participate in no witness: deleting
-            # them never changes the output, but record them so restore() and
-            # the removed set stay consistent with the old behaviour.
-            self._removed_unknown.add(ref)
-            return 0
-        return self.remove_id(rid)
-
-    def remove_many(self, refs: Iterable[TupleRef]) -> int:
-        """Delete several tuples; returns the total number of outputs killed."""
-        return sum(self.remove(ref) for ref in refs)
-
-    def restore(self, ref: TupleRef) -> int:
-        """Undo the deletion of ``ref``; returns how many outputs came back."""
-        rid = self._rid_of(ref)
-        if rid is None:
-            self._removed_unknown.discard(ref)
-            return 0
-        return self.restore_id(rid)
-
-    def reset(self) -> None:
-        """Undo every deletion."""
-        for rid in self._removed_rids():
-            self.restore_id(rid)
-        self._removed_unknown.clear()

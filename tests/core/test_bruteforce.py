@@ -18,10 +18,12 @@ class TestBruteForce:
         assert solution.verify(figure1_database) == 4
 
     def test_invalid_k(self, figure1_full_query, figure1_database):
-        with pytest.raises(ValueError):
-            bruteforce_solve(figure1_full_query, figure1_database, 0)
-        with pytest.raises(ValueError):
-            bruteforce_solve(figure1_full_query, figure1_database, 99)
+        # |Q1(D)| = 4 on the Figure 1 instance.
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"k must be at least 1, got {k}"):
+                bruteforce_solve(figure1_full_query, figure1_database, k)
+        with pytest.raises(ValueError, match=r"k=5 exceeds the number"):
+            bruteforce_solve(figure1_full_query, figure1_database, 5)
 
     def test_candidate_guard(self, figure1_full_query, figure1_database):
         with pytest.raises(ValueError):

@@ -127,25 +127,6 @@ def test_candidate_order_equals_sorting_by_tupleref_repr(backend):
     assert checked
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lazy_refs_round_trip_through_the_tupleref_api(backend):
-    query, database = fixed_instance()
-    with Session(database, backend=backend) as session:
-        index = ProvenanceIndex(session.evaluate(query))
-    for rid in range(index.ref_count()):
-        ref = index.ref_at(rid)
-        assert index.witness_gain(ref) == index.witness_gain_id(rid)
-        index.remove(ref)
-        assert index.is_removed(ref)
-        assert index.removed == {ref}
-        index.restore(ref)
-        assert index.removed == set()
-    for name in index.relation_names():
-        assert index.refs_of_relation(name) == [
-            ref for ref in index.participating_refs() if ref.relation == name
-        ]
-
-
 def reference_drastic_picks(query, result):
     """The per-relation Drastic picks by ``(-profit, repr(TupleRef))``."""
     profits = {}

@@ -1,8 +1,8 @@
-"""Unit tests for semi-join reduction and dangling-tuple removal."""
+"""Unit tests for exact dangling-tuple removal."""
 
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine.semijoin import remove_dangling_tuples, semijoin_reduce
+from repro.engine.semijoin import remove_dangling_tuples
 from repro.query.parser import parse_query
 from repro.session import Session
 
@@ -55,27 +55,3 @@ class TestExactDanglingRemoval:
         assert removed == 2
         assert len(reduced.relation("R1")) == 1
 
-
-class TestSemijoinReduce:
-    def test_acyclic_reduction_matches_exact(self):
-        database = chain_db()
-        pairwise = semijoin_reduce(CHAIN, database)
-        exact, _ = remove_dangling_tuples(CHAIN, database)
-        for name in ("R1", "R2"):
-            assert pairwise.relation(name).rows == exact.relation(name).rows
-
-    def test_reduction_is_sound_on_cycles(self):
-        triangle = parse_query("Q() :- R1(A, B), R2(B, C), R3(C, A)")
-        database = Database.from_dict(
-            {"R1": ["A", "B"], "R2": ["B", "C"], "R3": ["C", "A"]},
-            {"R1": [(1, 2)], "R2": [(2, 3)], "R3": [(3, 1)]},
-        )
-        reduced = semijoin_reduce(triangle, database)
-        # Nothing participating may be removed.
-        assert len(reduced.relation("R1")) == 1
-        assert Session(reduced).output_size(triangle) == 1
-
-    def test_original_database_unchanged(self):
-        database = chain_db()
-        semijoin_reduce(CHAIN, database)
-        assert len(database.relation("R1")) == 3

@@ -54,10 +54,12 @@ def test_incremental_index_matches_stateless_verification(pair):
     if result.output_count() == 0:
         return
     index = ProvenanceIndex(result)
-    refs = sorted(result.participating_refs(), key=repr)[:4]
-    killed_incrementally = index.remove_many(refs)
+    rids = sorted(range(index.ref_count()), key=lambda rid: repr(index.ref_at(rid)))[:4]
+    refs = [index.ref_at(rid) for rid in rids]
+    killed_incrementally = sum(index.remove_id(rid) for rid in rids)
     assert killed_incrementally == result.outputs_removed_by(refs)
-    index.reset()
+    for rid in rids:
+        index.restore_id(rid)
     assert index.removed_output_count() == 0
 
 
