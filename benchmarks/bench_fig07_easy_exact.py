@@ -8,7 +8,7 @@ the counting version is consistently cheaper than the reporting version
 import pytest
 
 from benchmarks.conftest import RATIOS, TPCH_SIZES
-from repro.core.adp import ADPSolver
+from repro.core.adp import ADPSolver, ratio_target
 from repro.core.selection import solve_with_selection
 from repro.workloads.queries import Q1
 
@@ -18,7 +18,7 @@ from repro.workloads.queries import Q1
 @pytest.mark.parametrize("mode", ["counting", "reporting"])
 def test_fig07_exact_selected_q1(benchmark, tpch_selected, size, ratio, mode):
     prepared = tpch_selected[size]
-    k = max(1, int(ratio * prepared["selected_output"]))
+    k = ratio_target(prepared["selected_output"], ratio)
     solver = ADPSolver(counting_only=(mode == "counting"))
 
     solution = benchmark(

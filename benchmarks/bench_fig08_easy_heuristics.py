@@ -8,7 +8,7 @@ solutions of the same size (Figure 9 reads the quality off the same runs).
 import pytest
 
 from benchmarks.conftest import RATIOS
-from repro.core.adp import ADPSolver
+from repro.core.adp import ADPSolver, ratio_target
 from repro.core.selection import solve_with_selection
 from repro.session import Session
 from repro.workloads.queries import Q1
@@ -18,7 +18,7 @@ from repro.workloads.queries import Q1
 @pytest.mark.parametrize("method", ["exact", "greedy", "drastic"])
 def test_fig08_selected_q1_methods(benchmark, tpch_selected, ratio, method):
     prepared = tpch_selected[max(tpch_selected)]
-    k = max(1, int(ratio * prepared["selected_output"]))
+    k = ratio_target(prepared["selected_output"], ratio)
 
     if method == "exact":
         solution = benchmark(

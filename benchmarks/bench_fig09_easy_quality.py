@@ -8,7 +8,7 @@ can only be worse than Exact.
 import pytest
 
 from benchmarks.conftest import RATIOS
-from repro.core.adp import ADPSolver
+from repro.core.adp import ADPSolver, ratio_target
 from repro.core.selection import solve_with_selection
 from repro.session import Session
 from repro.workloads.queries import Q1
@@ -17,7 +17,7 @@ from repro.workloads.queries import Q1
 @pytest.mark.parametrize("ratio", RATIOS)
 def test_fig09_selected_q1_quality(benchmark, tpch_selected, ratio):
     prepared = tpch_selected[min(tpch_selected)]
-    k = max(1, int(ratio * prepared["selected_output"]))
+    k = ratio_target(prepared["selected_output"], ratio)
     session = Session(prepared["filtered"])
 
     def run_all_methods():

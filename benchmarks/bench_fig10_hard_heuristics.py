@@ -8,7 +8,7 @@ with the gap growing with ρ and the input size.
 import pytest
 
 from benchmarks.conftest import RATIOS, TPCH_SIZES, solve_once
-from repro.core.adp import ADPSolver
+from repro.core.adp import ADPSolver, ratio_target
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.workloads.queries import Q1
 
@@ -19,7 +19,7 @@ from repro.workloads.queries import Q1
 def test_fig10_q1_heuristics(benchmark, tpch_instances, size, ratio, method):
     database = tpch_instances[size]
     total = evaluate(Q1, database).output_count()
-    k = max(1, int(ratio * total))
+    k = ratio_target(total, ratio)
     solver = ADPSolver(heuristic=method)
 
     solution = solve_once(

@@ -7,6 +7,7 @@ the same number of input tuples; quality grows with ρ.
 import pytest
 
 from benchmarks.conftest import RATIOS
+from repro.core.adp import ratio_target
 from repro.session import Session
 from repro.workloads.queries import Q1
 
@@ -15,7 +16,7 @@ from repro.workloads.queries import Q1
 def test_fig11_q1_quality(benchmark, tpch_instances, ratio):
     database = tpch_instances[min(tpch_instances)]
     session = Session(database)
-    k = max(1, int(ratio * session.output_size(Q1)))
+    k = ratio_target(session.output_size(Q1), ratio)
 
     def run_both():
         greedy = session.solve(Q1, k, heuristic="greedy")

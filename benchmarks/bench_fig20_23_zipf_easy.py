@@ -8,7 +8,7 @@ the solution size), and the solution size decreases with the skew α.
 import pytest
 
 from benchmarks.conftest import solve_once
-from repro.core.adp import ADPSolver
+from repro.core.adp import ADPSolver, ratio_target
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.session import Session
 from repro.workloads.queries import Q6
@@ -22,7 +22,7 @@ RATIOS = (0.1, 0.75)
 def test_fig20_23_q6_exact(benchmark, zipf_instances, alpha, ratio):
     database = zipf_instances[alpha].restricted_to(("R1", "R2"))
     total = evaluate(Q6, database).output_count()
-    k = max(1, int(ratio * total))
+    k = ratio_target(total, ratio)
     solver = ADPSolver()
 
     solution = solve_once(

@@ -22,6 +22,7 @@ import random
 
 from repro import ADPSolver, Database, Session, is_poly_time, parse_query
 from repro.core import bruteforce_solve
+from repro.core.adp import ratio_target
 
 Q3PATH = parse_query("Q3path(A, B, C, D) :- R1(A, B), R2(B, C), R3(C, D)")
 
@@ -60,7 +61,7 @@ def profile(name: str, database: Database, ratios=(0.25, 0.5, 0.8)) -> None:
     print(f"\n{name}: {total_links} links, {paths} three-hop paths")
     solver = ADPSolver(heuristic="greedy")
     for ratio in ratios:
-        k = max(1, int(ratio * paths))
+        k = ratio_target(paths, ratio)
         solution = session.solve(Q3PATH, k, solver=solver)
         share = solution.size / total_links
         print(

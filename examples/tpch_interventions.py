@@ -27,6 +27,7 @@ from repro import (
     solve_with_selection,
 )
 from repro.core import is_poly_time, summarize_removed
+from repro.core.adp import ratio_target
 from repro.experiments.harness import run_method, target_from_ratio
 from repro.workloads.queries import Q1
 from repro.workloads.tpch import SELECTED_PART_KEY, generate_tpch
@@ -50,7 +51,7 @@ def main() -> None:
     print(f"records involving part {SELECTED_PART_KEY}: {selected_total}")
 
     for ratio in (0.25, 0.5, 0.75):
-        k = max(1, int(ratio * selected_total))
+        k = ratio_target(selected_total, ratio)
         exact = solve_with_selection(Q1, selection, database, k, solver=ADPSolver())
         counting = solve_with_selection(
             Q1, selection, database, k, solver=ADPSolver(counting_only=True)

@@ -355,7 +355,9 @@ class Postings(Protocol):
 class CsrPostings:
     """Postings as compressed sparse rows: one position array plus offsets.
 
-    Row ``t`` (a tid, or a dense rid in :mod:`repro.engine.provenance`) holds
+    Row ``t`` (a tid of a provenance's postings, or a dense rid of the
+    :mod:`repro.engine.provenance` index, whose rid CSR is the postings'
+    ``order`` arrays end to end over their non-empty rows) holds
     ``order[offsets[t]:offsets[t + 1]]``: ascending positions, read as a
     view.  Built from an ID column (:meth:`from_column`) that is one stable
     argsort plus one ``bincount``; no per-row object exists until a caller

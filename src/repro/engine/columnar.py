@@ -34,13 +34,26 @@ from __future__ import annotations
 import threading
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.data.database import Database
 from repro.data.relation import Relation, Row, TupleRef
 from repro.engine.backend import (
     Backend,
     Column,
+    CsrPostings,
     Postings,
     as_id_list,
     backend_of_column,
@@ -520,10 +533,13 @@ class ColumnarProvenance:
         """``tid -> sorted witness positions`` for one atom (lazy, cached).
 
         The inverted form of ``ref_columns[position]``: which witnesses use
-        each input tuple.  Built on first use and kept for the lifetime of
-        the provenance, so repeated incremental-deletion queries
+        each input tuple -- the result's only witness-incidence structure.
+        Built on first use and kept for the lifetime of the provenance (and
+        carried to a mutated successor when CSR), so the solver's
+        :class:`~repro.engine.provenance.ProvenanceIndex`, verification
+        (:meth:`deletion_counts`) and repeated incremental-deletion queries
         (``Session.what_if``) pay for the scan once -- the role indexes play
-        on the paper's PostgreSQL connection.
+        on the paper's PostgreSQL connection.  Readers never write it.
         """
         postings = self._postings[position]  # repro: noqa REP003 -- double-checked lazy build: the GIL makes this list-slot read atomic, and the slow path re-reads under the lock before building
         if postings is None:
@@ -574,53 +590,112 @@ class ColumnarProvenance:
             refs.update(view[tid] for tid in distinct_ids(column))
         return refs
 
-    def outputs_removed_by(self, removed: Iterable[TupleRef]) -> int:
-        """How many output tuples disappear when ``removed`` is deleted.
+    def dead_witnesses(
+        self, removed: Iterable[TupleRef]
+    ) -> Optional[Union[Set[int], Column]]:
+        """Witness positions killed by ``removed``; ``None`` = *all* witnesses.
+
+        ``None`` is the vacuum-deletion case (a removed vacuum tuple guards
+        away every witness).  Refs are grouped by relation first so the
+        per-ref work is one plain-tuple dict probe (``TupleRef``'s generated
+        dataclass hash is Python-level and shows up on large deletion sets);
+        located tids are then expanded through the lazy postings index, so
+        the collection step costs ``O(|dead witnesses|)``, not
+        ``O(|witnesses|)``.  Unknown relations and rows not stored at
+        evaluation time kill nothing.
+
+        Returns a ``set`` of positions for list-packed provenance, or a
+        sorted, deduplicated ``int64`` ndarray for ndarray-packed provenance
+        (one CSR ``gather`` per relation scattered into a hit mask, read
+        back with ``flatnonzero``; on NumPy 2.4, 6.7k dead positions of 61k
+        take 0.12 ms this way against 1.3 ms through ``np.unique``).  Both
+        support ``len``.
+        """
+        vacuum = set(self.vacuum_refs)
+        by_relation: Dict[str, List[Row]] = {}
+        for ref in removed:
+            if vacuum and ref in vacuum:
+                return None
+            by_relation.setdefault(ref.relation, []).append(ref.values)
+
+        tids_by_position: List[Tuple[int, List[int]]] = []
+        for relation_name, values_list in by_relation.items():
+            position = self.atom_position(relation_name)
+            if position is None:
+                continue
+            ids_get = self.indexes[position].ids.get
+            tids = [tid for tid in map(ids_get, values_list) if tid is not None]
+            if tids:
+                tids_by_position.append((position, tids))
+
+        if self.atom_count() and is_ndarray(self.ref_columns[0]):
+            np = backend_of_column(self.ref_columns[0]).np
+            hit = np.zeros(self.witness_count(), dtype=bool)
+            for position, tids in tids_by_position:
+                hit[cast(CsrPostings, self.postings_for_atom(position)).gather(tids)] = True
+            return np.flatnonzero(hit)
+        dead: Set[int] = set()
+        for position, tids in tids_by_position:
+            postings_get = self.postings_for_atom(position).get
+            for tid in tids:
+                hits = postings_get(tid)
+                if hits is not None:
+                    dead.update(hits)
+        return dead
+
+    def alive_mask(self, dead: Union[Set[int], Column]) -> Union[bytearray, Column]:
+        """A boolean alive mask over the witness positions.
+
+        A NumPy ``bool`` array when ``dead`` is an ndarray (so the
+        downstream compressions run as array kernels), a ``bytearray``
+        otherwise.
+        """
+        count = self.witness_count()
+        if is_ndarray(dead):
+            np = backend_of_column(dead).np
+            alive = np.ones(count, dtype=bool)
+            alive[dead] = False
+            return alive
+        alive = bytearray(b"\x01") * count
+        for w in dead:
+            alive[w] = 0
+        return alive
+
+    def deletion_counts(self, removed: Iterable[TupleRef]) -> Tuple[int, int]:
+        """``(witnesses removed, outputs removed)`` when ``removed`` is deleted.
 
         An output dies when every one of its witnesses uses at least one
-        removed tuple.  Runs over the packed ``tid`` columns: per witness one
-        set-membership probe per relation that actually lost tuples.
+        removed tuple.  Dead witnesses come from :meth:`dead_witnesses` in
+        ``O(|dead|)``; on projection queries one additional C-speed mask
+        scan over ``witness_outputs`` counts the surviving outputs.  The
+        one counting core behind solver verification
+        (:meth:`outputs_removed_by`) and the what-if counts
+        (:func:`repro.engine.delta.delta_counts`).
         """
-        per_atom: List[Set[int]] = [set() for _ in self.atom_names]
-        vacuum = set(self.vacuum_refs)
-        for ref in removed:
-            if ref in vacuum:
-                # A removed vacuum tuple hits every witness: all outputs die.
-                return self.output_count()
-            located = self.locate(ref)
-            if located is not None:
-                per_atom[located[0]].add(located[1])
-
-        active = [
-            (column, tids)
-            for column, tids in zip(self.ref_columns, per_atom)
-            if tids
-        ]
-        if not active:
-            return 0
-        if is_ndarray(active[0][0]):
-            # Vectorized: OR the per-atom membership masks, then count the
-            # outputs whose every witness is hit.
-            np = backend_of_column(active[0][0]).np
-            hit = np.zeros(self.witness_count(), dtype=bool)
-            for column, tids in active:
-                hit |= np.isin(
-                    column, np.fromiter(tids, np.int64, count=len(tids))
-                )
-            alive = np.bincount(
-                np.asarray(self.witness_outputs)[~hit],
-                minlength=self.output_count(),
+        dead = self.dead_witnesses(removed)
+        if dead is None:
+            return (self.witness_count(), self.output_count())
+        if len(dead) == 0:
+            return (0, 0)
+        output_count = self.output_count()
+        if output_count == self.witness_count():
+            # Bijection (no projection sharing): outputs die with their
+            # witness.
+            return (len(dead), len(dead))
+        alive = self.alive_mask(dead)
+        if is_ndarray(self.witness_outputs):
+            np = backend_of_column(self.witness_outputs).np
+            surviving_count = np.count_nonzero(
+                np.bincount(self.witness_outputs[alive], minlength=output_count)
             )
-            return int(np.count_nonzero(alive == 0))
-        alive = [0] * self.output_count()
-        witness_outputs = self.witness_outputs
-        for w in range(len(witness_outputs)):
-            for column, tids in active:
-                if column[w] in tids:
-                    break
-            else:
-                alive[witness_outputs[w]] += 1
-        return sum(1 for count in alive if count == 0)
+            return (len(dead), output_count - int(surviving_count))
+        surviving = set(compress(self.witness_outputs, alive))
+        return (len(dead), output_count - len(surviving))
+
+    def outputs_removed_by(self, removed: Iterable[TupleRef]) -> int:
+        """How many output tuples disappear when ``removed`` is deleted
+        (:meth:`deletion_counts`' output count)."""
+        return self.deletion_counts(removed)[1]
 
     def witness_masks_for(self, refs: Sequence[TupleRef]) -> List[int]:
         """Per reference, the witnesses containing it as an arbitrary-precision

@@ -22,7 +22,10 @@ This is the engine behind the session what-if API:
 
 * :func:`delta_counts` answers the counting question ("how many witnesses /
   outputs disappear?") in ``O(|dead witnesses|)`` after the one-off postings
-  build -- the paper's *counting version* of deletion propagation;
+  build -- the paper's *counting version* of deletion propagation.  Its
+  core, :meth:`ColumnarProvenance.deletion_counts`, also verifies solver
+  answers, and the provenance's ``dead_witnesses``/``alive_mask`` feed the
+  filter below;
 * :func:`delta_filter_result` produces the full post-deletion
   ``QueryResult`` (``Session.what_if``'s lazily materialized ``after``
   view), and
@@ -57,7 +60,6 @@ from typing import (
     Set,
     Tuple,
     Union,
-    cast,
 )
 
 from repro.data.relation import Row, TupleRef
@@ -74,80 +76,6 @@ from repro.engine.evaluate import QueryResult
 from repro.obs.trace import span
 
 
-def _dead_witnesses(
-    provenance: ColumnarProvenance, removed: Iterable[TupleRef]
-) -> Optional[Union[Set[int], Column]]:
-    """Witness positions killed by ``removed``; ``None`` = *all* witnesses.
-
-    ``None`` is the vacuum-deletion case (a removed vacuum tuple guards away
-    every witness).  Refs are grouped by relation first so the per-ref work
-    is one plain-tuple dict probe (``TupleRef``'s generated dataclass hash is
-    Python-level and shows up on large deletion sets); located tids are then
-    expanded through the provenance's lazy postings index, so the collection
-    step costs ``O(|dead witnesses|)``, not ``O(|witnesses|)``.
-
-    Returns a ``set`` of positions for list-packed provenance, or a sorted,
-    deduplicated ``int64`` ndarray for ndarray-packed provenance (one CSR
-    ``gather`` per relation + one ``unique`` instead of per-ref set
-    insertion).  Both support ``len``.
-    """
-    vacuum = set(provenance.vacuum_refs)
-    by_relation: dict = {}
-    for ref in removed:
-        if vacuum and ref in vacuum:
-            return None
-        by_relation.setdefault(ref.relation, []).append(ref.values)
-
-    tids_by_position: List[Tuple[int, List[int]]] = []
-    for relation_name, values_list in by_relation.items():
-        position = provenance.atom_position(relation_name)
-        if position is None:
-            continue
-        ids_get = provenance.indexes[position].ids.get
-        tids = [tid for tid in map(ids_get, values_list) if tid is not None]
-        if tids:
-            tids_by_position.append((position, tids))
-
-    if provenance.atom_count() and is_ndarray(provenance.ref_columns[0]):
-        np = backend_of_column(provenance.ref_columns[0]).np
-        chunks = [
-            cast(CsrPostings, provenance.postings_for_atom(position)).gather(tids)
-            for position, tids in tids_by_position
-        ]
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(chunks))
-    dead: Set[int] = set()
-    for position, tids in tids_by_position:
-        postings_get = provenance.postings_for_atom(position).get
-        for tid in tids:
-            hits = postings_get(tid)
-            if hits is not None:
-                dead.update(hits)
-    return dead
-
-
-def _alive_mask(
-    provenance: ColumnarProvenance, dead: Union[Set[int], Column]
-) -> Union[bytearray, Column]:
-    """A boolean alive mask over the witness positions.
-
-    A NumPy ``bool`` array when the provenance is ndarray-packed (so the
-    downstream compressions run as array kernels), a ``bytearray``
-    otherwise.
-    """
-    count = provenance.witness_count()
-    if is_ndarray(dead):
-        np = backend_of_column(dead).np
-        alive = np.ones(count, dtype=bool)
-        alive[dead] = False
-        return alive
-    alive = bytearray(b"\x01") * count
-    for w in dead:
-        alive[w] = 0
-    return alive
-
-
 def delta_counts(
     result: QueryResult,
     removed: Iterable[TupleRef],
@@ -155,14 +83,13 @@ def delta_counts(
     """``(witnesses removed, outputs removed)`` for a hypothetical deletion.
 
     The counting version of the delta semijoin, computed without
-    materializing the post-deletion result: dead witnesses come from the
-    postings index in ``O(|dead|)``; on projection queries one additional
-    C-speed mask scan over ``witness_outputs`` counts the surviving
-    outputs.  Matches ``delta_filter_result`` (and hence a fresh
-    evaluation) exactly.
+    materializing the post-deletion result
+    (:meth:`~repro.engine.columnar.ColumnarProvenance.deletion_counts`, the
+    counting core solver verification shares).  Matches
+    ``delta_filter_result`` (and hence a fresh evaluation) exactly.
     """
     with span("engine.delta.counts") as sp:
-        counts = _delta_counts_body(result, removed)
+        counts = result.provenance.deletion_counts(removed)
         if sp:
             sp.set(
                 op="delta.counts",
@@ -170,34 +97,6 @@ def delta_counts(
                 removed_outputs=counts[1],
             )
     return counts
-
-
-def _delta_counts_body(
-    result: QueryResult,
-    removed: Iterable[TupleRef],
-) -> Tuple[int, int]:
-    """The branchy core of :func:`delta_counts` (its span lives above)."""
-    provenance = result.provenance
-    dead = _dead_witnesses(provenance, removed)
-    if dead is None:
-        return (provenance.witness_count(), provenance.output_count())
-    if len(dead) == 0:
-        return (0, 0)
-    count = provenance.witness_count()
-    output_count = provenance.output_count()
-    if output_count == count:
-        # Bijection (no projection sharing): outputs die with their
-        # witness.
-        return (len(dead), len(dead))
-    alive = _alive_mask(provenance, dead)
-    if is_ndarray(provenance.witness_outputs):
-        np = backend_of_column(provenance.witness_outputs).np
-        surviving_count = np.count_nonzero(
-            np.bincount(provenance.witness_outputs[alive], minlength=output_count)
-        )
-        return (len(dead), output_count - int(surviving_count))
-    surviving = set(compress(provenance.witness_outputs, alive))
-    return (len(dead), output_count - len(surviving))
 
 
 def _compact_outputs(
@@ -316,7 +215,7 @@ def delta_filter_result(
             (tables or {}).get(name, index)
             for name, index in zip(provenance.atom_names, provenance.indexes)
         ]
-        dead = _dead_witnesses(provenance, removed)
+        dead = provenance.dead_witnesses(removed)
         if dead is None:
             # Vacuum deletion: the guard fails, every witness and output dies.
             filtered = QueryResult(
@@ -340,7 +239,7 @@ def delta_filter_result(
             else:
                 filtered = _rebased(provenance, indexes)
         else:
-            alive = _alive_mask(provenance, dead)
+            alive = provenance.alive_mask(dead)
             if is_ndarray(provenance.ref_columns[0]):
                 # Boolean-mask semijoin: one C-speed compression per column.
                 new_columns = [column[alive] for column in provenance.ref_columns]

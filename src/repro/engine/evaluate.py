@@ -222,7 +222,8 @@ class QueryResult:
         """How many output tuples disappear when ``removed`` is deleted.
 
         An output tuple disappears when *every* one of its witnesses uses at
-        least one removed tuple; answered over the packed provenance columns.
+        least one removed tuple; counted through the provenance's postings
+        (:meth:`~repro.engine.columnar.ColumnarProvenance.deletion_counts`).
         """
         return self.provenance.outputs_removed_by(removed)
 

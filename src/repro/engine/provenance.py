@@ -19,30 +19,40 @@ incrementally:
 
 The index works on dense integers only: every participating input tuple
 gets a *ref ID* (``rid``), witnesses are numbered ``0..W-1``, and all
-bookkeeping lives in parallel ``int`` lists built straight from the packed
-provenance columns -- no ``Witness`` objects, no ``TupleRef`` hashing.  Rids
-are allocated atom by atom (each atom's participating tuples in
-first-occurrence order, then the vacuum refs), so the index keeps only each
-atom's first rid and its ``rid -> tid`` column.  Callers walk candidates
-with :meth:`ProvenanceIndex.relation_rows` and build a
-:class:`~repro.data.relation.TupleRef` only for the rids they return
-(:meth:`ProvenanceIndex.ref_at`): a cold greedy solve builds ``TupleRef``
-objects only for the tuples it picks.  Per-tuple *witness gains* (alive
-witnesses containing the tuple) are additionally maintained incrementally,
-which both makes ``witness_gain_id`` O(1) and gives the greedy scan a sound
-upper bound on profit (``profit_id(t) <= witness_gain_id(t)``).  The NumPy
-kernel also maintains alive witness counts per ``(output, ref)`` pair, so
-the profits of every tuple (:meth:`ProvenanceIndex.profits_for`) are one
-compare plus one ``bincount``.
+bookkeeping lives in parallel ``int`` columns.  The index builds no
+witness incidence of its own: it reads each atom's
+:meth:`~repro.engine.columnar.ColumnarProvenance.postings_for_atom`, the
+``tid -> witness positions`` index the result keeps for its lifetime (and
+the delta engine carries across mutations), so a greedy solve, the
+verification of its answer and a later what-if share one build.  Rids are
+allocated atom by atom -- each atom's participating tuples in ascending
+tid order, then the vacuum refs -- so the index keeps only each atom's
+first rid and its ``rid -> tid`` column.  On the NumPy kernel the rid CSR
+is the atoms' postings orders laid end to end; on the Python kernel a
+rid's witness list is the postings list itself, shared and never written.
+Callers walk candidates with :meth:`ProvenanceIndex.relation_rows` and
+build a :class:`~repro.data.relation.TupleRef` only for the rids they
+return (:meth:`ProvenanceIndex.ref_at`): a cold greedy solve builds
+``TupleRef`` objects only for the tuples it picks.  Per-tuple *witness
+gains* (alive witnesses containing the tuple) are additionally maintained
+incrementally, which both makes ``witness_gain_id`` O(1) and gives the
+greedy scan a sound upper bound on profit (``profit_id(t) <=
+witness_gain_id(t)``).  The NumPy kernel also maintains alive witness
+counts per ``(output, ref)`` pair, so the profits of every tuple
+(:meth:`ProvenanceIndex.profits_for`) are one compare plus one
+``bincount``.
 
 Stateless verification of a finished solution is
-:meth:`repro.engine.evaluate.QueryResult.outputs_removed_by`.
+:meth:`repro.engine.evaluate.QueryResult.outputs_removed_by`, which counts
+dead witnesses through the same postings
+(:meth:`~repro.engine.columnar.ColumnarProvenance.deletion_counts`, also
+behind :func:`repro.engine.delta.delta_counts`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple, cast
 
 from repro.data.relation import Row, TupleRef
 from repro.engine.backend import (
@@ -52,6 +62,7 @@ from repro.engine.backend import (
     backend_of_column,
     is_ndarray,
 )
+from repro.engine.columnar import ColumnarProvenance
 from repro.engine.evaluate import QueryResult
 
 
@@ -65,11 +76,11 @@ class ProvenanceIndex:
     """Incremental deletion index over the witnesses of a query result.
 
     Dual-kernel: when the result's packed provenance is NumPy-backed
-    (``int64`` ndarray columns), the index builds its dense arrays with
-    vectorized factorize/group-by passes and answers profits, gains and
-    removals through ``bincount``/``unique``/scatter kernels
-    (:attr:`vectorized`); otherwise the original pure-Python list
-    bookkeeping runs.  Every quantity is an exact
+    (``int64`` ndarray columns), the index numbers the CSR postings' rows
+    into dense arrays and answers profits, gains and removals through
+    ``bincount``/``unique``/scatter kernels (:attr:`vectorized`);
+    otherwise the pure-Python list bookkeeping runs over the dict
+    postings.  Every quantity is an exact
     count either way, so the greedy heuristics' picks (and hence whole cost
     curves) are identical across kernels -- the backend-parity suite pins
     this down.
@@ -80,24 +91,20 @@ class ProvenanceIndex:
         prov = result.provenance
         #: per atom: the rid of its first participating tuple ...
         self._atom_bases: List[int] = []
-        #: ... and its ``local rid -> tid`` column (first-occurrence order).
+        #: ... and its ``local rid -> tid`` column (ascending tids).
         self._atom_tids: List[Column] = []
         #: vacuum refs take the rids after every atom's (only when there is
         #: a witness for them to participate in).
         self._vacuum: Tuple[TupleRef, ...] = (
             tuple(prov.vacuum_refs) if prov.witness_count() else ()
         )
-        #: rid -> witness IDs containing the tuple
-        self._ref_witnesses: List[List[int]] = []
-        #: witness ID -> rids it contains (for incremental gain updates)
-        self._witness_rids: List[List[int]] = []
         np = None
         if prov.atom_count() and is_ndarray(prov.ref_columns[0]):
             np = backend_of_column(prov.ref_columns[0]).np
         #: NumPy handle when the vectorized kernels are active, else ``None``.
         self._np = np
         if np is not None:
-            self._build_from_columnar_numpy(result, np)
+            self._read_csr_postings(prov, np)
             self._hits = np.zeros(len(self._witness_output), dtype=np.int64)
             self._alive_witnesses = np.bincount(
                 self._witness_output, minlength=result.output_count()
@@ -107,7 +114,7 @@ class ProvenanceIndex:
             self._gain = np.diff(self._rw_offsets)
             self._removed_flags = np.zeros(self._ref_total, dtype=bool)
         else:
-            self._build_from_columnar(result)
+            self._read_dict_postings(prov)
             self._hits = [0] * len(self._witness_rids)
             self._alive_witnesses = [0] * result.output_count()
             for out in self._witness_output:
@@ -129,46 +136,48 @@ class ProvenanceIndex:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _build_from_columnar(self, result: QueryResult) -> None:
-        """Build the dense arrays straight from the packed ID columns."""
-        prov = result.provenance
+    def _read_dict_postings(self, prov: ColumnarProvenance) -> None:
+        """Number each atom's postings keys (dict of lists) into rids.
+
+        Rid ``base + i`` is the atom's ``i``-th participating tid in
+        ascending order, and its witness list *is* that tid's postings list:
+        shared with the provenance, so the index never writes it.
+        """
         witness_count = prov.witness_count()
         self._witness_output = list(prov.witness_outputs)
-        self._witness_rids = [[] for _ in range(witness_count)]
+        #: rid -> witness IDs containing the tuple (ascending)
+        self._ref_witnesses: List[List[int]] = []
         ref_witnesses = self._ref_witnesses
-        witness_rids = self._witness_rids
+        rid_columns: List[List[int]] = []
         for position in range(prov.atom_count()):
-            self._atom_bases.append(len(ref_witnesses))
-            tids: List[int] = []
-            local: Dict[int, int] = {}
-            get = local.get
-            for w, tid in enumerate(prov.ref_columns[position]):
-                rid = get(tid)
-                if rid is None:
-                    rid = len(ref_witnesses)
-                    local[tid] = rid
-                    tids.append(tid)
-                    ref_witnesses.append([])
-                ref_witnesses[rid].append(w)
-                witness_rids[w].append(rid)
+            postings = cast(Dict[int, List[int]], prov.postings_for_atom(position))
+            tids = sorted(postings)
+            base = len(ref_witnesses)
+            rid_of_tid = dict(zip(tids, range(base, base + len(tids))))
+            self._atom_bases.append(base)
             self._atom_tids.append(tids)
+            ref_witnesses.extend(map(postings.__getitem__, tids))
+            rid_columns.append(
+                list(map(rid_of_tid.__getitem__, prov.ref_columns[position]))
+            )
         self._vacuum_base = len(ref_witnesses)
         for _vacuum_ref in self._vacuum:
-            rid = len(ref_witnesses)
+            rid_columns.append([len(ref_witnesses)] * witness_count)
             ref_witnesses.append(list(range(witness_count)))
-            for wids in witness_rids:
-                wids.append(rid)
         self._ref_total = len(ref_witnesses)
+        #: witness ID -> rids it contains (for incremental gain updates)
+        self._witness_rids: Any = (
+            list(zip(*rid_columns)) if rid_columns else [()] * witness_count
+        )
 
-    def _build_from_columnar_numpy(self, result: QueryResult, np: Any) -> None:
-        """Vectorized build: factorize each packed column into dense rids.
+    def _read_csr_postings(self, prov: ColumnarProvenance, np: Any) -> None:
+        """Number each atom's CSR postings rows into rids (NumPy kernel).
 
-        Produces the exact state ``_build_from_columnar`` would: rids in
-        first-occurrence order per atom (then the vacuum refs), and witness
-        lists ascending per rid.  The per-witness rid rows live in one
-        ``(W, atoms)`` matrix instead of W Python lists.
+        The rids of an atom are its CSR's non-empty rows (ascending tids),
+        so the rid CSR is every atom's ``order`` plus its non-empty rows'
+        counts, and ``cumsum(counts > 0) - 1 + base`` maps a tid to its rid.
+        The per-witness rid rows live in one ``(W, atoms)`` matrix.
         """
-        prov = result.provenance
         witness_count = prov.witness_count()
         self._witness_output = np.asarray(prov.witness_outputs, dtype=np.int64)
         rid_columns = []
@@ -176,22 +185,17 @@ class ProvenanceIndex:
         counts_list = []
         base = 0
         for position in range(prov.atom_count()):
-            column = prov.ref_columns[position]
-            uniq, first_index = np.unique(column, return_index=True)
-            order = np.argsort(first_index, kind="stable")
-            uniq_first = uniq[order]  # tids in first-occurrence order
-            lookup = np.full(len(prov.indexes[position]), -1, dtype=np.int64)
-            lookup[uniq_first] = np.arange(base, base + uniq_first.size, dtype=np.int64)
-            rids = lookup[column]  # dense rids, first-occurrence order
-            rid_columns.append(rids)
-            local = rids - base if base else rids
-            # CSR grouping: witness positions sorted by rid, ascending
-            # within each rid (stable argsort) -- no per-rid array objects.
-            flats.append(np.argsort(local, kind="stable"))
-            counts_list.append(np.bincount(local, minlength=int(uniq_first.size)))
+            csr = cast(CsrPostings, prov.postings_for_atom(position))
+            counts = np.diff(csr.offsets)
+            present = counts > 0
+            rid_of_tid = np.cumsum(present) - 1 + base
+            rid_columns.append(rid_of_tid[prov.ref_columns[position]])
+            flats.append(csr.order)
+            counts_list.append(counts[present])
+            tids = np.flatnonzero(present)
             self._atom_bases.append(base)
-            self._atom_tids.append(uniq_first)
-            base += int(uniq_first.size)
+            self._atom_tids.append(tids)
+            base += int(tids.size)
         self._vacuum_base = base
         if witness_count:
             for _vacuum_ref in self._vacuum:
@@ -200,26 +204,18 @@ class ProvenanceIndex:
                 rid_columns.append(np.full(witness_count, base, dtype=np.int64))
                 base += 1
         self._ref_total = base
-        if flats:
-            flat = np.concatenate(flats)
-            counts = np.concatenate(counts_list)
-        else:  # pragma: no cover - zero-atom provenance takes the list path
-            flat = np.empty(0, dtype=np.int64)
-            counts = np.empty(0, dtype=np.int64)
+        counts = np.concatenate(counts_list)
         offsets = np.zeros(counts.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
         #: CSR layout of ``rid -> witness positions``: rid's witnesses are
         #: ``_rw_flat[_rw_offsets[rid] : _rw_offsets[rid + 1]]``.
-        self._rw_flat = flat
+        self._rw_flat = np.concatenate(flats)
         self._rw_offsets = offsets
-        if rid_columns:
-            self._witness_rid_matrix = np.stack(rid_columns, axis=1)
-        else:
-            self._witness_rid_matrix = np.empty((witness_count, 0), dtype=np.int64)
+        self._witness_rid_matrix = np.stack(rid_columns, axis=1)
         # ``_witness_rids``/``_ref_witnesses`` keep their indexing contract
         # (``[wid]`` -> rids, ``[rid]`` -> wids) as zero-copy array views.
         self._witness_rids = self._witness_rid_matrix
-        self._ref_witnesses = CsrPostings(flat, offsets)
+        self._ref_witnesses = CsrPostings(self._rw_flat, offsets)
 
     def _build_pairs(self) -> None:
         """Factorize every witness's ``(output, rid)`` pairs (NumPy kernel).

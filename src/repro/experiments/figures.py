@@ -11,9 +11,9 @@ not the absolute Java+PostgreSQL numbers (see DESIGN.md and EXPERIMENTS.md).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.core.adp import ADPSolver
+from repro.core.adp import ADPSolver, ratio_target
 from repro.core.decompose import DecomposeStrategy
 from repro.core.selection import Selection, solve_with_selection
 from repro.core.universe import UniverseStrategy
@@ -60,10 +60,10 @@ def figure_07_easy_exact(
         database, selection, filtered = _selected_instance(size)
         base_session = Session(database)
         output = Session(filtered).output_size(Q1)
+        if not output:
+            continue
         for ratio in ratios:
-            k = max(1, int(ratio * output)) if output else 0
-            if k == 0:
-                continue
+            k = ratio_target(output, ratio)
             for mode, counting in (("reporting", False), ("counting", True)):
                 solver = ADPSolver(counting_only=counting)
 
@@ -101,10 +101,10 @@ def figure_08_easy_heuristics(
         base_session = Session(database)
         filtered_session = Session(filtered)
         output = filtered_session.output_size(Q1)
+        if not output:
+            continue
         for ratio in ratios:
-            k = max(1, int(ratio * output)) if output else 0
-            if k == 0:
-                continue
+            k = ratio_target(output, ratio)
             exact_solver = ADPSolver()
 
             def run_exact(k=k):
@@ -164,7 +164,7 @@ def figure_10_hard_heuristics(
         session = Session(database)
         output = session.output_size(Q1)
         for ratio in ratios:
-            k = max(1, int(ratio * output))
+            k = ratio_target(output, ratio)
             for method in methods:
                 run = run_method(Q1, database, k, method, session=session)
                 result.add(
@@ -216,7 +216,6 @@ def figure_14_15_snap(
     ratios: Sequence[float] = DEFAULT_RATIOS,
     nodes: int = 60,
     seed: int = 414,
-    max_witnesses: Optional[int] = None,
 ) -> ExperimentResult:
     """Figures 14-15: Greedy (Q2..Q5) and Drastic (Q2, Q3) on the ego network.
 
@@ -243,7 +242,7 @@ def figure_14_15_snap(
         if output == 0:
             continue
         for ratio in ratios:
-            k = max(1, int(ratio * output))
+            k = ratio_target(output, ratio)
             for method in methods:
                 run = run_method(query, database, k, method, session=session)
                 result.add(run.as_row(query=query.name, ratio=ratio, nodes=nodes))
@@ -269,7 +268,7 @@ def figure_zipf_hard(
             session = Session(database)
             output = session.output_size(QPATH_EXP)
             for ratio in ratios:
-                k = max(1, int(ratio * output))
+                k = ratio_target(output, ratio)
                 for method in ("greedy", "drastic"):
                     run = run_method(QPATH_EXP, database, k, method, session=session)
                     result.add(
@@ -301,7 +300,7 @@ def figure_zipf_easy(
             session = Session(q6_database)
             output = session.output_size(Q6)
             for ratio in ratios:
-                k = max(1, int(ratio * output))
+                k = ratio_target(output, ratio)
                 run = run_method(Q6, q6_database, k, "exact", session=session)
                 result.add(
                     run.as_row(
@@ -342,7 +341,7 @@ def figure_28_singleton_optimisation(
         ("singleton", ADPSolver(use_singleton=True)),
     )
     for ratio in ratios:
-        k = max(1, int(ratio * output))
+        k = ratio_target(output, ratio)
         for name, solver in strategies:
             solution, seconds = timed(
                 lambda s=solver, k=k: session.solve(Q7, k, solver=s)
@@ -384,7 +383,7 @@ def figure_29_decompose_optimisation(
         ("improved-dp", DecomposeStrategy.IMPROVED_DP),
     )
     for ratio in ratios:
-        k = max(1, int(ratio * output))
+        k = ratio_target(output, ratio)
         for name, strategy in strategies:
             solver = ADPSolver(decompose_strategy=strategy)
             solution, seconds = timed(
@@ -422,7 +421,7 @@ def ablation_endogenous_restriction(
     session = Session(database)
     output = session.output_size(Q1)
     for ratio in ratios:
-        k = max(1, int(ratio * output))
+        k = ratio_target(output, ratio)
         for restricted in (True, False):
             def run():
                 with session.activate():

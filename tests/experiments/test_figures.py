@@ -11,7 +11,9 @@ Each test runs the corresponding experiment on a tiny grid and checks the
 * the Singleton and improved-DP optimisations are exact (Figs. 28-29).
 """
 
+import math
 
+from repro.core.adp import ratio_target
 from repro.experiments import figures
 from repro.experiments.report import format_table, render_results
 
@@ -100,6 +102,27 @@ class TestAblationFigures:
     def test_endogenous_ablation(self):
         result = figures.ablation_endogenous_restriction(size=150, ratios=(0.1,))
         assert len(result.rows) == 2
+
+
+class TestRatioTarget:
+    """Figure rows take ``k`` from ``ratio_target`` (``ceil``), never a floor."""
+
+    def test_rows_use_the_ceiling_rule(self):
+        ratio = 0.33
+        rows = [
+            (row, row["output_size"])
+            for row in figures.figure_10_hard_heuristics(
+                sizes=(200,), ratios=(ratio,), methods=("greedy",)
+            ).rows
+        ] + [
+            (row, row["selected_output"])
+            for row in figures.figure_07_easy_exact(sizes=(200,), ratios=(ratio,)).rows
+        ]
+        assert rows
+        for row, output in rows:
+            # The ratio must separate the two rules, or the test shows nothing.
+            assert math.floor(ratio * output) != math.ceil(ratio * output)
+            assert row["k"] == ratio_target(output, ratio)
 
 
 class TestReport:

@@ -2,15 +2,27 @@
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine.backend import numpy_available
+from repro.engine.delta import delta_counts
 from repro.engine.flow import FlowNetwork
 from repro.engine.provenance import ProvenanceIndex
 from repro.engine.semijoin import remove_dangling_tuples
 from repro.session import Session
 
 from tests.conftest import query_instance_pairs
+from tests.row_oracle import evaluate_rows
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(not numpy_available(), reason="numpy unavailable"),
+    ),
+]
 
 COMMON_SETTINGS = dict(
     deadline=None,
@@ -46,11 +58,14 @@ def test_dangling_removal_preserves_output(pair):
     )
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=60, **COMMON_SETTINGS)
-@given(query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
-def test_incremental_index_matches_stateless_verification(pair):
+@given(pair=query_instance_pairs(max_relations=3, max_attributes=3, max_tuples_per_relation=3))
+def test_incremental_index_matches_stateless_verification(backend, pair):
+    """The index's kill count, verification, the what-if count and the
+    row-at-a-time oracle agree on the first four tuples in ``repr`` order."""
     query, database = pair
-    result = Session(database).evaluate(query)
+    result = Session(database, backend=backend).evaluate(query)
     if result.output_count() == 0:
         return
     index = ProvenanceIndex(result)
@@ -58,6 +73,8 @@ def test_incremental_index_matches_stateless_verification(pair):
     refs = [index.ref_at(rid) for rid in rids]
     killed_incrementally = sum(index.remove_id(rid) for rid in rids)
     assert killed_incrementally == result.outputs_removed_by(refs)
+    assert killed_incrementally == delta_counts(result, refs)[1]
+    assert killed_incrementally == evaluate_rows(query, database).outputs_removed_by(refs)
     for rid in rids:
         index.restore_id(rid)
     assert index.removed_output_count() == 0
