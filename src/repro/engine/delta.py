@@ -71,9 +71,10 @@ from repro.engine.backend import (
     is_ndarray,
     python_backend,
 )
-from repro.engine.columnar import ColumnarProvenance, RelationIndex
-from repro.engine.evaluate import QueryResult
+from repro.engine.columnar import ColumnarProvenance, RelationIndex, join_columns
+from repro.engine.evaluate import QueryResult, _join_order
 from repro.obs.trace import span
+from repro.query.cq import ConjunctiveQuery
 
 
 def delta_counts(
@@ -289,22 +290,37 @@ def delta_filter_result(
 #
 # where ``E_q`` is the *extended* relation (live rows + Δ_q) and ``O_q`` the
 # pre-insertion live rows only: each witness is charged to the last atom
-# position that contributed an inserted tuple.  Because |Δ| is small, each
-# term is seeded from the delta rows and probed through the interning
-# tables' cached hash groups -- work proportional to the delta and its new
-# witnesses, never to the existing join.  Discovered witnesses are
-# *appended*: old tids, witness positions and output ids all keep their
-# meaning, so the packed columns and the output table extend in place
-# instead of being rebuilt (the append invariant the parity suite pins
-# down).  The grown result inherits every CSR postings index its parent
-# had built, with the new positions spliced in; a full CQ also skips the
-# output index, since each new witness brings its own new output row.
+# position that contributed an inserted tuple.  Each term is one
+# :func:`~repro.engine.columnar.join_columns` call -- the same hash join a
+# fresh evaluation runs, reporting the same ``engine.join.atom`` records --
+# over interning tables whose live masks *are* the term's operands: the
+# extended table for ``q < p``, its seed successor
+# (:meth:`~RelationIndex.only`) for ``p``, and the parent table for
+# ``q > p``, whose cached hash groups carry over.  The planner's order over
+# the body with atom ``p`` moved to the front starts the join at the small
+# delta, so the work is proportional to the delta and its new witnesses,
+# never to the existing join.  Discovered witnesses are *appended*: old
+# tids, witness positions and output ids all keep their meaning, so the
+# packed columns and the output table extend in place instead of being
+# rebuilt (the append invariant the parity suite pins down).  The grown
+# result inherits every CSR postings index its parent had built, with the
+# new positions spliced in; a full CQ also skips the output index, since
+# each new witness brings its own new output row.
 #
 # Liveness lives in the tables: the successor table of a mutated relation
 # stores exactly ``E_q`` (its hash groups hold live tids only), and a batch
 # row interned-but-dead in the parent is a **resurrection** -- it re-enters
-# as a delta row under its existing tid.  ``O_q`` is ``E_q`` minus the
-# batch's tids, so no probe ever matches a deleted row.
+# as a delta row under its existing tid.  The parent table stores ``O_q``,
+# so no probe ever matches a deleted row.
+#
+# The delta join runs on the Python kernels whatever the session backend.
+# The NumPy kernels gather through ``value_column``/``value_codes``, which
+# a grown table rebuilds over the whole relation on every version; the
+# Python probe touches only the delta's matches.  On the 60k Zipf path
+# (``R2`` grows to 66k rows; 500-edge inserts into cached ``Qh`` and
+# ``Q6``; 2-vCPU host) a result insert read a median of 31-39 ms on the
+# NumPy kernels against 7-9 ms on these.
+_DELTA_BACKEND = python_backend()
 
 
 def _inserted_rows_by_position(
@@ -336,115 +352,44 @@ def _inserted_rows_by_position(
     return by_position
 
 
-def _discover_new_witnesses(
+def _delta_terms(
+    provenance: ColumnarProvenance,
     by_position: Dict[int, List[Row]],
     extended: List[RelationIndex],
-) -> Tuple[List[List[int]], List[Dict[str, object]]]:
+) -> Tuple[List[List[int]], List[Row]]:
     """All witnesses that use at least one inserted tuple.
 
-    Returns ``(new_columns, assignments)``: one appended tid column per atom
-    (all the same length) and, aligned with them, the attribute binding of
-    each new witness (for output factorization).  Deterministic: seed
-    positions ascending, delta rows in arrival order, matching tids
-    ascending.
+    Returns ``(new_columns, new_rows)``: one appended tid column per atom,
+    in provenance atom order, and each new witness's output row.  Terms run
+    in ascending seed position.
     """
-    n = len(extended)
-    backend = python_backend()
-    # Batch tids per atom in the extended tables: appended rows *and*
-    # resurrected old rows.  They seed the delta terms and must never be
-    # matched by the old-rows-only probes (q > p).
-    delta_tids: List[Set[int]] = []
-    for a in range(n):
-        rows = by_position.get(a) or ()
-        ids = extended[a].ids
-        delta_tids.append({ids[row] for row in rows})
-    new_columns: List[List[int]] = [[] for _ in range(n)]
-    assignments: List[Dict[str, object]] = []
-
-    for p in range(n):
-        delta = by_position.get(p)
-        if not delta:
-            continue
-        attrs_p = extended[p].attributes
-        ids_p = extended[p].ids
-        # One partial row per delta tuple of atom p; its tid is already
-        # final (appended rows got theirs from the extension, resurrected
-        # rows keep their old one).
-        partials: List[Tuple[Dict[str, object], List[int]]] = []
-        for row in delta:
-            assignment: Dict[str, object] = {}
-            for attribute, value in zip(attrs_p, row):
-                assignment.setdefault(attribute, value)
-            tids = [-1] * n
-            tids[p] = ids_p[row]
-            partials.append((assignment, tids))
-
-        for q in range(n):
-            if q == p:
-                continue
-            if not partials:
-                break
-            index_q = extended[q]
-            # Atoms before the seed see live + inserted rows, atoms after it
-            # pre-insertion live rows only -- the telescoping split that
-            # makes the union over seed positions exact.
-            skip: Set[int] = delta_tids[q] if q > p else set()
-            attrs_q = index_q.attributes
-            positions_q: Dict[str, int] = {}
-            for position, attribute in enumerate(attrs_q):
-                positions_q.setdefault(attribute, position)
-            bound = partials[0][0]
-            shared = [a for a in positions_q if a in bound]
-            fresh = [(a, positions_q[a]) for a in positions_q if a not in bound]
-            rows_q = index_q.rows
-            next_partials: List[Tuple[Dict[str, object], List[int]]] = []
-            if shared:
-                shared_positions = tuple(positions_q[a] for a in shared)
-                table = index_q.hash_groups(shared_positions, backend)
-                get = table.get
-                single = shared[0] if len(shared) == 1 else None
-                for assignment, tids in partials:
-                    if single is not None:
-                        key = assignment[single]
-                    else:
-                        key = tuple(assignment[a] for a in shared)
-                    matches = get(key)
-                    if not matches:
-                        continue
-                    for tid in matches:
-                        if tid in skip:
-                            continue
-                        if fresh:
-                            row = rows_q[tid]
-                            extended_assignment = dict(assignment)
-                            for attribute, position in fresh:
-                                extended_assignment[attribute] = row[position]
-                        else:
-                            extended_assignment = assignment
-                        new_tids = tids.copy()
-                        new_tids[q] = tid
-                        next_partials.append((extended_assignment, new_tids))
-            else:
-                # Disconnected step: cross product, partial-major.
-                eligible = [
-                    tid for tid in index_q.live_tids(backend) if tid not in skip
-                ]
-                for assignment, tids in partials:
-                    for tid in eligible:
-                        row = rows_q[tid]
-                        extended_assignment = dict(assignment)
-                        for attribute, position in fresh:
-                            extended_assignment[attribute] = row[position]
-                        new_tids = tids.copy()
-                        new_tids[q] = tid
-                        next_partials.append((extended_assignment, new_tids))
-            partials = next_partials
-
-        for assignment, tids in partials:
-            for a in range(n):
-                new_columns[a].append(tids[a])
-            assignments.append(assignment)
-    return new_columns, assignments
+    query = provenance.query
+    parent = provenance.indexes
+    atoms = {atom.name: atom for atom in query.atoms}
+    new_columns: List[List[int]] = [[] for _ in extended]
+    new_rows: List[Row] = []
+    for p in sorted(by_position):
+        seed = atoms[provenance.atom_names[p]]
+        body = (seed,) + tuple(atom for atom in query.atoms if atom is not seed)
+        ordered = [body[i] for i in _join_order(ConjunctiveQuery(query.head, body))]
+        positions = [provenance.atom_position(atom.name) for atom in ordered]
+        delta = extended[p].only(by_position[p])
+        tables = [
+            delta if q == p else extended[q] if q < p else parent[q]
+            for q in positions
+        ]
+        bound, columns = join_columns(
+            ordered, tables, query.head, query_name=query.name, backend=_DELTA_BACKEND
+        )
+        if not len(columns[0]):
+            continue  # an emptied join stops before binding the head
+        for q, column in zip(positions, columns):
+            new_columns[q].extend(column)
+        if query.head:
+            new_rows.extend(zip(*(bound[a] for a in query.head)))
+        else:
+            new_rows.extend([()] * len(columns[0]))
+    return new_columns, new_rows
 
 
 def delta_insert_result(
@@ -482,8 +427,8 @@ def delta_insert_result(
                     extended[position] = tables[index.name]
                 else:
                     extended[position] = index.extended(rows)
-            new_columns, assignments = _discover_new_witnesses(by_position, extended)
-            if not assignments:
+            new_columns, new_rows = _delta_terms(provenance, by_position, extended)
+            if not new_rows:
                 # No new witnesses, but the interning tables still move on:
                 # later delta batches probe these indexes and must see
                 # today's rows.  The witness columns, and so their postings,
@@ -499,18 +444,14 @@ def delta_insert_result(
                     # full CQ's output row determines its witness: every new
                     # witness brings a new output row, no lookup needed.
                     appended_outputs = list(
-                        range(len(output_rows), len(output_rows) + len(assignments))
+                        range(len(output_rows), len(output_rows) + len(new_rows))
                     )
-                    output_rows.extend(
-                        tuple(assignment[a] for a in query.head)
-                        for assignment in assignments
-                    )
+                    output_rows.extend(new_rows)
                 else:
                     # Factorize the new witnesses' outputs through the
                     # existing output table, appending only new rows.
                     output_index = dict(provenance.output_index)
-                    for assignment in assignments:
-                        row = tuple(assignment[a] for a in query.head)
+                    for row in new_rows:
                         out = output_index.get(row)
                         if out is None:
                             out = len(output_rows)

@@ -657,9 +657,11 @@ def evaluate_columnar(
     backend = gated_backend(requested_backend, total_tuples)
 
     with span("engine.join") as jsp:
-        bound, ref_columns, indexes = join_columns(
-            ordered_atoms, database, query.head, max_witnesses, query.name,
-            index_for=index_for, backend=backend,
+        build = index_for or RelationIndex
+        indexes = [build(database.relation(atom.name)) for atom in ordered_atoms]
+        bound, ref_columns = join_columns(
+            ordered_atoms, indexes, query.head, max_witnesses, query.name,
+            backend=backend,
         )
         if jsp:
             jsp.set(

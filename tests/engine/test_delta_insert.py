@@ -13,20 +13,32 @@ import random
 import pytest
 
 from repro.data.database import Database
-from repro.data.relation import TupleRef
+from repro.data.relation import Relation, TupleRef
 from repro.engine.backend import numpy_available
 from repro.engine.delta import delta_insert_result
-from repro.engine.evaluate import evaluate_in_context
+from repro.engine.evaluate import EngineContext, evaluate_in_context
 from repro.query.parser import parse_query
 from repro.workloads.queries import Q1, Q6, QPATH_EXP
 from repro.workloads.tpch import generate_tpch
 from repro.workloads.zipf import generate_zipf_path
 
-from tests.conftest import packed_columns, packed_outputs
+from tests.conftest import packed_columns, packed_outputs, repro_test_seed
+
+BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+
+#: Insertion-batch seeds: three fixed ones plus one drawn from
+#: ``REPRO_TEST_SEED``, so each CI fuzz leg inserts a different batch.
+BATCH_SEEDS = {"1": 1, "2": 2, "3": 3, "seeded": repro_test_seed()}
 
 
 def _witness_set(result):
     return {w.refs for w in result.witnesses}
+
+
+def _with_r4(database):
+    """The Zipf path plus a small unary ``R4(C)`` no other atom joins."""
+    database.add_relation(Relation("R4", ("C",), [(f"c{i}",) for i in range(5)]))
+    return database
 
 
 def _instances():
@@ -34,6 +46,17 @@ def _instances():
         ("tpch", Q1, generate_tpch(total_tuples=80, seed=7)),
         ("zipf", QPATH_EXP, generate_zipf_path(r2_tuples=100, alpha=0.5, seed=13)),
         ("zipf-easy", Q6, generate_zipf_path(r2_tuples=100, alpha=1.0, seed=13)),
+        # A cross-product step: R4 shares no attribute with the path.
+        (
+            "disconnected",
+            parse_query("Q(A, C) :- R1(A), R2(A, B), R4(C)"),
+            _with_r4(generate_zipf_path(r2_tuples=60, alpha=0.8, seed=13)),
+        ),
+        (
+            "boolean",
+            parse_query("Q() :- R1(A), R2(A, B)"),
+            generate_zipf_path(r2_tuples=60, alpha=0.8, seed=13),
+        ),
     ]
 
 
@@ -72,13 +95,15 @@ def _grown(database, refs):
 
 
 @pytest.mark.parametrize("name,query,database", INSTANCES, ids=IDS)
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_delta_insert_matches_fresh_evaluation(name, query, database, seed):
-    base = evaluate_in_context(query, database)
+@pytest.mark.parametrize("seed", BATCH_SEEDS.values(), ids=BATCH_SEEDS.keys())
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_delta_insert_matches_fresh_evaluation(backend, name, query, database, seed):
+    context = EngineContext(backend=backend)
+    base = context.evaluate(query, database)
     refs = _insertion_batch(query, database, seed)
 
     appended = delta_insert_result(base, refs)
-    fresh = evaluate_in_context(query, _grown(database, refs), use_cache=False)
+    fresh = context.evaluate(query, _grown(database, refs), use_cache=False)
 
     assert set(appended.output_rows) == set(fresh.output_rows)
     assert _witness_set(appended) == _witness_set(fresh)
@@ -217,11 +242,12 @@ def test_reinserting_deleted_row_resurrects_witnesses():
         assert result.witness_count() == fresh.witness_count()
 
 
-def test_delta_insert_repeated_batches_compose():
+@pytest.mark.parametrize("seed", [8, repro_test_seed()], ids=["fixed", "seeded"])
+def test_delta_insert_repeated_batches_compose(seed):
     name, query, database = INSTANCES[1]
     base = evaluate_in_context(query, database)
-    batch1 = _insertion_batch(query, database, seed=8, count=6)
-    batch2 = _insertion_batch(query, database, seed=9, count=6)
+    batch1 = _insertion_batch(query, database, seed=seed, count=6)
+    batch2 = _insertion_batch(query, database, seed=seed + 1, count=6)
     step = delta_insert_result(delta_insert_result(base, batch1), batch2)
     fresh = evaluate_in_context(
         query, _grown(_grown(database, batch1), batch2), use_cache=False

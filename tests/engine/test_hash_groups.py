@@ -104,6 +104,24 @@ class TestCsrHashGroups:
         assert radix == 3
 
 
+def test_only_successor_keeps_just_the_given_rows():
+    """``only()`` (an insertion's seed table) shares the interning and lists
+    exactly the given tids, sparse or dense, on every available backend."""
+    rng = random.Random(repro_test_seed())
+    base = RelationIndex.from_rows("R", ("A",), [(i,) for i in range(400)])
+    for size in (0, 1, 7, 300, 400):
+        chosen = sorted(rng.sample(range(400), size))
+        index = base.only([(tid,) for tid in reversed(chosen)])
+        assert index.rows is base.rows and index.ids is base.ids
+        assert index.live_count == size
+        assert index.live_tids(resolve_backend("python")) == chosen
+        groups = index.hash_groups((0,), resolve_backend("python"))
+        assert groups == {tid: [tid] for tid in chosen}
+        if numpy_available():
+            assert index.live_tids(resolve_backend("numpy")).tolist() == chosen
+            assert_csr_matches_python(index, (0,))
+
+
 @pytest.mark.parametrize(
     "backend",
     ["python", pytest.param("numpy", marks=needs_numpy)],

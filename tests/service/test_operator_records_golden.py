@@ -9,7 +9,9 @@ reports them must reproduce it field for field:
   cache disposition, operators, ledger, flags, worst misestimate),
   including a cache-hit EXPLAIN that re-joins past the cache;
 * the operator records of an insert plus a delete what-if
-  (``delta.insert`` / ``delta.counts`` / ``delta.filter``);
+  (``delta.insert`` / ``delta.counts`` / ``delta.filter``, and the
+  ``join.atom`` steps of the insert's delta join: one term per atom that
+  gained rows, here two steps for ``Q6`` and three for ``Qh``);
 * ``POST /v1/solve`` with ``"stats": true`` -- ``operators`` and
   ``worst_misestimate``;
 * the per-database ``repro_service_operator_*`` gauges at ``/metrics``.
