@@ -23,11 +23,12 @@ Internally every step produces a :class:`~repro.core.curves.CostCurve`
 (solutions for all targets up to ``k``), because the Universe/Decompose
 dynamic programs need the costs of sub-problems for many targets at once.
 :meth:`ADPSolver.curve_entry` publishes it as a :class:`CurveEntry` -- the
-curve plus the heuristic fallback count and a memo of verified
-removed-output counts per ``k``, which travel together so a session can
-cache them (:class:`repro.engine.cache.CurveCache`) and the solver keeps no
-per-call state.  A warm read-off at an already-verified ``k`` is therefore a
-lookup: ``solution(k)`` plus one dict read.
+curve plus the heuristic fallback count and an answer memo keyed by ``(k,
+counting_only)``, which travel together so a session can cache them
+(:class:`repro.engine.cache.CurveCache`) and the solver keeps no per-call
+state.  A warm read-off at an already-verified ``k`` is therefore a lookup:
+``solution(k)`` plus one dict read; the service goes further and answers it
+from the stable payload it memoized on the same record.
 
 All evaluation goes through the columnar witness engine
 (:mod:`repro.engine.evaluate`) in the *ambient engine context*: under
@@ -44,7 +45,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Optional
+from typing import Hashable, Optional
 
 from repro.core import greedy as greedy_module
 from repro.core.boolean_cq import linear_order, min_cut_curve
@@ -56,6 +57,7 @@ from repro.core.solution import ADPSolution
 from repro.core.structures import find_triad_like
 from repro.core.universe import UniverseStrategy, universe_curve
 from repro.data.database import Database
+from repro.engine.cache import Answer, AnswerMemo
 from repro.engine.evaluate import QueryResult, evaluate_in_context as evaluate
 from repro.query.cq import ConjunctiveQuery
 from repro.query.graph import QueryGraph
@@ -97,20 +99,21 @@ class CurveEntry:
     counts the NP-hard leaves where the configured heuristic did not apply
     (drastic on a non-full query, a Boolean query without a linear order).
 
-    ``removed_counts`` memoizes ``k -> |outputs removed by solution(k)|``,
-    each verified once with ``QueryResult.outputs_removed_by`` by
-    :meth:`ADPSolver.solve_in_context`.  A cached entry belongs to one
-    database version and is dropped on every (exclusive) mutation, so a
-    count never outlives the result it was verified against; concurrent
-    readers can only race to store the same int.
+    ``answers`` is the entry's answer memo
+    (:class:`~repro.engine.cache.AnswerMemo`), keyed by ``(k,
+    counting_only)``: :meth:`ADPSolver.solve_in_context` stores the count
+    ``|outputs removed by solution(k)|`` it verified once with
+    ``QueryResult.outputs_removed_by``, and the service adds the stable solve
+    payload it rendered from that answer.  A cached entry belongs to one
+    database version and is dropped on every (exclusive) mutation, so an
+    answer never outlives the result it was verified against; concurrent
+    readers can only race to store equal answers.
     """
 
     kmax: int
     curve: CostCurve
     heuristic_fallbacks: int
-    removed_counts: Dict[int, int] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    answers: AnswerMemo = field(default_factory=AnswerMemo, compare=False, repr=False)
 
 
 class _Tally:
@@ -187,8 +190,8 @@ class ADPSolver:
         verification (instead of three ``evaluate`` calls leaning on the
         cache); ``curve`` lets callers read the answer off an entry computed
         once at a target ``>= k`` (a batch's largest target, or the
-        session's curve cache); the entry's ``removed_counts`` memo makes
-        the verification run once per ``k``.
+        session's curve cache); the entry's answer memo makes the
+        verification run once per ``k``.
         """
         if result is None:
             result = evaluate(query, database)
@@ -207,10 +210,12 @@ class ADPSolver:
             removed_outputs = k
         else:
             removed = cost_curve.solution(k)
-            counts = entry.removed_counts
-            if k not in counts:
-                counts[k] = result.outputs_removed_by(removed)
-            removed_outputs = counts[k]
+            answer = entry.answers.get((k, False))
+            if answer is None:
+                answer = entry.answers.put(
+                    (k, False), Answer(result.outputs_removed_by(removed))
+                )
+            removed_outputs = answer.removed_outputs
         return ADPSolution(
             query=query,
             k=k,

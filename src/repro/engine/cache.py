@@ -42,17 +42,37 @@ one curve computed at ``kmax`` answers every ``k <= kmax``.  Keys add the
 array-backend tag and a solver key -- the solver class plus the
 :class:`~repro.core.adp.SolverConfig` fields that shape a curve -- to the
 canonical query and version token.  Entries hold only the immutable curve,
-its metadata and a per-``k`` memo of verified removed-output counts (never a
-``ProvenanceIndex``); mutations drop them instead of migrating them, since
-greedy curves are not delta-maintainable -- which is also what keeps a
-memoized count from outliving the version it was verified on.
+its metadata and an :class:`AnswerMemo` (never a ``ProvenanceIndex``);
+mutations drop them instead of migrating them, since greedy curves are not
+delta-maintainable -- which is also what keeps a memoized answer from
+outliving the version it was computed on.
+
+Answer memo
+-----------
+Each cached curve entry carries one :class:`AnswerMemo`, keyed by ``(k,
+counting_only)``.  An :class:`Answer` holds the verified removed-output
+count (read by ``ADPSolver.solve_in_context``) and, once the service has
+rendered it, the stable solve payload -- everything of a ``/v1/solve``
+response except the per-request fields (``elapsed_ms``, ``trace_id``) and
+the envelope (``database``, ``version``, ``batched``).  A warm read at an
+already-answered ``k`` is then a dict lookup (``CurveCache.cached_payload``),
+which the service answers on its event loop.
+
+The memo is bounded in bytes, not entries: every answer is charged its
+encoded length (:func:`encoded_length`) against one per-cache budget,
+:data:`MAX_ANSWER_BYTES` (a session owns one curve cache), and the oldest
+answers are evicted first.  An entry that leaves the cache (a mutation, a
+larger curve replacing it, LRU overflow, ``clear``) takes its answers'
+charge with it.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import weakref
-from typing import Any, Dict, Hashable, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.data.database import Database
 from repro.query.cq import ConjunctiveQuery
@@ -60,6 +80,11 @@ from repro.query.cq import ConjunctiveQuery
 #: Per-database bound on cached results: old entries (including stale
 #: versions) are evicted in insertion order once the bound is hit.
 MAX_ENTRIES_PER_DATABASE = 64
+
+#: Per-cache (so per-session) bound on the answer memo: the encoded bytes of
+#: every memoized answer, summed over the cache's curve entries.  Past it the
+#: oldest answers are evicted first.
+MAX_ANSWER_BYTES = 4 * 1024 * 1024
 
 
 def canonical_query_key(query: ConjunctiveQuery) -> Hashable:
@@ -95,24 +120,93 @@ def _lru_put(
     value: Any,
     bound: int,
     drop_stale: bool = True,
-) -> None:
+) -> List[Any]:
     """Insert ``value`` under ``key`` and enforce the per-database ``bound``.
 
     Keys are tuples whose second element is the version token.  With
     ``drop_stale`` entries under another token are dropped first: relation
     versions are monotone and all entries of one dict belong to one database
-    object, so such an entry can never hit again.
+    object, so such an entry can never hit again.  Returns the values it evicted.
     """
     try:
         entries = per_database.setdefault(database, {})
     except TypeError:  # pragma: no cover - non-weakref-able database stub
-        return
+        return []
+    evicted = []
     if drop_stale:
         for stale in [other for other in entries if other[1] != key[1]]:
-            entries.pop(stale)
+            evicted.append(entries.pop(stale))
     entries[key] = value
     while len(entries) > bound:
-        entries.pop(next(iter(entries)))
+        evicted.append(entries.pop(next(iter(entries))))
+    return evicted
+
+
+def encoded_length(value: Any) -> int:
+    """Bytes of ``value`` as compact, key-sorted UTF-8 JSON: an answer's charge."""
+    return len(
+        json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    )
+
+
+class Answer:
+    """One memoized answer of a curve entry (see the module docstring).
+
+    ``removed_outputs`` is the verified count; ``payload`` is the stable
+    solve payload once rendered (``None`` before).  ``nbytes`` is the charge:
+    the encoded length of the payload, or of the bare count.
+    """
+
+    __slots__ = ("removed_outputs", "payload", "nbytes")
+
+    def __init__(self, removed_outputs: int, payload: Optional[Dict[str, Any]] = None) -> None:
+        self.removed_outputs = removed_outputs
+        self.payload = payload
+        self.nbytes = encoded_length(removed_outputs if payload is None else payload)
+
+
+class AnswerMemo:
+    """One curve entry's answers, ``(k, counting_only) -> Answer``.
+
+    A memo whose entry sits in a :class:`CurveCache` is *bound* to that
+    cache, which charges every stored answer against its byte budget and
+    may evict it; an unbound memo (a curve nobody caches) just stores.
+    Reads are plain dict lookups: an answer is replaced only by one that
+    adds the payload, and both carry the same count.
+    """
+
+    __slots__ = ("answers", "owner")
+
+    def __init__(self) -> None:
+        self.answers: Dict[Hashable, Answer] = {}
+        self.owner: Optional["CurveCache"] = None
+
+    def get(self, key: Hashable) -> Optional[Answer]:
+        return self.answers.get(key)
+
+    def put(self, key: Hashable, answer: Answer) -> Answer:
+        """Store ``answer`` unless the memo holds one at least as complete.
+
+        Returns the answer the memo keeps (which the caller should use).
+        """
+        owner = self.owner
+        if owner is not None:
+            return owner._remember(self, key, answer)
+        return _keep(self.answers, key, answer)[0]
+
+
+def _keep(
+    answers: Dict[Hashable, Answer], key: Hashable, answer: Answer
+) -> Tuple[Answer, Optional[Answer]]:
+    """``(kept, replaced)`` after offering ``answer`` for ``key``.
+
+    A stored answer wins unless ``answer`` adds the payload it lacks.
+    """
+    current = answers.get(key)
+    if current is not None and (current.payload is not None or answer.payload is None):
+        return current, None
+    answers[key] = answer
+    return answer, current
 
 
 class _VersionedLRU:
@@ -133,14 +227,20 @@ class _VersionedLRU:
         self.hits = 0
         self.misses = 0
 
+    def _dropped(self, values: List[Any]) -> None:
+        """Hook: ``values`` just left the cache (caller holds the lock)."""
+
     def drop(self, database: Database) -> None:
         """Forget every entry of one database (counters are kept)."""
         with self._lock:
-            self._per_database.pop(database, None)
+            entries = self._per_database.pop(database, None)
+            self._dropped(list(entries.values()) if entries else [])
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""
         with self._lock:
+            for entries in list(self._per_database.values()):
+                self._dropped(list(entries.values()))
             self._per_database = weakref.WeakKeyDictionary()
             self.hits = 0
             self.misses = 0
@@ -258,11 +358,29 @@ class CurveCache(_VersionedLRU):
     """A per-database LRU of solver cost curves (see the module docstring).
 
     Values are :class:`repro.core.adp.CurveEntry` objects (``kmax``,
-    ``curve``, ``heuristic_fallbacks``, ``removed_counts``); a lookup for
-    target ``k`` hits only an entry computed at ``kmax >= k``.  Its counters
-    are separate from the evaluation cache's, so curve reads never show up
-    as evaluation hits.
+    ``curve``, ``heuristic_fallbacks``, ``answers``); a lookup for target
+    ``k`` hits only an entry computed at ``kmax >= k``.  Its counters are
+    separate from the evaluation cache's, so curve reads never show up as
+    evaluation hits.  The cache also owns the byte budget of its entries'
+    answer memos.
     """
+
+    def __init__(
+        self, max_entries_per_database: int = MAX_ENTRIES_PER_DATABASE
+    ) -> None:
+        super().__init__(max_entries_per_database)
+        #: Every charged answer, oldest first: ``(id(memo), key) -> memo``.
+        self._charged: "OrderedDict[Tuple[int, Hashable], AnswerMemo]" = OrderedDict()
+        self._answer_bytes = 0
+
+    def _covering(
+        self, database: Database, key: Tuple[Hashable, ...], k: int
+    ) -> Optional[Any]:
+        """The entry under ``key`` if it covers ``k`` (caller holds the lock)."""
+        entry = _lru_get(self._per_database.get(database), key)
+        if entry is None or entry.kmax < k:
+            return None
+        return entry
 
     def lookup(
         self,
@@ -273,16 +391,117 @@ class CurveCache(_VersionedLRU):
         k: int,
     ) -> Optional[Any]:
         """The entry for the current database version covering ``k``, or ``None``."""
+        key = (query_key, database.version_token(), backend, solver_key)
         with self._lock:
-            entry = _lru_get(
-                self._per_database.get(database),
-                (query_key, database.version_token(), backend, solver_key),
-            )
-            if entry is None or entry.kmax < k:
+            entry = self._covering(database, key, k)
+            if entry is None:
                 self.misses += 1
+            else:
+                self.hits += 1
+            return entry
+
+    def cached_payload(
+        self,
+        database: Database,
+        query_key: Hashable,
+        backend: str,
+        solver_key: Hashable,
+        k: int,
+        counting_only: bool,
+    ) -> Optional[Dict[str, Any]]:
+        """The memoized stable payload of a solve at ``k``, or ``None``.
+
+        Never computes anything.  A payload found counts as one hit, as the
+        read-off it replaces would; nothing found counts nothing, so the
+        solve that follows counts its own hit or miss.
+        """
+        key = (query_key, database.version_token(), backend, solver_key)
+        with self._lock:
+            entry = self._covering(database, key, k)
+            answer = None if entry is None else entry.answers.get((k, counting_only))
+            if answer is None or answer.payload is None:
                 return None
             self.hits += 1
-            return entry
+            return answer.payload
+
+    def remember_payload(
+        self,
+        database: Database,
+        query_key: Hashable,
+        backend: str,
+        solver_key: Hashable,
+        k: int,
+        counting_only: bool,
+        payload: Dict[str, Any],
+    ) -> None:
+        """Memoize ``payload`` (a copy) on the current entry covering ``k``.
+
+        ``payload`` must be the stable rendering of the solve at ``k`` on
+        this database version; a curve computed at any ``kmax >= k`` gives
+        the same answer, so it does not matter which covering entry keeps
+        it.  Without such an entry (none cached) nothing is stored.
+        """
+        key = (query_key, database.version_token(), backend, solver_key)
+        with self._lock:
+            entry = self._covering(database, key, k)
+        if entry is None:
+            return
+        memo_key = (k, counting_only)
+        current = entry.answers.get(memo_key)
+        if current is not None and current.payload is not None:
+            return
+        # Encoding for the charge happens outside the cache lock.
+        entry.answers.put(memo_key, Answer(payload["removed_outputs"], dict(payload)))
+
+    def _remember(self, memo: AnswerMemo, key: Hashable, answer: Answer) -> Answer:
+        """:meth:`AnswerMemo.put` for a memo bound to this cache."""
+        with self._lock:
+            if memo.owner is self and answer.nbytes > MAX_ANSWER_BYTES:
+                # Never kept: storing it would evict every other answer
+                # and then itself.
+                return memo.answers.get(key) or answer
+            kept, replaced = _keep(memo.answers, key, answer)
+            if memo.owner is not self or kept is not answer:
+                return kept  # released meanwhile (uncharged), or nothing new
+            if replaced is not None:
+                self._charged.pop((id(memo), key))
+                self._answer_bytes -= replaced.nbytes
+            self._charge(memo, key, answer)
+            return kept
+
+    def _charge(self, memo: AnswerMemo, key: Hashable, answer: Answer) -> None:
+        """Charge one stored answer, evicting the oldest past the budget.
+
+        Caller holds the lock.
+        """
+        self._charged[(id(memo), key)] = memo
+        self._answer_bytes += answer.nbytes
+        while self._answer_bytes > MAX_ANSWER_BYTES:
+            (_, oldest), owner = self._charged.popitem(last=False)
+            self._answer_bytes -= owner.answers.pop(oldest).nbytes
+
+    def _bind(self, entry: Any) -> None:
+        """Charge ``entry``'s memo to this cache (caller holds the lock)."""
+        memo = entry.answers
+        memo.owner = self
+        for key, answer in list(memo.answers.items()):
+            self._charge(memo, key, answer)
+
+    def _dropped(self, values: List[Any]) -> None:
+        """Uncharge the memos of entries leaving the cache (caller holds the lock)."""
+        for entry in values:
+            memo = entry.answers
+            if memo.owner is not self:
+                continue
+            memo.owner = None
+            for key, answer in memo.answers.items():
+                if self._charged.pop((id(memo), key), None) is not None:
+                    self._answer_bytes -= answer.nbytes
+
+    def answer_bytes(self) -> int:
+        """The bytes the answer memo holds (never above its budget)."""
+        with self._lock:
+            return self._answer_bytes
 
     def store(
         self,
@@ -307,4 +526,6 @@ class CurveCache(_VersionedLRU):
             current = _lru_get(self._per_database.get(database), key)
             if current is not None and current.kmax >= entry.kmax:
                 return
-            _lru_put(self._per_database, database, key, entry, self._max_entries)
+            evicted = _lru_put(self._per_database, database, key, entry, self._max_entries)
+            self._dropped(evicted + ([current] if current is not None else []))
+            self._bind(entry)

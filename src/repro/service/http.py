@@ -5,7 +5,10 @@ control, metrics and a solver thread pool.  The event loop does I/O and
 coordination only; every solver call (solve batches, what-ifs, mutations)
 runs on the thread pool -- the session read paths are thread-safe by the
 contract in :mod:`repro.session`, and mutations serialize through the
-registry entry's write lock.
+registry entry's write lock.  The one read the event loop answers itself
+is a warm solve whose answer the session already memoized (see
+``_handle_solve``): a dict lookup under locks that are never held across
+a join or a curve computation.
 
 Endpoints (all bodies JSON; see ``docs/ARCHITECTURE.md`` for the schema):
 
@@ -234,6 +237,15 @@ class AdpService:
             max_workers=self.config.executor_threads,
             thread_name_prefix="repro-solve",
         )
+        #: One solver per (method, counting_only): solvers hold no per-call
+        #: state, so every request shares them.
+        self._solvers = {
+            (method, counting_only): ADPSolver(
+                heuristic=method, counting_only=counting_only
+            )
+            for method in SOLVE_METHODS if method != "auto"
+            for counting_only in (False, True)
+        }
         self.batcher = MicroBatcher(
             self._dispatch_batch,
             max_batch=self.config.max_batch,
@@ -350,6 +362,12 @@ class AdpService:
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
+                pass
+            except asyncio.CancelledError:
+                # close() cancelled this task while the connection was
+                # already closing: the connection ends either way, and a
+                # task that ends cancelled makes asyncio's stream callback
+                # log the cancellation as an error.
                 pass
 
     async def _read_request(
@@ -582,15 +600,24 @@ class AdpService:
             backend=entry.session.backend,
         ), {}
 
-    def _entry(self, name: str) -> RegisteredDatabase:
-        """The registry entry for ``name``, or a definite 404."""
+    async def _entry(self, name: str) -> RegisteredDatabase:
+        """The registry entry for ``name``, or a definite 404.
+
+        A resident entry answers at once.  Any other name is resolved on
+        the thread pool: rehydrating a persisted database runs a whole
+        ``store.load``, which must not stall the event loop.
+        """
+        entry = self.registry.resident(name)
+        if entry is not None:
+            return entry
+        loop = asyncio.get_running_loop()
         try:
-            return self.registry.get(name)
+            return await loop.run_in_executor(self.executor, self.registry.get, name)
         except KeyError as exc:
             raise ApiError(404, str(exc.args[0]))
 
     async def _handle_prepare(self, body: dict) -> Tuple[int, dict, dict]:
-        entry = self._entry(_require_str(body, "database"))
+        entry = await self._entry(_require_str(body, "database"))
         query = _require_str(body, "query")
 
         def job() -> dict:
@@ -608,11 +635,13 @@ class AdpService:
         return 200, payload, {}
 
     # ------------------------------------------------------------------ #
-    # Solve path (admission -> batcher -> thread pool -> solve_many)
+    # Solve path: a memoized answer inline on the event loop; everything
+    # else admission -> batcher -> thread pool -> solve_many, which renders
+    # each answer and memoizes it for the next read at the same version.
     # ------------------------------------------------------------------ #
     async def _handle_solve(self, body: dict) -> Tuple[int, dict, dict]:
         start = time.perf_counter()
-        entry = self._entry(_require_str(body, "database"))
+        entry = await self._entry(_require_str(body, "database"))
         query = _require_str(body, "query")
         method = body.get("method", "greedy")
         if method not in SOLVE_METHODS:
@@ -633,6 +662,15 @@ class AdpService:
         deadline = self._deadline_of(body)
         deadline.check()  # an already-spent budget never enters the queue
         collect_stats = _require_bool(body, "stats", False)
+        if k is not None and not collect_stats:
+            answer = self._answer_inline(entry, query, k, method, counting_only)
+            if answer is not None:
+                answer["elapsed_ms"] = elapsed_ms(start, time.perf_counter())
+                if self.config.trace:
+                    self.metrics.stage_observed(
+                        "service.solve.inline", answer["elapsed_ms"]
+                    )
+                return 200, answer, {}
         item = _SolveItem(
             query, k, ratio, method, counting_only, deadline, collect_stats
         )
@@ -663,6 +701,40 @@ class AdpService:
         outcome["elapsed_ms"] = elapsed_ms(start, time.perf_counter())
         return 200, outcome, {}
 
+    def _answer_inline(
+        self,
+        entry: RegisteredDatabase,
+        query: str,
+        k: int,
+        method: str,
+        counting_only: bool,
+    ) -> Optional[dict]:
+        """The memoized answer of a warm solve, read on the event loop.
+
+        ``None`` sends the request down the executor path: a writer active
+        or waiting (it goes first, so this read never overtakes a pending
+        write), a closed session, or no memoized payload for this query
+        text, ``k`` and solver on the current version.  Takes only locks
+        that are never held across a join or a curve computation: the
+        entry lock's internal mutex, the session's and the curve cache's.
+        """
+        lock = entry.lock
+        if not lock.try_acquire_read():
+            return None
+        try:
+            stable = entry.session.cached_answer(
+                query, k, self._solvers[method, counting_only]
+            )
+            version = entry.version
+        finally:
+            lock.release_read()
+        if stable is None:
+            return None
+        self.metrics.inline_answered()
+        answer = dict(stable)
+        answer.update({"database": entry.name, "version": version, "batched": False})
+        return answer
+
     def _deadline_of(self, body: dict) -> Deadline:
         raw = body.get("deadline_ms", self.config.default_deadline_ms)
         if raw is None:
@@ -676,8 +748,8 @@ class AdpService:
     ) -> List[object]:
         name = key[0]  # type: ignore[index]  # batch keys are (name, ...) tuples
         try:
-            entry = self.registry.get(name)
-        except KeyError:
+            entry = await self._entry(name)
+        except ApiError:
             return [
                 _Failure(503, f"database {name!r} was evicted while queued")
             ] * len(items)
@@ -787,7 +859,8 @@ class AdpService:
 
         Besides the operator gauges, every resident database reports its
         session's curve-cache hits and misses (a warm read-off versus a
-        curve recompute), read from ``session.stats`` at scrape time.
+        curve recompute), read from ``session.stats`` at scrape time, and
+        the bytes its answer memo holds.
         """
         entries = self.registry.entries()
         resident = {entry.name for entry in entries}
@@ -805,6 +878,7 @@ class AdpService:
             per_db.setdefault(entry.name, {}).update(
                 curve_cache_hits=float(stats.curve_hits),
                 curve_cache_misses=float(stats.curve_misses),
+                answer_memo_bytes=float(entry.session.answer_memo_bytes),
             )
         labeled: Dict[str, Dict[str, float]] = {}
         for name, values in per_db.items():
@@ -898,13 +972,12 @@ class AdpService:
                 requests.append((prepared, k))
             if requests:
                 first = items[sized[0][0]]
-                solver = ADPSolver(
-                    heuristic=first.method, counting_only=first.counting_only
-                )
+                solver = self._solvers[first.method, first.counting_only]
                 solutions = session.solve_many(requests, solver=solver)
                 for (i, prepared, total), solution in zip(sized, solutions):
                     outcomes[i] = self._success(
-                        session, prepared, total, solution, entry.name, version
+                        session, prepared, total, solution, entry.name, version,
+                        solver,
                     )
             return outcomes
 
@@ -916,8 +989,17 @@ class AdpService:
         solution: "Optional[ADPSolution]",
         name: str,
         version: int,
+        solver: Optional[ADPSolver] = None,
     ) -> dict:
+        """The response payload of one solve; memoizes its stable part.
+
+        The stable payload (no envelope, no per-request fields) goes into
+        the session's answer memo, so the next read of this ``k`` on this
+        version is answered inline.
+        """
         payload = solution_payload(session, prepared, total, solution)
+        if solution is not None and solver is not None:
+            session.remember_answer(prepared, solution.k, solver, payload)
         payload.update({"database": name, "version": version, "batched": False})
         return payload
 
@@ -926,7 +1008,7 @@ class AdpService:
     # ------------------------------------------------------------------ #
     async def _handle_what_if(self, body: dict) -> Tuple[int, dict, dict]:
         start = time.perf_counter()
-        entry = self._entry(_require_str(body, "database"))
+        entry = await self._entry(_require_str(body, "database"))
         query = _require_str(body, "query")
         refs = refs_from_json(body.get("refs", []))
         include_after = _require_bool(body, "include_after", False)
@@ -987,7 +1069,7 @@ class AdpService:
         because both reuse ``PreparedQuery.plan_fingerprint`` verbatim.
         """
         start = time.perf_counter()
-        entry = self._entry(_require_str(body, "database"))
+        entry = await self._entry(_require_str(body, "database"))
         query = _require_str(body, "query")
         analyze = _require_bool(body, "analyze", True)
         with self.admission:
@@ -1031,7 +1113,7 @@ class AdpService:
     async def _handle_apply_deletions(self, body: dict) -> Tuple[int, dict, dict]:
         start = time.perf_counter()
         name = _require_str(body, "database")
-        entry = self._entry(name)  # 404 before queueing work
+        entry = await self._entry(name)  # 404 before queueing work
         refs = refs_from_json(body.get("refs", []))
         with self.admission:
             loop = asyncio.get_running_loop()
@@ -1053,7 +1135,7 @@ class AdpService:
     async def _handle_apply_insertions(self, body: dict) -> Tuple[int, dict, dict]:
         start = time.perf_counter()
         name = _require_str(body, "database")
-        entry = self._entry(name)  # 404 before queueing work
+        entry = await self._entry(name)  # 404 before queueing work
         refs = refs_from_json(body.get("refs", []))
         with self.admission:
             loop = asyncio.get_running_loop()

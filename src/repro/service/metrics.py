@@ -55,6 +55,8 @@ _LABELED_GAUGE_HELP = {
         "Solves read off a cached cost curve by the database's session.",
     "curve_cache_misses":
         "Cost curves the database's session computed (cache misses).",
+    "answer_memo_bytes":
+        "Encoded bytes of the solve answers the database's session memoizes.",
 }
 
 #: One latency histogram: (observation count, sum of ms, cumulative buckets).
@@ -97,6 +99,7 @@ class ServiceMetrics:
         self.batched_requests_total = 0
         self.singleton_dispatch_total = 0
         self.solves_total = 0
+        self.inline_answers_total = 0
         self.deletions_applied_total = 0
         self.insertions_applied_total = 0
         self.slow_requests_total = 0
@@ -152,6 +155,12 @@ class ServiceMetrics:
             self.singleton_dispatch_total += 1
             self.solves_total += 1
 
+    def inline_answered(self) -> None:
+        """One solve answered on the event loop from the answer memo."""
+        with self._lock:
+            self.inline_answers_total += 1
+            self.solves_total += 1
+
     def deletions_applied(self, removed: int) -> None:
         with self._lock:
             self.deletions_applied_total += removed
@@ -175,6 +184,7 @@ class ServiceMetrics:
                 "batched_requests_total": self.batched_requests_total,
                 "singleton_dispatch_total": self.singleton_dispatch_total,
                 "solves_total": self.solves_total,
+                "inline_answers_total": self.inline_answers_total,
                 "deletions_applied_total": self.deletions_applied_total,
                 "insertions_applied_total": self.insertions_applied_total,
                 "slow_requests_total": self.slow_requests_total,
@@ -263,6 +273,8 @@ class ServiceMetrics:
             counter("singleton_dispatch_total", self.singleton_dispatch_total,
                     "Solve requests dispatched individually.")
             counter("solves_total", self.solves_total, "Solve requests executed.")
+            counter("inline_answers_total", self.inline_answers_total,
+                    "Solve requests answered from the answer memo on the event loop.")
             counter("deletions_applied_total", self.deletions_applied_total,
                     "Input tuples removed by /v1/apply_deletions.")
             counter("insertions_applied_total", self.insertions_applied_total,

@@ -27,6 +27,8 @@ curve cache and the interning tables amortize across requests.  The :class:`Sess
   compacts the evictee's state to disk first, and a missing name
   lazily rehydrates from disk (so an evicted or restarted database comes
   back at the exact version clients last saw, warm cache included).
+  Rehydration is single-flight per name: concurrent callers wait for one
+  ``store.load``, and a load that fails raises in every one of them.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from concurrent.futures import Future
 from contextlib import contextmanager
-from typing import Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.data.database import Database
 from repro.data.relation import TupleRef
@@ -68,6 +71,19 @@ class ReadWriteLock:
             while self._writer_active or self._writers_waiting:
                 self._cond.wait()
             self._readers += 1
+
+    def try_acquire_read(self) -> bool:
+        """Take a read slot only if no writer is active or waiting.
+
+        Never blocks on the lock's state (only on its brief internal
+        mutex), so the event loop can call it: ``False`` means a writer goes
+        first and the caller should take the blocking path.
+        """
+        with self._cond:
+            if self._writer_active or self._writers_waiting:
+                return False
+            self._readers += 1
+            return True
 
     def release_read(self) -> None:
         with self._cond:
@@ -146,6 +162,8 @@ class SessionRegistry:
         self.store = store
         self._lock = threading.Lock()
         self._entries: "OrderedDict[str, RegisteredDatabase]" = OrderedDict()
+        #: Names being rehydrated -> the load their other callers wait on.
+        self._rehydrating: Dict[str, "Future[RegisteredDatabase]"] = {}
         self._closed = False
         #: Entries closed by LRU overflow (scraped at ``/metrics``).
         #: Mutated under ``_lock``; reads are single int loads (atomic).
@@ -245,24 +263,65 @@ class SessionRegistry:
                 raise
         return entry
 
-    def get(self, name: str) -> RegisteredDatabase:
-        """The entry for ``name`` (refreshing its LRU position).
+    def resident(self, name: str) -> Optional[RegisteredDatabase]:
+        """The resident entry for ``name`` (refreshing its LRU position).
 
-        A name that is not resident but has durable state lazily rehydrates
-        from disk -- the restart path: a fresh process serves its first
-        request for a persisted database by recovering it here.
+        ``None`` when the name is not resident; never touches the store, so
+        it is cheap enough for the event loop.
         """
         with self._lock:
             entry = self._entries.get(name)
             if entry is not None:
                 self._entries.move_to_end(name)
-                return entry
+            return entry
+
+    def get(self, name: str) -> RegisteredDatabase:
+        """The entry for ``name`` (refreshing its LRU position).
+
+        A name that is not resident but has durable state lazily rehydrates
+        from disk -- the restart path: a fresh process serves its first
+        request for a persisted database by recovering it here.  That can
+        take a full ``store.load``, so the service calls this off its event
+        loop.
+        """
+        entry = self.resident(name)
+        if entry is not None:
+            return entry
+        with self._lock:
             closed = self._closed
         if not closed and self.store is not None and self.store.exists(name):
             return self._rehydrate(name)
         raise KeyError(f"no database named {name!r}")
 
     def _rehydrate(self, name: str) -> RegisteredDatabase:
+        """Recover ``name`` from the store, single-flight per name.
+
+        The first caller loads; callers arriving while it loads wait and
+        share its entry, or its exception.
+        """
+        with self._lock:
+            entry = self._entries.get(name)
+            if entry is not None:  # a load finished since the caller looked
+                self._entries.move_to_end(name)
+                return entry
+            flight = self._rehydrating.get(name)
+            leading = flight is None
+            if flight is None:
+                flight = self._rehydrating[name] = Future()
+        if not leading:
+            return flight.result()
+        try:
+            entry = self._load(name)
+        except BaseException as exc:
+            flight.set_exception(exc)
+            raise
+        finally:
+            with self._lock:
+                del self._rehydrating[name]
+        flight.set_result(entry)
+        return entry
+
+    def _load(self, name: str) -> RegisteredDatabase:
         """Recover ``name`` from the store and install it (LRU rules apply)."""
         assert self.store is not None
         recovered = self.store.load(name, backend=self.backend)

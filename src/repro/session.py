@@ -9,8 +9,11 @@ connection object:
   plan, computed **once** and reusable across databases and targets ``k``;
 * :class:`Session` -- binds one :class:`~repro.data.database.Database` and
   owns all evaluation state: the evaluation cache, the array backend, the
-  relation interning tables and the usage statistics.  On top it exposes
-  the batched and incremental capabilities:
+  relation interning tables and the usage statistics.  ``prepare`` looks
+  a query's text up before parsing it (a prepared query does not depend
+  on the database version, so the lookup needs no invalidation; at most
+  :data:`MAX_PREPARED_TEXTS` texts are kept).  On top it exposes the
+  batched and incremental capabilities:
 
   - :meth:`Session.solve` / :meth:`Session.solve_many` -- one or many ADP
     solves over the bound database, sharing one evaluation and one cost
@@ -48,10 +51,13 @@ Thread-safety contract
   lazy postings-index builds are lock-guarded, and cached ``QueryResult``
   objects are immutable by contract.  (Remaining lazy state tolerates
   racing builders -- both compute identical values and the last assignment
-  wins: views such as ``QueryResult.witnesses``, and the ``removed_counts``
-  memo each cached curve entry carries beside its curve, which maps ``k`` to
-  the verified removed-output count and is dropped with the entry on every
-  mutation.)
+  wins: views such as ``QueryResult.witnesses``.)  The answer memo each
+  cached curve entry carries beside its curve (``(k, counting_only)`` to the
+  verified removed-output count and, once the service rendered it, the
+  stable solve payload) is written under the curve cache's lock, charged
+  against its byte budget, and dropped with the entry on every mutation;
+  readers only look it up.  :meth:`Session.cached_answer` serves such a
+  payload without parsing, evaluating or computing anything.
   The usage counters behind :attr:`Session.stats` are bumped under a
   session lock (joins under the engine context's lock), so they stay exact
   under concurrent readers.
@@ -127,6 +133,11 @@ from repro.query.parser import parse_query
 
 #: Anything the session methods accept where a query is expected.
 QueryLike = Union[str, ConjunctiveQuery, "PreparedQuery"]
+
+#: Bound on the query texts one session maps to prepared queries (oldest
+#: first out): every whitespace variant of a query is a text of its own, so
+#: a client sending endless variants must not grow the map.
+MAX_PREPARED_TEXTS = 256
 
 
 class PreparedQuery:
@@ -385,6 +396,8 @@ class Session:
         self._lock = threading.Lock()
         self._config = config or SolverConfig()
         self._prepared: Dict[object, PreparedQuery] = {}
+        #: Query text -> its prepared query (insertion order, bounded).
+        self._by_text: Dict[str, PreparedQuery] = {}
         self._counters = {
             "prepares": 0,
             "evaluations": 0,
@@ -454,13 +467,22 @@ class Session:
     # Preparing and evaluating
     # ------------------------------------------------------------------ #
     def prepare(self, query: QueryLike) -> PreparedQuery:
-        """Parse + classify + plan ``query`` once (memoized per session)."""
+        """Parse + classify + plan ``query`` once (memoized per session).
+
+        A query text seen before is a dict lookup: no parse, no canonical
+        key.
+        """
         self._check_open()
         if isinstance(query, PreparedQuery):
             # Adopt foreign prepared queries so what_if() tracks them too.
             return self._adopt(query)
-        if isinstance(query, str):
-            query = parse_query(query)
+        text = query if isinstance(query, str) else None
+        if text is not None:
+            with self._lock:
+                known = self._by_text.get(text)
+            if known is not None:
+                return known
+            query = parse_query(text)
         key = canonical_query_key(query)
         with self._lock:
             prepared = self._prepared.get(key)
@@ -472,6 +494,11 @@ class Session:
                         query=prepared.name, plan=prepared.plan_fingerprint
                     )
             prepared = self._adopt(prepared)
+        if text is not None:
+            with self._lock:
+                self._by_text[text] = prepared
+                if len(self._by_text) > MAX_PREPARED_TEXTS:
+                    del self._by_text[next(iter(self._by_text))]
         return prepared
 
     def _owned(self, query: QueryLike) -> PreparedQuery:
@@ -709,6 +736,68 @@ class Session:
             self.database, prepared.canonical_key, token, backend, solver_key, entry
         )
         return entry, False
+
+    def cached_answer(
+        self, query: str, k: int, solver: ADPSolver
+    ) -> Optional[Dict[str, object]]:
+        """The memoized stable payload of solving ``query`` at ``k``, or ``None``.
+
+        Answers only from memory: a query text this session never prepared,
+        no cached curve covering ``k`` on the current database version, or
+        no payload memoized for ``(k, solver.config.counting_only)`` (see
+        :meth:`remember_answer`) is ``None``, and nothing is parsed,
+        evaluated or computed.  A hit counts one solve and one curve-cache
+        hit, like the read-off it stands for.  Treat the payload as
+        immutable (copy it to add fields).
+        """
+        if self._closed:
+            return None
+        with self._lock:
+            prepared = self._by_text.get(query)
+        if prepared is None:
+            return None
+        payload = self._context.curves.cached_payload(
+            self.database,
+            prepared.canonical_key,
+            self.backend,
+            solver.curve_key(),
+            k,
+            solver.config.counting_only,
+        )
+        if payload is not None:
+            self._count("solves")
+        return payload
+
+    def remember_answer(
+        self,
+        prepared: PreparedQuery,
+        k: int,
+        solver: ADPSolver,
+        payload: Dict[str, object],
+    ) -> None:
+        """Memoize ``payload``, the stable rendering of a solve at ``k``.
+
+        Stored (as a copy) on the cached curve entry that covers ``k`` for
+        the current database version, beside the verified count, where
+        :meth:`cached_answer` finds it; it dies with that entry.  Call it
+        with no mutation running (the service holds the entry's read lock).
+        """
+        if self._closed:
+            return
+        self._context.curves.remember_payload(
+            self.database,
+            prepared.canonical_key,
+            self.backend,
+            solver.curve_key(),
+            k,
+            solver.config.counting_only,
+            payload,
+        )
+
+    @property
+    def answer_memo_bytes(self) -> int:
+        """Bytes held by the answer memo (bounded by ``MAX_ANSWER_BYTES``)."""
+        return self._context.curves.answer_bytes()
 
     def curve(
         self,

@@ -8,6 +8,9 @@ eviction flushes to disk and both ``get`` and ``register`` rehydrate the
 evicted state at its last acknowledged version.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.data.database import Database
@@ -146,9 +149,130 @@ def test_close_flushes_for_warm_restart(tmp_path):
     registry.close()
 
 
+def _persisted_registry(tmp_path):
+    """A fresh registry over a store holding ``target`` (not resident)."""
+    registry = SessionRegistry(4, store=DatabaseStore(tmp_path))
+    registry.register("target", make_db())
+    registry.apply_insertions("target", [TupleRef("R1", (900, 1))])
+    registry.close()
+    return SessionRegistry(4, store=DatabaseStore(tmp_path))
+
+
+def _race_get(registry, threads=8):
+    """``registry.get("target")`` from ``threads`` threads at once."""
+    start = threading.Barrier(threads)
+    outcomes = []
+
+    def get():
+        start.wait(timeout=10)
+        try:
+            outcomes.append(registry.get("target"))
+        except OSError as exc:  # the outcome under test
+            outcomes.append(exc)
+
+    workers = [threading.Thread(target=get) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+    assert not any(worker.is_alive() for worker in workers)
+    return outcomes
+
+
+def test_concurrent_gets_share_one_rehydration(tmp_path, monkeypatch):
+    registry = _persisted_registry(tmp_path)
+    store = registry.store
+    original = store.load
+    loads = []
+
+    def slow_load(*args, **kwargs):
+        loads.append(1)
+        time.sleep(0.2)  # every other caller arrives while this loads
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(store, "load", slow_load)
+    outcomes = _race_get(registry)
+    assert len(loads) == 1
+    assert len({id(entry) for entry in outcomes}) == 1
+    assert outcomes[0].version == 2
+    assert registry.rehydrations_total == 1
+    registry.close()
+
+
+def test_a_failed_rehydration_wakes_every_waiter(tmp_path, monkeypatch):
+    registry = _persisted_registry(tmp_path)
+    store = registry.store
+    original = store.load
+    loads = []
+
+    def failing_load(*args, **kwargs):
+        loads.append(1)
+        time.sleep(0.2)
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(store, "load", failing_load)
+    outcomes = _race_get(registry)
+    assert len(loads) == 1
+    assert len(outcomes) == 8
+    assert all(isinstance(o, OSError) for o in outcomes)
+    # The failure is not remembered: the next caller loads afresh.
+    monkeypatch.setattr(store, "load", original)
+    assert registry.get("target").version == 2
+    registry.close()
+
+
 # --------------------------------------------------------------------------- #
 # HTTP-level
 # --------------------------------------------------------------------------- #
+def test_rehydration_never_stalls_the_event_loop(
+    tmp_path, service_runner, monkeypatch
+):
+    """/healthz answers while a persisted database loads for a solve."""
+    data_dir = str(tmp_path / "data")
+    runner = service_runner(data_dir=data_dir)
+    client = JsonClient(runner.service.config.host, runner.port)
+    assert client.post("/v1/databases", {"name": "db1", **wire_db()})[0] == 200
+    client.close()
+    runner.close()
+
+    restarted = service_runner(data_dir=data_dir)
+    store = restarted.service.store
+    original = store.load
+    loading, release = threading.Event(), threading.Event()
+
+    def held_load(*args, **kwargs):
+        loading.set()
+        assert release.wait(30)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(store, "load", held_load)
+    solved = {}
+
+    def solve():
+        worker = JsonClient(restarted.service.config.host, restarted.port)
+        try:
+            solved["status"], solved["body"], _ = worker.post(
+                "/v1/solve", {"database": "db1", "query": QUERY, "k": 2}
+            )
+        finally:
+            worker.close()
+
+    solver = threading.Thread(target=solve)
+    solver.start()
+    client = JsonClient(restarted.service.config.host, restarted.port, timeout=5.0)
+    try:
+        assert loading.wait(10)
+        status, health, _ = client.get("/healthz")  # answered mid-load
+        assert status == 200 and health["storage"]["rehydrations_total"] == 0
+    finally:
+        release.set()
+        solver.join(timeout=30)
+        client.close()
+    assert not solver.is_alive()
+    assert solved["status"] == 200, solved
+    assert solved["body"]["version"] == 1
+
+
 def test_service_restart_preserves_databases(tmp_path, service_runner):
     data_dir = str(tmp_path / "data")
     runner = service_runner(data_dir=data_dir)

@@ -574,3 +574,43 @@ def test_traced_service_stamps_stages_slow_log_and_access_log(
     assert f"[access] trace={body['trace_id']}" in access
     assert "route=/v1/solve" in access
     assert "db=demo" in access
+
+
+def test_close_with_idle_keep_alive_clients_logs_nothing(
+    service_runner, monkeypatch, caplog
+):
+    """Shutdown cancels client handlers, some already closing: no asyncio error.
+
+    Closed clients park their handlers in ``wait_closed`` (held open
+    here, so ``close()`` deterministically cancels them there); idle
+    keep-alive clients are cancelled while waiting for their next request.
+    """
+    import asyncio
+    import logging
+
+    original = asyncio.StreamWriter.wait_closed
+    parked = threading.Semaphore(0)
+    closing_clients = 3
+
+    async def held_wait_closed(self):
+        nonlocal closing_clients
+        if closing_clients <= 0:
+            return await original(self)
+        closing_clients -= 1
+        parked.release()
+        await asyncio.sleep(3600)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "wait_closed", held_wait_closed)
+    caplog.set_level(logging.WARNING, logger="asyncio")
+    runner = service_runner()
+    clients = [JsonClient("127.0.0.1", runner.port) for _ in range(5)]
+    for client in clients:
+        assert client.get("/healthz")[0] == 200
+    for client in clients[:3]:
+        client.close()
+    for _ in range(3):
+        assert parked.acquire(timeout=10)
+    runner.close()
+    for client in clients[3:]:
+        client.close()
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []

@@ -19,7 +19,8 @@ from repro.core.curves import constant_zero_curve
 from repro.data.database import Database
 from repro.data.relation import TupleRef
 from repro.engine.backend import numpy_available
-from repro.engine.cache import CurveCache
+import repro.engine.cache as cache_module
+from repro.engine.cache import Answer, CurveCache, encoded_length
 from repro.engine.columnar import ColumnarProvenance
 from repro.obs.trace import Tracer, use_tracer
 from repro.query.parser import parse_query
@@ -436,3 +437,118 @@ def test_random_instances_warm_curve_matches_fresh(heuristic):
                 checked += 1
             assert warm.stats.curve_misses == 1
     assert checked >= 250
+
+
+def _entry_with_answers(cache, database, query_key, kmax, payload_bytes):
+    """Cache a constant curve at ``kmax``; memoize one payload per ``k``."""
+    entry = CurveEntry(kmax, constant_zero_curve(), 0)
+    cache.store(database, query_key, database.version_token(), "python", "s", entry)
+    for k in range(1, kmax + 1):
+        payload = {"k": k, "removed_outputs": k, "pad": "x" * payload_bytes}
+        cache.remember_payload(database, query_key, "python", "s", k, False, payload)
+    return entry
+
+
+def test_answer_memo_evicts_oldest_first_within_its_budget(monkeypatch):
+    database = _triangle_database()
+    sizes = [encoded_length({"k": k, "removed_outputs": k, "pad": "x" * 100})
+             for k in (1, 2, 3)]
+    monkeypatch.setattr(cache_module, "MAX_ANSWER_BYTES", sum(sizes[1:]))
+    cache = CurveCache()
+    entry = _entry_with_answers(cache, database, "q", 3, 100)
+    assert cache.answer_bytes() == sum(sizes[1:])
+    assert entry.answers.get((1, False)) is None  # the oldest went first
+    for k in (2, 3):
+        payload = cache.cached_payload(database, "q", "python", "s", k, False)
+        assert payload == {"k": k, "removed_outputs": k, "pad": "x" * 100}
+    assert cache.cached_payload(database, "q", "python", "s", 1, False) is None
+    assert cache.cached_payload(database, "q", "python", "s", 2, True) is None
+    assert cache.stats() == (2, 0)  # only the two payloads found count
+    # An answer larger than the whole budget is never kept.
+    cache.remember_payload(
+        database, "q", "python", "s", 1, False,
+        {"k": 1, "removed_outputs": 1, "pad": "x" * 1000},
+    )
+    assert entry.answers.get((1, False)) is None
+    assert cache.answer_bytes() == sum(sizes[1:])
+
+
+@pytest.mark.parametrize("leave", ["drop", "replace", "clear"])
+def test_entries_leaving_the_cache_take_their_answers_charge(leave):
+    database = _triangle_database()
+    cache = CurveCache()
+    old = _entry_with_answers(cache, database, "q", 2, 10)
+    other = _entry_with_answers(cache, database, "p", 1, 10)
+    kept = encoded_length(other.answers.get((1, False)).payload)
+    assert cache.answer_bytes() > kept
+    if leave == "drop":
+        cache.drop(database)
+        assert cache.answer_bytes() == 0
+    elif leave == "replace":
+        _entry_with_answers(cache, database, "q", 3, 10)
+        larger = cache.answer_bytes()
+        assert larger > kept
+        # The replaced entry's memo is no longer charged: storing into it
+        # changes nothing.
+        old.answers.put((9, False), Answer(9))
+        assert cache.answer_bytes() == larger
+    else:
+        cache.clear()
+        assert cache.answer_bytes() == 0
+    assert old.answers.owner is None
+
+
+def test_racing_answer_writers_keep_the_charge_exact(monkeypatch):
+    """Threads storing, memoizing and dropping entries never lose a charge.
+
+    Afterwards the cache's byte count must equal the answers its resident
+    entries still hold, and stay inside the budget.
+    """
+    budget = 3_000
+    monkeypatch.setattr(cache_module, "MAX_ANSWER_BYTES", budget)
+    database = _triangle_database()
+    cache = CurveCache()
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(3000):
+                # Few keys, so threads keep colliding on one answer.
+                query_key, k = "q", rng.randint(1, 4)
+                roll = rng.random()
+                if roll < 0.05:
+                    cache.drop(database)
+                elif roll < 0.25:
+                    cache.store(database, query_key, database.version_token(),
+                                "python", "s", CurveEntry(k, constant_zero_curve(), 0))
+                elif roll < 0.5:
+                    entry = cache.lookup(database, query_key, "python", "s", k)
+                    if entry is not None:  # what solve_in_context stores
+                        entry.answers.put((k, False), Answer(k))
+                else:
+                    cache.remember_payload(
+                        database, query_key, "python", "s", k, rng.random() < 0.5,
+                        {"k": k, "removed_outputs": k, "pad": "x" * rng.randint(0, 300)},
+                    )
+                    cache.cached_payload(database, query_key, "python", "s", k, False)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    resident = cache._per_database.get(database, {}).values()
+    held = sum(
+        answer.nbytes for entry in resident for answer in entry.answers.answers.values()
+    )
+    assert cache.answer_bytes() == held <= budget

@@ -256,6 +256,41 @@ def test_owned_prepared_queries_skip_prepare(monkeypatch):
     assert calls == [foreign, twin]
 
 
+def test_prepare_looks_a_known_text_up_without_parsing(monkeypatch):
+    import repro.session as session_module
+
+    session = Session(_small_db())
+    prepared = session.prepare(QUERY_TEXT)
+    parses = []
+    original = session_module.parse_query
+
+    def counting_parse(text):
+        parses.append(text)
+        return original(text)
+
+    monkeypatch.setattr(session_module, "parse_query", counting_parse)
+    assert session.prepare(QUERY_TEXT) is prepared
+    assert parses == []
+    # A whitespace variant is a new text: parsed once, same prepared query.
+    variant = QUERY_TEXT.replace(", ", ",")
+    assert session.prepare(variant) is prepared
+    assert session.prepare(variant) is prepared
+    assert parses == [variant]
+    assert session.stats.prepares == 1
+
+
+def test_prepared_texts_stay_bounded(monkeypatch):
+    import repro.session as session_module
+
+    monkeypatch.setattr(session_module, "MAX_PREPARED_TEXTS", 4)
+    session = Session(_small_db())
+    variants = [QUERY_TEXT.replace(":-", " " * n + ":-") for n in range(10)]
+    for text in variants:
+        session.prepare(text)
+    assert list(session._by_text) == variants[-4:]  # oldest first out
+    assert len(session.prepared_queries) == 1
+
+
 def test_curve_agrees_with_solve():
     database = generate_tpch(total_tuples=60, seed=7)
     session = Session(database)
