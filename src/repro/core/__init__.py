@@ -26,7 +26,6 @@ from repro.core.approximation import (
     primal_dual_full_cq,
 )
 from repro.core.bruteforce import bruteforce_optimum, bruteforce_solve
-from repro.core.exact_search import branch_and_bound_optimum, branch_and_bound_solve
 from repro.core.decidability import (
     DecisionTrace,
     decide,
@@ -109,8 +108,6 @@ __all__ = [
     # algorithms
     "bruteforce_solve",
     "bruteforce_optimum",
-    "branch_and_bound_solve",
-    "branch_and_bound_optimum",
     "greedy_curve",
     "drastic_curve",
     "singleton_curve",

@@ -2,7 +2,10 @@
 
 A relation is a named set of tuples over a fixed, ordered attribute list.
 Set semantics are used throughout (the paper works with set semantics and
-self-join-free CQs), so inserting a duplicate tuple is a no-op.
+self-join-free CQs), so inserting a duplicate tuple is a no-op.  Tuples
+iterate in insertion order, never in string-hash order, so the tids the
+engine interns them under -- and every answer that breaks ties by tid --
+are the same in every process.
 
 Deletion in the ADP problem operates on *input tuples*; the hashable
 :class:`TupleRef` (relation name + values) is the unit that solvers return
@@ -62,7 +65,8 @@ class Relation:
             raise ValueError(f"relation {name} repeats an attribute: {attrs}")
         self.name = name
         self.attributes: Tuple[str, ...] = attrs
-        self._rows: Set[Row] = set()
+        #: the tuples, as dict keys in insertion order
+        self._rows: Dict[Row, None] = {}
         #: monotone mutation counter; the evaluation cache keys on it, so it
         #: only moves when the tuple set actually changes.
         self._version: int = 0
@@ -81,7 +85,7 @@ class Relation:
                 f"got {len(stored)}: {stored!r}"
             )
         if stored not in self._rows:
-            self._rows.add(stored)
+            self._rows[stored] = None
             self._version += 1
         return stored
 
@@ -94,7 +98,7 @@ class Relation:
         """Remove one tuple; returns ``True`` if it was present."""
         stored = tuple(row)
         if stored in self._rows:
-            self._rows.remove(stored)
+            del self._rows[stored]
             self._version += 1
             return True
         return False
@@ -196,7 +200,7 @@ class Relation:
         dropped = set(attributes)
         kept_attrs = tuple(a for a in self.attributes if a not in dropped)
         idx = [self.attributes.index(a) for a in kept_attrs]
-        rows = {tuple(row[i] for i in idx) for row in self._rows}
+        rows = dict.fromkeys(tuple(row[i] for i in idx) for row in self._rows)
         return Relation(self.name, kept_attrs, rows)
 
     def __str__(self) -> str:

@@ -18,8 +18,8 @@ substrate built from scratch:
   result from cached packed provenance in one column scan (the engine behind
   ``Session.what_if`` / ``Session.apply_deletions``);
 * :mod:`repro.engine.provenance` -- an incremental provenance index over
-  dense integer ref IDs, used by the greedy heuristics, the full-CQ
-  approximations of Theorem 5 and the branch-and-bound exact solver;
+  dense integer ref IDs, used by the greedy heuristics and the full-CQ
+  approximations of Theorem 5;
 * :mod:`repro.engine.semijoin` -- exact dangling-tuple removal (for the
   Boolean min-cut);
 * :mod:`repro.engine.flow` -- max-flow / min-cut (Edmonds--Karp) used by the

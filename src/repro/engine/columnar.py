@@ -71,9 +71,9 @@ class RelationIndex:
     """Dense integer interning of one relation's tuples, with row liveness.
 
     ``rows[tid]`` is the interned row for tuple ID ``tid``; ``ids`` maps a
-    row back to its ID.  IDs follow the relation's iteration order at build
-    time, which keeps the columnar join's witness order identical to the row
-    engine's (both walk the same hash-table buckets).
+    row back to its ID.  IDs follow the relation's iteration order (its
+    insertion order) at build time, which keeps the columnar join's witness
+    order identical to the row engine's (both walk the rows in that order).
 
     The table is also the relation's liveness record: ``live[tid]`` is 1
     iff the row is stored in this version of the relation, and
@@ -213,11 +213,12 @@ class RelationIndex:
         The snapshot loader (:mod:`repro.storage`) persists a relation's
         table -- rows in interned order plus its dead tids -- precisely so
         recovery can rebuild the same ``tid`` assignment and liveness here:
-        ``Relation`` stores rows in a set, whose iteration order is
-        process-dependent, but packed provenance columns written to disk
-        refer to tids and therefore pin this order.  Seeding the rebuilt
-        index into an :class:`~repro.engine.evaluate.EngineContext` makes
-        post-recovery evaluations byte-identical to the pre-crash ones.
+        a table carried across mutations revives a deleted row under its old
+        tid, so its order is not the relation's insertion order, and packed
+        provenance columns written to disk refer to tids and therefore pin
+        this order.  Seeding the rebuilt index into an
+        :class:`~repro.engine.evaluate.EngineContext` makes post-recovery
+        evaluations byte-identical to the pre-crash ones.
         Duplicate rows are skipped (first occurrence wins), matching
         :meth:`extended`; out-of-range dead tids are ignored.
         """

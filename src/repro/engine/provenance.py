@@ -35,9 +35,11 @@ build a :class:`~repro.data.relation.TupleRef` only for the rids they
 return (:meth:`ProvenanceIndex.ref_at`): a cold greedy solve builds
 ``TupleRef`` objects only for the tuples it picks.  Per-tuple *witness
 gains* (alive witnesses containing the tuple) are additionally maintained
-incrementally, which both makes ``witness_gain_id`` O(1) and gives the
-greedy scan a sound upper bound on profit (``profit_id(t) <=
-witness_gain_id(t)``).  The NumPy kernel also maintains alive witness
+incrementally: :meth:`ProvenanceIndex.gains_for` reads them in one gather,
+and they give the greedy scan both its tie-breaker and a sound upper bound
+on profit (``profit_id(t) <= gain(t)``).  The index only ever removes
+tuples; a caller that wants a clean deletion state builds a fresh
+``ProvenanceIndex(result)``.  The NumPy kernel also maintains alive witness
 counts per ``(output, ref)`` pair, so the profits of every tuple
 (:meth:`ProvenanceIndex.profits_for`) are one compare plus one
 ``bincount``.
@@ -129,7 +131,6 @@ class ProvenanceIndex:
         self._pair_rid: Any = None
         self._pair_output: Any = None
         self._pair_alive: Any = None
-        self._dead_outputs: int = 0
         # Outputs with no witnesses at all never existed; by construction the
         # evaluate() result only lists outputs with >= 1 witness.
 
@@ -245,10 +246,6 @@ class ProvenanceIndex:
         """Whether the NumPy kernels are active (ndarray provenance)."""
         return self._np is not None
 
-    def removed_output_count(self) -> int:
-        """How many output tuples have been deleted so far."""
-        return self._dead_outputs
-
     def relation_rows(self, relation: str) -> Tuple[range, List[Row]]:
         """``(rids, rows)``: one relation's participating tuples, as rows.
 
@@ -337,21 +334,13 @@ class ProvenanceIndex:
         alive = self._alive_witnesses
         return sum(1 for out, count in per_output.items() if count == alive[out])
 
-    def witness_gain_id(self, rid: int) -> int:
-        """How many still-alive witnesses die if tuple ``rid`` is deleted now.
-
-        O(1).  The greedy heuristic's tie-breaker: when no single tuple can
-        remove a whole output (all profits are zero, e.g. on boolean
-        queries), making progress on witnesses is the sensible secondary
-        objective.
-        """
-        if self._removed_flags[rid]:
-            return 0
-        return int(self._gain[rid])
-
     def gains_for(self, rids: Sequence[int]) -> Column:
-        """:meth:`witness_gain_id` for many rids at once (one gather).
+        """How many still-alive witnesses die if each of ``rids`` is deleted
+        now (0 for a removed rid), in one gather.
 
+        The greedy heuristic's tie-breaker: when no single tuple can remove
+        a whole output (all profits are zero, e.g. on boolean queries),
+        making progress on witnesses is the sensible secondary objective.
         The greedy round reads every candidate's gain; fetching them as one
         ``take`` (NumPy) instead of one scalar indexing call per candidate
         keeps the round off the per-element hot path.  The NumPy kernel
@@ -389,39 +378,6 @@ class ProvenanceIndex:
         profit_all = np.bincount(self._pair_rid[kills], minlength=self._ref_total)
         return profit_all[np.asarray(rids, dtype=np.int64)]
 
-    def touched_outputs_id(self, rid: int) -> int:
-        """How many still-alive outputs have an alive witness containing ``rid``.
-
-        An upper bound on the number of outputs that deleting ``rid`` can
-        contribute to killing (it equals :meth:`profit_id` for full CQs),
-        sub-additive across tuples: the admissible pruning bound of the
-        branch-and-bound exact solver.
-        """
-        if self._removed_flags[rid]:
-            return 0
-        np = self._np
-        if np is not None:
-            wids = self._ref_witnesses[rid]
-            if wids.size > _SMALL_WIDS:
-                alive_wids = wids[self._hits[wids] == 0]
-                if not alive_wids.size:
-                    return 0
-                outs = np.unique(self._witness_output[alive_wids])
-                return int(np.count_nonzero(self._alive_witnesses[outs] > 0))
-            wids = wids.tolist()
-        else:
-            wids = self._ref_witnesses[rid]
-        outputs = set()
-        hits = self._hits
-        witness_output = self._witness_output
-        alive = self._alive_witnesses
-        for wid in wids:
-            if hits[wid] == 0:
-                out = witness_output[wid]
-                if alive[out] > 0:
-                    outputs.add(out)
-        return len(outputs)
-
     def remove_id(self, rid: int) -> int:
         """Delete tuple ``rid``; returns how many outputs died as a result
         (0 if it was already deleted)."""
@@ -447,7 +403,6 @@ class ProvenanceIndex:
                 killed = int(
                     np.count_nonzero(self._alive_witnesses[np.unique(outs)] == 0)
                 )
-            self._dead_outputs += killed
             return killed
         killed = 0
         hits = self._hits
@@ -464,51 +419,4 @@ class ProvenanceIndex:
                 alive[out] -= 1
                 if alive[out] == 0:
                     killed += 1
-        self._dead_outputs += killed
         return killed
-
-    def restore_id(self, rid: int) -> int:
-        """Undo the deletion of tuple ``rid``; returns how many outputs came
-        back (0 if it was not deleted)."""
-        if not self._removed_flags[rid]:
-            return 0
-        self._removed_flags[rid] = False
-        np = self._np
-        if np is not None:
-            wids = self._ref_witnesses[rid]
-            self._hits[wids] -= 1
-            newly_alive = wids[self._hits[wids] == 0]
-            revived = 0
-            if newly_alive.size:
-                np.add.at(
-                    self._gain, self._witness_rid_matrix[newly_alive].ravel(), 1
-                )
-                if self._pair_alive is not None:
-                    np.add.at(
-                        self._pair_alive, self._witness_pairs[newly_alive].ravel(), 1
-                    )
-                outs = self._witness_output[newly_alive]
-                # Count transitions 0 -> alive *before* re-incrementing.
-                revived = int(
-                    np.count_nonzero(self._alive_witnesses[np.unique(outs)] == 0)
-                )
-                np.add.at(self._alive_witnesses, outs, 1)
-            self._dead_outputs -= revived
-            return revived
-        revived = 0
-        hits = self._hits
-        gain = self._gain
-        alive = self._alive_witnesses
-        witness_output = self._witness_output
-        witness_rids = self._witness_rids
-        for wid in self._ref_witnesses[rid]:
-            hits[wid] -= 1
-            if hits[wid] == 0:
-                for other in witness_rids[wid]:
-                    gain[other] += 1
-                out = witness_output[wid]
-                if alive[out] == 0:
-                    revived += 1
-                alive[out] += 1
-        self._dead_outputs -= revived
-        return revived

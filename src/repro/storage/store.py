@@ -420,16 +420,16 @@ class DatabaseStore:
                     rel_snap.dead_tids,
                 )
                 relation = Relation(rel_snap.name, rel_snap.attributes)
-                # Bulk-load the live set off the table: the decoded rows are
+                # Bulk-load the live rows off the table: the decoded rows are
                 # already width-checked tuples (CRC-validated columns of the
                 # relation's own arity), so the per-row insert() validation
-                # would only re-derive what the snapshot guarantees.  A set
-                # filled from the interning dict reuses its stored hashes.
-                relation._rows.update(index.ids)
+                # would only re-derive what the snapshot guarantees.  The
+                # rows keep tid order, and a dict filled from the interning
+                # dict reuses its stored hashes.
+                relation._rows = dict.fromkeys(index.ids, None)
                 if index.dead_count:
-                    relation._rows.difference_update(
-                        compress(index.rows, map(not_, index.live))
-                    )
+                    for row in compress(index.rows, map(not_, index.live)):
+                        del relation._rows[row]
                 # Restore the mutation counter so version_token() -- the
                 # evaluation-cache key -- matches the pre-crash value.
                 relation._version = rel_snap.version

@@ -202,7 +202,8 @@ def solutions_digest(solutions):
 #: ``(name, seed) -> (|Q(D)|, {approximation: (digest, ((k, size,
 #: removed_outputs), ...))})``, recorded with the partial-set-cover
 #: implementation over ``frozenset`` sets; the digest covers each target's
-#: ``removed`` set too.
+#: ``removed`` set too.  The primal-dual walks witnesses in ID order, so its
+#: answers follow tids, which follow each relation's insertion order.
 PINNED = {
     ("path", 1): (9, {
         "greedy": (
@@ -210,8 +211,8 @@ PINNED = {
             ((1, 1, 2), (2, 1, 2), (3, 2, 4), (4, 2, 4), (8, 6, 8), (9, 7, 9)),
         ),
         "primal_dual": (
-            "ddab0f50dcff08f36edbfe5803f167bd16c3e442cb340dadb06066703994bfbf",
-            ((1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 4, 4), (8, 14, 8), (9, 17, 9)),
+            "41540d9fca8408641e992538e9015063b857e809055795867abd470b26ed315e",
+            ((1, 1, 2), (2, 1, 2), (3, 2, 3), (4, 5, 4), (8, 14, 8), (9, 17, 9)),
         ),
     }),
     ("path", 2): (11, {
@@ -220,8 +221,8 @@ PINNED = {
             ((1, 1, 5), (2, 1, 5), (3, 1, 5), (5, 1, 5), (10, 3, 10), (11, 4, 11)),
         ),
         "primal_dual": (
-            "50461a791acde701769b8af3472482dc19eb2234e86dba0b12dad28a9a84ffa5",
-            ((1, 1, 1), (2, 1, 5), (3, 1, 5), (5, 1, 5), (10, 7, 10), (11, 8, 11)),
+            "6a14ec776546ab6265f6aa084d7cfc598bf4b0526fb672c1bf31e7e43b1bab27",
+            ((1, 1, 1), (2, 1, 5), (3, 1, 5), (5, 1, 5), (10, 5, 10), (11, 5, 11)),
         ),
     }),
     ("triangle", 1): (10, {
@@ -230,8 +231,8 @@ PINNED = {
             ((1, 1, 3), (2, 1, 3), (3, 1, 3), (5, 2, 5), (9, 5, 9), (10, 6, 10)),
         ),
         "primal_dual": (
-            "43a918e03d02d81475f3acc7f57a48b06f5f0b293c0bebde328ae498fce7b323",
-            ((1, 1, 1), (2, 1, 2), (3, 1, 3), (5, 3, 5), (9, 8, 9), (10, 11, 10)),
+            "232280d8b1b7ed4a717670f79298a5c250fca8c76837b60e34fdb465c9cc9c49",
+            ((1, 1, 1), (2, 1, 2), (3, 1, 3), (5, 5, 5), (9, 11, 9), (10, 14, 10)),
         ),
     }),
     ("triangle", 2): (19, {
@@ -240,8 +241,8 @@ PINNED = {
             ((1, 1, 4), (2, 1, 4), (6, 2, 7), (9, 3, 10), (18, 7, 18), (19, 8, 19)),
         ),
         "primal_dual": (
-            "aee0559e96ceaff7a24b37da02d0a568394c16b01072ceeb30d3fd33ed4b8faa",
-            ((1, 1, 1), (2, 1, 2), (6, 3, 6), (9, 5, 9), (18, 14, 18), (19, 17, 19)),
+            "44d17fa6f3afd58fc8354e336aa4c423d5b297f09af8151d5eef13924c40bc6c",
+            ((1, 1, 1), (2, 1, 2), (6, 2, 6), (9, 5, 9), (18, 12, 18), (19, 14, 19)),
         ),
     }),
     ("chain4", 1): (18, {
@@ -250,8 +251,8 @@ PINNED = {
             ((1, 1, 5), (2, 1, 5), (6, 2, 8), (9, 3, 11), (17, 6, 17), (18, 7, 18)),
         ),
         "primal_dual": (
-            "2502db433956d1ed1f7bfda1fd887f142d4a412d95236af0577e4a74c8b0fc3a",
-            ((1, 1, 5), (2, 1, 5), (6, 2, 7), (9, 5, 9), (17, 18, 17), (18, 22, 18)),
+            "bf894c77d1fe3f8bbdfdf5c1f0e1425cbf1b10b9375c51cef1cffba28977dfc9",
+            ((1, 1, 5), (2, 1, 5), (6, 2, 6), (9, 6, 10), (17, 18, 17), (18, 22, 18)),
         ),
     }),
     ("chain4", 2): (21, {
@@ -260,8 +261,8 @@ PINNED = {
             ((1, 1, 10), (2, 1, 10), (7, 1, 10), (10, 1, 10), (20, 4, 21), (21, 4, 21)),
         ),
         "primal_dual": (
-            "17e741038403267e333906073b440efaa691ac8c790b6f0eccff2e8cddac6422",
-            ((1, 1, 2), (2, 1, 2), (7, 1, 10), (10, 1, 10), (20, 6, 20), (21, 8, 21)),
+            "53e6e2c06f4d7e772988debbcdee62fca77f83f0ac34451b5ee45ecab6de8494",
+            ((1, 1, 2), (2, 1, 2), (7, 1, 10), (10, 1, 10), (20, 10, 21), (21, 10, 21)),
         ),
     }),
     ("vacuum", 1): (11, {
@@ -290,7 +291,7 @@ PINNED = {
             ((1, 1, 5), (2, 1, 5), (5, 1, 5), (8, 2, 9), (16, 4, 16), (17, 5, 17)),
         ),
         "primal_dual": (
-            "190bd07480a327153a9ac0ef8778aeb8618de311ad6b825b6955c873d32cda04",
+            "6dce6a9eaa1c1032a92b0ad55d8234e5e8af798ba38f44856d72d3e69de62fe2",
             ((1, 1, 2), (2, 1, 2), (5, 1, 5), (8, 6, 8), (16, 14, 16), (17, 16, 17)),
         ),
     }),
@@ -300,8 +301,8 @@ PINNED = {
             ((1, 1, 3), (2, 1, 3), (3, 1, 3), (6, 3, 6), (7, 4, 7)),
         ),
         "primal_dual": (
-            "ee1f29ab1b9f0a0cfd11a62d7ee5d1f1131bf630b59db2f90c949236c1f0c973",
-            ((1, 1, 1), (2, 1, 3), (3, 1, 3), (6, 6, 6), (7, 6, 7)),
+            "e289a1fd7d087bd1ad14e030f2c55c2eda1d0dcba66e69a67049c4718f275e53",
+            ((1, 1, 1), (2, 1, 3), (3, 1, 3), (6, 4, 6), (7, 6, 7)),
         ),
     }),
 }

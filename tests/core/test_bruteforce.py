@@ -1,8 +1,31 @@
-"""Unit tests for the brute-force baseline."""
+"""Unit tests for the brute-force baseline, the one exact oracle.
+
+Besides its own unit tests, brute force bounds the other solvers on random
+queries drawn from ``REPRO_TEST_SEED``: ``ComputeADP`` meets it on
+poly-time queries and the heuristics never beat it.
+"""
+
+import random
 
 import pytest
 
 from repro.core.bruteforce import bruteforce_optimum, bruteforce_solve
+from repro.core.decidability import is_poly_time
+from repro.core.greedy import drastic_curve, greedy_curve
+from repro.data.database import Database
+from repro.engine.backend import numpy_available
+from repro.query.parser import parse_query
+from repro.session import Session
+
+from tests.conftest import random_instance, random_query
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "numpy",
+        marks=pytest.mark.skipif(not numpy_available(), reason="numpy unavailable"),
+    ),
+]
 
 
 class TestBruteForce:
@@ -45,3 +68,57 @@ class TestBruteForce:
         solution = bruteforce_solve(qpath, path_instance, 1)
         assert solution.stats["subsets_checked"] >= 1
         assert solution.method == "bruteforce"
+
+    def test_projection_superadditivity(self):
+        # Killing the single output takes both tuples, though deleting either
+        # one alone kills nothing.
+        query = parse_query("Q(A) :- R1(A, B)")
+        database = Database.from_dict(
+            {"R1": ["A", "B"]}, {"R1": [(1, 10), (1, 11)]}
+        )
+        solution = bruteforce_solve(query, database, 1)
+        assert solution.size == 2
+        assert solution.removed_outputs == 1
+
+
+def harmonic(k):
+    return sum(1.0 / i for i in range(1, k + 1))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("endogenous_only", [True, False])
+def test_bounds_the_solvers_on_seeded_random_queries(
+    backend, endogenous_only, test_seed
+):
+    """On random CQs and their full versions: ``ComputeADP`` meets the
+    optimum on poly-time queries, greedy (and Drastic on full CQs) never
+    beats it, and greedy stays within ``H_k`` of it on full CQs (Theorem 5)."""
+    rng = random.Random(test_seed)
+    checked = 0
+    while checked < 12:
+        drawn = random_query(rng, max_relations=3, max_attributes=3)
+        database = random_instance(
+            drawn, rng, max_tuples_per_relation=4, domain_size=3
+        )
+        with Session(database, backend=backend) as session, session.activate():
+            if session.output_size(drawn) == 0:
+                continue
+            checked += 1
+            for query in [drawn] if drawn.is_full else [drawn, drawn.as_full()]:
+                total = session.output_size(query)
+                greedy = greedy_curve(query, database, endogenous_only=endogenous_only)
+                drastic = drastic_curve(query, database) if query.is_full else None
+                for k in sorted({1, (total + 1) // 2, total}):
+                    optimum = bruteforce_optimum(
+                        query, database, k, endogenous_only=endogenous_only,
+                        max_candidates=40,
+                    )
+                    context = (str(query), k)
+                    if is_poly_time(query):
+                        assert session.solve(
+                            query, k, endogenous_only=endogenous_only
+                        ).size == optimum, context
+                    assert greedy.cost(k) >= optimum, context
+                    if drastic is not None:
+                        assert drastic.cost(k) >= optimum, context
+                        assert greedy.cost(k) <= harmonic(k) * optimum, context

@@ -82,11 +82,10 @@ class TestProfitAndRemoval:
         # Now (1,) has a single alive witness: the other tuple's profit is 1.
         other = rid_of(index, "R1", (1, 11))
         assert index.profit_id(other) == 1
-        assert index.touched_outputs_id(other) == 1
         assert index.remove_id(other) == 1
-        assert index.removed_output_count() == 1
         assert index.profit_id(other) == 0
-        assert index.touched_outputs_id(other) == 0
+        # (2,) is untouched by the two removals.
+        assert index.profit_id(rid_of(index, "R1", (2, 20))) == 1
 
     def test_remove_is_idempotent(self, build_index):
         index = build_index(
@@ -95,35 +94,20 @@ class TestProfitAndRemoval:
         rid = rid_of(index, "R1", (1,))
         assert index.remove_id(rid) == 1
         assert index.remove_id(rid) == 0
-        assert index.removed_output_count() == 1
+        assert index.profit_id(rid) == 0
 
-    def test_restore(self, build_index):
-        index = build_index(
-            "Q(A) :- R1(A)", {"R1": ["A"]}, {"R1": [(1,), (2,)]}
-        )
-        rid = rid_of(index, "R1", (1,))
-        assert index.restore_id(rid) == 0  # not removed: a no-op
-        index.remove_id(rid)
-        assert index.restore_id(rid) == 1
-        assert index.removed_output_count() == 0
-        for rid in range(index.ref_count()):
-            index.remove_id(rid)
-        assert index.removed_output_count() == 2
-        for rid in range(index.ref_count()):
-            index.restore_id(rid)
-        assert index.removed_output_count() == 0
-        assert [index.profit_id(rid) for rid in range(index.ref_count())] == [1, 1]
-
-    def test_witness_gain(self, build_index):
+    def test_witness_gains(self, build_index):
         index = build_index(
             "Q(A) :- R1(A, B)",
             {"R1": ["A", "B"]},
             {"R1": [(1, 10), (1, 11)]},
         )
         rid = rid_of(index, "R1", (1, 10))
-        assert index.witness_gain_id(rid) == 1
+        other = rid_of(index, "R1", (1, 11))
+        assert list(index.gains_for([rid, other])) == [1, 1]
         index.remove_id(rid)
-        assert index.witness_gain_id(rid) == 0
+        # The removed tuple's witness is dead; the other's is still alive.
+        assert list(index.gains_for([rid, other])) == [0, 1]
 
     def test_verification_ignores_the_deletion_state(self, build_index):
         index = build_index(
@@ -132,7 +116,8 @@ class TestProfitAndRemoval:
         index.remove_id(rid_of(index, "R1", (1,)))
         # Stateless verification ignores the incremental state.
         assert index.result.outputs_removed_by([TupleRef("R1", (2,))]) == 1
-        assert index.removed_output_count() == 1
+        # ... and leaves it alone.
+        assert index.profit_id(rid_of(index, "R1", (2,))) == 1
 
     def test_relation_rows(self, build_index):
         index = build_index(
@@ -190,16 +175,12 @@ class TestProfitAndRemoval:
 def four_way_counts(query, database, result, rids, extra_refs=()):
     """The outputs removed by deleting ``rids`` (plus ``extra_refs``), four ways.
 
-    The index's incremental kill count, stateless verification, the what-if
-    count and the row-at-a-time oracle; the index is restored afterwards.
+    The incremental kill count of a fresh index, stateless verification,
+    the what-if count and the row-at-a-time oracle.
     """
     index = ProvenanceIndex(result)
     refs = [index.ref_at(rid) for rid in rids] + list(extra_refs)
     killed = sum(index.remove_id(rid) for rid in rids)
-    assert index.removed_output_count() == killed
-    for rid in rids:
-        index.restore_id(rid)
-    assert index.removed_output_count() == 0
     return (
         killed,
         result.outputs_removed_by(refs),
@@ -266,11 +247,8 @@ def test_postings_are_built_once_per_result_and_atom(backend):
     prov = result.provenance
     before = [snapshot(prov.postings_for_atom(a)) for a in range(prov.atom_count())]
     index = ProvenanceIndex(result)
-    for rid in range(index.ref_count()):
-        index.remove_id(rid)
-    assert [snapshot(prov.postings_for_atom(a)) for a in range(prov.atom_count())] == before
-    for rid in reversed(range(index.ref_count())):
-        index.restore_id(rid)
+    killed = sum(index.remove_id(rid) for rid in range(index.ref_count()))
+    assert killed == result.output_count()
     assert [snapshot(prov.postings_for_atom(a)) for a in range(prov.atom_count())] == before
 
 

@@ -75,9 +75,6 @@ def test_incremental_index_matches_stateless_verification(backend, pair):
     assert killed_incrementally == result.outputs_removed_by(refs)
     assert killed_incrementally == delta_counts(result, refs)[1]
     assert killed_incrementally == evaluate_rows(query, database).outputs_removed_by(refs)
-    for rid in rids:
-        index.restore_id(rid)
-    assert index.removed_output_count() == 0
 
 
 @settings(max_examples=60, deadline=None)

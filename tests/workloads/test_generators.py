@@ -1,11 +1,9 @@
 """Unit tests for the synthetic workload generators."""
 
-import json
-import os
-import subprocess
-import sys
+import hashlib
 
-import repro
+import pytest
+
 from repro.core.selection import Selection, selected_output_size
 from repro.session import Session
 from repro.workloads.queries import Q1, Q2, Q6, Q7, Q8, QPATH_EXP
@@ -79,54 +77,41 @@ class TestEgoNetworkGenerator:
 
 
 #: sha256 of ``repr(list(relation))`` per relation of
-#: ``generate_zipf_path(r2_tuples, alpha, seed)``, rows in iteration order
-#: under ``PYTHONHASHSEED=0``.  Iteration order fixes the interning order and
-#: hence greedy tie-breaking, so a generator change must keep every draw.
+#: ``generate_zipf_path(r2_tuples, alpha, seed)``, rows in iteration order.
+#: A relation iterates in insertion order, which fixes the interning order
+#: and hence tid-ordered tie-breaking, so a generator change must keep every
+#: draw and the order it inserts them in.
 ZIPF_ROW_DIGESTS = {
     (300, 0.0, 13): {
-        "R1": "8136ff4438f64b6087465069bab2cda8c1cf42abf081f23fff0da8610d95d957",
-        "R2": "bc4639f854ee6cbcd323f3171a6f9425db9f038f6cdbab380c24c12fe29555e3",
-        "R3": "367f7e63d38191ef115fa7d8e6fdf4bf668b98dd4ed7c28c642eb5f01803a08d",
+        "R1": "ebfa14f042de1f30ddb8baab2da0df5e8daa9ee4c6fe97d58049bcb4900f8814",
+        "R2": "612cbb995bd79dd220688a1502363562d561e2802c7bc6d110404a12aabc39e4",
+        "R3": "16995057a1995a59126539db598fb149f15f9f89fd3853623ff240c985d435a0",
     },
     (2000, 1.1, 61): {
-        "R1": "e0bcb4f0c6306b1fd037ffb75056f0a81c2b8fcb94a4271863d928143bfeb345",
-        "R2": "a4e35bedc482a85be5cbd2e18fc69e758c4187e4bc49c26c202b4b31e1c1abfe",
-        "R3": "40c3359ef1ca84df0af04db99eb78aaad164ad8c2a40609f2c7b784eafb24079",
+        "R1": "1abd85b62f448ad3e089813efcf033e141ecf2094d2aed0769e5450b54f3f711",
+        "R2": "ac86a0c516f3dfd5ea06a27cc33b7d04fb394824c01f9eb58bd989a21fd7ff81",
+        "R3": "db2643baa4d48e6d27d20649d2c3d8a6ade8e121013f7ad19a353530e10f72bf",
     },
     (5000, 0.5, 7): {
-        "R1": "eb0c63fbf51f5e3dde29f862239b79c2763d5c77cae6beb2e2eaa0d92f916889",
-        "R2": "0a3ad66a54346f76bece096ad3febd470d04161c24bdda1df2752773dd68d5cd",
-        "R3": "f544bca2e1b149a024e8d17cc84c31dbc8e469bc2c9120752874b315e7fabe62",
+        "R1": "1d9da229f1c536ef1a97d75da72af88cdc67d9e61b6b3d8cc913924e55bd81ee",
+        "R2": "470ca2ff50791e59874a49682a922b73c7c00c442efb7453cb97278e3b44ed97",
+        "R3": "f16683e5ff6d96bce3b3c39196ed3416cc079d839d71919998d88a9ded4105cb",
     },
 }
 
-_ITERATION_DIGEST_SCRIPT = """
-import hashlib, json, sys
-from repro.workloads.zipf import generate_zipf_path
-out = []
-for size, alpha, seed in json.loads(sys.argv[1]):
-    db = generate_zipf_path(r2_tuples=size, alpha=alpha, seed=seed)
-    out.append({name: hashlib.sha256(repr(list(db.relation(name))).encode()).hexdigest()
-                for name in ("R1", "R2", "R3")})
-print(json.dumps(out))
-"""
-
 
 class TestZipfGenerator:
-    def test_rows_pinned_in_iteration_order(self):
-        # Set iteration order depends on the string-hash seed, so the
-        # iteration-order digests are taken in a child with a fixed seed.
-        points = sorted(ZIPF_ROW_DIGESTS)
-        source_root = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ, PYTHONHASHSEED="0")
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [source_root, os.environ.get("PYTHONPATH")])
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", _ITERATION_DIGEST_SCRIPT, json.dumps(points)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert json.loads(completed.stdout) == [ZIPF_ROW_DIGESTS[p] for p in points]
+    @pytest.mark.parametrize(
+        "point", sorted(ZIPF_ROW_DIGESTS),
+        ids=["-".join(map(str, point)) for point in sorted(ZIPF_ROW_DIGESTS)],
+    )
+    def test_rows_pinned_in_insertion_order(self, point):
+        size, alpha, seed = point
+        database = generate_zipf_path(r2_tuples=size, alpha=alpha, seed=seed)
+        assert {
+            name: hashlib.sha256(repr(list(database.relation(name))).encode()).hexdigest()
+            for name in ("R1", "R2", "R3")
+        } == ZIPF_ROW_DIGESTS[point]
 
     def test_weights(self):
         assert zipf_weights(3, 0.0) == [1.0, 1.0, 1.0]
