@@ -4,11 +4,11 @@
 forever (tids must never be renumbered -- packed ``ref_columns`` refer to
 them verbatim, and a re-inserted row resurrects under its old tid) and
 record liveness in their ``live`` mask, which only a successor table may
-flip before it is published; :class:`~repro.engine.columnar.ColumnarProvenance`
-payloads are shared through the evaluation cache, so in-place mutation
-corrupts every other holder.  The only sanctioned mutations are the
-append/compact sites owned by ``engine/delta.py`` and
-``engine/columnar.py`` (the whitelist).
+flip before it is published; the packed columns of a
+:class:`~repro.engine.columnar.QueryResult` are shared through the
+evaluation cache, so in-place mutation corrupts every other holder.  The
+only sanctioned mutations are the append/compact sites owned by
+``engine/delta.py`` and ``engine/columnar.py`` (the whitelist).
 
 The checker flags, outside the whitelist, any *attribute-reached* mutation
 of a protected column name (``x.ref_columns``, ``index.rows``, ...):

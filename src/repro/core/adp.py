@@ -58,7 +58,8 @@ from repro.core.structures import find_triad_like
 from repro.core.universe import UniverseStrategy, universe_curve
 from repro.data.database import Database
 from repro.engine.cache import Answer, AnswerMemo
-from repro.engine.evaluate import QueryResult, evaluate_in_context as evaluate
+from repro.engine.columnar import QueryResult
+from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.query.cq import ConjunctiveQuery
 from repro.query.graph import QueryGraph
 

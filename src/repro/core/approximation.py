@@ -38,7 +38,7 @@ from repro.core.greedy import candidate_order, greedy_curve
 from repro.core.solution import ADPSolution
 from repro.data.database import Database
 from repro.data.relation import TupleRef
-from repro.engine.evaluate import QueryResult
+from repro.engine.columnar import QueryResult
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.engine.provenance import ProvenanceIndex
 from repro.obs.trace import span
@@ -105,7 +105,7 @@ def primal_dual_full_cq(
     """
     result = _full_cq_result(query, database, k)
     index = ProvenanceIndex(result)
-    witness_count = result.provenance.witness_count()
+    witness_count = result.witness_count()
     with span("solver.setcover.primal_dual") as psp:
         if psp:
             psp.set(sets=index.ref_count(), elements=witness_count, target=k)

@@ -37,7 +37,6 @@ from repro.data.database import Database
 from repro.data.relation import TupleRef
 from repro.engine.evaluate import evaluate_in_context as evaluate
 from repro.engine.flow import INFINITY, FlowNetwork
-from repro.engine.semijoin import remove_dangling_tuples
 from repro.query.cq import ConjunctiveQuery
 
 #: Above this many atoms the exhaustive permutation search is skipped and a
@@ -129,11 +128,13 @@ def min_cut_curve(
     elif not _is_linear_arrangement(query, order):
         raise ValueError(f"{list(order)} is not a linear arrangement of {query.name}")
 
-    # Work on the non-dangling part of the instance: dangling tuples are
-    # never worth removing and would add spurious paths to the network.
-    reduced, _removed = remove_dangling_tuples(query, database)
-    if evaluate(query, reduced).output_count() == 0:
+    # Only non-dangling tuples (footnote 2: those in some witness) become
+    # edges, as in the paper's construction.  A dangling tuple lies on no
+    # source-sink path, so it never carries flow or enters the cut.
+    result = evaluate(query, database)
+    if result.output_count() == 0:
         return constant_zero_curve()
+    participating = result.participating_refs()
 
     atoms = query.atoms_by_name()
     endogenous = set(endogenous_relations(query))
@@ -152,20 +153,22 @@ def min_cut_curve(
     network.add_node(sink)
 
     for index, name in enumerate(order):
-        relation = reduced.relation(name)
+        relation = database.relation(name)
         left_attrs = boundaries[index - 1] if index > 0 else ()
         right_attrs = boundaries[index] if index < len(order) - 1 else ()
         capacity = 1.0 if name in endogenous else INFINITY
         left_positions = [relation.attribute_index(a) for a in left_attrs]
         right_positions = [relation.attribute_index(a) for a in right_attrs]
+        refs = (TupleRef(name, row) for row in relation)
         network.add_edges(
             (
-                ("boundary", index, tuple(row[p] for p in left_positions)),
-                ("boundary", index + 1, tuple(row[p] for p in right_positions)),
+                ("boundary", index, tuple(ref.values[p] for p in left_positions)),
+                ("boundary", index + 1, tuple(ref.values[p] for p in right_positions)),
                 capacity,
-                TupleRef(name, row),
+                ref,
             )
-            for row in relation
+            for ref in refs
+            if ref in participating
         )
 
     flow = network.max_flow(source, sink)

@@ -80,9 +80,8 @@ def bruteforce_solve(
     # bitmask over the witnesses; the outputs killed by a subset are counted
     # with word-level AND/OR instead of per-witness set intersections, which
     # is what makes the enumeration tolerable at benchmark sizes.
-    prov = result.provenance
-    candidate_masks = prov.witness_masks_for(pool)
-    output_masks = prov.output_masks()
+    candidate_masks = result.witness_masks_for(pool)
+    output_masks = result.output_masks()
 
     def outputs_removed(subset: Tuple[int, ...]) -> int:
         killed = 0

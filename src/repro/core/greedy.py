@@ -105,7 +105,7 @@ def greedy_curve(
         )
         candidates: Any = candidate_order(index, relations)
         if index.vectorized:
-            np = backend_of_column(result.provenance.ref_columns[0]).np
+            np = backend_of_column(result.ref_columns[0]).np
             candidates = np.asarray(candidates, dtype=np.int64)
         if gsp:
             gsp.set(
@@ -250,15 +250,14 @@ def drastic_curve(
     # profit is simply the number of witnesses it participates in, and tuples
     # of the same relation remove disjoint outputs.
     with span("solver.drastic") as dsp:
-        prov = result.provenance
         curves: List[PrefixCurve] = []
         for relation_name in endogenous_relations(query):
-            position = prov.atom_position(relation_name)
+            position = result.atom_position(relation_name)
             if position is None:
                 # A vacuum relation: its one tuple sits in every witness.
                 picks = [
-                    ((ref,), prov.witness_count())
-                    for ref in prov.vacuum_refs
+                    ((ref,), result.witness_count())
+                    for ref in result.vacuum_refs
                     if ref.relation == relation_name
                 ]
                 curves.append(PrefixCurve(picks, optimal=False))
@@ -267,9 +266,9 @@ def drastic_curve(
             # column; a C-speed list accumulation on the Python backend),
             # ordered by (-profit, repr) with the repr rank computed over the
             # participating tids only.
-            column = prov.ref_columns[position]
+            column = result.ref_columns[position]
             backend = backend_of_column(column)
-            index = prov.indexes[position]
+            index = result.indexes[position]
             profits = backend.bincount(column, len(index))
             participating = [
                 tid for tid, profit in enumerate(as_id_list(profits)) if profit

@@ -76,10 +76,9 @@ def singleton_curve(query: ConjunctiveQuery, database: Database) -> PrefixCurve:
     result = evaluate(query, database)
     if result.output_count() == 0:
         return PrefixCurve([], optimal=True)
-    prov = result.provenance
 
     if atom.attribute_set <= head:
-        position = prov.atom_position(relation_name)
+        position = result.atom_position(relation_name)
         if position is None:
             # Vacuum singleton: its only tuple owns every output.
             vacuum = TupleRef(relation_name, ())
@@ -91,11 +90,11 @@ def singleton_curve(query: ConjunctiveQuery, database: Database) -> PrefixCurve:
         # and order by (-profit, repr rank).  Runs over the packed columns,
         # not the output rows, so the picks name the rows Ri stores.  The
         # session's curve cache rebuilds this once per database version.
-        column = prov.ref_columns[position]
+        column = result.ref_columns[position]
         backend = backend_of_column(column)
-        index = prov.indexes[position]
+        index = result.indexes[position]
         output_tids = backend.scatter(
-            prov.witness_outputs, column, result.output_count()
+            result.witness_outputs, column, result.output_count()
         )
         profits = backend.bincount(output_tids, len(index))
         tids = backend.order_by_count(profits, index.repr_rank(backend))
@@ -110,10 +109,10 @@ def singleton_curve(query: ConjunctiveQuery, database: Database) -> PrefixCurve:
     groups: Dict[Tuple, List[TupleRef]] = {}
     # The distinct participating tuple IDs of Ri's column, grouped by their
     # head projection -- no Witness materialization.
-    atom_position = prov.atom_position(relation_name)
+    atom_position = result.atom_position(relation_name)
     assert atom_position is not None  # singleton relations are non-vacuum
-    view = prov.refs_for_atom(atom_position)
-    for tid in distinct_ids(prov.ref_columns[atom_position]):
+    view = result.refs_for_atom(atom_position)
+    for tid in distinct_ids(result.ref_columns[atom_position]):
         ref = view[tid]
         key = tuple(ref.values[i] for i in positions)
         groups.setdefault(key, []).append(ref)

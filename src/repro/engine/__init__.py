@@ -6,11 +6,11 @@ substrate built from scratch:
 
 * :mod:`repro.engine.evaluate` -- natural-join evaluation of a self-join-free
   CQ with projection, returning output tuples *and* their witnesses
-  (which-provenance); the public :class:`QueryResult`/:class:`Witness` API is
-  a thin view over the columnar core;
+  (which-provenance);
 * :mod:`repro.engine.columnar` -- the columnar witness core: per-relation
   tuple interning, a batch left-deep hash join over integer ID columns, and
-  packed per-atom provenance columns;
+  the :class:`QueryResult` holding packed per-atom provenance columns (with
+  a lazy row-style :class:`Witness` view);
 * :mod:`repro.engine.cache` -- memoization of evaluation results and solver
   cost curves keyed by (query canonical form, database version, ...); owned
   per :class:`~repro.engine.evaluate.EngineContext` (i.e. per session);
@@ -20,8 +20,6 @@ substrate built from scratch:
 * :mod:`repro.engine.provenance` -- an incremental provenance index over
   dense integer ref IDs, used by the greedy heuristics and the full-CQ
   approximations of Theorem 5;
-* :mod:`repro.engine.semijoin` -- exact dangling-tuple removal (for the
-  Boolean min-cut);
 * :mod:`repro.engine.flow` -- max-flow / min-cut (Edmonds--Karp) used by the
   Boolean (resilience) base case of ``ComputeADP``;
 * :mod:`repro.engine.backend` -- the array backends: pure-Python kernels
@@ -35,19 +33,16 @@ from repro.engine.backend import (
     resolve_backend,
 )
 from repro.engine.cache import CurveCache, EvaluationCache
-from repro.engine.columnar import ColumnarProvenance, RelationIndex
+from repro.engine.columnar import QueryResult, RelationIndex, Witness
 from repro.engine.delta import delta_filter_result
 from repro.engine.evaluate import (
     EngineContext,
-    QueryResult,
-    Witness,
     evaluate_columnar,
     evaluate_in_context,
     join_order_plan,
     use_context,
 )
 from repro.engine.provenance import ProvenanceIndex
-from repro.engine.semijoin import remove_dangling_tuples
 from repro.engine.flow import FlowNetwork
 
 __all__ = [
@@ -60,11 +55,9 @@ __all__ = [
     "use_context",
     "CurveCache",
     "EvaluationCache",
-    "ColumnarProvenance",
     "RelationIndex",
     "delta_filter_result",
     "ProvenanceIndex",
-    "remove_dangling_tuples",
     "FlowNetwork",
     "numpy_available",
     "python_backend",

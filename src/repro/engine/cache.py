@@ -4,7 +4,7 @@
 solve: once to size the target, once inside the base-case algorithm, once to
 verify the returned deletion set -- and the Universe/Decompose dynamic
 programs repeat that pattern per sub-instance.  The joins are identical, so
-this module caches :class:`~repro.engine.evaluate.QueryResult` objects.
+this module caches :class:`~repro.engine.columnar.QueryResult` objects.
 
 Keying
 ------
@@ -493,8 +493,11 @@ class CurveCache(_VersionedLRU):
             memo = entry.answers
             if memo.owner is not self:
                 continue
+            # Snapshot while bound: once the owner is cleared, a solver
+            # thread's ``put`` writes the dict without this lock.
+            charged = list(memo.answers.items())
             memo.owner = None
-            for key, answer in memo.answers.items():
+            for key, answer in charged:
                 if self._charged.pop((id(memo), key), None) is not None:
                     self._answer_bytes -= answer.nbytes
 

@@ -18,15 +18,13 @@ Figure 12--16 benchmarks.  This module is the batch-oriented replacement:
   (one value column per still-needed attribute, one ``tid`` column per joined
   atom) and each join step is a build/probe pass plus C-speed list gathers --
   no per-row dicts, no per-row ``Witness`` objects;
-* :class:`ColumnarProvenance` is the packed result: provenance is the set of
-  per-atom ``tid`` columns (witness ``w`` used tuple ``ref_columns[a][w]`` of
-  atom ``a``), factorized per output via ``witness_outputs``.
-
-``repro.engine.evaluate`` wraps a :class:`ColumnarProvenance` in the familiar
-``QueryResult``/``Witness`` API, materializing row-style views only when a
-caller actually asks for them; the solver hot paths (greedy, singleton,
-brute force, Theorem 5's approximations, dangling-tuple removal) consume
-the packed columns directly.
+* :class:`QueryResult` is the packed result of one evaluation: provenance is
+  the set of per-atom ``tid`` columns (witness ``w`` used tuple
+  ``ref_columns[a][w]`` of atom ``a``), factorized per output via
+  ``witness_outputs``.  The solver hot paths (greedy, singleton, brute
+  force, Theorem 5's approximations, the Boolean min-cut) read the packed
+  columns directly; row-style :class:`Witness` objects are materialized
+  only when a caller iterates ``result.witnesses``.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from typing import (
     Collection,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -267,7 +266,7 @@ class RelationIndex:
     def ref_view(self) -> List[TupleRef]:
         """``tid -> TupleRef`` view, built lazily and cached on the index.
 
-        Caching here (rather than per :class:`ColumnarProvenance`) lets every
+        Caching here (rather than per :class:`QueryResult`) lets every
         evaluation sharing this interning table reuse one materialized view.
         Treat the returned list as read-only.
         """
@@ -446,11 +445,48 @@ class RelationIndex:
         return len(self.rows)
 
 
-class ColumnarProvenance:
-    """Packed witness provenance of one evaluation.
+class Witness:
+    """One full-join row: one input tuple per non-vacuum atom of the query.
+
+    ``refs`` is ordered consistently with the join order chosen by the
+    engine; use :meth:`as_dict` for name-based access.  Witnesses are plain
+    views: the engine keeps provenance packed as integer columns and only
+    builds these objects when a caller iterates ``QueryResult.witnesses``.
+    """
+
+    __slots__ = ("refs",)
+
+    def __init__(self, refs: Tuple[TupleRef, ...]) -> None:
+        self.refs = refs
+
+    def as_dict(self) -> Dict[str, TupleRef]:
+        """The witness as ``{relation name: tuple reference}``."""
+        return {ref.relation: ref for ref in self.refs}
+
+    def uses(self, ref: TupleRef) -> bool:
+        """Whether this witness contains the given input tuple."""
+        return ref in self.refs
+
+    def __iter__(self) -> Iterator[TupleRef]:
+        return iter(self.refs)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Witness) and self.refs == other.refs
+
+    def __hash__(self) -> int:
+        return hash(self.refs)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Witness(refs={self.refs!r})"
+
+
+class QueryResult:
+    """The result of evaluating a CQ: its answers with packed provenance.
 
     Attributes
     ----------
+    query:
+        The evaluated query.
     atom_names:
         Relation names of the non-vacuum atoms in join order.
     indexes:
@@ -461,16 +497,20 @@ class ColumnarProvenance:
         tuple of atom ``a`` used by witness ``w``.
     witness_outputs:
         ``witness_outputs[w]`` is the index (into ``output_rows``) of the
-        output tuple witness ``w`` produces.
+        output tuple witness ``w`` produces: the packed column itself, a
+        list on the Python backend and an ``int64`` ndarray on NumPy.
     output_rows, output_index:
-        The distinct output tuples and their reverse index (the index is
-        derived lazily from ``output_rows`` when not supplied).
+        The distinct output tuples in first-witness order and their reverse
+        index (the index is derived lazily from ``output_rows`` when not
+        supplied).
     vacuum_refs:
         References to the (empty) tuples of non-empty vacuum relations; by
         convention they participate in *every* witness.
     postings:
         Per atom, postings already derived for ``ref_columns`` (a migrated
         result inherits its parent's); ``None`` slots are built lazily.
+
+    Cached results are shared across callers: treat them as immutable.
     """
 
     __slots__ = (
@@ -485,6 +525,7 @@ class ColumnarProvenance:
         "_atom_position",
         "_postings",
         "_postings_lock",
+        "_witnesses",
     )
 
     def __init__(
@@ -492,8 +533,8 @@ class ColumnarProvenance:
         query: ConjunctiveQuery,
         atom_names: Tuple[str, ...],
         indexes: Sequence[RelationIndex],
-        ref_columns: Sequence[List[int]],
-        witness_outputs: List[int],
+        ref_columns: Sequence[Column],
+        witness_outputs: Column,
         output_rows: List[Row],
         output_index: Optional[Dict[Row, int]] = None,
         vacuum_refs: Tuple[TupleRef, ...] = (),
@@ -502,7 +543,7 @@ class ColumnarProvenance:
         self.query = query
         self.atom_names = atom_names
         self.indexes: List[RelationIndex] = list(indexes)
-        self.ref_columns: List[List[int]] = list(ref_columns)
+        self.ref_columns: List[Column] = list(ref_columns)
         self.witness_outputs = witness_outputs
         self.output_rows = output_rows
         self._output_index = output_index if output_index else None
@@ -514,9 +555,10 @@ class ColumnarProvenance:
             list(postings) if postings is not None else [None] * len(atom_names)
         )
         #: Guards the lazy postings builds: concurrent ``what_if``/delta
-        #: callers sharing one (immutable) provenance must not duplicate the
+        #: callers sharing one (immutable) result must not duplicate the
         #: O(witnesses) inversion scan or observe a half-built index.
         self._postings_lock = threading.Lock()
+        self._witnesses: Optional[List[Witness]] = None
 
     @property
     def output_index(self) -> Dict[Row, int]:
@@ -526,6 +568,24 @@ class ColumnarProvenance:
             index = {row: i for i, row in enumerate(self.output_rows)}
             self._output_index = index
         return index
+
+    @property
+    def witnesses(self) -> List[Witness]:
+        """One :class:`Witness` per full-join row (materialized on demand)."""
+        if self._witnesses is None:
+            vacuum = self.vacuum_refs
+            if not self.atom_names:
+                self._witnesses = [Witness(vacuum) for _ in range(self.witness_count())]
+            else:
+                pairs = [
+                    (self.refs_for_atom(a), as_id_list(column))
+                    for a, column in enumerate(self.ref_columns)
+                ]
+                self._witnesses = [
+                    Witness(tuple(view[column[w]] for view, column in pairs) + vacuum)
+                    for w in range(self.witness_count())
+                ]
+        return self._witnesses
 
     # ------------------------------------------------------------------ #
     # Counting
@@ -558,7 +618,7 @@ class ColumnarProvenance:
 
         The inverted form of ``ref_columns[position]``: which witnesses use
         each input tuple -- the result's only witness-incidence structure.
-        Built on first use and kept for the lifetime of the provenance (and
+        Built on first use and kept for the lifetime of the result (and
         carried to a mutated successor when CSR), so the solver's
         :class:`~repro.engine.provenance.ProvenanceIndex`, verification
         (:meth:`deletion_counts`) and repeated incremental-deletion queries
@@ -785,18 +845,18 @@ def distinct_ids(column: Column) -> Collection[int]:
 IndexSupplier = Callable[[Relation], RelationIndex]
 
 
-def empty_provenance(
+def empty_result(
     query: ConjunctiveQuery,
     atoms: Sequence[Atom],
     database: Database,
     index_for: Optional[IndexSupplier] = None,
     backend: Optional[Backend] = None,
-) -> ColumnarProvenance:
-    """A provenance payload with no witnesses (empty query result)."""
+) -> QueryResult:
+    """A result with no witnesses (empty query result)."""
     build = index_for or RelationIndex
     backend = backend or python_backend()
     indexes = [build(database.relation(atom.name)) for atom in atoms]
-    return ColumnarProvenance(
+    return QueryResult(
         query,
         tuple(atom.name for atom in atoms),
         indexes,

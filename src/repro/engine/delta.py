@@ -4,7 +4,7 @@ Deleting input tuples can only *shrink* the set of full-join rows of a
 self-join-free CQ: a witness survives iff none of its per-atom input tuples
 was deleted, and an output tuple survives iff at least one of its witnesses
 does.  So the effect of a deletion set on an already-evaluated
-:class:`~repro.engine.evaluate.QueryResult` is a **semijoin of the packed
+:class:`~repro.engine.columnar.QueryResult` is a **semijoin of the packed
 provenance columns against the surviving tuples** -- resolved through the
 provenance's inverted postings index (tuple -> witness positions) in time
 proportional to the *dead* witnesses, not to the whole join -- rather than a
@@ -23,8 +23,8 @@ This is the engine behind the session what-if API:
 * :func:`delta_counts` answers the counting question ("how many witnesses /
   outputs disappear?") in ``O(|dead witnesses|)`` after the one-off postings
   build -- the paper's *counting version* of deletion propagation.  Its
-  core, :meth:`ColumnarProvenance.deletion_counts`, also verifies solver
-  answers, and the provenance's ``dead_witnesses``/``alive_mask`` feed the
+  core, :meth:`QueryResult.deletion_counts`, also verifies solver
+  answers, and the result's ``dead_witnesses``/``alive_mask`` feed the
   filter below;
 * :func:`delta_filter_result` produces the full post-deletion
   ``QueryResult`` (``Session.what_if``'s lazily materialized ``after``
@@ -36,9 +36,9 @@ This is the engine behind the session what-if API:
 Insertions run the other way: :func:`delta_insert_result` appends the
 witnesses an insertion batch creates (``Session.apply_insertions``).
 
-Every function here takes a ``QueryResult`` and works on its packed
-provenance; the two that build a new result wrap a new
-:class:`ColumnarProvenance` in ``QueryResult(provenance)``, so no
+Every function here takes a :class:`~repro.engine.columnar.QueryResult`
+and works on its packed provenance columns; the two that build a new
+result construct one ``QueryResult`` from the new columns, so no
 witness->output column is ever copied out of the packed form.  Deleted
 tuples simply no longer appear in any ``tid`` column, which is exactly how
 the row semantics define them away; a session mutation additionally
@@ -71,8 +71,8 @@ from repro.engine.backend import (
     is_ndarray,
     python_backend,
 )
-from repro.engine.columnar import ColumnarProvenance, RelationIndex, join_columns
-from repro.engine.evaluate import QueryResult, _join_order
+from repro.engine.columnar import QueryResult, RelationIndex, join_columns
+from repro.engine.evaluate import _join_order
 from repro.obs.trace import span
 from repro.query.cq import ConjunctiveQuery
 
@@ -85,12 +85,12 @@ def delta_counts(
 
     The counting version of the delta semijoin, computed without
     materializing the post-deletion result
-    (:meth:`~repro.engine.columnar.ColumnarProvenance.deletion_counts`, the
+    (:meth:`~repro.engine.columnar.QueryResult.deletion_counts`, the
     counting core solver verification shares).  Matches
     ``delta_filter_result`` (and hence a fresh evaluation) exactly.
     """
     with span("engine.delta.counts") as sp:
-        counts = result.provenance.deletion_counts(removed)
+        counts = result.deletion_counts(removed)
         if sp:
             sp.set(
                 op="delta.counts",
@@ -113,7 +113,7 @@ def _compact_outputs(
     witness order and insertion appends -- and the relabelling keeps that
     numbering: survivors are ranked by their first *surviving* witness,
     so filtered results stay deterministic.  The reverse ``output_index``
-    is *not* built here -- the provenance derives it lazily, and most
+    is *not* built here -- the result derives it lazily, and most
     incremental consumers never ask for it.
     """
     if len(old_output_rows) == len(witness_outputs):
@@ -156,7 +156,7 @@ def _compact_outputs(
 
 
 def _carried_postings(
-    provenance: ColumnarProvenance,
+    result: QueryResult,
     derive: Callable[[int, CsrPostings], CsrPostings],
 ) -> List[Optional[Postings]]:
     """A successor's postings: ``derive(atom, csr)`` of every built CSR.
@@ -167,26 +167,16 @@ def _carried_postings(
     """
     return [
         derive(position, postings) if isinstance(postings, CsrPostings) else None
-        for position, postings in enumerate(provenance._postings)
+        for position, postings in enumerate(result._postings)
     ]
 
 
-def _rebased(
-    provenance: ColumnarProvenance, indexes: List[RelationIndex]
-) -> QueryResult:
+def _rebased(result: QueryResult, indexes: List[RelationIndex]) -> QueryResult:
     """The same packed columns (and postings) over successor tables."""
     return QueryResult(
-        ColumnarProvenance(
-            provenance.query,
-            provenance.atom_names,
-            indexes,
-            provenance.ref_columns,
-            provenance.witness_outputs,
-            provenance.output_rows,
-            provenance._output_index,
-            provenance.vacuum_refs,
-            provenance._postings,
-        )
+        result.query, result.atom_names, indexes, result.ref_columns,
+        result.witness_outputs, result.output_rows, result._output_index,
+        result.vacuum_refs, result._postings,
     )
 
 
@@ -200,72 +190,61 @@ def delta_filter_result(
     Semijoins the packed provenance against the complement of ``removed``:
     dead witnesses come from the postings index (``O(|dead|)``); survivors
     are gathered with an alive mask -- one C-speed compression per column.
-    The new provenance indexes the successor interning tables ``tables``
+    The new result indexes the successor interning tables ``tables``
     (relation name -> table with the deleted rows' bits cleared, what
     ``Session.apply_deletions`` publishes) and the parent's for every other
     relation; a hypothetical deletion (``Session.what_if``) passes none.
 
     Equivalent to ``evaluate(result.query, database.without(removed))`` up to
-    witness/output *order* (the fresh join iterates mutated hash sets); the
-    witness sets, output sets and all provenance counts are identical --
-    the property the parity tests pin down.
+    witness/output *order*: the filter keeps the parent's witness order, and
+    a parent grown by :func:`delta_insert_result` holds its new witnesses at
+    the end (and re-inserted rows under their old tids), where a fresh join
+    emits them in join order.  The witness sets, output sets and all
+    provenance counts are identical -- the property the parity tests pin
+    down.
     """
     with span("engine.delta.filter") as sp:
-        provenance = result.provenance
         indexes = [
             (tables or {}).get(name, index)
-            for name, index in zip(provenance.atom_names, provenance.indexes)
+            for name, index in zip(result.atom_names, result.indexes)
         ]
-        dead = provenance.dead_witnesses(removed)
+        dead = result.dead_witnesses(removed)
         if dead is None:
             # Vacuum deletion: the guard fails, every witness and output dies.
             filtered = QueryResult(
-                ColumnarProvenance(
-                    provenance.query,
-                    provenance.atom_names,
-                    indexes,
-                    [[] for _ in provenance.atom_names],
-                    [],
-                    [],
-                    {},
-                    (),
-                )
+                result.query, result.atom_names, indexes,
+                [[] for _ in result.atom_names], [], [], {}, (),
             )
         elif len(dead) == 0:
             # Unknown or dangling refs only: every witness survives, and the
             # result is reusable as-is (results are immutable by contract)
             # unless its tables moved on.
-            if indexes == provenance.indexes:
+            if indexes == result.indexes:
                 filtered = result
             else:
-                filtered = _rebased(provenance, indexes)
+                filtered = _rebased(result, indexes)
         else:
-            alive = provenance.alive_mask(dead)
-            if is_ndarray(provenance.ref_columns[0]):
+            alive = result.alive_mask(dead)
+            if is_ndarray(result.ref_columns[0]):
                 # Boolean-mask semijoin: one C-speed compression per column.
-                new_columns = [column[alive] for column in provenance.ref_columns]
+                new_columns = [column[alive] for column in result.ref_columns]
             else:
                 new_columns = [
-                    list(compress(column, alive))
-                    for column in provenance.ref_columns
+                    list(compress(column, alive)) for column in result.ref_columns
                 ]
             output_rows, new_witness_outputs = _compact_outputs(
-                provenance.output_rows, provenance.witness_outputs, alive
+                result.output_rows, result.witness_outputs, alive
             )
             filtered = QueryResult(
-                ColumnarProvenance(
-                    provenance.query,
-                    provenance.atom_names,
-                    indexes,
-                    new_columns,
-                    new_witness_outputs,
-                    output_rows,
-                    None,
-                    provenance.vacuum_refs,
-                    _carried_postings(
-                        provenance, lambda _atom, csr: csr.compressed(alive)
-                    ),
-                )
+                result.query,
+                result.atom_names,
+                indexes,
+                new_columns,
+                new_witness_outputs,
+                output_rows,
+                None,
+                result.vacuum_refs,
+                _carried_postings(result, lambda _atom, csr: csr.compressed(alive)),
             )
         if sp:
             sp.set(
@@ -324,19 +303,19 @@ _DELTA_BACKEND = python_backend()
 
 
 def _inserted_rows_by_position(
-    provenance: ColumnarProvenance,
+    result: QueryResult,
     inserted: Iterable[TupleRef],
 ) -> Dict[int, List[Row]]:
     """Genuinely new rows per atom position, deduplicated, arrival-ordered.
 
-    Rows live in the provenance's table, repeated refs and refs for
+    Rows live in the result's table, repeated refs and refs for
     relations outside the query's atoms contribute nothing; an
     interned-but-dead row re-enters as a resurrection delta row.
     """
     by_position: Dict[int, List[Row]] = {}
     seen: Set[Tuple[int, Row]] = set()
     for ref in inserted:
-        position = provenance.atom_position(ref.relation)
+        position = result.atom_position(ref.relation)
         if position is None:
             continue
         row = tuple(ref.values)
@@ -344,7 +323,7 @@ def _inserted_rows_by_position(
         if key in seen:
             continue
         seen.add(key)
-        index = provenance.indexes[position]
+        index = result.indexes[position]
         tid = index.ids.get(row)
         if tid is not None and index.live[tid]:
             continue
@@ -353,26 +332,26 @@ def _inserted_rows_by_position(
 
 
 def _delta_terms(
-    provenance: ColumnarProvenance,
+    result: QueryResult,
     by_position: Dict[int, List[Row]],
     extended: List[RelationIndex],
 ) -> Tuple[List[List[int]], List[Row]]:
     """All witnesses that use at least one inserted tuple.
 
     Returns ``(new_columns, new_rows)``: one appended tid column per atom,
-    in provenance atom order, and each new witness's output row.  Terms run
-    in ascending seed position.
+    in the result's atom order, and each new witness's output row.  Terms
+    run in ascending seed position.
     """
-    query = provenance.query
-    parent = provenance.indexes
+    query = result.query
+    parent = result.indexes
     atoms = {atom.name: atom for atom in query.atoms}
     new_columns: List[List[int]] = [[] for _ in extended]
     new_rows: List[Row] = []
     for p in sorted(by_position):
-        seed = atoms[provenance.atom_names[p]]
+        seed = atoms[result.atom_names[p]]
         body = (seed,) + tuple(atom for atom in query.atoms if atom is not seed)
         ordered = [body[i] for i in _join_order(ConjunctiveQuery(query.head, body))]
-        positions = [provenance.atom_position(atom.name) for atom in ordered]
+        positions = [result.atom_position(atom.name) for atom in ordered]
         delta = extended[p].only(by_position[p])
         tables = [
             delta if q == p else extended[q] if q < p else parent[q]
@@ -405,38 +384,40 @@ def delta_insert_result(
     ``Session.apply_insertions`` publishes) or, for a relation it lacks,
     the parent table :meth:`~RelationIndex.extended` by the batch.
     Equivalent to a fresh evaluation on the grown database up to
-    witness/output *order* (fresh joins walk mutated hash sets): witness
-    sets, output sets and every provenance count are identical -- the
-    parity contract of the differential mutation suite.  Returns the same
+    witness/output *order*: the new witnesses sit at the end, where a fresh
+    join emits them in join order, and a re-inserted row keeps its old tid
+    (:meth:`~RelationIndex.extended` revives it) where a fresh interning
+    numbers it last.  Witness sets, output sets and every provenance count
+    are identical -- the parity contract of the differential mutation
+    suite.  Returns the same
     object when no inserted row touches the query's atoms, and ``None``
     when the query has vacuum atoms -- inserting into an empty guard
     relation flips every potential witness at once, so the caller must
     re-evaluate.
     """
     with span("engine.delta.insert") as sp:
-        provenance = result.provenance
-        if provenance.query.has_vacuum_relation:
+        if result.query.has_vacuum_relation:
             return None
         updated = result
-        by_position = _inserted_rows_by_position(provenance, inserted)
+        by_position = _inserted_rows_by_position(result, inserted)
         if by_position:
-            extended = list(provenance.indexes)
+            extended = list(result.indexes)
             for position, rows in by_position.items():
                 index = extended[position]
                 if tables and index.name in tables:
                     extended[position] = tables[index.name]
                 else:
                     extended[position] = index.extended(rows)
-            new_columns, new_rows = _delta_terms(provenance, by_position, extended)
+            new_columns, new_rows = _delta_terms(result, by_position, extended)
             if not new_rows:
                 # No new witnesses, but the interning tables still move on:
                 # later delta batches probe these indexes and must see
                 # today's rows.  The witness columns, and so their postings,
                 # are unchanged.
-                updated = _rebased(provenance, extended)
+                updated = _rebased(result, extended)
             else:
-                query = provenance.query
-                output_rows = list(provenance.output_rows)
+                query = result.query
+                output_rows = list(result.output_rows)
                 output_index: Optional[Dict[Row, int]] = None
                 appended_outputs: List[int] = []
                 if query.is_full and query.head:
@@ -450,7 +431,7 @@ def delta_insert_result(
                 else:
                     # Factorize the new witnesses' outputs through the
                     # existing output table, appending only new rows.
-                    output_index = dict(provenance.output_index)
+                    output_index = dict(result.output_index)
                     for row in new_rows:
                         out = output_index.get(row)
                         if out is None:
@@ -458,8 +439,8 @@ def delta_insert_result(
                             output_index[row] = out
                             output_rows.append(row)
                         appended_outputs.append(out)
-                ref_columns = provenance.ref_columns
-                witness_outputs = provenance.witness_outputs
+                ref_columns = result.ref_columns
+                witness_outputs = result.witness_outputs
                 postings: Optional[List[Optional[Postings]]] = None
                 if is_ndarray(ref_columns[0]):
                     np = backend_of_column(ref_columns[0]).np
@@ -475,7 +456,7 @@ def delta_insert_result(
                         np.asarray(appended_outputs, dtype=np.int64),
                     ])
                     postings = _carried_postings(
-                        provenance, lambda atom, csr: csr.appended(extras[atom])
+                        result, lambda atom, csr: csr.appended(extras[atom])
                     )
                 else:
                     ref_columns = [
@@ -484,17 +465,15 @@ def delta_insert_result(
                     ]
                     witness_outputs = list(witness_outputs) + appended_outputs
                 updated = QueryResult(
-                    ColumnarProvenance(
-                        query,
-                        provenance.atom_names,
-                        extended,
-                        ref_columns,
-                        witness_outputs,
-                        output_rows,
-                        output_index,
-                        provenance.vacuum_refs,
-                        postings,
-                    )
+                    query,
+                    result.atom_names,
+                    extended,
+                    ref_columns,
+                    witness_outputs,
+                    output_rows,
+                    output_index,
+                    result.vacuum_refs,
+                    postings,
                 )
         if sp:
             sp.set(

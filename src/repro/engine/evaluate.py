@@ -14,16 +14,14 @@ base case, the brute-force baseline, and solution verification consume, so
 Engine internals
 ----------------
 The join is a left-deep hash join that never materializes one assignment
-dict and one :class:`Witness` object per full-join row.  Instead
+dict and one ``Witness`` object per full-join row.  Instead
 :mod:`repro.engine.columnar` interns each relation's tuples into dense
 integer IDs and runs the join over whole ID columns; provenance is stored as
 one packed ``tid`` column per atom, factorized per output through
-``witness_outputs``.  That :class:`ColumnarProvenance` is the one output
-table: :class:`QueryResult` is a read-only view of it (``query``,
-``output_rows`` and ``output_index`` are the provenance's own objects), and
-:class:`Witness` objects are materialized lazily by ``result.witnesses``.
-The solver hot paths read the packed columns directly through
-``result.provenance``.
+``witness_outputs``.  The :class:`~repro.engine.columnar.QueryResult` this
+module returns is that one packed table: the solver hot paths read its
+columns directly, and ``Witness`` objects are materialized lazily by
+``result.witnesses``.
 
 Atoms are ordered so that each new atom shares attributes with the part
 already joined whenever the query is connected; within a disconnected query
@@ -55,7 +53,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     Hashable,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -72,17 +69,16 @@ from repro.engine.backend import (
     BackendLike,
     Column,
     NumpyBackend,
-    as_id_list,
     gated_backend,
     python_backend,
     resolve_backend,
 )
 from repro.engine.cache import CurveCache, EvaluationCache
 from repro.engine.columnar import (
-    ColumnarProvenance,
     IndexSupplier,
+    QueryResult,
     RelationIndex,
-    empty_provenance,
+    empty_result,
     join_columns,
 )
 from repro.obs.trace import span
@@ -90,142 +86,6 @@ from repro.query.cq import ConjunctiveQuery
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.query.atoms import Atom
-
-
-class Witness:
-    """One full-join row: one input tuple per non-vacuum atom of the query.
-
-    ``refs`` is ordered consistently with the join order chosen by the
-    engine; use :meth:`as_dict` for name-based access.  Witnesses are plain
-    views: the engine keeps provenance packed as integer columns and only
-    builds these objects when a caller iterates ``QueryResult.witnesses``.
-    """
-
-    __slots__ = ("refs",)
-
-    def __init__(self, refs: Tuple[TupleRef, ...]) -> None:
-        self.refs = refs
-
-    def as_dict(self) -> Dict[str, TupleRef]:
-        """The witness as ``{relation name: tuple reference}``."""
-        return {ref.relation: ref for ref in self.refs}
-
-    def uses(self, ref: TupleRef) -> bool:
-        """Whether this witness contains the given input tuple."""
-        return ref in self.refs
-
-    def __iter__(self) -> Iterator[TupleRef]:
-        return iter(self.refs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Witness) and self.refs == other.refs
-
-    def __hash__(self) -> int:
-        return hash(self.refs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Witness(refs={self.refs!r})"
-
-
-class QueryResult:
-    """The result of evaluating a CQ: a read-only view of its provenance.
-
-    The only state is ``provenance`` (the :class:`ColumnarProvenance` the
-    engine built) and the lazy ``witnesses`` cache: ``query``,
-    ``output_rows`` and ``output_index`` are the provenance's own objects,
-    and the row-style ``witnesses`` list is materialized from the packed
-    columns on first access.
-    """
-
-    __slots__ = ("provenance", "_witnesses")
-
-    def __init__(self, provenance: ColumnarProvenance) -> None:
-        self.provenance = provenance
-        self._witnesses: Optional[List[Witness]] = None
-
-    @property
-    def query(self) -> ConjunctiveQuery:
-        """The evaluated query."""
-        return self.provenance.query
-
-    @property
-    def output_rows(self) -> List[Row]:
-        """The distinct output tuples, in first-witness order."""
-        return self.provenance.output_rows
-
-    @property
-    def output_index(self) -> Dict[Row, int]:
-        """``output row -> position`` reverse index (built lazily)."""
-        return self.provenance.output_index
-
-    @property
-    def witness_outputs(self) -> List[int]:
-        """``witness_outputs[w]``: the output index witness ``w`` produces.
-
-        A fresh plain list of the provenance's packed column on every call;
-        hot paths read ``provenance.witness_outputs`` directly.
-        """
-        return as_id_list(self.provenance.witness_outputs)
-
-    # ------------------------------------------------------------------ #
-    # Lazy row-style view
-    # ------------------------------------------------------------------ #
-    @property
-    def witnesses(self) -> List[Witness]:
-        """One :class:`Witness` per full-join row (materialized on demand)."""
-        if self._witnesses is None:
-            self._witnesses = self._materialize_witnesses()
-        return self._witnesses
-
-    def _materialize_witnesses(self) -> List[Witness]:
-        prov = self.provenance
-        vacuum = prov.vacuum_refs
-        count = prov.witness_count()
-        if prov.atom_count() == 0:
-            return [Witness(vacuum) for _ in range(count)]
-        views = [prov.refs_for_atom(a) for a in range(prov.atom_count())]
-        columns = prov.ref_columns
-        pairs = list(zip(views, columns))
-        return [
-            Witness(tuple(view[column[w]] for view, column in pairs) + vacuum)
-            for w in range(count)
-        ]
-
-    # ------------------------------------------------------------------ #
-    # Counting
-    # ------------------------------------------------------------------ #
-    def output_count(self) -> int:
-        """``|Q(D)|``: the number of distinct output tuples."""
-        return self.provenance.output_count()
-
-    def witness_count(self) -> int:
-        """The number of full-join rows."""
-        return self.provenance.witness_count()
-
-    # ------------------------------------------------------------------ #
-    # Provenance lookups
-    # ------------------------------------------------------------------ #
-    def witnesses_of(self, output_row: Row) -> List[Witness]:
-        """All witnesses of one output tuple."""
-        target = self.output_index[output_row]
-        return [
-            w
-            for w, out in zip(self.witnesses, self.witness_outputs)
-            if out == target
-        ]
-
-    def participating_refs(self) -> Set[TupleRef]:
-        """Input tuples that participate in at least one witness (non-dangling)."""
-        return self.provenance.participating_refs()
-
-    def outputs_removed_by(self, removed: Iterable[TupleRef]) -> int:
-        """How many output tuples disappear when ``removed`` is deleted.
-
-        An output tuple disappears when *every* one of its witnesses uses at
-        least one removed tuple; counted through the provenance's postings
-        (:meth:`~repro.engine.columnar.ColumnarProvenance.deletion_counts`).
-        """
-        return self.provenance.outputs_removed_by(removed)
 
 
 def _join_order_steps(
@@ -348,7 +208,7 @@ class EngineContext:
     :class:`repro.session.Session` owns one context per session.
 
     Lazy builds (the interning tables here, the postings index on
-    :class:`~repro.engine.columnar.ColumnarProvenance`) are lock-guarded, so
+    :class:`~repro.engine.columnar.QueryResult`) are lock-guarded, so
     concurrent threads sharing one context never duplicate an interning pass
     or observe a half-built index.
     """
@@ -626,21 +486,14 @@ def evaluate_columnar(
     for atom in query.atoms:
         if atom.is_vacuum:
             if len(database.relation(atom.name)) == 0:
-                return QueryResult(
-                    empty_provenance(
-                        query, non_vacuum, database, index_for=index_for,
-                        backend=backend,
-                    )
+                return empty_result(
+                    query, non_vacuum, database, index_for=index_for, backend=backend
                 )
             vacuum_refs.append(TupleRef(atom.name, ()))
 
     if not non_vacuum:
         # Purely boolean query over vacuum relations: single empty answer.
-        return QueryResult(
-            ColumnarProvenance(
-                query, (), [], [], [0], [()], {(): 0}, tuple(vacuum_refs)
-            )
-        )
+        return QueryResult(query, (), [], [], [0], [()], {(): 0}, tuple(vacuum_refs))
 
     if order is None:
         order = _join_order(
@@ -678,10 +531,8 @@ def evaluate_columnar(
 
     if count == 0:
         return QueryResult(
-            ColumnarProvenance(
-                query, atom_names, indexes, ref_columns, backend.empty_ids(), [],
-                {}, tuple(vacuum_refs),
-            )
+            query, atom_names, indexes, ref_columns, backend.empty_ids(), [],
+            {}, tuple(vacuum_refs),
         )
 
     head = query.head
@@ -727,16 +578,8 @@ def evaluate_columnar(
             )
 
     return QueryResult(
-        ColumnarProvenance(
-            query,
-            atom_names,
-            indexes,
-            ref_columns,
-            packed_outputs,
-            output_rows,
-            output_index,
-            tuple(vacuum_refs),
-        )
+        query, atom_names, indexes, ref_columns, packed_outputs, output_rows,
+        output_index, tuple(vacuum_refs),
     )
 
 

@@ -21,7 +21,7 @@ The index works on dense integers only: every participating input tuple
 gets a *ref ID* (``rid``), witnesses are numbered ``0..W-1``, and all
 bookkeeping lives in parallel ``int`` columns.  The index builds no
 witness incidence of its own: it reads each atom's
-:meth:`~repro.engine.columnar.ColumnarProvenance.postings_for_atom`, the
+:meth:`~repro.engine.columnar.QueryResult.postings_for_atom`, the
 ``tid -> witness positions`` index the result keeps for its lifetime (and
 the delta engine carries across mutations), so a greedy solve, the
 verification of its answer and a later what-if share one build.  Rids are
@@ -45,10 +45,10 @@ counts per ``(output, ref)`` pair, so the profits of every tuple
 ``bincount``.
 
 Stateless verification of a finished solution is
-:meth:`repro.engine.evaluate.QueryResult.outputs_removed_by`, which counts
+:meth:`repro.engine.columnar.QueryResult.outputs_removed_by`, which counts
 dead witnesses through the same postings
-(:meth:`~repro.engine.columnar.ColumnarProvenance.deletion_counts`, also
-behind :func:`repro.engine.delta.delta_counts`).
+(:meth:`~repro.engine.columnar.QueryResult.deletion_counts`, also behind
+:func:`repro.engine.delta.delta_counts`).
 """
 
 from __future__ import annotations
@@ -64,8 +64,7 @@ from repro.engine.backend import (
     backend_of_column,
     is_ndarray,
 )
-from repro.engine.columnar import ColumnarProvenance
-from repro.engine.evaluate import QueryResult
+from repro.engine.columnar import QueryResult
 
 
 #: Witness-list length below which the scalar loops beat the array kernels
@@ -90,7 +89,6 @@ class ProvenanceIndex:
 
     def __init__(self, result: QueryResult) -> None:
         self.result = result
-        prov = result.provenance
         #: per atom: the rid of its first participating tuple ...
         self._atom_bases: List[int] = []
         #: ... and its ``local rid -> tid`` column (ascending tids).
@@ -98,15 +96,15 @@ class ProvenanceIndex:
         #: vacuum refs take the rids after every atom's (only when there is
         #: a witness for them to participate in).
         self._vacuum: Tuple[TupleRef, ...] = (
-            tuple(prov.vacuum_refs) if prov.witness_count() else ()
+            tuple(result.vacuum_refs) if result.witness_count() else ()
         )
         np = None
-        if prov.atom_count() and is_ndarray(prov.ref_columns[0]):
-            np = backend_of_column(prov.ref_columns[0]).np
+        if result.atom_count() and is_ndarray(result.ref_columns[0]):
+            np = backend_of_column(result.ref_columns[0]).np
         #: NumPy handle when the vectorized kernels are active, else ``None``.
         self._np = np
         if np is not None:
-            self._read_csr_postings(prov, np)
+            self._read_csr_postings(result, np)
             self._hits = np.zeros(len(self._witness_output), dtype=np.int64)
             self._alive_witnesses = np.bincount(
                 self._witness_output, minlength=result.output_count()
@@ -116,7 +114,7 @@ class ProvenanceIndex:
             self._gain = np.diff(self._rw_offsets)
             self._removed_flags = np.zeros(self._ref_total, dtype=bool)
         else:
-            self._read_dict_postings(prov)
+            self._read_dict_postings(result)
             self._hits = [0] * len(self._witness_rids)
             self._alive_witnesses = [0] * result.output_count()
             for out in self._witness_output:
@@ -137,21 +135,21 @@ class ProvenanceIndex:
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    def _read_dict_postings(self, prov: ColumnarProvenance) -> None:
+    def _read_dict_postings(self, result: QueryResult) -> None:
         """Number each atom's postings keys (dict of lists) into rids.
 
         Rid ``base + i`` is the atom's ``i``-th participating tid in
         ascending order, and its witness list *is* that tid's postings list:
         shared with the provenance, so the index never writes it.
         """
-        witness_count = prov.witness_count()
-        self._witness_output = list(prov.witness_outputs)
+        witness_count = result.witness_count()
+        self._witness_output = list(result.witness_outputs)
         #: rid -> witness IDs containing the tuple (ascending)
         self._ref_witnesses: List[List[int]] = []
         ref_witnesses = self._ref_witnesses
         rid_columns: List[List[int]] = []
-        for position in range(prov.atom_count()):
-            postings = cast(Dict[int, List[int]], prov.postings_for_atom(position))
+        for position in range(result.atom_count()):
+            postings = cast(Dict[int, List[int]], result.postings_for_atom(position))
             tids = sorted(postings)
             base = len(ref_witnesses)
             rid_of_tid = dict(zip(tids, range(base, base + len(tids))))
@@ -159,7 +157,7 @@ class ProvenanceIndex:
             self._atom_tids.append(tids)
             ref_witnesses.extend(map(postings.__getitem__, tids))
             rid_columns.append(
-                list(map(rid_of_tid.__getitem__, prov.ref_columns[position]))
+                list(map(rid_of_tid.__getitem__, result.ref_columns[position]))
             )
         self._vacuum_base = len(ref_witnesses)
         for _vacuum_ref in self._vacuum:
@@ -171,7 +169,7 @@ class ProvenanceIndex:
             list(zip(*rid_columns)) if rid_columns else [()] * witness_count
         )
 
-    def _read_csr_postings(self, prov: ColumnarProvenance, np: Any) -> None:
+    def _read_csr_postings(self, result: QueryResult, np: Any) -> None:
         """Number each atom's CSR postings rows into rids (NumPy kernel).
 
         The rids of an atom are its CSR's non-empty rows (ascending tids),
@@ -179,18 +177,18 @@ class ProvenanceIndex:
         counts, and ``cumsum(counts > 0) - 1 + base`` maps a tid to its rid.
         The per-witness rid rows live in one ``(W, atoms)`` matrix.
         """
-        witness_count = prov.witness_count()
-        self._witness_output = np.asarray(prov.witness_outputs, dtype=np.int64)
+        witness_count = result.witness_count()
+        self._witness_output = np.asarray(result.witness_outputs, dtype=np.int64)
         rid_columns = []
         flats = []
         counts_list = []
         base = 0
-        for position in range(prov.atom_count()):
-            csr = cast(CsrPostings, prov.postings_for_atom(position))
+        for position in range(result.atom_count()):
+            csr = cast(CsrPostings, result.postings_for_atom(position))
             counts = np.diff(csr.offsets)
             present = counts > 0
             rid_of_tid = np.cumsum(present) - 1 + base
-            rid_columns.append(rid_of_tid[prov.ref_columns[position]])
+            rid_columns.append(rid_of_tid[result.ref_columns[position]])
             flats.append(csr.order)
             counts_list.append(counts[present])
             tids = np.flatnonzero(present)
@@ -254,8 +252,7 @@ class ProvenanceIndex:
         This is how callers walk a relation's candidates without building a
         :class:`TupleRef` per tuple.
         """
-        prov = self.result.provenance
-        position = prov.atom_position(relation)
+        position = self.result.atom_position(relation)
         if position is None:
             for offset, ref in enumerate(self._vacuum):
                 if ref.relation == relation:
@@ -264,12 +261,12 @@ class ProvenanceIndex:
             return range(0), []
         base = self._atom_bases[position]
         tids = as_id_list(self._atom_tids[position])
-        rows = prov.indexes[position].rows
+        rows = self.result.indexes[position].rows
         return range(base, base + len(tids)), [rows[tid] for tid in tids]
 
     def relation_names(self) -> List[str]:
         """Relations with participating tuples, in rid order."""
-        names = list(self.result.provenance.atom_names) if self._ref_total else []
+        names = list(self.result.atom_names) if self._ref_total else []
         return names + [ref.relation for ref in self._vacuum]
 
     # ------------------------------------------------------------------ #
@@ -284,7 +281,7 @@ class ProvenanceIndex:
         if rid >= self._vacuum_base:
             return self._vacuum[rid - self._vacuum_base]
         position = bisect_right(self._atom_bases, rid) - 1
-        index = self.result.provenance.indexes[position]
+        index = self.result.indexes[position]
         tid = int(self._atom_tids[position][rid - self._atom_bases[position]])
         return TupleRef(index.name, index.rows[tid])
 

@@ -114,7 +114,7 @@ from repro.core.solution import ADPSolution
 from repro.data.database import Database
 from repro.data.relation import Row, TupleRef
 from repro.engine.cache import canonical_query_key
-from repro.engine.columnar import RelationIndex
+from repro.engine.columnar import QueryResult, RelationIndex
 from repro.engine.delta import (
     delta_counts,
     delta_filter_result,
@@ -122,7 +122,6 @@ from repro.engine.delta import (
 )
 from repro.engine.evaluate import (
     EngineContext,
-    QueryResult,
     join_order_plan,
     use_context,
 )

@@ -53,8 +53,7 @@ from repro.data.database import Database
 from repro.data.relation import Relation, TupleRef
 from repro.engine.backend import id_column_to_bytes
 from repro.engine.cache import canonical_query_key
-from repro.engine.columnar import ColumnarProvenance, RelationIndex
-from repro.engine.evaluate import QueryResult
+from repro.engine.columnar import QueryResult, RelationIndex
 from repro.query.atoms import Atom
 from repro.query.cq import ConjunctiveQuery
 from repro.session import Session
@@ -277,14 +276,11 @@ class DatabaseStore:
                     (atom.name, tuple(atom.attributes))
                     for atom in result.query.atoms
                 ),
-                tuple(result.provenance.atom_names),
-                tuple(ref.relation for ref in result.provenance.vacuum_refs),
-                [
-                    id_column_to_bytes(column)
-                    for column in result.provenance.ref_columns
-                ],
-                id_column_to_bytes(result.provenance.witness_outputs),
-                [tuple(row) for row in result.provenance.output_rows],
+                tuple(result.atom_names),
+                tuple(ref.relation for ref in result.vacuum_refs),
+                [id_column_to_bytes(column) for column in result.ref_columns],
+                id_column_to_bytes(result.witness_outputs),
+                [tuple(row) for row in result.output_rows],
             )
             for result in kept.values()
         ]
@@ -458,16 +454,14 @@ class DatabaseStore:
                     result_snap.witness_output_buffer
                 )
                 result = QueryResult(
-                    ColumnarProvenance(
-                        query,
-                        result_snap.atom_names,
-                        [indexes[atom_name] for atom_name in result_snap.atom_names],
-                        ref_columns,
-                        packed_outputs,
-                        result_snap.output_rows,
-                        None,
-                        tuple(TupleRef(rel, ()) for rel in result_snap.vacuum_refs),
-                    )
+                    query,
+                    result_snap.atom_names,
+                    [indexes[atom_name] for atom_name in result_snap.atom_names],
+                    ref_columns,
+                    packed_outputs,
+                    result_snap.output_rows,
+                    None,
+                    tuple(TupleRef(rel, ()) for rel in result_snap.vacuum_refs),
                 )
                 context.cache.store_raw(
                     database,

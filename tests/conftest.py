@@ -205,8 +205,8 @@ def path_instance():
 # --------------------------------------------------------------------------- #
 # Backend-agnostic comparison helpers
 # --------------------------------------------------------------------------- #
-def packed_columns(provenance) -> List[List[int]]:
-    """A provenance's ``ref_columns`` as plain lists of Python ints.
+def packed_columns(result) -> List[List[int]]:
+    """A result's ``ref_columns`` as plain lists of Python ints.
 
     The NumPy backend packs the columns as ``int64`` ndarrays; normalizing
     both sides lets byte-identity assertions compare values regardless of
@@ -214,11 +214,11 @@ def packed_columns(provenance) -> List[List[int]]:
     """
     from repro.engine.backend import as_id_list
 
-    return [as_id_list(column) for column in provenance.ref_columns]
+    return [as_id_list(column) for column in result.ref_columns]
 
 
-def packed_outputs(provenance) -> List[int]:
-    """A provenance's ``witness_outputs`` as a plain list of Python ints."""
+def packed_outputs(result) -> List[int]:
+    """A result's ``witness_outputs`` as a plain list of Python ints."""
     from repro.engine.backend import as_id_list
 
-    return as_id_list(provenance.witness_outputs)
+    return as_id_list(result.witness_outputs)

@@ -72,7 +72,7 @@ class TestReduction:
         with Session(path_instance, backend=backend) as session:
             result = session.evaluate(QPATH)
         index = ProvenanceIndex(result)
-        witness_count = result.provenance.witness_count()
+        witness_count = result.witness_count()
         assert witness_count == result.output_count()
         for wid in range(witness_count):
             rids = index.witness_rids(wid)

@@ -231,7 +231,7 @@ def greedy_picks_digest(name: str, point, endogenous_only: bool, backend: str) -
     with Session(database, backend=backend) as session:
         result = session.evaluate(query)
         # The numpy leg must really exercise the ndarray kernels.
-        assert is_ndarray(result.provenance.ref_columns[0]) == (backend == "numpy")
+        assert is_ndarray(result.ref_columns[0]) == (backend == "numpy")
         with session.activate():
             curve = greedy_curve(query, database, endogenous_only=endogenous_only)
     return hashlib.sha256(repr(curve.picks()).encode()).hexdigest()

@@ -236,13 +236,13 @@ def test_explicit_numpy_vectorizes_small_inputs():
     )
     with Session(db, backend="numpy") as session:
         result = session.evaluate("Q(A, B) :- R1(A), R2(A, B)")
-        assert is_ndarray(result.provenance.ref_columns[0])
-        assert is_ndarray(result.provenance.witness_outputs)
+        assert is_ndarray(result.ref_columns[0])
+        assert is_ndarray(result.witness_outputs)
     with Session(db, backend="auto") as session:
         result = session.evaluate("Q(A, B) :- R1(A), R2(A, B)")
         # 5 input tuples sit far below MIN_VECTOR_TUPLES: the gated auto
         # backend routes to the Python kernels.
-        assert not is_ndarray(result.provenance.ref_columns[0])
+        assert not is_ndarray(result.ref_columns[0])
 
 
 def test_session_rejects_unknown_backend():

@@ -2,8 +2,10 @@
 
 ``delta_filter_result`` must be observationally equivalent to a fresh
 evaluation on ``database.without(removed)``: same output set, same witness
-set, same provenance answers -- only the (irrelevant) iteration order may
-differ, because fresh joins walk mutated hash sets.
+set, same provenance answers -- only the iteration order may differ: the
+filter keeps its parent's witness order, and a parent grown by an
+insertion delta holds its new witnesses at the end (re-inserted rows under
+their old tids) where a fresh join emits them in join order.
 """
 
 import random
@@ -109,9 +111,9 @@ def test_delta_filter_shares_interning_tables():
     refs = sorted(base.participating_refs(), key=repr)[:3]
     filtered = delta_filter_result(base, refs)
     # No re-interning: the filtered provenance reuses the parent's indexes.
-    assert filtered.provenance.indexes is base.provenance.indexes or all(
+    assert filtered.indexes is base.indexes or all(
         f is b
-        for f, b in zip(filtered.provenance.indexes, base.provenance.indexes)
+        for f, b in zip(filtered.indexes, base.indexes)
     )
 
 
@@ -228,14 +230,14 @@ def test_steady_htap_round_builds_no_postings():
         session.evaluate(Q6)
         session.evaluate(HARD_QUERY)
         round_trip(session)  # warm: builds each result's R2 postings once
-        assert session.evaluate(Q6).provenance._output_index is None
+        assert session.evaluate(Q6)._output_index is None
         tracer = Tracer()
         with use_tracer(tracer):
             session.apply_insertions(fresh_edges(60))
-            assert session.evaluate(Q6).provenance._output_index is None
+            assert session.evaluate(Q6)._output_index is None
             entry = round_trip(session)
         assert _postings_spans(tracer) == 0
-        assert session.evaluate(Q6).provenance._output_index is None
+        assert session.evaluate(Q6)._output_index is None
     with Session(database.copy(), backend="numpy") as fresh:
         expected = fresh.what_if(entry.refs, HARD_QUERY).single
     assert (entry.witnesses_removed, entry.outputs_removed) == (

@@ -2,8 +2,10 @@
 
 ``delta_insert_result`` must be observationally equivalent to a fresh
 evaluation on the grown database: same output set, same witness set, same
-provenance counts -- only the (irrelevant) iteration order may differ,
-because fresh joins walk mutated hash sets.  On top of parity the suite
+provenance counts -- only the iteration order may differ: the delta
+appends its new witnesses at the end where a fresh join emits them in join
+order, and a re-inserted row keeps its old tid where a fresh interning
+numbers it last.  On top of parity the suite
 pins the *append invariant*: old witnesses, tids and output ids keep their
 positions verbatim, and the grown result's postings match a fresh join's.
 """
@@ -118,16 +120,16 @@ def test_delta_insert_appends_old_state_verbatim(name, query, database):
     refs = _insertion_batch(query, database, seed=4)
     appended = delta_insert_result(base, refs)
 
-    old_columns = packed_columns(base.provenance)
-    new_columns = packed_columns(appended.provenance)
+    old_columns = packed_columns(base)
+    new_columns = packed_columns(appended)
     for old, new in zip(old_columns, new_columns):
         assert new[: len(old)] == old  # old witnesses keep their positions
-    old_outputs = packed_outputs(base.provenance)
-    assert packed_outputs(appended.provenance)[: len(old_outputs)] == old_outputs
+    old_outputs = packed_outputs(base)
+    assert packed_outputs(appended)[: len(old_outputs)] == old_outputs
     assert appended.output_rows[: base.output_count()] == list(base.output_rows)
     # Old tids keep their meaning in the extended interning tables.
     for old_index, new_index in zip(
-        base.provenance.indexes, appended.provenance.indexes
+        base.indexes, appended.indexes
     ):
         assert new_index.rows[: len(old_index)] == old_index.rows
 
@@ -174,19 +176,19 @@ def test_delta_insert_migrated_postings_match_lazy_rebuild():
     # Build the parent's postings first: on ndarray provenance the grown
     # result inherits them with its appended positions spliced in (dict
     # postings are rebuilt lazily); either way they must match a fresh join.
-    for position in range(base.provenance.atom_count()):
-        base.provenance.postings_for_atom(position)
+    for position in range(base.atom_count()):
+        base.postings_for_atom(position)
     refs = _insertion_batch(query, database, seed=7)
     appended = delta_insert_result(base, refs)
 
     rebuilt = evaluate_in_context(query, _grown(database, refs), use_cache=False)
-    for position in range(appended.provenance.atom_count()):
-        migrated = appended.provenance.postings_for_atom(position)
+    for position in range(appended.atom_count()):
+        migrated = appended.postings_for_atom(position)
         # Same witness multiset per *tuple* (positions differ across objects:
         # compare through the interned rows and sorted posting sizes).
-        index = appended.provenance.indexes[position]
-        fresh_index = rebuilt.provenance.indexes[position]
-        fresh_postings = rebuilt.provenance.postings_for_atom(position)
+        index = appended.indexes[position]
+        fresh_index = rebuilt.indexes[position]
+        fresh_postings = rebuilt.postings_for_atom(position)
         by_row = {
             index.rows[tid]: len(hits) for tid, hits in migrated.items() if len(hits)
         }
@@ -283,7 +285,7 @@ def test_full_cq_insert_numbers_outputs_without_an_index(backend):
         ]
         session.apply_insertions(batch)
         result = session.evaluate(Q6)
-        assert result.provenance._output_index is None
+        assert result._output_index is None
         fresh = evaluate_in_context(Q6, database.copy(), use_cache=False)
         assert sorted(result.output_rows) == sorted(fresh.output_rows)
         assert result.output_count() == result.witness_count()

@@ -31,8 +31,13 @@ class TestFigure1:
         assert set(result.output_rows) == {("a1", "e1"), ("a2", "e3"), ("a3", "e3")}
         # (a2, e3) has two witnesses (via c2 and via c3).
         assert result.witness_count() == 4
-        witnesses = result.witnesses_of(("a2", "e3"))
+        target = result.output_index[("a2", "e3")]
+        witnesses = [
+            w for w, out in zip(result.witnesses, result.witness_outputs)
+            if out == target
+        ]
         assert len(witnesses) == 2
+        assert {w.as_dict()["R2"].values for w in witnesses} == {("b2", "c2"), ("b2", "c3")}
 
     def test_paper_adp_example(self, figure1_full_query, figure1_database):
         # ADP(Q1, D, 2) removes R3(c3, e3): check that deleting it removes the
@@ -121,3 +126,33 @@ class TestOutputsRemovedBy:
         assert TupleRef("R1", ("a1", "b1")) in refs
         # Every tuple of Figure 1 participates in some witness.
         assert len(refs) == 10
+
+    def test_participating_refs_exclude_dangling_tuples(self):
+        query = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C)")
+        database = Database.from_dict(
+            {"R1": ["A", "B"], "R2": ["B", "C"]},
+            {
+                "R1": [(1, 10), (2, 20), (3, 30)],          # (3, 30) dangles
+                "R2": [(10, 100), (20, 200), (99, 999)],    # (99, 999) dangles
+            },
+        )
+        refs = Session(database).evaluate(query).participating_refs()
+        assert refs == {
+            TupleRef("R1", (1, 10)), TupleRef("R1", (2, 20)),
+            TupleRef("R2", (10, 100)), TupleRef("R2", (20, 200)),
+        }
+
+    def test_participating_refs_on_a_cyclic_query(self):
+        triangle = parse_query("Q(A, B, C) :- R1(A, B), R2(B, C), R3(C, A)")
+        database = Database.from_dict(
+            {"R1": ["A", "B"], "R2": ["B", "C"], "R3": ["C", "A"]},
+            {
+                "R1": [(1, 2), (5, 6)],
+                "R2": [(2, 3), (6, 7)],
+                "R3": [(3, 1)],          # only the 1-2-3 triangle closes
+            },
+        )
+        refs = Session(database).evaluate(triangle).participating_refs()
+        assert refs == {
+            TupleRef("R1", (1, 2)), TupleRef("R2", (2, 3)), TupleRef("R3", (3, 1))
+        }

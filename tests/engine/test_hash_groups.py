@@ -131,6 +131,6 @@ def test_cold_greedy_solve_builds_no_tupleref_view(backend):
     query = "Qh(A) :- R1(A), R2(A, B), R3(B)"
     with Session(database, backend=backend) as session:
         solution = session.solve(query, 40, heuristic="greedy")
-        indexes = session.evaluate(query).provenance.indexes
+        indexes = session.evaluate(query).indexes
     assert solution.removed
     assert indexes and all(index._ref_view is None for index in indexes)

@@ -1,7 +1,7 @@
 """Unit tests for the incremental provenance index (dense ref-ID API).
 
 The index reads the witness incidence from the result's postings
-(``ColumnarProvenance.postings_for_atom``), and verification counts dead
+(``QueryResult.postings_for_atom``), and verification counts dead
 witnesses through the same postings; the seeded tests check both against
 the row-at-a-time oracle on random CQs drawn from ``REPRO_TEST_SEED``.
 """
@@ -144,9 +144,9 @@ class TestProfitAndRemoval:
                 "R2": [(3, 30), (1, 10), (4, 40), (2, 20), (1, 11), (5, 50)],
             },
         )
-        prov = index.result.provenance
-        table = prov.indexes[prov.atom_position("R2")]
-        column = as_id_list(prov.ref_columns[prov.atom_position("R2")])
+        result = index.result
+        table = result.indexes[result.atom_position("R2")]
+        column = as_id_list(result.ref_columns[result.atom_position("R2")])
         # The witnesses meet R2's tuples in another order than their tids,
         # so the fixture tells the two numberings apart.
         first_occurrence = list(dict.fromkeys(column))
@@ -244,12 +244,11 @@ def test_postings_are_built_once_per_result_and_atom(backend):
         pending.extend(node.children)
     assert sorted(built) == ["R1", "R2", "R3"]
 
-    prov = result.provenance
-    before = [snapshot(prov.postings_for_atom(a)) for a in range(prov.atom_count())]
+    before = [snapshot(result.postings_for_atom(a)) for a in range(result.atom_count())]
     index = ProvenanceIndex(result)
     killed = sum(index.remove_id(rid) for rid in range(index.ref_count()))
     assert killed == result.output_count()
-    assert [snapshot(prov.postings_for_atom(a)) for a in range(prov.atom_count())] == before
+    assert [snapshot(result.postings_for_atom(a)) for a in range(result.atom_count())] == before
 
 
 def snapshot(postings):

@@ -171,15 +171,14 @@ def _assert_carried_state(session, context):
     a fresh ``from_column`` of its witness column."""
     entries = session._context.cache.entries_snapshot(session.database)
     for result in entries.values():
-        provenance = result.provenance
         running = -1
-        for out in as_id_list(provenance.witness_outputs):
+        for out in as_id_list(result.witness_outputs):
             assert out <= running + 1, f"{context}: output {out} after {running}"
             running = max(running, out)
-        for position, postings in enumerate(provenance._postings):
+        for position, postings in enumerate(result._postings):
             if not isinstance(postings, CsrPostings):
                 continue
-            fresh = CsrPostings.from_column(provenance.ref_columns[position])
+            fresh = CsrPostings.from_column(result.ref_columns[position])
             assert [
                 (tid, as_id_list(hits)) for tid, hits in postings.items()
             ] == [
@@ -341,8 +340,7 @@ def test_delete_insert_then_new_query_interns_nothing(monkeypatch, backend):
         entries = context.cache.entries_snapshot(database)
         assert len(entries) == 2
         for result in entries.values():
-            provenance = result.provenance
-            for name, index in zip(provenance.atom_names, provenance.indexes):
+            for name, index in zip(result.atom_names, result.indexes):
                 assert context.current_index(database.relation(name)) is index
 
 
@@ -397,11 +395,11 @@ def test_snapshot_reopen_matches_uninterrupted_run(
             durable_result = durable.evaluate(query)
             reference_result = reference.evaluate(query)
             step_context = f"{context} step={step} op={op}"
-            assert packed_columns(durable_result.provenance) == packed_columns(
-                reference_result.provenance
+            assert packed_columns(durable_result) == packed_columns(
+                reference_result
             ), step_context
-            assert packed_outputs(durable_result.provenance) == packed_outputs(
-                reference_result.provenance
+            assert packed_outputs(durable_result) == packed_outputs(
+                reference_result
             ), step_context
             assert durable_result.output_rows == reference_result.output_rows, (
                 step_context
@@ -464,11 +462,11 @@ def test_mutation_trace_byte_identical_across_backends(name, query, database):
             _assert_what_if_parity(py_session, np_session, query, deleted, rng, context)
             _assert_carried_state(py_session, context)
             _assert_carried_state(np_session, context)
-            assert packed_columns(np_result.provenance) == packed_columns(
-                py_result.provenance
+            assert packed_columns(np_result) == packed_columns(
+                py_result
             ), context
-            assert packed_outputs(np_result.provenance) == packed_outputs(
-                py_result.provenance
+            assert packed_outputs(np_result) == packed_outputs(
+                py_result
             ), context
             assert np_result.output_rows == py_result.output_rows, context
             assert list(np_result.witness_outputs) == list(

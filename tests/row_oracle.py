@@ -26,7 +26,8 @@ from repro.core.curves import PrefixCurve
 from repro.core.singleton import singleton_relation
 from repro.data.database import Database
 from repro.data.relation import Row, TupleRef
-from repro.engine.evaluate import Witness, _join_order
+from repro.engine.columnar import Witness
+from repro.engine.evaluate import _join_order
 from repro.query.cq import ConjunctiveQuery
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.data.database import Database
 from repro.data.relation import Relation, TupleRef
-from repro.engine.backend import as_id_list, numpy_available
+from repro.engine.backend import numpy_available
 from repro.session import Session
 from repro.storage import disarm_all
 
@@ -103,23 +103,21 @@ def reference_session(backend, batch_count, seed=SEED, query=QUERY):
 def fingerprint(session, query=QUERY):
     """Everything byte-identity covers: packing, tables, rows, version token.
 
-    Interning tables are taken from the result's provenance (the tables its
+    Interning tables are taken from the result (the tables its
     packed columns actually index into), not ``context.interned`` -- the
     latter lazily *rebuilds* from the live set when its cached table is
     stale, and set iteration order would make that rebuild diverge between
     two equal databases with different mutation histories.
     """
     result = session.evaluate(query)
-    provenance = result.provenance
     database = session.database
     fp = {
         "token": database.version_token(),
-        "columns": tuple(tuple(column) for column in packed_columns(provenance)),
-        "outputs": tuple(packed_outputs(provenance)),
+        "columns": tuple(tuple(column) for column in packed_columns(result)),
+        "outputs": tuple(packed_outputs(result)),
         "output_rows": tuple(sorted(result.output_rows, key=repr)),
-        "witness_outputs": tuple(as_id_list(result.witness_outputs)),
     }
-    for rel_name, index in zip(provenance.atom_names, provenance.indexes):
+    for rel_name, index in zip(result.atom_names, result.indexes):
         fp["interned:" + rel_name] = tuple(index.rows)
         fp["tids:" + rel_name] = tuple(sorted(index.ids.items(), key=repr))
     for name in sorted(database.relation_names):

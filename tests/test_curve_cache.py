@@ -21,7 +21,7 @@ from repro.data.relation import TupleRef
 from repro.engine.backend import numpy_available
 import repro.engine.cache as cache_module
 from repro.engine.cache import Answer, CurveCache, encoded_length
-from repro.engine.columnar import ColumnarProvenance
+from repro.engine.columnar import QueryResult
 from repro.obs.trace import Tracer, use_tracer
 from repro.query.parser import parse_query
 from repro.session import Session
@@ -156,15 +156,15 @@ def test_memoized_removed_count_equals_the_verified_one(
 
 @pytest.fixture
 def verifications(monkeypatch):
-    """Count calls to ``ColumnarProvenance.outputs_removed_by``."""
+    """Count calls to ``QueryResult.outputs_removed_by``."""
     calls = []
-    original = ColumnarProvenance.outputs_removed_by
+    original = QueryResult.outputs_removed_by
 
     def counted(self, removed):
         calls.append(1)
         return original(self, removed)
 
-    monkeypatch.setattr(ColumnarProvenance, "outputs_removed_by", counted)
+    monkeypatch.setattr(QueryResult, "outputs_removed_by", counted)
     return calls
 
 

@@ -55,8 +55,7 @@ def test_concurrent_what_if_shares_one_postings_index():
             session.what_if(refs, QPATH_EXP).single.witnesses_removed,
         )
         # Drop the lazily-built postings so the threads race the build.
-        provenance = result.provenance
-        provenance._postings = [None] * provenance.atom_count()
+        result._postings = [None] * result.atom_count()
 
         def probe(_):
             entry = session.what_if(refs, QPATH_EXP).single
@@ -65,10 +64,10 @@ def test_concurrent_what_if_shares_one_postings_index():
         with ThreadPoolExecutor(max_workers=8) as executor:
             outcomes = list(executor.map(probe, range(32)))
         assert all(outcome == expected for outcome in outcomes)
-        postings = [provenance.postings_for_atom(a) for a in range(provenance.atom_count())]
+        postings = [result.postings_for_atom(a) for a in range(result.atom_count())]
         # The build ran under the lock: later calls return the same objects.
         assert [
-            provenance.postings_for_atom(a) for a in range(provenance.atom_count())
+            result.postings_for_atom(a) for a in range(result.atom_count())
         ] == postings
 
 
@@ -225,7 +224,7 @@ def test_mixed_solve_what_if_apply_matches_serial_replay():
                         result = session.evaluate(query)
                         record = (version, "evaluate", query.name, None,
                                   tuple(result.output_rows),
-                                  tuple(packed_outputs(result.provenance)))
+                                  tuple(packed_outputs(result)))
                 with observed_lock:
                     observations.append(record)
         except Exception as exc:  # pragma: no cover - surfaced by assert
@@ -266,7 +265,7 @@ def test_mixed_solve_what_if_apply_matches_serial_replay():
             result = replay.evaluate(query)
             expected[(version, "evaluate", query.name, None)] = (
                 tuple(result.output_rows),
-                tuple(packed_outputs(result.provenance)),
+                tuple(packed_outputs(result)),
             )
             entry = replay.what_if(probe_refs, query).single
             expected[(version, "what_if", query.name, None)] = (
