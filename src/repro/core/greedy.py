@@ -33,8 +33,9 @@ round picks the earliest candidate (in that order) maximizing ``(profit,
 witness gain)``, and the index's kernel decides how:
 
 * **vector** (NumPy index): a few array passes -- one gather of the gains,
-  one batched :meth:`~repro.engine.provenance.ProvenanceIndex.profits_for`
-  over the maintained ``(output, ref)`` pair counts, one masked ``argmax``;
+  one gather of the profits the index keeps current through every removal
+  (:meth:`~repro.engine.provenance.ProvenanceIndex.profits_for`), one
+  masked ``argmax``;
 * **scan** (pure-Python index, the parity reference): a scalar scan that
   prunes with the invariant ``profit(t) <= witness_gain(t)`` (the witness
   gain is maintained incrementally and is O(1) to read), skipping the

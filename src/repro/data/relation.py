@@ -5,7 +5,9 @@ Set semantics are used throughout (the paper works with set semantics and
 self-join-free CQs), so inserting a duplicate tuple is a no-op.  Tuples
 iterate in insertion order, never in string-hash order, so the tids the
 engine interns them under -- and every answer that breaks ties by tid --
-are the same in every process.
+are the same in every process.  Each stored tuple keeps its insertion
+ordinal, so a relation that never lost a tuple hands the engine its tid
+table as one dict copy (:meth:`Relation.numbering`).
 
 Deletion in the ADP problem operates on *input tuples*; the hashable
 :class:`TupleRef` (relation name + values) is the unit that solvers return
@@ -65,8 +67,13 @@ class Relation:
             raise ValueError(f"relation {name} repeats an attribute: {attrs}")
         self.name = name
         self.attributes: Tuple[str, ...] = attrs
-        #: the tuples, as dict keys in insertion order
-        self._rows: Dict[Row, None] = {}
+        #: the tuples, as dict keys in insertion order, each mapped to its
+        #: insertion ordinal (``_next_ordinal`` at insert time).  Ordinals
+        #: ascend in iteration order, so while no tuple was removed since
+        #: construction or :meth:`clear` (``_next_ordinal == len(_rows)``)
+        #: they are exactly the iteration positions.
+        self._rows: Dict[Row, int] = {}
+        self._next_ordinal = 0
         #: monotone mutation counter; the evaluation cache keys on it, so it
         #: only moves when the tuple set actually changes.
         self._version: int = 0
@@ -85,7 +92,8 @@ class Relation:
                 f"got {len(stored)}: {stored!r}"
             )
         if stored not in self._rows:
-            self._rows[stored] = None
+            self._rows[stored] = self._next_ordinal
+            self._next_ordinal += 1
             self._version += 1
         return stored
 
@@ -108,6 +116,21 @@ class Relation:
         if self._rows:
             self._version += 1
         self._rows.clear()
+        self._next_ordinal = 0
+
+    def load_numbered(self, ids: Dict[Row, int], dead: Iterable[Row] = ()) -> None:
+        """Replace the tuple set with ``ids``' rows minus ``dead``, unchecked.
+
+        ``ids`` must map each row to its position in ``ids``' own order (an
+        interning table's ``row -> tid`` dict), and every row must already be
+        a tuple of this relation's arity: the durable store restores
+        relations from validated snapshot columns this way, skipping the
+        per-row checks of :meth:`insert`.  The version is left alone.
+        """
+        self._rows = dict(ids)
+        self._next_ordinal = len(ids)
+        for row in dead:
+            del self._rows[row]
 
     # ------------------------------------------------------------------ #
     # Read access
@@ -120,6 +143,21 @@ class Relation:
 
     def __contains__(self, row: Sequence[Value]) -> bool:
         return tuple(row) in self._rows
+
+    def numbering(self) -> Tuple[List[Row], Dict[Row, int]]:
+        """``(rows, ids)``: the tuples in iteration order and ``row ->
+        position``, fresh containers the caller owns.
+
+        When no tuple was removed since construction or :meth:`clear`, the
+        stored ordinals already are the positions and ``ids`` is a copy of
+        the storage dict, which reuses its stored hashes; otherwise the
+        positions are renumbered.
+        """
+        if self._next_ordinal == len(self._rows):
+            ids = dict(self._rows)
+            return list(ids), ids
+        rows = list(self._rows)
+        return rows, dict(zip(rows, range(len(rows))))
 
     @property
     def rows(self) -> Set[Row]:

@@ -30,7 +30,7 @@ Figure 12--16 benchmarks.  This module is the batch-oriented replacement:
 from __future__ import annotations
 
 import threading
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import (
     Callable,
@@ -109,8 +109,7 @@ class RelationIndex:
     )
 
     def __init__(self, relation: Relation) -> None:
-        rows: List[Row] = list(relation)
-        ids = {row: tid for tid, row in enumerate(rows)}
+        rows, ids = relation.numbering()
         self._fill(relation.name, relation.attributes, rows, ids, bytearray(b"\x01") * len(rows))
 
     def _fill(
@@ -884,8 +883,9 @@ def _probe_gids_numpy(
     every probe value is a function of the tid of the atom that first bound
     its attribute, so probe rows are grouped by a mixed-radix encoding of
     the binding relations' interned value codes (one ``np.unique``), one
-    representative key per group is looked up in the build table, and the
-    answers are scattered back through the group inverse.
+    representative key per group is looked up in the build table (``map``
+    over ``dict.get``: no Python frame per key), and the answers are
+    scattered back through the group inverse.
     """
     np = backend.np
     table = rindex.hash_groups(shared_positions, backend)[0]
@@ -907,7 +907,7 @@ def _probe_gids_numpy(
         else:
             keys = zip(*(bound[a] for a in shared))
         n_probe = len(per_attr[0][0])
-        return np.fromiter((get(key, -1) for key in keys), np.int64, count=n_probe)
+        return np.fromiter(map(get, keys, repeat(-1)), np.int64, count=n_probe)
     code = None
     for column, radix in per_attr:
         code = column if code is None else code * radix + column
@@ -915,19 +915,12 @@ def _probe_gids_numpy(
         code, return_index=True, return_inverse=True
     )
     if len(shared) == 1:
-        representatives = bound[shared[0]].take(first_index)
-        gid_per_group = np.fromiter(
-            (get(key, -1) for key in representatives),
-            np.int64,
-            count=first_index.size,
-        )
+        representatives: Iterable[object] = bound[shared[0]].take(first_index)
     else:
-        columns = [bound[a].take(first_index) for a in shared]
-        gid_per_group = np.fromiter(
-            (get(key, -1) for key in zip(*columns)),
-            np.int64,
-            count=first_index.size,
-        )
+        representatives = zip(*(bound[a].take(first_index) for a in shared))
+    gid_per_group = np.fromiter(
+        map(get, representatives, repeat(-1)), np.int64, count=first_index.size
+    )
     return gid_per_group[inverse]
 
 

@@ -57,7 +57,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -304,30 +303,29 @@ _DELTA_BACKEND = python_backend()
 
 def _inserted_rows_by_position(
     result: QueryResult,
-    inserted: Iterable[TupleRef],
+    inserted: Mapping[str, Iterable[Row]],
 ) -> Dict[int, List[Row]]:
     """Genuinely new rows per atom position, deduplicated, arrival-ordered.
 
-    Rows live in the result's table, repeated refs and refs for
-    relations outside the query's atoms contribute nothing; an
+    One atom lookup per relation: rows live in the result's table, repeated
+    rows and relations outside the query's atoms contribute nothing; an
     interned-but-dead row re-enters as a resurrection delta row.
     """
     by_position: Dict[int, List[Row]] = {}
-    seen: Set[Tuple[int, Row]] = set()
-    for ref in inserted:
-        position = result.atom_position(ref.relation)
+    for name, rows in inserted.items():
+        position = result.atom_position(name)
         if position is None:
             continue
-        row = tuple(ref.values)
-        key = (position, row)
-        if key in seen:
-            continue
-        seen.add(key)
         index = result.indexes[position]
-        tid = index.ids.get(row)
-        if tid is not None and index.live[tid]:
-            continue
-        by_position.setdefault(position, []).append(row)
+        ids_get = index.ids.get
+        live = index.live
+        fresh = [
+            row
+            for row in dict.fromkeys(rows)
+            if (tid := ids_get(row)) is None or not live[tid]
+        ]
+        if fresh:
+            by_position[position] = fresh
     return by_position
 
 
@@ -373,12 +371,15 @@ def _delta_terms(
 
 def delta_insert_result(
     result: QueryResult,
-    inserted: Iterable[TupleRef],
+    inserted: Mapping[str, Iterable[Row]],
     tables: Optional[Mapping[str, RelationIndex]] = None,
 ) -> Optional[QueryResult]:
     """The post-insertion :class:`QueryResult`, derived without re-joining.
 
-    Appends the witnesses created by ``inserted``: old witnesses stay
+    Appends the witnesses created by ``inserted`` (relation name -> row
+    tuples, the batch ``Session.apply_insertions`` normalizes once for
+    every cached result; rows already live, repeats and relations outside
+    the query are skipped): old witnesses stay
     verbatim, new ones are appended, and the result indexes the successor
     interning tables -- ``tables`` (relation name -> extended table, what
     ``Session.apply_insertions`` publishes) or, for a relation it lacks,

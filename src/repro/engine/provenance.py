@@ -39,10 +39,14 @@ incrementally: :meth:`ProvenanceIndex.gains_for` reads them in one gather,
 and they give the greedy scan both its tie-breaker and a sound upper bound
 on profit (``profit_id(t) <= gain(t)``).  The index only ever removes
 tuples; a caller that wants a clean deletion state builds a fresh
-``ProvenanceIndex(result)``.  The NumPy kernel also maintains alive witness
-counts per ``(output, ref)`` pair, so the profits of every tuple
-(:meth:`ProvenanceIndex.profits_for`) are one compare plus one
-``bincount``.
+``ProvenanceIndex(result)``.  The NumPy kernel also maintains every
+tuple's profit: the first :meth:`ProvenanceIndex.profits_for` counts alive
+witnesses per ``(output, ref)`` pair (a pair *kills* its output when that
+count equals the output's alive count) and each tuple's killing pairs, and
+:meth:`ProvenanceIndex.remove_id` then revisits only the pairs of the
+outputs that lost a witness -- of those, only the ones whose count was
+high enough to kill before or after -- so a greedy round's profits are one
+gather.
 
 Stateless verification of a finished solution is
 :meth:`repro.engine.columnar.QueryResult.outputs_removed_by`, which counts
@@ -124,11 +128,15 @@ class ProvenanceIndex:
             self._removed_flags = [False] * self._ref_total
         #: NumPy kernel only, built by the first :meth:`profits_for`: the
         #: ``(W, atoms)`` matrix of (output, ref) pair ids per witness, each
-        #: pair's rid and output, and its count of alive witnesses.
+        #: pair's rid and count of alive witnesses, the pairs' run order and
+        #: its sort keys (see :meth:`_build_pairs`), and every rid's
+        #: maintained profit.
         self._witness_pairs: Any = None
         self._pair_rid: Any = None
-        self._pair_output: Any = None
         self._pair_alive: Any = None
+        self._run_order: Any = None
+        self._run_key: Any = None
+        self._profit: Any = None
         # Outputs with no witnesses at all never existed; by construction the
         # evaluate() result only lists outputs with >= 1 witness.
 
@@ -217,24 +225,79 @@ class ProvenanceIndex:
         self._ref_witnesses = CsrPostings(self._rw_flat, offsets)
 
     def _build_pairs(self) -> None:
-        """Factorize every witness's ``(output, rid)`` pairs (NumPy kernel).
+        """Factorize every witness's ``(output, rid)`` pairs and count every
+        rid's profit (NumPy kernel).
 
         A witness holds distinct rids, so a pair's alive count is the number
         of alive witnesses of that output containing that tuple; deleting
         the tuple kills the output exactly when that count equals the
-        output's alive-witness count.  The ``output * refs + rid`` encode
-        stays below ``2**62`` up to ``2**29`` witnesses of 16 atoms.
+        output's alive-witness count (the pair *kills*), and a rid's profit
+        is its number of killing pairs.  ``_run_order`` lists the pairs by
+        output, then by alive count at build time, descending, and
+        ``_run_key`` is each listed pair's ``output * (W + 1) + (W -
+        count)``, ascending: the pairs of one output whose build-time count
+        reaches ``c`` are a prefix of its run (:meth:`_remove_pairs` visits
+        only that prefix).  Both encodes stay below ``2**62`` up to
+        ``2**29`` witnesses of 16 atoms.
         """
         np = self._np
         refs = self._ref_total
+        radix = len(self._witness_output) + 1
         keys = self._witness_output[:, None] * refs + self._witness_rid_matrix
         pair_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
         self._witness_pairs = inverse.reshape(keys.shape)
         self._pair_rid = pair_keys % refs
-        self._pair_output = pair_keys // refs
-        self._pair_alive = np.bincount(
+        pair_output = pair_keys // refs
+        pair_alive = np.bincount(
             self._witness_pairs[self._hits == 0].ravel(), minlength=pair_keys.size
         )
+        self._pair_alive = pair_alive
+        run_key = pair_output * radix + (radix - 1 - pair_alive)
+        self._run_order = np.argsort(run_key, kind="stable")
+        self._run_key = run_key[self._run_order]
+        kills = (pair_alive > 0) & (pair_alive == self._alive_witnesses[pair_output])
+        self._profit = np.bincount(self._pair_rid[kills], minlength=refs)
+
+    def _remove_pairs(self, dead: Any, outs: Any) -> int:
+        """Retire witnesses ``dead`` (of outputs ``outs``) from the pair
+        counts and the maintained profits; returns how many outputs died.
+
+        Only the pairs of an output that lost a witness can change kill
+        status.  Counts never grow, so a pair whose build-time count is
+        below ``c`` never again equals an alive count ``c``.  The pairs that
+        killed before (count = the old alive count) and those that kill
+        after (count = the new one; none once the output died) therefore
+        all lie in the prefix of the output's run whose build-time count
+        reaches the new alive count (the old one for a dead output).  Each
+        status flip moves its rid's profit by one.
+        """
+        np = self._np
+        alive = self._alive_witnesses
+        affected, lost = np.unique(outs, return_counts=True)
+        before = alive[affected]
+        after = before - lost
+        floor = np.where(after > 0, after, before)
+        radix = len(self._witness_output) + 1
+        base = affected * radix
+        key = self._run_key
+        starts = np.searchsorted(key, base)
+        lengths = np.searchsorted(key, base + (radix - 1 - floor), side="right") - starts
+        total = int(lengths.sum())
+        offsets = np.cumsum(lengths) - lengths
+        pairs = self._run_order[np.repeat(starts - offsets, lengths) + np.arange(total)]
+        pair_alive = self._pair_alive
+        killed_before = pair_alive[pairs] == np.repeat(before, lengths)
+        np.subtract.at(pair_alive, self._witness_pairs[dead].ravel(), 1)
+        alive[affected] = after
+        # A dead output has no killing pair: compare against -1.
+        killed_after = pair_alive[pairs] == np.repeat(
+            np.where(after > 0, after, -1), lengths
+        )
+        profit = self._profit
+        rids = self._pair_rid
+        np.add.at(profit, rids[pairs[killed_after & ~killed_before]], 1)
+        np.subtract.at(profit, rids[pairs[killed_before & ~killed_after]], 1)
+        return int(np.count_nonzero(after == 0))
 
     # ------------------------------------------------------------------ #
     # State
@@ -356,24 +419,19 @@ class ProvenanceIndex:
     def profits_for(self, rids: Sequence[int]) -> Column:
         """Batched :meth:`profit_id`: exactly ``[profit_id(r) for r in rids]``.
 
-        On the NumPy kernel this is one compare over the maintained
-        ``(output, ref)`` pair counts plus one ``bincount`` -- ``O(pairs)``
-        whatever the number of rids, no sort -- returned as an ``int64``
-        array.  The Python kernel loops over :meth:`profit_id`.
+        On the NumPy kernel this is one gather of the maintained profits
+        (built by the first call, kept current by :meth:`remove_id`),
+        returned as an ``int64`` array.  The Python kernel loops over
+        :meth:`profit_id`.
         """
         np = self._np
         if np is None:
             return [self.profit_id(rid) for rid in rids]
-        if self._pair_alive is None:
+        if self._profit is None:
             self._build_pairs()
-        pair_alive = self._pair_alive
         # Removed tuples have no alive witness left, so no pair of theirs
-        # survives the ``> 0`` test and their profit is 0.
-        kills = (pair_alive > 0) & (
-            pair_alive == self._alive_witnesses[self._pair_output]
-        )
-        profit_all = np.bincount(self._pair_rid[kills], minlength=self._ref_total)
-        return profit_all[np.asarray(rids, dtype=np.int64)]
+        # kills and their profit is 0.
+        return self._profit[np.asarray(rids, dtype=np.int64)]
 
     def remove_id(self, rid: int) -> int:
         """Delete tuple ``rid``; returns how many outputs died as a result
@@ -391,11 +449,9 @@ class ProvenanceIndex:
                 np.subtract.at(
                     self._gain, self._witness_rid_matrix[newly_dead].ravel(), 1
                 )
-                if self._pair_alive is not None:
-                    np.subtract.at(
-                        self._pair_alive, self._witness_pairs[newly_dead].ravel(), 1
-                    )
                 outs = self._witness_output[newly_dead]
+                if self._profit is not None:
+                    return self._remove_pairs(newly_dead, outs)
                 np.subtract.at(self._alive_witnesses, outs, 1)
                 killed = int(
                     np.count_nonzero(self._alive_witnesses[np.unique(outs)] == 0)

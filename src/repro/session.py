@@ -969,8 +969,9 @@ class Session:
         how many referenced tuples were actually new.
         """
         self._check_open()
-        # Normalize up front (before any state is touched): keep one ref per
-        # genuinely new row of a stored relation, in arrival order.
+        # Normalize up front (before any state is touched): keep one row per
+        # genuinely new row of a stored relation, in arrival order.  Every
+        # cached result's insert delta reads this one batch.
         fresh_rows: Dict[str, List[Row]] = {}
         seen: set = set()
         ref_list: List[TupleRef] = []
@@ -999,7 +1000,7 @@ class Session:
                 fresh_rows,
                 RelationIndex.extended,
                 lambda: self.database.insert_tuples(ref_list),
-                lambda result, tables: delta_insert_result(result, ref_list, tables),
+                lambda result, tables: delta_insert_result(result, fresh_rows, tables),
             )
             if isp:
                 isp.set(refs=len(ref_list), added=added, migrated=migrated)

@@ -420,12 +420,13 @@ class DatabaseStore:
                 # already width-checked tuples (CRC-validated columns of the
                 # relation's own arity), so the per-row insert() validation
                 # would only re-derive what the snapshot guarantees.  The
-                # rows keep tid order, and a dict filled from the interning
-                # dict reuses its stored hashes.
-                relation._rows = dict.fromkeys(index.ids, None)
-                if index.dead_count:
-                    for row in compress(index.rows, map(not_, index.live)):
-                        del relation._rows[row]
+                # rows keep tid order, and a copy of the interning dict
+                # reuses its stored hashes.
+                relation.load_numbered(
+                    index.ids,
+                    compress(index.rows, map(not_, index.live))
+                    if index.dead_count else (),
+                )
                 # Restore the mutation counter so version_token() -- the
                 # evaluation-cache key -- matches the pre-crash value.
                 relation._version = rel_snap.version

@@ -90,6 +90,15 @@ def _insertion_batch(query, database, seed, count=12):
     return refs
 
 
+def _by_relation(refs):
+    """An insert batch as ``delta_insert_result`` takes it: relation name ->
+    rows in arrival order, repeats and stored rows kept."""
+    batch = {}
+    for ref in refs:
+        batch.setdefault(ref.relation, []).append(ref.values)
+    return batch
+
+
 def _grown(database, refs):
     copy = database.copy()
     copy.insert_tuples(refs)
@@ -104,7 +113,7 @@ def test_delta_insert_matches_fresh_evaluation(backend, name, query, database, s
     base = context.evaluate(query, database)
     refs = _insertion_batch(query, database, seed)
 
-    appended = delta_insert_result(base, refs)
+    appended = delta_insert_result(base, _by_relation(refs))
     fresh = context.evaluate(query, _grown(database, refs), use_cache=False)
 
     assert set(appended.output_rows) == set(fresh.output_rows)
@@ -118,7 +127,7 @@ def test_delta_insert_matches_fresh_evaluation(backend, name, query, database, s
 def test_delta_insert_appends_old_state_verbatim(name, query, database):
     base = evaluate_in_context(query, database)
     refs = _insertion_batch(query, database, seed=4)
-    appended = delta_insert_result(base, refs)
+    appended = delta_insert_result(base, _by_relation(refs))
 
     old_columns = packed_columns(base)
     new_columns = packed_columns(appended)
@@ -137,12 +146,31 @@ def test_delta_insert_appends_old_state_verbatim(name, query, database):
 def test_delta_insert_irrelevant_returns_same_object():
     database = generate_tpch(total_tuples=60, seed=7)
     base = evaluate_in_context(Q1, database)
-    unknown = [TupleRef("R_nonexistent", (1,))]
-    assert delta_insert_result(base, unknown) is base
-    assert delta_insert_result(base, []) is base
+    assert delta_insert_result(base, {"R_nonexistent": [(1,)]}) is base
+    assert delta_insert_result(base, {}) is base
     # Re-inserting an already-stored tuple is also a no-op.
     stored = sorted(base.participating_refs(), key=repr)[:2]
-    assert delta_insert_result(base, stored) is base
+    assert delta_insert_result(base, _by_relation(stored)) is base
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_delta_insert_skips_repeats_and_live_rows(backend):
+    """A repeated row counts once and a row the result's table stores live
+    adds nothing: a noisy batch grows the result exactly like its
+    normalized form."""
+    name, query, database = INSTANCES[1]
+    base = EngineContext(backend=backend).evaluate(query, database)
+    refs = _insertion_batch(query, database, seed=5)
+    stored = sorted(base.participating_refs(), key=repr)[:3]
+    noisy = delta_insert_result(base, _by_relation(stored + refs + refs[::-1] + stored))
+    fresh = [
+        ref for ref in dict.fromkeys(refs)
+        if ref.values not in database.relation(ref.relation)
+    ]
+    clean = delta_insert_result(base, _by_relation(fresh))
+    assert packed_columns(noisy) == packed_columns(clean)
+    assert packed_outputs(noisy) == packed_outputs(clean)
+    assert noisy.output_rows == clean.output_rows
 
 
 def test_delta_insert_no_witness_batch_still_extends_indexes():
@@ -154,10 +182,10 @@ def test_delta_insert_no_witness_batch_still_extends_indexes():
     )
     query = parse_query("Q(A, B) :- R1(A), R2(A, B)")
     base = evaluate_in_context(query, database)
-    step1 = delta_insert_result(base, [TupleRef("R1", ("a2",))])
+    step1 = delta_insert_result(base, {"R1": [("a2",)]})
     assert step1 is not base
     assert step1.output_count() == base.output_count()
-    step2 = delta_insert_result(step1, [TupleRef("R2", ("a2", "b2"))])
+    step2 = delta_insert_result(step1, {"R2": [("a2", "b2")]})
     assert set(step2.output_rows) == {("a1", "b1"), ("a2", "b2")}
 
 
@@ -167,7 +195,7 @@ def test_delta_insert_vacuum_returns_none():
         {"R1": ["A"], "R0": []}, {"R1": [(1,), (2,)], "R0": [()]}
     )
     base = evaluate_in_context(query, database)
-    assert delta_insert_result(base, [TupleRef("R1", (3,))]) is None
+    assert delta_insert_result(base, {"R1": [(3,)]}) is None
 
 
 def test_delta_insert_migrated_postings_match_lazy_rebuild():
@@ -179,7 +207,7 @@ def test_delta_insert_migrated_postings_match_lazy_rebuild():
     for position in range(base.atom_count()):
         base.postings_for_atom(position)
     refs = _insertion_batch(query, database, seed=7)
-    appended = delta_insert_result(base, refs)
+    appended = delta_insert_result(base, _by_relation(refs))
 
     rebuilt = evaluate_in_context(query, _grown(database, refs), use_cache=False)
     for position in range(appended.atom_count()):
@@ -250,7 +278,9 @@ def test_delta_insert_repeated_batches_compose(seed):
     base = evaluate_in_context(query, database)
     batch1 = _insertion_batch(query, database, seed=seed, count=6)
     batch2 = _insertion_batch(query, database, seed=seed + 1, count=6)
-    step = delta_insert_result(delta_insert_result(base, batch1), batch2)
+    step = delta_insert_result(
+        delta_insert_result(base, _by_relation(batch1)), _by_relation(batch2)
+    )
     fresh = evaluate_in_context(
         query, _grown(_grown(database, batch1), batch2), use_cache=False
     )

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.data.database import Database
-from repro.data.relation import TupleRef
+from repro.data.relation import Relation, TupleRef
 from repro.engine.backend import as_id_list, numpy_available
 from repro.engine.delta import delta_counts
 from repro.engine.provenance import ProvenanceIndex
@@ -254,3 +254,74 @@ def test_postings_are_built_once_per_result_and_atom(backend):
 def snapshot(postings):
     """A plain copy of a postings index: ``{tid: [positions]}``."""
     return {tid: as_id_list(positions) for tid, positions in postings.items()}
+
+
+def scratch_profits(index, removed):
+    """Every rid's profit recounted from nothing: per (output, rid) alive
+    witness counts against per-output alive counts, one ``bincount``."""
+    np = pytest.importorskip("numpy")
+    result = index.result
+    rows = [index.witness_rids(wid) for wid in range(result.witness_count())]
+    outputs = np.asarray(as_id_list(result.witness_outputs), dtype=np.int64)
+    alive = np.asarray([not removed.intersection(row) for row in rows], dtype=bool)
+    per_output = np.bincount(outputs[alive], minlength=result.output_count())
+    pairs = {}
+    for wid in np.flatnonzero(alive).tolist():
+        for rid in rows[wid]:
+            key = (int(outputs[wid]), rid)
+            pairs[key] = pairs.get(key, 0) + 1
+    killers = [rid for (out, rid), count in pairs.items() if count == per_output[out]]
+    return np.bincount(
+        np.asarray(killers, dtype=np.int64), minlength=index.ref_count()
+    ).tolist(), int(np.count_nonzero(per_output))
+
+
+MAINTAINED_CASES = {
+    "projection": ("Qh(A) :- R1(A), R2(A, B), R3(B)", 120, 1.1),
+    "projection-flat": ("Q(B) :- R1(A), R2(A, B)", 80, 0.0),
+    "boolean": ("Q() :- R1(A), R2(A, B)", 40, 0.8),
+    "vacuum": ("Q(A) :- R1(A), R2(A, B), V()", 60, 1.1),
+}
+
+
+@pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
+@pytest.mark.parametrize("case", sorted(MAINTAINED_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("built_first", [True, False], ids=["built", "unbuilt"])
+def test_maintained_profits_match_a_recount_after_every_removal(case, seed, built_first):
+    """The NumPy index keeps every rid's profit current through
+    ``remove_id``: after each removal of a seeded sequence (which revisits
+    removed rids and ends with every output dead), ``profits_for`` over all
+    rids equals a from-scratch recount, and each kill count matches it.
+    ``unbuilt`` removes a few rids before the first ``profits_for`` builds
+    the pair counts."""
+    text, size, alpha = MAINTAINED_CASES[case]
+    database = generate_zipf_path(r2_tuples=size, alpha=alpha, seed=seed)
+    if case == "vacuum":
+        database.add_relation(Relation("V", (), [()]))
+    with Session(database, backend="numpy") as session:
+        index = ProvenanceIndex(session.evaluate(parse_query(text)))
+    assert index.vectorized
+    rng = random.Random(seed)
+    rids = list(range(index.ref_count()))
+    sequence = rng.sample(rids, len(rids))
+    sequence[5:5] = rng.sample(sequence[:5], 3)  # re-removals: no-ops
+    removed = set()
+    _profits, outputs_alive = scratch_profits(index, removed)
+    if not built_first:
+        for rid in sequence[:4]:
+            removed.add(rid)
+            killed = index.remove_id(rid)
+            _profits, now_alive = scratch_profits(index, removed)
+            assert killed == outputs_alive - now_alive
+            outputs_alive = now_alive
+        sequence = sequence[4:]
+    assert index.profits_for(rids).tolist() == scratch_profits(index, removed)[0]
+    for rid in sequence:
+        removed.add(rid)
+        killed = index.remove_id(rid)
+        profits, now_alive = scratch_profits(index, removed)
+        assert index.profits_for(rids).tolist() == profits
+        assert killed == outputs_alive - now_alive
+        outputs_alive = now_alive
+    assert outputs_alive == 0

@@ -6,9 +6,12 @@ class attributes (``repro.session.delta_filter_result``,
 renamed or re-routed entry point makes ``install`` raise, or leaves a layer
 silently untimed.  This test installs the patches in a fresh interpreter,
 drives a small session through evaluate, what-if, insertions, deletions and
-a solve, and checks that each wrapped layer recorded a span.
+a solve, and checks that each wrapped layer recorded a span.  The
+``ProvenanceIndex`` methods it wraps are also checked by name, so a rename
+fails here rather than in a traced benchmark pass.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -80,3 +83,39 @@ def test_traced_server_install_wraps_every_layer(tmp_path):
         span[0] for thread in payload["threads"] for span in thread["spans"]
     }
     assert EXPECTED_SPANS <= recorded, sorted(EXPECTED_SPANS - recorded)
+
+
+def _patched_provenance_attributes():
+    """Every ``ProvenanceIndex`` attribute ``install`` wraps: the
+    ``patch(ProvenanceIndex, "<name>", ...)`` calls and the direct
+    ``ProvenanceIndex.<name> = ...`` assignments."""
+    tree = ast.parse((ROOT / "perfbench" / "traced_server.py").read_text())
+    install = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "install"
+    )
+    names = set()
+    for node in ast.walk(install):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "patch"
+            and getattr(node.args[0], "id", None) == "ProvenanceIndex"
+        ):
+            names.add(node.args[1].value)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and getattr(target.value, "id", None) == "ProvenanceIndex"
+                ):
+                    names.add(target.attr)
+    return names
+
+
+def test_traced_server_wraps_existing_provenance_methods():
+    from repro.engine.provenance import ProvenanceIndex
+
+    names = _patched_provenance_attributes()
+    assert {"__init__", "gains_for", "profits_for", "remove_id", "profit_id"} <= names
+    for name in sorted(names):
+        assert callable(getattr(ProvenanceIndex, name, None)), name
