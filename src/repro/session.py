@@ -969,9 +969,9 @@ class Session:
         how many referenced tuples were actually new.
         """
         self._check_open()
-        # Normalize up front (before any state is touched): keep one row per
-        # genuinely new row of a stored relation, in arrival order.  Every
-        # cached result's insert delta reads this one batch.
+        # Normalize up front (before any state is touched): keep each
+        # genuinely new row of a stored relation once, in arrival order.
+        # Every cached result's insert delta reads this one batch.
         fresh_rows: Dict[str, List[Row]] = {}
         seen: set = set()
         ref_list: List[TupleRef] = []
