@@ -61,7 +61,7 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.core.adp import ADPSolver
+from repro.core.adp import ADPSolver, check_target_range
 from repro.core.decidability import decide
 from repro.core.mapping import hardness_certificate
 from repro.core.structures import diagnose
@@ -303,7 +303,7 @@ def _add_serve_parser(subparsers) -> None:
     )
     parser.add_argument(
         "--compact-after",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="mutation-log records absorbed before a compaction snapshot "
@@ -496,6 +496,7 @@ def _solve_impl(args: argparse.Namespace) -> int:
     with session:
         try:
             prepared = session.prepare(query)
+            check_target_range(args.k, args.ratio)
             total = session.output_size(prepared)
             if total == 0:
                 solution = None

@@ -68,6 +68,20 @@ GREEDY = "greedy"
 DRASTIC = "drastic"
 
 
+def check_target_range(k: Optional[int] = None, ratio: Optional[float] = None) -> None:
+    """Raise ``ValueError`` unless ``k >= 1`` and ``ratio`` lies in ``(0, 1]``
+    (either may be ``None``: not given).
+
+    The range checks that hold whatever ``|Q(D)|`` is: a caller that answers
+    an empty result without solving runs them first, so a target is
+    rejected the same way on an empty and on a non-empty result.
+    """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if ratio is not None and not 0 < ratio <= 1:
+        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
+
+
 def ratio_target(total: int, ratio: float) -> int:
     """``k = max(1, ceil(ratio * total))`` -- the paper's ρ parameter.
 
@@ -76,8 +90,7 @@ def ratio_target(total: int, ratio: float) -> int:
     Raises ``ValueError`` for ``ratio`` outside ``(0, 1]`` or an empty
     result.
     """
-    if not 0 < ratio <= 1:
-        raise ValueError(f"ratio must be in (0, 1], got {ratio}")
+    check_target_range(ratio=ratio)
     if total == 0:
         raise ValueError("the query result is empty; nothing to remove")
     return max(1, math.ceil(ratio * total))
@@ -85,8 +98,7 @@ def ratio_target(total: int, ratio: float) -> int:
 
 def check_target(k: int, total: int) -> None:
     """Raise ``ValueError`` unless ``1 <= k <= total`` (``total = |Q(D)|``)."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_target_range(k=k)
     if k > total:
         raise ValueError(f"k={k} exceeds the number of output tuples |Q(D)|={total}")
 

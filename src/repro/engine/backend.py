@@ -355,7 +355,8 @@ class Postings(Protocol):
 class CsrPostings:
     """Postings as compressed sparse rows: one position array plus offsets.
 
-    Row ``t`` (a tid of a provenance's postings, or a dense rid of the
+    Row ``t`` (a tid of a provenance's postings, a group id of a NumPy
+    hash-join build side, or a dense rid of the
     :mod:`repro.engine.provenance` index, whose rid CSR is the postings'
     ``order`` arrays end to end over their non-empty rows) holds
     ``order[offsets[t]:offsets[t + 1]]``: ascending positions, read as a
@@ -456,11 +457,68 @@ class CsrPostings:
         wanted = np.asarray(tids, dtype=np.int64)
         wanted = wanted[(wanted >= 0) & (wanted < offsets.size - 1)]
         starts = offsets[wanted]
-        lengths = offsets[wanted + 1] - starts
-        # Output slot i of run r reads order[starts[r] + i - run_start[r]].
-        run_starts = np.cumsum(lengths) - lengths
-        shift = np.repeat(starts - run_starts, lengths)
-        return self.order[np.arange(shift.size, dtype=np.int64) + shift]
+        return self.order[expand_runs(starts, offsets[wanted + 1] - starts)]
+
+
+def expand_runs(starts: Column, lengths: Column) -> Column:
+    """The positions ``starts[r], ..., starts[r] + lengths[r] - 1`` of every
+    run ``r``, run after run, as one ``int64`` array (zero-length runs
+    contribute nothing).
+
+    Output slot ``i`` of run ``r`` is ``starts[r] + i - run_start[r]``,
+    where ``run_start[r]`` is the run's first output slot: one ``repeat``
+    plus one ``arange``, with no per-run Python work.
+    """
+    np = _np
+    run_starts = np.cumsum(lengths) - lengths
+    shift = np.repeat(starts - run_starts, lengths)
+    return np.arange(shift.size, dtype=np.int64) + shift
+
+
+def factorize_codes(columns: Sequence[Tuple[Column, int]]) -> Tuple[Column, Column]:
+    """``(first_index, inverse)``: the distinct rows of integer code columns.
+
+    Each ``(codes, radix)`` column holds dense codes in ``[0, radix)`` (a
+    :meth:`~repro.engine.columnar.RelationIndex.value_codes` column gathered
+    per row); all columns have one length.  The columns combine into one
+    mixed-radix ``int64`` word per row, so two rows are equal **iff** their
+    words are, and one ``np.unique`` groups them.  Groups are numbered in
+    ascending word order: ``inverse[i]`` is row ``i``'s group and
+    ``first_index[g]`` the first row of group ``g``
+    (:func:`rank_first_occurrence` renumbers them by first occurrence).
+    A prefix word whose range times the next radix would reach ``2**62`` is
+    first re-densified to its distinct values, so the encode cannot wrap.
+    """
+    np = _np
+    word = None
+    word_range = 1
+    for codes, radix in columns:
+        if word is None:
+            word = codes
+        else:
+            if word_range * radix >= 2**62:
+                distinct, word = np.unique(word, return_inverse=True)
+                word_range = distinct.size
+            word = word * radix + codes
+        word_range *= radix
+    _distinct, first_index, inverse = np.unique(
+        word, return_index=True, return_inverse=True
+    )
+    return first_index, inverse
+
+
+def rank_first_occurrence(first_index: Column, inverse: Column) -> Tuple[Column, Column]:
+    """``(gids, firsts)``: :func:`factorize_codes`' groups renumbered by first
+    occurrence -- the order a dict fills in, row by row.
+
+    ``gids[i]`` is row ``i``'s group rank and ``firsts[g]`` the first row
+    of rank ``g`` (ascending).
+    """
+    np = _np
+    group_order = np.argsort(first_index)  # first rows are distinct
+    rank = np.empty(first_index.size, dtype=np.int64)
+    rank[group_order] = np.arange(first_index.size, dtype=np.int64)
+    return rank[inverse], first_index[group_order]
 
 
 def group_positions(column: Column) -> Postings:
@@ -486,11 +544,14 @@ __all__ = [
     "PythonBackend",
     "as_id_list",
     "backend_of_column",
+    "expand_runs",
+    "factorize_codes",
     "gated_backend",
     "group_positions",
     "id_column_to_bytes",
     "is_ndarray",
     "numpy_available",
     "python_backend",
+    "rank_first_occurrence",
     "resolve_backend",
 ]

@@ -56,9 +56,11 @@ from repro.engine.backend import (
     Postings,
     as_id_list,
     backend_of_column,
+    factorize_codes,
     group_positions,
     is_ndarray,
     python_backend,
+    rank_first_occurrence,
 )
 from repro.obs.stats import join_step_record
 from repro.obs.trace import span
@@ -356,11 +358,12 @@ class RelationIndex:
 
         For the Python backend: ``{key: [tids]}`` over the live tids, tids
         ascending (the exact table the probe loop walks).  For the NumPy
-        backend the same grouping in CSR form: ``(table, counts, starts,
-        flat)`` where ``table`` maps a key value to its group id and
-        ``flat[starts[g] : starts[g] + counts[g]]`` lists the group's tids
-        in ascending order -- what the vectorized probe expands with
-        ``repeat``/``take``.  A key only dead rows carry has no group.
+        backend the same grouping as ``(table, groups)``: ``table`` maps a
+        key value to its group id and ``groups`` is a
+        :class:`~repro.engine.backend.CsrPostings` whose row ``gid`` lists
+        the group's tids in ascending order -- what the vectorized probe
+        expands with ``repeat``/``gather``.  A key only dead rows carry has
+        no group.
         """
         cache_key = (backend.name, positions)
         groups = self._hash_groups.get(cache_key)
@@ -387,58 +390,40 @@ class RelationIndex:
         self._hash_groups[cache_key] = groups
         return groups
 
-    def _hash_groups_numpy(self, positions: Tuple[int, ...], backend: Backend) -> tuple:
+    def _hash_groups_numpy(
+        self, positions: Tuple[int, ...], backend: Backend
+    ) -> Tuple[Dict[object, int], CsrPostings]:
         """CSR hash groups derived from the attributes' value codes.
 
         A group id is a key's rank by first live occurrence -- exactly the
         dict-of-lists order -- so with every row live, one-attribute groups
         *are* the value codes and the interning dict is the table.
-        Otherwise the attributes' codes (of the live tids) combine
-        mixed-radix and the distinct words are ranked by first occurrence;
-        only distinct keys become Python tuples.  A stable ``argsort`` of
-        the group ids lists every group's tids ascending.
+        Otherwise the attributes' codes (of the live tids) go through
+        :func:`~repro.engine.backend.factorize_codes`, ranked by first
+        occurrence; only distinct keys become Python tuples.  The groups'
+        CSR lists positions among the live tids, mapped back to tids.
         """
-        np = backend.np
         members = self.live_tids(backend) if self.dead_count else None
         if len(positions) == 1 and members is None:
             gids, table = self._interned_values(positions[0], backend)
         else:
-            word = None
-            word_range = 1
+            columns = []
             for p in positions:
                 codes, interned = self._interned_values(p, backend)
-                radix = max(len(interned), 1)
-                if word is None:
-                    word = codes
-                else:
-                    if word_range * radix >= 2**62:  # pragma: no cover - huge domains
-                        # Re-densify the prefix word so the encode cannot wrap.
-                        word = np.unique(word, return_inverse=True)[1].reshape(-1)
-                        word_range = int(word.max()) + 1
-                    word = word * radix + codes
-                word_range *= radix
-            if members is not None:
-                word = word[members]
-            _uniq, first_index, inverse = np.unique(
-                word, return_index=True, return_inverse=True
-            )
-            group_order = np.argsort(first_index, kind="stable")
-            rank = np.empty(first_index.size, dtype=np.int64)
-            rank[group_order] = np.arange(first_index.size, dtype=np.int64)
-            gids = rank[inverse.reshape(-1)]
-            firsts = first_index[group_order]
+                if members is not None:
+                    codes = codes[members]
+                columns.append((codes, max(len(interned), 1)))
+            gids, firsts = rank_first_occurrence(*factorize_codes(columns))
             if members is not None:
                 firsts = members[firsts]
             keys = map(
                 itemgetter(*positions), map(self.rows.__getitem__, firsts.tolist())
             )
             table = dict(zip(keys, range(firsts.size)))
-        counts = np.bincount(gids, minlength=len(table))
-        starts = np.cumsum(counts) - counts
-        flat = np.argsort(gids, kind="stable")
+        groups = CsrPostings.from_column(gids)
         if members is not None:
-            flat = members[flat]
-        return (table, counts, starts, flat)
+            groups = CsrPostings(members[groups.order], groups.offsets)
+        return table, groups
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -881,16 +866,16 @@ def _probe_gids_numpy(
     Key matching uses Python equality exactly like the Python backend, but
     the dict probes run once per *distinct* probe key, not once per row:
     every probe value is a function of the tid of the atom that first bound
-    its attribute, so probe rows are grouped by a mixed-radix encoding of
-    the binding relations' interned value codes (one ``np.unique``), one
-    representative key per group is looked up in the build table (``map``
-    over ``dict.get``: no Python frame per key), and the answers are
-    scattered back through the group inverse.
+    its attribute, so probe rows are grouped by the binding relations'
+    interned value codes (:func:`~repro.engine.backend.factorize_codes`,
+    unranked: any group order works here), one representative key per group
+    is looked up in the build table (``map`` over ``dict.get``: no Python
+    frame per key), and the answers are scattered back through the group
+    inverse.
     """
     np = backend.np
     table = rindex.hash_groups(shared_positions, backend)[0]
     per_attr = []  # (per-probe-row value-code column, radix)
-    radix_product = 1
     for attribute in shared:
         binder = binding[attribute]
         bindex = indexes[binder]
@@ -898,28 +883,13 @@ def _probe_gids_numpy(
             bindex.attributes.index(attribute), backend
         )
         per_attr.append((codes[ref_columns[binder]], radix))
-        radix_product *= radix
-    get = table.get
-    if radix_product >= 2**62:  # pragma: no cover - astronomically wide keys
-        # Mixed-radix would overflow int64: fall back to per-row probing.
-        if len(shared) == 1:
-            keys = iter(bound[shared[0]])
-        else:
-            keys = zip(*(bound[a] for a in shared))
-        n_probe = len(per_attr[0][0])
-        return np.fromiter(map(get, keys, repeat(-1)), np.int64, count=n_probe)
-    code = None
-    for column, radix in per_attr:
-        code = column if code is None else code * radix + column
-    _uniq, first_index, inverse = np.unique(
-        code, return_index=True, return_inverse=True
-    )
+    first_index, inverse = factorize_codes(per_attr)
     if len(shared) == 1:
         representatives: Iterable[object] = bound[shared[0]].take(first_index)
     else:
         representatives = zip(*(bound[a].take(first_index) for a in shared))
     gid_per_group = np.fromiter(
-        map(get, representatives, repeat(-1)), np.int64, count=first_index.size
+        map(table.get, representatives, repeat(-1)), np.int64, count=first_index.size
     )
     return gid_per_group[inverse]
 
@@ -934,20 +904,16 @@ def _expand_matches_numpy(
 
     Produces the identical pair the Python probe loop appends row by row:
     probe rows in ascending order, matching tids in build-bucket
-    (= ascending tid) order within each probe row -- as ``repeat``/``take``
-    array kernels.
+    (= ascending tid) order within each probe row -- one ``repeat`` and
+    one CSR ``gather``.
     """
     np = backend.np
-    _table, counts, starts, flat = rindex.hash_groups(shared_positions, backend)
-    matched = np.nonzero(gids >= 0)[0]
+    groups = rindex.hash_groups(shared_positions, backend)[1]
+    offsets = groups.offsets
+    matched = np.flatnonzero(gids >= 0)
     matched_gids = gids[matched]
-    match_counts = counts[matched_gids]
-    total = int(match_counts.sum())
-    selection = np.repeat(matched, match_counts)
-    ends = np.cumsum(match_counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(ends - match_counts, match_counts)
-    tids = flat[np.repeat(starts[matched_gids], match_counts) + within]
-    return selection, tids
+    selection = np.repeat(matched, offsets[matched_gids + 1] - offsets[matched_gids])
+    return selection, groups.gather(matched_gids)
 
 
 def join_columns(
@@ -1115,7 +1081,8 @@ def join_columns(
                 if shared:
                     groups = rindex.hash_groups(shared_positions, backend)
                     if vector:
-                        gid_table, group_counts = groups[0], groups[1]
+                        gid_table, csr = groups
+                        group_counts = backend.np.diff(csr.offsets)
                         bucket_sizes = (
                             (key, int(group_counts[gid]))
                             for key, gid in gid_table.items()

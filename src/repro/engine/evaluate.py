@@ -69,8 +69,10 @@ from repro.engine.backend import (
     BackendLike,
     Column,
     NumpyBackend,
+    factorize_codes,
     gated_backend,
     python_backend,
+    rank_first_occurrence,
     resolve_backend,
 )
 from repro.engine.cache import CurveCache, EvaluationCache
@@ -413,15 +415,14 @@ def _factorize_outputs_numpy(
     :class:`~repro.engine.columnar.RelationIndex`), so two witnesses
     produce the same output row **iff** their mixed-radix code words are
     equal -- the whole distinct-output computation collapses to one
-    ``np.unique`` over an ``int64`` column, with no per-witness Python work
-    and no object-tuple hashing at all.  Output IDs are assigned in
+    :func:`~repro.engine.backend.factorize_codes` call, with no per-witness
+    Python work and no object-tuple hashing at all.  Output IDs are assigned in
     first-witness order, reproducing the Python loop's output order and
     witness->output column exactly.
 
     Returns ``(packed witness_outputs, output_rows)``; the reverse
     ``output_index`` is left to the provenance's lazy derivation.
     """
-    np = backend.np
     witness_codes = []  # (per-witness value-code column, radix) per head attr
     for attribute in head:
         for position, atom in enumerate(ordered_atoms):
@@ -432,31 +433,11 @@ def _factorize_outputs_numpy(
                 )
                 witness_codes.append((codes[ref_columns[position]], radix))
                 break
-    radix_product = 1
-    for _column, radix in witness_codes:
-        radix_product *= radix
-    if radix_product >= 2**62:  # pragma: no cover - astronomically wide heads
-        # Mixed-radix would overflow int64: group by the raw code rows.
-        stacked = np.stack([column for column, _ in witness_codes], axis=1)
-        _, first_index, inverse = np.unique(
-            stacked, axis=0, return_index=True, return_inverse=True
-        )
-        inverse = inverse.reshape(-1)  # numpy >= 2.1 keeps the axis shape
-    else:
-        code = None
-        for column, radix in witness_codes:
-            code = column if code is None else code * radix + column
-        _, first_index, inverse = np.unique(
-            code, return_index=True, return_inverse=True
-        )
     # Distinct codes are distinct rows, so the output id of a group is its
     # rank by first witness; rows come from one gather per head column.
-    group_order = np.argsort(first_index, kind="stable")
-    gathered = [bound[a].take(first_index[group_order]) for a in head]
-    output_rows: List[Row] = list(zip(*gathered))
-    lookup = np.empty(first_index.size, dtype=np.int64)
-    lookup[group_order] = np.arange(first_index.size, dtype=np.int64)
-    return lookup[inverse], output_rows
+    output_ids, firsts = rank_first_occurrence(*factorize_codes(witness_codes))
+    output_rows: List[Row] = list(zip(*(bound[a].take(firsts) for a in head)))
+    return output_ids, output_rows
 
 
 def evaluate_columnar(

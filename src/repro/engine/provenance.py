@@ -13,7 +13,7 @@ incrementally:
 * every input tuple knows the witnesses it participates in;
 * deleting a tuple decrements alive counts and reports the outputs whose
   count reached zero;
-* ``profit_id(t)`` computes, without mutating anything, how many
+* ``profit_id(t)`` answers, without mutating anything, how many
   still-alive outputs would die if ``t`` were deleted (i.e. outputs all of
   whose alive witnesses contain ``t``).
 
@@ -40,13 +40,13 @@ and they give the greedy scan both its tie-breaker and a sound upper bound
 on profit (``profit_id(t) <= gain(t)``).  The index only ever removes
 tuples; a caller that wants a clean deletion state builds a fresh
 ``ProvenanceIndex(result)``.  The NumPy kernel also maintains every
-tuple's profit: the first :meth:`ProvenanceIndex.profits_for` counts alive
-witnesses per ``(output, ref)`` pair (a pair *kills* its output when that
-count equals the output's alive count) and each tuple's killing pairs, and
+tuple's profit: building the index counts alive witnesses per ``(output,
+ref)`` pair (a pair *kills* its output when that count equals the output's
+alive count) and each tuple's killing pairs, and
 :meth:`ProvenanceIndex.remove_id` then revisits only the pairs of the
 outputs that lost a witness -- of those, only the ones whose count was
-high enough to kill before or after -- so a greedy round's profits are one
-gather.
+high enough to kill before or after -- so a profit is one read and a
+greedy round's profits are one gather.
 
 Stateless verification of a finished solution is
 :meth:`repro.engine.columnar.QueryResult.outputs_removed_by`, which counts
@@ -66,15 +66,10 @@ from repro.engine.backend import (
     CsrPostings,
     as_id_list,
     backend_of_column,
+    expand_runs,
     is_ndarray,
 )
 from repro.engine.columnar import QueryResult
-
-
-#: Witness-list length below which the scalar loops beat the array kernels
-#: (per-call NumPy overhead is ~tens of µs; the greedy scan issues profit
-#: queries for every surviving candidate each round).
-_SMALL_WIDS = 48
 
 
 class ProvenanceIndex:
@@ -82,8 +77,8 @@ class ProvenanceIndex:
 
     Dual-kernel: when the result's packed provenance is NumPy-backed
     (``int64`` ndarray columns), the index numbers the CSR postings' rows
-    into dense arrays and answers profits, gains and removals through
-    ``bincount``/``unique``/scatter kernels (:attr:`vectorized`);
+    into dense arrays, maintains every rid's gain and profit, and answers
+    profits and gains as gathers (:attr:`vectorized`);
     otherwise the pure-Python list bookkeeping runs over the dict
     postings.  Every quantity is an exact
     count either way, so the greedy heuristics' picks (and hence whole cost
@@ -117,6 +112,7 @@ class ProvenanceIndex:
             # starts alive); diff of offsets, copied since gains mutate.
             self._gain = np.diff(self._rw_offsets)
             self._removed_flags = np.zeros(self._ref_total, dtype=bool)
+            self._build_pairs()
         else:
             self._read_dict_postings(result)
             self._hits = [0] * len(self._witness_rids)
@@ -126,17 +122,6 @@ class ProvenanceIndex:
             #: rid -> number of still-alive witnesses containing the tuple
             self._gain = [len(wids) for wids in self._ref_witnesses]
             self._removed_flags = [False] * self._ref_total
-        #: NumPy kernel only, built by the first :meth:`profits_for`: the
-        #: ``(W, atoms)`` matrix of (output, ref) pair ids per witness, each
-        #: pair's rid and count of alive witnesses, the pairs' run order and
-        #: its sort keys (see :meth:`_build_pairs`), and every rid's
-        #: maintained profit.
-        self._witness_pairs: Any = None
-        self._pair_rid: Any = None
-        self._pair_alive: Any = None
-        self._run_order: Any = None
-        self._run_key: Any = None
-        self._profit: Any = None
         # Outputs with no witnesses at all never existed; by construction the
         # evaluate() result only lists outputs with >= 1 witness.
 
@@ -226,7 +211,7 @@ class ProvenanceIndex:
 
     def _build_pairs(self) -> None:
         """Factorize every witness's ``(output, rid)`` pairs and count every
-        rid's profit (NumPy kernel).
+        rid's profit (NumPy kernel, at build time: every witness alive).
 
         A witness holds distinct rids, so a pair's alive count is the number
         of alive witnesses of that output containing that tuple; deleting
@@ -245,17 +230,19 @@ class ProvenanceIndex:
         radix = len(self._witness_output) + 1
         keys = self._witness_output[:, None] * refs + self._witness_rid_matrix
         pair_keys, inverse = np.unique(keys.ravel(), return_inverse=True)
+        #: ``(W, atoms)`` matrix of (output, ref) pair ids per witness.
         self._witness_pairs = inverse.reshape(keys.shape)
+        #: per pair: its rid and its count of alive witnesses.
         self._pair_rid = pair_keys % refs
         pair_output = pair_keys // refs
-        pair_alive = np.bincount(
-            self._witness_pairs[self._hits == 0].ravel(), minlength=pair_keys.size
-        )
+        pair_alive = np.bincount(self._witness_pairs.ravel(), minlength=pair_keys.size)
         self._pair_alive = pair_alive
         run_key = pair_output * radix + (radix - 1 - pair_alive)
+        #: the pairs' run order and its (ascending) sort keys.
         self._run_order = np.argsort(run_key, kind="stable")
         self._run_key = run_key[self._run_order]
-        kills = (pair_alive > 0) & (pair_alive == self._alive_witnesses[pair_output])
+        kills = pair_alive == self._alive_witnesses[pair_output]
+        #: rid -> number of killing pairs: its maintained profit.
         self._profit = np.bincount(self._pair_rid[kills], minlength=refs)
 
     def _remove_pairs(self, dead: Any, outs: Any) -> int:
@@ -282,9 +269,7 @@ class ProvenanceIndex:
         key = self._run_key
         starts = np.searchsorted(key, base)
         lengths = np.searchsorted(key, base + (radix - 1 - floor), side="right") - starts
-        total = int(lengths.sum())
-        offsets = np.cumsum(lengths) - lengths
-        pairs = self._run_order[np.repeat(starts - offsets, lengths) + np.arange(total)]
+        pairs = self._run_order[expand_runs(starts, lengths)]
         pair_alive = self._pair_alive
         killed_before = pair_alive[pairs] == np.repeat(before, lengths)
         np.subtract.at(pair_alive, self._witness_pairs[dead].ravel(), 1)
@@ -365,29 +350,13 @@ class ProvenanceIndex:
         """
         if self._removed_flags[rid]:
             return 0
-        np = self._np
-        if np is not None:
-            wids = self._ref_witnesses[rid]
-            if wids.size > _SMALL_WIDS:
-                alive_wids = wids[self._hits[wids] == 0]
-                if not alive_wids.size:
-                    return 0
-                outs, counts = np.unique(
-                    self._witness_output[alive_wids], return_counts=True
-                )
-                return int(np.count_nonzero(counts == self._alive_witnesses[outs]))
-            # Small witness lists: the fixed cost of the array kernels
-            # (~tens of µs) dwarfs a short scalar loop.  The greedy scan
-            # asks for profits of *every* surviving candidate, and most
-            # candidates touch a handful of witnesses.
-            wids = wids.tolist()
-        else:
-            wids = self._ref_witnesses[rid]
+        if self._np is not None:
+            return int(self._profit[rid])
         per_output: Dict[int, int] = {}
         get = per_output.get
         hits = self._hits
         witness_output = self._witness_output
-        for wid in wids:  # alive witnesses only
+        for wid in self._ref_witnesses[rid]:  # alive witnesses only
             if hits[wid] == 0:
                 out = witness_output[wid]
                 per_output[out] = get(out, 0) + 1
@@ -420,15 +389,13 @@ class ProvenanceIndex:
         """Batched :meth:`profit_id`: exactly ``[profit_id(r) for r in rids]``.
 
         On the NumPy kernel this is one gather of the maintained profits
-        (built by the first call, kept current by :meth:`remove_id`),
+        (counted with the index, kept current by :meth:`remove_id`),
         returned as an ``int64`` array.  The Python kernel loops over
         :meth:`profit_id`.
         """
         np = self._np
         if np is None:
             return [self.profit_id(rid) for rid in rids]
-        if self._profit is None:
-            self._build_pairs()
         # Removed tuples have no alive witness left, so no pair of theirs
         # kills and their profit is 0.
         return self._profit[np.asarray(rids, dtype=np.int64)]
@@ -444,19 +411,10 @@ class ProvenanceIndex:
             wids = self._ref_witnesses[rid]
             self._hits[wids] += 1  # wids are distinct: no scatter needed
             newly_dead = wids[self._hits[wids] == 1]
-            killed = 0
-            if newly_dead.size:
-                np.subtract.at(
-                    self._gain, self._witness_rid_matrix[newly_dead].ravel(), 1
-                )
-                outs = self._witness_output[newly_dead]
-                if self._profit is not None:
-                    return self._remove_pairs(newly_dead, outs)
-                np.subtract.at(self._alive_witnesses, outs, 1)
-                killed = int(
-                    np.count_nonzero(self._alive_witnesses[np.unique(outs)] == 0)
-                )
-            return killed
+            if not newly_dead.size:
+                return 0
+            np.subtract.at(self._gain, self._witness_rid_matrix[newly_dead].ravel(), 1)
+            return self._remove_pairs(newly_dead, self._witness_output[newly_dead])
         killed = 0
         hits = self._hits
         gain = self._gain

@@ -66,7 +66,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Hashable, List, NoReturn, Optional, Tuple
 
-from repro.core.adp import ADPSolver, check_target, ratio_target
+from repro.core.adp import ADPSolver, check_target, check_target_range, ratio_target
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.solution import ADPSolution
@@ -954,6 +954,7 @@ class AdpService:
                     prepared = session.prepare(item.query)
                     if plans_out is not None:
                         plans_out.append(prepared.plan_fingerprint)
+                    check_target_range(item.k, item.ratio)
                     total = session.output_size(prepared)
                     if total == 0:
                         outcomes[i] = self._success(

@@ -108,6 +108,29 @@ class TestSolveCommand:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            (["--k", "0"], "k must be at least 1"),
+            (["--k", "-3"], "k must be at least 1"),
+            (["--ratio", "7.5"], "ratio must be in"),
+            (["--ratio", "-1"], "ratio must be in"),
+        ],
+        ids=["k-zero", "k-negative", "ratio-above-one", "ratio-negative"],
+    )
+    def test_out_of_range_target_on_an_empty_result_is_a_usage_error(
+        self, capsys, tmp_path, target, message
+    ):
+        """The range check runs before the empty-result shortcut, so an
+        empty database rejects the targets a non-empty one rejects."""
+        empty = Database.from_dict({"R1": ["A"], "R2": ["A", "B"]}, {"R1": [], "R2": []})
+        path = save_database_csv(empty, tmp_path / "empty")
+        assert main(["solve", "Q(A, B) :- R1(A), R2(A, B)", str(path)] + target) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_k_and_ratio_are_mutually_exclusive(self, csv_database):
         with pytest.raises(SystemExit):
             main(
@@ -163,6 +186,17 @@ class TestParser:
             main(["serve", flag, "0"])
         assert excinfo.value.code == 2
         assert f"{flag}: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_compact_after_below_one_is_a_usage_error(self, capsys, tmp_path, value):
+        """A count below 1 exits 2 like every sibling count flag, instead of
+        being clamped to 1 (a compaction after every write)."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["serve", "--data-dir", str(tmp_path), "--compact-after", value]
+            )
+        assert excinfo.value.code == 2
+        assert "--compact-after: must be >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5", "soon"])
     @pytest.mark.parametrize("flag", ["--deadline-ms", "--slow-ms"])

@@ -6,6 +6,9 @@ values, same ordering, Python ints at every API boundary.  Selection rules
 no-NumPy CI leg relies on.
 """
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +17,17 @@ from repro.engine import backend as backend_module
 from repro.engine.backend import (
     as_id_list,
     backend_of_column,
+    expand_runs,
+    factorize_codes,
     group_positions,
     is_ndarray,
     numpy_available,
     python_backend,
+    rank_first_occurrence,
     resolve_backend,
 )
+
+from tests.conftest import repro_test_seed
 
 numpy = pytest.importorskip("numpy") if numpy_available() else None
 requires_numpy = pytest.mark.skipif(
@@ -197,6 +205,101 @@ def test_group_positions_parity(case, probes, data):
     # Derivations compose (a migrated result is filtered, then grown).
     regrown = compressed.appended(resolve_backend("numpy").id_column(batch))
     _assert_postings_answer(regrown, survivors + batch, probes, size)
+
+
+def _dict_factorization(rows):
+    """Row-by-row reference: ``(gids, firsts)`` in first-occurrence order."""
+    gid_of = {}
+    gids = []
+    firsts = []
+    for position, row in enumerate(rows):
+        gid = gid_of.get(row)
+        if gid is None:
+            gid = gid_of[row] = len(firsts)
+            firsts.append(position)
+        gids.append(gid)
+    return gids, firsts
+
+
+#: Radix sets: the prefix word is re-densified before the second column,
+#: before the third, before both, or (the last, whose product stays below
+#: ``2**62``) not at all.
+RADICES = (
+    (2**40, 2**30),
+    (2**25, 2**25, 2**25),
+    (3, 2**61, 5),
+    (7, 11, 13),
+)
+
+
+@requires_numpy
+@pytest.mark.parametrize("radices", RADICES, ids=lambda r: "x".join(map(str, r)))
+def test_factorize_codes_matches_a_dict_factorization(radices, monkeypatch):
+    """Groups and first-occurrence ranks of mixed-radix code words equal a
+    Python dict factorization of the code rows, also when the radix product
+    overflows ``int64`` and the prefix word must be re-densified."""
+    rng = random.Random(repro_test_seed())
+    unique_calls = []
+    real_unique = numpy.unique
+
+    def counting_unique(*args, **kwargs):
+        unique_calls.append(kwargs)
+        return real_unique(*args, **kwargs)
+
+    monkeypatch.setattr(numpy, "unique", counting_unique)
+    for size in (0, 1, 2, 50, 400):
+        # A few distinct codes per column, spread over the whole radix, so
+        # rows repeat and words use the high digits.
+        pools = [
+            [rng.randrange(radix) for _ in range(rng.randint(1, 4))]
+            + [0, radix - 1]
+            for radix in radices
+        ]
+        rows = [tuple(rng.choice(pool) for pool in pools) for _ in range(size)]
+        columns = [
+            (numpy.asarray([row[c] for row in rows], dtype=numpy.int64), radix)
+            for c, radix in enumerate(radices)
+        ]
+        unique_calls.clear()
+        first_index, inverse = factorize_codes(columns)
+        densified = len(unique_calls) - 1
+        assert (densified > 0) == (math.prod(radices) >= 2**62)
+        expected_gids, expected_firsts = _dict_factorization(rows)
+        # Unranked: one group per distinct row, each naming its first row.
+        assert inverse.shape == (size,)
+        assert first_index.size == len(expected_firsts)
+        assert sorted(first_index.tolist()) == expected_firsts
+        assert [rows[f] for f in first_index[inverse].tolist()] == rows
+        gids, firsts = rank_first_occurrence(first_index, inverse)
+        assert gids.tolist() == expected_gids
+        assert firsts.tolist() == expected_firsts
+
+
+def _expanded(starts, lengths):
+    return [start + i for start, length in zip(starts, lengths) for i in range(length)]
+
+
+@requires_numpy
+def test_expand_runs_matches_a_list_reference():
+    """``expand_runs`` lists each run's positions in run order; zero-length
+    runs (first, last, repeated) contribute nothing."""
+    rng = random.Random(repro_test_seed())
+    cases = [([], []), ([4], [0]), ([3, 9, 3], [0, 2, 0]), ([5, 0], [3, 0])]
+    for _ in range(30):
+        runs = rng.randrange(8)
+        cases.append(
+            (
+                [rng.randrange(50) for _ in range(runs)],
+                [rng.choice((0, 0, 1, 2, 5)) for _ in range(runs)],
+            )
+        )
+    for starts, lengths in cases:
+        got = expand_runs(
+            numpy.asarray(starts, dtype=numpy.int64),
+            numpy.asarray(lengths, dtype=numpy.int64),
+        )
+        assert got.dtype == numpy.int64
+        assert got.tolist() == _expanded(starts, lengths)
 
 
 @requires_numpy

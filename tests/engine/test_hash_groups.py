@@ -1,8 +1,8 @@
 """NumPy hash groups built from value codes, and lazy ``TupleRef`` views.
 
-The NumPy backend derives a join step's build side ``(table, counts,
-starts, flat)`` from ``RelationIndex.value_codes`` instead of bucketing tids
-in Python.  It must describe exactly the groups of the Python backend's
+The NumPy backend derives a join step's build side ``(table, groups)`` --
+a key table plus a ``CsrPostings`` of each group's tids -- from
+``RelationIndex.value_codes`` instead of bucketing tids in Python.  It must describe exactly the groups of the Python backend's
 ``{key: [tids]}`` table: the same keys (the first-occurring key object, so
 ``1``/``1.0``/``True`` mixes keep their first spelling) in the same order,
 each with its tids ascending.  A cold greedy solve must not build any
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.data.relation import Relation
-from repro.engine.backend import numpy_available, resolve_backend
+from repro.engine.backend import CsrPostings, numpy_available, resolve_backend
 from repro.engine.columnar import RelationIndex
 from repro.session import Session
 from repro.workloads.zipf import generate_zipf_path
@@ -28,14 +28,14 @@ MIXED = (1, 1.0, True, "1", 0, False, 0.0, -1, -1.0, 2, "a", (1, 2), (1.0, 2.0))
 
 def assert_csr_matches_python(index, positions):
     expected = index.hash_groups(positions, resolve_backend("python"))
-    table, counts, starts, flat = index.hash_groups(positions, resolve_backend("numpy"))
+    table, groups = index.hash_groups(positions, resolve_backend("numpy"))
+    assert isinstance(groups, CsrPostings)
     assert [repr(key) for key in table] == [repr(key) for key in expected]
     assert list(table.values()) == list(range(len(table)))
-    assert len(counts) == len(starts) == len(table)
-    assert len(flat) == index.live_count
+    assert len(groups.offsets) == len(table) + 1
+    assert len(groups.order) == index.live_count
     for key, gid in table.items():
-        start, count = int(starts[gid]), int(counts[gid])
-        assert flat[start : start + count].tolist() == expected[key]
+        assert groups[gid].tolist() == expected[key]
     return table
 
 
@@ -65,11 +65,9 @@ class TestCsrHashGroups:
     def test_empty_relation(self):
         index = RelationIndex(Relation("R", ("A", "B")))
         for positions in ((0,), (0, 1)):
-            table, counts, starts, flat = index.hash_groups(
-                positions, resolve_backend("numpy")
-            )
+            table, groups = index.hash_groups(positions, resolve_backend("numpy"))
             assert table == {} == index.hash_groups(positions, resolve_backend("python"))
-            assert counts.size == starts.size == flat.size == 0
+            assert groups.order.size == 0 and groups.offsets.tolist() == [0]
 
     def test_random_mixes_match_python(self):
         rng = random.Random(repro_test_seed())

@@ -287,14 +287,12 @@ MAINTAINED_CASES = {
 @pytest.mark.skipif(not numpy_available(), reason="numpy unavailable")
 @pytest.mark.parametrize("case", sorted(MAINTAINED_CASES))
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("built_first", [True, False], ids=["built", "unbuilt"])
-def test_maintained_profits_match_a_recount_after_every_removal(case, seed, built_first):
+def test_maintained_profits_match_a_recount_after_every_removal(case, seed):
     """The NumPy index keeps every rid's profit current through
-    ``remove_id``: after each removal of a seeded sequence (which revisits
-    removed rids and ends with every output dead), ``profits_for`` over all
-    rids equals a from-scratch recount, and each kill count matches it.
-    ``unbuilt`` removes a few rids before the first ``profits_for`` builds
-    the pair counts."""
+    ``remove_id``: built with the index, and after each removal of a seeded
+    sequence (which revisits removed rids and ends with every output dead),
+    ``profits_for`` over all rids equals a from-scratch recount, and each
+    kill count matches it."""
     text, size, alpha = MAINTAINED_CASES[case]
     database = generate_zipf_path(r2_tuples=size, alpha=alpha, seed=seed)
     if case == "vacuum":
@@ -307,16 +305,8 @@ def test_maintained_profits_match_a_recount_after_every_removal(case, seed, buil
     sequence = rng.sample(rids, len(rids))
     sequence[5:5] = rng.sample(sequence[:5], 3)  # re-removals: no-ops
     removed = set()
-    _profits, outputs_alive = scratch_profits(index, removed)
-    if not built_first:
-        for rid in sequence[:4]:
-            removed.add(rid)
-            killed = index.remove_id(rid)
-            _profits, now_alive = scratch_profits(index, removed)
-            assert killed == outputs_alive - now_alive
-            outputs_alive = now_alive
-        sequence = sequence[4:]
-    assert index.profits_for(rids).tolist() == scratch_profits(index, removed)[0]
+    profits, outputs_alive = scratch_profits(index, removed)
+    assert index.profits_for(rids).tolist() == profits
     for rid in sequence:
         removed.add(rid)
         killed = index.remove_id(rid)

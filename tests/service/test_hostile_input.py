@@ -238,3 +238,32 @@ def test_boolean_deadline_is_a_400(demo_client, value):
     )
     assert status == 400, body
     assert "deadline_ms must be a number" in body["error"]
+
+
+@pytest.mark.parametrize(
+    "target",
+    [{"k": -3}, {"k": 0}, {"ratio": 7.5}, {"ratio": -1}],
+    ids=["k-negative", "k-zero", "ratio-above-one", "ratio-negative"],
+)
+def test_out_of_range_target_on_an_empty_result_is_a_400(demo_client, target):
+    """The range check runs before the empty-result shortcut: a target that
+    a non-empty result rejects is rejected on an empty one too, while an
+    in-range target is answered with objective 0."""
+    _runner, client = demo_client
+    status, body, _ = client.post(
+        "/v1/databases",
+        {"name": "empty", "schema": {"R1": ["A"]}, "rows": {"R1": []}},
+    )
+    assert status == 200, body
+    for database in ("demo", "empty"):
+        status, body, _ = client.post(
+            "/v1/solve", {"database": database, "query": QUERY, **target}
+        )
+        assert status == 400, (database, body)
+        assert "must be" in body["error"]
+    # k > |Q(D)| stays excused on an empty result.
+    status, body, _ = client.post(
+        "/v1/solve", {"database": "empty", "query": QUERY, "k": 5}
+    )
+    assert status == 200, body
+    assert (body["output_size"], body["objective"]) == (0, 0)
